@@ -97,9 +97,8 @@ func main() {
 	}
 	cluster, err := netexec.NewCluster(clean, *maxShards, &http.Client{
 		Timeout: *deadline,
-		// Pool keep-alive connections sized to the fan-out so every query
-		// doesn't re-dial each worker.
-		Transport: netexec.NewTransport(len(clean)),
+		// Pooled keep-alive connections, so a query doesn't re-dial workers.
+		Transport: netexec.NewTransport(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coordinator:", err)

@@ -159,11 +159,16 @@ func (b *Brick) MemoryBytes(schema Schema) int64 {
 	return int64(b.rows) * schema.RowBytes()
 }
 
-// append adds a row; the brick must be uncompressed (the store guarantees
-// it by decompressing before ingest).
-func (b *Brick) append(dims []uint32, metrics []float64) {
+// append adds a row, first restoring the raw columns of a compressed brick
+// (ingest heats data) under the same hold of the lock: were the two
+// separate, a compaction pass in between would leave an old blob beside
+// raw-only rows.
+func (b *Brick) append(dims []uint32, metrics []float64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if err := b.decompressLocked(); err != nil {
+		return err
+	}
 	for i := range b.dims {
 		b.dims[i] = append(b.dims[i], dims[i])
 	}
@@ -172,15 +177,18 @@ func (b *Brick) append(dims []uint32, metrics []float64) {
 	}
 	b.rows++
 	b.bumpEpochLocked()
+	return nil
 }
 
 // appendColumns adds the rows selected by idx from a column-major batch
-// (src[col][row]), taking the brick lock once for the whole batch. The
-// brick must be uncompressed (the store guarantees it by decompressing
-// before ingest).
-func (b *Brick) appendColumns(dimCols [][]uint32, metricCols [][]float64, idx []int) {
+// (src[col][row]), taking the brick lock once for the decompress-if-cold
+// and the whole batch (see append).
+func (b *Brick) appendColumns(dimCols [][]uint32, metricCols [][]float64, idx []int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if err := b.decompressLocked(); err != nil {
+		return err
+	}
 	for i := range b.dims {
 		col := b.dims[i]
 		// Grow once for the whole batch, keeping at least doubling so a
@@ -217,6 +225,7 @@ func (b *Brick) appendColumns(dimCols [][]uint32, metricCols [][]float64, idx []
 	}
 	b.rows += len(idx)
 	b.bumpEpochLocked()
+	return nil
 }
 
 // encodeColumnsV1 serializes the columns in the legacy (version-1) format:
@@ -325,6 +334,15 @@ func (b *Brick) Decompress() error {
 	return b.decompressLocked()
 }
 
+// inflater recycles flate's decoder state (tens of KB per NewReader) across
+// evicted-tier reads.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
+
 // blobLocked returns the brick's encoded blob, inflating the SSD payload
 // if evicted. Caller holds b.mu. fromSSD reports whether an inflate
 // happened (so callers can reuse the bytes without re-reading).
@@ -335,14 +353,21 @@ func (b *Brick) blobLocked(sc *visitScratch) (data []byte, fromSSD bool, err err
 	if b.ssd == nil {
 		return nil, false, nil
 	}
-	fr := flate.NewReader(bytes.NewReader(b.ssd))
+	in := inflaterPool.Get().(*inflater)
+	defer inflaterPool.Put(in)
+	in.src.Reset(b.ssd)
+	if in.fr == nil {
+		in.fr = flate.NewReader(&in.src)
+	} else if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, false, fmt.Errorf("brick: ssd read: %w", err)
+	}
 	var buf bytes.Buffer
 	if sc != nil && sc.inflate != nil {
 		buf = *bytes.NewBuffer(sc.inflate[:0])
 	} else if b.encLen > 0 {
 		buf.Grow(b.encLen)
 	}
-	if _, err := io.Copy(&buf, fr); err != nil {
+	if _, err := io.Copy(&buf, in.fr); err != nil {
 		return nil, false, fmt.Errorf("brick: ssd read: %w", err)
 	}
 	data = buf.Bytes()

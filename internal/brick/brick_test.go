@@ -175,13 +175,20 @@ func TestFilterSemantics(t *testing.T) {
 	if !nilF.Matches([]uint32{0}) {
 		t.Fatal("nil filter must match everything")
 	}
-	if !nilF.overlaps([][2]uint32{{0, 1}}) || !nilF.covers([][2]uint32{{0, 1}}) {
+	cls := func(f *Filter, lo, hi uint32) (overlaps, covers bool) {
+		return classify(f.flat(nil), [][2]uint32{{lo, hi}})
+	}
+	if o, c := cls(nilF, 0, 1); !o || !c {
 		t.Fatal("nil filter must overlap and cover")
 	}
-	if !f.overlaps([][2]uint32{{10, 20}}) || f.overlaps([][2]uint32{{11, 20}}) {
+	o1, _ := cls(f, 10, 20)
+	o2, _ := cls(f, 11, 20)
+	if !o1 || o2 {
 		t.Fatal("overlaps boundaries wrong")
 	}
-	if !f.covers([][2]uint32{{6, 9}}) || f.covers([][2]uint32{{4, 9}}) {
+	_, c1 := cls(f, 6, 9)
+	_, c2 := cls(f, 4, 9)
+	if !c1 || c2 {
 		t.Fatal("covers boundaries wrong")
 	}
 }

@@ -46,33 +46,38 @@ func (f *Filter) MatchesAt(dims [][]uint32, r int) bool {
 	return true
 }
 
-// overlaps reports whether a brick's bounds intersect the filter.
-func (f *Filter) overlaps(bounds [][2]uint32) bool {
-	if f == nil {
-		return true
-	}
-	for i, r := range f.Ranges {
-		b := bounds[i]
-		if r[1] < b[0] || r[0] > b[1] {
-			return false
-		}
-	}
-	return true
+// dimRange is one filtered dimension, flattened out of Filter.Ranges.
+type dimRange struct {
+	dim    int
+	lo, hi uint32
 }
 
-// covers reports whether the filter fully contains the brick's bounds for
-// every filtered dimension, in which case per-row checks can be skipped.
-func (f *Filter) covers(bounds [][2]uint32) bool {
-	if f == nil {
-		return true
-	}
-	for i, r := range f.Ranges {
-		b := bounds[i]
-		if r[0] > b[0] || r[1] < b[1] {
-			return false
+// flat appends the filter's ranges to buf, so a walk over many bricks
+// iterates the map once instead of once per brick.
+func (f *Filter) flat(buf []dimRange) []dimRange {
+	if f != nil {
+		for d, r := range f.Ranges {
+			buf = append(buf, dimRange{d, r[0], r[1]})
 		}
 	}
-	return true
+	return buf
+}
+
+// classify reports whether a brick's bounds intersect every range (if not,
+// the brick is pruned) and whether every range fully contains them, in
+// which case per-row checks can be skipped.
+func classify(ranges []dimRange, bounds [][2]uint32) (overlaps, covers bool) {
+	covers = true
+	for _, r := range ranges {
+		b := bounds[r.dim]
+		if r.hi < b[0] || r.lo > b[1] {
+			return false, false
+		}
+		if r.lo > b[0] || r.hi < b[1] {
+			covers = false
+		}
+	}
+	return true, covers
 }
 
 // Store holds the bricks of one table partition on one server.
@@ -83,6 +88,10 @@ type Store struct {
 	mu     sync.Mutex
 	bricks map[uint64]*Brick
 	rows   int64
+	// sorted is the id-ordered view of bricks with each brick's bounds
+	// precomputed, replaced copy-on-write (under mu) whenever the brick set
+	// changes, so scans walk it without locking, sorting or allocating.
+	sorted atomic.Pointer[[]brickEntry]
 
 	// decompressions counts transient decode work done by scans over
 	// compressed bricks — the cost adaptive compression tries to avoid
@@ -192,11 +201,7 @@ func (s *Store) Rows() int64 {
 }
 
 // BrickCount returns the number of materialized bricks.
-func (s *Store) BrickCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.bricks)
-}
+func (s *Store) BrickCount() int { return len(s.snapshotBricks()) }
 
 // Insert adds one row. The row's dimension values determine its brick in
 // O(1); if the brick is compressed it is decompressed first (ingest heats
@@ -212,19 +217,16 @@ func (s *Store) Insert(dims []uint32, metrics []float64) error {
 	s.mu.Lock()
 	b, ok := s.bricks[id]
 	if !ok {
-		b = newBrick(len(s.schema.Dimensions), len(s.schema.Metrics))
-		b.obs = s.obs
-		b.epochSrc = &s.epoch
-		b.dcache = &s.dcache
+		b = s.newBrick()
 		s.bricks[id] = b
+		s.publishLocked(s.snapshotBricks(), []uint64{id})
 	}
 	s.rows++
 	s.mu.Unlock()
 
-	if err := b.Decompress(); err != nil {
+	if err := b.append(dims, metrics); err != nil {
 		return err
 	}
-	b.append(dims, metrics)
 	b.Touch(1)
 	s.notifyIngest()
 	return nil
@@ -286,26 +288,27 @@ func (s *Store) InsertBatch(dimCols [][]uint32, metricCols [][]float64) error {
 		idx []int
 	}
 	targets := make([]target, 0, len(byBrick))
+	var created []uint64
 	s.mu.Lock()
 	for id, idx := range byBrick {
 		b, ok := s.bricks[id]
 		if !ok {
-			b = newBrick(len(s.schema.Dimensions), len(s.schema.Metrics))
-			b.obs = s.obs
-			b.epochSrc = &s.epoch
-			b.dcache = &s.dcache
+			b = s.newBrick()
 			s.bricks[id] = b
+			created = append(created, id)
 		}
 		targets = append(targets, target{b, idx})
+	}
+	if len(created) > 0 {
+		s.publishLocked(s.snapshotBricks(), created)
 	}
 	s.rows += int64(rows)
 	s.mu.Unlock()
 
 	for _, t := range targets {
-		if err := t.b.Decompress(); err != nil {
+		if err := t.b.appendColumns(dimCols, metricCols, t.idx); err != nil {
 			return err
 		}
-		t.b.appendColumns(dimCols, metricCols, t.idx)
 		t.b.Touch(float64(len(t.idx))) // ingest heats data, one unit per row
 	}
 	s.notifyIngest()
@@ -344,25 +347,54 @@ func (s *Store) InsertBatchRows(dims [][]uint32, metrics [][]float64) error {
 	return s.InsertBatch(dimCols, metricCols)
 }
 
-// snapshotBricks returns a stable view of (id, brick) pairs.
-func (s *Store) snapshotBricks() []struct {
-	id uint64
-	b  *Brick
-} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]struct {
-		id uint64
-		b  *Brick
-	}, 0, len(s.bricks))
-	for id, b := range s.bricks {
-		out = append(out, struct {
-			id uint64
-			b  *Brick
-		}{id, b})
+// brickEntry is one brick in the store's id-sorted snapshot.
+type brickEntry struct {
+	id     uint64
+	b      *Brick
+	bounds [][2]uint32
+}
+
+// newBrick returns an empty brick wired to the store's observer, epoch
+// source and decoded cache.
+func (s *Store) newBrick() *Brick {
+	b := newBrick(len(s.schema.Dimensions), len(s.schema.Metrics))
+	b.obs = s.obs
+	b.epochSrc = &s.epoch
+	b.dcache = &s.dcache
+	return b
+}
+
+// publishLocked replaces the sorted snapshot with old updated from
+// s.bricks for the given ids (new ids are merged in, present ids take the
+// map's current brick; an id may repeat). The ids come from BrickID or a
+// validated import, so BrickBounds cannot fail. Caller holds s.mu.
+func (s *Store) publishLocked(old []brickEntry, ids []uint64) {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out := make([]brickEntry, 0, len(old)+len(ids))
+	for _, id := range ids {
+		if n := len(out); n > 0 && out[n-1].id == id {
+			continue
+		}
+		for len(old) > 0 && old[0].id < id {
+			out, old = append(out, old[0]), old[1:]
+		}
+		if len(old) > 0 && old[0].id == id {
+			old = old[1:]
+		}
+		bounds, _ := s.schema.BrickBounds(id)
+		out = append(out, brickEntry{id: id, b: s.bricks[id], bounds: bounds})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	out = append(out, old...)
+	s.sorted.Store(&out)
+}
+
+// snapshotBricks returns the id-sorted view of the store's bricks. The
+// slice is shared: callers must not modify it.
+func (s *Store) snapshotBricks() []brickEntry {
+	if p := s.sorted.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // VisitSince streams, brick by brick, every row appended past the caller's
@@ -521,19 +553,19 @@ type ScanPlan struct {
 	Pruned int
 }
 
-// PlanScan snapshots the store and prunes bricks whose bounds do not
-// intersect the filter (the index-free pruning Granular Partitioning
-// provides), returning one task per surviving brick. Callers may execute
-// the tasks in any order, including concurrently.
+// PlanScan prunes bricks whose bounds do not intersect the filter (the
+// index-free pruning Granular Partitioning provides) off the store's sorted
+// snapshot, returning one task per surviving brick. Callers may execute
+// the tasks in any order, including concurrently. Task bounds alias the
+// snapshot and are read-only.
 func (s *Store) PlanScan(f *Filter) (*ScanPlan, error) {
 	entries := s.snapshotBricks()
+	var buf [8]dimRange
+	ranges := f.flat(buf[:0])
 	plan := &ScanPlan{Tasks: make([]ScanTask, 0, len(entries))}
 	for _, e := range entries {
-		bounds, err := s.schema.BrickBounds(e.id)
-		if err != nil {
-			return nil, err
-		}
-		if !f.overlaps(bounds) {
+		overlaps, covers := classify(ranges, e.bounds)
+		if !overlaps {
 			plan.Pruned++
 			continue
 		}
@@ -541,8 +573,8 @@ func (s *Store) PlanScan(f *Filter) (*ScanPlan, error) {
 			store:   s,
 			brick:   e.b,
 			BrickID: e.id,
-			Bounds:  bounds,
-			Full:    f.covers(bounds),
+			Bounds:  e.bounds,
+			Full:    covers,
 		})
 	}
 	return plan, nil

@@ -82,9 +82,8 @@ func (s *Store) ExportSince(since uint64) ([]byte, uint64, error) {
 		n := binary.PutUvarint(scratch[:], v)
 		raw.Write(scratch[:n])
 	}
-	entries := s.snapshotBricks()
-	changed := entries[:0]
-	for _, e := range entries {
+	var changed []brickEntry
+	for _, e := range s.snapshotBricks() {
 		if e.b.Epoch() > since {
 			changed = append(changed, e)
 		}
@@ -143,6 +142,9 @@ func (s *Store) decodeTransfer(blob []byte) ([]transferBrick, error) {
 		if plen > uint64(r.Len()) {
 			return nil, fmt.Errorf("brick: import brick payload claims %d bytes, %d remain", plen, r.Len())
 		}
+		if _, err := s.schema.BrickBounds(id); err != nil {
+			return nil, fmt.Errorf("brick: import brick %d: %w", id, err)
+		}
 		payload := make([]byte, plen)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return nil, fmt.Errorf("brick: import brick payload: %w", err)
@@ -168,10 +170,7 @@ type transferBrick struct {
 // bricks are a fresh data generation: each is stamped with a new epoch so
 // caches keyed on the replaced bricks cannot serve for the imported ones.
 func (s *Store) buildBrick(tb transferBrick) *Brick {
-	b := newBrick(len(s.schema.Dimensions), len(s.schema.Metrics))
-	b.obs = s.obs
-	b.epochSrc = &s.epoch
-	b.dcache = &s.dcache
+	b := s.newBrick()
 	b.dims = tb.dims
 	b.metrics = tb.metrics
 	b.rows = tb.rows
@@ -189,14 +188,17 @@ func (s *Store) Import(blob []byte) error {
 		return err
 	}
 	bricks := make(map[uint64]*Brick, len(decoded))
+	ids := make([]uint64, 0, len(decoded))
 	var total int64
 	for _, tb := range decoded {
 		bricks[tb.id] = s.buildBrick(tb)
+		ids = append(ids, tb.id)
 		total += int64(tb.rows)
 	}
 	s.mu.Lock()
 	s.bricks = bricks
 	s.rows = total
+	s.publishLocked(nil, ids)
 	s.mu.Unlock()
 	// Imported bricks are a fresh generation: row order and counts bear no
 	// relation to the replaced bricks, so watermark-based consumers must
@@ -219,15 +221,18 @@ func (s *Store) ImportBricks(blob []byte) (int64, error) {
 		return 0, err
 	}
 	var delta int64
+	ids := make([]uint64, 0, len(decoded))
 	s.mu.Lock()
 	for _, tb := range decoded {
 		if old, ok := s.bricks[tb.id]; ok {
 			delta -= int64(old.Rows())
 		}
 		s.bricks[tb.id] = s.buildBrick(tb)
+		ids = append(ids, tb.id)
 		delta += int64(tb.rows)
 	}
 	s.rows += delta
+	s.publishLocked(s.snapshotBricks(), ids)
 	s.mu.Unlock()
 	// Replaced bricks invalidate per-brick row watermarks (a replacement
 	// carries the brick's whole row set in arbitrary order relative to the

@@ -1,7 +1,11 @@
 package engine
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"strconv"
+	"strings"
+	"sync/atomic"
 
 	"cubrick/internal/metrics"
 	"cubrick/internal/scancache"
@@ -15,6 +19,15 @@ import (
 // orphans the old entry (epochs are monotonic, a stale entry can never
 // become valid again) and it ages out of the LRU.
 //
+// Admission is on second touch: a fixed-size doorkeeper of key fingerprints
+// records a key's first put and stores nothing; only a key the doorkeeper
+// has seen is cloned and stored. One-off queries therefore pay no clone
+// and evict nothing, and a repeated shape loses exactly one fill per
+// (shape, brick, epoch). The doorkeeper is direct-mapped and lossy — a
+// slot overwritten between two puts delays a fill, a full fingerprint
+// collision admits one early — but it only decides whether to store, never
+// what a lookup returns: hits are matched on the complete key.
+//
 // Entries are deep-cloned on both put and get: the engine's combiners take
 // ownership of the group pointers they merge and mutate the aliased cells
 // on later merges, so a shared snapshot would be corrupted the second time
@@ -23,8 +36,15 @@ import (
 //
 // A nil *BrickCache is valid and never hits.
 type BrickCache struct {
-	c *scancache.Cache
+	c    *scancache.Cache
+	seed maphash.Seed
+	door [doorSlots]atomic.Uint32
 }
+
+// doorSlots sizes the doorkeeper (512 KiB of fingerprints): several times
+// the (shape, brick) pairs a dashboard keeps live, so repeated keys rarely
+// overwrite each other's first touch.
+const doorSlots = 1 << 17
 
 // NewBrickCache returns a cache bounded to maxBytes; non-positive budgets
 // return nil (caching off).
@@ -33,7 +53,7 @@ func NewBrickCache(maxBytes int64) *BrickCache {
 	if c == nil {
 		return nil
 	}
-	return &BrickCache{c: c}
+	return &BrickCache{c: c, seed: maphash.MakeSeed()}
 }
 
 // SetMetrics routes hit/miss/evict/bytes instrumentation into reg under
@@ -61,13 +81,13 @@ type brickCacheEntry struct {
 	rows int64
 }
 
-// get returns a private deep copy of the snapshot under key, safe for the
-// caller to merge into its combiner.
-func (bc *BrickCache) get(key string) (accumulator, int64, bool) {
+// get returns a private deep copy of the snapshot under the key, safe for
+// the caller to merge into its combiner.
+func (bc *BrickCache) get(scope, foldKey string, brickID, epoch uint64) (accumulator, int64, bool) {
 	if bc == nil {
 		return nil, 0, false
 	}
-	v, ok := bc.c.Get(key, 0)
+	v, ok := bc.c.Get(brickCacheKey(scope, foldKey, brickID, epoch), 0)
 	if !ok {
 		return nil, 0, false
 	}
@@ -75,14 +95,36 @@ func (bc *BrickCache) get(key string) (accumulator, int64, bool) {
 	return e.acc.clone(), e.rows, true
 }
 
-// put snapshots the accumulator (deep copy — the caller is about to merge
-// and thereby mutate the original) under key.
-func (bc *BrickCache) put(key string, acc accumulator, rows int64) {
+// put offers the accumulator for caching under the key. The first offer of
+// a key only marks the doorkeeper; a later one snapshots the accumulator
+// (deep copy — the caller is about to merge and thereby mutate the
+// original) and stores it.
+func (bc *BrickCache) put(scope, foldKey string, brickID, epoch uint64, acc accumulator, rows int64) {
 	if bc == nil {
 		return
 	}
+	h := bc.doorHash(scope, foldKey, brickID, epoch)
+	if fp := uint32(h >> 32); bc.door[h%doorSlots].Swap(fp) != fp {
+		return
+	}
+	key := brickCacheKey(scope, foldKey, brickID, epoch)
 	snap := acc.clone()
 	bc.c.Put(key, &brickCacheEntry{acc: snap, rows: rows}, snap.memBytes()+int64(len(key))+64, 0)
+}
+
+// doorHash hashes the key's parts without building the key string, so a
+// rejected put allocates nothing.
+func (bc *BrickCache) doorHash(scope, foldKey string, brickID, epoch uint64) uint64 {
+	var h maphash.Hash
+	h.SetSeed(bc.seed)
+	h.WriteString(scope)
+	h.WriteByte(0x1f)
+	h.WriteString(foldKey)
+	var num [16]byte
+	binary.LittleEndian.PutUint64(num[:8], brickID)
+	binary.LittleEndian.PutUint64(num[8:], epoch)
+	h.Write(num[:])
+	return h.Sum64()
 }
 
 // brickCacheKey derives the cache key for one (store, query shape, brick,
@@ -90,13 +132,15 @@ func (bc *BrickCache) put(key string, acc accumulator, rows int64) {
 // key pins semantics + filter (everything that determines what a brick
 // contributes); the epoch pins the brick's exact ingest state.
 func brickCacheKey(scope, foldKey string, brickID, epoch uint64) string {
-	buf := make([]byte, 0, len(scope)+len(foldKey)+48)
-	buf = append(buf, scope...)
-	buf = append(buf, 0x1f)
-	buf = append(buf, foldKey...)
-	buf = append(buf, 0x1f)
-	buf = strconv.AppendUint(buf, brickID, 10)
-	buf = append(buf, ':')
-	buf = strconv.AppendUint(buf, epoch, 10)
-	return string(buf)
+	var b strings.Builder
+	var num [20]byte
+	b.Grow(len(scope) + len(foldKey) + 48)
+	b.WriteString(scope)
+	b.WriteByte(0x1f)
+	b.WriteString(foldKey)
+	b.WriteByte(0x1f)
+	b.Write(strconv.AppendUint(num[:0], brickID, 10))
+	b.WriteByte(':')
+	b.Write(strconv.AppendUint(num[:0], epoch, 10))
+	return b.String()
 }

@@ -119,22 +119,20 @@ func TestCachedColdEquivalence(t *testing.T) {
 				t.Fatalf("trial %d %s cold: %v", trial, stage, err)
 			}
 			cold := normalizeDecomp(coldP.Finalize())
-			fillP, _, _, _, err := ExecuteParallelCachedTimed(s, q, bc, scope)
-			if err != nil {
-				t.Fatalf("trial %d %s fill: %v", trial, stage, err)
-			}
-			if err := resultsEqual(cold, normalizeDecomp(fillP.Finalize())); err != nil {
-				t.Fatalf("trial %d %s fill vs cold: %v", trial, stage, err)
-			}
-			hitP, _, hits, _, err := ExecuteParallelCachedTimed(s, q, bc, scope)
-			if err != nil {
-				t.Fatalf("trial %d %s hit: %v", trial, stage, err)
-			}
-			if hits == 0 && s.BrickCount() > 0 {
-				t.Fatalf("trial %d %s: repeat query got no cache hits over %d bricks", trial, stage, s.BrickCount())
-			}
-			if err := resultsEqual(cold, normalizeDecomp(hitP.Finalize())); err != nil {
-				t.Fatalf("trial %d %s hit vs cold: %v", trial, stage, err)
+			// Second-touch admission: the first cached run only marks the
+			// doorkeeper, the second fills, the third must hit. Every run's
+			// answer is compared, whatever it was served from.
+			for run, name := range []string{"first", "fill", "hit"} {
+				p, _, hits, _, err := ExecuteParallelCachedTimed(s, q, bc, scope)
+				if err != nil {
+					t.Fatalf("trial %d %s %s: %v", trial, stage, name, err)
+				}
+				if run == 2 && hits == 0 && s.BrickCount() > 0 {
+					t.Fatalf("trial %d %s: repeat query got no cache hits over %d bricks", trial, stage, s.BrickCount())
+				}
+				if err := resultsEqual(cold, normalizeDecomp(p.Finalize())); err != nil {
+					t.Fatalf("trial %d %s %s vs cold: %v", trial, stage, name, err)
+				}
 			}
 		}
 		check("initial")

@@ -171,8 +171,7 @@ func executeParallelOpts(store *brick.Store, q *Query, opts execOpts) (*Partial,
 				t := &tasks[i]
 				res := &results[i]
 				if opts.cache != nil {
-					key := brickCacheKey(opts.scope, foldKey, t.BrickID, t.Epoch())
-					if acc, rows, ok := opts.cache.get(key); ok {
+					if acc, rows, ok := opts.cache.get(opts.scope, foldKey, t.BrickID, t.Epoch()); ok {
 						// Cache hit: the snapshot stands in for the whole
 						// scan. Heat still accrues — reuse keeps a brick
 						// exactly as hot as scanning it would.
@@ -190,9 +189,7 @@ func executeParallelOpts(store *brick.Store, q *Query, opts execOpts) (*Partial,
 					// match, the brick is done without any decode.
 					if pruned, epoch := t.PruneEncoded(c.filter); pruned {
 						res.stats.BricksStatsPruned++
-						if opts.cache != nil {
-							opts.cache.put(brickCacheKey(opts.scope, foldKey, t.BrickID, epoch), res.acc, 0)
-						}
+						opts.cache.put(opts.scope, foldKey, t.BrickID, epoch, res.acc, 0)
 						continue
 					}
 				}
@@ -232,12 +229,12 @@ func executeParallelOpts(store *brick.Store, q *Query, opts execOpts) (*Partial,
 					return nil
 				})
 				res.err = err
-				if opts.cache != nil && err == nil {
+				if err == nil {
 					// Key the fill on the epoch observed during the visit —
 					// never the pre-scan read — so an ingest that lands
 					// mid-scan can only push the entry under a key future
 					// lookups (which will see the newer epoch) already miss.
-					opts.cache.put(brickCacheKey(opts.scope, foldKey, t.BrickID, epoch), res.acc, res.rowsScanned)
+					opts.cache.put(opts.scope, foldKey, t.BrickID, epoch, res.acc, res.rowsScanned)
 				}
 			}
 		}()

@@ -394,12 +394,16 @@ func (p *scanPass) work() {
 // accumulator. The brick is decoded, filtered, and walked exactly once
 // regardless of subscriber count — that shared visit is the entire win.
 func (p *scanPass) visitTask(i int, subs []*foldSub, selBuf *[]int32, es *encScratch) error {
+	if len(subs) == 0 {
+		// Every subscriber detached since the claim: nobody consumes the
+		// task, and there is no accumulator to scan into or to cache.
+		return nil
+	}
 	t := &p.tasks[i]
 	c := p.c
 	bc := p.sched.cfg.BrickCache
 	if bc != nil {
-		key := brickCacheKey(p.sched.cfg.CacheScope, p.key, t.BrickID, t.Epoch())
-		if acc, cachedRows, ok := bc.get(key); ok {
+		if acc, cachedRows, ok := bc.get(p.sched.cfg.CacheScope, p.key, t.BrickID, t.Epoch()); ok {
 			// The snapshot stands in for the scan for every live
 			// subscriber; each gets its own deep copy because combiners
 			// take ownership of (and later mutate) what they merge.
@@ -427,9 +431,7 @@ func (p *scanPass) visitTask(i int, subs []*foldSub, selBuf *[]int32, es *encScr
 			for j, sub := range subs {
 				sub.accs[i] = accs[j]
 			}
-			if bc != nil && len(accs) > 0 {
-				bc.put(brickCacheKey(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch), accs[0], 0)
-			}
+			bc.put(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch, accs[0], 0)
 			return nil
 		}
 	}
@@ -485,13 +487,10 @@ func (p *scanPass) visitTask(i int, subs []*foldSub, selBuf *[]int32, es *encScr
 	for j, sub := range subs {
 		sub.accs[i] = accs[j]
 	}
-	if bc != nil && len(accs) > 0 {
-		// All subscriber accumulators were fed identically; snapshot the
-		// first. The key uses the epoch observed during the visit, so a
-		// mid-scan ingest can only file the entry under a key future
-		// lookups already miss.
-		bc.put(brickCacheKey(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch), accs[0], rows)
-	}
+	// All subscriber accumulators were fed identically; snapshot the first.
+	// The key uses the epoch observed during the visit, so a mid-scan ingest
+	// can only file the entry under a key future lookups already miss.
+	bc.put(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch, accs[0], rows)
 	return nil
 }
 
@@ -557,8 +556,7 @@ func (p *scanPass) catchUpTask(i int, sub *foldSub, selBuf *[]int32, es *encScra
 	c := p.c
 	bc := p.sched.cfg.BrickCache
 	if bc != nil {
-		key := brickCacheKey(p.sched.cfg.CacheScope, p.key, t.BrickID, t.Epoch())
-		if acc, cachedRows, ok := bc.get(key); ok {
+		if acc, cachedRows, ok := bc.get(p.sched.cfg.CacheScope, p.key, t.BrickID, t.Epoch()); ok {
 			t.Touch()
 			sub.rows[i] = cachedRows
 			sub.cached[i] = true
@@ -570,9 +568,7 @@ func (p *scanPass) catchUpTask(i int, sub *foldSub, selBuf *[]int32, es *encScra
 	if !t.Full && c.filter != nil && !disableSkippers {
 		if pruned, epoch := t.PruneEncoded(c.filter); pruned {
 			sub.accs[i] = acc
-			if bc != nil {
-				bc.put(brickCacheKey(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch), acc, 0)
-			}
+			bc.put(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch, acc, 0)
 			return nil
 		}
 	}
@@ -616,20 +612,19 @@ func (p *scanPass) catchUpTask(i int, sub *foldSub, selBuf *[]int32, es *encScra
 	}
 	sub.rows[i] = rows
 	sub.accs[i] = acc
-	if bc != nil {
-		bc.put(brickCacheKey(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch), acc, rows)
-	}
+	bc.put(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch, acc, rows)
 	return nil
 }
 
 // detach removes the subscriber from the live set. Workers stop feeding
 // it, and the pass aborts claiming once no live subscribers remain.
 func (sub *foldSub) detach(p *scanPass) {
-	if sub.canceled.Swap(true) {
-		return
-	}
+	// Flag and count change under one hold of p.mu, the lock work() claims
+	// under, so a claim never sees a live count with no live subscriber.
 	p.mu.Lock()
-	p.active--
+	if !sub.canceled.Swap(true) {
+		p.active--
+	}
 	p.mu.Unlock()
 }
 

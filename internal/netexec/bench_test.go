@@ -191,7 +191,7 @@ func benchFanout(b *testing.B, nWorkers int, observed bool) {
 			s.Close()
 		}
 	}()
-	coord := NewCoordinator(nWorkers)
+	coord := NewCoordinator()
 	var tracer *trace.Tracer
 	if observed {
 		tracer = trace.New(trace.Config{})

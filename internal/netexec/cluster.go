@@ -65,9 +65,9 @@ func NewCluster(workers []string, maxShards int64, client *http.Client) (*Cluste
 		maxShards = 100000
 	}
 	if client == nil {
-		// Scatter-gather reuses a pooled keep-alive transport sized to the
-		// fan-out; a fresh dial per partial is pure coordinator overhead.
-		client = &http.Client{Transport: NewTransport(len(workers))}
+		// Scatter-gather reuses a pooled keep-alive transport; a fresh dial
+		// per partial is pure coordinator overhead.
+		client = &http.Client{Transport: NewTransport()}
 	}
 	return &Cluster{
 		mapper:  core.MonotonicMapper{MaxShards: maxShards},

@@ -583,6 +583,15 @@ func attrMS(s *trace.Span, key string, d time.Duration) {
 	}
 }
 
+// gzipBuf recycles a gzip.Writer (~1 MB of deflate state per NewWriter) and
+// its output buffer across /partial replies.
+type gzipBuf struct {
+	buf bytes.Buffer
+	zw  *gzip.Writer
+}
+
+var gzipPool = sync.Pool{New: func() any { return &gzipBuf{zw: gzip.NewWriter(nil)} }}
+
 // servePartial executes one partial request. On failure it returns the
 // HTTP status to send with the error; on success it writes the response
 // itself and returns a nil error.
@@ -758,10 +767,13 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	}
 	gzipped := false
 	if gzMin > 0 && len(blob) >= gzMin && strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		var zbuf bytes.Buffer
-		zw := gzip.NewWriter(&zbuf)
-		if _, err := zw.Write(blob); err == nil && zw.Close() == nil {
-			payload = zbuf.Bytes()
+		// Held until the payload is written: it aliases the pooled buffer.
+		gz := gzipPool.Get().(*gzipBuf)
+		defer gzipPool.Put(gz)
+		gz.buf.Reset()
+		gz.zw.Reset(&gz.buf)
+		if _, err := gz.zw.Write(blob); err == nil && gz.zw.Close() == nil {
+			payload = gz.buf.Bytes()
 			rw.Header().Set("Content-Encoding", "gzip")
 			gzipped = true
 		}
@@ -816,27 +828,29 @@ func (t Target) urls() []string {
 // ErrWorkerFailed wraps per-worker HTTP failures.
 var ErrWorkerFailed = errors.New("netexec: worker request failed")
 
+// idleConnsPerHost is how many keep-alive connections the coordinator
+// keeps per worker host. A query holds one connection per partition on the
+// host (plus hedges) and every connection over the idle cap is closed on
+// return and re-dialled by the next query, so the cap must cover
+// partitions-per-host × concurrent queries, not the worker count. Idle
+// connections cost a few KB each and lapse after IdleConnTimeout.
+const idleConnsPerHost = 256
+
 // NewTransport returns an http.Transport tuned for coordinator fan-out:
-// keep-alives with an idle pool sized so a scatter-gather over `fanout`
-// partitions reuses connections instead of paying a dial + TCP handshake
-// per partial on every query.
-func NewTransport(fanout int) *http.Transport {
-	if fanout < 4 {
-		fanout = 4
-	}
+// keep-alives with an idle pool deep enough that steady-state
+// scatter-gather reuses connections instead of paying a dial + TCP
+// handshake per partial.
+func NewTransport() *http.Transport {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
-	// All partitions of a table may live on one worker host; let the whole
-	// fan-out keep its connections warm.
-	tr.MaxIdleConnsPerHost = fanout
-	tr.MaxIdleConns = 4 * fanout
+	tr.MaxIdleConnsPerHost = idleConnsPerHost
+	tr.MaxIdleConns = 0 // bounded per host only
 	tr.IdleConnTimeout = 90 * time.Second
 	return tr
 }
 
-// NewCoordinator returns a coordinator with a pooled transport sized for
-// the expected fan-out.
-func NewCoordinator(fanout int) *Coordinator {
-	return &Coordinator{Client: &http.Client{Transport: NewTransport(fanout)}}
+// NewCoordinator returns a coordinator with a pooled transport.
+func NewCoordinator() *Coordinator {
+	return &Coordinator{Client: &http.Client{Transport: NewTransport()}}
 }
 
 // DefaultMaxPartialBytes bounds how much of a worker's partial response

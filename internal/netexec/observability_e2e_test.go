@@ -52,7 +52,7 @@ func TestChaosObservabilityEndToEnd(t *testing.T) {
 		}
 	}()
 
-	cluster, err := NewCluster(urls, 0, &http.Client{Transport: NewTransport(partitions)})
+	cluster, err := NewCluster(urls, 0, &http.Client{Transport: NewTransport()})
 	if err != nil {
 		t.Fatal(err)
 	}

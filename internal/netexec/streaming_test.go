@@ -24,10 +24,12 @@ import (
 // waiting for the whole fan-out to drain.
 func TestFailFastCancelsPeers(t *testing.T) {
 	var stalledCanceled atomic.Bool
+	entered := make(chan struct{})
 	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body so the server's background read can observe the
 		// client disconnect and cancel the request context.
 		io.Copy(io.Discard, r.Body)
+		close(entered)
 		select {
 		case <-r.Context().Done():
 			stalledCanceled.Store(true)
@@ -36,6 +38,10 @@ func TestFailFastCancelsPeers(t *testing.T) {
 	}))
 	defer stalled.Close()
 	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Fail only once the peer request is in flight: a failure that wins
+		// the race against the peer's dial cancels a request the stalled
+		// server never saw, and there is nothing left to observe.
+		<-entered
 		http.Error(w, "disk on fire", http.StatusInternalServerError)
 	}))
 	defer failing.Close()

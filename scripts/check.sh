@@ -35,6 +35,15 @@ go test -race -count=1 -run 'TestRealtimeEquivalence' ./internal/engine
 echo "== encoded-execution differential harness (-race)"
 go test -race -count=1 -run 'TestEncodedDifferential|TestSkipperOracle|TestCompositeKeyEncodedViews' ./internal/engine
 
+# The per-call allocation diet (PR 13): planning a scan and offering a
+# one-off query's per-brick result to the brick cache must stay free of
+# per-brick allocations. The per-layer costs they guard are measured by
+# BenchmarkPlanScan256 (internal/brick) and BenchmarkServePartialSmall
+# (internal/netexec, -benchmem).
+echo "== allocation ceilings (PlanScan <= 2, doorkeeper-rejected put = 0)"
+go test -count=1 -run 'TestPlanScanAllocs' ./internal/brick
+go test -count=1 -run 'TestBrickCacheRejectedPutAllocs' ./internal/engine
+
 echo "== chaos test (seeded fault injection, -race)"
 go test -race -count=1 -run 'TestChaos' ./internal/netexec
 
