@@ -5,6 +5,7 @@
 package cubrick_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -220,8 +221,9 @@ func BenchmarkScanParallelism(b *testing.B) {
 		b.ReportMetric(float64(s.BrickCount()), "bricks")
 	})
 	b.Run("parallel", func(b *testing.B) {
+		sched := engine.NewScheduler(s, engine.SchedulerConfig{})
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.ExecuteParallel(s, q); err != nil {
+			if _, _, err := sched.Run(context.Background(), q, engine.Opts{Unshared: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -70,3 +70,43 @@ func TestNodeAdmissionShedsQuery(t *testing.T) {
 		t.Fatalf("post-release query: %v", err)
 	}
 }
+
+// TestNodeDropShardForgetsScheduler: dropping a shard must drop its stores'
+// scan schedulers too, or every shard migrated off a node would stay
+// reachable — store, bricks and all — through n.scheds forever.
+func TestNodeDropShardForgetsScheduler(t *testing.T) {
+	d := testDeployment(t)
+	if _, err := d.CreateTable("t", smallSchema()); err != nil {
+		t.Fatal(err)
+	}
+	loadRows(t, d, "t", 200)
+	if _, err := d.Query("east", "t", sumQuery(), 0); err != nil {
+		t.Fatal(err)
+	}
+	schedulers := func(n *Node) int {
+		n.schedMu.Lock()
+		defer n.schedMu.Unlock()
+		return len(n.scheds)
+	}
+	created := 0
+	for _, n := range d.Nodes() {
+		created += schedulers(n)
+		n.mu.Lock()
+		var shards []int64
+		for sh := range n.shards {
+			shards = append(shards, sh)
+		}
+		n.mu.Unlock()
+		for _, sh := range shards {
+			if err := n.DropShard(sh); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if left := schedulers(n); left != 0 {
+			t.Fatalf("%d schedulers survive dropping every shard", left)
+		}
+	}
+	if created == 0 {
+		t.Fatal("the query created no scheduler; the test checks nothing")
+	}
+}

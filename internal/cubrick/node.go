@@ -68,10 +68,9 @@ type NodeConfig struct {
 	// HotnessDecay is the per-decay-tick multiplier applied to brick
 	// hotness counters.
 	HotnessDecay float64
-	// FoldScans routes partial execution through the per-store scan
-	// scheduler so concurrent queries with equal fold keys share one
-	// brick pass. Off in the zero value (solo ExecuteParallel, the
-	// pre-scheduler behaviour); on in the production default.
+	// FoldScans lets concurrent queries with equal fold keys share one
+	// brick pass of the store's scan scheduler. Off in the zero value
+	// (every query runs an unshared pass); on in the production default.
 	FoldScans bool
 	// BrickCacheBytes budgets the node's per-brick partial cache (fold
 	// key + brick ingest epoch -> finished per-task accumulator), shared
@@ -140,8 +139,8 @@ type Node struct {
 
 	// admit gates partial execution when set (nil admits everything).
 	admit *admission.Controller
-	// scheds lazily holds one scan scheduler per store when FoldScans is
-	// on, so concurrent same-shape queries share brick passes.
+	// scheds lazily holds one scan scheduler per store; every partial
+	// execution is one of its brick passes.
 	schedMu sync.Mutex
 	scheds  map[*brick.Store]*engine.Scheduler
 
@@ -285,13 +284,19 @@ func (n *Node) rollupFor(st *brick.Store) *rollup.Table {
 	return n.rollups[st]
 }
 
-// dropRollups forgets dropped stores' rollup tables.
-func (n *Node) dropRollups(stores map[string]*brick.Store) {
+// forgetStores drops the per-store state of dropped stores — rollup tables
+// and scan schedulers — so neither map keeps the stores' bricks reachable.
+func (n *Node) forgetStores(stores map[string]*brick.Store) {
 	n.rollupMu.Lock()
 	for _, st := range stores {
 		delete(n.rollups, st)
 	}
 	n.rollupMu.Unlock()
+	n.schedMu.Lock()
+	for _, st := range stores {
+		delete(n.scheds, st)
+	}
+	n.schedMu.Unlock()
 }
 
 // RollupStats sums rollup maintenance counters across the node's tables.
@@ -443,8 +448,8 @@ func (n *Node) DropShard(shard int64) error {
 	delete(n.staged, shard)
 	delete(n.forwards, shard)
 	n.mu.Unlock()
-	n.dropRollups(live)
-	n.dropRollups(staged)
+	n.forgetStores(live)
+	n.forgetStores(staged)
 	return nil
 }
 
@@ -586,7 +591,7 @@ func (n *Node) DropPartition(shard int64, partName string) {
 	}
 	n.mu.Unlock()
 	if dropped != nil {
-		n.dropRollups(map[string]*brick.Store{partName: dropped})
+		n.forgetStores(map[string]*brick.Store{partName: dropped})
 	}
 }
 
@@ -639,9 +644,9 @@ func (n *Node) ExecutePartial(shard int64, partName string, q *engine.Query) (*e
 
 // ExecutePartialCtx is ExecutePartial with a context: the query passes the
 // node's admission controller (queueing or shedding under load, with
-// tenant and priority drawn from admission.MetaFrom(ctx)), and with
-// FoldScans on it runs through the store's scan scheduler so concurrent
-// queries with equal fold keys share one brick pass.
+// tenant and priority drawn from admission.MetaFrom(ctx)), then runs as a
+// brick pass of the store's scan scheduler — shared with concurrent
+// queries of equal fold key when FoldScans is on.
 func (n *Node) ExecutePartialCtx(ctx context.Context, shard int64, partName string, q *engine.Query) (*engine.Partial, error) {
 	st, err := n.store(shard, partName)
 	if err != nil {
@@ -659,18 +664,12 @@ func (n *Node) ExecutePartialCtx(ctx context.Context, shard int64, partName stri
 	// incremental rollup (whole buckets pre-aggregated, delta and edge
 	// rows scanned raw) before any full-scan machinery engages.
 	if tbl := n.rollupFor(st); tbl != nil {
-		if p, _, ok, err := engine.ExecuteRollup(st, tbl, q); err == nil && ok {
+		if p, _, ok, err := engine.ExecuteRollup(ctx, st, tbl, q); err == nil && ok {
 			return p, nil
 		}
 	}
-	if !n.foldScans() {
-		if bc, _ := n.caches(); bc != nil {
-			p, _, _, _, err := engine.ExecuteParallelCachedTimed(st, q, bc, partName)
-			return p, err
-		}
-		return engine.ExecuteParallel(st, q)
-	}
-	return n.scheduler(partName, st).Execute(ctx, q)
+	p, _, err := n.scheduler(partName, st).Run(ctx, q, engine.Opts{Unshared: !n.foldScans()})
+	return p, err
 }
 
 // SetAdmission installs (or with nil removes) the node's admission

@@ -105,7 +105,7 @@ func benchGroupedQuery() *Query {
 }
 
 // BenchmarkExecuteSerial is the row-at-a-time baseline on the multi-brick
-// grouped-aggregation workload BenchmarkExecuteParallel runs.
+// grouped-aggregation workload BenchmarkRunUnshared runs.
 func BenchmarkExecuteSerial(b *testing.B) {
 	s := benchParallelStore(b, 200000)
 	q := benchGroupedQuery()
@@ -117,14 +117,14 @@ func BenchmarkExecuteSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteParallel is the brick-parallel vectorized path on the
+// BenchmarkRunUnshared is the brick-parallel vectorized path on the
 // same workload; compare against BenchmarkExecuteSerial for the speedup.
-func BenchmarkExecuteParallel(b *testing.B) {
+func BenchmarkRunUnshared(b *testing.B) {
 	s := benchParallelStore(b, 200000)
 	q := benchGroupedQuery()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExecuteParallel(s, q); err != nil {
+		if _, _, err := runUnshared(s, q, 0, Opts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func benchKernel(b *testing.B, q *Query) {
 	})
 	b.Run("vectorized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ExecuteParallelN(s, q, 1); err != nil {
+			if _, _, err := runUnshared(s, q, 1, Opts{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,7 +11,7 @@ import (
 func testAcc(t testing.TB) accumulator {
 	t.Helper()
 	c, err := compile(testSchema(), &Query{
-		Aggregates: []Aggregate{{Func: Sum, Metric: "events"}}, GroupBy: []string{"app"}})
+		Aggregates: []Aggregate{{Func: Sum, Metric: "events"}}, GroupBy: []string{"app"}}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSchedulerZeroSubscriberTask(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := sched.ExecuteInfo(ctx, q)
+		_, _, err := sched.Run(ctx, q, Opts{})
 		close(gaveUp)
 		done <- err
 	}()
@@ -206,7 +206,7 @@ func TestSchedulerZeroSubscriberTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := sched.ExecuteInfo(context.Background(), q)
+	p, _, err := sched.Run(context.Background(), q, Opts{})
 	if err != nil {
 		t.Fatalf("query after the abandoned pass: %v", err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -50,8 +51,7 @@ func TestCachedColdEquivalence(t *testing.T) {
 		}
 		dc := brick.NewDecodedCache(8 << 20)
 		s.SetDecodedCache(dc)
-		bc := NewBrickCache(8 << 20)
-		scope := fmt.Sprintf("t%d", trial)
+		cached := NewScheduler(s, SchedulerConfig{BrickCache: NewBrickCache(8 << 20), CacheScope: fmt.Sprintf("t%d", trial)})
 
 		ingest := func(rows int) {
 			dimVals := make([]uint32, nDims)
@@ -114,7 +114,7 @@ func TestCachedColdEquivalence(t *testing.T) {
 		}
 
 		check := func(stage string) {
-			coldP, _, err := ExecuteParallelNoCacheTimed(s, q)
+			coldP, _, err := runUnshared(s, q, 0, Opts{NoCache: true})
 			if err != nil {
 				t.Fatalf("trial %d %s cold: %v", trial, stage, err)
 			}
@@ -123,11 +123,11 @@ func TestCachedColdEquivalence(t *testing.T) {
 			// doorkeeper, the second fills, the third must hit. Every run's
 			// answer is compared, whatever it was served from.
 			for run, name := range []string{"first", "fill", "hit"} {
-				p, _, hits, _, err := ExecuteParallelCachedTimed(s, q, bc, scope)
+				p, info, err := cached.Run(context.Background(), q, Opts{Unshared: true})
 				if err != nil {
 					t.Fatalf("trial %d %s %s: %v", trial, stage, name, err)
 				}
-				if run == 2 && hits == 0 && s.BrickCount() > 0 {
+				if run == 2 && info.CacheHits == 0 && s.BrickCount() > 0 {
 					t.Fatalf("trial %d %s: repeat query got no cache hits over %d bricks", trial, stage, s.BrickCount())
 				}
 				if err := resultsEqual(cold, normalizeDecomp(p.Finalize())); err != nil {
@@ -164,7 +164,7 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetDecodedCache(brick.NewDecodedCache(4 << 20))
-	bc := NewBrickCache(4 << 20)
+	cached := NewScheduler(s, SchedulerConfig{BrickCache: NewBrickCache(4 << 20), CacheScope: "live"})
 
 	const batches = 60
 	const batchRows = 40
@@ -192,7 +192,7 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 	q := &Query{Aggregates: []Aggregate{{Func: Count}}}
 	for i := 0; i < 400; i++ {
 		floor := committed.Load() * batchRows
-		p, _, _, _, err := ExecuteParallelCachedTimed(s, q, bc, "live")
+		p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -204,7 +204,7 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 	wg.Wait()
 
 	// Quiesced: the cached answer must equal the exact final count.
-	p, _, _, _, err := ExecuteParallelCachedTimed(s, q, bc, "live")
+	p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
 	if err != nil {
 		t.Fatal(err)
 	}

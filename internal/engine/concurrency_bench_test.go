@@ -115,11 +115,12 @@ func TestConcurrencyBench(t *testing.T) {
 
 		lvl := concLevel{Concurrency: c, Queries: total}
 		for _, mode := range []string{"unfolded", "folded"} {
-			sched := engine.NewScheduler(st, engine.SchedulerConfig{NoFold: mode == "unfolded"})
+			sched := engine.NewScheduler(st, engine.SchedulerConfig{})
+			opts := engine.Opts{Unshared: mode == "unfolded"}
 			// Warm up and clear the previous mode's garbage so one GC pause
 			// doesn't decide a p99.
 			for i := 0; i < 3; i++ {
-				if _, err := sched.Execute(context.Background(), stream[i%len(stream)]); err != nil {
+				if _, _, err := sched.Run(context.Background(), stream[i%len(stream)], opts); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -135,7 +136,7 @@ func TestConcurrencyBench(t *testing.T) {
 					lats[w] = make([]time.Duration, len(mine))
 					for i, q := range mine {
 						t0 := time.Now()
-						if _, err := sched.Execute(context.Background(), q); err != nil {
+						if _, _, err := sched.Run(context.Background(), q, opts); err != nil {
 							t.Error(err)
 							return
 						}

@@ -171,28 +171,26 @@ func TestEncodedDifferential(t *testing.T) {
 	rnd := randutil.New(0xD1FF)
 	for trial := 0; trial < 60; trial++ {
 		tr := newDiffTrial(t, rnd)
-		run := func(noEnc, noSkip bool) (*Result, *Result) {
-			disableEncodedKernels, disableSkippers = noEnc, noSkip
-			defer func() { disableEncodedKernels, disableSkippers = false, false }()
-			serial, err := Execute(tr.store, tr.query)
+		run := func(o Opts) *Result {
+			parallel, _, err := runUnshared(tr.store, tr.query, 4, o)
 			if err != nil {
-				t.Fatalf("trial %d serial: %v", trial, err)
+				t.Fatalf("trial %d parallel %+v: %v", trial, o, err)
 			}
-			parallel, err := ExecuteParallelN(tr.store, tr.query, 4)
-			if err != nil {
-				t.Fatalf("trial %d parallel: %v", trial, err)
-			}
-			return serial.Finalize(), parallel.Finalize()
+			return parallel.Finalize()
 		}
-		serial, parallel := run(false, false)
-		if err := resultsEqual(serial, parallel); err != nil {
+		serial, err := Execute(tr.store, tr.query)
+		if err != nil {
+			t.Fatalf("trial %d serial: %v", trial, err)
+		}
+		parallel := run(Opts{})
+		if err := resultsEqual(serial.Finalize(), parallel); err != nil {
 			t.Fatalf("trial %d serial vs parallel (q=%+v): %v", trial, tr.query, err)
 		}
-		_, noEnc := run(true, false)
+		noEnc := run(Opts{noEncodedKernels: true})
 		if err := rowsEqual(parallel, noEnc); err != nil {
 			t.Fatalf("trial %d encoded kernels changed the answer (q=%+v): %v", trial, tr.query, err)
 		}
-		_, noSkip := run(false, true)
+		noSkip := run(Opts{noSkippers: true})
 		if err := rowsEqual(parallel, noSkip); err != nil {
 			t.Fatalf("trial %d skippers changed the answer (q=%+v): %v", trial, tr.query, err)
 		}
@@ -269,7 +267,7 @@ func TestSkipperOracle(t *testing.T) {
 			GroupBy:    []string{"key"},
 			Filter:     f,
 		}
-		got, _, err := ExecuteParallelStats(s, q)
+		got, _, err := runUnshared(s, q, 0, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +320,7 @@ func TestSkipperOracle(t *testing.T) {
 		GroupBy:    []string{"key"},
 		Filter:     map[string][2]uint32{"pos": {40, 42}},
 	}
-	_, st, err := ExecuteParallelStats(s, q)
+	_, st, err := runUnshared(s, q, 0, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +339,7 @@ func TestSkipperOracle(t *testing.T) {
 		GroupBy:    []string{"key"},
 		Filter:     map[string][2]uint32{"tag": {200, 400}},
 	}
-	res, std, err := ExecuteParallelStats(s, qd)
+	res, std, err := runUnshared(s, qd, 0, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +398,7 @@ func TestCompositeKeyEncodedViews(t *testing.T) {
 		for d := 0; d < nDims; d++ {
 			q.GroupBy = append(q.GroupBy, fmt.Sprintf("d%d", d))
 		}
-		fast, err := ExecuteParallelN(s, q, 4)
+		fast, _, err := runUnshared(s, q, 4, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,9 +409,7 @@ func TestCompositeKeyEncodedViews(t *testing.T) {
 		if err := resultsEqual(serial.Finalize(), fast.Finalize()); err != nil {
 			t.Fatalf("nDims=%d serial vs parallel: %v", nDims, err)
 		}
-		disableEncodedKernels = true
-		slow, err := ExecuteParallelN(s, q, 4)
-		disableEncodedKernels = false
+		slow, _, err := runUnshared(s, q, 4, Opts{noEncodedKernels: true})
 		if err != nil {
 			t.Fatal(err)
 		}

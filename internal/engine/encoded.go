@@ -35,11 +35,6 @@ import (
 // bit-identical to the materialized row-at-a-time reference — including
 // float summation order and HLL register state.
 
-// disableSkippers turns off the per-encoding filter skippers and the
-// encoded-brick stats pruning: filter columns materialize and predicates
-// evaluate row-at-a-time. Benchmark hook only.
-var disableSkippers bool
-
 // ScanStats reports encoded-execution accounting for one execution: how
 // much work the skippers did at run/code granularity instead of per row,
 // and how many bricks were pruned from their blob headers without any
@@ -102,7 +97,12 @@ type encScratch struct {
 	// intersection output — never aliased.
 	spanBufs [3][]rowSpan
 	preds    []rowPred
+	// sel is the row-selection buffer of partially covered batches; non-nil
+	// so an empty selection is distinguishable from "all rows pass".
+	sel []int32
 }
+
+func newEncScratch() *encScratch { return &encScratch{sel: make([]int32, 0, 1024)} }
 
 func (es *encScratch) keyBuf(k int) []uint32 {
 	if cap(es.keys) < k {
@@ -354,8 +354,7 @@ type rowPred struct {
 
 // buildSel evaluates the compiled filter over a partially covered batch
 // using the encoded skippers, returning the surviving row selection.
-// all == true means every row passes (sel is unused). Counters land in st
-// when non-nil.
+// all == true means every row passes (sel is unused). Counters land in st.
 func (c *compiled) buildSel(b *brick.Batch, sel []int32, es *encScratch, st *ScanStats) (out []int32, all bool) {
 	var spans []rowSpan
 	cur := -1 // index of the spanBuf backing spans, -1 until the first runs dim
@@ -369,15 +368,13 @@ func (c *compiled) buildSel(b *brick.Batch, sel []int32, es *encScratch, st *Sca
 			pos := int32(0)
 			for _, run := range runs {
 				if run.Value >= fd.lo && run.Value <= fd.hi {
-					if st != nil {
-						st.RunsTouched++
-					}
+					st.RunsTouched++
 					if n := len(next); n > 0 && next[n-1].end == pos {
 						next[n-1].end = pos + run.Length
 					} else {
 						next = append(next, rowSpan{start: pos, end: pos + run.Length})
 					}
-				} else if st != nil {
+				} else {
 					st.RunsSkipped++
 				}
 				pos += run.Length
@@ -402,14 +399,12 @@ func (c *compiled) buildSel(b *brick.Batch, sel []int32, es *encScratch, st *Sca
 			// accepted codes form one contiguous interval.
 			cLo := sort.Search(len(dict), func(i int) bool { return dict[i] >= fd.lo })
 			cHi := sort.Search(len(dict), func(i int) bool { return dict[i] > fd.hi }) - 1
-			if st != nil {
-				acc := int64(0)
-				if cHi >= cLo {
-					acc = int64(cHi - cLo + 1)
-				}
-				st.CodesTouched += acc
-				st.CodesSkipped += int64(len(dict)) - acc
+			acc := int64(0)
+			if cHi >= cLo {
+				acc = int64(cHi - cLo + 1)
 			}
+			st.CodesTouched += acc
+			st.CodesSkipped += int64(len(dict)) - acc
 			if cHi < cLo {
 				return sel[:0], false
 			}

@@ -65,11 +65,11 @@ func TestEncodedExecBench(t *testing.T) {
 	s.SetDecodedCache(brick.NewDecodedCache(256 << 20))
 	rows := s.Rows()
 
-	measure := func(q *Query) float64 {
+	measure := func(q *Query, o Opts) float64 {
 		start := time.Now()
 		iters := 0
 		for time.Since(start) < minDur {
-			if _, err := ExecuteParallelN(s, q, 4); err != nil {
+			if _, _, err := runUnshared(s, q, 4, o); err != nil {
 				t.Fatal(err)
 			}
 			iters++
@@ -81,10 +81,8 @@ func TestEncodedExecBench(t *testing.T) {
 		Aggregates: []Aggregate{{Func: Sum, Metric: "m"}, {Func: Count}},
 		GroupBy:    []string{"key", "sub"},
 	}
-	groupFast := measure(groupQ)
-	disableEncodedKernels = true
-	groupSlow := measure(groupQ)
-	disableEncodedKernels = false
+	groupFast := measure(groupQ, Opts{})
+	groupSlow := measure(groupQ, Opts{noEncodedKernels: true})
 
 	// pos is globally sorted, so every brick holds a narrow pos band: the
 	// one-value range prunes most bricks by FOR bounds before any decode
@@ -94,15 +92,13 @@ func TestEncodedExecBench(t *testing.T) {
 		GroupBy:    []string{"key"},
 		Filter:     map[string][2]uint32{"pos": {500, 502}},
 	}
-	_, st, err := ExecuteParallelStats(s, filterQ)
+	_, st, err := runUnshared(s, filterQ, 0, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	touched := float64(st.RunsTouched) / float64(st.RunsTouched+st.RunsSkipped+1)
-	filterFast := measure(filterQ)
-	disableSkippers = true
-	filterSlow := measure(filterQ)
-	disableSkippers = false
+	filterFast := measure(filterQ, Opts{})
+	filterSlow := measure(filterQ, Opts{noSkippers: true})
 
 	blob, err := json.MarshalIndent(map[string]interface{}{
 		"generated":                        time.Now().UTC().Format(time.RFC3339),

@@ -118,7 +118,7 @@ func TestEncodedKernelEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					parallel, err := ExecuteParallelN(s, q, 4)
+					parallel, _, err := runUnshared(s, q, 4, Opts{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -141,13 +141,11 @@ func TestEncodedKernelToggleEquivalence(t *testing.T) {
 		Aggregates: []Aggregate{{Func: Sum, Metric: "m"}, {Func: Count}, {Func: Avg, Metric: "m"}},
 		GroupBy:    []string{"key"},
 	}
-	fast, err := ExecuteParallelN(s, q, 4)
+	fast, _, err := runUnshared(s, q, 4, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	disableEncodedKernels = true
-	defer func() { disableEncodedKernels = false }()
-	slow, err := ExecuteParallelN(s, q, 4)
+	slow, _, err := runUnshared(s, q, 4, Opts{noEncodedKernels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +166,7 @@ func TestProjectionBuild(t *testing.T) {
 		GroupBy:    []string{"key"},
 		Filter:     map[string][2]uint32{"other": {5, 20}},
 	}
-	c, err := compile(schema, q)
+	c, err := compile(schema, q, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +201,7 @@ func TestProjectionBuild(t *testing.T) {
 		Aggregates: []Aggregate{{Func: CountDistinct, Metric: "key"}},
 		GroupBy:    []string{"key"},
 	}
-	cd, err := compile(schema, qd)
+	cd, err := compile(schema, qd, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +215,7 @@ func TestProjectionBuild(t *testing.T) {
 		Aggregates: []Aggregate{{Func: Count}},
 		GroupBy:    []string{"key", "other"},
 	}
-	c2, err := compile(schema, q2)
+	c2, err := compile(schema, q2, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +232,7 @@ func TestProjectionBuild(t *testing.T) {
 		Aggregates: []Aggregate{{Func: Count}, {Func: CountDistinct, Metric: "other"}},
 		GroupBy:    []string{"key", "other"},
 	}
-	c3, err := compile(schema, q3)
+	c3, err := compile(schema, q3, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +329,7 @@ func TestMixedTierEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallelMixed, err := ExecuteParallelN(mixed, q, 4)
+		parallelMixed, _, err := runUnshared(mixed, q, 4, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +340,7 @@ func TestMixedTierEquivalence(t *testing.T) {
 		}
 		// The mixed store answers match the raw clone's rows exactly
 		// (decompression counters legitimately differ between the stores).
-		parallelRaw, err := ExecuteParallelN(raw, q, 4)
+		parallelRaw, _, err := runUnshared(raw, q, 4, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -351,6 +351,9 @@ type compiled struct {
 	// filterDims is the filter as a deterministic list (ascending dimension
 	// index) the per-encoding skippers walk.
 	filterDims []filterDim
+	// noSkippers is Opts.noSkippers: the brick visit evaluates the filter
+	// row-at-a-time and skips blob-bounds pruning.
+	noSkippers bool
 }
 
 // filterDim is one filter predicate resolved to a dimension index.
@@ -360,7 +363,9 @@ type filterDim struct {
 }
 
 // compile validates the query against the schema and resolves columns.
-func compile(schema brick.Schema, q *Query) (*compiled, error) {
+// The options shape the projections: which columns arrive as encoded views
+// and whether the decoded-column cache is bypassed.
+func compile(schema brick.Schema, q *Query, o Opts) (*compiled, error) {
 	if err := q.Validate(schema); err != nil {
 		return nil, err
 	}
@@ -369,6 +374,7 @@ func compile(schema brick.Schema, q *Query) (*compiled, error) {
 		groupIdx:    make([]int, len(q.GroupBy)),
 		metricIdx:   make([]int, len(q.Aggregates)),
 		distinctIdx: make([]int, len(q.Aggregates)),
+		noSkippers:  o.noSkippers,
 	}
 	for i, g := range q.GroupBy {
 		c.groupIdx[i] = schema.DimIndex(g)
@@ -389,7 +395,7 @@ func compile(schema brick.Schema, q *Query) (*compiled, error) {
 			c.filter.Ranges[schema.DimIndex(name)] = r
 		}
 	}
-	c.buildProjections(schema)
+	c.buildProjections(schema, o)
 	return c, nil
 }
 
@@ -397,7 +403,7 @@ func compile(schema brick.Schema, q *Query) (*compiled, error) {
 // VisitBatch. Fully covered bricks skip filter-only dimensions entirely
 // (their values cannot change the result); partially covered bricks
 // additionally materialize the filter dimensions for MatchesAt.
-func (c *compiled) buildProjections(schema brick.Schema) {
+func (c *compiled) buildProjections(schema brick.Schema, o Opts) {
 	dims := make([]brick.ColRequest, len(schema.Dimensions))
 	mets := make([]bool, len(schema.Metrics))
 	for _, gi := range c.groupIdx {
@@ -427,7 +433,7 @@ func (c *compiled) buildProjections(schema brick.Schema) {
 				// skipper evaluates the range once per run or dictionary
 				// code; the decoder materializes them anyway when the
 				// encoding has no such structure.
-				if disableSkippers {
+				if o.noSkippers {
 					part[di] = brick.ColNeed
 				} else {
 					part[di] = brick.ColGroupEncoded
@@ -445,7 +451,7 @@ func (c *compiled) buildProjections(schema brick.Schema) {
 	// arity: composite keys go through run intersection, code tuples, or a
 	// one-time scratch materialization (see encoded.go).
 	c.encGroups = make([]bool, len(c.groupIdx))
-	if !disableEncodedKernels {
+	if !o.noEncodedKernels {
 		for i, gi := range c.groupIdx {
 			eligible := true
 			for _, di := range c.distinctIdx {
@@ -460,8 +466,8 @@ func (c *compiled) buildProjections(schema brick.Schema) {
 			}
 		}
 	}
-	c.proj = brick.Projection{Dims: part, Metrics: mets}
-	c.projFull = brick.Projection{Dims: full, Metrics: mets}
+	c.proj = brick.Projection{Dims: part, Metrics: mets, NoCache: o.NoCache}
+	c.projFull = brick.Projection{Dims: full, Metrics: mets, NoCache: o.NoCache}
 	c.projFullSerial = brick.Projection{Dims: serialFull, Metrics: mets}
 	c.projPartSerial = brick.Projection{Dims: partSerial, Metrics: mets}
 }
@@ -483,9 +489,9 @@ func (c *compiled) observeRow(g *group, dims [][]uint32, metrics [][]float64, r 
 
 // Execute runs the query over one partition's store, returning a partial.
 // It is the serial, row-at-a-time reference implementation; production
-// paths use ExecuteParallel, which produces identical results.
+// paths use Scheduler.Run, which produces identical results.
 func Execute(store *brick.Store, q *Query) (*Partial, error) {
-	c, err := compile(store.Schema(), q)
+	c, err := compile(store.Schema(), q, Opts{})
 	if err != nil {
 		return nil, err
 	}
@@ -502,8 +508,8 @@ func Execute(store *brick.Store, q *Query) (*Partial, error) {
 	for ti := range plan.Tasks {
 		t := &plan.Tasks[ti]
 		p.BricksVisited++
-		if !t.Full && c.filter != nil && !disableSkippers {
-			// Same blob-bounds pruning as the parallel paths, so cost
+		if !t.Full && c.filter != nil {
+			// Same blob-bounds pruning as the brick pass, so cost
 			// counters (Decompressions) stay identical across paths.
 			if pruned, _ := t.PruneEncoded(c.filter); pruned {
 				continue

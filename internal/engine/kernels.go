@@ -23,12 +23,6 @@ import (
 // Partial once at the end, so parallel execution is deterministic and
 // scheduling-independent.
 
-// disableEncodedKernels turns off encoding-aware GROUP BY aggregation
-// (runs/dictionary codes consumed without materializing the column); the
-// compiled projection then materializes the group column instead.
-// Benchmark hook only.
-var disableEncodedKernels bool
-
 // encodedGroupObserver is implemented by the single-dimension GROUP BY
 // kernels that can aggregate straight off a column's encoded structure:
 // one slot resolution per run (run-length multiply for count, a tight

@@ -129,7 +129,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d serial: %v", trial, err)
 		}
-		parallel, err := ExecuteParallelN(s, q, 4)
+		parallel, _, err := runUnshared(s, q, 4, Opts{})
 		if err != nil {
 			t.Fatalf("trial %d parallel: %v", trial, err)
 		}
@@ -149,7 +149,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 func TestParallelEmptyStore(t *testing.T) {
 	s, _ := brick.NewStore(testSchema())
 	global := &Query{Aggregates: []Aggregate{{Func: Count}}}
-	p, err := ExecuteParallel(s, global)
+	p, _, err := runUnshared(s, global, 0, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestParallelEmptyStore(t *testing.T) {
 		t.Fatalf("empty global aggregate = %v", res.Rows)
 	}
 	grouped := &Query{Aggregates: []Aggregate{{Func: Count}}, GroupBy: []string{"region"}}
-	p2, err := ExecuteParallel(s, grouped)
+	p2, _, err := runUnshared(s, grouped, 0, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +179,13 @@ func TestParallelDeterministic(t *testing.T) {
 		Aggregates: []Aggregate{{Func: Sum, Metric: "events"}, {Func: Avg, Metric: "latency"}},
 		GroupBy:    []string{"region", "app"},
 	}
-	first, err := ExecuteParallelN(s, q, 8)
+	first, _, err := runUnshared(s, q, 8, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := first.Finalize()
 	for i := 0; i < 20; i++ {
-		p, err := ExecuteParallelN(s, q, 8)
+		p, _, err := runUnshared(s, q, 8, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,21 +52,19 @@ func TestRLEKernelBench(t *testing.T) {
 		GroupBy:    []string{"key"},
 	}
 	rows := s.Rows()
-	run := func() float64 {
+	run := func(o Opts) float64 {
 		start := time.Now()
 		iters := 0
 		for time.Since(start) < minDur {
-			if _, err := ExecuteParallelN(s, q, 4); err != nil {
+			if _, _, err := runUnshared(s, q, 4, o); err != nil {
 				t.Fatal(err)
 			}
 			iters++
 		}
 		return float64(rows) * float64(iters) / time.Since(start).Seconds()
 	}
-	fast := run()
-	disableEncodedKernels = true
-	slow := run()
-	disableEncodedKernels = false
+	fast := run(Opts{})
+	slow := run(Opts{noEncodedKernels: true})
 
 	blob, err := json.MarshalIndent(map[string]interface{}{
 		"generated":                time.Now().UTC().Format(time.RFC3339),

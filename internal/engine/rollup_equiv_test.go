@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 // configuration × ingest interleaving × compaction tier × query shape, the
 // two new answer paths must be bit-identical to the full-scan reference —
 //
-//	rollup hybrid (rollup groups + delta scan + edge scans) ≡ ExecuteParallel
+//	rollup hybrid (rollup groups + delta scan + edge scans) ≡ raw brick pass
 //	distributed top-k pushdown (prune/threshold/certify/phase-2) ≡ merged
 //	    full partials
 //
@@ -170,11 +172,11 @@ func (tr *realtimeTrial) checkRollup(t *testing.T, rnd *randutil.Source, trial i
 	t.Helper()
 	st, tbl := tr.stores[0], tr.tables[0]
 	q := tr.rollupQuery(rnd)
-	p, info, ok, err := ExecuteRollup(st, tbl, q)
+	p, info, ok, err := ExecuteRollup(context.Background(), st, tbl, q)
 	if err != nil {
 		t.Fatalf("trial %d ExecuteRollup: %v", trial, err)
 	}
-	ref, err := ExecuteParallel(st, q)
+	ref, _, err := runUnshared(st, q, 0, Opts{})
 	if err != nil {
 		t.Fatalf("trial %d reference: %v", trial, err)
 	}
@@ -187,6 +189,14 @@ func (tr *realtimeTrial) checkRollup(t *testing.T, rnd *randutil.Source, trial i
 	if err := rowsEqual(ref.Finalize(), p.Finalize()); err != nil {
 		t.Fatalf("trial %d rollup vs reference (q=%+v, info=%+v): %v", trial, q, info, err)
 	}
+	if info.EdgeScans > 0 {
+		// The ragged-edge scans are brick passes under the caller's context.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, _, err := ExecuteRollup(ctx, st, tbl, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: cancelled rollup with %d edge scans returned %v", trial, info.EdgeScans, err)
+		}
+	}
 	if rnd.Bernoulli(0.33) {
 		// Snapshot codec round-trip: a table rebuilt from the wire snapshot
 		// must serve the identical answer.
@@ -197,7 +207,7 @@ func (tr *realtimeTrial) checkRollup(t *testing.T, rnd *randutil.Source, trial i
 		if err := t2.InstallSnapshot(tbl.EncodeSnapshot(), st); err != nil {
 			t.Fatalf("trial %d InstallSnapshot: %v", trial, err)
 		}
-		p2, _, ok2, err := ExecuteRollup(st, t2, q)
+		p2, _, ok2, err := ExecuteRollup(context.Background(), st, t2, q)
 		if err != nil || !ok2 {
 			t.Fatalf("trial %d rollup after snapshot install: ok=%v err=%v", trial, ok2, err)
 		}
@@ -251,7 +261,7 @@ func (tr *realtimeTrial) checkTopK(t *testing.T, rnd *randutil.Source, trial int
 	q := tr.topkQuery(rnd)
 	ref := NewPartial(q)
 	for _, s := range tr.stores {
-		p, err := ExecuteParallel(s, q)
+		p, _, err := runUnshared(s, q, 0, Opts{})
 		if err != nil {
 			t.Fatalf("trial %d topk reference: %v", trial, err)
 		}
@@ -267,7 +277,7 @@ func (tr *realtimeTrial) checkTopK(t *testing.T, rnd *randutil.Source, trial int
 	}
 	kPrime := q.Limit * (1 + rnd.Intn(3)) // overfetch 1x..3x: 1x provokes phase 2
 	for wi, s := range tr.stores {
-		p, err := ExecuteParallel(s, q)
+		p, _, err := runUnshared(s, q, 0, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +300,7 @@ func (tr *realtimeTrial) checkTopK(t *testing.T, rnd *randutil.Source, trial int
 	if !res.Certified && !res.UnseenBlocked && len(res.NeedKeys) > 0 {
 		usedPhase2 = true
 		for wi, keys := range res.NeedKeys {
-			p, err := ExecuteParallel(tr.stores[wi], q)
+			p, _, err := runUnshared(tr.stores[wi], q, 0, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 
 	"cubrick/internal/brick"
@@ -185,8 +186,8 @@ func rollupCell(agg Aggregate, g *rollup.Group, metricIdx int, sketchIdx int) ce
 // ok=false means the query is not rollup-servable here (ineligible shape,
 // no whole bucket in the window, or a brick-replacing import raced the
 // hybrid scan) and the caller must fall back to the full path; the partial
-// is nil in that case.
-func ExecuteRollup(st *brick.Store, table *rollup.Table, q *Query) (*Partial, RollupInfo, bool, error) {
+// is nil in that case. A cancelled ctx stops the edge scans.
+func ExecuteRollup(ctx context.Context, st *brick.Store, table *rollup.Table, q *Query) (*Partial, RollupInfo, bool, error) {
 	var info RollupInfo
 	cfg := table.Config()
 	schema := st.Schema()
@@ -307,7 +308,9 @@ func ExecuteRollup(st *brick.Store, table *rollup.Table, q *Query) (*Partial, Ro
 	for _, e := range edges {
 		qe := *q
 		qe.Filter = overrideTimeFilter(q.Filter, cfg.TimeDim, e)
-		pe, err := ExecuteParallel(st, &qe)
+		// An unshared pass on a scheduler of its own: no brick cache, and no
+		// trace in the store scheduler's fold counters.
+		pe, _, err := NewScheduler(st, SchedulerConfig{}).Run(ctx, &qe, Opts{Unshared: true})
 		if err != nil {
 			return nil, info, false, err
 		}
@@ -344,7 +347,7 @@ func overrideTimeFilter(filter map[string][2]uint32, timeDim string, r [2]uint32
 func scanRollupDelta(st *brick.Store, q *Query, timeDim string, split timeSplit, marks map[uint64]int, p *Partial) (int64, error) {
 	qd := *q
 	qd.Filter = overrideTimeFilter(q.Filter, timeDim, [2]uint32{split.ilo, split.ihi})
-	c, err := compile(st.Schema(), &qd)
+	c, err := compile(st.Schema(), &qd, Opts{})
 	if err != nil {
 		return 0, err
 	}

@@ -12,26 +12,35 @@ import (
 	"cubrick/internal/metrics"
 )
 
-// Scan scheduler: the per-store component that owns morsel-style brick
-// passes. Instead of every query running its own one-shot ExecuteParallel,
-// queries submit to the store's Scheduler; concurrent queries with the
-// same fold key (QuerySignature + normalized filter set, see signature.go)
-// attach to the in-flight pass at its current brick cursor and share the
-// remaining brick visits — one decode, one filter evaluation, one batch
-// walk feeding every subscriber's own accumulator. Bricks the late
-// subscriber missed ([0, joinedAt)) are covered by a catch-up pass over
-// the same plan snapshot, so every subscriber sees exactly the brick set
-// the pass planned.
+// Scan scheduler: the per-store component that owns every brick pass. A
+// pass is one plan snapshot (one ScanTask per brick, the morsel), a cursor,
+// and a pool of workers that claim tasks off the cursor and visit each
+// brick exactly once — one decode, one filter evaluation, one batch walk —
+// feeding a private per-brick accumulator for every subscriber. There are
+// four ways into that one loop:
 //
-// Determinism: each subscriber keeps a private accumulator per brick task,
-// filled in the same per-brick row order a solo run would use, and combines
-// them in ascending brick-id order — the identical procedure to
-// ExecuteParallel, so folded results are bit-identical to solo execution
-// (including float summation order and HLL register state).
+//   - publish: no pass with the query's fold key (QuerySignature +
+//     normalized filter set, see signature.go) is running, so the query
+//     plans one and registers it for others to join;
+//   - attach: a pass with the fold key is in flight, so the query joins it
+//     at its current cursor and shares the remaining brick visits;
+//   - catch-up: the bricks an attacher missed ([0, joinedAt)) are covered
+//     by a private pass over the head of the same plan snapshot, so every
+//     subscriber sees exactly the brick set the pass planned;
+//   - unshared: a private pass with one subscriber that is never
+//     registered, so nobody can join it.
+//
+// Determinism: each subscriber keeps one result slot per task, filled in
+// the brick's row order, and combines the slots in ascending brick-id
+// order into a fresh accumulator. Every brick's rows are folded in a fixed
+// order and the per-brick results are combined in a fixed order, so the
+// finalized result is bit-identical to the serial Execute (including float
+// summation order and HLL register state) whichever way the query entered
+// and however the workers were scheduled.
 
 // errPassAborted is returned to a subscriber whose shared pass stopped
 // early because every other subscriber detached before the scan finished.
-// Scheduler.Execute retries on it; it never escapes to callers with a live
+// Scheduler.Run retries on it; it never escapes to callers with a live
 // context.
 var errPassAborted = errors.New("engine: shared scan pass aborted")
 
@@ -39,9 +48,6 @@ var errPassAborted = errors.New("engine: shared scan pass aborted")
 type SchedulerConfig struct {
 	// Parallelism is the worker count per brick pass (0 = GOMAXPROCS).
 	Parallelism int
-	// NoFold disables query folding: every query runs its own pass. The
-	// zero value folds, which is the production default.
-	NoFold bool
 	// Metrics, when set, receives the fold counters
 	// engine.fold.{attached,solo,catchup_bricks}.
 	Metrics *metrics.Registry
@@ -55,9 +61,31 @@ type SchedulerConfig struct {
 	CacheScope string
 }
 
+// Opts are the per-call options of Scheduler.Run. The zero value folds
+// the query into an in-flight pass of its fold key when there is one and
+// uses every configured cache.
+type Opts struct {
+	// Unshared runs the query on a private pass: it neither joins an
+	// in-flight pass nor lets later queries join its own.
+	Unshared bool
+	// NoCache bypasses every cache level for this run — the brick cache
+	// and the storage layer's decoded-column cache are neither consulted
+	// nor filled. It implies Unshared: a shared pass would hand the run
+	// its peers' cached per-brick partials.
+	NoCache bool
+
+	// noSkippers turns off the per-encoding filter skippers and the
+	// encoded-brick stats pruning: filter columns materialize and
+	// predicates evaluate row-at-a-time. noEncodedKernels turns off
+	// encoding-aware GROUP BY aggregation: the projection materializes the
+	// group columns instead. Test and benchmark baselines only; a shared
+	// pass runs with its publisher's settings.
+	noSkippers, noEncodedKernels bool
+}
+
 // FoldStats reports a scheduler's folding activity.
 type FoldStats struct {
-	// Solo counts queries that started their own pass.
+	// Solo counts queries that published their own pass.
 	Solo int64
 	// Attached counts queries that joined an in-flight pass.
 	Attached int64
@@ -65,15 +93,29 @@ type FoldStats struct {
 	CatchupBricks int64
 }
 
-// ExecInfo describes how one scheduled execution ran.
+// Timings reports where one run spent its wall time, feeding the
+// worker-side trace spans: Plan covers query compilation and scan planning
+// (pruning) or attaching, Scan the brick pass (kernel work and any
+// decompression), Combine the deterministic per-brick merge.
+type Timings struct {
+	Plan, Scan, Combine time.Duration
+}
+
+// Total returns the summed stage durations.
+func (t Timings) Total() time.Duration { return t.Plan + t.Scan + t.Combine }
+
+// ExecInfo describes how one run executed.
 type ExecInfo struct {
 	Timings
+	// ScanStats is the encoded-scan accounting over the bricks this result
+	// consumed.
+	ScanStats
 	// Folded reports whether the query attached to an in-flight pass.
 	Folded bool
 	// CatchupBricks is how many bricks the catch-up pass covered.
 	CatchupBricks int
 	// CacheHits / CacheMisses count brick-cache lookups over the bricks
-	// this result consumed (always zero without a configured BrickCache).
+	// this result consumed (always zero without a brick cache).
 	CacheHits, CacheMisses int
 }
 
@@ -83,7 +125,7 @@ type Scheduler struct {
 	cfg   SchedulerConfig
 
 	mu     sync.Mutex
-	passes map[string]*scanPass
+	passes map[string]*scanPass // published passes by fold key
 
 	solo     atomic.Int64
 	attached atomic.Int64
@@ -109,147 +151,128 @@ func (s *Scheduler) Stats() FoldStats {
 	}
 }
 
-func (s *Scheduler) parallelism() int {
-	if s.cfg.Parallelism > 0 {
-		return s.cfg.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 func (s *Scheduler) count(name string, delta int64) {
 	if s.cfg.Metrics != nil {
 		s.cfg.Metrics.Counter(name).Add(delta)
 	}
 }
 
-// Execute runs the query through the scheduler, folding into an in-flight
-// pass when one with the same fold key is running. It finalizes to the
-// same Result as a solo ExecuteParallel.
-func (s *Scheduler) Execute(ctx context.Context, q *Query) (*Partial, error) {
-	p, _, err := s.ExecuteInfo(ctx, q)
-	return p, err
-}
-
-// ExecuteInfo is Execute with per-stage timings and fold information.
-func (s *Scheduler) ExecuteInfo(ctx context.Context, q *Query) (*Partial, ExecInfo, error) {
-	// A pass aborts only when all its subscribers cancel; a live
-	// subscriber that attached during the abort window simply retries on
-	// a fresh pass. Two aborts in a row means pathological churn — fall
-	// back to an unshared run, which cannot abort.
-	for attempt := 0; attempt < 2; attempt++ {
-		p, info, err := s.executeOnce(ctx, q)
+// Run executes the query over the store with brick-level parallelism and
+// vectorized aggregation kernels, returning a partial that finalizes to
+// the same Result as the serial Execute. A cancelled ctx stops the run
+// claiming bricks and returns ctx.Err().
+func (s *Scheduler) Run(ctx context.Context, q *Query, o Opts) (*Partial, ExecInfo, error) {
+	// A published pass aborts only when all its subscribers cancel; a live
+	// subscriber that attached during the abort window simply retries on a
+	// fresh pass. Two aborts in a row means pathological churn — fall back
+	// to an unshared run, which only its own caller can abort.
+	for attempt := 0; ; attempt++ {
+		o.Unshared = o.Unshared || o.NoCache || attempt == 2
+		p, info, err := s.runOnce(ctx, q, o)
 		if errors.Is(err, errPassAborted) && ctx.Err() == nil {
 			continue
 		}
 		return p, info, err
 	}
-	var info ExecInfo
-	p, tm, err := s.executeSolo(q)
-	info.Timings = tm
-	return p, info, err
 }
 
-// executeSolo runs one unshared pass with the scheduler's cache wiring.
-func (s *Scheduler) executeSolo(q *Query) (*Partial, Timings, error) {
-	return executeParallelOpts(s.store, q, execOpts{
-		parallelism: s.parallelism(),
-		cache:       s.cfg.BrickCache,
-		scope:       s.cfg.CacheScope,
-	})
-}
-
-func (s *Scheduler) executeOnce(ctx context.Context, q *Query) (*Partial, ExecInfo, error) {
+func (s *Scheduler) runOnce(ctx context.Context, q *Query, o Opts) (*Partial, ExecInfo, error) {
 	var info ExecInfo
 	if err := ctx.Err(); err != nil {
 		return nil, info, err
 	}
 	planStart := time.Now()
-	c, err := compile(s.store.Schema(), q)
+	c, err := compile(s.store.Schema(), q, o)
 	if err != nil {
 		return nil, info, err
 	}
-
-	if s.cfg.NoFold {
-		var hits, misses atomic.Int64
-		p, tm, err := executeParallelOpts(s.store, q, execOpts{
-			parallelism: s.parallelism(),
-			cache:       s.cfg.BrickCache,
-			scope:       s.cfg.CacheScope,
-			hits:        &hits,
-			misses:      &misses,
-		})
-		info.Timings = tm
-		info.CacheHits = int(hits.Load())
-		info.CacheMisses = int(misses.Load())
-		return p, info, err
+	bc := s.cfg.BrickCache
+	if o.NoCache {
+		bc = nil
+	}
+	var key string
+	if bc != nil || !o.Unshared {
+		key = FoldKey(q)
 	}
 
-	key := FoldKey(q)
-	s.mu.Lock()
-	if pass := s.passes[key]; pass != nil {
-		if sub := pass.attach(q); sub != nil {
-			s.mu.Unlock()
-			s.attached.Add(1)
-			s.catchup.Add(int64(sub.joinedAt))
-			s.count("engine.fold.attached", 1)
-			s.count("engine.fold.catchup_bricks", int64(sub.joinedAt))
-			info.Folded = true
-			info.CatchupBricks = sub.joinedAt
-			scanStart := time.Now()
-			info.Plan = scanStart.Sub(planStart)
-			if err := pass.catchUp(ctx, sub); err != nil {
-				return nil, info, err
-			}
-			p, err := pass.wait(ctx, sub)
-			combineStart := time.Now()
-			info.Scan = combineStart.Sub(scanStart)
-			if err != nil {
-				return nil, info, err
-			}
-			info.CacheHits, info.CacheMisses = pass.cacheStats(sub)
-			info.Combine = time.Since(combineStart)
-			return p, info, nil
+	pass, sub, folded, err := s.enter(q, c, key, bc, !o.Unshared)
+	if err != nil {
+		return nil, info, err
+	}
+	if info.Folded = folded; folded {
+		info.CatchupBricks = sub.joinedAt
+		s.attached.Add(1)
+		s.catchup.Add(int64(sub.joinedAt))
+		s.count("engine.fold.attached", 1)
+		s.count("engine.fold.catchup_bricks", int64(sub.joinedAt))
+	} else {
+		if pass.published {
+			s.solo.Add(1)
+			s.count("engine.fold.solo", 1)
 		}
+		go pass.run()
 	}
-	// No joinable pass: plan and register a new one while still holding
-	// the scheduler lock, so a concurrent same-key query attaches instead
-	// of planning its own pass.
-	plan, err := s.store.PlanScan(c.filter)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, info, err
-	}
-	pass := &scanPass{
-		sched:      s,
-		key:        key,
-		c:          c,
-		tasks:      plan.Tasks,
-		pruned:     plan.Pruned,
-		taskRows:   make([]int64, len(plan.Tasks)),
-		taskDecmp:  make([]bool, len(plan.Tasks)),
-		taskCached: make([]bool, len(plan.Tasks)),
-		done:       make(chan struct{}),
-	}
-	sub := pass.newSub(q)
-	pass.subs = append(pass.subs, sub)
-	pass.active = 1
-	s.passes[key] = pass
-	s.mu.Unlock()
-	s.solo.Add(1)
-	s.count("engine.fold.solo", 1)
-
 	scanStart := time.Now()
 	info.Plan = scanStart.Sub(planStart)
-	go pass.run()
-	p, err := pass.wait(ctx, sub)
+	if n := sub.joinedAt; n > 0 {
+		// Catch-up: a private pass over the tasks the shared pass claimed
+		// before this subscriber attached, filling the head of the same
+		// result slots while the shared pass fills the tail.
+		cp := &scanPass{sched: s, key: pass.key, c: pass.c, bc: pass.bc, tasks: pass.tasks[:n], done: make(chan struct{})}
+		cs := cp.subscribe(q, sub.results[:n])
+		go cp.run()
+		if err := cp.wait(ctx, cs); err != nil {
+			pass.detach(sub)
+			return nil, info, err
+		}
+	}
+	err = pass.wait(ctx, sub)
 	combineStart := time.Now()
 	info.Scan = combineStart.Sub(scanStart)
 	if err != nil {
 		return nil, info, err
 	}
-	info.CacheHits, info.CacheMisses = pass.cacheStats(sub)
+	p := pass.combine(sub, &info)
 	info.Combine = time.Since(combineStart)
 	return p, info, nil
+}
+
+// enter subscribes the query to the pass it will run on: the in-flight
+// pass published under key when share is set and that pass still accepts
+// subscribers (folded), else a newly planned pass, published when share is
+// set.
+func (s *Scheduler) enter(q *Query, c *compiled, key string, bc *BrickCache, share bool) (pass *scanPass, sub *foldSub, folded bool, err error) {
+	if share {
+		// Held across planning and publishing, so a concurrent same-key
+		// query attaches instead of planning its own pass.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if pass = s.passes[key]; pass != nil {
+			if sub = pass.attach(q); sub != nil {
+				return pass, sub, true, nil
+			}
+		}
+	}
+	plan, err := s.store.PlanScan(c.filter)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	pass = &scanPass{sched: s, key: key, c: c, bc: bc, tasks: plan.Tasks, pruned: plan.Pruned,
+		published: share, done: make(chan struct{})}
+	sub = pass.subscribe(q, make([]taskResult, len(pass.tasks)))
+	if share {
+		s.passes[key] = pass
+	}
+	return pass, sub, false, nil
+}
+
+// taskResult is one brick's accumulated output for one subscriber.
+type taskResult struct {
+	acc          accumulator
+	rowsScanned  int64
+	decompressed bool
+	cached       bool
+	stats        ScanStats
 }
 
 // foldSub is one query subscribed to a pass.
@@ -259,30 +282,24 @@ type foldSub struct {
 	// this subscriber tasks [joinedAt, len(tasks)); the catch-up pass
 	// covers [0, joinedAt).
 	joinedAt int
-	// accs holds the per-task accumulators, one slot per pass task.
-	accs []accumulator
-	// rows, decmp and cached mirror taskRows/taskDecmp/taskCached for
-	// catch-up tasks, which this subscriber visits itself.
-	rows   []int64
-	decmp  []bool
-	cached []bool
+	// results holds one slot per pass task.
+	results []taskResult
 	// canceled marks a detached subscriber; workers skip feeding it.
 	canceled atomic.Bool
 }
 
-// scanPass is one shared morsel pass over a store's bricks.
+// scanPass is one morsel pass over a store's bricks.
 type scanPass struct {
-	sched  *Scheduler
-	key    string
-	c      *compiled
-	tasks  []brick.ScanTask
-	pruned int
-
-	// taskRows, taskDecmp and taskCached record per-task scan stats from
-	// the shared pass; identical for every subscriber, matching a solo run.
-	taskRows   []int64
-	taskDecmp  []bool
-	taskCached []bool
+	sched *Scheduler
+	// key is the fold key: the brick-cache key prefix, and the index in
+	// Scheduler.passes when published.
+	key string
+	c   *compiled
+	// bc is the brick cache the pass consults and fills, nil for none.
+	bc        *BrickCache
+	tasks     []brick.ScanTask
+	pruned    int
+	published bool
 
 	mu     sync.Mutex
 	cursor int // next unclaimed task index
@@ -293,40 +310,37 @@ type scanPass struct {
 	done chan struct{}
 }
 
-func (p *scanPass) newSub(q *Query) *foldSub {
-	return &foldSub{
-		q:      q,
-		accs:   make([]accumulator, len(p.tasks)),
-		rows:   make([]int64, len(p.tasks)),
-		decmp:  make([]bool, len(p.tasks)),
-		cached: make([]bool, len(p.tasks)),
-	}
+// subscribe adds a live subscriber whose per-task results land in results.
+// Caller holds p.mu or owns the pass exclusively (not yet running).
+func (p *scanPass) subscribe(q *Query, results []taskResult) *foldSub {
+	sub := &foldSub{q: q, results: results}
+	p.subs = append(p.subs, sub)
+	p.active++
+	return sub
 }
 
-// attach joins a query to the pass at the current cursor. It returns nil
-// when the pass can no longer accept subscribers (finished claiming,
-// failed, or fully detached). Caller holds sched.mu.
+// attach joins a query to the running pass at the current cursor. It
+// returns nil when the pass can no longer accept subscribers (finished
+// claiming, failed, or fully detached). Caller holds sched.mu.
 func (p *scanPass) attach(q *Query) *foldSub {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil || p.active == 0 || p.cursor >= len(p.tasks) {
 		return nil
 	}
-	sub := p.newSub(q)
+	sub := p.subscribe(q, make([]taskResult, len(p.tasks)))
 	sub.joinedAt = p.cursor
-	p.subs = append(p.subs, sub)
-	p.active++
 	return sub
 }
 
-// run drives the shared pass worker pool and finishes the pass.
+// run drives the pass worker pool and finishes the pass.
 func (p *scanPass) run() {
-	workers := p.sched.parallelism()
+	workers := p.sched.cfg.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > len(p.tasks) {
 		workers = len(p.tasks)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -342,11 +356,13 @@ func (p *scanPass) run() {
 	// pass that stopped with unclaimed tasks (all subscribers canceled)
 	// must not look successful to a subscriber that squeezed in during
 	// the shutdown window.
-	p.sched.mu.Lock()
-	if p.sched.passes[p.key] == p {
-		delete(p.sched.passes, p.key)
+	if p.published {
+		p.sched.mu.Lock()
+		if p.sched.passes[p.key] == p {
+			delete(p.sched.passes, p.key)
+		}
+		p.sched.mu.Unlock()
 	}
-	p.sched.mu.Unlock()
 	p.mu.Lock()
 	if p.err == nil && p.cursor < len(p.tasks) {
 		p.err = errPassAborted
@@ -355,12 +371,13 @@ func (p *scanPass) run() {
 	close(p.done)
 }
 
-// work is one pass worker: claim a task, snapshot live subscribers, visit
-// the brick once, feed every subscriber.
+// work is one pass worker, the only claim loop: claim a task, snapshot the
+// live subscribers, visit the brick once, feed every subscriber. It stops
+// claiming once the tasks run out, a visit fails, or no live subscriber
+// remains (every caller cancelled).
 func (p *scanPass) work() {
-	sel := make([]int32, 0, 1024)
-	es := &encScratch{}
-	var subsBuf []*foldSub
+	es := newEncScratch()
+	var subs []*foldSub
 	for {
 		p.mu.Lock()
 		if p.err != nil || p.active == 0 || p.cursor >= len(p.tasks) {
@@ -369,17 +386,17 @@ func (p *scanPass) work() {
 		}
 		i := p.cursor
 		p.cursor++
-		subsBuf = subsBuf[:0]
+		subs = subs[:0]
 		for _, sub := range p.subs {
 			if !sub.canceled.Load() {
-				subsBuf = append(subsBuf, sub)
+				subs = append(subs, sub)
 			}
 		}
 		p.mu.Unlock()
 		if hook := p.sched.testClaimHook; hook != nil {
 			hook(i)
 		}
-		if err := p.visitTask(i, subsBuf, &sel, es); err != nil {
+		if err := p.visitBrick(i, subs, es); err != nil {
 			p.mu.Lock()
 			if p.err == nil {
 				p.err = err
@@ -390,10 +407,12 @@ func (p *scanPass) work() {
 	}
 }
 
-// visitTask scans one brick and feeds each subscriber's private
-// accumulator. The brick is decoded, filtered, and walked exactly once
-// regardless of subscriber count — that shared visit is the entire win.
-func (p *scanPass) visitTask(i int, subs []*foldSub, selBuf *[]int32, es *encScratch) error {
+// visitBrick scans task i and fills results[i] of every given subscriber:
+// brick-cache lookup, blob-bounds prune, then one decode / filter / walk of
+// the brick observed into each subscriber's private accumulator, and a
+// cache fill. The brick is visited exactly once regardless of subscriber
+// count — that shared visit is the entire win of folding.
+func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 	if len(subs) == 0 {
 		// Every subscriber detached since the claim: nobody consumes the
 		// task, and there is no accumulator to scan into or to cache.
@@ -401,224 +420,101 @@ func (p *scanPass) visitTask(i int, subs []*foldSub, selBuf *[]int32, es *encScr
 	}
 	t := &p.tasks[i]
 	c := p.c
-	bc := p.sched.cfg.BrickCache
-	if bc != nil {
-		if acc, cachedRows, ok := bc.get(p.sched.cfg.CacheScope, p.key, t.BrickID, t.Epoch()); ok {
-			// The snapshot stands in for the scan for every live
-			// subscriber; each gets its own deep copy because combiners
-			// take ownership of (and later mutate) what they merge.
+	scope := p.sched.cfg.CacheScope
+	if p.bc != nil {
+		if acc, rows, ok := p.bc.get(scope, p.key, t.BrickID, t.Epoch()); ok {
+			// Cache hit: the snapshot stands in for the whole scan. Heat
+			// still accrues — reuse keeps a brick exactly as hot as scanning
+			// it would. Each subscriber gets its own deep copy because
+			// combiners take ownership of (and later mutate) what they merge.
 			t.Touch()
-			p.taskRows[i] = cachedRows
-			p.taskCached[i] = true
 			for j, sub := range subs {
-				if j == 0 {
-					sub.accs[i] = acc
-				} else {
-					sub.accs[i] = acc.clone()
+				if j > 0 {
+					acc = acc.clone()
 				}
+				sub.results[i] = taskResult{acc: acc, rowsScanned: rows, cached: true}
 			}
 			return nil
 		}
 	}
-	accs := make([]accumulator, len(subs))
-	for j := range subs {
-		accs[j] = newTaskAccumulator(c, t.Bounds)
+	for _, sub := range subs {
+		sub.results[i].acc = newTaskAccumulator(c, t.Bounds)
 	}
-	if !t.Full && c.filter != nil && !disableSkippers {
-		// Bounds pruning: the encoded blob's column stats can prove the
-		// whole brick empty under the filter without any decode.
-		if pruned, epoch := t.PruneEncoded(c.filter); pruned {
-			for j, sub := range subs {
-				sub.accs[i] = accs[j]
-			}
-			bc.put(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch, accs[0], 0)
-			return nil
+	// Every subscriber's accumulator is fed identically: the first stands
+	// for all of them when classifying a batch and when filling the cache.
+	first := subs[0].results[i].acc
+	var res taskResult // the accounting every subscriber's slot receives
+	var pruned bool
+	var epoch uint64
+	if !t.Full && c.filter != nil && !c.noSkippers {
+		// Bounds pruning: if the encoded blob's column stats (FOR
+		// base/width, dictionary min/max) prove no row can match, the brick
+		// is done without any decode.
+		pruned, epoch = t.PruneEncoded(c.filter)
+	}
+	if pruned {
+		res.stats.BricksStatsPruned++
+	} else {
+		res.decompressed = t.Compressed()
+		proj := &c.proj
+		if t.Full {
+			proj = &c.projFull
 		}
-	}
-	p.taskDecmp[i] = t.Compressed()
-	proj := &c.proj
-	if t.Full {
-		proj = &c.projFull
-	}
-	var rows int64
-	epoch, err := t.VisitBatchEpoch(proj, func(b *brick.Batch) error {
-		if t.Full || c.filter == nil {
-			rows += int64(b.Rows)
-			// Encoded fast path (see encoded.go): classify the batch once —
-			// every subscriber of a pass shares one compiled query, so the
-			// per-batch run intersection or scratch materialization is paid
-			// once regardless of subscriber count.
-			v := c.prepareFull(b, accs[0], es)
-			for j := range accs {
-				c.observeFull(accs[j], b, &v, es)
-			}
-			return nil
-		}
-		sel := (*selBuf)[:0]
-		if disableSkippers {
-			for r := 0; r < b.Rows; r++ {
-				if c.filter.MatchesAt(b.Dims, r) {
-					sel = append(sel, int32(r))
-				}
-			}
-		} else {
-			var all bool
-			sel, all = c.buildSel(b, sel, es, nil)
-			if all {
-				*selBuf = sel
-				rows += int64(b.Rows)
-				for j := range accs {
-					accs[j].observeBatch(b.Dims, b.Metrics, b.Rows, nil)
+		var err error
+		epoch, err = t.VisitBatchEpoch(proj, func(b *brick.Batch) error {
+			if t.Full || c.filter == nil {
+				res.rowsScanned += int64(b.Rows)
+				// Encoded fast path (see encoded.go): grouped columns that
+				// arrived as runs or dictionary codes feed the kernel without
+				// ever materializing. The batch is classified once — every
+				// subscriber shares one compiled query.
+				v := c.prepareFull(b, first, es)
+				for _, sub := range subs {
+					c.observeFull(sub.results[i].acc, b, &v, es)
 				}
 				return nil
 			}
-		}
-		*selBuf = sel
-		rows += int64(len(sel))
-		for j := range accs {
-			accs[j].observeBatch(b.Dims, b.Metrics, b.Rows, sel)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	p.taskRows[i] = rows
-	for j, sub := range subs {
-		sub.accs[i] = accs[j]
-	}
-	// All subscriber accumulators were fed identically; snapshot the first.
-	// The key uses the epoch observed during the visit, so a mid-scan ingest
-	// can only file the entry under a key future lookups already miss.
-	bc.put(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch, accs[0], rows)
-	return nil
-}
-
-// catchUp covers tasks [0, sub.joinedAt) — the bricks the shared pass
-// claimed before this subscriber attached — with the subscriber's own
-// worker pool over the same plan snapshot.
-func (p *scanPass) catchUp(ctx context.Context, sub *foldSub) error {
-	n := sub.joinedAt
-	if n == 0 {
-		return nil
-	}
-	workers := p.sched.parallelism()
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		failed.Store(true)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sel := make([]int32, 0, 1024)
-			es := &encScratch{}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
+			sel, all := es.sel[:0], false
+			if c.noSkippers {
+				for r := 0; r < b.Rows; r++ {
+					if c.filter.MatchesAt(b.Dims, r) {
+						sel = append(sel, int32(r))
+					}
 				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if err := p.catchUpTask(i, sub, &sel, es); err != nil {
-					fail(err)
-					return
-				}
+			} else {
+				sel, all = c.buildSel(b, sel, es, &res.stats)
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		sub.detach(p)
-		return firstErr
-	}
-	return nil
-}
-
-// catchUpTask visits one missed brick for the subscriber alone, recording
-// the same per-task stats the shared pass records for shared tasks.
-func (p *scanPass) catchUpTask(i int, sub *foldSub, selBuf *[]int32, es *encScratch) error {
-	t := &p.tasks[i]
-	c := p.c
-	bc := p.sched.cfg.BrickCache
-	if bc != nil {
-		if acc, cachedRows, ok := bc.get(p.sched.cfg.CacheScope, p.key, t.BrickID, t.Epoch()); ok {
-			t.Touch()
-			sub.rows[i] = cachedRows
-			sub.cached[i] = true
-			sub.accs[i] = acc
-			return nil
-		}
-	}
-	acc := newTaskAccumulator(c, t.Bounds)
-	if !t.Full && c.filter != nil && !disableSkippers {
-		if pruned, epoch := t.PruneEncoded(c.filter); pruned {
-			sub.accs[i] = acc
-			bc.put(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch, acc, 0)
-			return nil
-		}
-	}
-	sub.decmp[i] = t.Compressed()
-	proj := &c.proj
-	if t.Full {
-		proj = &c.projFull
-	}
-	var rows int64
-	epoch, err := t.VisitBatchEpoch(proj, func(b *brick.Batch) error {
-		if t.Full || c.filter == nil {
-			rows += int64(b.Rows)
-			v := c.prepareFull(b, acc, es)
-			c.observeFull(acc, b, &v, es)
-			return nil
-		}
-		sel := (*selBuf)[:0]
-		if disableSkippers {
-			for r := 0; r < b.Rows; r++ {
-				if c.filter.MatchesAt(b.Dims, r) {
-					sel = append(sel, int32(r))
-				}
-			}
-		} else {
-			var all bool
-			sel, all = c.buildSel(b, sel, es, nil)
+			es.sel = sel
 			if all {
-				*selBuf = sel
-				rows += int64(b.Rows)
-				acc.observeBatch(b.Dims, b.Metrics, b.Rows, nil)
-				return nil
+				sel = nil
+				res.rowsScanned += int64(b.Rows)
+			} else {
+				res.rowsScanned += int64(len(sel))
 			}
+			for _, sub := range subs {
+				sub.results[i].acc.observeBatch(b.Dims, b.Metrics, b.Rows, sel)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		*selBuf = sel
-		rows += int64(len(sel))
-		acc.observeBatch(b.Dims, b.Metrics, b.Rows, sel)
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	sub.rows[i] = rows
-	sub.accs[i] = acc
-	bc.put(p.sched.cfg.CacheScope, p.key, t.BrickID, epoch, acc, rows)
+	for _, sub := range subs {
+		res.acc = sub.results[i].acc
+		sub.results[i] = res
+	}
+	// Key the fill on the epoch observed during the visit — never the
+	// pre-scan read — so an ingest that lands mid-scan can only file the
+	// entry under a key future lookups (which will see the newer epoch)
+	// already miss.
+	p.bc.put(scope, p.key, t.BrickID, epoch, first, res.rowsScanned)
 	return nil
 }
 
 // detach removes the subscriber from the live set. Workers stop feeding
-// it, and the pass aborts claiming once no live subscribers remain.
-func (sub *foldSub) detach(p *scanPass) {
+// it, and the pass stops claiming once no live subscriber remains.
+func (p *scanPass) detach(sub *foldSub) {
 	// Flag and count change under one hold of p.mu, the lock work() claims
 	// under, so a claim never sees a live count with no live subscriber.
 	p.mu.Lock()
@@ -628,65 +524,46 @@ func (sub *foldSub) detach(p *scanPass) {
 	p.mu.Unlock()
 }
 
-// wait blocks until the pass completes (or ctx cancels), then combines
-// the subscriber's per-task accumulators in ascending brick-id order —
-// the identical combine a solo ExecuteParallel performs.
-func (p *scanPass) wait(ctx context.Context, sub *foldSub) (*Partial, error) {
+// wait blocks until the pass completes, or detaches the subscriber when
+// ctx cancels first.
+func (p *scanPass) wait(ctx context.Context, sub *foldSub) error {
 	select {
 	case <-p.done:
 	case <-ctx.Done():
-		sub.detach(p)
-		return nil, ctx.Err()
+		p.detach(sub)
+		return ctx.Err()
 	}
 	p.mu.Lock()
-	err := p.err
-	p.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
+	defer p.mu.Unlock()
+	return p.err
+}
 
+// combine folds the subscriber's per-task results in ascending brick-id
+// order into a fresh map-based accumulator (dense per-brick kernels cannot
+// absorb other bricks — their slot arrays are sized to one brick's
+// bounds) and sums the per-task accounting into the partial and info.
+func (p *scanPass) combine(sub *foldSub, info *ExecInfo) *Partial {
 	out := NewPartial(sub.q)
 	out.BricksVisited = int64(len(p.tasks))
 	out.BricksPruned = int64(p.pruned)
 	if len(p.tasks) == 0 {
-		return out, nil
+		return out
 	}
 	base := newAccumulator(p.c)
-	for i := range p.tasks {
-		base.mergeFrom(sub.accs[i])
-		if i < sub.joinedAt {
-			out.RowsScanned += sub.rows[i]
-			if sub.decmp[i] {
-				out.Decompressions++
-			}
-		} else {
-			out.RowsScanned += p.taskRows[i]
-			if p.taskDecmp[i] {
-				out.Decompressions++
-			}
+	for i := range sub.results {
+		res := &sub.results[i]
+		base.mergeFrom(res.acc)
+		out.RowsScanned += res.rowsScanned
+		if res.decompressed {
+			out.Decompressions++
+		}
+		info.ScanStats.add(res.stats)
+		if res.cached {
+			info.CacheHits++
+		} else if p.bc != nil {
+			info.CacheMisses++
 		}
 	}
 	base.addTo(out)
-	return out, nil
-}
-
-// cacheStats counts brick-cache hits and misses over the bricks this
-// subscriber's result consumed (catch-up tasks the subscriber visited
-// itself, shared tasks from the pass).
-func (p *scanPass) cacheStats(sub *foldSub) (hits, misses int) {
-	if p.sched.cfg.BrickCache == nil {
-		return 0, 0
-	}
-	for i := range p.tasks {
-		cached := p.taskCached[i]
-		if i < sub.joinedAt {
-			cached = sub.cached[i]
-		}
-		if cached {
-			hits++
-		} else {
-			misses++
-		}
-	}
-	return hits, misses
+	return out
 }

@@ -540,8 +540,8 @@ func (w *Worker) Handler() http.Handler {
 const (
 	HeaderTenant   = "X-Cubrick-Tenant"
 	HeaderPriority = "X-Cubrick-Priority"
-	// HeaderFold set to "off" bypasses the shared-scan scheduler for the
-	// request (solo ExecuteParallel, the pre-scheduler path).
+	// HeaderFold set to "off" runs the request on an unshared brick pass:
+	// it neither joins an in-flight pass nor lets other requests join.
 	HeaderFold = "X-Cubrick-Fold"
 	// HeaderCache set to "off" bypasses every cache level for one request:
 	// the coordinator skips its result cache and stamps the header
@@ -638,9 +638,8 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	// from the trace alone.
 	_, espan := w.Tracer.StartSpan(ctx, "worker.execute")
 	var partial *engine.Partial
-	var tm engine.Timings
+	var info engine.ExecInfo
 	noCache := r.Header.Get(HeaderCache) == "off"
-	bc, _ := w.caches()
 	// Rollup-served path: eligible queries answer from the partition's
 	// incremental rollup table (pre-aggregated whole buckets + a delta
 	// scan above the ingest watermarks + ragged-edge scans) instead of a
@@ -648,7 +647,7 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	// off promises a fully recomputed answer.
 	if tbl := w.RollupTable(req.Partition); tbl != nil && !noCache {
 		rstart := time.Now()
-		rp, rinfo, ok, rerr := engine.ExecuteRollup(st, tbl, &req.Query)
+		rp, rinfo, ok, rerr := engine.ExecuteRollup(ctx, st, tbl, &req.Query)
 		switch {
 		case rerr != nil:
 			// Rollup failures are availability bugs only if they fail the
@@ -656,7 +655,7 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 			w.countAdd("worker.rollup.errors", 1)
 		case ok:
 			partial = rp
-			tm.Scan = time.Since(rstart)
+			info.Scan = time.Since(rstart)
 			w.countAdd("worker.rollup.hits", 1)
 			w.countAdd("worker.rollup.delta_rows", rinfo.DeltaRows)
 			espan.SetAttr("rollup.hit", "true")
@@ -668,50 +667,41 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 			w.countAdd("worker.rollup.misses", 1)
 		}
 	}
-	switch {
-	case partial != nil: // rollup-served above
-	case noCache:
-		// Per-request bypass: no brick-partial cache, and the decoded-column
-		// cache neither consulted nor filled. Bypassed requests also skip
-		// scan folding — sharing a pass with a cached peer would reuse its
-		// cached per-brick partials.
-		espan.SetAttr("cache.bypass", "true")
-		partial, tm, err = engine.ExecuteParallelNoCacheTimed(st, &req.Query)
-	case w.FoldScans && r.Header.Get(HeaderFold) != "off":
-		var info engine.ExecInfo
-		partial, info, err = w.scheduler(req.Partition, st).ExecuteInfo(ctx, &req.Query)
+	if partial == nil {
+		// Raw path: one brick pass, unshared when folding is off for the
+		// worker or the request. Per-request cache bypass neither consults
+		// nor fills the brick-partial and decoded-column caches.
+		if noCache {
+			espan.SetAttr("cache.bypass", "true")
+		}
+		unshared := !w.FoldScans || r.Header.Get(HeaderFold) == "off"
+		partial, info, err = w.scheduler(req.Partition, st).Run(ctx, &req.Query,
+			engine.Opts{Unshared: unshared, NoCache: noCache})
 		if err == nil {
-			tm = info.Timings
 			espan.SetAttr("folded", strconv.FormatBool(info.Folded))
 			espan.SetAttrInt("catchup_bricks", int64(info.CatchupBricks))
-			if bc != nil {
+			if bc, _ := w.caches(); bc != nil && !noCache {
 				espan.SetAttrInt("cache.brick.hits", int64(info.CacheHits))
 				espan.SetAttrInt("cache.brick.misses", int64(info.CacheMisses))
 			}
 		}
-	case bc != nil:
-		var hits, misses int
-		partial, tm, hits, misses, err = engine.ExecuteParallelCachedTimed(st, &req.Query, bc, req.Partition)
-		if err == nil {
-			espan.SetAttrInt("cache.brick.hits", int64(hits))
-			espan.SetAttrInt("cache.brick.misses", int64(misses))
-		}
-	default:
-		partial, tm, err = engine.ExecuteParallelTimed(st, &req.Query)
 	}
 	if err != nil {
 		espan.EndErr(err)
 		return http.StatusBadRequest, err
 	}
-	attrMS(espan, "plan_ms", tm.Plan)
-	attrMS(espan, "scan_ms", tm.Scan)
-	attrMS(espan, "combine_ms", tm.Combine)
+	attrMS(espan, "plan_ms", info.Plan)
+	attrMS(espan, "scan_ms", info.Scan)
+	attrMS(espan, "combine_ms", info.Combine)
 	espan.SetAttrInt("rows_scanned", partial.RowsScanned)
 	espan.SetAttrInt("bricks_visited", partial.BricksVisited)
 	espan.SetAttrInt("bricks_pruned", partial.BricksPruned)
+	espan.SetAttrInt("bricks_stats_pruned", info.BricksStatsPruned)
+	espan.SetAttrInt("runs_skipped", info.RunsSkipped)
+	espan.SetAttrInt("codes_skipped", info.CodesSkipped)
 	espan.SetAttrInt("decompressions", partial.Decompressions)
 	espan.End()
-	w.observe("worker.execute.latency", tm.Total())
+	w.observe("worker.execute.latency", info.Total())
 	w.countAdd("worker.rows.scanned", partial.RowsScanned)
 
 	// Top-k pushdown. Phase 2 (TopKKeys) subsets the full partial to the

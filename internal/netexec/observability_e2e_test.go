@@ -163,7 +163,10 @@ func TestChaosObservabilityEndToEnd(t *testing.T) {
 			case "worker.partial":
 				sawPartial = true
 			case "worker.execute":
-				sawExecute = sawExecute || s.Attrs["rows_scanned"] != ""
+				// The skip counters ride next to the scan accounting on
+				// every raw execution, folded or not.
+				sawExecute = sawExecute || s.Attrs["rows_scanned"] != "" &&
+					s.Attrs["runs_skipped"] != "" && s.Attrs["codes_skipped"] != "" && s.Attrs["bricks_stats_pruned"] != ""
 			}
 		}
 		if sawPartial && sawExecute {

@@ -123,16 +123,17 @@ func TestRealtimeBench(t *testing.T) {
 	var rollupRef, rawRef *engine.Result
 	for i := 0; i < iters; i++ {
 		t0 := time.Now()
-		p, _, ok, err := engine.ExecuteRollup(st, tbl, q)
+		p, _, ok, err := engine.ExecuteRollup(context.Background(), st, tbl, q)
 		if err != nil || !ok {
 			t.Fatalf("rollup path not taken: ok=%v err=%v", ok, err)
 		}
 		rollupLats = append(rollupLats, time.Since(t0))
 		rollupRef = p.Finalize()
 	}
+	raw := engine.NewScheduler(st, engine.SchedulerConfig{})
 	for i := 0; i < iters; i++ {
 		t0 := time.Now()
-		p, err := engine.ExecuteParallel(st, q)
+		p, _, err := raw.Run(context.Background(), q, engine.Opts{Unshared: true})
 		if err != nil {
 			t.Fatal(err)
 		}

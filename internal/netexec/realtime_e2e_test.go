@@ -205,7 +205,7 @@ func TestRollupServedPartialFreshness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := engine.ExecuteParallel(whole, q)
+	ref, err := engine.Execute(whole, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestRollupServedPartialFreshness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref2, err := engine.ExecuteParallel(whole, q)
+	ref2, err := engine.Execute(whole, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRollupServedPartialFreshness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref3, err := engine.ExecuteParallel(whole, q2)
+	ref3, err := engine.Execute(whole, q2)
 	if err != nil {
 		t.Fatal(err)
 	}

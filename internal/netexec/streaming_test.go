@@ -402,7 +402,7 @@ func TestStreamingMergeEqualsBarrier(t *testing.T) {
 		// order — the exact pre-streaming coordinator algorithm.
 		barrier := engine.NewPartial(q)
 		for i := 0; i < nWorkers; i++ {
-			p, err := engine.ExecuteParallel(locals[i], q)
+			p, err := engine.Execute(locals[i], q)
 			if err != nil {
 				t.Fatal(err)
 			}

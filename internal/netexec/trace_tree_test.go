@@ -150,7 +150,7 @@ func traceTestBlob(t *testing.T) []byte {
 		}
 	}
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	partial, err := engine.ExecuteParallel(st, q)
+	partial, err := engine.Execute(st, q)
 	if err != nil {
 		t.Fatal(err)
 	}

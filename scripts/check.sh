@@ -14,6 +14,29 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 
+# One brick loop (PR 14): scheduler.go's visitBrick is the engine's only
+# decode/filter/observe body, reached through the one Scheduler.Run entry
+# point. A second VisitBatchEpoch call site is a second copy of that body
+# in the making; the old entry points and the package-level test toggles
+# must not come back.
+echo "== one brick loop"
+ENGINE_SRC="$(ls internal/engine/*.go | grep -v _test.go)"
+SITES="$(cat $ENGINE_SRC | grep -c 'VisitBatchEpoch(' || true)"
+if [ "$SITES" != 1 ]; then
+    echo "one brick loop: $SITES VisitBatchEpoch( call sites in non-test internal/engine, want exactly 1:"
+    grep -n 'VisitBatchEpoch(' $ENGINE_SRC
+    exit 1
+fi
+if grep -rn --include='*.go' 'ExecuteParallel' .; then
+    echo "one brick loop: ExecuteParallel is back (see above); Scheduler.Run is the only entry point"
+    exit 1
+fi
+if grep -n 'disableSkippers\|disableEncodedKernels' $ENGINE_SRC; then
+    echo "one brick loop: test toggles are package-level again (see above); they are unexported Opts fields"
+    exit 1
+fi
+echo "internal/engine non-test lines: $(cat $ENGINE_SRC | wc -l)"
+
 echo "== go build ./..."
 go build ./...
 
