@@ -14,9 +14,9 @@
 //	GET  /move?table=...&partition=0   observe a migration checkpoint
 //	GET  /tables
 //	GET  /health
-//	GET  /stats   legacy JSON counter alias (retries, hedges, breaker trips, ...)
-//	GET  /metrics Prometheus text format: the /stats counters plus query,
-//	              merge and fetch latency histograms (p50/p95/p99/p999)
+//	GET  /metrics Prometheus text format: counters (retries, hedges,
+//	              breaker trips, ...) plus query, merge and fetch latency
+//	              histograms (p50/p95/p99/p999)
 //	GET  /debug/trace[/{id}]  the bounded in-memory trace ring
 //
 // Every query runs under a root trace span whose ID is returned in the
@@ -73,7 +73,7 @@ func main() {
 	breakerOpen := flag.Duration("breaker-open", 5*time.Second, "how long an open breaker rejects before probing")
 	maxPartialBytes := flag.Int64("max-partial-bytes", netexec.DefaultMaxPartialBytes, "per-worker partial response size bound")
 	replication := flag.Int("replication", 0, "replica copies per partition beyond the primary")
-	enableMetrics := flag.Bool("metrics", true, "serve Prometheus text format on /metrics (counters stay on /stats)")
+	enableMetrics := flag.Bool("metrics", true, "serve Prometheus text format on /metrics")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	traceRing := flag.Int("trace-ring", trace.DefaultRingSize, "how many traces the /debug/trace ring retains")
 	slowQueryMS := flag.Int("slow-query-ms", 500, "log a per-stage breakdown for queries slower than this (0 disables)")
@@ -147,7 +147,7 @@ func main() {
 		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
 	})
 	coord.Tracer = tracer
-	s := &coordServer{cluster: cluster, metrics: reg, tracer: tracer, deadline: *deadline}
+	s := &coordServer{cluster: cluster, tracer: tracer, deadline: *deadline}
 	s.migrator = &migrate.Driver{
 		ZK:      zk.NewStore(nil),
 		Router:  cluster,
@@ -163,7 +163,6 @@ func main() {
 	mux.HandleFunc("/query", s.query)
 	mux.HandleFunc("/move", s.move)
 	mux.HandleFunc("/health", s.health)
-	mux.HandleFunc("/stats", s.stats)
 	mux.Handle("/debug/trace", tracer.Handler())
 	mux.Handle("/debug/trace/", tracer.Handler())
 	if *enableMetrics {
@@ -183,7 +182,6 @@ func main() {
 
 type coordServer struct {
 	cluster  *netexec.Cluster
-	metrics  *metrics.Registry
 	tracer   *trace.Tracer
 	deadline time.Duration
 	migrator *migrate.Driver
@@ -425,15 +423,5 @@ func (s *coordServer) health(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]interface{}{
 		"workers":   len(s.cluster.Workers()),
 		"unhealthy": bad,
-	})
-}
-
-func (s *coordServer) stats(w http.ResponseWriter, r *http.Request) {
-	counters := map[string]int64{}
-	if s.metrics != nil {
-		counters = s.metrics.CounterValues()
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"counters": counters,
 	})
 }

@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"cubrick/internal/netexec"
+	"cubrick/internal/partition"
 )
 
 func newTestCoordinator(t *testing.T, workers int) *coordServer {
 	t.Helper()
 	var urls []string
 	for i := 0; i < workers; i++ {
-		srv := httptest.NewServer(netexec.NewWorker().Handler())
+		srv := httptest.NewServer(netexec.NewWorker(partition.Config{}).Handler())
 		t.Cleanup(srv.Close)
 		urls = append(urls, srv.URL)
 	}

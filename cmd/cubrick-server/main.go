@@ -22,12 +22,11 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	cubrick "cubrick"
 	"cubrick/internal/admission"
-	"cubrick/internal/brick"
+	"cubrick/internal/partition"
 )
 
 type server struct {
@@ -36,26 +35,15 @@ type server struct {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	compactInterval := flag.Duration("compact-interval", 0, "background compaction pass interval (0 disables)")
-	compactEncodeBelow := flag.Float64("compact-encode-below", 1, "encode raw bricks whose hotness falls below this")
-	compactEvictBelow := flag.Float64("compact-evict-below", 0.1, "flate+evict encoded bricks whose hotness falls below this")
-	compactPromoteAbove := flag.Float64("compact-promote-above", 0, "promote colder-tier bricks whose hotness rises above this (0 disables)")
-	maxConcurrent := flag.Int("max-concurrent-queries", 0, "per-node cap on concurrently executing partials; excess queries queue (0 disables admission control)")
-	queueDepth := flag.Int("queue-depth", 64, "bound on each node's admission queue; arrivals beyond it are shed")
-	fold := flag.String("fold", "on", "shared-scan folding: concurrent queries with equal fold keys share one brick pass (on/off)")
-	brickCacheBytes := flag.Int64("brick-cache-bytes", 0, "per-node byte budget for the per-brick partial cache (fold key + ingest epoch keyed; 0 disables)")
-	decodedCacheBytes := flag.Int64("decoded-cache-bytes", 0, "per-node byte budget for the decoded-column cache pinning hot compressed bricks (0 disables)")
 	dualReadWindow := flag.Duration("dual-read-window", 0, "how long a migrated shard's old copy keeps serving after a move (the in-process deployment's discovery propagation wait; 0 keeps the default)")
-	rollupTimeDim := flag.String("rollup-time-dim", "", "time dimension incremental rollups bucket on (empty disables rollups)")
-	rollupBucket := flag.Uint("rollup-bucket", 1, "rollup bucket width in time-dimension values")
-	rollupDims := flag.String("rollup-dims", "", "comma-separated dimensions rollups group by (empty = all non-time dimensions)")
-	rollupDistinct := flag.String("rollup-distinct", "", "comma-separated dimensions maintained as HLL sketches for COUNT(DISTINCT)")
+	serving := partition.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	if *fold != "on" && *fold != "off" {
-		log.Fatalf("cubrick-server: -fold must be on or off, got %q", *fold)
-	}
 
 	cfg := cubrick.Defaults()
+	var err error
+	if cfg.Deployment.Node.Config, err = serving.Config(); err != nil {
+		log.Fatalf("cubrick-server: %v", err)
+	}
 	if *dualReadWindow > 0 {
 		// In the in-process deployment the dual-read window IS the §IV-E
 		// propagation wait: the old replica keeps its data (and keeps
@@ -63,52 +51,23 @@ func main() {
 		cfg.Deployment.PropagationWait = *dualReadWindow
 		log.Printf("cubrick-server migration dual-read window: %s", *dualReadWindow)
 	}
-	if *rollupTimeDim != "" {
-		cfg.Deployment.Node.RollupTimeDim = *rollupTimeDim
-		cfg.Deployment.Node.RollupBucket = uint32(*rollupBucket)
-		cfg.Deployment.Node.RollupDims = splitList(*rollupDims)
-		cfg.Deployment.Node.RollupDistinct = splitList(*rollupDistinct)
-		log.Printf("cubrick-server rollups: time-dim=%s bucket=%d dims=%q distinct=%q",
-			*rollupTimeDim, *rollupBucket, cfg.Deployment.Node.RollupDims, cfg.Deployment.Node.RollupDistinct)
-	}
+	log.Printf("cubrick-server per-node serving: %+v", cfg.Deployment.Node.Config)
 	db, err := cubrick.Open(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open deployment:", err)
 		os.Exit(1)
 	}
-	for _, n := range db.Deployment().Nodes() {
-		n.SetFoldScans(*fold == "on")
-		if *brickCacheBytes > 0 || *decodedCacheBytes > 0 {
-			n.SetCacheBudgets(*brickCacheBytes, *decodedCacheBytes)
-		}
-		if *maxConcurrent > 0 {
-			n.SetAdmission(admission.New(admission.Config{
-				MaxConcurrent: *maxConcurrent,
-				QueueDepth:    *queueDepth,
-			}))
-		}
-	}
-	if *brickCacheBytes > 0 || *decodedCacheBytes > 0 {
-		log.Printf("cubrick-server caches: per-node brick-cache-bytes=%d decoded-cache-bytes=%d", *brickCacheBytes, *decodedCacheBytes)
-	}
-	if *maxConcurrent > 0 {
-		log.Printf("cubrick-server admission: per-node max-concurrent=%d queue-depth=%d", *maxConcurrent, *queueDepth)
-	}
-	if *compactInterval > 0 {
-		cfg := brick.CompactionConfig{
-			EncodeBelow:  *compactEncodeBelow,
-			EvictBelow:   *compactEvictBelow,
-			PromoteAbove: *compactPromoteAbove,
-		}
+	if serving.CompactInterval > 0 {
+		ccfg := serving.Compaction
 		log.Printf("cubrick-server compactor: interval=%s encode-below=%g evict-below=%g promote-above=%g",
-			*compactInterval, cfg.EncodeBelow, cfg.EvictBelow, cfg.PromoteAbove)
+			serving.CompactInterval, ccfg.EncodeBelow, ccfg.EvictBelow, ccfg.PromoteAbove)
 		go func() {
-			t := time.NewTicker(*compactInterval)
+			t := time.NewTicker(serving.CompactInterval)
 			defer t.Stop()
 			for range t.C {
 				for _, n := range db.Deployment().Nodes() {
 					n.DecayHotness()
-					if _, err := n.Compact(cfg); err != nil {
+					if _, err := n.Parts().Compact(ccfg); err != nil {
 						log.Printf("cubrick-server compaction: %v", err)
 					}
 				}
@@ -256,16 +215,4 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			"p50_ms": snap.P50 * 1000, "p99_ms": snap.P99 * 1000, "max_ms": snap.Max * 1000,
 		},
 	})
-}
-
-// splitList parses a comma-separated flag value into its non-empty,
-// space-trimmed elements.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -4,16 +4,17 @@
 //
 //	cubrick-worker -addr :9001
 //
-// API: POST /partition, POST /load, POST /loadbin, POST /partial,
-// GET /health.
+// API: POST /partition, POST /loadbin, POST /partial, GET /health, plus
+// the migration and dictionary planes (see internal/netexec). The serving
+// flags (-fold, -compact-*, cache budgets, -rollup-*, admission) are
+// partition.RegisterFlags, shared with cubrick-server.
 //
 // Observability: GET /metrics serves counters and latency histograms in
-// Prometheus text format (-metrics, on by default; /stats remains as the
-// legacy JSON counter alias), GET /debug/trace[/{id}] serves the bounded
-// in-memory trace ring (coordinator-propagated trace IDs land here), and
-// -slow-query-ms gates a one-line per-stage slow-query log. -pprof mounts
-// net/http/pprof under /debug/pprof/. The debug and metrics endpoints
-// bypass chaos injection.
+// Prometheus text format (-metrics, on by default), GET
+// /debug/trace[/{id}] serves the bounded in-memory trace ring
+// (coordinator-propagated trace IDs land here), and -slow-query-ms gates a
+// one-line per-stage slow-query log. -pprof mounts net/http/pprof under
+// /debug/pprof/. The debug and metrics endpoints bypass chaos injection.
 //
 // For resilience demos, -chaos-fail-prob injects server-side faults: each
 // request fails with the given probability (HTTP 500) before reaching the
@@ -22,85 +23,49 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
-	"cubrick/internal/admission"
-	"cubrick/internal/brick"
 	"cubrick/internal/metrics"
 	"cubrick/internal/netexec"
+	"cubrick/internal/partition"
 	"cubrick/internal/trace"
 )
 
 func main() {
 	addr := flag.String("addr", ":9001", "listen address")
-	enableMetrics := flag.Bool("metrics", true, "serve Prometheus text format on /metrics (and counters on /stats)")
+	enableMetrics := flag.Bool("metrics", true, "serve Prometheus text format on /metrics")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	traceRing := flag.Int("trace-ring", trace.DefaultRingSize, "how many traces the /debug/trace ring retains")
 	slowQueryMS := flag.Int("slow-query-ms", 500, "log a per-stage breakdown for partials slower than this (0 disables)")
 	chaosFailProb := flag.Float64("chaos-fail-prob", 0, "probability each request fails with HTTP 500 (fault injection; 0 disables)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the injected failure stream")
-	compactInterval := flag.Duration("compact-interval", 0, "background compaction pass interval (0 disables)")
-	compactEncodeBelow := flag.Float64("compact-encode-below", 1, "encode raw bricks whose hotness falls below this")
-	compactEvictBelow := flag.Float64("compact-evict-below", 0.1, "flate+evict encoded bricks whose hotness falls below this")
-	compactPromoteAbove := flag.Float64("compact-promote-above", 0, "promote colder-tier bricks whose hotness rises above this (0 disables)")
 	compactDecay := flag.Float64("compact-decay", 0.8, "hotness decay factor applied before each compaction pass (1 disables decay)")
-	maxConcurrent := flag.Int("max-concurrent-queries", 0, "cap on concurrently executing partials; excess queries queue (0 disables admission control)")
-	queueDepth := flag.Int("queue-depth", 64, "bound on the admission queue; arrivals beyond it are shed with 429")
-	fold := flag.String("fold", "on", "shared-scan folding: concurrent queries with equal fold keys share one brick pass (on/off)")
-	brickCacheBytes := flag.Int64("brick-cache-bytes", 0, "byte budget for the per-brick partial cache (fold key + ingest epoch keyed; 0 disables)")
-	decodedCacheBytes := flag.Int64("decoded-cache-bytes", 0, "byte budget for the decoded-column cache pinning hot compressed bricks (0 disables)")
 	migrateRateBytes := flag.Int64("migrate-rate-bytes", 0, "pace /export shard-migration streams to this many bytes per second (0 = unthrottled)")
 	dictCapacity := flag.Uint("dict-capacity", 0, "fallback id capacity for global dictionaries created over /dict when the column names no schema dimension (0 = schema-derived only)")
-	rollupTimeDim := flag.String("rollup-time-dim", "", "time dimension incremental rollups bucket on (empty disables rollups)")
-	rollupBucket := flag.Uint("rollup-bucket", 1, "rollup bucket width in time-dimension values")
-	rollupDims := flag.String("rollup-dims", "", "comma-separated dimensions rollups group by (empty = all non-time dimensions)")
-	rollupDistinct := flag.String("rollup-distinct", "", "comma-separated dimensions maintained as HLL sketches for COUNT(DISTINCT)")
+	serving := partition.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	if *fold != "on" && *fold != "off" {
-		log.Fatalf("cubrick-worker: -fold must be on or off, got %q", *fold)
+	cfg, err := serving.Config()
+	if err != nil {
+		log.Fatalf("cubrick-worker: %v", err)
 	}
-	w := netexec.NewWorker()
+	if *enableMetrics {
+		cfg.Metrics = metrics.NewRegistry()
+	}
+	w := netexec.NewWorker(cfg)
 	tracer := trace.New(trace.Config{
 		RingSize:           *traceRing,
 		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
 	})
 	w.Tracer = tracer
-	if *enableMetrics {
-		w.Metrics = metrics.NewRegistry()
-	}
-	w.FoldScans = *fold == "on"
-	w.BrickCacheBytes = *brickCacheBytes
-	w.DecodedCacheBytes = *decodedCacheBytes
 	w.ExportRateBytes = *migrateRateBytes
 	w.DictCapacity = uint32(*dictCapacity)
-	if *rollupTimeDim != "" {
-		w.RollupTimeDim = *rollupTimeDim
-		w.RollupBucket = uint32(*rollupBucket)
-		w.RollupDims = splitList(*rollupDims)
-		w.RollupDistinct = splitList(*rollupDistinct)
-		log.Printf("cubrick-worker rollups: time-dim=%s bucket=%d dims=%q distinct=%q",
-			w.RollupTimeDim, w.RollupBucket, w.RollupDims, w.RollupDistinct)
-	}
-	if *migrateRateBytes > 0 {
-		log.Printf("cubrick-worker migration export rate: %d bytes/s", *migrateRateBytes)
-	}
-	if *brickCacheBytes > 0 || *decodedCacheBytes > 0 {
-		log.Printf("cubrick-worker caches: brick-cache-bytes=%d decoded-cache-bytes=%d", *brickCacheBytes, *decodedCacheBytes)
-	}
-	if *maxConcurrent > 0 {
-		w.Admission = admission.New(admission.Config{
-			MaxConcurrent: *maxConcurrent,
-			QueueDepth:    *queueDepth,
-			Metrics:       w.Metrics,
-		})
-		log.Printf("cubrick-worker admission: max-concurrent=%d queue-depth=%d", *maxConcurrent, *queueDepth)
-	}
+	log.Printf("cubrick-worker serving: fold=%v brick-cache-bytes=%d decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d rollup time-dim=%q bucket=%d dims=%q distinct=%q migrate-rate-bytes=%d",
+		cfg.FoldScans, cfg.BrickCacheBytes, cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth,
+		cfg.RollupTimeDim, cfg.RollupBucket, cfg.RollupDims, cfg.RollupDistinct, *migrateRateBytes)
 	handler := netexec.ChaosHandler(*chaosFailProb, *chaosSeed, w.Handler())
 	// Debug and metrics endpoints mount on the outer mux so chaos-injected
 	// 500s never hit the observability plane that diagnoses them.
@@ -108,14 +73,8 @@ func main() {
 	mux.Handle("/", handler)
 	mux.Handle("/debug/trace", tracer.Handler())
 	mux.Handle("/debug/trace/", tracer.Handler())
-	if w.Metrics != nil {
-		mux.Handle("/metrics", metrics.Handler(w.Metrics))
-		mux.HandleFunc("/stats", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(rw).Encode(map[string]interface{}{
-				"counters": w.Metrics.CounterValues(),
-			})
-		})
+	if cfg.Metrics != nil {
+		mux.Handle("/metrics", metrics.Handler(cfg.Metrics))
 	}
 	if *enablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -127,41 +86,24 @@ func main() {
 	if *chaosFailProb > 0 {
 		log.Printf("cubrick-worker chaos enabled: fail-prob=%g seed=%d", *chaosFailProb, *chaosSeed)
 	}
-	if *compactInterval > 0 {
-		cfg := brick.CompactionConfig{
-			EncodeBelow:  *compactEncodeBelow,
-			EvictBelow:   *compactEvictBelow,
-			PromoteAbove: *compactPromoteAbove,
-		}
+	if serving.CompactInterval > 0 {
+		ccfg, decay := serving.Compaction, *compactDecay
 		log.Printf("cubrick-worker compactor: interval=%s encode-below=%g evict-below=%g promote-above=%g decay=%g",
-			*compactInterval, cfg.EncodeBelow, cfg.EvictBelow, cfg.PromoteAbove, *compactDecay)
-		decay := *compactDecay
+			serving.CompactInterval, ccfg.EncodeBelow, ccfg.EvictBelow, ccfg.PromoteAbove, decay)
 		go func() {
-			t := time.NewTicker(*compactInterval)
+			t := time.NewTicker(serving.CompactInterval)
 			defer t.Stop()
 			for range t.C {
 				if decay < 1 {
-					w.DecayHotness(decay)
+					w.Parts().DecayHotness(decay)
 				}
-				if _, err := w.CompactAll(cfg); err != nil {
+				if _, err := w.Parts().Compact(ccfg); err != nil {
 					log.Printf("cubrick-worker compaction: %v", err)
 				}
 			}
 		}()
 	}
-	log.Printf("cubrick-worker listening on %s (metrics=%v pprof=%v slow-query-ms=%d fold=%s)",
-		*addr, *enableMetrics, *enablePprof, *slowQueryMS, *fold)
+	log.Printf("cubrick-worker listening on %s (metrics=%v pprof=%v slow-query-ms=%d)",
+		*addr, *enableMetrics, *enablePprof, *slowQueryMS)
 	log.Fatal(http.ListenAndServe(*addr, mux))
-}
-
-// splitList parses a comma-separated flag value into its non-empty,
-// space-trimmed elements.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -18,6 +18,7 @@ import (
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
 	"cubrick/internal/netexec"
+	"cubrick/internal/partition"
 )
 
 func main() {
@@ -33,7 +34,7 @@ func main() {
 	const workers = 4
 	var targets []netexec.Target
 	for i := 0; i < workers; i++ {
-		w := netexec.NewWorker()
+		w := netexec.NewWorker(partition.Config{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)

@@ -3,7 +3,6 @@ package brick
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -228,77 +227,6 @@ func (b *Brick) appendColumns(dimCols [][]uint32, metricCols [][]float64, idx []
 	return nil
 }
 
-// encodeColumnsV1 serializes the columns in the legacy (version-1) format:
-// row count, then each dimension column as plain varints, then each metric
-// column as raw bits. Kept as the flate-baseline reference and so tests can
-// manufacture old payloads; live encoding uses the version-2 adaptive blob.
-func encodeColumnsV1(dims [][]uint32, metrics [][]float64, rows int) []byte {
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-	putUvarint(uint64(rows))
-	for _, col := range dims {
-		for _, v := range col {
-			putUvarint(uint64(v))
-		}
-	}
-	var mbits [8]byte
-	for _, col := range metrics {
-		for _, v := range col {
-			binary.LittleEndian.PutUint64(mbits[:], floatBits(v))
-			buf.Write(mbits[:])
-		}
-	}
-	return buf.Bytes()
-}
-
-func decodeColumns(data []byte, nDims, nMetrics int) (dims [][]uint32, metrics [][]float64, rows int, err error) {
-	r := bytes.NewReader(data)
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("brick: corrupt header: %w", err)
-	}
-	if n > maxDecodeRows {
-		return nil, nil, 0, fmt.Errorf("brick: blob claims %d rows (max %d)", n, maxDecodeRows)
-	}
-	rows = int(n)
-	// Every row costs at least one varint byte per dim column plus eight
-	// bytes per metric column, so a forged count cannot force allocation
-	// beyond what the payload itself could hold.
-	minBytes := int64(rows) * int64(nDims+8*nMetrics)
-	if minBytes > int64(r.Len()) {
-		return nil, nil, 0, fmt.Errorf("brick: blob claims %d rows but has %d payload bytes", rows, r.Len())
-	}
-	dims = make([][]uint32, nDims)
-	for i := range dims {
-		col := make([]uint32, rows)
-		for j := range col {
-			v, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("brick: corrupt dim column: %w", err)
-			}
-			col[j] = uint32(v)
-		}
-		dims[i] = col
-	}
-	metrics = make([][]float64, nMetrics)
-	var mbits [8]byte
-	for i := range metrics {
-		col := make([]float64, rows)
-		for j := range col {
-			if _, err := io.ReadFull(r, mbits[:]); err != nil {
-				return nil, nil, 0, fmt.Errorf("brick: corrupt metric column: %w", err)
-			}
-			col[j] = floatFromBits(binary.LittleEndian.Uint64(mbits[:]))
-		}
-		metrics[i] = col
-	}
-	return dims, metrics, rows, nil
-}
-
 // Compress converts the brick to the encoded tier: every column picks its
 // cheapest lightweight encoding and the raw columns are freed. It is a
 // no-op on empty or already-compressed bricks.
@@ -465,29 +393,9 @@ func (b *Brick) visitBatchEpoch(proj *Projection, fn func(*Batch) error) (epoch 
 	if err != nil {
 		return epoch, false, err
 	}
-	var batch *Batch
-	if isV2Blob(data) {
-		batch, err = decodeBlobInto(data, len(b.dims), len(b.metrics), b.rows, proj, sc)
-		if err != nil {
-			return epoch, false, err
-		}
-	} else {
-		// Legacy v1 payloads (pre-adaptive evictions) have no column
-		// boundaries, so projection cannot skip anything.
-		dims, metrics, rows, err := decodeColumns(data, len(b.dims), len(b.metrics))
-		if err != nil {
-			return epoch, false, err
-		}
-		if rows != b.rows {
-			return epoch, false, fmt.Errorf("brick: row count mismatch in blob: %d != %d", rows, b.rows)
-		}
-		batch = &sc.batch
-		batch.Dims = dims
-		batch.Metrics = metrics
-		batch.DimRuns = resizeNilRuns(batch.DimRuns, len(dims))
-		batch.DimCodes = resizeNil(batch.DimCodes, len(dims))
-		batch.DimDict = resizeNil(batch.DimDict, len(dims))
-		batch.Rows = rows
+	batch, err := decodeBlobInto(data, len(b.dims), len(b.metrics), b.rows, proj, sc)
+	if err != nil {
+		return epoch, false, err
 	}
 	b.obs.observeDecode(time.Since(start))
 	if useCache {

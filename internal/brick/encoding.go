@@ -2,6 +2,7 @@ package brick
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -20,8 +21,7 @@ import (
 // reference, and exposes run/dictionary structure to the execution engine
 // so GROUP BY kernels can aggregate without materializing the column.
 //
-// Blob layout (version 2; version 1 is the legacy flate-of-varints format
-// still accepted on decode):
+// Blob layout (version 2, the only one decoded):
 //
 //	0x00 0x02                      version header
 //	uvarint rows
@@ -54,9 +54,8 @@ import (
 //	           in first-appearance order, 1 code-width byte, LSB-first
 //	           bit-packed codes — low-cardinality metric columns
 //
-// A legacy (version 1) payload begins with uvarint rows directly; the only
-// v1 blob whose first byte is 0x00 is the 1-byte empty-brick payload, so
-// `len ≥ 2 && data[0] == 0x00 && data[1] == 0x02` selects v2 unambiguously.
+// A payload that does not begin with the two version bytes is rejected:
+// the flate-of-varints format they replaced is no longer readable.
 
 const (
 	blobVersionByte0 = 0x00
@@ -588,8 +587,10 @@ func encodeBrickBlob(dims [][]uint32, mets [][]float64, rows int, obs *storeObs)
 	return dst
 }
 
-// isV2Blob reports whether data is a version-2 adaptive blob (vs a legacy
-// version-1 varint payload).
+// errUnknownBlobVersion rejects a payload without the version bytes.
+var errUnknownBlobVersion = errors.New("brick: unknown blob version")
+
+// isV2Blob reports whether data carries the adaptive blob's version bytes.
 func isV2Blob(data []byte) bool {
 	return len(data) >= 2 && data[0] == blobVersionByte0 && data[1] == blobVersionByte1
 }
@@ -1013,10 +1014,10 @@ func (sc *visitScratch) metBuf(i, rows int) []float64 {
 // mismatch is corruption); expectRows < 0 accepts the blob's own count up
 // to maxDecodeRows (import/fuzz paths).
 func decodeBlobInto(data []byte, nDims, nMetrics, expectRows int, proj *Projection, sc *visitScratch) (*Batch, error) {
-	r := colReader{data: data}
-	if err := r.skip(2); err != nil {
-		return nil, err
+	if !isV2Blob(data) {
+		return nil, errUnknownBlobVersion
 	}
+	r := colReader{data: data, pos: 2}
 	rows64, err := r.readUvarint()
 	if err != nil {
 		return nil, err
@@ -1235,16 +1236,9 @@ func decodeBlobInto(data []byte, nDims, nMetrics, expectRows int, proj *Projecti
 	return batch, nil
 }
 
-// decodeBlobOwned fully materializes a blob (v1 or v2) into freshly
-// allocated columns the caller may keep — the Decompress/Import path.
+// decodeBlobOwned fully materializes a blob into freshly allocated columns
+// the caller may keep — the Decompress/Import path.
 func decodeBlobOwned(data []byte, nDims, nMetrics, expectRows int) (dims [][]uint32, mets [][]float64, rows int, err error) {
-	if !isV2Blob(data) {
-		dims, mets, rows, err = decodeColumns(data, nDims, nMetrics)
-		if err == nil && expectRows >= 0 && rows != expectRows {
-			err = fmt.Errorf("brick: blob has %d rows, brick has %d", rows, expectRows)
-		}
-		return dims, mets, rows, err
-	}
 	sc := &visitScratch{}
 	batch, err := decodeBlobInto(data, nDims, nMetrics, expectRows, nil, sc)
 	if err != nil {

@@ -1,6 +1,7 @@
 package brick
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -8,18 +9,22 @@ import (
 // whatever bytes arrive, a column decoder may return an error but must
 // never panic, and its allocations are bounded by the declared row count.
 
-// FuzzDecodeBrick drives the whole-blob decoder (both the legacy v1 and the
-// adaptive v2 format) with untrusted input, as the Import path does.
+// FuzzDecodeBrick drives the whole-blob decoder with untrusted input, as
+// the Import path does. Anything without the version bytes — the seeds
+// include a payload in the retired varint layout — is refused as such.
 func FuzzDecodeBrick(f *testing.F) {
 	dims := [][]uint32{{1, 2, 3, 3}, {5, 5, 5, 5}, {9, 8, 7, 6}}
 	mets := [][]float64{{1, 2, 3, 4}, {0.5, 0.5, 0.5, 0.5}}
 	f.Add(encodeBrickBlob(dims, mets, 4, nil))
-	f.Add(encodeColumnsV1(dims, mets, 4))
+	f.Add(encodeVarintColumns(dims, mets, 4))
 	f.Add([]byte{blobVersionByte0, blobVersionByte1, 4})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gd, gm, rows, err := decodeBlobOwned(data, 3, 2, -1)
+		if !isV2Blob(data) && !errors.Is(err, errUnknownBlobVersion) {
+			t.Fatalf("unversioned payload: err = %v, want %v", err, errUnknownBlobVersion)
+		}
 		if err != nil {
 			return
 		}

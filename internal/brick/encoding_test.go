@@ -3,6 +3,7 @@ package brick
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -367,65 +368,41 @@ func TestGroupEncodedViews(t *testing.T) {
 	}
 }
 
-// TestLegacyV1BlobDecode pins backward compatibility: payloads written in
-// the pre-adaptive version-1 format must still decode, both resident and
-// behind the SSD flate layer (the format bump is additive).
-func TestLegacyV1BlobDecode(t *testing.T) {
-	dims := [][]uint32{{1, 2, 3}, {7, 7, 7}}
-	mets := [][]float64{{0.5, 1.5, -2}}
-	v1 := encodeColumnsV1(dims, mets, 3)
-
-	check := func(b *Brick) error {
-		return b.visit(func(gd [][]uint32, gm [][]float64, rows int) error {
-			if rows != 3 {
-				return fmt.Errorf("rows %d", rows)
-			}
-			for d := range dims {
-				for i := range dims[d] {
-					if gd[d][i] != dims[d][i] {
-						return fmt.Errorf("dim %d row %d", d, i)
-					}
-				}
-			}
-			for i := range mets[0] {
-				if gm[0][i] != mets[0][i] {
-					return fmt.Errorf("metric row %d", i)
-				}
-			}
-			return nil
-		})
-	}
+// TestUnknownBlobVersionRejected: a payload without the version bytes — here
+// one in the retired flate-of-varints layout — is refused with an explicit
+// error wherever a blob is decoded: a resident encoded brick, an evicted
+// one behind flate, and a transfer import.
+func TestUnknownBlobVersionRejected(t *testing.T) {
+	old := encodeVarintColumns([][]uint32{{1, 2, 3}, {7, 7, 7}}, [][]float64{{0.5, 1.5, -2}}, 3)
+	noop := func(*Batch) error { return nil }
 
 	resident := newBrick(2, 1)
 	resident.rows = 3
-	resident.encoded = append([]byte(nil), v1...)
-	if err := check(resident); err != nil {
-		t.Fatalf("resident v1: %v", err)
+	resident.encoded = old
+	if _, _, err := resident.visitBatchEpoch(nil, noop); !errors.Is(err, errUnknownBlobVersion) {
+		t.Fatalf("resident scan: %v", err)
 	}
-	if err := resident.Decompress(); err != nil {
-		t.Fatalf("decompress v1: %v", err)
-	}
-	if err := check(resident); err != nil {
-		t.Fatalf("after decompress: %v", err)
+	if err := resident.Decompress(); !errors.Is(err, errUnknownBlobVersion) {
+		t.Fatalf("decompress: %v", err)
 	}
 
 	var flated bytes.Buffer
 	fw, _ := flate.NewWriter(&flated, flate.BestSpeed)
-	fw.Write(v1)
+	fw.Write(old)
 	fw.Close()
 	evicted := newBrick(2, 1)
 	evicted.rows = 3
 	evicted.ssd = flated.Bytes()
-	evicted.encLen = len(v1)
-	if err := check(evicted); err != nil {
-		t.Fatalf("evicted v1: %v", err)
+	evicted.encLen = len(old)
+	if _, _, err := evicted.visitBatchEpoch(nil, noop); !errors.Is(err, errUnknownBlobVersion) {
+		t.Fatalf("evicted scan: %v", err)
 	}
-	evicted.Unevict()
-	if evicted.IsEvicted() {
-		t.Fatal("unevict failed on v1 payload")
+
+	if _, _, _, err := decodeBlobOwned(old, 2, 1, -1); !errors.Is(err, errUnknownBlobVersion) {
+		t.Fatalf("import decode: %v", err)
 	}
-	if err := check(evicted); err != nil {
-		t.Fatalf("after unevict: %v", err)
+	if _, _, _, err := decodeBlobOwned(nil, 2, 1, -1); !errors.Is(err, errUnknownBlobVersion) {
+		t.Fatalf("empty payload: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package brick
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"os"
@@ -48,6 +49,56 @@ func benchShape(name string, n int, rnd *randutil.Source) (dims [][]uint32, mets
 	return [][]uint32{d0, d1, d2}, [][]float64{m0, m1}
 }
 
+// encodeVarintColumns / decodeVarintColumns are the bench's flate baseline:
+// the pre-adaptive layout (row count, each dimension column as plain
+// varints, each metric column as raw bits) that evicted bricks used to
+// carry behind flate. Nothing in the package reads it any more.
+func encodeVarintColumns(dims [][]uint32, metrics [][]float64, rows int) []byte {
+	buf := binary.AppendUvarint(nil, uint64(rows))
+	for _, col := range dims {
+		for _, v := range col {
+			buf = binary.AppendUvarint(buf, uint64(v))
+		}
+	}
+	for _, col := range metrics {
+		for _, v := range col {
+			buf = binary.LittleEndian.AppendUint64(buf, floatBits(v))
+		}
+	}
+	return buf
+}
+
+func decodeVarintColumns(data []byte, nDims, nMetrics int) ([][]uint32, [][]float64, error) {
+	r := bytes.NewReader(data)
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	dims := make([][]uint32, nDims)
+	for i := range dims {
+		dims[i] = make([]uint32, n)
+		for j := range dims[i] {
+			v, err := binary.ReadUvarint(r)
+			if err != nil {
+				return nil, nil, err
+			}
+			dims[i][j] = uint32(v)
+		}
+	}
+	metrics := make([][]float64, nMetrics)
+	var mbits [8]byte
+	for i := range metrics {
+		metrics[i] = make([]float64, n)
+		for j := range metrics[i] {
+			if _, err := io.ReadFull(r, mbits[:]); err != nil {
+				return nil, nil, err
+			}
+			metrics[i][j] = floatFromBits(binary.LittleEndian.Uint64(mbits[:]))
+		}
+	}
+	return dims, metrics, nil
+}
+
 // timeDecodes runs decode repeatedly for at least minDur and returns
 // decoded rows per second.
 func timeDecodes(n int, minDur time.Duration, decode func()) float64 {
@@ -91,7 +142,7 @@ func TestStorageBench(t *testing.T) {
 		dims, mets := benchShape(shape, n, rnd)
 		rawBytes := 4*3*n + 8*2*n
 
-		v1 := encodeColumnsV1(dims, mets, n)
+		v1 := encodeVarintColumns(dims, mets, n)
 		var fbuf bytes.Buffer
 		fw, _ := flate.NewWriter(&fbuf, flate.BestSpeed)
 		fw.Write(v1)
@@ -103,7 +154,7 @@ func TestStorageBench(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := decodeColumns(inflated, 3, 2); err != nil {
+			if _, _, err := decodeVarintColumns(inflated, 3, 2); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -179,9 +179,8 @@ func (s *Store) buildBrick(tb transferBrick) *Brick {
 }
 
 // Import replaces the store's contents with a previously Exported blob.
-// Both version-2 (adaptive) and legacy version-1 brick payloads are
-// accepted. Bricks arrive uncompressed; the memory monitor will compress
-// them later if there is pressure.
+// Bricks arrive uncompressed; the memory monitor will compress them later
+// if there is pressure.
 func (s *Store) Import(blob []byte) error {
 	decoded, err := s.decodeTransfer(blob)
 	if err != nil {

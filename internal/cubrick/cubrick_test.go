@@ -27,7 +27,14 @@ func smallSchema() brick.Schema {
 
 func testDeployment(t *testing.T) *Deployment {
 	t.Helper()
+	return testDeploymentNode(t, DefaultNodeConfig())
+}
+
+// testDeploymentNode is testDeployment with the given node configuration.
+func testDeploymentNode(t *testing.T, node NodeConfig) *Deployment {
+	t.Helper()
 	cfg := DefaultDeploymentConfig()
+	cfg.Node = node
 	cfg.Policy.InitialPartitions = 4
 	cfg.Transport.RequestFailureProb = 0 // deterministic tests
 	d, err := Open(cfg, epoch)
@@ -455,7 +462,7 @@ func TestMetricGenerations(t *testing.T) {
 	}
 	// Compress everything on that node; gen1 (resident) shrinks, gen2
 	// (decompressed) must not change — the §IV-F2 fix.
-	for _, st := range node.allStores() {
+	for _, st := range node.parts.Stores() {
 		st.EnsureBudget(0, 0.5)
 	}
 	node.cfg.MetricGen = Gen1

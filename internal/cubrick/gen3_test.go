@@ -29,7 +29,7 @@ func TestGen3EvictsUnderPressure(t *testing.T) {
 
 	evicted := 0
 	for _, n := range d.Nodes() {
-		for _, st := range n.allStores() {
+		for _, st := range n.parts.Stores() {
 			evicted += st.EvictedBrickCount()
 		}
 	}

@@ -12,8 +12,7 @@ import (
 	"cubrick/internal/cluster"
 	"cubrick/internal/core"
 	"cubrick/internal/engine"
-	"cubrick/internal/rollup"
-	"cubrick/internal/scancache"
+	"cubrick/internal/partition"
 	"cubrick/internal/shardmgr"
 )
 
@@ -68,31 +67,10 @@ type NodeConfig struct {
 	// HotnessDecay is the per-decay-tick multiplier applied to brick
 	// hotness counters.
 	HotnessDecay float64
-	// FoldScans lets concurrent queries with equal fold keys share one
-	// brick pass of the store's scan scheduler. Off in the zero value
-	// (every query runs an unshared pass); on in the production default.
-	FoldScans bool
-	// BrickCacheBytes budgets the node's per-brick partial cache (fold
-	// key + brick ingest epoch -> finished per-task accumulator), shared
-	// by every partition store on the node. Zero disables.
-	BrickCacheBytes int64
-	// DecodedCacheBytes budgets the decoded-column cache keeping hot
-	// compressed bricks' decoded columns resident. Zero disables.
-	DecodedCacheBytes int64
-	// RollupTimeDim names the time dimension incremental rollup tables
-	// bucket on; empty disables rollups. Partitions whose schema has the
-	// dimension maintain a rollup table that catches up on every ingest
-	// and serves eligible queries without a raw scan.
-	RollupTimeDim string
-	// RollupBucket is the rollup bucket width in time-dimension units;
-	// 0 means 1.
-	RollupBucket uint32
-	// RollupDims lists the dimensions rollup groups carry; empty means
-	// every non-time dimension of the partition's schema.
-	RollupDims []string
-	// RollupDistinct lists dimensions maintained as HLL sketches for
-	// COUNT(DISTINCT) serving.
-	RollupDistinct []string
+	// Config is the serving configuration of the node's partition set:
+	// folding (on in the production default), cache budgets, rollups and
+	// admission.
+	partition.Config
 }
 
 // DefaultNodeConfig returns the production-like configuration.
@@ -102,13 +80,13 @@ func DefaultNodeConfig() NodeConfig {
 		MetricGen:           Gen2,
 		AvgCompressionRatio: 3,
 		HotnessDecay:        0.8,
-		FoldScans:           true,
+		Config:              partition.Config{FoldScans: true},
 	}
 }
 
-// Node is one Cubrick server: it owns a set of SM shards, each containing
-// one or more table-partition stores, and executes partial queries over
-// them. Node implements shardmgr.AppServer.
+// Node is one Cubrick server, the Shard Manager edge of a partition.Set:
+// it owns a set of SM shards, each naming one or more table partitions the
+// set serves, and implements shardmgr.AppServer over them.
 type Node struct {
 	host    *cluster.Host
 	region  string
@@ -123,11 +101,16 @@ type Node struct {
 	// (§IV-D/E). May be nil in single-region deployments.
 	recoverFrom func(shard int64) (map[string][]byte, error)
 
+	// parts serves every live partition of every owned shard.
+	parts *partition.Set
+
 	mu sync.Mutex
-	// shards maps shard id -> partition name -> store.
-	shards map[int64]map[string]*brick.Store
-	// staged holds data received via PrepareAddShard, keyed like shards,
-	// promoted to live by AddShard.
+	// shards maps an owned shard id to the names of its partitions in
+	// parts (a partition name determines its shard, so names are unique
+	// across the node).
+	shards map[int64]map[string]bool
+	// staged holds data received via PrepareAddShard, keyed by shard and
+	// partition name, adopted into parts by AddShard.
 	staged map[int64]map[string]*brick.Store
 	// forwards maps shards being gracefully dropped to their new owner.
 	forwards map[int64]string
@@ -136,182 +119,6 @@ type Node struct {
 	replicated map[string]*brick.Store
 	// insertsSinceSweep amortizes memory-monitor runs across ingests.
 	insertsSinceSweep atomic.Int64
-
-	// admit gates partial execution when set (nil admits everything).
-	admit *admission.Controller
-	// scheds lazily holds one scan scheduler per store; every partial
-	// execution is one of its brick passes.
-	schedMu sync.Mutex
-	scheds  map[*brick.Store]*engine.Scheduler
-
-	// cacheMu guards the node-wide brick and decoded-column caches,
-	// lazily built from the configured byte budgets (nil when zero).
-	cacheMu      sync.Mutex
-	cachesBuilt  bool
-	brickCache   *engine.BrickCache
-	decodedCache *brick.DecodedCache
-
-	// rollupMu guards rollups: per-store incremental rollup tables, built
-	// in newStore when RollupTimeDim is configured and removed when the
-	// owning shard or partition is dropped.
-	rollupMu sync.Mutex
-	rollups  map[*brick.Store]*rollup.Table
-}
-
-// caches returns the node-wide cache levels, building them on first use.
-func (n *Node) caches() (*engine.BrickCache, *brick.DecodedCache) {
-	n.cacheMu.Lock()
-	defer n.cacheMu.Unlock()
-	if !n.cachesBuilt {
-		n.brickCache = engine.NewBrickCache(n.cfg.BrickCacheBytes)
-		n.decodedCache = brick.NewDecodedCache(n.cfg.DecodedCacheBytes)
-		n.cachesBuilt = true
-	}
-	return n.brickCache, n.decodedCache
-}
-
-// SetCacheBudgets rebuilds the node's cache levels with new byte budgets
-// (zero disables a level), attaches the decoded-column cache to every
-// existing store, and drops the scan schedulers so future queries pick up
-// the new brick cache. Existing cached entries are discarded. Intended for
-// startup-time configuration, like SetFoldScans.
-func (n *Node) SetCacheBudgets(brickBytes, decodedBytes int64) {
-	n.cacheMu.Lock()
-	n.brickCache = engine.NewBrickCache(brickBytes)
-	n.decodedCache = brick.NewDecodedCache(decodedBytes)
-	n.cachesBuilt = true
-	dc := n.decodedCache
-	n.cacheMu.Unlock()
-
-	n.mu.Lock()
-	for _, parts := range n.shards {
-		for _, st := range parts {
-			st.SetDecodedCache(dc)
-		}
-	}
-	for _, parts := range n.staged {
-		for _, st := range parts {
-			st.SetDecodedCache(dc)
-		}
-	}
-	for _, st := range n.replicated {
-		st.SetDecodedCache(dc)
-	}
-	n.mu.Unlock()
-
-	// In-flight passes keep their scheduler; new queries build fresh ones
-	// configured with the new brick cache.
-	n.schedMu.Lock()
-	n.scheds = make(map[*brick.Store]*engine.Scheduler)
-	n.schedMu.Unlock()
-}
-
-// CacheStats reports the node's brick and decoded-column cache counters.
-func (n *Node) CacheStats() (brickCache, decodedCache scancache.Stats) {
-	bc, dc := n.caches()
-	return bc.Stats(), dc.Stats()
-}
-
-// newStore creates a partition store with the node's decoded-column cache
-// attached (keys carry a process-unique brick uid, so stores sharing the
-// cache cannot collide).
-func (n *Node) newStore(schema brick.Schema) (*brick.Store, error) {
-	st, err := brick.NewStore(schema)
-	if err != nil {
-		return nil, err
-	}
-	if _, dc := n.caches(); dc != nil {
-		st.SetDecodedCache(dc)
-	}
-	n.attachRollup(st)
-	return st, nil
-}
-
-// attachRollup builds the store's incremental rollup table when the node
-// is configured for rollups and the schema has the time dimension, and
-// hooks the ingest observer so the table stays caught up. Staged stores
-// (migration receives) get tables too: the Import they absorb bumps the
-// store generation, so the table rebuilds itself on first serve.
-func (n *Node) attachRollup(st *brick.Store) {
-	if n.cfg.RollupTimeDim == "" {
-		return
-	}
-	schema := st.Schema()
-	if schema.DimIndex(n.cfg.RollupTimeDim) < 0 {
-		return
-	}
-	cfg := rollup.Config{TimeDim: n.cfg.RollupTimeDim, Bucket: n.cfg.RollupBucket}
-	if cfg.Bucket == 0 {
-		cfg.Bucket = 1
-	}
-	if len(n.cfg.RollupDims) > 0 {
-		for _, d := range n.cfg.RollupDims {
-			if d != cfg.TimeDim && schema.DimIndex(d) >= 0 {
-				cfg.Dims = append(cfg.Dims, d)
-			}
-		}
-	} else {
-		for _, d := range schema.Dimensions {
-			if d.Name != cfg.TimeDim {
-				cfg.Dims = append(cfg.Dims, d.Name)
-			}
-		}
-	}
-	for _, d := range n.cfg.RollupDistinct {
-		if schema.DimIndex(d) >= 0 {
-			cfg.DistinctDims = append(cfg.DistinctDims, d)
-		}
-	}
-	tbl, err := rollup.New(schema, cfg)
-	if err != nil {
-		return
-	}
-	n.rollupMu.Lock()
-	if n.rollups == nil {
-		n.rollups = make(map[*brick.Store]*rollup.Table)
-	}
-	n.rollups[st] = tbl
-	n.rollupMu.Unlock()
-	st.SetIngestObserver(func() {
-		_, _ = tbl.CatchUp(st)
-	})
-}
-
-// rollupFor returns the store's rollup table, nil when rollups are off.
-func (n *Node) rollupFor(st *brick.Store) *rollup.Table {
-	n.rollupMu.Lock()
-	defer n.rollupMu.Unlock()
-	return n.rollups[st]
-}
-
-// forgetStores drops the per-store state of dropped stores — rollup tables
-// and scan schedulers — so neither map keeps the stores' bricks reachable.
-func (n *Node) forgetStores(stores map[string]*brick.Store) {
-	n.rollupMu.Lock()
-	for _, st := range stores {
-		delete(n.rollups, st)
-	}
-	n.rollupMu.Unlock()
-	n.schedMu.Lock()
-	for _, st := range stores {
-		delete(n.scheds, st)
-	}
-	n.schedMu.Unlock()
-}
-
-// RollupStats sums rollup maintenance counters across the node's tables.
-func (n *Node) RollupStats() rollup.Stats {
-	n.rollupMu.Lock()
-	defer n.rollupMu.Unlock()
-	var total rollup.Stats
-	for _, tbl := range n.rollups {
-		s := tbl.Stats()
-		total.Catchups += s.Catchups
-		total.FoldedRows += s.FoldedRows
-		total.Rebuilds += s.Rebuilds
-		total.Groups += s.Groups
-	}
-	return total
 }
 
 // NewNode constructs a Cubrick server for a host in a region.
@@ -321,12 +128,15 @@ func NewNode(host *cluster.Host, region string, catalog *Catalog, cfg NodeConfig
 		region:   region,
 		catalog:  catalog,
 		cfg:      cfg,
-		shards:   make(map[int64]map[string]*brick.Store),
+		parts:    partition.New(cfg.Config),
+		shards:   make(map[int64]map[string]bool),
 		staged:   make(map[int64]map[string]*brick.Store),
 		forwards: make(map[int64]string),
-		scheds:   make(map[*brick.Store]*engine.Scheduler),
 	}
 }
+
+// Parts returns the partitions the node serves.
+func (n *Node) Parts() *partition.Set { return n.parts }
 
 // Host returns the underlying fleet host.
 func (n *Node) Host() *cluster.Host { return n.host }
@@ -384,7 +194,7 @@ func (n *Node) AddShard(shard int64, _ shardmgr.Role) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.shards[shard] == nil {
-		n.shards[shard] = make(map[string]*brick.Store)
+		n.shards[shard] = make(map[string]bool)
 	}
 	staged := n.staged[shard]
 	delete(n.staged, shard)
@@ -401,23 +211,25 @@ func (n *Node) AddShard(shard int64, _ shardmgr.Role) error {
 
 	for _, ref := range refs {
 		name := ref.Name()
-		if _, ok := n.shards[shard][name]; ok {
+		if n.shards[shard][name] {
 			continue
 		}
-		if st, ok := staged[name]; ok {
-			n.shards[shard][name] = st
-			continue
-		}
-		st, err := n.newStore(ref.Schema)
-		if err != nil {
-			return err
-		}
-		if blob, ok := recovered[name]; ok {
-			if err := st.Import(blob); err != nil {
+		st, ok := staged[name]
+		if !ok {
+			var err error
+			if st, err = n.parts.NewStore(ref.Schema); err != nil {
 				return err
 			}
+			if blob, ok := recovered[name]; ok {
+				if err := st.Import(blob); err != nil {
+					return err
+				}
+			}
 		}
-		n.shards[shard][name] = st
+		if err := n.parts.Adopt(name, st); err != nil {
+			return err
+		}
+		n.shards[shard][name] = true
 	}
 	delete(n.forwards, shard)
 	return nil
@@ -429,13 +241,11 @@ func (n *Node) AddShard(shard int64, _ shardmgr.Role) error {
 func (n *Node) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.shards = make(map[int64]map[string]*brick.Store)
+	n.shards = make(map[int64]map[string]bool)
 	n.staged = make(map[int64]map[string]*brick.Store)
 	n.forwards = make(map[int64]string)
 	n.replicated = make(map[string]*brick.Store)
-	n.rollupMu.Lock()
-	n.rollups = nil
-	n.rollupMu.Unlock()
+	n.parts.Reset()
 }
 
 // DropShard implements shardmgr.AppServer: all data and metadata for the
@@ -443,13 +253,13 @@ func (n *Node) Reset() {
 // to reach zero; the forwarding map covers requests that raced the drop.)
 func (n *Node) DropShard(shard int64) error {
 	n.mu.Lock()
-	live, staged := n.shards[shard], n.staged[shard]
+	defer n.mu.Unlock()
+	for name := range n.shards[shard] {
+		n.parts.Drop(name)
+	}
 	delete(n.shards, shard)
 	delete(n.staged, shard)
 	delete(n.forwards, shard)
-	n.mu.Unlock()
-	n.forgetStores(live)
-	n.forgetStores(staged)
 	return nil
 }
 
@@ -484,7 +294,7 @@ func (n *Node) PrepareAddShard(shard int64, from string) error {
 	}
 	staged := make(map[string]*brick.Store, len(refs))
 	for _, ref := range refs {
-		st, err := n.newStore(ref.Schema)
+		st, err := n.parts.NewStore(ref.Schema)
 		if err != nil {
 			return err
 		}
@@ -525,13 +335,13 @@ func (n *Node) ForwardTarget(shard int64) (string, bool) {
 // RPC of live migrations and failover recovery).
 func (n *Node) ExportShard(shard int64) (map[string][]byte, error) {
 	n.mu.Lock()
-	parts := n.shards[shard]
-	stores := make(map[string]*brick.Store, len(parts))
-	for name, st := range parts {
-		stores[name] = st
+	names, ok := n.shards[shard]
+	stores := make(map[string]*brick.Store, len(names))
+	for name := range names {
+		stores[name], _ = n.parts.Store(name)
 	}
 	n.mu.Unlock()
-	if stores == nil {
+	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNotServing, shard)
 	}
 	out := make(map[string][]byte, len(stores))
@@ -545,16 +355,28 @@ func (n *Node) ExportShard(shard int64) (map[string][]byte, error) {
 	return out, nil
 }
 
-// store returns the live store of one partition of a shard.
-func (n *Node) store(shard int64, partName string) (*brick.Store, error) {
+// owns reports nil when the node serves the partition as part of the
+// shard, ErrNotServing otherwise.
+func (n *Node) owns(shard int64, partName string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	parts, ok := n.shards[shard]
+	names, ok := n.shards[shard]
 	if !ok {
-		return nil, fmt.Errorf("%w: shard %d on %s", ErrNotServing, shard, n.host.Name)
+		return fmt.Errorf("%w: shard %d on %s", ErrNotServing, shard, n.host.Name)
 	}
-	st, ok := parts[partName]
-	if !ok {
+	if !names[partName] {
+		return fmt.Errorf("%w: %s in shard %d on %s", ErrNotServing, partName, shard, n.host.Name)
+	}
+	return nil
+}
+
+// store returns the live store of one partition of a shard.
+func (n *Node) store(shard int64, partName string) (*brick.Store, error) {
+	if err := n.owns(shard, partName); err != nil {
+		return nil, err
+	}
+	st, ok := n.parts.Store(partName)
+	if !ok { // dropped since the ownership check
 		return nil, fmt.Errorf("%w: %s in shard %d on %s", ErrNotServing, partName, shard, n.host.Name)
 	}
 	return st, nil
@@ -566,32 +388,27 @@ func (n *Node) store(shard int64, partName string) (*brick.Store, error) {
 func (n *Node) EnsurePartition(shard int64, ref PartitionRef) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	parts, ok := n.shards[shard]
+	names, ok := n.shards[shard]
 	if !ok {
 		return fmt.Errorf("%w: shard %d on %s", ErrNotServing, shard, n.host.Name)
 	}
-	if _, ok := parts[ref.Name()]; ok {
+	if names[ref.Name()] {
 		return nil
 	}
-	st, err := n.newStore(ref.Schema)
-	if err != nil {
+	if err := n.parts.Add(ref.Name(), ref.Schema); err != nil {
 		return err
 	}
-	parts[ref.Name()] = st
+	names[ref.Name()] = true
 	return nil
 }
 
 // DropPartition removes one partition's store (table drop / re-partition).
 func (n *Node) DropPartition(shard int64, partName string) {
 	n.mu.Lock()
-	var dropped *brick.Store
-	if parts, ok := n.shards[shard]; ok {
-		dropped = parts[partName]
-		delete(parts, partName)
-	}
-	n.mu.Unlock()
-	if dropped != nil {
-		n.forgetStores(map[string]*brick.Store{partName: dropped})
+	defer n.mu.Unlock()
+	if names := n.shards[shard]; names[partName] {
+		delete(names, partName)
+		n.parts.Drop(partName)
 	}
 }
 
@@ -642,93 +459,20 @@ func (n *Node) ExecutePartial(shard int64, partName string, q *engine.Query) (*e
 	return n.ExecutePartialCtx(context.Background(), shard, partName, q)
 }
 
-// ExecutePartialCtx is ExecutePartial with a context: the query passes the
-// node's admission controller (queueing or shedding under load, with
-// tenant and priority drawn from admission.MetaFrom(ctx)), then runs as a
-// brick pass of the store's scan scheduler — shared with concurrent
-// queries of equal fold key when FoldScans is on.
+// ExecutePartialCtx is ExecutePartial with a context: once the node is
+// known to own the partition, the partition set admits the query (tenant
+// and priority drawn from admission.MetaFrom(ctx)) and answers it from the
+// rollup table or a brick pass.
 func (n *Node) ExecutePartialCtx(ctx context.Context, shard int64, partName string, q *engine.Query) (*engine.Partial, error) {
-	st, err := n.store(shard, partName)
-	if err != nil {
+	if err := n.owns(shard, partName); err != nil {
 		return nil, err
 	}
-	if ac := n.admission(); ac != nil {
-		meta := admission.MetaFrom(ctx)
-		tkt, err := ac.Admit(ctx, meta.Tenant, meta.Priority)
-		if err != nil {
-			return nil, err
-		}
-		defer tkt.Release()
+	meta := admission.MetaFrom(ctx)
+	p, _, _, err := n.parts.Partial(ctx, partName, q, partition.Opts{Tenant: meta.Tenant, Priority: meta.Priority})
+	if errors.Is(err, partition.ErrNoPartition) { // dropped since the ownership check
+		err = fmt.Errorf("%w: %w", ErrNotServing, err)
 	}
-	// Rollup-served path: eligible queries answer from the partition's
-	// incremental rollup (whole buckets pre-aggregated, delta and edge
-	// rows scanned raw) before any full-scan machinery engages.
-	if tbl := n.rollupFor(st); tbl != nil {
-		if p, _, ok, err := engine.ExecuteRollup(ctx, st, tbl, q); err == nil && ok {
-			return p, nil
-		}
-	}
-	p, _, err := n.scheduler(partName, st).Run(ctx, q, engine.Opts{Unshared: !n.foldScans()})
 	return p, err
-}
-
-// SetAdmission installs (or with nil removes) the node's admission
-// controller.
-func (n *Node) SetAdmission(c *admission.Controller) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.admit = c
-}
-
-func (n *Node) admission() *admission.Controller {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.admit
-}
-
-// SetFoldScans toggles shared-scan folding at runtime.
-func (n *Node) SetFoldScans(on bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cfg.FoldScans = on
-}
-
-func (n *Node) foldScans() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cfg.FoldScans
-}
-
-// scheduler returns the store's scan scheduler, creating it on first use.
-// partName scopes the node-wide brick cache so partitions sharing it never
-// collide on keys.
-func (n *Node) scheduler(partName string, st *brick.Store) *engine.Scheduler {
-	bc, _ := n.caches()
-	n.schedMu.Lock()
-	defer n.schedMu.Unlock()
-	s := n.scheds[st]
-	if s == nil {
-		s = engine.NewScheduler(st, engine.SchedulerConfig{
-			BrickCache: bc,
-			CacheScope: partName,
-		})
-		n.scheds[st] = s
-	}
-	return s
-}
-
-// FoldStats sums folding counters across the node's schedulers.
-func (n *Node) FoldStats() engine.FoldStats {
-	n.schedMu.Lock()
-	defer n.schedMu.Unlock()
-	var total engine.FoldStats
-	for _, s := range n.scheds {
-		st := s.Stats()
-		total.Solo += st.Solo
-		total.Attached += st.Attached
-		total.CatchupBricks += st.CatchupBricks
-	}
-	return total
 }
 
 // enforceBudget runs the memory monitor when a budget is configured:
@@ -738,8 +482,8 @@ func (n *Node) enforceBudget() {
 	if n.cfg.MemoryBudgetBytes <= 0 {
 		return
 	}
-	share := n.cfg.MemoryBudgetBytes / int64(max(1, n.storeCount()))
-	for _, st := range n.allStores() {
+	share := n.cfg.MemoryBudgetBytes / int64(max(1, n.parts.Len()))
+	for _, st := range n.parts.Stores() {
 		// Per-store budget share keeps the implementation simple while
 		// preserving the behaviour: cold bricks compress first.
 		if n.cfg.MetricGen == Gen3 {
@@ -761,38 +505,23 @@ func (n *Node) SetMetricGen(g MetricGeneration) {
 // CompressAll forces every brick on the node into the compressed tier
 // (tests and ablations use it to emulate maximum memory pressure).
 func (n *Node) CompressAll() {
-	for _, st := range n.allStores() {
+	for _, st := range n.parts.Stores() {
 		_, _, _ = st.EnsureBudget(0, 0.5)
 	}
 }
 
 // DecompressAll restores every brick to the uncompressed tier.
 func (n *Node) DecompressAll() {
-	for _, st := range n.allStores() {
+	for _, st := range n.parts.Stores() {
 		_, _, _ = st.EnsureBudget(1<<62, 1.0)
 	}
-}
-
-// Compact runs one hotness-driven compaction pass over every store on the
-// node, walking bricks down (or back up) the raw → encoded → SSD ladder.
-// The cubrick-server background compactor calls this on a ticker.
-func (n *Node) Compact(cfg brick.CompactionConfig) (brick.CompactionStats, error) {
-	var total brick.CompactionStats
-	for _, st := range n.allStores() {
-		s, err := st.CompactOnce(cfg)
-		total.Add(s)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // SSDReads returns the node's total SSD read count — the IOPS signal
 // §IV-F3 investigates as an additional load-balancing metric.
 func (n *Node) SSDReads() int64 {
 	var sum int64
-	for _, st := range n.allStores() {
+	for _, st := range n.parts.Stores() {
 		sum += st.SSDReads()
 	}
 	return sum
@@ -802,45 +531,19 @@ func (n *Node) SSDReads() int64 {
 // hotter than the threshold.
 func (n *Node) WorkingSetBytes(hotThreshold float64) int64 {
 	var sum int64
-	for _, st := range n.allStores() {
+	for _, st := range n.parts.Stores() {
 		sum += st.WorkingSetBytes(hotThreshold)
 	}
 	return sum
 }
 
-func (n *Node) storeCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c := 0
-	for _, parts := range n.shards {
-		c += len(parts)
-	}
-	return c
-}
-
-func (n *Node) allStores() []*brick.Store {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var out []*brick.Store
-	for _, parts := range n.shards {
-		for _, st := range parts {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
 // DecayHotness cools every brick on the node (periodic tick).
-func (n *Node) DecayHotness() {
-	for _, st := range n.allStores() {
-		st.DecayHotness(n.cfg.HotnessDecay)
-	}
-}
+func (n *Node) DecayHotness() { n.parts.DecayHotness(n.cfg.HotnessDecay) }
 
 // HeatSnapshot returns all bricks' heat samples (Fig 4e input).
 func (n *Node) HeatSnapshot() []brick.BrickHeat {
 	var out []brick.BrickHeat
-	for _, st := range n.allStores() {
+	for _, st := range n.parts.Stores() {
 		out = append(out, st.HotnessSnapshot()...)
 	}
 	return out
@@ -855,10 +558,12 @@ func (n *Node) ShardLoads() map[int64]float64 {
 		stores []*brick.Store
 	}
 	entries := make([]entry, 0, len(n.shards))
-	for sh, parts := range n.shards {
+	for sh, names := range n.shards {
 		e := entry{shard: sh}
-		for _, st := range parts {
-			e.stores = append(e.stores, st)
+		for name := range names {
+			if st, ok := n.parts.Store(name); ok {
+				e.stores = append(e.stores, st)
+			}
 		}
 		entries = append(entries, e)
 	}
@@ -902,7 +607,7 @@ func (n *Node) Capacity() float64 {
 // MemoryBytes returns the node's resident footprint across all stores.
 func (n *Node) MemoryBytes() int64 {
 	var sum int64
-	for _, st := range n.allStores() {
+	for _, st := range n.parts.Stores() {
 		sum += st.MemoryBytes()
 	}
 	return sum

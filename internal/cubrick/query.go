@@ -50,6 +50,18 @@ func (d *Deployment) Query(region, table string, q *engine.Query, coordinatorPar
 	if err != nil {
 		return nil, err
 	}
+	return d.scatterGather(region, info, q, coordinatorPart, func(n *Node, shard int64, part string) (*engine.Partial, error) {
+		return n.ExecutePartial(shard, part, q)
+	})
+}
+
+// scatterGather is the exact-semantics query flow shared by Query and
+// QueryJoin: resolve every partition of the table to its host, sample the
+// fan-out's network cost, run exec on every partition concurrently and
+// merge the partials in partition order.
+func (d *Deployment) scatterGather(region string, info TableInfo, q *engine.Query, coordinatorPart int,
+	exec func(n *Node, shard int64, part string) (*engine.Partial, error)) (*QueryResult, error) {
+	table := info.Name
 	svc := ServiceName(region)
 
 	// Resolve all partitions up front; any resolution or availability
@@ -98,9 +110,9 @@ func (d *Deployment) Query(region, table string, q *engine.Query, coordinatorPar
 		return nil, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
 	}
 
-	// Execute all partitions concurrently — each node's ExecutePartial is
-	// itself brick-parallel — and merge in partition order so the combined
-	// partial is deterministic.
+	// Execute all partitions concurrently — each node's partial execution
+	// is itself brick-parallel — and merge in partition order so the
+	// combined partial is deterministic.
 	partials := make([]*engine.Partial, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
@@ -111,11 +123,11 @@ func (d *Deployment) Query(region, table string, q *engine.Query, coordinatorPar
 			t := targets[i]
 			// Follow one graceful-migration forward if the shard moved
 			// after resolution (§IV-E).
-			partial, err := t.node.ExecutePartial(t.shard, t.part, q)
+			partial, err := exec(t.node, t.shard, t.part)
 			if errors.Is(err, ErrNotServing) {
 				if fwd, ok := t.node.ForwardTarget(t.shard); ok {
 					if fnode, ferr := d.Node(fwd); ferr == nil {
-						partial, err = fnode.ExecutePartial(t.shard, t.part, q)
+						partial, err = exec(fnode, t.shard, t.part)
 					}
 				}
 			}

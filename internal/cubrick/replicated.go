@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"cubrick/internal/brick"
-	"cubrick/internal/core"
 	"cubrick/internal/engine"
 )
 
@@ -29,7 +28,7 @@ func (n *Node) EnsureReplicated(name string, schema brick.Schema) error {
 	if _, ok := n.replicated[name]; ok {
 		return nil
 	}
-	st, err := n.newStore(schema)
+	st, err := n.parts.NewStore(schema)
 	if err != nil {
 		return err
 	}
@@ -195,64 +194,9 @@ func (d *Deployment) QueryJoin(region, factTable, dimTable string, q *engine.Que
 		return nil, err
 	}
 
-	svc := ServiceName(region)
-	type target struct {
-		shard int64
-		part  string
-		node  *Node
-	}
-	targets := make([]target, factInfo.Partitions)
-	hostSet := make(map[string]bool)
-	for p := 0; p < factInfo.Partitions; p++ {
-		shard := d.Catalog.ShardOf(factTable, p)
-		a, err := d.SM.Assignment(svc, shard)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
-		}
-		host := a.Primary()
-		h, err := d.Fleet.Host(host)
-		if err != nil || !h.Available() {
-			return nil, fmt.Errorf("%w: host %s down for %s#%d", ErrRegionUnavailable, host, factTable, p)
-		}
-		node, err := d.Node(host)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
-		}
-		targets[p] = target{shard: shard, part: core.PartitionName(factTable, p), node: node}
-		hostSet[host] = true
-	}
-	if coordinatorPart < 0 || coordinatorPart >= factInfo.Partitions {
-		coordinatorPart = 0
-	}
-	hosts := make([]string, 0, len(hostSet))
-	for h := range hostSet {
-		hosts = append(hosts, h)
-	}
-	latency, err := d.sampleFanOut(hosts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
-	}
-
-	merged := engine.NewPartial(q)
-	for _, t := range targets {
-		partial, err := t.node.ExecuteJoinPartial(t.shard, t.part, dimTable, q, join)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
-		}
-		if err := merged.Merge(partial); err != nil {
-			return nil, err
-		}
-	}
-	return &QueryResult{
-		Result:      merged.Finalize(),
-		Table:       factTable,
-		Partitions:  factInfo.Partitions,
-		Version:     factInfo.Version,
-		Region:      region,
-		Coordinator: targets[coordinatorPart].node.Host().Name,
-		Fanout:      len(hosts),
-		Latency:     latency,
-	}, nil
+	return d.scatterGather(region, factInfo, q, coordinatorPart, func(n *Node, shard int64, part string) (*engine.Partial, error) {
+		return n.ExecuteJoinPartial(shard, part, dimTable, q, join)
+	})
 }
 
 // InferJoin builds the JoinSpec for a query: the ON key must be shared by

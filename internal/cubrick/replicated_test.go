@@ -6,7 +6,9 @@ import (
 
 	"cubrick/internal/brick"
 	"cubrick/internal/cluster"
+	"cubrick/internal/core"
 	"cubrick/internal/engine"
+	"cubrick/internal/shardmgr"
 )
 
 func dimTableSchema() brick.Schema {
@@ -144,6 +146,55 @@ func TestQueryJoinFailsOverRegions(t *testing.T) {
 	}
 	if res, err := d.QueryJoin("west", "fact", "apps", q, 0); err != nil || res.Rows[0][0] != 200 {
 		t.Fatalf("west join = %v, %v", res, err)
+	}
+}
+
+// TestQueryJoinFollowsForwardDuringMigration: a join that resolves a
+// partition to a host that released it mid-query (graceful migration,
+// §IV-E) follows the forward to the new owner like Query does, stays exact
+// and says so: Coverage is 1, and a failure keeps its cause matchable.
+func TestQueryJoinFollowsForwardDuringMigration(t *testing.T) {
+	d := setupJoin(t)
+	shard := d.Catalog.ShardOf("fact", 0)
+	a, _ := d.SM.Assignment(ServiceName("east"), shard)
+	from := a.Primary()
+	fromNode, _ := d.Node(from)
+	// Copy the shard to a new owner behind SM's back, so resolution still
+	// names the old one, then release the partition on the old owner.
+	var toNode *Node
+	for _, h := range d.Fleet.Region("east") {
+		n, _ := d.Node(h.Name)
+		if h.Name != from && n.PrepareAddShard(shard, from) == nil {
+			toNode = n
+			break
+		}
+	}
+	if toNode == nil {
+		t.Skip("no collision-free migration target")
+	}
+	if err := toNode.AddShard(shard, shardmgr.Primary); err != nil {
+		t.Fatal(err)
+	}
+	if err := fromNode.PrepareDropShard(shard, toNode.Host().Name); err != nil {
+		t.Fatal(err)
+	}
+	fromNode.DropPartition(shard, core.PartitionName("fact", 0))
+
+	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
+	res, err := d.QueryJoin("east", "fact", "apps", q, 0)
+	if err != nil {
+		t.Fatalf("join during migration: %v", err)
+	}
+	if res.Rows[0][0] != 200 || res.Coverage != 1 {
+		t.Fatalf("count = %v coverage = %v, want 200 and 1", res.Rows[0][0], res.Coverage)
+	}
+
+	// With the forward gone the partition is unreachable: the error names
+	// the region for routing and keeps ErrNotServing for errors.Is.
+	toNode.DropPartition(shard, core.PartitionName("fact", 0))
+	_, err = d.QueryJoin("east", "fact", "apps", q, 0)
+	if !errors.Is(err, ErrRegionUnavailable) || !errors.Is(err, ErrNotServing) {
+		t.Fatalf("join with no owner = %v, want ErrRegionUnavailable wrapping ErrNotServing", err)
 	}
 }
 

@@ -28,6 +28,12 @@ import (
 
 // RollupInfo reports how a rollup-served execution decomposed the query.
 type RollupInfo struct {
+	// Tried is set by the serving layer (internal/partition) when it
+	// consulted a rollup table for the query, and Err holds a rollup
+	// failure it fell through to the brick pass on: Tried && !Hit with a
+	// nil Err is a miss (ineligible shape or window).
+	Tried bool
+	Err   error
 	// Hit reports the query was served from the rollup (possibly with
 	// delta/edge scans); false means the caller must run the full path.
 	Hit bool

@@ -117,6 +117,9 @@ type ExecInfo struct {
 	// CacheHits / CacheMisses count brick-cache lookups over the bricks
 	// this result consumed (always zero without a brick cache).
 	CacheHits, CacheMisses int
+	// Rollup is the outcome of the rollup attempt the serving layer made
+	// before (or instead of) the brick pass; Scheduler.Run leaves it zero.
+	Rollup RollupInfo
 }
 
 // Scheduler owns the scan passes over one store.

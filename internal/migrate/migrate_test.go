@@ -14,6 +14,7 @@ import (
 	"cubrick/internal/cluster"
 	"cubrick/internal/metrics"
 	"cubrick/internal/netexec"
+	"cubrick/internal/partition"
 	"cubrick/internal/zk"
 )
 
@@ -85,7 +86,7 @@ func newMigRig(t *testing.T, rows int) *rig {
 		part:   "events#0",
 	}
 	r.httpc = &http.Client{Transport: r.rt}
-	r.srcW, r.dstW = netexec.NewWorker(), netexec.NewWorker()
+	r.srcW, r.dstW = netexec.NewWorker(partition.Config{}), netexec.NewWorker(partition.Config{})
 	r.srcSrv = httptest.NewServer(r.srcW.Handler())
 	r.dstSrv = httptest.NewServer(r.dstW.Handler())
 	t.Cleanup(r.srcSrv.Close)

@@ -23,6 +23,7 @@ import (
 	"cubrick/internal/core"
 	"cubrick/internal/engine"
 	"cubrick/internal/netexec"
+	"cubrick/internal/partition"
 	"cubrick/internal/zk"
 )
 
@@ -95,7 +96,7 @@ func TestRebalanceBench(t *testing.T) {
 
 	// Phase 2: a joiner arrives and three partitions migrate onto it while
 	// the same replay keeps running from a background goroutine.
-	joiner := httptest.NewServer(netexec.NewWorker().Handler())
+	joiner := httptest.NewServer(netexec.NewWorker(partition.Config{}).Handler())
 	t.Cleanup(joiner.Close)
 	cluster.AddWorker(joiner.URL)
 	drv := &Driver{

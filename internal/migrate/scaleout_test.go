@@ -12,6 +12,7 @@ import (
 	"cubrick/internal/core"
 	"cubrick/internal/engine"
 	"cubrick/internal/netexec"
+	"cubrick/internal/partition"
 	"cubrick/internal/zk"
 )
 
@@ -21,7 +22,7 @@ func startCluster(t *testing.T, n int) (*netexec.Cluster, []string) {
 	t.Helper()
 	var urls []string
 	for i := 0; i < n; i++ {
-		srv := httptest.NewServer(netexec.NewWorker().Handler())
+		srv := httptest.NewServer(netexec.NewWorker(partition.Config{}).Handler())
 		t.Cleanup(srv.Close)
 		urls = append(urls, srv.URL)
 	}
@@ -71,7 +72,7 @@ func TestScaleOutScenario(t *testing.T) {
 
 	// The joiner starts empty: placement of existing partitions is
 	// untouched until an explicit migration moves load onto it.
-	joiner := httptest.NewServer(netexec.NewWorker().Handler())
+	joiner := httptest.NewServer(netexec.NewWorker(partition.Config{}).Handler())
 	t.Cleanup(joiner.Close)
 	if !moving.AddWorker(joiner.URL) {
 		t.Fatal("joiner not added")

@@ -15,6 +15,7 @@ import (
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/partition"
 	"cubrick/internal/randutil"
 	"cubrick/internal/trace"
 )
@@ -129,7 +130,7 @@ func BenchmarkMergeStream64(b *testing.B)  { benchMergeStream(b, 64) }
 // benchIngest ships the same 8192-row batch to an httptest worker over
 // the JSON row-at-a-time endpoint or the binary columnar one.
 func benchIngest(b *testing.B, binary bool) {
-	w := NewWorker()
+	w := NewWorker(partition.Config{})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	cl := &Client{BaseURL: srv.URL}
@@ -168,10 +169,13 @@ func benchFanout(b *testing.B, nWorkers int, observed bool) {
 	var targets []Target
 	var servers []*httptest.Server
 	for i := 0; i < nWorkers; i++ {
-		w := NewWorker()
+		var cfg partition.Config
+		if observed {
+			cfg.Metrics = metrics.NewRegistry()
+		}
+		w := NewWorker(cfg)
 		if observed {
 			w.Tracer = trace.New(trace.Config{})
-			w.Metrics = metrics.NewRegistry()
 		}
 		srv := httptest.NewServer(w.Handler())
 		servers = append(servers, srv)

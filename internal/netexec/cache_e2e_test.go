@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cubrick/internal/engine"
+	"cubrick/internal/partition"
 	"cubrick/internal/rescache"
 )
 
@@ -33,9 +34,7 @@ func startCachingCluster(t *testing.T, n, rows int) (*Cluster, *atomic.Int64, fu
 	var servers []*httptest.Server
 	var urls []string
 	for i := 0; i < n; i++ {
-		w := NewWorker()
-		w.BrickCacheBytes = 4 << 20
-		w.DecodedCacheBytes = 4 << 20
+		w := NewWorker(partition.Config{BrickCacheBytes: 4 << 20, DecodedCacheBytes: 4 << 20})
 		srv := httptest.NewServer(countingHandler(w.Handler(), &partials))
 		servers = append(servers, srv)
 		urls = append(urls, srv.URL)

@@ -20,6 +20,7 @@ import (
 
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
+	"cubrick/internal/partition"
 	"cubrick/internal/randutil"
 	"cubrick/internal/rescache"
 	"cubrick/internal/workload"
@@ -54,11 +55,12 @@ func runCachingCell(t *testing.T, stream []*engine.Query, rows int, caches, inge
 	var servers []*httptest.Server
 	var urls []string
 	for i := 0; i < 2; i++ {
-		w := NewWorker()
+		var cfg partition.Config
 		if caches {
-			w.BrickCacheBytes = 32 << 20
-			w.DecodedCacheBytes = 32 << 20
+			cfg.BrickCacheBytes = 32 << 20
+			cfg.DecodedCacheBytes = 32 << 20
 		}
+		w := NewWorker(cfg)
 		srv := httptest.NewServer(w.Handler())
 		servers = append(servers, srv)
 		urls = append(urls, srv.URL)

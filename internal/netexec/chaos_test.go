@@ -15,6 +15,7 @@ import (
 	"cubrick/internal/cluster"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/partition"
 	"cubrick/internal/randutil"
 )
 
@@ -42,7 +43,7 @@ func startReplicatedCluster(t *testing.T, nServers, partitions, rowsPerPartition
 	servers := make([]*httptest.Server, nServers)
 	clients := make([]*Client, nServers)
 	for i := range servers {
-		servers[i] = httptest.NewServer(NewWorker().Handler())
+		servers[i] = httptest.NewServer(NewWorker(partition.Config{}).Handler())
 		clients[i] = &Client{BaseURL: servers[i].URL}
 	}
 	ctx := context.Background()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cubrick/internal/engine"
+	"cubrick/internal/partition"
 )
 
 // startWorkers boots n HTTP workers and returns their URLs plus a cleanup.
@@ -14,7 +15,7 @@ func startWorkers(t *testing.T, n int) ([]string, func()) {
 	var urls []string
 	var servers []*httptest.Server
 	for i := 0; i < n; i++ {
-		srv := httptest.NewServer(NewWorker().Handler())
+		srv := httptest.NewServer(NewWorker(partition.Config{}).Handler())
 		servers = append(servers, srv)
 		urls = append(urls, srv.URL)
 	}
@@ -124,7 +125,7 @@ func TestClusterQueryFailsWhenWorkerDies(t *testing.T) {
 	urls, cleanup := startWorkers(t, 3)
 	defer cleanup()
 	// An extra worker that will die after table creation.
-	dying := httptest.NewServer(NewWorker().Handler())
+	dying := httptest.NewServer(NewWorker(partition.Config{}).Handler())
 	all := append(urls, dying.URL)
 	c, _ := NewCluster(all, 0, nil)
 	if err := c.CreateTable(context.Background(), "t", testSchema(), 4); err != nil {

@@ -2,6 +2,7 @@ package netexec
 
 import (
 	"context"
+	"cubrick/internal/partition"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,8 +12,8 @@ import (
 // assigns ids, a target catches up via version negotiation + delta push, and
 // incremental deltas after further assignment converge the replicas again.
 func TestDictSyncPlane(t *testing.T) {
-	src := NewWorker()
-	dst := NewWorker()
+	src := NewWorker(partition.Config{})
+	dst := NewWorker(partition.Config{})
 	srcSrv := httptest.NewServer(src.Handler())
 	defer srcSrv.Close()
 	dstSrv := httptest.NewServer(dst.Handler())
@@ -113,7 +114,7 @@ func TestDictSyncPlane(t *testing.T) {
 // TestEnsureDictCapacity pins the capacity resolution order: explicit >
 // schema dimension domain > worker default > error.
 func TestEnsureDictCapacity(t *testing.T) {
-	w := NewWorker()
+	w := NewWorker(partition.Config{})
 	if err := w.AddPartition("p", testSchema()); err != nil {
 		t.Fatal(err)
 	}

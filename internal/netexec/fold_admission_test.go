@@ -15,11 +15,13 @@ import (
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/partition"
 )
 
 // startFoldCluster is startCluster with scan folding enabled and a metrics
-// registry per worker so tests can observe the fold counters.
-func startFoldCluster(t *testing.T, n, rows int) ([]Target, []*Worker, *brick.Store, func()) {
+// registry per worker so tests can observe the fold counters; cfg supplies
+// the rest of the serving configuration.
+func startFoldCluster(t *testing.T, n, rows int, cfg partition.Config) ([]Target, []*Worker, *brick.Store, func()) {
 	t.Helper()
 	var targets []Target
 	var workers []*Worker
@@ -36,9 +38,9 @@ func startFoldCluster(t *testing.T, n, rows int) ([]Target, []*Worker, *brick.St
 		metsPer[w] = append(metsPer[w], mets)
 	}
 	for i := 0; i < n; i++ {
-		w := NewWorker()
-		w.FoldScans = true
-		w.Metrics = metrics.NewRegistry()
+		cfg.FoldScans = true
+		cfg.Metrics = metrics.NewRegistry()
+		w := NewWorker(cfg)
 		workers = append(workers, w)
 		srv := httptest.NewServer(w.Handler())
 		servers = append(servers, srv)
@@ -63,7 +65,7 @@ func startFoldCluster(t *testing.T, n, rows int) ([]Target, []*Worker, *brick.St
 // TestFoldedDistributedEqualsLocal: routing worker execution through the
 // scan scheduler must not change results.
 func TestFoldedDistributedEqualsLocal(t *testing.T) {
-	targets, workers, whole, cleanup := startFoldCluster(t, 3, 900)
+	targets, workers, whole, cleanup := startFoldCluster(t, 3, 900, partition.Config{})
 	defer cleanup()
 	q := &engine.Query{
 		Aggregates: []engine.Aggregate{
@@ -99,9 +101,9 @@ func TestFoldedDistributedEqualsLocal(t *testing.T) {
 	// Every worker executed through the scheduler (solo pass, nothing
 	// concurrent to fold with).
 	for i, w := range workers {
-		if w.Metrics.CounterValues()["engine.fold.solo"] != 1 {
+		if w.Parts().Config().Metrics.CounterValues()["engine.fold.solo"] != 1 {
 			t.Fatalf("worker %d fold.solo = %d, want 1",
-				i, w.Metrics.CounterValues()["engine.fold.solo"])
+				i, w.Parts().Config().Metrics.CounterValues()["engine.fold.solo"])
 		}
 	}
 }
@@ -129,7 +131,7 @@ func postPartial(t *testing.T, url, partition string, q *engine.Query, hdr map[s
 // TestFoldHeaderOffBypassesScheduler: X-Cubrick-Fold: off must take the
 // pre-scheduler solo path, leaving the fold counters untouched.
 func TestFoldHeaderOffBypassesScheduler(t *testing.T) {
-	targets, workers, _, cleanup := startFoldCluster(t, 1, 200)
+	targets, workers, _, cleanup := startFoldCluster(t, 1, 200, partition.Config{})
 	defer cleanup()
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
 
@@ -138,7 +140,7 @@ func TestFoldHeaderOffBypassesScheduler(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fold-off partial status %d", resp.StatusCode)
 	}
-	if got := workers[0].Metrics.CounterValues()["engine.fold.solo"]; got != 0 {
+	if got := workers[0].Parts().Config().Metrics.CounterValues()["engine.fold.solo"]; got != 0 {
 		t.Fatalf("fold.solo = %d after fold-off request, want 0", got)
 	}
 
@@ -147,7 +149,7 @@ func TestFoldHeaderOffBypassesScheduler(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partial status %d", resp.StatusCode)
 	}
-	if got := workers[0].Metrics.CounterValues()["engine.fold.solo"]; got != 1 {
+	if got := workers[0].Parts().Config().Metrics.CounterValues()["engine.fold.solo"]; got != 1 {
 		t.Fatalf("fold.solo = %d after scheduled request, want 1", got)
 	}
 }
@@ -155,13 +157,12 @@ func TestFoldHeaderOffBypassesScheduler(t *testing.T) {
 // TestWorkerShedReturns429: a full admission queue sheds with 429, which
 // the resilience policy classifies retryable, and counts query.shed.
 func TestWorkerShedReturns429(t *testing.T) {
-	targets, workers, _, cleanup := startFoldCluster(t, 1, 100)
+	targets, workers, _, cleanup := startFoldCluster(t, 1, 100, partition.Config{MaxConcurrent: 1})
 	defer cleanup()
 	w := workers[0]
-	w.Admission = admission.New(admission.Config{MaxConcurrent: 1, QueueDepth: 0, Metrics: w.Metrics})
 
 	// Occupy the only slot so the next request sheds immediately.
-	tkt, err := w.Admission.Admit(context.Background(), "", 0)
+	tkt, err := w.Parts().Admission().Admit(context.Background(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestWorkerShedReturns429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shed status = %d, want 429", resp.StatusCode)
 	}
-	if got := w.Metrics.CounterValues()["query.shed"]; got != 1 {
+	if got := w.Parts().Config().Metrics.CounterValues()["query.shed"]; got != 1 {
 		t.Fatalf("query.shed = %d, want 1", got)
 	}
 	// The coordinator-side classification of that status is retryable, so
@@ -192,7 +193,7 @@ func TestWorkerShedReturns429(t *testing.T) {
 // TestCoordinatorAdmissionShed: coordinator-level admission sheds whole
 // queries with ErrQueueFull and counts netexec.query.shed.
 func TestCoordinatorAdmissionShed(t *testing.T) {
-	targets, _, _, cleanup := startFoldCluster(t, 1, 100)
+	targets, _, _, cleanup := startFoldCluster(t, 1, 100, partition.Config{})
 	defer cleanup()
 	reg := metrics.NewRegistry()
 	coord := &Coordinator{
@@ -220,7 +221,7 @@ func TestCoordinatorAdmissionShed(t *testing.T) {
 // request context and the coordinator's NoFold switch must reach workers
 // as headers.
 func TestCoordinatorPropagatesAdmissionHeaders(t *testing.T) {
-	targets, _, _, cleanup := startFoldCluster(t, 1, 100)
+	targets, _, _, cleanup := startFoldCluster(t, 1, 100, partition.Config{})
 	defer cleanup()
 
 	// Wrap the worker with a header-capturing proxy.

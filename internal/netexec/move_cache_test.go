@@ -8,6 +8,7 @@ import (
 
 	"cubrick/internal/core"
 	"cubrick/internal/engine"
+	"cubrick/internal/partition"
 )
 
 // TestResultCacheAcrossOwnershipFlip pins the migration/result-cache
@@ -43,7 +44,7 @@ func TestResultCacheAcrossOwnershipFlip(t *testing.T) {
 	// Hand-run a migration of partition 0 to a joiner: snapshot-ship the
 	// bricks, then land extra rows ONLY on the new owner — the divergence
 	// a stale cached result would hide.
-	joiner := httptest.NewServer(NewWorker().Handler())
+	joiner := httptest.NewServer(NewWorker(partition.Config{}).Handler())
 	defer joiner.Close()
 	if !cluster.AddWorker(joiner.URL) {
 		t.Fatal("joiner not added")

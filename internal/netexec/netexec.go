@@ -36,8 +36,8 @@ import (
 	"cubrick/internal/dict"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/partition"
 	"cubrick/internal/rescache"
-	"cubrick/internal/rollup"
 	"cubrick/internal/trace"
 )
 
@@ -88,21 +88,26 @@ func FromSchema(s brick.Schema) SchemaJSON {
 // send raw than to compress.
 const DefaultGzipMinBytes = 16 << 10
 
-// Worker hosts partition stores behind an HTTP API:
+// Worker is the HTTP edge of a partition.Set: it serves the set's
+// partitions (ingest and partial-query execution) to a remote coordinator.
 //
 //	POST /partition  {"name": ..., "schema": {...}}     create a partition
-//	POST /load       {"partition": ..., "rows": [...]}  ingest (JSON, row-at-a-time)
 //	POST /loadbin    binary columnar batch (see EncodeBatch)
 //	POST /partial    {"partition": ..., "query": {...}} execute, returns a
 //	                 binary engine partial (application/octet-stream)
 //	GET  /health     liveness
 //
+// plus the migration plane (transfer.go) and the dictionary plane
+// (dictsync.go). Serving behaviour — folding, caches, rollups, admission,
+// the metrics registry — is the set's partition.Config, fixed by NewWorker;
+// the fields below configure the edge only and are set before the first
+// request.
+//
 // With Tracer set, /partial continues the coordinator's trace (trace
 // context arrives in X-Cubrick-Trace / X-Cubrick-Span headers) and also
-// serves the worker's own ring at GET /debug/trace[/{id}]. With Metrics
-// set, request counters and latency histograms accumulate and are served
-// in Prometheus text format at GET /metrics (plus a /stats counter alias
-// mirroring the coordinator's).
+// serves the worker's own ring at GET /debug/trace[/{id}]. With a metrics
+// registry configured, request counters and latency histograms accumulate
+// and are served in Prometheus text format at GET /metrics.
 type Worker struct {
 	// GzipMinBytes overrides the partial-response compression threshold:
 	// 0 means DefaultGzipMinBytes, negative disables compression.
@@ -110,26 +115,6 @@ type Worker struct {
 	// Tracer, when set, records worker-side spans (partial handling,
 	// execute with scan accounting, marshal) into propagated traces.
 	Tracer *trace.Tracer
-	// Metrics, when set, receives request counters and latency histograms.
-	Metrics *metrics.Registry
-	// Admission, when set, gates /partial execution: queries queue for a
-	// slot (queue time goes to the query.queue_ms histogram and the
-	// request span) and shed with 429 when the queue is full. Nil admits
-	// everything.
-	Admission *admission.Controller
-	// FoldScans routes /partial execution through per-store scan
-	// schedulers so concurrent queries with equal fold keys share one
-	// brick pass. A request can opt out per query with the
-	// X-Cubrick-Fold: off header. Off in the zero value.
-	FoldScans bool
-	// BrickCacheBytes budgets the worker's per-brick partial cache (fold
-	// key + brick epoch -> finished per-task accumulator); 0 disables it.
-	// Set before the first request.
-	BrickCacheBytes int64
-	// DecodedCacheBytes budgets the storage layer's decoded-column cache
-	// (hot compressed bricks keep their decoded columns resident); 0
-	// disables it. Set before the first AddPartition.
-	DecodedCacheBytes int64
 	// ExportRateBytes throttles /export responses to this many bytes per
 	// second (the -migrate-rate-bytes flag); 0 streams at full speed. A
 	// paced export bounds the load a live migration puts on the source.
@@ -138,251 +123,54 @@ type Worker struct {
 	// a pushed delta when the column names no schema dimension (the
 	// -dict-capacity flag); 0 leaves only the schema-derived fallback.
 	DictCapacity uint32
-	// RollupTimeDim names the time dimension incremental rollup tables
-	// bucket on (the -rollup-time-dim flag); empty disables rollups. Each
-	// partition whose schema has the dimension gets a rollup table that
-	// catches up on every ingest batch and answers eligible /partial
-	// queries without a raw scan (see engine.ExecuteRollup). Set before
-	// the first AddPartition.
-	RollupTimeDim string
-	// RollupBucket is the rollup bucket width in time-dimension units
-	// (the -rollup-bucket flag); 0 means 1.
-	RollupBucket uint32
-	// RollupDims lists the dimensions rollup groups carry (the
-	// -rollup-dims flag); empty means every non-time dimension of the
-	// partition's schema. Dimensions a schema lacks are skipped.
-	RollupDims []string
-	// RollupDistinct lists dimensions maintained as HLL sketches for
-	// COUNT(DISTINCT) serving (the -rollup-distinct flag).
-	RollupDistinct []string
 
-	mu     sync.Mutex
-	stores map[string]*brick.Store
-
-	// rollupMu guards rollups: per-partition incremental rollup tables.
-	rollupMu sync.Mutex
-	rollups  map[string]*rollup.Table
+	parts   *partition.Set
+	metrics *metrics.Registry // parts.Config().Metrics
 
 	// fenceMu guards fenced: partitions mid-cutover that reject ingest
 	// with a retryable 503 while their migration flips ownership.
 	fenceMu sync.Mutex
 	fenced  map[string]bool
 
-	schedMu sync.Mutex
-	scheds  map[*brick.Store]*engine.Scheduler
-
 	// dictMu guards dicts: per-partition global-dictionary sets, synced
 	// between nodes as append-only deltas over /dict (see dictsync.go).
 	dictMu sync.Mutex
 	dicts  map[string]*dict.Set
-
-	cacheOnce    sync.Once
-	brickCache   *engine.BrickCache
-	decodedCache *brick.DecodedCache
 }
 
-// caches lazily builds the worker's two cache levels from the configured
-// byte budgets (both nil when the budgets are zero) and wires their
-// counters into the metrics registry.
-func (w *Worker) caches() (*engine.BrickCache, *brick.DecodedCache) {
-	w.cacheOnce.Do(func() {
-		w.brickCache = engine.NewBrickCache(w.BrickCacheBytes)
-		w.brickCache.SetMetrics(w.Metrics)
-		w.decodedCache = brick.NewDecodedCache(w.DecodedCacheBytes)
-		w.decodedCache.SetMetrics(w.Metrics)
-	})
-	return w.brickCache, w.decodedCache
+// NewWorker returns an empty worker serving under cfg.
+func NewWorker(cfg partition.Config) *Worker {
+	return &Worker{parts: partition.New(cfg), metrics: cfg.Metrics}
 }
+
+// Parts returns the partitions the worker serves. Drop partitions through
+// RemovePartition, which also clears the fence.
+func (w *Worker) Parts() *partition.Set { return w.parts }
 
 func (w *Worker) countAdd(name string, delta int64) {
-	if w.Metrics != nil {
-		w.Metrics.Counter(name).Add(delta)
+	if w.metrics != nil {
+		w.metrics.Counter(name).Add(delta)
 	}
 }
 
 func (w *Worker) observe(name string, d time.Duration) {
-	if w.Metrics != nil {
-		w.Metrics.Histogram(name).Observe(d.Seconds())
+	if w.metrics != nil {
+		w.metrics.Histogram(name).Observe(d.Seconds())
 	}
-}
-
-// NewWorker returns an empty worker.
-func NewWorker() *Worker {
-	return &Worker{
-		stores: make(map[string]*brick.Store),
-		scheds: make(map[*brick.Store]*engine.Scheduler),
-	}
-}
-
-// scheduler returns the store's scan scheduler, creating it on first use.
-// partition becomes the scheduler's brick-cache scope so stores sharing
-// the worker-wide cache never collide on keys.
-func (w *Worker) scheduler(partition string, st *brick.Store) *engine.Scheduler {
-	bc, _ := w.caches()
-	w.schedMu.Lock()
-	defer w.schedMu.Unlock()
-	if w.scheds == nil {
-		w.scheds = make(map[*brick.Store]*engine.Scheduler)
-	}
-	s := w.scheds[st]
-	if s == nil {
-		s = engine.NewScheduler(st, engine.SchedulerConfig{
-			Metrics:    w.Metrics,
-			BrickCache: bc,
-			CacheScope: partition,
-		})
-		w.scheds[st] = s
-	}
-	return s
 }
 
 // AddPartition creates a partition store.
 func (w *Worker) AddPartition(name string, schema brick.Schema) error {
-	st, err := brick.NewStore(schema)
-	if err != nil {
-		return err
-	}
-	if w.Metrics != nil {
-		st.SetMetricsRegistry(w.Metrics)
-	}
-	// Every partition store shares the worker-wide decoded-column cache
-	// (keys carry a process-unique brick uid, so stores cannot collide).
-	if _, dc := w.caches(); dc != nil {
-		st.SetDecodedCache(dc)
-	}
-	w.mu.Lock()
-	if _, ok := w.stores[name]; ok {
-		w.mu.Unlock()
-		return fmt.Errorf("netexec: partition %q exists", name)
-	}
-	w.stores[name] = st
-	w.mu.Unlock()
-	w.attachRollup(name, st)
-	return nil
-}
-
-// attachRollup creates the partition's rollup table (when the worker is
-// configured for rollups and the schema has the time dimension) and hooks
-// the store's ingest observer so the table catches up incrementally on
-// every committed batch. Queries never depend on the observer — Serve
-// catches up again under its own lock — it just keeps query-time catch-up
-// work near zero.
-func (w *Worker) attachRollup(name string, st *brick.Store) {
-	if w.RollupTimeDim == "" {
-		return
-	}
-	schema := st.Schema()
-	if schema.DimIndex(w.RollupTimeDim) < 0 {
-		return
-	}
-	cfg := rollup.Config{TimeDim: w.RollupTimeDim, Bucket: w.RollupBucket}
-	if cfg.Bucket == 0 {
-		cfg.Bucket = 1
-	}
-	if len(w.RollupDims) > 0 {
-		for _, d := range w.RollupDims {
-			if d != cfg.TimeDim && schema.DimIndex(d) >= 0 {
-				cfg.Dims = append(cfg.Dims, d)
-			}
-		}
-	} else {
-		for _, d := range schema.Dimensions {
-			if d.Name != cfg.TimeDim {
-				cfg.Dims = append(cfg.Dims, d.Name)
-			}
-		}
-	}
-	for _, d := range w.RollupDistinct {
-		if schema.DimIndex(d) >= 0 {
-			cfg.DistinctDims = append(cfg.DistinctDims, d)
-		}
-	}
-	tbl, err := rollup.New(schema, cfg)
-	if err != nil {
-		log.Printf("netexec: partition %q: rollup disabled: %v", name, err)
-		return
-	}
-	w.rollupMu.Lock()
-	if w.rollups == nil {
-		w.rollups = make(map[string]*rollup.Table)
-	}
-	w.rollups[name] = tbl
-	w.rollupMu.Unlock()
-	st.SetIngestObserver(func() {
-		if _, err := tbl.CatchUp(st); err != nil {
-			w.countAdd("worker.rollup.catchup_errors", 1)
-		}
-	})
-}
-
-// RollupTable returns the partition's rollup table, nil when rollups are
-// off or the partition's schema lacks the configured time dimension.
-func (w *Worker) RollupTable(partition string) *rollup.Table {
-	w.rollupMu.Lock()
-	defer w.rollupMu.Unlock()
-	return w.rollups[partition]
-}
-
-// CompactAll runs one compaction pass over every partition store and
-// returns the summed tier transitions. The background compactor in
-// cmd/cubrick-worker calls this on a ticker.
-func (w *Worker) CompactAll(cfg brick.CompactionConfig) (brick.CompactionStats, error) {
-	var total brick.CompactionStats
-	for _, st := range w.allStores() {
-		s, err := st.CompactOnce(cfg)
-		total.Add(s)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// DecayHotness cools every brick on the worker — the compactor ticker
-// calls it before each pass so untouched bricks drift down the tier
-// ladder (queries and ingest heat them back up).
-func (w *Worker) DecayHotness(factor float64) {
-	for _, st := range w.allStores() {
-		st.DecayHotness(factor)
-	}
-}
-
-func (w *Worker) allStores() []*brick.Store {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	stores := make([]*brick.Store, 0, len(w.stores))
-	for _, st := range w.stores {
-		stores = append(stores, st)
-	}
-	return stores
+	return w.parts.Add(name, schema)
 }
 
 // Store returns a partition's store.
 func (w *Worker) Store(name string) (*brick.Store, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st, ok := w.stores[name]
+	st, ok := w.parts.Store(name)
 	if !ok {
 		return nil, fmt.Errorf("netexec: no partition %q", name)
 	}
 	return st, nil
-}
-
-// Partitions returns the worker's partition names, sorted.
-func (w *Worker) Partitions() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]string, 0, len(w.stores))
-	for n := range w.stores {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-type rowJSON struct {
-	Dims    []uint32  `json:"dims"`
-	Metrics []float64 `json:"metrics"`
 }
 
 // Handler returns the worker's HTTP handler.
@@ -411,47 +199,6 @@ func (w *Worker) Handler() http.Handler {
 		}
 		rw.WriteHeader(http.StatusCreated)
 	})
-	mux.HandleFunc("/load", func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var req struct {
-			Partition string    `json:"partition"`
-			Rows      []rowJSON `json:"rows"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		st, err := w.Store(req.Partition)
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusNotFound)
-			return
-		}
-		if w.IsFenced(req.Partition) {
-			w.countAdd("worker.load.fenced_rejects", 1)
-			http.Error(rw, fencedMsg, http.StatusServiceUnavailable)
-			return
-		}
-		// Route through the batch path so ingest is all-or-nothing like
-		// /loadbin: the whole batch is validated (arity, domains, with the
-		// offending row index in the error) before any row commits. A
-		// per-row Insert loop would leave a prefix behind on failure.
-		dims := make([][]uint32, len(req.Rows))
-		mets := make([][]float64, len(req.Rows))
-		for i, row := range req.Rows {
-			dims[i], mets[i] = row.Dims, row.Metrics
-		}
-		if err := st.InsertBatchRows(dims, mets); err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		rw.Header().Set(HeaderEpoch, strconv.FormatUint(st.Epoch(), 10))
-		w.countAdd("worker.load.requests", 1)
-		w.countAdd("worker.load.rows", int64(len(req.Rows)))
-		fmt.Fprintf(rw, `{"loaded":%d}`, len(req.Rows))
-	})
 	mux.HandleFunc("/loadbin", func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
@@ -462,17 +209,17 @@ func (w *Worker) Handler() http.Handler {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
-		partition, dimCols, metricCols, rows, err := DecodeBatch(data)
+		part, dimCols, metricCols, rows, err := DecodeBatch(data)
 		if err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
-		st, err := w.Store(partition)
+		st, err := w.Store(part)
 		if err != nil {
 			http.Error(rw, err.Error(), http.StatusNotFound)
 			return
 		}
-		if w.IsFenced(partition) {
+		if w.IsFenced(part) {
 			w.countAdd("worker.load.fenced_rejects", 1)
 			http.Error(rw, fencedMsg, http.StatusServiceUnavailable)
 			return
@@ -513,15 +260,8 @@ func (w *Worker) Handler() http.Handler {
 		}
 		w.observe("worker.partial.latency", time.Since(start))
 	})
-	if w.Metrics != nil {
-		mux.Handle("/metrics", metrics.Handler(w.Metrics))
-		// /stats mirrors the coordinator's legacy counter dump.
-		mux.HandleFunc("/stats", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(rw).Encode(map[string]interface{}{
-				"counters": w.Metrics.CounterValues(),
-			})
-		})
+	if w.metrics != nil {
+		mux.Handle("/metrics", metrics.Handler(w.metrics))
 	}
 	if w.Tracer != nil {
 		th := w.Tracer.Handler()
@@ -552,8 +292,8 @@ const (
 	// HeaderEpoch carries ingest-epoch state coordinator-ward in HTTP
 	// responses: /partial reports the partition's epoch read before
 	// execution (conservative — a mid-scan ingest yields a higher epoch
-	// that invalidates), /load and /loadbin report the epoch after the
-	// batch committed. The coordinator's result cache validates its
+	// that invalidates), /loadbin reports the epoch after the batch
+	// committed. The coordinator's result cache validates its
 	// entries against the latest epoch seen per partition.
 	HeaderEpoch = "X-Cubrick-Epoch"
 	// HeaderTopK on a /partial request negotiates top-k pushdown: its
@@ -604,91 +344,84 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 		// group keys) so the coordinator can make its uncertain
 		// candidates exact without re-shipping the whole group set.
 		TopKKeys []string `json:"topk_keys,omitempty"`
+
+		// espan is the request's execute span. It carries the PR 1 scan
+		// accounting (bricks visited and pruned, rows scanned,
+		// decompressions) plus the engine's own plan/scan/combine stage
+		// split, so a slow partial is attributable from the trace alone.
+		// The admission hook below starts it; it sits beside the decoded
+		// body, which is on the heap already, so an untraced call pays no
+		// allocation for it.
+		espan *trace.Span
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		return http.StatusBadRequest, err
 	}
 	trace.SpanFromContext(ctx).SetAttr("partition", req.Partition)
-	st, err := w.Store(req.Partition)
-	if err != nil {
-		return http.StatusNotFound, err
-	}
-	// Epoch reported to the coordinator: read before execution so a batch
-	// landing mid-scan (which this scan may have missed) yields a higher
-	// epoch than the one the response carries — the coordinator's cached
-	// entry then invalidates the moment the newer epoch is learned.
-	epoch := st.Epoch()
-	if w.Admission != nil {
-		priority, _ := strconv.Atoi(r.Header.Get(HeaderPriority))
-		tkt, err := w.Admission.Admit(ctx, r.Header.Get(HeaderTenant), priority)
-		if err != nil {
-			if errors.Is(err, admission.ErrQueueFull) {
-				// 429 is classified retryable by the coordinator's
-				// resilience policy, so shed queries retry or fail over.
-				return http.StatusTooManyRequests, err
-			}
-			return http.StatusServiceUnavailable, err
-		}
-		defer tkt.Release()
-		attrMS(trace.SpanFromContext(ctx), "queue_ms", tkt.Queued)
-	}
-	// The execute span carries the PR 1 scan accounting (bricks visited
-	// and pruned, rows scanned, decompressions) plus the engine's own
-	// plan/scan/combine stage split, so a slow partial is attributable
-	// from the trace alone.
-	_, espan := w.Tracer.StartSpan(ctx, "worker.execute")
-	var partial *engine.Partial
-	var info engine.ExecInfo
 	noCache := r.Header.Get(HeaderCache) == "off"
-	// Rollup-served path: eligible queries answer from the partition's
-	// incremental rollup table (pre-aggregated whole buckets + a delta
-	// scan above the ingest watermarks + ragged-edge scans) instead of a
-	// full raw scan. Cache-bypassed requests skip it — X-Cubrick-Cache:
-	// off promises a fully recomputed answer.
-	if tbl := w.RollupTable(req.Partition); tbl != nil && !noCache {
-		rstart := time.Now()
-		rp, rinfo, ok, rerr := engine.ExecuteRollup(ctx, st, tbl, &req.Query)
+	opts := partition.Opts{
+		Tenant:   r.Header.Get(HeaderTenant),
+		Unshared: r.Header.Get(HeaderFold) == "off",
+		NoCache:  noCache,
+	}
+	if h := r.Header.Get(HeaderPriority); h != "" {
+		opts.Priority, _ = strconv.Atoi(h)
+	}
+	if w.Tracer != nil {
+		// The execute span starts once the request holds its admission
+		// slot, so it never counts queueing.
+		opts.Admitted = func(queued time.Duration) {
+			if w.parts.Admission() != nil {
+				attrMS(trace.SpanFromContext(ctx), "queue_ms", queued)
+			}
+			_, req.espan = w.Tracer.StartSpan(ctx, "worker.execute")
+		}
+	}
+	partial, info, epoch, err := w.parts.Partial(ctx, req.Partition, &req.Query, opts)
+	espan := req.espan
+	if ri := info.Rollup; ri.Tried {
 		switch {
-		case rerr != nil:
-			// Rollup failures are availability bugs only if they fail the
-			// query; fall through to the raw path instead.
+		case ri.Err != nil:
 			w.countAdd("worker.rollup.errors", 1)
-		case ok:
-			partial = rp
-			info.Scan = time.Since(rstart)
+		case ri.Hit:
 			w.countAdd("worker.rollup.hits", 1)
-			w.countAdd("worker.rollup.delta_rows", rinfo.DeltaRows)
+			w.countAdd("worker.rollup.delta_rows", ri.DeltaRows)
 			espan.SetAttr("rollup.hit", "true")
-			espan.SetAttrInt("rollup.groups", int64(rinfo.Groups))
-			espan.SetAttrInt("rollup.delta_rows", rinfo.DeltaRows)
-			espan.SetAttrInt("rollup.edge_scans", int64(rinfo.EdgeScans))
-			espan.SetAttrInt("rollup.epoch", int64(rinfo.Epoch))
+			espan.SetAttrInt("rollup.groups", int64(ri.Groups))
+			espan.SetAttrInt("rollup.delta_rows", ri.DeltaRows)
+			espan.SetAttrInt("rollup.edge_scans", int64(ri.EdgeScans))
+			espan.SetAttrInt("rollup.epoch", int64(ri.Epoch))
 		default:
 			w.countAdd("worker.rollup.misses", 1)
 		}
 	}
-	if partial == nil {
-		// Raw path: one brick pass, unshared when folding is off for the
-		// worker or the request. Per-request cache bypass neither consults
-		// nor fills the brick-partial and decoded-column caches.
+	if err != nil {
+		espan.EndErr(err)
+		var notAdmitted *partition.AdmissionError
+		switch {
+		case errors.Is(err, partition.ErrNoPartition):
+			return http.StatusNotFound, err
+		case errors.Is(err, admission.ErrQueueFull):
+			// 429 is classified retryable by the coordinator's resilience
+			// policy, so shed queries retry or fail over.
+			return http.StatusTooManyRequests, err
+		case errors.As(err, &notAdmitted):
+			return http.StatusServiceUnavailable, err
+		}
+		return http.StatusBadRequest, err
+	}
+	if !info.Rollup.Hit {
+		// Raw path: one brick pass. Per-request cache bypass neither
+		// consults nor fills the brick-partial and decoded-column caches.
 		if noCache {
 			espan.SetAttr("cache.bypass", "true")
 		}
-		unshared := !w.FoldScans || r.Header.Get(HeaderFold) == "off"
-		partial, info, err = w.scheduler(req.Partition, st).Run(ctx, &req.Query,
-			engine.Opts{Unshared: unshared, NoCache: noCache})
-		if err == nil {
-			espan.SetAttr("folded", strconv.FormatBool(info.Folded))
-			espan.SetAttrInt("catchup_bricks", int64(info.CatchupBricks))
-			if bc, _ := w.caches(); bc != nil && !noCache {
-				espan.SetAttrInt("cache.brick.hits", int64(info.CacheHits))
-				espan.SetAttrInt("cache.brick.misses", int64(info.CacheMisses))
-			}
+		espan.SetAttr("folded", strconv.FormatBool(info.Folded))
+		espan.SetAttrInt("catchup_bricks", int64(info.CatchupBricks))
+		if w.parts.Config().BrickCacheBytes > 0 && !noCache {
+			espan.SetAttrInt("cache.brick.hits", int64(info.CacheHits))
+			espan.SetAttrInt("cache.brick.misses", int64(info.CacheMisses))
 		}
-	}
-	if err != nil {
-		espan.EndErr(err)
-		return http.StatusBadRequest, err
 	}
 	attrMS(espan, "plan_ms", info.Plan)
 	attrMS(espan, "scan_ms", info.Scan)
@@ -1580,17 +1313,10 @@ func (cl *Client) CreatePartition(ctx context.Context, name string, schema brick
 	}{name, FromSchema(schema)})
 }
 
-// Load ingests rows into a partition on the worker via the JSON endpoint.
-// Bulk paths should prefer LoadBin.
+// Load ingests rows into a partition on the worker; it is LoadBin under
+// its historical name.
 func (cl *Client) Load(ctx context.Context, partition string, dims [][]uint32, metrics [][]float64) error {
-	rows := make([]rowJSON, len(dims))
-	for i := range dims {
-		rows[i] = rowJSON{Dims: dims[i], Metrics: metrics[i]}
-	}
-	return cl.post(ctx, "/load", struct {
-		Partition string    `json:"partition"`
-		Rows      []rowJSON `json:"rows"`
-	}{partition, rows})
+	return cl.LoadBin(ctx, partition, dims, metrics)
 }
 
 // LoadBin ingests rows into a partition through the binary columnar batch

@@ -11,6 +11,7 @@ import (
 
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
+	"cubrick/internal/partition"
 )
 
 func testSchema() brick.Schema {
@@ -32,7 +33,7 @@ func startCluster(t *testing.T, n, rows int) ([]Target, *brick.Store, func()) {
 	var servers []*httptest.Server
 	var clients []*Client
 	for i := 0; i < n; i++ {
-		w := NewWorker()
+		w := NewWorker(partition.Config{})
 		srv := httptest.NewServer(w.Handler())
 		servers = append(servers, srv)
 		cl := &Client{BaseURL: srv.URL}
@@ -160,7 +161,7 @@ func TestCoordinatorNoTargets(t *testing.T) {
 }
 
 func TestWorkerAdminErrors(t *testing.T) {
-	w := NewWorker()
+	w := NewWorker(partition.Config{})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	cl := &Client{BaseURL: srv.URL}
@@ -199,58 +200,6 @@ func TestSchemaJSONRoundTrip(t *testing.T) {
 	for i := range s.Dimensions {
 		if s2.Dimensions[i] != s.Dimensions[i] {
 			t.Fatalf("dimension %d differs", i)
-		}
-	}
-}
-
-func TestWorkerPartitions(t *testing.T) {
-	w := NewWorker()
-	w.AddPartition("b", testSchema())
-	w.AddPartition("a", testSchema())
-	parts := w.Partitions()
-	if len(parts) != 2 || parts[0] != "a" || parts[1] != "b" {
-		t.Fatalf("Partitions = %v", parts)
-	}
-}
-
-// TestWorkerCompactAll cools every partition's bricks and checks one pass
-// walks all of them one rung down the tier ladder, summed across stores.
-func TestWorkerCompactAll(t *testing.T) {
-	w := NewWorker()
-	total := 0
-	for _, name := range []string{"a", "b"} {
-		if err := w.AddPartition(name, testSchema()); err != nil {
-			t.Fatal(err)
-		}
-		st, _ := w.Store(name)
-		for i := 0; i < 200; i++ {
-			if err := st.Insert([]uint32{uint32(i % 30), uint32(i % 20)},
-				[]float64{float64(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st.DecayHotness(0)
-		total += st.BrickCount()
-	}
-	cfg := brick.CompactionConfig{EncodeBelow: 1, EvictBelow: 1}
-	stats, err := w.CompactAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Encoded != total || stats.Evicted != 0 {
-		t.Fatalf("pass 1 stats = %+v, want %d encoded", stats, total)
-	}
-	stats, err = w.CompactAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Evicted != total {
-		t.Fatalf("pass 2 stats = %+v, want %d evicted", stats, total)
-	}
-	for _, name := range []string{"a", "b"} {
-		st, _ := w.Store(name)
-		if got := st.CompressedBrickCount(); got != st.BrickCount() {
-			t.Fatalf("%s: %d of %d bricks compressed", name, got, st.BrickCount())
 		}
 	}
 }

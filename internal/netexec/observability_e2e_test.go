@@ -12,6 +12,7 @@ import (
 
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/partition"
 	"cubrick/internal/trace"
 )
 
@@ -33,9 +34,8 @@ func TestChaosObservabilityEndToEnd(t *testing.T) {
 	var urls []string
 	var servers []*httptest.Server
 	for i := 0; i < nWorkers; i++ {
-		w := NewWorker()
+		w := NewWorker(partition.Config{Metrics: metrics.NewRegistry()})
 		w.Tracer = trace.New(trace.Config{})
-		w.Metrics = metrics.NewRegistry()
 		wh := w.Handler()
 		// Mirror the binary's layout: chaos injects on the data path only,
 		// so the observability plane stays reachable while queries fail.
@@ -178,7 +178,7 @@ func TestChaosObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// The worker metrics plane over real HTTP: Prometheus text with the
-	// latency summary and the counters, plus the legacy /stats JSON alias.
+	// latency summary and the counters.
 	resp, err := client.Get(urls[0] + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -198,20 +198,6 @@ func TestChaosObservabilityEndToEnd(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("worker /metrics missing %q:\n%s", want, text)
 		}
-	}
-	resp, err = client.Get(urls[0] + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Counters["worker.partial.requests"] < 1 {
-		t.Fatalf("worker /stats alias counters = %v", stats.Counters)
 	}
 
 	// The coordinator registry exports the same way (the binary mounts it

@@ -3,6 +3,7 @@ package netexec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -13,6 +14,8 @@ import (
 
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
+	"cubrick/internal/metrics"
+	"cubrick/internal/partition"
 )
 
 // TestFanoutReusesConnections drives 50 fan-out-16 queries, two at a time,
@@ -26,7 +29,7 @@ func TestFanoutReusesConnections(t *testing.T) {
 	var dials atomic.Int64
 	var targets []Target
 	for w := 0; w < workers; w++ {
-		wk := NewWorker()
+		wk := NewWorker(partition.Config{})
 		srv := httptest.NewUnstartedServer(wk.Handler())
 		srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 			if st == http.StateNew {
@@ -84,42 +87,99 @@ func TestFanoutReusesConnections(t *testing.T) {
 	}
 }
 
-// TestDropPartitionResetsPlan: /droppart removes the partition's store, and
-// with it the sorted brick snapshot; a partition re-created under the same
-// name plans from its own bricks only.
-func TestDropPartitionResetsPlan(t *testing.T) {
-	wk := NewWorker()
-	srv := httptest.NewServer(wk.Handler())
-	defer srv.Close()
-	cl := &Client{BaseURL: srv.URL}
+// TestWorkerPartitionLifecycle: a partition that was ingested into and
+// queried (rollup-served and raw) leaves nothing on the worker once
+// dropped, by POST /droppart or Worker.RemovePartition alike — no set
+// entry, no rollup table, no fence — and a partition re-created under the
+// same name plans from its own bricks only, over a fresh rollup table.
+func TestWorkerPartitionLifecycle(t *testing.T) {
 	ctx := context.Background()
-	load := func(rows int) {
-		t.Helper()
-		if err := cl.CreatePartition(ctx, "t#0", testSchema()); err != nil {
-			t.Fatal(err)
-		}
-		dims, mets := make([][]uint32, rows), make([][]float64, rows)
-		for i := range dims {
-			dims[i], mets[i] = []uint32{uint32(i) % 30, uint32(i/30) % 20}, []float64{1}
-		}
-		if err := cl.Load(ctx, "t#0", dims, mets); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	targets := []Target{{URL: srv.URL, Partition: "t#0"}}
-	load(600) // every one of the 24 bricks
-	res, err := (&Coordinator{}).Query(ctx, targets, q)
-	if err != nil || res.Rows[0][0] != 600 || res.BricksVisited != 24 {
-		t.Fatalf("before drop: %v, %+v", err, res)
-	}
-	if err := cl.DropPartition(ctx, "t#0"); err != nil {
-		t.Fatal(err)
-	}
-	load(3) // ds 0..2, app 0: one brick
-	res, err = (&Coordinator{}).Query(ctx, targets, q)
-	if err != nil || res.Rows[0][0] != 3 || res.BricksVisited != 1 {
-		t.Fatalf("after drop and re-create: %v, %+v", err, res)
+	for _, tc := range []struct {
+		name string
+		drop func(*Worker, *Client) error
+	}{
+		{"droppart", func(_ *Worker, cl *Client) error { return cl.DropPartition(ctx, "t#0") }},
+		{"RemovePartition", func(wk *Worker, _ *Client) error {
+			if !wk.RemovePartition("t#0") {
+				return errors.New("RemovePartition reported nothing dropped")
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			wk := NewWorker(partition.Config{RollupTimeDim: "ds", RollupBucket: 5, Metrics: reg})
+			srv := httptest.NewServer(wk.Handler())
+			defer srv.Close()
+			cl := &Client{BaseURL: srv.URL}
+			load := func(rows int) {
+				t.Helper()
+				if err := cl.CreatePartition(ctx, "t#0", testSchema()); err != nil {
+					t.Fatal(err)
+				}
+				dims, mets := make([][]uint32, rows), make([][]float64, rows)
+				for i := range dims {
+					dims[i], mets[i] = []uint32{uint32(i) % 30, uint32(i/30) % 20}, []float64{1}
+				}
+				if err := cl.Load(ctx, "t#0", dims, mets); err != nil {
+					t.Fatal(err)
+				}
+			}
+			count := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
+			ragged := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}, Filter: map[string][2]uint32{"ds": {3, 3}}}
+			targets := []Target{{URL: srv.URL, Partition: "t#0"}}
+			load(600) // every one of the 24 bricks
+			res, err := (&Coordinator{}).Query(ctx, targets, count)
+			if err != nil || res.Rows[0][0] != 600 {
+				t.Fatalf("rollup-served count: %v, %+v", err, res)
+			}
+			res, err = (&Coordinator{}).Query(ctx, targets, ragged)
+			if err != nil || res.Rows[0][0] != 20 || res.BricksVisited != 4 {
+				t.Fatalf("raw count: %v, %+v", err, res)
+			}
+			if c := reg.CounterValues(); c["worker.rollup.hits"] != 1 || c["worker.rollup.misses"] != 1 {
+				t.Fatalf("rollup hits/misses = %d/%d, want 1/1", c["worker.rollup.hits"], c["worker.rollup.misses"])
+			}
+			old := wk.Parts().RollupTable("t#0")
+			if old == nil || old.CoveredEpoch() == 0 {
+				t.Fatal("no caught-up rollup table before the drop")
+			}
+			if err := wk.Fence("t#0", true); err != nil {
+				t.Fatal(err)
+			}
+
+			if err := tc.drop(wk, cl); err != nil {
+				t.Fatal(err)
+			}
+			if n := wk.Parts().Len(); n != 0 {
+				t.Fatalf("%d set entries survive the drop", n)
+			}
+			if wk.Parts().RollupTable("t#0") != nil {
+				t.Fatal("rollup table survives the drop")
+			}
+			if wk.IsFenced("t#0") {
+				t.Fatal("fence survives the drop")
+			}
+			resp := postPartial(t, srv.URL, "t#0", count, nil)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("/partial on the dropped partition: status %d, want 404", resp.StatusCode)
+			}
+
+			load(3) // ds 0..2, app 0: one brick
+			if fresh := wk.Parts().RollupTable("t#0"); fresh == old || fresh.Stats().FoldedRows != 3 {
+				t.Fatalf("re-created partition inherited the rollup table: %+v", fresh.Stats())
+			}
+			res, err = (&Coordinator{}).Query(ctx, targets, count)
+			if err != nil || res.Rows[0][0] != 3 {
+				t.Fatalf("after drop and re-create: %v, %+v", err, res)
+			}
+			res, err = (&Coordinator{}).Query(ctx, targets, &engine.Query{
+				Aggregates: []engine.Aggregate{{Func: engine.Count}}, Filter: map[string][2]uint32{"ds": {1, 1}}})
+			if err != nil || res.Rows[0][0] != 1 || res.BricksVisited != 1 {
+				t.Fatalf("raw scan after drop and re-create: %v, %+v", err, res)
+			}
+		})
 	}
 }
 
@@ -129,9 +189,7 @@ func TestDropPartitionResetsPlan(t *testing.T) {
 // the "≈0.7 ms of worker CPU per call whatever it scans" line of the
 // benchmark's layer budget (ROADMAP aim 1c); run with -benchmem.
 func BenchmarkServePartialSmall(b *testing.B) {
-	wk := NewWorker()
-	wk.FoldScans = true
-	wk.BrickCacheBytes = 32 << 20
+	wk := NewWorker(partition.Config{FoldScans: true, BrickCacheBytes: 32 << 20})
 	schema := brick.Schema{
 		Dimensions: []brick.Dimension{
 			{Name: "ds", Max: 128, Buckets: 16},

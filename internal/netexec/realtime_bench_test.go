@@ -26,6 +26,7 @@ import (
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/partition"
 	"cubrick/internal/randutil"
 	"cubrick/internal/rollup"
 )
@@ -156,7 +157,7 @@ func TestRealtimeBench(t *testing.T) {
 	var servers []*httptest.Server
 	var urls []string
 	for i := 0; i < 3; i++ {
-		w := NewWorker()
+		w := NewWorker(partition.Config{})
 		srv := httptest.NewServer(countPartialBytes(w.Handler(), &wireBytes))
 		servers = append(servers, srv)
 		urls = append(urls, srv.URL)

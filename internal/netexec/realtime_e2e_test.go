@@ -8,25 +8,25 @@ import (
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/partition"
 )
 
 // realtimeWorker spins one HTTP worker (optionally rollup-enabled) holding
 // one partition, returning its target, its metrics registry and a client.
 func realtimeWorker(t *testing.T, part string, rollup bool) (Target, *metrics.Registry, *Client, func()) {
 	t.Helper()
-	w := NewWorker()
-	w.Metrics = metrics.NewRegistry()
+	cfg := partition.Config{Metrics: metrics.NewRegistry()}
 	if rollup {
-		w.RollupTimeDim = "ds"
-		w.RollupBucket = 5
-		w.RollupDistinct = []string{"app"}
+		cfg.RollupTimeDim = "ds"
+		cfg.RollupBucket = 5
+		cfg.RollupDistinct = []string{"app"}
 	}
-	srv := httptest.NewServer(w.Handler())
+	srv := httptest.NewServer(NewWorker(cfg).Handler())
 	cl := &Client{BaseURL: srv.URL}
 	if err := cl.CreatePartition(context.Background(), part, testSchema()); err != nil {
 		t.Fatal(err)
 	}
-	return Target{URL: srv.URL, Partition: part}, w.Metrics, cl, srv.Close
+	return Target{URL: srv.URL, Partition: part}, cfg.Metrics, cl, srv.Close
 }
 
 func loadRows(t *testing.T, cl *Client, part string, whole *brick.Store, rows [][3]float64) {

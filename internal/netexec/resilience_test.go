@@ -15,6 +15,7 @@ import (
 	"cubrick/internal/cluster"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/partition"
 )
 
 func TestClassifyError(t *testing.T) {
@@ -352,7 +353,7 @@ func TestPartialSizeBound(t *testing.T) {
 // TestLoadAllOrNothing: a JSON ingest batch with one invalid row must
 // commit nothing and name the offending row index.
 func TestLoadAllOrNothing(t *testing.T) {
-	w := NewWorker()
+	w := NewWorker(partition.Config{})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	cl := &Client{BaseURL: srv.URL}

@@ -16,6 +16,7 @@ import (
 
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
+	"cubrick/internal/partition"
 	"cubrick/internal/randutil"
 )
 
@@ -71,15 +72,16 @@ func TestFailFastCancelsPeers(t *testing.T) {
 	}
 }
 
-func TestLoadBinEqualsJSON(t *testing.T) {
-	w := NewWorker()
+// TestLoadBinEqualsLocalInsert: rows shipped through /loadbin — the
+// worker's only ingest endpoint; Client.Load is the same path — answer
+// exactly like the same rows inserted into a local store.
+func TestLoadBinEqualsLocalInsert(t *testing.T) {
+	w := NewWorker(partition.Config{})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	cl := &Client{BaseURL: srv.URL}
-	for _, part := range []string{"json", "bin"} {
-		if err := cl.CreatePartition(context.Background(), part, testSchema()); err != nil {
-			t.Fatal(err)
-		}
+	if err := cl.CreatePartition(context.Background(), "bin", testSchema()); err != nil {
+		t.Fatal(err)
 	}
 	const rows = 777
 	dims := make([][]uint32, rows)
@@ -88,10 +90,14 @@ func TestLoadBinEqualsJSON(t *testing.T) {
 		dims[i] = []uint32{uint32(i) % 30, uint32(i*3) % 20}
 		mets[i] = []float64{float64(i) / 2}
 	}
-	if err := cl.Load(context.Background(), "json", dims, mets); err != nil {
+	local, _ := brick.NewStore(testSchema())
+	if err := local.InsertBatchRows(dims, mets); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.LoadBin(context.Background(), "bin", dims, mets); err != nil {
+	if err := cl.Load(context.Background(), "bin", dims[:400], mets[:400]); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.LoadBin(context.Background(), "bin", dims[400:], mets[400:]); err != nil {
 		t.Fatal(err)
 	}
 	q := &engine.Query{
@@ -103,12 +109,12 @@ func TestLoadBinEqualsJSON(t *testing.T) {
 		},
 		GroupBy: []string{"app"},
 	}
-	coord := &Coordinator{}
-	a, err := coord.Query(context.Background(), []Target{{URL: srv.URL, Partition: "json"}}, q)
+	ap, err := engine.Execute(local, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := coord.Query(context.Background(), []Target{{URL: srv.URL, Partition: "bin"}}, q)
+	a := ap.Finalize()
+	b, err := (&Coordinator{}).Query(context.Background(), []Target{{URL: srv.URL, Partition: "bin"}}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +131,7 @@ func TestLoadBinEqualsJSON(t *testing.T) {
 }
 
 func TestLoadBinErrors(t *testing.T) {
-	w := NewWorker()
+	w := NewWorker(partition.Config{})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	cl := &Client{BaseURL: srv.URL}
@@ -210,7 +216,7 @@ func TestBatchWireRoundTrip(t *testing.T) {
 // TestPartialGzipAndContentLength covers two satellites: /partial sets
 // Content-Length, and large blobs gzip when the client accepts it.
 func TestPartialGzipAndContentLength(t *testing.T) {
-	w := NewWorker()
+	w := NewWorker(partition.Config{})
 	w.GzipMinBytes = 64 // force compression of modest partials
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
@@ -330,7 +336,7 @@ func TestStreamingMergeEqualsBarrier(t *testing.T) {
 		var servers []*httptest.Server
 		var locals []*brick.Store
 		for i := 0; i < nWorkers; i++ {
-			w := NewWorker()
+			w := NewWorker(partition.Config{})
 			w.GzipMinBytes = 128 // exercise compressed partials too
 			srv := httptest.NewServer(w.Handler())
 			servers = append(servers, srv)

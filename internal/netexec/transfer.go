@@ -62,20 +62,14 @@ func (w *Worker) IsFenced(partition string) bool {
 	return w.fenced[partition]
 }
 
-// RemovePartition drops a partition's store, scan scheduler and fence
-// flag. Removing an absent partition reports false without error — the
-// migration driver's drop step must be safely re-runnable.
+// RemovePartition drops everything the worker holds for a partition — its
+// set entry (store, scan scheduler, rollup table) and its fence flag.
+// Removing an absent partition reports false without error — the migration
+// driver's drop step must be safely re-runnable.
 func (w *Worker) RemovePartition(name string) bool {
-	w.mu.Lock()
-	st, ok := w.stores[name]
-	delete(w.stores, name)
-	w.mu.Unlock()
-	if !ok {
+	if !w.parts.Drop(name) {
 		return false
 	}
-	w.schedMu.Lock()
-	delete(w.scheds, st)
-	w.schedMu.Unlock()
 	w.fenceMu.Lock()
 	delete(w.fenced, name)
 	w.fenceMu.Unlock()

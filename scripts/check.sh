@@ -37,6 +37,28 @@ if grep -n 'disableSkippers\|disableEncodedKernels' $ENGINE_SRC; then
 fi
 echo "internal/engine non-test lines: $(cat $ENGINE_SRC | wc -l)"
 
+# One worker (PR 16): internal/partition is the only place a partition gets
+# a scan scheduler or a rollup table and the only caller of the rollup
+# ladder; netexec.Worker and cubrick.Node are edges around it. A second
+# call site of any of the three is a second worker in the making, and the
+# runtime setters that existed to reconfigure one must not come back.
+echo "== one worker"
+OUTSIDE_ENGINE="$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/engine/*' ! -path './.bench_build/*')"
+for CALL in 'engine.ExecuteRollup(' 'engine.NewScheduler(' 'rollup.New('; do
+    SITES="$(cat $OUTSIDE_ENGINE | grep -cF "$CALL" || true)"
+    if [ "$SITES" != 1 ]; then
+        echo "one worker: $SITES call sites of $CALL in non-test code outside internal/engine, want exactly 1:"
+        grep -nF "$CALL" $OUTSIDE_ENGINE
+        exit 1
+    fi
+done
+if grep -rn 'SetFoldScans\|SetCacheBudgets\|SetAdmission' --include='*.go' .; then
+    echo "one worker: a runtime serving setter is back (see above); serving options are partition.Config, fixed at construction"
+    exit 1
+fi
+WORKER_SRC="$(ls internal/netexec/*.go internal/cubrick/*.go internal/partition/*.go | grep -v _test.go)"
+echo "internal/netexec + internal/cubrick + internal/partition non-test lines: $(cat $WORKER_SRC | wc -l)"
+
 echo "== go build ./..."
 go build ./...
 
@@ -50,7 +72,7 @@ echo "== go test -race (concurrency-bearing packages)"
 go test -race ./internal/engine ./internal/brick ./internal/cubrick ./internal/netexec \
     ./internal/trace ./internal/metrics ./internal/admission ./internal/workload \
     ./internal/rescache ./internal/scancache ./internal/migrate ./internal/dict ./internal/cql \
-    ./internal/rollup
+    ./internal/rollup ./internal/partition
 
 echo "== rollup/top-k equivalence under concurrent ingest (-race)"
 go test -race -count=1 -run 'TestRealtimeEquivalence' ./internal/engine
@@ -103,7 +125,7 @@ go test -run '^$' -fuzz '^FuzzDecodeMetricColumn$' -fuzztime 5s ./internal/brick
 echo "== coverage gate (>= 70%)"
 for pkg in ./internal/netexec ./internal/engine ./internal/trace ./internal/metrics ./internal/brick \
     ./internal/admission ./internal/rescache ./internal/scancache ./internal/migrate \
-    ./internal/dict ./internal/cql ./internal/rollup; do
+    ./internal/dict ./internal/cql ./internal/rollup ./internal/partition; do
     line="$(go test -cover "$pkg" | tail -1)"
     echo "$line"
     pct="$(printf '%s\n' "$line" | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p')"
