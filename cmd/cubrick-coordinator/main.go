@@ -21,17 +21,14 @@
 //
 // Every query runs under a root trace span whose ID is returned in the
 // X-Cubrick-Trace response header and propagated to workers; queries
-// slower than -slow-query-ms log a one-line per-stage breakdown. -pprof
-// mounts net/http/pprof under /debug/pprof/.
+// slower than 500 ms log a one-line per-stage breakdown. -pprof mounts
+// net/http/pprof under /debug/pprof/.
 //
-// The resilience layer is configured by flags: -retries, -hedge-quantile,
-// -per-try-timeout, -min-coverage, -breaker-failures, -breaker-open,
-// -replication, -max-partial-bytes, -deadline.
-//
-// Online shard migration (POST /move) is tuned by -cutover-pause-ms (how
-// long a source may stay fenced while the final delta ships) and
-// -dual-read-window (how long after the ownership flip queries read both
-// placements and keep the fresher answer).
+// Fan-out runs under netexec.DefaultQueryPolicy and DefaultBreakerConfig;
+// -retries, -hedge-quantile and -min-coverage override the policy fields
+// a fan-out sweep varies. POST /move runs under migrate.Config's defaults:
+// a source stays fenced for at most 2 s, and for 2 s after the ownership
+// flip queries read both placements and keep the fresher answer.
 package main
 
 import (
@@ -43,7 +40,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -59,104 +55,84 @@ import (
 	"cubrick/internal/zk"
 )
 
+// options is the parsed command line.
+type options struct {
+	addr, workers, fold         string
+	maxShards, resultCacheBytes int64
+	deadline                    time.Duration
+	replication, maxConcurrent  int
+	topkOverfetch               int
+	enableMetrics, enablePprof  bool
+	// policy starts as netexec.DefaultQueryPolicy; a flag overrides a field.
+	policy netexec.QueryPolicy
+}
+
+// registerFlags declares the coordinator's flags on fs. README's table
+// lists each with its default (TestFlags).
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{policy: netexec.DefaultQueryPolicy()}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.workers, "workers", "", "comma-separated worker base URLs")
+	fs.Int64Var(&o.maxShards, "max-shards", 100000, "shard key space size")
+	fs.DurationVar(&o.deadline, "deadline", 30*time.Second, "per-query deadline")
+	fs.IntVar(&o.policy.MaxAttempts, "retries", o.policy.MaxAttempts, "attempts per partition (1 disables retries)")
+	fs.Float64Var(&o.policy.HedgeQuantile, "hedge-quantile", o.policy.HedgeQuantile, "latency quantile before hedging to a replica (0 disables)")
+	fs.Float64Var(&o.policy.MinCoverage, "min-coverage", o.policy.MinCoverage, "minimum partition fraction for a degraded result (1 = exact)")
+	fs.IntVar(&o.replication, "replication", 0, "replica copies per partition beyond the primary")
+	fs.BoolVar(&o.enableMetrics, "metrics", true, "serve Prometheus text format on /metrics")
+	fs.BoolVar(&o.enablePprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
+	fs.IntVar(&o.maxConcurrent, "max-concurrent-queries", 0, "cap on concurrently executing queries; excess queries queue (0 disables admission control)")
+	fs.StringVar(&o.fold, "fold", "on", "worker-side shared-scan folding for queries from this coordinator (on/off)")
+	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "byte budget for the finished-result cache with ingest-epoch invalidation (0 disables)")
+	fs.IntVar(&o.topkOverfetch, "topk-overfetch", 0, "top-k pushdown overfetch factor: workers ship their local top overfetch*k groups plus a bound instead of full partials (0 disables)")
+	return o
+}
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.String("workers", "", "comma-separated worker base URLs")
-	maxShards := flag.Int64("max-shards", 100000, "shard key space size")
-	deadline := flag.Duration("deadline", 30*time.Second, "per-query deadline")
-	retries := flag.Int("retries", 3, "attempts per partition (1 disables retries)")
-	perTryTimeout := flag.Duration("per-try-timeout", 10*time.Second, "deadline per attempt (0 = query deadline only)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.95, "latency quantile before hedging to a replica (0 disables)")
-	hedgeMin := flag.Duration("hedge-min", netexec.DefaultHedgeMinDelay, "minimum hedge delay")
-	minCoverage := flag.Float64("min-coverage", 1, "minimum partition fraction for a degraded result (1 = exact)")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive failures that open a host's circuit breaker")
-	breakerOpen := flag.Duration("breaker-open", 5*time.Second, "how long an open breaker rejects before probing")
-	maxPartialBytes := flag.Int64("max-partial-bytes", netexec.DefaultMaxPartialBytes, "per-worker partial response size bound")
-	replication := flag.Int("replication", 0, "replica copies per partition beyond the primary")
-	enableMetrics := flag.Bool("metrics", true, "serve Prometheus text format on /metrics")
-	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	traceRing := flag.Int("trace-ring", trace.DefaultRingSize, "how many traces the /debug/trace ring retains")
-	slowQueryMS := flag.Int("slow-query-ms", 500, "log a per-stage breakdown for queries slower than this (0 disables)")
-	maxConcurrent := flag.Int("max-concurrent-queries", 0, "cap on concurrently executing queries; excess queries queue (0 disables admission control)")
-	queueDepth := flag.Int("queue-depth", 64, "bound on the admission queue; arrivals beyond it are shed with 429")
-	fold := flag.String("fold", "on", "worker-side shared-scan folding for queries from this coordinator (on/off)")
-	resultCacheBytes := flag.Int64("result-cache-bytes", 0, "byte budget for the finished-result cache with ingest-epoch invalidation (0 disables)")
-	topkOverfetch := flag.Int("topk-overfetch", 0, "top-k pushdown overfetch factor: workers ship their local top overfetch*k groups plus a bound instead of full partials (0 disables)")
-	cutoverPauseMS := flag.Int("cutover-pause-ms", 2000, "bound on how long a migrating partition's source stays fenced while the final delta ships")
-	dualReadWindow := flag.Duration("dual-read-window", 2*time.Second, "how long after an ownership flip queries read both placements and keep the fresher answer")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	if *fold != "on" && *fold != "off" {
-		log.Fatalf("cubrick-coordinator: -fold must be on or off, got %q", *fold)
+	if o.fold != "on" && o.fold != "off" {
+		log.Fatalf("cubrick-coordinator: -fold must be on or off, got %q", o.fold)
 	}
-	urls := strings.Split(*workers, ",")
 	var clean []string
-	for _, u := range urls {
+	for _, u := range strings.Split(o.workers, ",") {
 		if u = strings.TrimSpace(u); u != "" {
 			clean = append(clean, u)
 		}
 	}
-	cluster, err := netexec.NewCluster(clean, *maxShards, &http.Client{
-		Timeout: *deadline,
+	cluster, err := netexec.NewCluster(clean, o.maxShards, &http.Client{
+		Timeout: o.deadline,
 		// Pooled keep-alive connections, so a query doesn't re-dial workers.
 		Transport: netexec.NewTransport(),
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coordinator:", err)
-		os.Exit(1)
+		log.Fatalf("cubrick-coordinator: %v", err)
 	}
-	cluster.SetReplication(*replication)
+	cluster.SetReplication(o.replication)
 	reg := metrics.NewRegistry()
 	coord := cluster.Coordinator()
-	coord.Policy = netexec.QueryPolicy{
-		MaxAttempts:   *retries,
-		BaseBackoff:   netexec.DefaultBaseBackoff,
-		MaxBackoff:    netexec.DefaultMaxBackoff,
-		PerTryTimeout: *perTryTimeout,
-		HedgeQuantile: *hedgeQuantile,
-		HedgeMinDelay: *hedgeMin,
-		MinCoverage:   *minCoverage,
-	}
-	breakers := netexec.NewBreakerGroup(netexec.BreakerConfig{
-		FailureThreshold: *breakerFailures,
-		OpenTimeout:      *breakerOpen,
-	})
-	breakers.Metrics = reg
-	coord.Breakers = breakers
+	coord.Policy = o.policy
+	coord.Breakers = netexec.NewBreakerGroup(netexec.DefaultBreakerConfig())
+	coord.Breakers.Metrics = reg
 	coord.Metrics = reg
-	coord.MaxPartialBytes = *maxPartialBytes
-	coord.NoFold = *fold == "off"
-	coord.TopKOverfetch = *topkOverfetch
-	if *topkOverfetch > 0 {
-		log.Printf("cubrick-coordinator top-k pushdown: topk-overfetch=%d", *topkOverfetch)
-	}
-	if *resultCacheBytes > 0 {
-		coord.ResultCache = rescache.New(*resultCacheBytes)
+	coord.NoFold = o.fold == "off"
+	coord.TopKOverfetch = o.topkOverfetch
+	if o.resultCacheBytes > 0 {
+		coord.ResultCache = rescache.New(o.resultCacheBytes)
 		coord.ResultCache.SetMetrics(reg)
-		log.Printf("cubrick-coordinator result cache: result-cache-bytes=%d", *resultCacheBytes)
 	}
-	if *maxConcurrent > 0 {
+	if o.maxConcurrent > 0 {
 		coord.Admission = admission.New(admission.Config{
-			MaxConcurrent: *maxConcurrent,
-			QueueDepth:    *queueDepth,
+			MaxConcurrent: o.maxConcurrent,
+			QueueDepth:    64, // arrivals beyond the queue are shed with 429
 			Metrics:       reg,
 		})
-		log.Printf("cubrick-coordinator admission: max-concurrent=%d queue-depth=%d", *maxConcurrent, *queueDepth)
 	}
-	tracer := trace.New(trace.Config{
-		RingSize:           *traceRing,
-		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
-	})
+	// A query slower than half a second logs its per-stage breakdown.
+	tracer := trace.New(trace.Config{SlowQueryThreshold: 500 * time.Millisecond})
 	coord.Tracer = tracer
-	s := &coordServer{cluster: cluster, tracer: tracer, deadline: *deadline}
-	s.migrator = &migrate.Driver{
-		ZK:      zk.NewStore(nil),
-		Router:  cluster,
-		Metrics: reg,
-		Config: migrate.Config{
-			CutoverPause:   time.Duration(*cutoverPauseMS) * time.Millisecond,
-			DualReadWindow: *dualReadWindow,
-		},
-	}
+	s := &coordServer{cluster: cluster, tracer: tracer, deadline: o.deadline,
+		migrator: &migrate.Driver{ZK: zk.NewStore(nil), Router: cluster, Metrics: reg}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/tables", s.tables)
 	mux.HandleFunc("/load", s.load)
@@ -165,19 +141,20 @@ func main() {
 	mux.HandleFunc("/health", s.health)
 	mux.Handle("/debug/trace", tracer.Handler())
 	mux.Handle("/debug/trace/", tracer.Handler())
-	if *enableMetrics {
+	if o.enableMetrics {
 		mux.Handle("/metrics", metrics.Handler(reg))
 	}
-	if *enablePprof {
+	if o.enablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	log.Printf("cubrick-coordinator on %s over %d workers (replication=%d, retries=%d, min-coverage=%g, metrics=%v, pprof=%v)",
-		*addr, len(clean), *replication, *retries, *minCoverage, *enableMetrics, *enablePprof)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	var set []string
+	flag.VisitAll(func(f *flag.Flag) { set = append(set, "-"+f.Name+"="+f.Value.String()) })
+	log.Printf("cubrick-coordinator over %d workers: %s", len(clean), strings.Join(set, " "))
+	log.Fatal(http.ListenAndServe(o.addr, mux))
 }
 
 type coordServer struct {
@@ -187,14 +164,9 @@ type coordServer struct {
 	migrator *migrate.Driver
 }
 
-// reqCtx derives a request context bounded by the server deadline
-// (defaulting when the struct was built without one, as tests do).
+// reqCtx derives a request context bounded by the server deadline.
 func (s *coordServer) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	d := s.deadline
-	if d <= 0 {
-		d = 30 * time.Second
-	}
-	return context.WithTimeout(r.Context(), d)
+	return context.WithTimeout(r.Context(), s.deadline)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -3,12 +3,20 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
+	"time"
 
+	"cubrick/internal/core"
+	"cubrick/internal/metrics"
+	"cubrick/internal/migrate"
 	"cubrick/internal/netexec"
 	"cubrick/internal/partition"
+	"cubrick/internal/zk"
 )
 
 func newTestCoordinator(t *testing.T, workers int) *coordServer {
@@ -23,7 +31,7 @@ func newTestCoordinator(t *testing.T, workers int) *coordServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &coordServer{cluster: cluster}
+	return &coordServer{cluster: cluster, deadline: 30 * time.Second}
 }
 
 func post(t *testing.T, h http.HandlerFunc, path string, body interface{}) *httptest.ResponseRecorder {
@@ -116,5 +124,138 @@ func TestCoordinatorErrors(t *testing.T) {
 	}
 	if w := post(t, s.load, "/load", map[string]interface{}{"table": "ghost", "rows": []interface{}{}}); w.Code != http.StatusBadRequest {
 		t.Fatalf("load unknown: %d", w.Code)
+	}
+}
+
+// TestFlags pins the flag set: the parsed defaults are the default query
+// policy, and README's table lists each flag with its default, so the
+// documentation cannot drift from registerFlags.
+func TestFlags(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	o := registerFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if o.policy != netexec.DefaultQueryPolicy() {
+		t.Fatalf("default policy = %+v, want %+v", o.policy, netexec.DefaultQueryPolicy())
+	}
+	if err := fs.Parse(strings.Fields("-retries 1 -hedge-quantile 0 -min-coverage 0.5")); err != nil {
+		t.Fatal(err)
+	}
+	want := netexec.DefaultQueryPolicy()
+	want.MaxAttempts, want.HedgeQuantile, want.MinCoverage = 1, 0, 0.5
+	if o.policy != want {
+		t.Fatalf("overridden policy = %+v, want %+v", o.policy, want)
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := string(readme)
+	table = table[strings.Index(table, "| Flag (`cubrick-coordinator`) | Default | Meaning |"):]
+	table = table[:strings.Index(table, "\n\n")]
+	n := 0
+	fs.VisitAll(func(fl *flag.Flag) {
+		n++
+		def := fl.DefValue
+		if def == "" {
+			def = `""`
+		}
+		if row := "| `-" + fl.Name + "` | " + def + " |"; !strings.Contains(table, row) {
+			t.Errorf("README.md's coordinator flag table has no row starting %q", row)
+		}
+	})
+	if rows := strings.Count(table, "\n| `-"); rows != n {
+		t.Errorf("README.md's coordinator flag table has %d rows for %d flags", rows, n)
+	}
+}
+
+// TestLoadRacingMoveLosesNoRows: a POST /load that meets a partition fenced
+// by an in-flight POST /move retries into the new owner once the flip
+// lands, instead of failing with the fence's 503. The joiner holds the
+// cutover's row-count check open until the load has been rejected once, so
+// the race is certain rather than likely.
+func TestLoadRacingMoveLosesNoRows(t *testing.T) {
+	reg := metrics.NewRegistry()
+	source := netexec.NewWorker(partition.Config{Metrics: reg})
+	srcSrv := httptest.NewServer(source.Handler())
+	defer srcSrv.Close()
+	release := make(chan struct{})
+	joiner := netexec.NewWorker(partition.Config{}).Handler()
+	joinSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/epoch" {
+			<-release
+		}
+		joiner.ServeHTTP(w, r)
+	}))
+	defer joinSrv.Close()
+
+	cluster, err := netexec.NewCluster([]string{srcSrv.URL}, 100000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &coordServer{cluster: cluster, deadline: 30 * time.Second}
+	s.migrator = &migrate.Driver{ZK: zk.NewStore(nil), Router: cluster,
+		Config: migrate.Config{DualReadWindow: 10 * time.Millisecond}}
+	if w := post(t, s.tables, "/tables", map[string]interface{}{
+		"name": "events", "partitions": 1,
+		"schema": map[string]interface{}{
+			"dimensions": []map[string]interface{}{{"name": "ds", "max": 30, "buckets": 6}},
+			"metrics":    []map[string]interface{}{{"name": "value"}},
+		},
+	}); w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	batch := func(n int) map[string]interface{} {
+		rows := make([]map[string]interface{}, n)
+		for i := range rows {
+			rows[i] = map[string]interface{}{"dims": []uint32{uint32(i) % 30}, "metrics": []float64{1}}
+		}
+		return map[string]interface{}{"table": "events", "rows": rows}
+	}
+	if w := post(t, s.load, "/load", batch(100)); w.Code != http.StatusOK {
+		t.Fatalf("load: %d %s", w.Code, w.Body)
+	}
+
+	// wait polls cond; on timeout it lets the migration go so the test
+	// fails instead of hanging.
+	wait := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				close(release)
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	moved := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		moved <- post(t, s.move, "/move", map[string]interface{}{"table": "events", "partition": 0, "target": joinSrv.URL})
+	}()
+	part := core.PartitionName("events", 0)
+	wait("the cutover's fence", func() bool { return source.IsFenced(part) })
+	loaded := make(chan *httptest.ResponseRecorder, 1)
+	go func() { loaded <- post(t, s.load, "/load", batch(50)) }()
+	wait("the load to meet the fence", func() bool { return reg.CounterValues()["worker.load.fenced_rejects"] > 0 })
+	close(release)
+
+	if w := <-moved; w.Code != http.StatusOK {
+		t.Fatalf("move: %d %s", w.Code, w.Body)
+	}
+	if w := <-loaded; w.Code != http.StatusOK {
+		t.Fatalf("load racing the move: %d %s", w.Code, w.Body)
+	}
+	w := post(t, s.query, "/query", map[string]string{"cql": "SELECT COUNT(*) AS n FROM events"})
+	if w.Code != http.StatusOK {
+		t.Fatalf("query: %d %s", w.Code, w.Body)
+	}
+	var resp struct {
+		Rows [][]float64 `json:"rows"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Rows[0][0] != 150 {
+		t.Fatalf("count after the move = %v, want 150", resp.Rows[0][0])
 	}
 }

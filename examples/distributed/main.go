@@ -62,7 +62,7 @@ func main() {
 	}
 	for i, t := range targets {
 		cl := &netexec.Client{BaseURL: t.URL}
-		if err := cl.Load(context.Background(), t.Partition, dims[i], mets[i]); err != nil {
+		if _, err := cl.Load(context.Background(), t.Partition, dims[i], mets[i]); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -46,6 +46,31 @@ func ValidateTableName(name string) error {
 	return nil
 }
 
+// RouteRow returns the partition a row belongs to: a deterministic hash of
+// the row's dimension values modulo the partition count, which keeps skew
+// between partitions low (§IV-A: "minimize the skew between partitions")
+// and lets re-partitioning re-derive placements.
+func RouteRow(dims []uint32, partitions int) int {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, d := range dims {
+		b[0] = byte(d)
+		b[1] = byte(d >> 8)
+		b[2] = byte(d >> 16)
+		b[3] = byte(d >> 24)
+		h.Write(b[:])
+	}
+	// FNV's low bits correlate on short structured inputs; a splitmix64
+	// finalizer avalanches them before the modulo.
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return int(x % uint64(partitions))
+}
+
 // Mapper maps table partitions to SM's flat shard key space
 // [0, MaxShards). Implementations must be deterministic: every client and
 // server derives the same shard for the same partition with no metadata

@@ -114,23 +114,6 @@ func TestCatalogLifecycle(t *testing.T) {
 	}
 }
 
-func TestRouteRowDeterministicAndSpread(t *testing.T) {
-	counts := make([]int, 8)
-	for i := 0; i < 8000; i++ {
-		dims := []uint32{uint32(i), uint32(i * 7)}
-		p := RouteRow(dims, 8)
-		if p != RouteRow(dims, 8) {
-			t.Fatal("RouteRow not deterministic")
-		}
-		counts[p]++
-	}
-	for p, c := range counts {
-		if c < 500 || c > 1500 {
-			t.Fatalf("partition %d got %d/8000 rows — too skewed", p, c)
-		}
-	}
-}
-
 func TestCreateTablePlacesAllRegions(t *testing.T) {
 	d := testDeployment(t)
 	info, err := d.CreateTable("metrics", smallSchema())

@@ -365,7 +365,7 @@ func (d *Deployment) Load(table string, dims [][]uint32, metrics [][]float64) er
 	// as before, minus the per-row assignment lookups and store locking.
 	byPart := make(map[int][]int)
 	for i := range dims {
-		p := RouteRow(dims[i], info.Partitions)
+		p := core.RouteRow(dims[i], info.Partitions)
 		byPart[p] = append(byPart[p], i)
 	}
 	parts := make([]int, 0, len(byPart))

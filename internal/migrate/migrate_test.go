@@ -111,7 +111,7 @@ func (r *rig) loadSource(t *testing.T, n int) {
 		dims[i] = []uint32{uint32(i) % 30, uint32(i) % 20}
 		mets[i] = []float64{float64(i)}
 	}
-	if err := src.Load(context.Background(), r.part, dims, mets); err != nil {
+	if _, err := src.Load(context.Background(), r.part, dims, mets); err != nil {
 		t.Fatal(err)
 	}
 	r.rows += int64(n)

@@ -16,8 +16,7 @@ import (
 	"cubrick/internal/zk"
 )
 
-// startCluster boots n workers and a cluster over them with a load-retry
-// policy wide enough to ride out a migration's cutover pause.
+// startCluster boots n workers and a cluster over them.
 func startCluster(t *testing.T, n int) (*netexec.Cluster, []string) {
 	t.Helper()
 	var urls []string
@@ -30,11 +29,6 @@ func startCluster(t *testing.T, n int) (*netexec.Cluster, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetLoadRetry(netexec.QueryPolicy{
-		MaxAttempts: 12,
-		BaseBackoff: 10 * time.Millisecond,
-		MaxBackoff:  100 * time.Millisecond,
-	})
 	return c, urls
 }
 

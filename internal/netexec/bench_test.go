@@ -127,9 +127,9 @@ func BenchmarkMergeStream16(b *testing.B)  { benchMergeStream(b, 16) }
 func BenchmarkMergeBarrier64(b *testing.B) { benchMergeBarrier(b, 64) }
 func BenchmarkMergeStream64(b *testing.B)  { benchMergeStream(b, 64) }
 
-// benchIngest ships the same 8192-row batch to an httptest worker over
-// the JSON row-at-a-time endpoint or the binary columnar one.
-func benchIngest(b *testing.B, binary bool) {
+// BenchmarkIngestBinary ships the same 8192-row batch to an httptest
+// worker over the binary columnar endpoint.
+func BenchmarkIngestBinary(b *testing.B) {
 	w := NewWorker(partition.Config{})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
@@ -143,21 +143,12 @@ func benchIngest(b *testing.B, binary bool) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		var err error
-		if binary {
-			err = cl.LoadBin(context.Background(), part, dims, mets)
-		} else {
-			err = cl.Load(context.Background(), part, dims, mets)
-		}
-		if err != nil {
+		if _, err := cl.Load(context.Background(), part, dims, mets); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(8192, "rows_per_op")
 }
-
-func BenchmarkIngestJSON(b *testing.B)   { benchIngest(b, false) }
-func BenchmarkIngestBinary(b *testing.B) { benchIngest(b, true) }
 
 // benchFanout measures the full scatter-gather: n httptest workers, one
 // partition each, streamed merge on the coordinator. With observed set,
@@ -185,7 +176,7 @@ func benchFanout(b *testing.B, nWorkers int, observed bool) {
 			b.Fatal(err)
 		}
 		dims, mets := benchRows(i, 2048)
-		if err := cl.LoadBin(context.Background(), part, dims, mets); err != nil {
+		if _, err := cl.Load(context.Background(), part, dims, mets); err != nil {
 			b.Fatal(err)
 		}
 		targets = append(targets, Target{URL: srv.URL, Partition: part})

@@ -61,7 +61,7 @@ func startReplicatedCluster(t *testing.T, nServers, partitions, rowsPerPartition
 			if err := clients[i].CreatePartition(ctx, part, testSchema()); err != nil {
 				t.Fatal(err)
 			}
-			if err := clients[i].LoadBin(ctx, part, dims, mets); err != nil {
+			if _, err := clients[i].Load(ctx, part, dims, mets); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -10,7 +10,6 @@ import (
 
 	"cubrick/internal/brick"
 	"cubrick/internal/core"
-	"cubrick/internal/cubrick"
 	"cubrick/internal/engine"
 )
 
@@ -39,12 +38,6 @@ type Cluster struct {
 	// overrides maps partition names routed away from the static modulo
 	// placement by a migration (see MovePartition in dualread.go).
 	overrides map[string]*placementOverride
-
-	// loadRetry configures ingest retries: a load hitting a fenced or
-	// briefly unavailable partition backs off and re-resolves placement,
-	// so a bounded cutover pause costs latency, never rows. Zero value =
-	// single attempt (the pre-migration behavior).
-	loadRetry QueryPolicy
 }
 
 type clusterTable struct {
@@ -107,16 +100,6 @@ func (c *Cluster) Workers() []string {
 	defer c.mu.Unlock()
 	out := append([]string(nil), c.workers...)
 	return append(out, c.joiners...)
-}
-
-// SetLoadRetry configures ingest retries (attempts, backoff). Loads that
-// fail with a retryable error — a fenced partition mid-cutover, a worker
-// briefly down — re-resolve the partition's placement and try again with
-// capped jittered backoff.
-func (c *Cluster) SetLoadRetry(p QueryPolicy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.loadRetry = p
 }
 
 // placement returns the worker URLs holding a shard: the primary followed
@@ -202,7 +185,7 @@ func (c *Cluster) Load(ctx context.Context, table string, dims [][]uint32, metri
 	}
 	byPart := make(map[int][]int) // partition -> row indexes
 	for i := range dims {
-		p := cubrick.RouteRow(dims[i], t.partitions)
+		p := core.RouteRow(dims[i], t.partitions)
 		byPart[p] = append(byPart[p], i)
 	}
 	parts := make([]int, 0, len(byPart))
@@ -227,19 +210,21 @@ func (c *Cluster) Load(ctx context.Context, table string, dims [][]uint32, metri
 	return nil
 }
 
+// loadAttempts is how many times a partition's batch is offered before the
+// load fails. The default query policy's three attempts wait 7–15 ms in
+// all, less than a cutover's fence-to-flip gap on a busy host; twelve under
+// the same backoff wait 0.8–1.6 s.
+const loadAttempts = 12
+
 // loadPartition ships one partition's batch to its placement, retrying
-// retryable failures under the cluster's load policy. Placement is
-// re-resolved on every attempt: a batch that hit a fenced source during a
-// cutover pause retries into the new owner once the flip lands, which is
-// what makes the migration's ingest unavailability a latency bump instead
-// of lost rows.
+// retryable failures — a fenced partition mid-cutover, a worker briefly
+// down — under the default policy's backoff. Placement is re-resolved on
+// every attempt: a batch that hit a fenced source during a cutover pause
+// retries into the new owner once the flip lands, which is what makes the
+// migration's ingest unavailability a latency bump instead of lost rows.
 func (c *Cluster) loadPartition(ctx context.Context, part string, shard int64, replicas int, bd [][]uint32, bm [][]float64) error {
-	c.mu.Lock()
-	policy := c.loadRetry
-	c.mu.Unlock()
-	attempts := policy.attempts()
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < loadAttempts; a++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr == nil {
 				lastErr = err
@@ -254,9 +239,9 @@ func (c *Cluster) loadPartition(ctx context.Context, part string, shard int64, r
 		if ClassifyError(lastErr) == Terminal {
 			return lastErr
 		}
-		if a < attempts-1 {
+		if a < loadAttempts-1 {
 			c.coord.count("netexec.load.retries")
-			if serr := sleepCtx(ctx, jitter(policy.backoffFor(a))); serr != nil {
+			if serr := sleepCtx(ctx, jitter(DefaultQueryPolicy().backoffFor(a))); serr != nil {
 				return lastErr
 			}
 		}
@@ -267,22 +252,15 @@ func (c *Cluster) loadPartition(ctx context.Context, part string, shard int64, r
 // loadOnce ships the batch to the primary and every replica once.
 func (c *Cluster) loadOnce(ctx context.Context, part string, urls []string, bd [][]uint32, bm [][]float64) error {
 	for ri, url := range urls {
-		cl := &Client{BaseURL: url, HTTP: c.client}
+		epoch, err := (&Client{BaseURL: url, HTTP: c.client}).Load(ctx, part, bd, bm)
+		if err != nil {
+			return err
+		}
 		if ri == 0 {
 			// The primary's response carries the partition's post-ingest
 			// epoch; feeding it to the coordinator invalidates any cached
 			// result over this partition before the next query can hit.
-			epoch, ok, err := cl.LoadBinEpoch(ctx, part, bd, bm)
-			if err != nil {
-				return err
-			}
-			if ok {
-				c.coord.ObserveEpoch(part, epoch)
-			}
-			continue
-		}
-		if err := cl.LoadBin(ctx, part, bd, bm); err != nil {
-			return err
+			c.coord.ObserveEpoch(part, epoch)
 		}
 	}
 	return nil

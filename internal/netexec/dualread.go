@@ -5,58 +5,18 @@
 // consistent, so for a bounded window a query may race the flip: route to
 // the old owner after the drop, or to the new owner before the final
 // delta landed. The dual-read window removes the race by construction:
-// for -dual-read-window after a flip, queries fetch the partition from
-// BOTH placements and keep the answer with the higher ingest epoch. The
-// old owner keeps its (fenced, frozen) copy until the window closes, so
-// whichever placement a laggy component still believes in can serve.
+// for migrate.Config.DualReadWindow after a flip, queries fetch the
+// partition from BOTH placements and keep the answer with the higher
+// ingest epoch (Coordinator.fetchPartition). The old owner keeps its
+// (fenced, frozen) copy until the window closes, so whichever placement a
+// laggy component still believes in can serve.
 package netexec
 
 import (
-	"context"
 	"time"
 
 	"cubrick/internal/core"
-	"cubrick/internal/engine"
 )
-
-// fetchDual fetches one partition from both its current and previous
-// placements concurrently and returns the fresher answer: the successful
-// response with the higher ingest epoch wins; a lone success wins
-// regardless; two failures surface the current placement's error.
-func (c *Coordinator) fetchDual(ctx context.Context, t Target, q *engine.Query) ([]byte, partialMeta, error) {
-	cur := Target{URL: t.URL, Partition: t.Partition, Replicas: t.Replicas}
-	prev := Target{URL: t.Dual[0], Partition: t.Partition, Replicas: t.Dual[1:]}
-	c.count("netexec.fetch.dualreads")
-	type res struct {
-		blob []byte
-		meta partialMeta
-		err  error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		b, m, err := c.fetchResilient(ctx, prev, q, partialOpts{})
-		ch <- res{b, m, err}
-	}()
-	cb, cm, cerr := c.fetchResilient(ctx, cur, q, partialOpts{})
-	pr := <-ch
-	switch {
-	case cerr != nil && pr.err != nil:
-		return nil, partialMeta{}, cerr
-	case cerr != nil:
-		c.count("netexec.fetch.dual_wins")
-		return pr.blob, pr.meta, nil
-	case pr.err != nil:
-		return cb, cm, nil
-	case pr.meta.hasEpoch && (!cm.hasEpoch || pr.meta.epoch > cm.epoch):
-		// The old placement is strictly fresher: the flip has not fully
-		// landed on the new owner yet. Its answer is the one without a
-		// hole.
-		c.count("netexec.fetch.dual_wins")
-		return pr.blob, pr.meta, nil
-	default:
-		return cb, cm, nil
-	}
-}
 
 // ResetEpoch forgets the coordinator's known ingest epoch for a partition.
 // Ownership flips call this: the known-epoch map is deliberately monotonic

@@ -49,7 +49,7 @@ func startFoldCluster(t *testing.T, n, rows int, cfg partition.Config) ([]Target
 		if err := cl.CreatePartition(context.Background(), part, testSchema()); err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.Load(context.Background(), part, dimsPer[i], metsPer[i]); err != nil {
+		if _, err := cl.Load(context.Background(), part, dimsPer[i], metsPer[i]); err != nil {
 			t.Fatal(err)
 		}
 		targets = append(targets, Target{URL: srv.URL, Partition: part})

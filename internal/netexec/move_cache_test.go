@@ -79,7 +79,7 @@ func TestResultCacheAcrossOwnershipFlip(t *testing.T) {
 		mets[i] = []float64{float64(i)}
 		extraSum += float64(i)
 	}
-	if err := dst.Load(ctx, part, dims, mets); err != nil {
+	if _, err := dst.Load(ctx, part, dims, mets); err != nil {
 		t.Fatal(err)
 	}
 

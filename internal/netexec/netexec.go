@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -273,49 +272,6 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// Admission metadata travels worker-ward in HTTP headers: the coordinator
-// stamps its context's tenant and priority onto /partial requests so
-// worker-side quotas account the right tenant, and can switch folding off
-// per request.
-const (
-	HeaderTenant   = "X-Cubrick-Tenant"
-	HeaderPriority = "X-Cubrick-Priority"
-	// HeaderFold set to "off" runs the request on an unshared brick pass:
-	// it neither joins an in-flight pass nor lets other requests join.
-	HeaderFold = "X-Cubrick-Fold"
-	// HeaderCache set to "off" bypasses every cache level for one request:
-	// the coordinator skips its result cache and stamps the header
-	// worker-ward, where /partial neither consults nor fills the brick and
-	// decoded-column caches. The answer is then guaranteed fully
-	// recomputed — the debugging escape hatch.
-	HeaderCache = "X-Cubrick-Cache"
-	// HeaderEpoch carries ingest-epoch state coordinator-ward in HTTP
-	// responses: /partial reports the partition's epoch read before
-	// execution (conservative — a mid-scan ingest yields a higher epoch
-	// that invalidates), /loadbin reports the epoch after the batch
-	// committed. The coordinator's result cache validates its
-	// entries against the latest epoch seen per partition.
-	HeaderEpoch = "X-Cubrick-Epoch"
-	// HeaderTopK on a /partial request negotiates top-k pushdown: its
-	// value k′ asks the worker to prune the partial to its local top k′
-	// groups under the query's ORDER BY. Workers that predate the header
-	// ignore it and ship the full partial — the coordinator's certifier
-	// treats a response without the topk response headers as a complete
-	// (unbounded) contribution, so mixed fleets stay correct.
-	HeaderTopK = "X-Cubrick-TopK"
-	// HeaderTopKThreshold on a pruned /partial response carries the
-	// worker's local k′-th order value — the bound on every group it did
-	// not ship — as an exact hex float (strconv 'x' format).
-	HeaderTopKThreshold = "X-Cubrick-TopK-Threshold"
-	// HeaderTopKComplete on a /partial response acknowledges the topk
-	// negotiation when the worker had ≤ k′ groups and pruned nothing: the
-	// partial is its complete group set.
-	HeaderTopKComplete = "X-Cubrick-TopK-Complete"
-	// HeaderTopKDropped reports how many groups pruning dropped, feeding
-	// the coordinator's wire-savings estimate.
-	HeaderTopKDropped = "X-Cubrick-TopK-Dropped"
-)
-
 // attrMS annotates a span with a duration in fractional milliseconds.
 func attrMS(s *trace.Span, key string, d time.Duration) {
 	if s != nil {
@@ -337,14 +293,7 @@ var gzipPool = sync.Pool{New: func() any { return &gzipBuf{zw: gzip.NewWriter(ni
 // itself and returns a nil error.
 func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *http.Request) (int, error) {
 	var req struct {
-		Partition string       `json:"partition"`
-		Query     engine.Query `json:"query"`
-		// TopKKeys marks a top-k second-phase fetch: execute fully, then
-		// subset the partial to exactly these groups (hex-encoded raw
-		// group keys) so the coordinator can make its uncertain
-		// candidates exact without re-shipping the whole group set.
-		TopKKeys []string `json:"topk_keys,omitempty"`
-
+		partialRequest
 		// espan is the request's execute span. It carries the PR 1 scan
 		// accounting (bricks visited and pruned, rows scanned,
 		// decompressions) plus the engine's own plan/scan/combine stage
@@ -354,18 +303,23 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 		// allocation for it.
 		espan *trace.Span
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&req.partialRequest); err != nil {
 		return http.StatusBadRequest, err
 	}
 	trace.SpanFromContext(ctx).SetAttr("partition", req.Partition)
-	noCache := r.Header.Get(HeaderCache) == "off"
-	opts := partition.Opts{
-		Tenant:   r.Header.Get(HeaderTenant),
-		Unshared: r.Header.Get(HeaderFold) == "off",
-		NoCache:  noCache,
+	popts, err := parsePartialOpts(r.Header)
+	if err != nil {
+		return http.StatusBadRequest, err
 	}
-	if h := r.Header.Get(HeaderPriority); h != "" {
-		opts.Priority, _ = strconv.Atoi(h)
+	keys, err := req.keys()
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	opts := partition.Opts{
+		Tenant:   popts.tenant,
+		Priority: popts.priority,
+		Unshared: popts.noFold,
+		NoCache:  popts.noCache,
 	}
 	if w.Tracer != nil {
 		// The execute span starts once the request holds its admission
@@ -413,12 +367,12 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	if !info.Rollup.Hit {
 		// Raw path: one brick pass. Per-request cache bypass neither
 		// consults nor fills the brick-partial and decoded-column caches.
-		if noCache {
+		if popts.noCache {
 			espan.SetAttr("cache.bypass", "true")
 		}
 		espan.SetAttr("folded", strconv.FormatBool(info.Folded))
 		espan.SetAttrInt("catchup_bricks", int64(info.CatchupBricks))
-		if w.parts.Config().BrickCacheBytes > 0 && !noCache {
+		if w.parts.Config().BrickCacheBytes > 0 && !popts.noCache {
 			espan.SetAttrInt("cache.brick.hits", int64(info.CacheHits))
 			espan.SetAttrInt("cache.brick.misses", int64(info.CacheMisses))
 		}
@@ -437,42 +391,22 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	w.observe("worker.execute.latency", info.Total())
 	w.countAdd("worker.rows.scanned", partial.RowsScanned)
 
-	// Top-k pushdown. Phase 2 (TopKKeys) subsets the full partial to the
-	// coordinator's uncertain keys; phase 1 (X-Cubrick-TopK: k′) prunes to
-	// the local top k′ and reports the threshold bounding unsent groups.
-	var topkHdr func(http.Header)
-	if len(req.TopKKeys) > 0 {
-		keys := make([]string, len(req.TopKKeys))
-		for i, h := range req.TopKKeys {
-			kb, err := hex.DecodeString(h)
-			if err != nil {
-				return http.StatusBadRequest, fmt.Errorf("netexec: bad topk key %q: %w", h, err)
-			}
-			keys[i] = string(kb)
-		}
+	// Top-k pushdown. Phase 2 (keys) subsets the full partial to the
+	// coordinator's uncertain keys; phase 1 (kPrime) prunes to the local
+	// top k′ and reports the threshold bounding unsent groups.
+	meta := partialMeta{epoch: epoch, hasEpoch: true}
+	if keys != nil {
 		partial.Subset(keys)
 		w.countAdd("worker.topk.phase2", 1)
-	} else if h := r.Header.Get(HeaderTopK); h != "" {
-		kPrime, err := strconv.Atoi(h)
-		if err != nil || kPrime <= 0 {
-			return http.StatusBadRequest, fmt.Errorf("netexec: bad %s header %q", HeaderTopK, h)
-		}
+	} else if popts.kPrime > 0 {
 		if _, ok := engine.TopKSpecFor(&req.Query); ok {
 			before := partial.GroupCount()
-			threshold, complete := engine.PruneTopK(partial, kPrime)
-			if complete {
-				// Nothing pruned: the explicit ack distinguishes "complete
-				// group set" from a worker that predates the protocol.
-				topkHdr = func(hdr http.Header) { hdr.Set(HeaderTopKComplete, "1") }
-			} else {
-				dropped := before - partial.GroupCount()
+			meta.threshold, meta.complete = engine.PruneTopK(partial, popts.kPrime)
+			if !meta.complete {
+				meta.hasThreshold = true
+				meta.dropped = before - partial.GroupCount()
 				w.countAdd("worker.topk.pruned", 1)
-				w.countAdd("worker.topk.groups_dropped", int64(dropped))
-				topkHdr = func(hdr http.Header) {
-					// Hex float formatting round-trips the threshold exactly.
-					hdr.Set(HeaderTopKThreshold, strconv.FormatFloat(threshold, 'x', -1, 64))
-					hdr.Set(HeaderTopKDropped, strconv.Itoa(dropped))
-				}
+				w.countAdd("worker.topk.groups_dropped", int64(meta.dropped))
 			}
 		}
 	}
@@ -504,10 +438,7 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	mspan.SetAttrInt("bytes", int64(len(payload)))
 	mspan.SetAttr("gzip", strconv.FormatBool(gzipped))
 	mspan.End()
-	rw.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
-	if topkHdr != nil {
-		topkHdr(rw.Header())
-	}
+	meta.stamp(rw.Header())
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	if _, err := rw.Write(payload); err != nil {
@@ -626,7 +557,7 @@ type Coordinator struct {
 	// global top k from the bounds, issuing at most one targeted
 	// second-phase fetch for uncertain keys before falling back to full
 	// partials. 0 disables pushdown. Only exact-semantics queries
-	// (MinCoverage 0 or 1) with no dual-read targets push down.
+	// (MinCoverage 0 or 1) push down.
 	TopKOverfetch int
 	// ResultCache, when set, remembers finished full-coverage Results keyed
 	// on the complete query identity (fold key + residue + partition set)
@@ -792,9 +723,9 @@ func (c *Coordinator) Query(ctx context.Context, targets []Target, q *engine.Que
 	if c.Metrics != nil {
 		qstart = time.Now()
 	}
+	meta := admission.MetaFrom(ctx)
 	var queued time.Duration
 	if c.Admission != nil {
-		meta := admission.MetaFrom(ctx)
 		tkt, err := c.Admission.Admit(ctx, meta.Tenant, meta.Priority)
 		if err != nil {
 			if errors.Is(err, admission.ErrQueueFull) {
@@ -833,16 +764,14 @@ func (c *Coordinator) Query(ctx context.Context, targets []Target, q *engine.Que
 		}
 		fanSpan.SetAttr("cache.hit", "false")
 	}
-	var res *engine.Result
-	var epochs map[string]uint64
-	var err error
-	handled := false
-	if c.topkEligible(targets, q) {
-		res, epochs, handled, err = c.queryTopK(ctx, targets, q)
+	// What every /partial call of this query carries; the top-k strategy
+	// adds its fields per call.
+	base := partialOpts{tenant: meta.Tenant, priority: meta.Priority, noFold: c.NoFold, noCache: bypass}
+	strategy := c.queryPlain
+	if c.topkEligible(q) {
+		strategy = c.queryTopK
 	}
-	if !handled {
-		res, epochs, err = c.queryFanout(ctx, targets, q)
-	}
+	res, epochs, err := strategy(ctx, targets, q, base)
 	if err == nil && c.ResultCache != nil && !bypass && epochs != nil {
 		// Only full-epoch-vector, full-coverage results are cacheable (Put
 		// re-checks Coverage); epochs is nil whenever any partial arrived
@@ -869,141 +798,182 @@ func targetsKey(targets []Target) string {
 	return strings.Join(parts, "\x1f")
 }
 
-// queryFanout is the body of Query, running under the fan-out span. The
-// second return value is the ingest-epoch vector the result was computed
-// at — one entry per partition, non-nil only when every partial carried an
-// epoch header and no partition was dropped — which is what makes the
-// result eligible for the coordinator's cache.
-func (c *Coordinator) queryFanout(ctx context.Context, targets []Target, q *engine.Query) (*engine.Result, map[string]uint64, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		idx      int
-		blob     []byte
-		epoch    uint64
-		hasEpoch bool
-		err      error
-	}
-	// Buffered to the fan-out so late finishers never block: Query may
-	// return on the first error while peers are still draining.
-	ch := make(chan outcome, len(targets))
+// queryPlain is the plain strategy: every target's full partial folds
+// into one accumulator the moment it arrives. The second return value is
+// the ingest-epoch vector the result was computed at (see gather), which is
+// what makes the result eligible for the coordinator's cache.
+func (c *Coordinator) queryPlain(ctx context.Context, targets []Target, q *engine.Query, base partialOpts) (*engine.Result, map[string]uint64, error) {
+	calls := make([]call, len(targets))
 	for i, t := range targets {
-		go func(i int, t Target) {
-			// One span per partition covers the whole resilient fetch:
-			// its children are the individual attempts (see fetchAttempt),
-			// so a retry or hedge shows up as extra fetch spans under it.
-			pctx, pspan := c.Tracer.StartSpan(ctx, "partition")
-			pspan.SetAttr("partition", t.Partition)
-			var blob []byte
-			var meta partialMeta
-			var err error
-			if len(t.Dual) > 0 {
-				blob, meta, err = c.fetchDual(pctx, t, q)
-			} else {
-				blob, meta, err = c.fetchResilient(pctx, t, q, partialOpts{})
-			}
-			pspan.EndErr(err)
-			ch <- outcome{i, blob, meta.epoch, meta.hasEpoch, err}
-		}(i, t)
+		calls[i] = call{t, base}
 	}
-	exact := c.Policy.exact()
 	merged := engine.NewPartial(q)
-	var missing []string
-	epochs := make(map[string]uint64, len(targets))
-	allEpochs := true
-	for n := 0; n < len(targets); n++ {
-		o := <-ch
-		t := targets[o.idx]
-		if o.err == nil {
-			if o.hasEpoch {
-				epochs[t.Partition] = o.epoch
-				c.ObserveEpoch(t.Partition, o.epoch)
-			} else {
-				allEpochs = false
-			}
-			var mstart time.Time
-			if c.Metrics != nil {
-				mstart = time.Now()
-			}
-			if err := engine.MergeWire(merged, o.blob); err != nil {
-				// A corrupt partial is terminal even under degradation: the
-				// accumulator may have absorbed a prefix of its groups, so
-				// the merged state can no longer be trusted.
-				c.count("netexec.query.failed")
-				return nil, nil, fmt.Errorf("%w: %s %s: %w", ErrWorkerFailed, t.URL, t.Partition, err)
-			}
-			if c.Metrics != nil {
-				c.Metrics.Histogram("netexec.merge.latency").Observe(time.Since(mstart).Seconds())
-			}
-			continue
+	epochs, missing, err := c.gather(ctx, q, calls, func(_ int, blob []byte, _ partialMeta) error {
+		var mstart time.Time
+		if c.Metrics != nil {
+			mstart = time.Now()
 		}
-		if exact {
-			c.count("netexec.query.failed")
-			return nil, nil, fmt.Errorf("%w: %s %s: %w", ErrWorkerFailed, t.URL, t.Partition, o.err)
+		if err := engine.MergeWire(merged, blob); err != nil {
+			return err
 		}
-		missing = append(missing, t.Partition)
+		if c.Metrics != nil {
+			c.Metrics.Histogram("netexec.merge.latency").Observe(time.Since(mstart).Seconds())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	_, finSpan := c.Tracer.StartSpan(ctx, "coordinator.finalize")
 	res := merged.Finalize()
 	finSpan.End()
 	if len(missing) > 0 {
-		coverage := float64(len(targets)-len(missing)) / float64(len(targets))
-		if coverage < c.Policy.MinCoverage {
-			c.count("netexec.query.failed")
-			sort.Strings(missing)
-			return nil, nil, fmt.Errorf("%w: coverage %.3f below policy minimum %.3f (missing: %s)",
-				ErrWorkerFailed, coverage, c.Policy.MinCoverage, strings.Join(missing, ", "))
-		}
-		sort.Strings(missing)
-		res.Coverage = coverage
+		res.Coverage = float64(len(targets)-len(missing)) / float64(len(targets))
 		res.MissingPartitions = missing
-		c.count("netexec.query.degraded")
-		allEpochs = false
-	}
-	if !allEpochs {
-		epochs = nil
 	}
 	return res, epochs, nil
 }
 
-// partialOpts parameterizes a partial fetch for top-k pushdown: kPrime > 0
-// stamps the negotiation header (the worker may prune to its local top
-// k′), keys marks a second-phase fetch for exactly those hex-encoded group
-// keys. The zero value is a plain full-partial fetch.
-type partialOpts struct {
-	kPrime int
-	keys   []string
+// call is one unit of a fan-out: a target and the options of its /partial
+// request.
+type call struct {
+	target Target
+	opts   partialOpts
 }
 
-// partialMeta is everything a /partial response carries besides the blob:
-// the ingest epoch and, when top-k was negotiated, the worker's threshold
-// bound (hasThreshold — the partial was pruned), its complete ack (had
-// ≤ k′ groups), and how many groups pruning dropped.
-type partialMeta struct {
-	epoch        uint64
-	hasEpoch     bool
-	threshold    float64
-	hasThreshold bool
-	complete     bool
-	dropped      int
+// gather is the coordinator's one fan-out. It fetches every call
+// concurrently (fetchPartition, under one "partition" span per call whose
+// children are the individual attempts, so a retry or hedge shows up as an
+// extra fetch span under it) and hands each answer to sink on the calling
+// goroutine, in arrival order: sink is where a strategy merges, and it
+// overlaps the slower workers' network time.
+//
+// Failure follows c.Policy as Query documents: the first failed call of
+// an exact fan-out cancels the in-flight peers; a degrading one returns
+// the dropped partitions as missing (sorted). A sink error is always
+// terminal: the strategy's accumulator may have absorbed a prefix of a
+// corrupt partial, so its state can no longer be trusted.
+//
+// epochs is the ingest-epoch vector the answers were computed at, one
+// entry per partition, each also fed to ObserveEpoch. It is nil unless
+// every call answered and every answer carried an epoch header.
+func (c *Coordinator) gather(ctx context.Context, q *engine.Query, calls []call, sink func(i int, blob []byte, meta partialMeta) error) (epochs map[string]uint64, missing []string, err error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type outcome struct {
+		idx  int
+		blob []byte
+		meta partialMeta
+		err  error
+	}
+	// Buffered to the fan-out so late finishers never block: gather may
+	// return on the first error while peers are still draining.
+	ch := make(chan outcome, len(calls))
+	for i := range calls {
+		go func(i int) {
+			cl := &calls[i]
+			pctx, pspan := c.Tracer.StartSpan(ctx, "partition")
+			pspan.SetAttr("partition", cl.target.Partition)
+			switch {
+			case len(cl.opts.keys) > 0:
+				pspan.SetAttr("topk", "phase2")
+				pspan.SetAttrInt("keys", int64(len(cl.opts.keys)))
+			case cl.opts.kPrime > 0:
+				pspan.SetAttr("topk", "phase1")
+			}
+			blob, meta, err := c.fetchPartition(pctx, cl.target, q, cl.opts)
+			pspan.EndErr(err)
+			ch <- outcome{i, blob, meta, err}
+		}(i)
+	}
+	failed := func(t Target, err error) error {
+		c.count("netexec.query.failed")
+		return fmt.Errorf("%w: %s %s: %w", ErrWorkerFailed, t.URL, t.Partition, err)
+	}
+	exact := c.Policy.exact()
+	epochs = make(map[string]uint64, len(calls))
+	allEpochs := true
+	for range calls {
+		o := <-ch
+		t := calls[o.idx].target
+		if o.err != nil {
+			if exact {
+				return nil, nil, failed(t, o.err)
+			}
+			missing = append(missing, t.Partition)
+			allEpochs = false
+			continue
+		}
+		if o.meta.hasEpoch {
+			epochs[t.Partition] = o.meta.epoch
+			c.ObserveEpoch(t.Partition, o.meta.epoch)
+		} else {
+			allEpochs = false
+		}
+		if err := sink(o.idx, o.blob, o.meta); err != nil {
+			return nil, nil, failed(t, err)
+		}
+	}
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		coverage := float64(len(calls)-len(missing)) / float64(len(calls))
+		if coverage < c.Policy.MinCoverage {
+			c.count("netexec.query.failed")
+			return nil, nil, fmt.Errorf("%w: coverage %.3f below policy minimum %.3f (missing: %s)",
+				ErrWorkerFailed, coverage, c.Policy.MinCoverage, strings.Join(missing, ", "))
+		}
+		c.count("netexec.query.degraded")
+	}
+	if !allEpochs {
+		epochs = nil
+	}
+	return epochs, missing, nil
 }
 
-// fetchResilient fetches one partition's wire partial under the policy:
-// attempts rotate over the target's primary and replicas with capped,
+// fetchPartition fetches one partition's wire partial under opts. Outside
+// a migration that is one resilient fetch over the target's primary and
+// replicas. During a dual-read window (t.Dual is set) it runs the same
+// request against the current and the previous placement concurrently and
+// returns the fresher answer with its own metadata: the success with the
+// higher ingest epoch wins, a lone success wins regardless, two failures
+// surface the current placement's error.
+func (c *Coordinator) fetchPartition(ctx context.Context, t Target, q *engine.Query, opts partialOpts) ([]byte, partialMeta, error) {
+	body, err := json.Marshal(newPartialRequest(t.Partition, q, opts))
+	if err != nil {
+		return nil, partialMeta{}, err
+	}
+	if len(t.Dual) == 0 {
+		return c.fetchResilient(ctx, t.urls(), body, opts)
+	}
+	c.count("netexec.fetch.dualreads")
+	type res struct {
+		blob []byte
+		meta partialMeta
+		err  error
+	}
+	ch := make(chan res, 1)
+	go func() {
+		b, m, err := c.fetchResilient(ctx, t.Dual, body, opts)
+		ch <- res{b, m, err}
+	}()
+	cb, cm, cerr := c.fetchResilient(ctx, t.urls(), body, opts)
+	pr := <-ch
+	// A strictly fresher old placement means the flip has not fully landed
+	// on the new owner yet: its answer is the one without a hole.
+	if pr.err == nil && (cerr != nil || pr.meta.hasEpoch && (!cm.hasEpoch || pr.meta.epoch > cm.epoch)) {
+		c.count("netexec.fetch.dual_wins")
+		return pr.blob, pr.meta, nil
+	}
+	return cb, cm, cerr
+}
+
+// fetchResilient posts one /partial body under the policy: attempts
+// rotate over urls (a placement's primary and replicas) with capped,
 // jittered exponential backoff between retries; each attempt may hedge to
 // a replica after the hedge delay; breaker-open hosts are skipped. Errors
 // classify as retryable or terminal (ClassifyError); terminal errors and
 // query-context expiry end the loop immediately.
-func (c *Coordinator) fetchResilient(ctx context.Context, t Target, q *engine.Query, opts partialOpts) ([]byte, partialMeta, error) {
-	body, err := json.Marshal(struct {
-		Partition string        `json:"partition"`
-		Query     *engine.Query `json:"query"`
-		TopKKeys  []string      `json:"topk_keys,omitempty"`
-	}{t.Partition, q, opts.keys})
-	if err != nil {
-		return nil, partialMeta{}, err
-	}
-	urls := t.urls()
+func (c *Coordinator) fetchResilient(ctx context.Context, urls []string, body []byte, opts partialOpts) ([]byte, partialMeta, error) {
 	attempts := c.Policy.attempts()
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -1014,7 +984,7 @@ func (c *Coordinator) fetchResilient(ctx context.Context, t Target, q *engine.Qu
 			return nil, partialMeta{}, lastErr
 		}
 		start := time.Now()
-		blob, meta, url, err := c.fetchAttempt(ctx, urls, a, body, opts.kPrime)
+		blob, meta, url, err := c.fetchAttempt(ctx, urls, a, body, opts)
 		if err == nil {
 			if c.Breakers != nil {
 				c.Breakers.ReportSuccess(url)
@@ -1077,7 +1047,7 @@ func (c *Coordinator) hedgeCandidate(urls []string, attempt int, primary string)
 // the loser. Returns the blob and the URL that produced it; on failure the
 // error is the last failure observed and url names its host. Per-URL
 // failures are reported to the breaker group as they happen.
-func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt int, body []byte, kPrime int) (blob []byte, meta partialMeta, url string, err error) {
+func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt int, body []byte, opts partialOpts) (blob []byte, meta partialMeta, url string, err error) {
 	primary := c.pickURL(urls, attempt)
 	var actx context.Context
 	var cancel context.CancelFunc
@@ -1110,7 +1080,7 @@ func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt i
 			if breakerSkip {
 				fspan.SetAttr("breaker_skip", "true")
 			}
-			b, m, e := c.doPartial(fctx, u, body, kPrime)
+			b, m, e := c.doPartial(fctx, u, body, opts)
 			fspan.EndErr(e)
 			ch <- res{b, m, u, e}
 		}()
@@ -1161,7 +1131,7 @@ func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt i
 // response read bounded by MaxPartialBytes. The transport advertises gzip
 // and transparently decompresses, so large partials cross the wire
 // compressed without any handling here.
-func (c *Coordinator) doPartial(ctx context.Context, url string, body []byte, kPrime int) ([]byte, partialMeta, error) {
+func (c *Coordinator) doPartial(ctx context.Context, url string, body []byte, opts partialOpts) ([]byte, partialMeta, error) {
 	var meta partialMeta
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/partial", bytes.NewReader(body))
 	if err != nil {
@@ -1171,25 +1141,7 @@ func (c *Coordinator) doPartial(ctx context.Context, url string, body []byte, kP
 	// Propagate trace context so the worker's spans join this query's
 	// trace (the fetch span in ctx becomes their remote parent).
 	trace.Inject(ctx, req.Header)
-	// Propagate admission metadata so worker-side quotas account the
-	// right tenant at the right priority.
-	if meta := admission.MetaFrom(ctx); meta.Tenant != "" || meta.Priority != 0 {
-		if meta.Tenant != "" {
-			req.Header.Set(HeaderTenant, meta.Tenant)
-		}
-		if meta.Priority != 0 {
-			req.Header.Set(HeaderPriority, strconv.Itoa(meta.Priority))
-		}
-	}
-	if c.NoFold {
-		req.Header.Set(HeaderFold, "off")
-	}
-	if CacheBypassed(ctx) {
-		req.Header.Set(HeaderCache, "off")
-	}
-	if kPrime > 0 {
-		req.Header.Set(HeaderTopK, strconv.Itoa(kPrime))
-	}
+	opts.stamp(req.Header)
 	resp, err := c.client().Do(req)
 	if err != nil {
 		return nil, meta, err
@@ -1199,20 +1151,7 @@ func (c *Coordinator) doPartial(ctx context.Context, url string, body []byte, kP
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, meta, &HTTPStatusError{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(msg))}
 	}
-	if h := resp.Header.Get(HeaderEpoch); h != "" {
-		if e, perr := strconv.ParseUint(h, 10, 64); perr == nil {
-			meta.epoch, meta.hasEpoch = e, true
-		}
-	}
-	if h := resp.Header.Get(HeaderTopKThreshold); h != "" {
-		if t, perr := strconv.ParseFloat(h, 64); perr == nil {
-			meta.threshold, meta.hasThreshold = t, true
-		}
-	}
-	meta.complete = resp.Header.Get(HeaderTopKComplete) != ""
-	if h := resp.Header.Get(HeaderTopKDropped); h != "" {
-		meta.dropped, _ = strconv.Atoi(h)
-	}
+	meta = parsePartialMeta(resp.Header)
 	limit := c.maxPartialBytes()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
@@ -1289,22 +1228,6 @@ func (cl *Client) post(ctx context.Context, path string, v interface{}) error {
 	return err
 }
 
-// epochFromHeader parses the worker's X-Cubrick-Epoch response header.
-func epochFromHeader(hdr http.Header) (uint64, bool) {
-	if hdr == nil {
-		return 0, false
-	}
-	h := hdr.Get(HeaderEpoch)
-	if h == "" {
-		return 0, false
-	}
-	e, err := strconv.ParseUint(h, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return e, true
-}
-
 // CreatePartition creates a partition on the worker.
 func (cl *Client) CreatePartition(ctx context.Context, name string, schema brick.Schema) error {
 	return cl.post(ctx, "/partition", struct {
@@ -1313,32 +1236,21 @@ func (cl *Client) CreatePartition(ctx context.Context, name string, schema brick
 	}{name, FromSchema(schema)})
 }
 
-// Load ingests rows into a partition on the worker; it is LoadBin under
-// its historical name.
-func (cl *Client) Load(ctx context.Context, partition string, dims [][]uint32, metrics [][]float64) error {
-	return cl.LoadBin(ctx, partition, dims, metrics)
-}
-
-// LoadBin ingests rows into a partition through the binary columnar batch
-// endpoint: one packed blob, one request, one store lock on the worker.
-func (cl *Client) LoadBin(ctx context.Context, partition string, dims [][]uint32, metrics [][]float64) error {
-	_, _, err := cl.LoadBinEpoch(ctx, partition, dims, metrics)
-	return err
-}
-
-// LoadBinEpoch is LoadBin returning the partition's post-ingest epoch from
-// the X-Cubrick-Epoch response header (ok=false against workers that
-// predate the header). Coordinators feed it to ObserveEpoch so cached
-// results over the partition invalidate the moment the load commits.
-func (cl *Client) LoadBinEpoch(ctx context.Context, partition string, dims [][]uint32, metrics [][]float64) (uint64, bool, error) {
+// Load ingests rows into a partition through the binary columnar batch
+// endpoint: one packed blob, one request, one store lock on the worker. It
+// returns the partition's post-ingest epoch from the X-Cubrick-Epoch
+// response header (0 when the response carried none); a coordinator feeds
+// it to ObserveEpoch so cached results over the partition invalidate the
+// moment the load commits.
+func (cl *Client) Load(ctx context.Context, partition string, dims [][]uint32, metrics [][]float64) (uint64, error) {
 	blob, err := EncodeBatch(partition, dims, metrics)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	hdr, err := cl.do(ctx, "/loadbin", "application/octet-stream", blob)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	e, ok := epochFromHeader(hdr)
-	return e, ok, nil
+	epoch, _ := epochFromHeader(hdr)
+	return epoch, nil
 }

@@ -56,7 +56,7 @@ func startCluster(t *testing.T, n, rows int) ([]Target, *brick.Store, func()) {
 		metsPer[w] = append(metsPer[w], mets)
 	}
 	for i := range clients {
-		if err := clients[i].Load(context.Background(), targets[i].Partition, dimsPer[i], metsPer[i]); err != nil {
+		if _, err := clients[i].Load(context.Background(), targets[i].Partition, dimsPer[i], metsPer[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,11 +171,11 @@ func TestWorkerAdminErrors(t *testing.T) {
 	if err := cl.CreatePartition(context.Background(), "p", testSchema()); !errors.Is(err, ErrWorkerFailed) {
 		t.Fatalf("duplicate partition = %v", err)
 	}
-	if err := cl.Load(context.Background(), "ghost", [][]uint32{{1, 1}}, [][]float64{{1}}); !errors.Is(err, ErrWorkerFailed) {
+	if _, err := cl.Load(context.Background(), "ghost", [][]uint32{{1, 1}}, [][]float64{{1}}); !errors.Is(err, ErrWorkerFailed) {
 		t.Fatalf("load into missing partition = %v", err)
 	}
 	// Invalid rows.
-	if err := cl.Load(context.Background(), "p", [][]uint32{{999, 1}}, [][]float64{{1}}); !errors.Is(err, ErrWorkerFailed) {
+	if _, err := cl.Load(context.Background(), "p", [][]uint32{{999, 1}}, [][]float64{{1}}); !errors.Is(err, ErrWorkerFailed) {
 		t.Fatalf("out-of-domain row = %v", err)
 	}
 	// Bad query returns a 4xx that surfaces as a worker failure.

@@ -44,7 +44,7 @@ func TestFanoutReusesConnections(t *testing.T) {
 			if err := cl.CreatePartition(context.Background(), part, testSchema()); err != nil {
 				t.Fatal(err)
 			}
-			if err := cl.Load(context.Background(), part, [][]uint32{{uint32(p), 1}}, [][]float64{{1}}); err != nil {
+			if _, err := cl.Load(context.Background(), part, [][]uint32{{uint32(p), 1}}, [][]float64{{1}}); err != nil {
 				t.Fatal(err)
 			}
 			targets = append(targets, Target{URL: srv.URL, Partition: part})
@@ -121,7 +121,7 @@ func TestWorkerPartitionLifecycle(t *testing.T) {
 				for i := range dims {
 					dims[i], mets[i] = []uint32{uint32(i) % 30, uint32(i/30) % 20}, []float64{1}
 				}
-				if err := cl.Load(ctx, "t#0", dims, mets); err != nil {
+				if _, err := cl.Load(ctx, "t#0", dims, mets); err != nil {
 					t.Fatal(err)
 				}
 			}

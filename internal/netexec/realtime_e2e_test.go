@@ -44,7 +44,7 @@ func loadRows(t *testing.T, cl *Client, part string, whole *brick.Store, rows []
 			}
 		}
 	}
-	if err := cl.Load(context.Background(), part, dims, mets); err != nil {
+	if _, err := cl.Load(context.Background(), part, dims, mets); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -68,13 +68,15 @@ const (
 	hedgeWarmupSamples = 32
 )
 
-// DefaultQueryPolicy returns a production-shaped policy: three attempts
-// with jittered backoff, p95-based hedging, exact semantics.
+// DefaultQueryPolicy returns the policy cubrick-coordinator runs under
+// unless a flag overrides a field: three attempts of at most 10 s each with
+// jittered backoff, p95-based hedging, exact semantics.
 func DefaultQueryPolicy() QueryPolicy {
 	return QueryPolicy{
 		MaxAttempts:   3,
 		BaseBackoff:   DefaultBaseBackoff,
 		MaxBackoff:    DefaultMaxBackoff,
+		PerTryTimeout: 10 * time.Second,
 		HedgeQuantile: 0.95,
 		HedgeMinDelay: DefaultHedgeMinDelay,
 		HedgeMaxDelay: DefaultHedgeMaxDelay,
@@ -227,33 +229,20 @@ func (s BreakerState) String() string {
 
 // BreakerConfig parameterizes the per-host circuit breakers.
 type BreakerConfig struct {
-	// FailureThreshold is how many consecutive failures open the breaker
-	// (default 5).
+	// FailureThreshold is how many consecutive failures open the breaker.
 	FailureThreshold int
 	// OpenTimeout is how long an open breaker rejects before allowing a
-	// half-open probe (default 5s).
+	// half-open probe.
 	OpenTimeout time.Duration
 	// HalfOpenSuccesses is how many consecutive probe successes close the
-	// breaker again (default 2).
+	// breaker again.
 	HalfOpenSuccesses int
 }
 
-// DefaultBreakerConfig returns the default breaker tuning.
+// DefaultBreakerConfig returns the breaker tuning cubrick-coordinator runs
+// under: open after 5 failures, probe after 5 s, close after 2 successes.
 func DefaultBreakerConfig() BreakerConfig {
 	return BreakerConfig{FailureThreshold: 5, OpenTimeout: 5 * time.Second, HalfOpenSuccesses: 2}
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.OpenTimeout <= 0 {
-		c.OpenTimeout = 5 * time.Second
-	}
-	if c.HalfOpenSuccesses <= 0 {
-		c.HalfOpenSuccesses = 2
-	}
-	return c
 }
 
 // hostBreaker is one host's breaker state.
@@ -289,7 +278,7 @@ func NewBreakerGroup(cfg BreakerConfig) *BreakerGroup {
 // NewBreakerGroupAt returns a breaker group reading time from now — tests
 // drive state transitions with a simulated clock.
 func NewBreakerGroupAt(cfg BreakerConfig, now func() time.Time) *BreakerGroup {
-	return &BreakerGroup{cfg: cfg.withDefaults(), now: now, hosts: make(map[string]*hostBreaker)}
+	return &BreakerGroup{cfg: cfg, now: now, hosts: make(map[string]*hostBreaker)}
 }
 
 func (g *BreakerGroup) get(host string) *hostBreaker {

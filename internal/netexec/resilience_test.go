@@ -360,7 +360,7 @@ func TestLoadAllOrNothing(t *testing.T) {
 	if err := cl.CreatePartition(context.Background(), "p", testSchema()); err != nil {
 		t.Fatal(err)
 	}
-	err := cl.Load(context.Background(), "p",
+	_, err := cl.Load(context.Background(), "p",
 		[][]uint32{{1, 1}, {999, 1}, {2, 2}},
 		[][]float64{{1}, {2}, {3}})
 	if err == nil {
@@ -374,7 +374,7 @@ func TestLoadAllOrNothing(t *testing.T) {
 		t.Fatalf("failed batch committed %d rows; ingest is not atomic", n)
 	}
 	// A valid batch still loads.
-	if err := cl.Load(context.Background(), "p", [][]uint32{{1, 1}}, [][]float64{{1}}); err != nil {
+	if _, err := cl.Load(context.Background(), "p", [][]uint32{{1, 1}}, [][]float64{{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if n := st.Rows(); n != 1 {

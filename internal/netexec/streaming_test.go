@@ -94,10 +94,10 @@ func TestLoadBinEqualsLocalInsert(t *testing.T) {
 	if err := local.InsertBatchRows(dims, mets); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Load(context.Background(), "bin", dims[:400], mets[:400]); err != nil {
+	if _, err := cl.Load(context.Background(), "bin", dims[:400], mets[:400]); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.LoadBin(context.Background(), "bin", dims[400:], mets[400:]); err != nil {
+	if _, err := cl.Load(context.Background(), "bin", dims[400:], mets[400:]); err != nil {
 		t.Fatal(err)
 	}
 	q := &engine.Query{
@@ -139,7 +139,7 @@ func TestLoadBinErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unknown partition.
-	if err := cl.LoadBin(context.Background(), "ghost", [][]uint32{{1, 1}}, [][]float64{{1}}); !errors.Is(err, ErrWorkerFailed) {
+	if _, err := cl.Load(context.Background(), "ghost", [][]uint32{{1, 1}}, [][]float64{{1}}); !errors.Is(err, ErrWorkerFailed) {
 		t.Fatalf("load into missing partition = %v", err)
 	}
 	// Corrupt blob straight at the endpoint.
@@ -152,7 +152,7 @@ func TestLoadBinErrors(t *testing.T) {
 		t.Fatalf("corrupt blob status = %d", resp.StatusCode)
 	}
 	// Out-of-domain row: the whole batch must be rejected atomically.
-	err = cl.LoadBin(context.Background(), "p", [][]uint32{{1, 1}, {999, 1}}, [][]float64{{1}, {2}})
+	_, err = cl.Load(context.Background(), "p", [][]uint32{{1, 1}, {999, 1}}, [][]float64{{1}, {2}})
 	if !errors.Is(err, ErrWorkerFailed) {
 		t.Fatalf("out-of-domain batch = %v", err)
 	}
@@ -164,7 +164,7 @@ func TestLoadBinErrors(t *testing.T) {
 		t.Fatalf("rejected batch left %d rows behind", st.Rows())
 	}
 	// Ragged input is rejected client-side before any bytes move.
-	if err := cl.LoadBin(context.Background(), "p", [][]uint32{{1, 1}, {2}}, [][]float64{{1}, {2}}); err == nil {
+	if _, err := cl.Load(context.Background(), "p", [][]uint32{{1, 1}, {2}}, [][]float64{{1}, {2}}); err == nil {
 		t.Fatal("ragged batch accepted")
 	}
 }
@@ -230,7 +230,7 @@ func TestPartialGzipAndContentLength(t *testing.T) {
 		dims = append(dims, []uint32{uint32(i) % 30, uint32(i) % 20})
 		mets = append(mets, []float64{float64(i)})
 	}
-	if err := cl.LoadBin(context.Background(), "p", dims, mets); err != nil {
+	if _, err := cl.Load(context.Background(), "p", dims, mets); err != nil {
 		t.Fatal(err)
 	}
 	body := []byte(`{"partition":"p","query":{"Aggregates":[{"Func":0,"Metric":"value"}],"GroupBy":["ds","app"]}}`)
@@ -368,7 +368,7 @@ func TestStreamingMergeEqualsBarrier(t *testing.T) {
 			perWorkerMets[wi] = append(perWorkerMets[wi], mets)
 		}
 		for i := 0; i < nWorkers; i++ {
-			if err := (&Client{BaseURL: servers[i].URL}).LoadBin(context.Background(), targets[i].Partition, perWorkerDims[i], perWorkerMets[i]); err != nil {
+			if _, err := (&Client{BaseURL: servers[i].URL}).Load(context.Background(), targets[i].Partition, perWorkerDims[i], perWorkerMets[i]); err != nil {
 				t.Fatal(err)
 			}
 			if err := locals[i].InsertBatchRows(perWorkerDims[i], perWorkerMets[i]); err != nil {

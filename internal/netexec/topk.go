@@ -1,180 +1,116 @@
 // Coordinator side of distributed top-k pushdown.
 //
 // For an eligible ORDER BY <aggregate> LIMIT k query, phase 1 fans out
-// with the X-Cubrick-TopK: k′ header (k′ = TopKOverfetch × k): each worker
-// prunes its partial to the local top k′ groups and reports the threshold
-// bounding everything it did not send. The engine.TopKMerger certifies the
-// global top k from those bounds. When bounds don't certify, exactly one
-// second phase fetches the uncertain keys from the workers missing them
-// (threshold-algorithm style); when even that cannot certify — groups no
-// worker surfaced could still displace the top k — the coordinator falls
-// back to a plain full-partial fan-out, which is always correct.
+// with partialOpts.kPrime = k′ (TopKOverfetch × k; protocol.go is how it
+// travels): each worker prunes its partial to the local top k′ groups and
+// reports the threshold bounding everything it did not send. The
+// engine.TopKMerger certifies the global top k from those bounds. When
+// bounds don't certify, exactly one second phase fetches the uncertain keys
+// from the workers missing them (threshold-algorithm style); when even
+// that cannot certify — groups no worker surfaced could still displace the
+// top k — the coordinator falls back to a plain full-partial fan-out,
+// which is always correct.
 //
-// Pushdown only runs under exact failure semantics with no dual-read
-// targets: degradation drops partitions (breaking the bound math), and a
-// dual read already doubles the fetch. Workers that ignore the header
-// simply ship full partials; the certifier treats those as complete
-// contributions, so mixed fleets stay correct.
+// Pushdown only runs under exact failure semantics: degradation drops
+// partitions, breaking the bound math. Both phases are ordinary fan-outs
+// (gather), so retries, hedges and a migration's dual-read window apply to
+// them as to any other call; a dual-read answer brings the bound of the
+// placement it came from. A worker that ships a full partial without the
+// topk response headers counts as a complete contribution.
 
 package netexec
 
 import (
 	"context"
-	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"cubrick/internal/engine"
 )
 
 // topkEligible reports whether this query, under this coordinator's
-// policy, against these targets, should attempt top-k pushdown.
-func (c *Coordinator) topkEligible(targets []Target, q *engine.Query) bool {
-	if c.TopKOverfetch <= 0 {
+// policy, should attempt top-k pushdown.
+func (c *Coordinator) topkEligible(q *engine.Query) bool {
+	if c.TopKOverfetch <= 0 || !c.Policy.exact() {
 		return false
 	}
-	if _, ok := engine.TopKSpecFor(q); !ok {
-		return false
-	}
-	if !c.Policy.exact() {
-		return false
-	}
-	for _, t := range targets {
-		if len(t.Dual) > 0 {
-			return false
-		}
-	}
-	return true
+	_, ok := engine.TopKSpecFor(q)
+	return ok
 }
 
-// queryTopK runs the two-phase pushdown. handled=false means the
-// coordinator should fall back to the full fan-out (bounds could not
-// certify a top k); the phase-1 work is sunk cost, correctness is not.
-// The epochs map is non-nil only for single-phase certifications with a
-// complete epoch vector — a second phase mixes per-partition epochs, so
-// its result must not enter the result cache.
-func (c *Coordinator) queryTopK(ctx context.Context, targets []Target, q *engine.Query) (*engine.Result, map[string]uint64, bool, error) {
+// queryTopK is the top-k strategy. When the bounds cannot certify a top k
+// it hands the query to the plain strategy; the phase-1 work is sunk cost,
+// correctness is not. The epochs map is non-nil only for single-phase
+// certifications with a complete epoch vector — a second phase mixes
+// per-partition epochs, so its result must not enter the result cache.
+func (c *Coordinator) queryTopK(parent context.Context, targets []Target, q *engine.Query, base partialOpts) (*engine.Result, map[string]uint64, error) {
 	m, ok := engine.NewTopKMerger(q)
 	if !ok {
-		return nil, nil, false, nil
+		return c.queryPlain(parent, targets, q, base)
 	}
-	ctx, span := c.Tracer.StartSpan(ctx, "coordinator.topk")
+	ctx, span := c.Tracer.StartSpan(parent, "coordinator.topk")
 	kPrime := q.Limit * c.TopKOverfetch
 	span.SetAttrInt("k", int64(q.Limit))
 	span.SetAttrInt("k_prime", int64(kPrime))
 	c.count("netexec.topk.queries")
 
-	type outcome struct {
-		idx  int
-		blob []byte
-		meta partialMeta
-		err  error
-	}
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan outcome, len(targets))
+	opts := base
+	opts.kPrime = kPrime
+	phase1 := make([]call, len(targets))
 	for i, t := range targets {
-		go func(i int, t Target) {
-			pctx, pspan := c.Tracer.StartSpan(fctx, "partition")
-			pspan.SetAttr("partition", t.Partition)
-			pspan.SetAttr("topk", "phase1")
-			blob, meta, err := c.fetchResilient(pctx, t, q, partialOpts{kPrime: kPrime})
-			pspan.EndErr(err)
-			ch <- outcome{i, blob, meta, err}
-		}(i, t)
+		phase1[i] = call{t, opts}
 	}
 	// workerTarget maps the merger's worker index back to the target it
 	// came from, for second-phase routing.
 	workerTarget := make([]int, 0, len(targets))
-	epochs := make(map[string]uint64, len(targets))
-	allEpochs := true
-	for n := 0; n < len(targets); n++ {
-		o := <-ch
-		t := targets[o.idx]
-		if o.err != nil {
-			cancel()
-			c.count("netexec.query.failed")
-			span.EndErr(o.err)
-			return nil, nil, true, fmt.Errorf("%w: %s %s: %w", ErrWorkerFailed, t.URL, t.Partition, o.err)
-		}
-		if o.meta.hasEpoch {
-			epochs[t.Partition] = o.meta.epoch
-			c.ObserveEpoch(t.Partition, o.meta.epoch)
-		} else {
-			allEpochs = false
-		}
-		p, err := engine.UnmarshalPartial(q, o.blob)
+	epochs, _, err := c.gather(ctx, q, phase1, func(i int, blob []byte, meta partialMeta) error {
+		p, err := engine.UnmarshalPartial(q, blob)
 		if err != nil {
-			cancel()
-			c.count("netexec.query.failed")
-			span.EndErr(err)
-			return nil, nil, true, fmt.Errorf("%w: %s %s: %w", ErrWorkerFailed, t.URL, t.Partition, err)
+			return err
 		}
-		if o.meta.hasThreshold && p.GroupCount() > 0 {
+		if meta.hasThreshold && p.GroupCount() > 0 {
 			// Wire-savings estimate: dropped groups at the pruned blob's
 			// observed bytes-per-group rate (uncompressed).
 			c.countAdd("netexec.topk.bytes_saved",
-				int64(o.meta.dropped)*int64(len(o.blob))/int64(p.GroupCount()))
+				int64(meta.dropped)*int64(len(blob))/int64(p.GroupCount()))
 		}
-		wi, err := m.Add(p, o.meta.threshold, o.meta.hasThreshold)
+		wi, err := m.Add(p, meta.threshold, meta.hasThreshold)
 		if err != nil {
-			span.EndErr(err)
-			return nil, nil, true, err
+			return err
 		}
 		for len(workerTarget) <= wi {
 			workerTarget = append(workerTarget, 0)
 		}
-		workerTarget[wi] = o.idx
+		workerTarget[wi] = i
+		return nil
+	})
+	if err != nil {
+		span.EndErr(err)
+		return nil, nil, err
 	}
 
 	res := m.Resolve()
-	phase2 := false
-	if !res.Certified && !res.UnseenBlocked && len(res.NeedKeys) > 0 {
-		phase2 = true
+	phase2 := !res.Certified && !res.UnseenBlocked && len(res.NeedKeys) > 0
+	if phase2 {
 		c.count("netexec.topk.second_phase")
 		span.SetAttrInt("phase2_workers", int64(len(res.NeedKeys)))
-		type p2outcome struct {
-			worker int
-			keys   []string
-			blob   []byte
-			err    error
-		}
-		p2ch := make(chan p2outcome, len(res.NeedKeys))
+		workers := make([]int, 0, len(res.NeedKeys))
+		calls := make([]call, 0, len(res.NeedKeys))
 		for wi, keys := range res.NeedKeys {
-			go func(wi int, keys []string) {
-				t := targets[workerTarget[wi]]
-				hexKeys := make([]string, len(keys))
-				for i, k := range keys {
-					hexKeys[i] = hex.EncodeToString([]byte(k))
-				}
-				pctx, pspan := c.Tracer.StartSpan(fctx, "partition")
-				pspan.SetAttr("partition", t.Partition)
-				pspan.SetAttr("topk", "phase2")
-				pspan.SetAttrInt("keys", int64(len(keys)))
-				blob, _, err := c.fetchResilient(pctx, t, q, partialOpts{keys: hexKeys})
-				pspan.EndErr(err)
-				p2ch <- p2outcome{wi, keys, blob, err}
-			}(wi, keys)
+			opts := base
+			opts.keys = keys
+			workers = append(workers, wi)
+			calls = append(calls, call{targets[workerTarget[wi]], opts})
 		}
-		for n := 0; n < cap(p2ch); n++ {
-			o := <-p2ch
-			t := targets[workerTarget[o.worker]]
-			if o.err != nil {
-				cancel()
-				c.count("netexec.query.failed")
-				span.EndErr(o.err)
-				return nil, nil, true, fmt.Errorf("%w: %s %s: %w", ErrWorkerFailed, t.URL, t.Partition, o.err)
-			}
-			p, err := engine.UnmarshalPartial(q, o.blob)
+		_, _, err := c.gather(ctx, q, calls, func(i int, blob []byte, _ partialMeta) error {
+			p, err := engine.UnmarshalPartial(q, blob)
 			if err != nil {
-				cancel()
-				c.count("netexec.query.failed")
-				span.EndErr(err)
-				return nil, nil, true, fmt.Errorf("%w: %s %s: %w", ErrWorkerFailed, t.URL, t.Partition, err)
+				return err
 			}
-			if err := m.AddResolved(o.worker, p, o.keys); err != nil {
-				span.EndErr(err)
-				return nil, nil, true, err
-			}
+			return m.AddResolved(workers[i], p, calls[i].opts.keys)
+		})
+		if err != nil {
+			span.EndErr(err)
+			return nil, nil, err
 		}
 		res = m.Resolve()
 	}
@@ -185,22 +121,15 @@ func (c *Coordinator) queryTopK(ctx context.Context, targets []Target, q *engine
 		c.count("netexec.topk.fallback")
 		span.SetAttr("outcome", "fallback")
 		span.End()
-		return nil, nil, false, nil
+		return c.queryPlain(parent, targets, q, base)
 	}
 	c.count("netexec.topk.certified")
 	span.SetAttr("outcome", "certified")
-	span.SetAttr("phase2", boolStr(phase2))
+	span.SetAttr("phase2", strconv.FormatBool(phase2))
 	final := res.Result.Finalize()
 	span.End()
-	if phase2 || !allEpochs {
+	if phase2 {
 		epochs = nil
 	}
-	return final, epochs, true, nil
-}
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
+	return final, epochs, nil
 }

@@ -274,8 +274,8 @@ const maxCatchupAttempts = 4
 func (t *Table) catchUpLocked(st *brick.Store) (uint64, error) {
 	for attempt := 0; attempt < maxCatchupAttempts; attempt++ {
 		// genSet=false means the current marks are not known to describe
-		// this store (fresh table, standalone-installed snapshot, or a
-		// mid-visit import) — start from scratch. A no-op on empty tables.
+		// this store (fresh table, or a mid-visit import) — start from
+		// scratch. A no-op on empty tables.
 		if g := st.Generation(); !t.genSet || g != t.gen {
 			t.resetLocked()
 			t.gen, t.genSet = g, true

@@ -1,7 +1,6 @@
 package rollup
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -271,142 +270,5 @@ func TestIngestObserverKeepsTableFresh(t *testing.T) {
 	}
 	if s := tbl.Stats(); s.FoldedRows != 1 {
 		t.Fatalf("FoldedRows = %d, want 1", s.FoldedRows)
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	tbl, st := newTestTable(t), newTestStore(t)
-	for ds := uint32(0); ds < 10; ds++ {
-		insert(t, st, ds, ds%3, ds%5, float64(ds)*2, float64(10-ds))
-	}
-	if _, err := tbl.CatchUp(st); err != nil {
-		t.Fatal(err)
-	}
-	blob := tbl.EncodeSnapshot()
-
-	// Bound to the same store: the marks stay valid, no rebuild needed.
-	t2 := newTestTable(t)
-	if err := t2.InstallSnapshot(blob, st); err != nil {
-		t.Fatal(err)
-	}
-	if !groupsEqual(collect(t, tbl), collect(t, t2)) {
-		t.Fatal("snapshot round trip changed group state")
-	}
-	if t2.CoveredEpoch() != tbl.CoveredEpoch() {
-		t.Fatal("snapshot round trip changed covered epoch")
-	}
-	if _, err := t2.CatchUp(st); err != nil {
-		t.Fatal(err)
-	}
-	if s := t2.Stats(); s.Rebuilds != 0 || s.FoldedRows != 0 {
-		t.Fatalf("store-bound install refolded: %+v", s)
-	}
-
-	// Standalone install: the next catch-up cannot trust the marks and
-	// rebuilds from scratch, converging to the same state.
-	t3 := newTestTable(t)
-	if err := t3.InstallSnapshot(blob, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t3.CatchUp(st); err != nil {
-		t.Fatal(err)
-	}
-	if !groupsEqual(collect(t, tbl), collect(t, t3)) {
-		t.Fatal("standalone install + rebuild diverged")
-	}
-}
-
-func TestDeltaEncodeApply(t *testing.T) {
-	tbl, st := newTestTable(t), newTestStore(t)
-	for ds := uint32(0); ds < 6; ds++ {
-		insert(t, st, ds, 1, ds, float64(ds), 1)
-	}
-	info, err := tbl.Serve(st, 0, 32, func(*Group) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := info.Marks
-	snap := tbl.EncodeSnapshot()
-
-	// More ingest after the snapshot.
-	for ds := uint32(0); ds < 9; ds++ {
-		insert(t, st, ds, ds%2, 7, float64(ds)*3, 2)
-	}
-	delta, err := tbl.EncodeDeltaSince(st, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A receiver holding the snapshot extends it with the delta and lands
-	// on the same state as a full catch-up.
-	recv := newTestTable(t)
-	if err := recv.InstallSnapshot(snap, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := recv.ApplyDelta(delta); err != nil {
-		t.Fatal(err)
-	}
-	full := newTestTable(t)
-	if _, err := full.CatchUp(st); err != nil {
-		t.Fatal(err)
-	}
-	if !groupsEqual(collect(t, full), collect(t, recv)) {
-		t.Fatal("snapshot+delta diverged from full catch-up")
-	}
-
-	// The same delta cannot apply twice: its base no longer matches.
-	if err := recv.ApplyDelta(delta); !errors.Is(err, ErrDeltaMismatch) {
-		t.Fatalf("second apply: got %v, want ErrDeltaMismatch", err)
-	}
-}
-
-func TestCodecRejections(t *testing.T) {
-	tbl, st := newTestTable(t), newTestStore(t)
-	insert(t, st, 1, 1, 1, 1, 1)
-	insert(t, st, 9, 2, 3, 4, 5)
-	if _, err := tbl.CatchUp(st); err != nil {
-		t.Fatal(err)
-	}
-	blob := tbl.EncodeSnapshot()
-
-	fresh := func() *Table { return newTestTable(t) }
-	if err := fresh().InstallSnapshot(nil, nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("nil blob: %v", err)
-	}
-	bad := append([]byte(nil), blob...)
-	bad[0] = 'X'
-	if err := fresh().InstallSnapshot(bad, nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad magic: %v", err)
-	}
-	// Truncation at every prefix must fail cleanly, never panic.
-	for n := 0; n < len(blob); n++ {
-		if err := fresh().InstallSnapshot(blob[:n], nil); err == nil {
-			t.Fatalf("truncated blob of %d bytes accepted", n)
-		}
-	}
-	// Trailing garbage is rejected.
-	if err := fresh().InstallSnapshot(append(append([]byte(nil), blob...), 0xFF), nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("trailing bytes: %v", err)
-	}
-	// A snapshot cannot apply as a delta and vice versa.
-	if err := fresh().ApplyDelta(blob); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("snapshot as delta: %v", err)
-	}
-	// Shape mismatch: a different bucket width is not mergeable data.
-	other, err := New(testSchema, Config{TimeDim: "ds", Bucket: 8, Dims: []string{"region"}, DistinctDims: []string{"app"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.InstallSnapshot(blob, nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("shape mismatch: %v", err)
-	}
-	// Epoch regression: a table that advanced past the blob refuses it.
-	adv := fresh()
-	insert(t, st, 2, 1, 1, 1, 1)
-	if _, err := adv.CatchUp(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := adv.InstallSnapshot(blob, nil); !errors.Is(err, ErrEpochRegression) {
-		t.Fatalf("epoch regression: %v", err)
 	}
 }

@@ -59,6 +59,38 @@ fi
 WORKER_SRC="$(ls internal/netexec/*.go internal/cubrick/*.go internal/partition/*.go | grep -v _test.go)"
 echo "internal/netexec + internal/cubrick + internal/partition non-test lines: $(cat $WORKER_SRC | wc -l)"
 
+# One fan-out (PR 19): Coordinator.gather is the only goroutine-per-target
+# loop and calls the one fetchPartition; fetchResilient is reached through
+# it only; protocol.go is the only non-test file that spells the /partial
+# request body or its top-k headers; and the networked plane does not
+# import the in-process one.
+echo "== one fan-out"
+NETEXEC_SRC="$(ls internal/netexec/*.go | grep -v _test.go)"
+SITES="$(cat $NETEXEC_SRC | grep -v '^func ' | grep -c 'fetchPartition(' || true)"
+if [ "$SITES" != 1 ]; then
+    echo "one fan-out: $SITES call sites of fetchPartition( in non-test internal/netexec, want exactly 1:"
+    grep -n 'fetchPartition(' $NETEXEC_SRC
+    exit 1
+fi
+OUTSIDE="$(cat $NETEXEC_SRC | awk '/^func \(c \*Coordinator\) fetchPartition\(/ { inside = 1 } /^}/ { inside = 0 } !inside && !/^func / && /fetchResilient\(/' | wc -l)"
+if [ "$OUTSIDE" != 0 ]; then
+    echo "one fan-out: fetchResilient( is called outside fetchPartition:"
+    grep -n 'fetchResilient(' $NETEXEC_SRC
+    exit 1
+fi
+for LITERAL in 'X-Cubrick-TopK' 'topk_keys'; do
+    FILES="$(grep -lF "$LITERAL" $NETEXEC_SRC | tr '\n' ' ')"
+    if [ "$FILES" != "internal/netexec/protocol.go " ]; then
+        echo "one fan-out: $LITERAL appears in [ $FILES], want internal/netexec/protocol.go only"
+        exit 1
+    fi
+done
+if go list -f '{{join .Imports "\n"}}' ./internal/netexec | grep -q 'internal/cubrick$'; then
+    echo "one fan-out: internal/netexec imports internal/cubrick again"
+    exit 1
+fi
+echo "internal/netexec non-test lines: $(cat $NETEXEC_SRC | wc -l)"
+
 echo "== go build ./..."
 go build ./...
 
@@ -109,9 +141,6 @@ go test -run '^$' -fuzz '^FuzzTransfer$' -fuzztime 10s ./internal/brick
 
 echo "== fuzz smoke (global dictionary delta codec, 10s)"
 go test -run '^$' -fuzz '^FuzzGlobalDict$' -fuzztime 10s ./internal/dict
-
-echo "== fuzz smoke (rollup snapshot/delta codec, 10s)"
-go test -run '^$' -fuzz '^FuzzSnapshotCodec$' -fuzztime 10s ./internal/rollup
 
 echo "== fuzz smoke (brick column decoders, 5s each)"
 go test -run '^$' -fuzz '^FuzzDecodeDimColumn$' -fuzztime 5s ./internal/brick
