@@ -351,8 +351,8 @@ func (b *Brick) visitBatch(proj *Projection, fn func(*Batch) error) error {
 // visitBatchEpoch is visitBatch plus exact epoch observation: the returned
 // epoch is read under the same b.mu critical section as the data, so it is
 // precisely the ingest state the callback saw — the property worker-side
-// caches key on. decoded reports whether a transient column decode was paid
-// (false on raw bricks and decoded-cache hits).
+// caches key on. decoded reports whether the blob was walked (false on raw
+// bricks and on visits the decoded cache served without it).
 func (b *Brick) visitBatchEpoch(proj *Projection, fn func(*Batch) error) (epoch uint64, decoded bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -365,45 +365,60 @@ func (b *Brick) visitBatchEpoch(proj *Projection, fn func(*Batch) error) (epoch 
 		return epoch, false, fn(&batch)
 	}
 
-	// Decoded-column cache: serve an earlier decode of this exact
-	// (brick generation, epoch, projection) if one is pinned. The key
-	// carries the epoch, so an ingest into the brick simply orphans old
-	// entries — they age out of the LRU without any explicit purge.
+	sc := visitPool.Get().(*visitScratch)
+	defer visitPool.Put(sc)
 	dc := b.dcache.load()
-	useCache := dc != nil && (proj == nil || !proj.NoCache)
-	var cacheKey string
-	if useCache {
-		cacheKey = dcacheKey(b.uid, epoch, proj)
-		if batch, ok := dc.get(cacheKey, b.hotness); ok {
-			return epoch, false, fn(batch)
+	if dc == nil || (proj != nil && proj.NoCache) {
+		batch, err := b.decodeLocked(proj, sc, sc)
+		if err != nil {
+			return epoch, false, err
 		}
+		return epoch, true, fn(batch)
 	}
 
-	var sc *visitScratch
-	if useCache {
-		// The decode is headed for the cache: use owned buffers, not the
-		// pool — pooled scratch would be recycled under the cached batch.
-		sc = &visitScratch{}
+	// Decoded-column cache: this (brick generation, epoch)'s one entry holds
+	// a slot per column decoded so far, whichever projection asked first.
+	// The key carries the epoch, so an ingest into the brick simply orphans
+	// the old entry — it ages out of the LRU without any explicit purge.
+	key := dcacheKey(b.uid, epoch)
+	nDims, nMetrics := len(b.dims), len(b.metrics)
+	ent, fresh := dc.get(key, b.hotness), false
+	if ent == nil {
+		ent, fresh = newDecodedBrick(nDims, nMetrics, b.rows), true
+	}
+	if miss := ent.missing(proj, sc); miss != nil {
+		// Walk the blob for the missing slots only, into buffers the entry
+		// will own: pooled scratch would be recycled under it. The inflate
+		// buffer is read during the walk and not after, so that one is sc's.
+		got, err := b.decodeLocked(miss, sc, &visitScratch{})
+		if err != nil {
+			return epoch, false, err
+		}
+		ent.adopt(got)
+		decoded = true
+	}
+	view := sc.prepare(nDims, nMetrics)
+	if grew := ent.view(proj, view); fresh || decoded || grew {
+		dc.put(key, ent, b.hotness)
 	} else {
-		sc = visitPool.Get().(*visitScratch)
-		defer visitPool.Put(sc)
+		dc.hit()
 	}
+	return epoch, decoded, fn(view)
+}
+
+// decodeLocked walks the brick's blob once, decoding the columns proj
+// references into cols' buffers; an evicted blob is inflated into infl's
+// buffer first. Caller holds b.mu.
+func (b *Brick) decodeLocked(proj *Projection, infl, cols *visitScratch) (*Batch, error) {
 	start := time.Now()
-	data, _, err := b.blobLocked(sc)
+	data, _, err := b.blobLocked(infl)
 	if err != nil {
-		return epoch, false, err
+		return nil, err
 	}
-	batch, err := decodeBlobInto(data, len(b.dims), len(b.metrics), b.rows, proj, sc)
+	batch, err := decodeBlobInto(data, len(b.dims), len(b.metrics), b.rows, proj, cols)
 	if err != nil {
-		return epoch, false, err
+		return nil, err
 	}
 	b.obs.observeDecode(time.Since(start))
-	if useCache {
-		// The decode copies values out of the blob bytes, so the batch
-		// does not reference sc's inflate buffer; drop it before pinning
-		// so a cached evicted-brick batch costs only its decoded columns.
-		sc.inflate = nil
-		dc.put(cacheKey, batch, b.hotness)
-	}
-	return epoch, true, fn(batch)
+	return batch, nil
 }

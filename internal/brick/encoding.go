@@ -718,6 +718,12 @@ func expandRuns(runs []Run, out []uint32) {
 	}
 }
 
+func expandCodes(codes, dict, out []uint32) {
+	for i, c := range codes {
+		out[i] = dict[c]
+	}
+}
+
 func decodeDimDelta(payload []byte, rows int, out []uint32) error {
 	// Every zigzag varint is ≥ 1 byte, so rows > len(payload) is corrupt.
 	if rows > len(payload) {
@@ -931,6 +937,8 @@ type visitScratch struct {
 	codeBufs [][]uint32
 	inflate  []byte
 	batch    Batch
+	// miss is the decoded cache's "columns still to decode" projection.
+	miss Projection
 }
 
 var visitPool = sync.Pool{New: func() any { return &visitScratch{} }}
@@ -1151,9 +1159,7 @@ func decodeBlobInto(data []byte, nDims, nMetrics, expectRows int, proj *Projecti
 				continue
 			}
 			out := sc.dimBuf(i, rows)
-			for j, c := range codes {
-				out[j] = dict[c]
-			}
+			expandCodes(codes, dict, out)
 			batch.Dims[i] = out
 		default:
 			return nil, fmt.Errorf("brick: unknown dim encoding %d", enc)

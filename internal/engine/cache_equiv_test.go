@@ -212,3 +212,90 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 		t.Fatalf("final count %v, want %d", got, batches*batchRows)
 	}
 }
+
+// TestDecodedCacheShapeSequenceEquivalence drives one compressed store with
+// a long random sequence of query shapes — the ad-hoc traffic whose
+// projections all share a brick's one decoded-cache entry — under a budget
+// small enough that entries are evicted and rebuilt mid-sequence. With the
+// brick-partial cache off every brick visit goes through the decoded cache,
+// and every answer must be bit-identical to the cache-bypassed run.
+func TestDecodedCacheShapeSequenceEquivalence(t *testing.T) {
+	schema := brick.Schema{
+		Dimensions: []brick.Dimension{
+			{Name: "ds", Max: 64, Buckets: 8},
+			{Name: "region", Max: 8, Buckets: 2},
+			{Name: "app", Max: 256, Buckets: 4},
+		},
+		Metrics: []brick.Metric{{Name: "value"}, {Name: "samples"}},
+	}
+	s, err := brick.NewStore(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := randutil.New(25)
+	const rows = 20000
+	for r := 0; r < rows; r++ {
+		dims := []uint32{uint32(r * 64 / rows), uint32(rnd.Intn(8)), uint32(rnd.Intn(16)) * 16}
+		if err := s.Insert(dims, []float64{float64(rnd.Intn(1<<16)) / 4, float64(1 + rnd.Intn(3))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Everything encoded; then a scan heats the older half of the table and
+	// the half it left cold is evicted behind flate as well.
+	s.DecayHotness(0)
+	if _, err := s.CompactOnce(brick.CompactionConfig{EncodeBelow: 1}); err != nil {
+		t.Fatal(err)
+	}
+	heat := &Query{Aggregates: []Aggregate{{Func: Count}}, Filter: map[string][2]uint32{"ds": {0, 31}}}
+	if _, _, err := runUnshared(s, heat, 0, Opts{NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.CompactOnce(brick.CompactionConfig{EvictBelow: 1}); err != nil || st.Evicted == 0 || st.Evicted == s.BrickCount() {
+		t.Fatalf("evicted %d of %d bricks (err %v), want a mix of tiers", st.Evicted, s.BrickCount(), err)
+	}
+	// A quarter of the fully decoded table: whole-brick entries keep
+	// falling out while the sequence revisits them.
+	dc := brick.NewDecodedCache(rows * schema.RowBytes() / 4)
+	s.SetDecodedCache(dc)
+	cached := NewScheduler(s, SchedulerConfig{})
+
+	aggFuncs := []AggFunc{Sum, Count, Min, Max, Avg, CountDistinct}
+	for i := 0; i < 150; i++ {
+		q := &Query{}
+		for a, n := 0, 1+rnd.Intn(3); a < n; a++ {
+			agg := Aggregate{Func: aggFuncs[rnd.Intn(len(aggFuncs))]}
+			if agg.Func == CountDistinct {
+				agg.Metric = schema.Dimensions[rnd.Intn(3)].Name
+			} else if agg.Func != Count {
+				agg.Metric = schema.Metrics[rnd.Intn(2)].Name
+			}
+			q.Aggregates = append(q.Aggregates, agg)
+		}
+		for _, d := range rnd.Perm(3)[:rnd.Intn(3)] {
+			q.GroupBy = append(q.GroupBy, schema.Dimensions[d].Name)
+		}
+		for _, d := range rnd.Perm(3)[:rnd.Intn(3)] {
+			dim := schema.Dimensions[d]
+			lo := uint32(rnd.Intn(int(dim.Max)))
+			if q.Filter == nil {
+				q.Filter = map[string][2]uint32{}
+			}
+			q.Filter[dim.Name] = [2]uint32{lo, lo + uint32(rnd.Intn(int(dim.Max-lo)))}
+		}
+		coldP, _, err := runUnshared(s, q, 0, Opts{NoCache: true})
+		if err != nil {
+			t.Fatalf("query %d cold: %v", i, err)
+		}
+		p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
+		if err != nil {
+			t.Fatalf("query %d cached: %v", i, err)
+		}
+		if err := resultsEqual(normalizeDecomp(coldP.Finalize()), normalizeDecomp(p.Finalize())); err != nil {
+			t.Fatalf("query %d (%+v) cached vs cold: %v", i, q, err)
+		}
+	}
+	st := dc.Stats()
+	if st.Evictions == 0 || st.Hits == 0 || st.Entries > s.BrickCount() {
+		t.Fatalf("want evictions and hits over at most %d entries, got %+v", s.BrickCount(), st)
+	}
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sort"
+	"sync"
 
 	"cubrick/internal/brick"
 )
@@ -102,7 +103,9 @@ type encScratch struct {
 	sel []int32
 }
 
-func newEncScratch() *encScratch { return &encScratch{sel: make([]int32, 0, 1024)} }
+// encScratchPool recycles scratch across pass workers: one is taken per
+// worker per pass, and a 16-partition query starts 32 of them.
+var encScratchPool = sync.Pool{New: func() any { return &encScratch{sel: make([]int32, 0, 1024)} }}
 
 func (es *encScratch) keyBuf(k int) []uint32 {
 	if cap(es.keys) < k {

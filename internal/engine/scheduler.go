@@ -379,7 +379,8 @@ func (p *scanPass) run() {
 // claiming once the tasks run out, a visit fails, or no live subscriber
 // remains (every caller cancelled).
 func (p *scanPass) work() {
-	es := newEncScratch()
+	es := encScratchPool.Get().(*encScratch)
+	defer encScratchPool.Put(es)
 	var subs []*foldSub
 	for {
 		p.mu.Lock()

@@ -286,7 +286,13 @@ type gzipBuf struct {
 	zw  *gzip.Writer
 }
 
-var gzipPool = sync.Pool{New: func() any { return &gzipBuf{zw: gzip.NewWriter(nil)} }}
+var gzipPool = sync.Pool{New: func() any {
+	// BestSpeed: level-6 deflate was a tenth of worker CPU on the scan and
+	// fan-out workloads, and loopback/LAN bytes are cheaper than that. The
+	// only error NewWriterLevel has is an invalid level.
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
+	return &gzipBuf{zw: zw}
+}}
 
 // servePartial executes one partial request. On failure it returns the
 // HTTP status to send with the error; on success it writes the response

@@ -2,8 +2,10 @@
 // caches of the query path: the engine's per-brick partial cache and the
 // storage layer's decoded-column cache. It is deliberately generic — keys
 // are strings the owner derives (fold key + brick epoch, or brick
-// generation + epoch + projection), values are opaque, and the owner
-// decides the byte cost of each entry.
+// generation + epoch), values are opaque, and the owner decides the byte
+// cost of each entry — and may raise it: an owner whose entries grow in
+// place (the decoded-column cache adds column slots to a brick's entry)
+// re-prices one by putting it again under the same key.
 //
 // Eviction is recency-ordered but heat-aware: when over budget the cache
 // examines a bounded window of the least-recently-used entries and evicts
@@ -73,51 +75,94 @@ func (c *Cache) SetMetrics(reg *metrics.Registry, prefix string) {
 	c.entriesG = reg.Gauge(prefix + ".entries")
 }
 
-// Get returns the value under key, refreshing its recency and heat. The
-// heat argument is the caller's current hotness signal for the entry's
-// underlying data (0 when unknown); the entry keeps the freshest value so
-// eviction ranks entries by how hot their data is now, not at fill time.
+// Get returns the value under key, refreshing its recency and heat, and
+// counts the lookup as a hit or a miss. The heat argument is the caller's
+// current hotness signal for the entry's underlying data (0 when unknown);
+// the entry keeps the freshest value so eviction ranks entries by how hot
+// their data is now, not at fill time.
 func (c *Cache) Get(key string, heat float64) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	v, ok := c.peekLocked(key, heat)
+	c.countLocked(ok)
+	return v, ok
+}
+
+// Peek is Get without the hit/miss accounting, for owners whose entries
+// can be present yet not hold what the lookup needs: they inspect the
+// value and settle the outcome themselves with Count.
+func (c *Cache) Peek(key string, heat float64) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.peekLocked(key, heat)
+}
+
+// Count records the outcome of one Peek-based lookup.
+func (c *Cache) Count(hit bool) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.countLocked(hit)
+}
+
+func (c *Cache) peekLocked(key string, heat float64) (any, bool) {
 	el, ok := c.byKey[key]
 	if !ok {
-		c.misses++
-		if c.missC != nil {
-			c.missC.Inc()
-		}
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
 	e := el.Value.(*entry)
 	e.heat = heat
-	c.hits++
-	if c.hitC != nil {
-		c.hitC.Inc()
-	}
 	return e.value, true
+}
+
+func (c *Cache) countLocked(hit bool) {
+	if hit {
+		c.hits++
+		if c.hitC != nil {
+			c.hitC.Inc()
+		}
+		return
+	}
+	c.misses++
+	if c.missC != nil {
+		c.missC.Inc()
+	}
 }
 
 // Put inserts (or replaces) key with a value costing bytes, evicting
 // coldest-of-the-oldest entries until the budget holds. Entries larger
-// than the whole budget are rejected rather than wiping the cache.
+// than the whole budget are rejected rather than wiping the cache — and
+// dropped if already resident, so an entry that outgrew the budget is not
+// kept at its old price.
 func (c *Cache) Put(key string, v any, bytes int64, heat float64) {
-	if c == nil || bytes > c.max {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
+	el, ok := c.byKey[key]
+	switch {
+	case bytes > c.max:
+		if !ok {
+			return
+		}
+		c.removeLocked(el)
+	case ok:
 		e := el.Value.(*entry)
 		c.bytes += bytes - e.bytes
 		e.value, e.bytes, e.heat = v, bytes, heat
 		c.lru.MoveToFront(el)
-	} else {
-		el := c.lru.PushFront(&entry{key: key, value: v, bytes: bytes, heat: heat})
-		c.byKey[key] = el
+	default:
+		c.byKey[key] = c.lru.PushFront(&entry{key: key, value: v, bytes: bytes, heat: heat})
 		c.bytes += bytes
 	}
 	for c.bytes > c.max {
@@ -141,8 +186,13 @@ func (c *Cache) evictColdest() {
 			victim, coldest = el, e.heat
 		}
 	}
-	e := victim.Value.(*entry)
-	c.lru.Remove(victim)
+	c.removeLocked(victim)
+}
+
+// removeLocked drops one entry and counts it as an eviction.
+func (c *Cache) removeLocked(el *list.Element) {
+	e := el.Value.(*entry)
+	c.lru.Remove(el)
 	delete(c.byKey, e.key)
 	c.bytes -= e.bytes
 	c.evictions++

@@ -85,6 +85,46 @@ func TestOversizedEntryRejected(t *testing.T) {
 	}
 }
 
+// An owner whose entries grow in place re-prices them with Put, settles
+// hit or miss itself (Peek does not count), and an entry that outgrows the
+// whole budget leaves the cache instead of staying at its old price.
+func TestPeekCountAndRegrow(t *testing.T) {
+	c := New(1000)
+	var nilCache *Cache
+	nilCache.Count(true)
+	if _, ok := nilCache.Peek("k", 0); ok {
+		t.Fatal("nil cache peek hit")
+	}
+	if _, ok := c.Peek("k", 0); ok {
+		t.Fatal("empty cache peek hit")
+	}
+	c.Put("k", "v", 100, 0)
+	c.Put("other", "v", 100, 0)
+	if v, ok := c.Peek("k", 3); !ok || v.(string) != "v" {
+		t.Fatalf("peek: %v %v", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Peek counted: %+v", st)
+	}
+	c.Count(true)
+	c.Count(false)
+	c.Count(false)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("Count: %+v", st)
+	}
+	c.Put("k", "v", 950, 3) // grew: "other" has to go
+	if st := c.Stats(); st.Bytes != 950 || st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("after regrow: %+v", st)
+	}
+	c.Put("k", "v", 1001, 3) // outgrew the budget
+	if _, ok := c.Peek("k", 0); ok {
+		t.Fatal("outgrown entry still resident")
+	}
+	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Evictions != 2 {
+		t.Fatalf("after outgrowing: %+v", st)
+	}
+}
+
 func TestHeatAwareEviction(t *testing.T) {
 	c := New(300)
 	// Hot entry inserted first (LRU tail), cold ones after.

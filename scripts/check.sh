@@ -91,6 +91,21 @@ if go list -f '{{join .Imports "\n"}}' ./internal/netexec | grep -q 'internal/cu
 fi
 echo "internal/netexec non-test lines: $(cat $NETEXEC_SRC | wc -l)"
 
+# One decoded copy per brick (PR 25): the decoded-column cache holds one
+# entry per (brick generation, epoch) with a slot per column, shared by
+# every projection. Keyed per projection shape it held ~9 copies of each
+# brick under ad-hoc traffic and evicted on one visit in five; the key must
+# not grow a projection again. The test itself runs after the build.
+echo "== one decoded copy per brick"
+if ! grep -q '^func dcacheKey(' internal/brick/dcache.go; then
+    echo "one decoded copy per brick: dcacheKey is gone from internal/brick/dcache.go; point this check at its successor"
+    exit 1
+fi
+if grep -n '^func dcacheKey(.*Projection' internal/brick/dcache.go; then
+    echo "one decoded copy per brick: the decoded-cache key takes a projection again (see above)"
+    exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -105,6 +120,10 @@ go test -race ./internal/engine ./internal/brick ./internal/cubrick ./internal/n
     ./internal/trace ./internal/metrics ./internal/admission ./internal/workload \
     ./internal/rescache ./internal/scancache ./internal/migrate ./internal/dict ./internal/cql \
     ./internal/rollup ./internal/partition
+
+echo "== one decoded copy per brick: every shape served from the brick's one entry (-race)"
+go test -race -count=1 -run 'TestDecodedCacheOneEntryPerBrick|TestDecodedCacheConcurrentVisitors' ./internal/brick
+go test -race -count=1 -run 'TestDecodedCacheShapeSequenceEquivalence' ./internal/engine
 
 echo "== rollup/top-k equivalence under concurrent ingest (-race)"
 go test -race -count=1 -run 'TestRealtimeEquivalence' ./internal/engine
