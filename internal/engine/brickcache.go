@@ -28,10 +28,10 @@ import (
 // collision admits one early — but it only decides whether to store, never
 // what a lookup returns: hits are matched on the complete key.
 //
-// Entries are deep-cloned on both put and get: the engine's combiners take
-// ownership of the group pointers they merge and mutate the aliased cells
-// on later merges, so a shared snapshot would be corrupted the second time
-// it was consumed. One cache may serve several stores; CacheScope in
+// Entries are deep-cloned on both put and get: combining a brick's slab
+// hands its cells (and sketches) to the combiner, which mutates them on
+// later merges, so a shared snapshot would be corrupted the second time it
+// was consumed. One cache may serve several stores; CacheScope in
 // SchedulerConfig keeps their keys apart.
 //
 // A nil *BrickCache is valid and never hits.
@@ -73,33 +73,33 @@ func (bc *BrickCache) Stats() scancache.Stats {
 	return bc.c.Stats()
 }
 
-// brickCacheEntry is one cached per-task snapshot: the accumulator plus
-// the row count the scan would have reported (needed so a cache hit keeps
-// Partial.RowsScanned bit-identical to a cold run).
+// brickCacheEntry is one cached per-task snapshot: the brick's sealed
+// groups plus the row count the scan would have reported (needed so a
+// cache hit keeps Partial.RowsScanned bit-identical to a cold run).
 type brickCacheEntry struct {
-	acc  accumulator
+	slab groupSlab
 	rows int64
 }
 
 // get returns a private deep copy of the snapshot under the key, safe for
 // the caller to merge into its combiner.
-func (bc *BrickCache) get(scope, foldKey string, brickID, epoch uint64) (accumulator, int64, bool) {
+func (bc *BrickCache) get(scope, foldKey string, brickID, epoch uint64) (groupSlab, int64, bool) {
 	if bc == nil {
-		return nil, 0, false
+		return groupSlab{}, 0, false
 	}
 	v, ok := bc.c.Get(brickCacheKey(scope, foldKey, brickID, epoch), 0)
 	if !ok {
-		return nil, 0, false
+		return groupSlab{}, 0, false
 	}
 	e := v.(*brickCacheEntry)
-	return e.acc.clone(), e.rows, true
+	return e.slab.clone(), e.rows, true
 }
 
-// put offers the accumulator for caching under the key. The first offer of
-// a key only marks the doorkeeper; a later one snapshots the accumulator
-// (deep copy — the caller is about to merge and thereby mutate the
+// put offers a brick's sealed slab for caching under the key. The first
+// offer of a key only marks the doorkeeper; a later one snapshots the slab
+// (deep copy — the caller is about to combine and thereby mutate the
 // original) and stores it.
-func (bc *BrickCache) put(scope, foldKey string, brickID, epoch uint64, acc accumulator, rows int64) {
+func (bc *BrickCache) put(scope, foldKey string, brickID, epoch uint64, slab *groupSlab, rows int64) {
 	if bc == nil {
 		return
 	}
@@ -108,8 +108,8 @@ func (bc *BrickCache) put(scope, foldKey string, brickID, epoch uint64, acc accu
 		return
 	}
 	key := brickCacheKey(scope, foldKey, brickID, epoch)
-	snap := acc.clone()
-	bc.c.Put(key, &brickCacheEntry{acc: snap, rows: rows}, snap.memBytes()+int64(len(key))+64, 0)
+	snap := slab.clone()
+	bc.c.Put(key, &brickCacheEntry{slab: snap, rows: rows}, snap.memBytes()+int64(len(key))+64, 0)
 }
 
 // doorHash hashes the key's parts without building the key string, so a

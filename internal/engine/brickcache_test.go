@@ -6,24 +6,25 @@ import (
 	"testing"
 )
 
-// testAcc returns a small real accumulator: one brick's worth of a grouped
+// testAcc returns a small real sealed slab: one brick's worth of a grouped
 // sum over loadStore's schema.
-func testAcc(t testing.TB) accumulator {
+func testAcc(t testing.TB) *groupSlab {
 	t.Helper()
 	c, err := compile(testSchema(), &Query{
 		Aggregates: []Aggregate{{Func: Sum, Metric: "events"}}, GroupBy: []string{"app"}}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := newAccumulator(c)
+	var ks kernelSet
+	acc := ks.pick(c, c.domain)
 	acc.observeBatch([][]uint32{{0, 1, 1}, {3, 4, 4}}, [][]float64{{1, 2, 4}, {0, 0, 0}}, 3, nil)
-	return acc
+	slab := acc.slab().seal()
+	return &slab
 }
 
-func accSum(t *testing.T, acc accumulator) float64 {
+func accSum(t *testing.T, slab groupSlab) float64 {
 	t.Helper()
-	p := NewPartial(&Query{Aggregates: []Aggregate{{Func: Sum, Metric: "events"}}, GroupBy: []string{"app"}})
-	acc.addTo(p)
+	p := slab.partial(&Query{Aggregates: []Aggregate{{Func: Sum, Metric: "events"}}, GroupBy: []string{"app"}})
 	var sum float64
 	for _, row := range p.Finalize().Rows {
 		sum += row[len(row)-1]
@@ -57,7 +58,9 @@ func TestBrickCacheSecondTouchAdmission(t *testing.T) {
 		t.Fatalf("third lookup: ok=%v rows=%d sum=%v, want hit, 3 rows, sum 7", ok, rows, accSum(t, got))
 	}
 	// The hit is a private copy: consuming it must not corrupt the entry.
-	got.mergeFrom(testAcc(t))
+	for i := range got.cells {
+		got.cells[i].merge(got.cells[i])
+	}
 	if again, _, _ := bc.get("p0", "fold", 7, 3); accSum(t, again) != 7 {
 		t.Fatal("cached snapshot was mutated through a returned copy")
 	}

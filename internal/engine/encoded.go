@@ -11,18 +11,15 @@ import (
 // structure, and compiled filter skippers that evaluate a predicate once
 // per RLE run or dictionary code instead of per row.
 //
-// Fully covered bricks dispatch through prepareFull/observeFull: the batch
-// is classified once per visit (so folded passes pay the classification and
-// any scratch materialization a single time regardless of subscriber
-// count), then each subscriber's kernel consumes the same view:
+// Fully covered bricks dispatch through observeFull, once per visit
+// whatever the subscriber count, on the shape the grouped columns arrived
+// in:
 //
-//   - one grouped dimension as runs/codes: the PR-5 observeRuns/observeCodes
-//     kernels, unchanged
 //   - every grouped dimension as runs: k-wise run intersection into maximal
 //     constant-key segments, one group resolution + run-length fold per
 //     segment
 //   - every grouped dimension as dictionary codes: the code tuple addresses
-//     a dense per-batch slot array, one group resolution per distinct tuple
+//     a per-batch slot array, one group resolution per distinct tuple
 //   - anything else: encoded group columns materialize into engine scratch
 //     once and the row kernels run over a patched column view
 //
@@ -64,35 +61,28 @@ func (s *ScanStats) add(o ScanStats) {
 	s.BricksStatsPruned += o.BricksStatsPruned
 }
 
-// maxTupleSlots caps the dense slot array of the code-tuple kernel
-// (≤ 512 KiB of group pointers per batch); larger code domains fall back
-// to scratch materialization.
+// maxTupleSlots caps the slot array of the code-tuple path (≤ 256 KiB of
+// slots per worker); larger code domains fall back to scratch
+// materialization.
 const maxTupleSlots = 1 << 16
 
-// groupResolver resolves the group for a full key tuple. Every grouped
-// kernel implements it, so encoded dispatch can feed segments and code
-// tuples generically.
-type groupResolver interface {
-	groupFor(key []uint32) *group
-}
-
-// runSeg is one maximal constant-key segment of a run intersection.
-type runSeg struct {
-	start, n int32
-}
-
-// encScratch is per-worker scratch for encoded dispatch: patched column
-// views, materialization buffers, segment lists and span buffers live
-// across tasks so steady-state scanning does not allocate.
+// encScratch is per-worker scratch for the brick visit: the kernels and
+// their group buffers, patched column views, materialization buffers, run
+// cursors, code-tuple slots and span buffers live across tasks so
+// steady-state scanning does not allocate.
 type encScratch struct {
+	kernels kernelSet
 	dims    [][]uint32    // patched view over Batch.Dims
 	cols    [][]uint32    // per-grouped-dim materialization buffers
 	keys    []uint32      // key tuple scratch
-	segs    []runSeg      // run-intersection segments
-	segKeys []uint32      // flat segment keys, arity values per segment
 	runsBy  [][]brick.Run // per-grouped-dim run views
 	runIdx  []int
 	runRem  []int32
+	// tupCodes / tupDicts are the per-grouped-dim code views of a
+	// code-tuple batch; tupSlots maps a code tuple to 1 + its group index
+	// (0 = not yet resolved) and is cleared per batch.
+	tupCodes, tupDicts [][]uint32
+	tupSlots           []int32
 	// spanBufs rotate through buildSel's span intersection: one holds the
 	// current accepted spans, one the next dimension's spans, one the
 	// intersection output — never aliased.
@@ -125,88 +115,6 @@ func (es *encScratch) col(slot, rows int) []uint32 {
 	b = b[:rows]
 	es.cols[slot] = b
 	return b
-}
-
-// fullMode selects how observeFull consumes a fully covered batch.
-type fullMode uint8
-
-const (
-	fullPlain  fullMode = iota // row kernels over (possibly patched) columns
-	fullRuns1                  // single grouped dim, run view
-	fullCodes1                 // single grouped dim, dictionary view
-	fullSegs                   // all grouped dims runs: precomputed segments
-	fullTuples                 // all grouped dims codes: dense tuple slots
-)
-
-// fullView is one batch's dispatch decision, shared by every subscriber of
-// the visit. Slices alias the batch or the worker's encScratch and are
-// valid only for the current visit.
-type fullView struct {
-	mode     fullMode
-	dims     [][]uint32 // fullPlain
-	runs     []brick.Run
-	codes    []uint32
-	dict     []uint32
-	tupCodes [][]uint32 // fullTuples, one per grouped dim
-	tupDicts [][]uint32
-	tupSlots int
-}
-
-// prepareFull classifies a fully covered batch once per visit. acc is a
-// representative kernel (all subscribers of a visit use the same concrete
-// type); when it lacks the needed capability the view falls back to
-// materialized columns.
-func (c *compiled) prepareFull(b *brick.Batch, acc accumulator, es *encScratch) fullView {
-	k := len(c.groupIdx)
-	if !c.encGroup || k == 0 || b.Rows == 0 {
-		return fullView{mode: fullPlain, dims: b.Dims}
-	}
-	if k == 1 {
-		if eo, ok := acc.(encodedGroupObserver); ok && eo != nil {
-			gi := c.groupIdx[0]
-			if runs := b.Runs(gi); runs != nil {
-				return fullView{mode: fullRuns1, runs: runs}
-			}
-			if codes, dict := b.Codes(gi); codes != nil {
-				return fullView{mode: fullCodes1, codes: codes, dict: dict}
-			}
-		}
-		return fullView{mode: fullPlain, dims: b.Dims}
-	}
-	if _, ok := acc.(groupResolver); ok {
-		allRuns, allCodes := true, true
-		for _, gi := range c.groupIdx {
-			if b.Runs(gi) == nil {
-				allRuns = false
-			}
-			if codes, _ := b.Codes(gi); codes == nil {
-				allCodes = false
-			}
-		}
-		if allRuns {
-			c.buildSegs(b, es)
-			return fullView{mode: fullSegs}
-		}
-		if allCodes {
-			v := fullView{mode: fullTuples, tupSlots: 1}
-			for _, gi := range c.groupIdx {
-				codes, dict := b.Codes(gi)
-				v.tupCodes = append(v.tupCodes, codes)
-				v.tupDicts = append(v.tupDicts, dict)
-				v.tupSlots *= len(dict)
-				if v.tupSlots > maxTupleSlots {
-					v.tupSlots = 0
-					break
-				}
-			}
-			if v.tupSlots > 0 {
-				return v
-			}
-		}
-	}
-	// Mixed shapes (or an incapable kernel): materialize the encoded group
-	// columns into scratch once and run the row kernels over a patched view.
-	return fullView{mode: fullPlain, dims: c.patchDims(b, es)}
 }
 
 // patchDims returns b.Dims with every encoded grouped column materialized
@@ -250,10 +158,41 @@ func (c *compiled) patchDims(b *brick.Batch, es *encScratch) [][]uint32 {
 	return dims
 }
 
-// buildSegs intersects the grouped dimensions' run lists into maximal
-// constant-key segments: segment boundaries fall wherever any dimension's
-// run ends, so within a segment every grouped dimension is constant.
-func (c *compiled) buildSegs(b *brick.Batch, es *encScratch) {
+// observeFull feeds one fully covered batch to acc, straight off the
+// grouped columns' run or dictionary structure when every grouped
+// dimension arrived in the same one, else through the row kernel over a
+// patched column view.
+func (c *compiled) observeFull(acc accumulator, b *brick.Batch, es *encScratch) {
+	if !c.encGroup || len(c.groupIdx) == 0 || b.Rows == 0 {
+		acc.observeBatch(b.Dims, b.Metrics, b.Rows, nil)
+		return
+	}
+	allRuns, allCodes := true, true
+	for _, gi := range c.groupIdx {
+		if b.Runs(gi) == nil {
+			allRuns = false
+		}
+		if codes, _ := b.Codes(gi); codes == nil {
+			allCodes = false
+		}
+	}
+	if allRuns {
+		c.observeSegs(acc, b, es)
+		return
+	}
+	if allCodes && c.observeTuples(acc, b, es) {
+		return
+	}
+	// Mixed shapes: materialize the encoded group columns into scratch once
+	// and run the row kernel over a patched view.
+	acc.observeBatch(c.patchDims(b, es), b.Metrics, b.Rows, nil)
+}
+
+// observeSegs aggregates a batch whose grouped columns are all runs: the
+// run lists are intersected into maximal constant-key segments — a
+// boundary wherever any dimension's run ends — and each segment costs one
+// group resolution and a run-length fold.
+func (c *compiled) observeSegs(acc accumulator, b *brick.Batch, es *encScratch) {
 	k := len(c.groupIdx)
 	if cap(es.runsBy) < k {
 		es.runsBy = make([][]brick.Run, k)
@@ -266,11 +205,9 @@ func (c *compiled) buildSegs(b *brick.Batch, es *encScratch) {
 		idx[d] = 0
 		rem[d] = runsBy[d][0].Length
 	}
-	es.segs = es.segs[:0]
-	es.segKeys = es.segKeys[:0]
-	pos := int32(0)
-	rows := int32(b.Rows)
-	for pos < rows {
+	keys := es.keyBuf(k)
+	s := acc.slab()
+	for pos, rows := int32(0), int32(b.Rows); pos < rows; {
 		n := rem[0]
 		for d := 1; d < k; d++ {
 			if rem[d] < n {
@@ -278,9 +215,10 @@ func (c *compiled) buildSegs(b *brick.Batch, es *encScratch) {
 			}
 		}
 		for d := 0; d < k; d++ {
-			es.segKeys = append(es.segKeys, runsBy[d][idx[d]].Value)
+			keys[d] = runsBy[d][idx[d]].Value
 		}
-		es.segs = append(es.segs, runSeg{start: pos, n: n})
+		g := acc.groupFor(keys)
+		c.observeRun(s.at(g), b, int(pos), int(n))
 		pos += n
 		for d := 0; d < k; d++ {
 			rem[d] -= n
@@ -292,52 +230,47 @@ func (c *compiled) buildSegs(b *brick.Batch, es *encScratch) {
 	}
 }
 
-// observeFull feeds one fully covered batch to acc through the prepared
-// view. Called once per subscriber; the expensive per-batch work already
-// happened in prepareFull.
-func (c *compiled) observeFull(acc accumulator, b *brick.Batch, v *fullView, es *encScratch) {
-	switch v.mode {
-	case fullRuns1:
-		acc.(encodedGroupObserver).observeRuns(b, v.runs)
-	case fullCodes1:
-		acc.(encodedGroupObserver).observeCodes(b, v.codes, v.dict)
-	case fullSegs:
-		gr := acc.(groupResolver)
-		k := len(c.groupIdx)
-		for si := range es.segs {
-			g := gr.groupFor(es.segKeys[si*k : si*k+k])
-			c.observeRun(g, b, int(es.segs[si].start), int(es.segs[si].n))
-		}
-	case fullTuples:
-		c.observeTuples(acc.(groupResolver), b, v, es)
-	default:
-		acc.observeBatch(v.dims, b.Metrics, b.Rows, nil)
-	}
-}
-
 // observeTuples aggregates a batch whose grouped columns are all
-// dictionary-coded: the code tuple indexes a dense per-batch slot array,
-// so a group is resolved once per distinct tuple and the per-row work is
-// array arithmetic.
-func (c *compiled) observeTuples(gr groupResolver, b *brick.Batch, v *fullView, es *encScratch) {
+// dictionary-coded: the code tuple indexes a per-batch slot array, so a
+// group is resolved once per distinct tuple and the per-row work is array
+// arithmetic. It declines, observing nothing, when the code cross-product
+// exceeds maxTupleSlots.
+func (c *compiled) observeTuples(acc accumulator, b *brick.Batch, es *encScratch) bool {
+	codes, dicts := es.tupCodes[:0], es.tupDicts[:0]
+	n := 1
+	for _, gi := range c.groupIdx {
+		cs, dict := b.Codes(gi)
+		codes, dicts = append(codes, cs), append(dicts, dict)
+		n = min(n*len(dict), maxTupleSlots+1)
+	}
+	es.tupCodes, es.tupDicts = codes, dicts
+	if n > maxTupleSlots {
+		return false
+	}
+	if cap(es.tupSlots) < n {
+		es.tupSlots = make([]int32, n)
+	}
+	slots := es.tupSlots[:n]
+	clear(slots)
 	k := len(c.groupIdx)
-	slots := make([]*group, v.tupSlots)
 	keys := es.keyBuf(k)
+	s := acc.slab()
 	for r := 0; r < b.Rows; r++ {
 		idx := 0
 		for d := 0; d < k; d++ {
-			idx = idx*len(v.tupDicts[d]) + int(v.tupCodes[d][r])
+			idx = idx*len(dicts[d]) + int(codes[d][r])
 		}
-		g := slots[idx]
-		if g == nil {
+		g := slots[idx] - 1
+		if g < 0 {
 			for d := 0; d < k; d++ {
-				keys[d] = v.tupDicts[d][v.tupCodes[d][r]]
+				keys[d] = dicts[d][codes[d][r]]
 			}
-			g = gr.groupFor(keys)
-			slots[idx] = g
+			g = acc.groupFor(keys)
+			slots[idx] = g + 1
 		}
-		c.observeRow(g, b.Dims, b.Metrics, r)
+		c.observeRow(s.at(g), b.Dims, b.Metrics, r)
 	}
+	return true
 }
 
 // ---------------------------------------------------------------------------

@@ -327,6 +327,9 @@ type compiled struct {
 	// i, or -1.
 	distinctIdx []int
 	filter      *brick.Filter
+	// domain is every schema dimension's value range [0, Max−1]: the
+	// bounds the combiner's kernel is picked over.
+	domain [][2]uint32
 
 	// proj is the projection for partially covered bricks: referenced
 	// columns plus the filter dimensions. Filter-only dimensions are
@@ -374,7 +377,11 @@ func compile(schema brick.Schema, q *Query, o Opts) (*compiled, error) {
 		groupIdx:    make([]int, len(q.GroupBy)),
 		metricIdx:   make([]int, len(q.Aggregates)),
 		distinctIdx: make([]int, len(q.Aggregates)),
+		domain:      make([][2]uint32, len(schema.Dimensions)),
 		noSkippers:  o.noSkippers,
+	}
+	for i, d := range schema.Dimensions {
+		c.domain[i] = [2]uint32{0, d.Max - 1}
 	}
 	for i, g := range q.GroupBy {
 		c.groupIdx[i] = schema.DimIndex(g)
@@ -472,21 +479,6 @@ func (c *compiled) buildProjections(schema brick.Schema, o Opts) {
 	c.projPartSerial = brick.Projection{Dims: partSerial, Metrics: mets}
 }
 
-// observeRow folds row r of a columnar batch into the group's cells.
-func (c *compiled) observeRow(g *group, dims [][]uint32, metrics [][]float64, r int) {
-	for i := range c.q.Aggregates {
-		if di := c.distinctIdx[i]; di >= 0 {
-			g.cells[i].observeDistinct(dims[di][r])
-			continue
-		}
-		v := 1.0 // Count observes 1 per row via count field anyway
-		if mi := c.metricIdx[i]; mi >= 0 {
-			v = metrics[mi][r]
-		}
-		g.cells[i].observe(v)
-	}
-}
-
 // Execute runs the query over one partition's store, returning a partial.
 // It is the serial, row-at-a-time reference implementation; production
 // paths use Scheduler.Run, which produces identical results.
@@ -547,7 +539,7 @@ func Execute(store *brick.Store, q *Query) (*Partial, error) {
 						p.groups[k] = g
 					}
 				}
-				c.observeRow(g, dims, metrics, r)
+				c.observeRow(g.cells, dims, metrics, r)
 			}
 			return nil
 		})

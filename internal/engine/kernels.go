@@ -3,6 +3,9 @@ package engine
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
+	"strings"
+	"unsafe"
 
 	"cubrick/internal/brick"
 	"cubrick/internal/hll"
@@ -10,40 +13,180 @@ import (
 
 // Aggregation kernels for the vectorized execution path. Each kernel
 // consumes whole columnar batches (the dims/metrics views a ScanTask
-// yields) instead of materialized rows, and specializes the group-key
-// representation:
+// yields) instead of materialized rows, and specializes how a row finds
+// its group:
 //
-//   - globalAcc:  no GROUP BY — a single accumulator set, no map, no key
-//   - key1Acc:    one GROUP BY dimension — uint32-keyed map
-//   - key2Acc:    two GROUP BY dimensions — uint64-packed key
-//   - keyNAcc:    three or more dimensions — byte-string key (fallback)
+//   - globalAcc: no GROUP BY — one group, no key
+//   - denseAcc:  the group domain (the product of the grouped dimensions'
+//     widths) has at most denseDomainLimit points — a slot array indexed
+//     by (value − lower bound), no hashing
+//   - packedAcc: each grouped value minus its lower bound, bit-packed into
+//     one uint64 map key
+//   - keyNAcc:   packed keys wider than 64 bits — a byte-string map key
 //
-// A kernel accumulates one brick's rows; per-brick kernels are merged in
-// ascending brick-id order and converted to the canonical string-keyed
-// Partial once at the end, so parallel execution is deterministic and
-// scheduling-independent.
+// One ladder picks the kernel from per-dimension bounds: a brick's bounds
+// for the per-brick kernel, the schema domain for the combiner. Every
+// kernel keeps its groups in a groupSlab — a group is an index into flat
+// key and cell arrays, not an object — so a brick's groups cost no
+// allocation of their own. A pass worker reuses one kernel set brick after
+// brick and seals each brick's groups into an exact-size slab; a
+// subscriber folds those slabs in ascending brick-id order into the
+// combiner, whose slab becomes the Partial's groups in one step. Parallel
+// execution is therefore deterministic and scheduling-independent.
 
-// encodedGroupObserver is implemented by the single-dimension GROUP BY
-// kernels that can aggregate straight off a column's encoded structure:
-// one slot resolution per run (run-length multiply for count, a tight
-// metric loop per run) or per dictionary code, instead of per row. Only
-// dispatched on fully covered bricks with compile-time eligibility
-// (exactly one GROUP BY dimension, not read by any CountDistinct), so the
-// batch's other referenced columns are always materialized.
-type encodedGroupObserver interface {
-	observeRuns(b *brick.Batch, runs []brick.Run)
-	observeCodes(b *brick.Batch, codes, dict []uint32)
+// groupSlab is a kernel's group state addressed by group index: group g's
+// key is keys[g*arity:(g+1)*arity] and its cells are
+// cells[g*nAggs:(g+1)*nAggs].
+//
+// Two rules keep a slab correct. A group's cells start as newCell() values
+// (min +Inf, max −Inf), never the zero value. And a view returned by at is
+// valid only until the next add — an add may move the cells — so code
+// holds group indexes across rows and resolves a view at the point of use.
+type groupSlab struct {
+	arity, nAggs int
+	keys         []uint32
+	cells        []cell
 }
 
-// observeRun folds rows [start, start+n) — all belonging to group g —
-// into g's cells, using run-length shortcuts where the aggregate allows:
-// Count adds n in O(1); metric aggregates run a register-local loop over
-// the metric column slice; CountDistinct over other dimensions stays
+// cellBytes is a cell's in-memory size.
+const cellBytes = int64(unsafe.Sizeof(cell{}))
+
+// slab returns the slab itself; kernels embed a groupSlab, so this is how
+// an accumulator exposes its group state.
+func (s *groupSlab) slab() *groupSlab { return s }
+
+// reset empties the slab for c's GROUP BY, keeping its buffers.
+func (s *groupSlab) reset(c *compiled) {
+	clear(s.cells) // drop sketch pointers: a sealed copy may own them
+	s.keys, s.cells = s.keys[:0], s.cells[:0]
+	s.arity, s.nAggs = len(c.groupIdx), len(c.q.Aggregates)
+}
+
+// len returns the group count.
+func (s *groupSlab) len() int { return len(s.cells) / s.nAggs }
+
+func (s *groupSlab) key(g int32) []uint32 {
+	i := int(g) * s.arity
+	return s.keys[i : i+s.arity : i+s.arity]
+}
+
+func (s *groupSlab) at(g int32) []cell {
+	i := int(g) * s.nAggs
+	return s.cells[i : i+s.nAggs : i+s.nAggs]
+}
+
+// add appends a group with fresh cells under key and returns its index.
+func (s *groupSlab) add(key []uint32) int32 {
+	s.reserve(1)
+	s.keys = append(s.keys, key...)
+	return s.addCells()
+}
+
+// addRow appends a group with fresh cells keyed by row r's grouped values.
+func (s *groupSlab) addRow(groupIdx []int, dims [][]uint32, r int) int32 {
+	s.reserve(1)
+	for _, gi := range groupIdx {
+		s.keys = append(s.keys, dims[gi][r])
+	}
+	return s.addCells()
+}
+
+// addCells appends one group's fresh cells; the caller reserved room.
+func (s *groupSlab) addCells() int32 {
+	g := int32(s.len())
+	n := len(s.cells)
+	s.cells = s.cells[:n+s.nAggs]
+	for i := n; i < len(s.cells); i++ {
+		s.cells[i] = newCell()
+	}
+	return g
+}
+
+// reserve makes room for n more groups. Growth at least doubles the
+// capacity, so a slab grown a group at a time copies each cell O(1) times
+// (append alone grows large slices by a quarter).
+func (s *groupSlab) reserve(n int) {
+	if len(s.cells)+n*s.nAggs > cap(s.cells) {
+		s.keys = slices.Grow(s.keys, max(n*s.arity, len(s.keys)))
+		s.cells = slices.Grow(s.cells, max(n*s.nAggs, len(s.cells)))
+	}
+}
+
+// copied returns an exact-size copy of the groups that shares their
+// sketches.
+func (s *groupSlab) copied() groupSlab {
+	out := groupSlab{arity: s.arity, nAggs: s.nAggs}
+	if len(s.cells) > 0 {
+		out.keys = append([]uint32(nil), s.keys...)
+		out.cells = append([]cell(nil), s.cells...)
+	}
+	return out
+}
+
+// seal moves the groups into an exact-size slab the caller owns, sketches
+// included, and empties s for the next brick: nothing sealed stays
+// reachable from s.
+func (s *groupSlab) seal() groupSlab {
+	out := s.copied()
+	clear(s.cells)
+	s.keys, s.cells = s.keys[:0], s.cells[:0]
+	return out
+}
+
+// clone returns a deep copy: keys, cells and sketches are all owned by the
+// copy. The brick cache needs it on put and on get, because combining a
+// slab hands its cells to the combiner, which mutates them.
+func (s *groupSlab) clone() groupSlab {
+	out := s.copied()
+	for i := range out.cells {
+		out.cells[i].sketch = out.cells[i].sketch.Clone()
+	}
+	return out
+}
+
+// memBytes is the slab's resident size, for cache byte budgeting.
+func (s *groupSlab) memBytes() int64 {
+	n := 4*int64(len(s.keys)) + cellBytes*int64(len(s.cells))
+	for i := range s.cells {
+		if s.cells[i].sketch != nil {
+			n += hll.Bytes
+		}
+	}
+	return n
+}
+
+// partial turns the slab into q's Partial in one step: one []group and
+// one key string back every map entry, and the groups alias the slab's
+// keys and cells, so the slab must not be used afterwards.
+func (s *groupSlab) partial(q *Query) *Partial {
+	n := s.len()
+	var kb strings.Builder
+	kb.Grow(4 * len(s.keys))
+	var buf [4]byte
+	for _, v := range s.keys {
+		binary.LittleEndian.PutUint32(buf[:], v)
+		kb.Write(buf[:])
+	}
+	keys := kb.String()
+	p := &Partial{query: q, groups: make(map[string]*group, n)}
+	gs := make([]group, n)
+	w := 4 * s.arity
+	for g := range gs {
+		gs[g] = group{key: s.key(int32(g)), cells: s.at(int32(g))}
+		p.groups[keys[g*w:g*w+w]] = &gs[g]
+	}
+	return p
+}
+
+// observeRun folds rows [start, start+n) — all belonging to one group —
+// into the group's cells, using run-length shortcuts where the aggregate
+// allows: Count adds n in O(1); metric aggregates run a register-local loop
+// over the metric column slice; CountDistinct over other dimensions stays
 // per-row.
-func (c *compiled) observeRun(g *group, b *brick.Batch, start, n int) {
+func (c *compiled) observeRun(cells []cell, b *brick.Batch, start, n int) {
 	end := start + n
 	for i := range c.q.Aggregates {
-		cl := &g.cells[i]
+		cl := &cells[i]
 		if di := c.distinctIdx[i]; di >= 0 {
 			col := b.Dims[di]
 			for r := start; r < end; r++ {
@@ -85,159 +228,99 @@ func (c *compiled) observeRun(g *group, b *brick.Batch, start, n int) {
 // a nil sel means every row passes.
 type accumulator interface {
 	observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32)
-	// mergeFrom folds another accumulator of the same kernel type.
-	mergeFrom(o accumulator)
-	// addTo folds the kernel's groups into a canonical partial.
-	addTo(p *Partial)
-	// clone returns a deep copy: group keys, cells, and HLL sketches are
-	// all owned by the copy. Required for caching, because mergeFrom /
-	// addTo alias group pointers into their destination and later merges
-	// mutate the aliased cells — a shared snapshot would be corrupted the
-	// second time it was consumed.
-	clone() accumulator
-	// memBytes estimates the accumulator's resident footprint, for cache
-	// byte budgeting.
-	memBytes() int64
+	// groupFor returns the index of key's group, adding the group with
+	// fresh cells when absent. Adding may move the slab's cells: a view
+	// taken before the call is stale after it.
+	groupFor(key []uint32) int32
+	// slab returns the kernel's group state.
+	slab() *groupSlab
 }
 
-// groupOverheadBytes approximates one group's fixed cost (struct headers,
-// map bookkeeping) for cache budgeting; each cell adds cellBytes and a
-// live HLL sketch its register array.
-const (
-	groupOverheadBytes = 64
-	cellBytes          = 48
-)
-
-func cloneCells(cells []cell) []cell {
-	out := make([]cell, len(cells))
-	copy(out, cells)
-	for i := range out {
-		out[i].sketch = out[i].sketch.Clone()
-	}
-	return out
-}
-
-func cloneGroup(g *group) *group {
-	return &group{key: append([]uint32(nil), g.key...), cells: cloneCells(g.cells)}
-}
-
-func groupBytes(g *group) int64 {
-	n := int64(groupOverheadBytes) + int64(4*len(g.key)) + int64(cellBytes*len(g.cells))
-	for i := range g.cells {
-		if g.cells[i].sketch != nil {
-			n += hll.Bytes
+// absorb folds a sealed brick slab into the combiner acc. A group new to
+// the combiner takes the brick's cells as they are — sketches included, so
+// src must not be used again — and an existing group merges them; called
+// in ascending brick-id order, every group's cells fold in that order.
+func absorb(acc accumulator, src *groupSlab) {
+	dst := acc.slab()
+	for g := range int32(src.len()) {
+		n := dst.len()
+		d := acc.groupFor(src.key(g))
+		cells := dst.at(d)
+		if int(d) == n {
+			copy(cells, src.at(g))
+			continue
 		}
-	}
-	return n
-}
-
-// newAccumulator picks the combiner kernel for the compiled query's
-// GROUP BY arity. Combiners are map-based so they can absorb groups from
-// any brick.
-func newAccumulator(c *compiled) accumulator {
-	switch len(c.groupIdx) {
-	case 0:
-		return &globalAcc{c: c, cells: newCells(len(c.q.Aggregates))}
-	case 1:
-		return &key1Acc{c: c, groups: make(map[uint32]*group)}
-	case 2:
-		return &key2Acc{c: c, groups: make(map[uint64]*group)}
-	default:
-		return &keyNAcc{
-			c:       c,
-			groups:  make(map[string]*group),
-			keyVals: make([]uint32, len(c.groupIdx)),
-			keyBuf:  make([]byte, 4*len(c.groupIdx)),
+		for i, o := range src.at(g) {
+			cells[i].merge(o)
 		}
 	}
 }
 
-// denseDomainLimit caps the slot count of a dense per-brick accumulator
-// (≤ 32 KiB of group pointers per task).
+// denseDomainLimit caps the slot count of a dense kernel (16 KiB of slots).
 const denseDomainLimit = 4096
 
-// newTaskAccumulator picks the kernel for one brick's scan task. Because
-// every dimension is range-partitioned, a brick's rows confine each
-// grouped dimension to the brick's bounds; when the per-brick group
-// domain is small the kernel uses a dense slot array — no hashing at all
-// on the hot path. Otherwise it falls back to the map kernels.
-func newTaskAccumulator(c *compiled, bounds [][2]uint32) accumulator {
-	nd := len(c.groupIdx)
-	if (nd == 1 || nd == 2) && bounds != nil {
-		domain := 1
-		var lo [2]uint32
-		var width [2]int
-		for i, gi := range c.groupIdx {
-			b := bounds[gi]
-			lo[i] = b[0]
-			width[i] = int(b[1]-b[0]) + 1
-			domain *= width[i]
-		}
-		if domain <= denseDomainLimit {
-			return &denseAcc{c: c, lo: lo, width: width, groups: make([]*group, domain)}
-		}
-	}
-	if nd >= 3 && bounds != nil {
-		// Pack (value − brick lower bound) per dimension into one uint64 key
-		// when the brick-bounded domain fits; replaces the byte-string path.
-		lo := make([]uint32, nd)
-		shift := make([]uint8, nd)
-		total := 0
-		fits := true
-		for i := nd - 1; i >= 0; i-- {
-			b := bounds[c.groupIdx[i]]
-			lo[i] = b[0]
-			shift[i] = uint8(total)
-			total += bits.Len32(b[1] - b[0])
-			if total > 64 {
-				fits = false
-				break
-			}
-		}
-		if fits {
-			return &packedNAcc{
-				c:      c,
-				lo:     lo,
-				shift:  shift,
-				groups: make(map[uint64]*group),
-				keys:   make([]uint32, nd),
-			}
-		}
-	}
-	return newAccumulator(c)
+// kernelSet holds one kernel of each type. A pass worker keeps one in its
+// encScratch and picks from it for every brick, so slot arrays, maps and
+// slab buffers are reused brick after brick; a combiner picks from a fresh
+// set.
+type kernelSet struct {
+	global globalAcc
+	dense  denseAcc
+	packed packedAcc
+	keyN   keyNAcc
 }
 
-func newCells(n int) []cell {
-	cells := make([]cell, n)
-	for i := range cells {
-		cells[i] = newCell()
+// pick empties and returns the kernel for c's GROUP BY over bounds, the
+// inclusive value range of every schema dimension. Every range-partitioned
+// value lies inside its brick's bounds and inside the schema domain, which
+// is what lets the dense and packed kernels address groups by offset.
+func (ks *kernelSet) pick(c *compiled, bounds [][2]uint32) accumulator {
+	var acc accumulator
+	switch {
+	case len(c.groupIdx) == 0:
+		ks.global.c = c
+		acc = &ks.global
+	case ks.dense.fit(c, bounds):
+		acc = &ks.dense
+	case ks.packed.fit(c, bounds):
+		acc = &ks.packed
+	default:
+		ks.keyN.prepare(c)
+		acc = &ks.keyN
 	}
-	return cells
+	acc.slab().reset(c)
+	return acc
 }
 
-// mergeGroup folds a finished kernel group into the partial, taking
-// ownership of the cells.
-func (p *Partial) mergeGroup(key []uint32, cells []cell) {
-	k := groupKey(key)
-	g, ok := p.groups[k]
-	if !ok {
-		p.groups[k] = &group{key: append([]uint32{}, key...), cells: cells}
-		return
-	}
-	for i := range g.cells {
-		g.cells[i].merge(cells[i])
+// observeRow folds row r of a columnar batch into a group's cells.
+func (c *compiled) observeRow(cells []cell, dims [][]uint32, metrics [][]float64, r int) {
+	for i := range c.q.Aggregates {
+		if di := c.distinctIdx[i]; di >= 0 {
+			cells[i].observeDistinct(dims[di][r])
+			continue
+		}
+		v := 1.0 // Count observes 1 per row via count field anyway
+		if mi := c.metricIdx[i]; mi >= 0 {
+			v = metrics[mi][r]
+		}
+		cells[i].observe(v)
 	}
 }
 
 // globalAcc is the scalar kernel for global aggregates: column-at-a-time
-// accumulation into per-aggregate registers, no map and no key
-// materialization on the hot path.
+// accumulation into per-aggregate registers, no lookup and no key on the
+// hot path. An empty scan leaves it with zero groups, exactly like the
+// serial path.
 type globalAcc struct {
-	c     *compiled
-	cells []cell
-	// touched distinguishes "no rows seen" from "all-zero accumulators",
-	// so empty scans produce zero groups exactly like the serial path.
-	touched bool
+	c *compiled
+	groupSlab
+}
+
+func (a *globalAcc) groupFor([]uint32) int32 {
+	if len(a.cells) == 0 {
+		return a.add(nil)
+	}
+	return 0
 }
 
 func (a *globalAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
@@ -248,9 +331,9 @@ func (a *globalAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int,
 	if n == 0 {
 		return
 	}
-	a.touched = true
+	cells := a.at(a.groupFor(nil))
 	for i := range a.c.q.Aggregates {
-		cl := &a.cells[i]
+		cl := &cells[i]
 		if di := a.c.distinctIdx[i]; di >= 0 {
 			col := dims[di]
 			if sel == nil {
@@ -309,410 +392,190 @@ func (a *globalAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int,
 	}
 }
 
-func (a *globalAcc) mergeFrom(o accumulator) {
-	og := o.(*globalAcc)
-	if !og.touched {
-		return
-	}
-	a.touched = true
-	for i := range a.cells {
-		a.cells[i].merge(og.cells[i])
-	}
+// denseAcc addresses groups by their point in the bounded group domain,
+// so the hot loop does array indexing instead of map lookups.
+type denseAcc struct {
+	c *compiled
+	groupSlab
+	bounds [][2]uint32
+	// slots holds, for each point of the group domain (row-major over
+	// c.groupIdx), 1 + the index of its group, or 0 while it has none.
+	slots []int32
 }
 
-func (a *globalAcc) addTo(p *Partial) {
-	if !a.touched {
-		return
-	}
-	p.mergeGroup(nil, a.cells)
-}
-
-func (a *globalAcc) clone() accumulator {
-	return &globalAcc{c: a.c, cells: cloneCells(a.cells), touched: a.touched}
-}
-
-func (a *globalAcc) memBytes() int64 {
-	n := int64(groupOverheadBytes) + int64(cellBytes*len(a.cells))
-	for i := range a.cells {
-		if a.cells[i].sketch != nil {
-			n += hll.Bytes
+// fit adopts bounds when their group domain has at most denseDomainLimit
+// points.
+func (a *denseAcc) fit(c *compiled, bounds [][2]uint32) bool {
+	domain := 1
+	for _, gi := range c.groupIdx {
+		if domain *= int(bounds[gi][1]-bounds[gi][0]) + 1; domain > denseDomainLimit {
+			return false
 		}
 	}
-	return n
-}
-
-// denseAcc is the per-brick fast path for 1- and 2-dimension GROUP BY:
-// group slots are addressed directly by (value − brick lower bound), so
-// the hot loop does array indexing instead of map lookups.
-type denseAcc struct {
-	c     *compiled
-	lo    [2]uint32
-	width [2]int
-	// groups has one slot per point of the brick's group domain
-	// (row-major over the two grouped dimensions); nil until a row lands.
-	groups []*group
+	a.c, a.bounds = c, bounds
+	if cap(a.slots) < domain {
+		a.slots = make([]int32, domain)
+	} else {
+		a.slots = a.slots[:domain]
+		clear(a.slots)
+	}
+	return true
 }
 
 func (a *denseAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
-	nAggs := len(a.c.q.Aggregates)
 	if len(a.c.groupIdx) == 1 {
-		keys := dims[a.c.groupIdx[0]]
-		lo := a.lo[0]
+		// One grouped dimension, the common dashboard shape: the slot is the
+		// value's offset.
+		keys, lo := dims[a.c.groupIdx[0]], a.bounds[a.c.groupIdx[0]][0]
 		if sel == nil {
 			for r := 0; r < rows; r++ {
-				k := keys[r]
-				g := a.groups[k-lo]
-				if g == nil {
-					g = newGroup([]uint32{k}, nAggs)
-					a.groups[k-lo] = g
-				}
-				a.c.observeRow(g, dims, metrics, r)
+				a.c.observeRow(a.at(a.slot1(keys[r]-lo, keys[r])), dims, metrics, r)
 			}
 		} else {
 			for _, r := range sel {
-				k := keys[r]
-				g := a.groups[k-lo]
-				if g == nil {
-					g = newGroup([]uint32{k}, nAggs)
-					a.groups[k-lo] = g
-				}
-				a.c.observeRow(g, dims, metrics, int(r))
+				a.c.observeRow(a.at(a.slot1(keys[r]-lo, keys[r])), dims, metrics, int(r))
 			}
 		}
 		return
 	}
-	k0 := dims[a.c.groupIdx[0]]
-	k1 := dims[a.c.groupIdx[1]]
-	lo0, lo1, w1 := a.lo[0], a.lo[1], a.width[1]
 	if sel == nil {
 		for r := 0; r < rows; r++ {
-			idx := int(k0[r]-lo0)*w1 + int(k1[r]-lo1)
-			g := a.groups[idx]
-			if g == nil {
-				g = newGroup([]uint32{k0[r], k1[r]}, nAggs)
-				a.groups[idx] = g
-			}
-			a.c.observeRow(g, dims, metrics, r)
+			a.observeRow(dims, metrics, r)
 		}
 	} else {
 		for _, r := range sel {
-			idx := int(k0[r]-lo0)*w1 + int(k1[r]-lo1)
-			g := a.groups[idx]
-			if g == nil {
-				g = newGroup([]uint32{k0[r], k1[r]}, nAggs)
-				a.groups[idx] = g
-			}
-			a.c.observeRow(g, dims, metrics, int(r))
+			a.observeRow(dims, metrics, int(r))
 		}
 	}
 }
 
-// observeRuns aggregates an RLE-encoded group column run by run: one slot
-// lookup per run instead of per row. Only reached with a single grouped
-// dimension (encoded-kernel eligibility), so lo[0] addresses the domain.
-func (a *denseAcc) observeRuns(b *brick.Batch, runs []brick.Run) {
-	nAggs := len(a.c.q.Aggregates)
-	lo := a.lo[0]
-	start := 0
-	for _, run := range runs {
-		n := int(run.Length)
-		g := a.groups[run.Value-lo]
-		if g == nil {
-			g = newGroup([]uint32{run.Value}, nAggs)
-			a.groups[run.Value-lo] = g
-		}
-		a.c.observeRun(g, b, start, n)
-		start += n
-	}
-}
-
-// observeCodes aggregates a dictionary-encoded group column: groups are
-// resolved once per dictionary code through a per-batch slot cache, so the
-// per-row work is a single array index rather than a domain lookup.
-func (a *denseAcc) observeCodes(b *brick.Batch, codes, dict []uint32) {
-	nAggs := len(a.c.q.Aggregates)
-	lo := a.lo[0]
-	slots := make([]*group, len(dict))
-	for r, code := range codes {
-		g := slots[code]
-		if g == nil {
-			v := dict[code]
-			g = a.groups[v-lo]
-			if g == nil {
-				g = newGroup([]uint32{v}, nAggs)
-				a.groups[v-lo] = g
-			}
-			slots[code] = g
-		}
-		a.c.observeRow(g, b.Dims, b.Metrics, r)
-	}
-}
-
-// groupFor resolves the group for a full key tuple (1 or 2 values) with a
-// direct slot index.
-func (a *denseAcc) groupFor(key []uint32) *group {
-	idx := int(key[0] - a.lo[0])
-	if len(key) == 2 {
-		idx = idx*a.width[1] + int(key[1]-a.lo[1])
-	}
-	g := a.groups[idx]
-	if g == nil {
-		g = newGroup(key, len(a.c.q.Aggregates))
-		a.groups[idx] = g
+// slot1 returns the group at domain offset idx of a one-dimension domain,
+// adding it under value v when absent.
+func (a *denseAcc) slot1(idx, v uint32) int32 {
+	g := a.slots[idx] - 1
+	if g < 0 {
+		g = a.add([]uint32{v})
+		a.slots[idx] = g + 1
 	}
 	return g
 }
 
-// each yields the occupied slots in ascending domain order.
-func (a *denseAcc) each(fn func(g *group)) {
-	for _, g := range a.groups {
-		if g != nil {
-			fn(g)
-		}
+func (a *denseAcc) observeRow(dims [][]uint32, metrics [][]float64, r int) {
+	idx := 0
+	for _, gi := range a.c.groupIdx {
+		b := a.bounds[gi]
+		idx = idx*int(b[1]-b[0]+1) + int(dims[gi][r]-b[0])
 	}
-}
-
-// mergeFrom is never used on denseAcc: dense kernels are per-brick only;
-// map-based combiners absorb them via each.
-func (a *denseAcc) mergeFrom(accumulator) {
-	panic("engine: denseAcc cannot combine across bricks")
-}
-
-func (a *denseAcc) addTo(p *Partial) {
-	a.each(func(g *group) { p.mergeGroup(g.key, g.cells) })
-}
-
-func (a *denseAcc) clone() accumulator {
-	groups := make([]*group, len(a.groups))
-	for i, g := range a.groups {
-		if g != nil {
-			groups[i] = cloneGroup(g)
-		}
+	g := a.slots[idx] - 1
+	if g < 0 {
+		g = a.addRow(a.c.groupIdx, dims, r)
+		a.slots[idx] = g + 1
 	}
-	return &denseAcc{c: a.c, lo: a.lo, width: a.width, groups: groups}
+	a.c.observeRow(a.at(g), dims, metrics, r)
 }
 
-func (a *denseAcc) memBytes() int64 {
-	n := int64(8 * len(a.groups))
-	for _, g := range a.groups {
-		if g != nil {
-			n += groupBytes(g)
-		}
+func (a *denseAcc) groupFor(key []uint32) int32 {
+	idx := 0
+	for i, gi := range a.c.groupIdx {
+		b := a.bounds[gi]
+		idx = idx*int(b[1]-b[0]+1) + int(key[i]-b[0])
 	}
-	return n
-}
-
-// key1Acc groups by a single dimension: the raw uint32 value is the map
-// key, so the hot path allocates nothing per row beyond new groups.
-type key1Acc struct {
-	c      *compiled
-	groups map[uint32]*group
-}
-
-func (a *key1Acc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
-	keys := dims[a.c.groupIdx[0]]
-	if sel == nil {
-		for r := 0; r < rows; r++ {
-			a.observeRow(keys[r], dims, metrics, r)
-		}
-	} else {
-		for _, r := range sel {
-			a.observeRow(keys[r], dims, metrics, int(r))
-		}
-	}
-}
-
-func (a *key1Acc) observeRow(k uint32, dims [][]uint32, metrics [][]float64, r int) {
-	g, ok := a.groups[k]
-	if !ok {
-		g = newGroup([]uint32{k}, len(a.c.q.Aggregates))
-		a.groups[k] = g
-	}
-	a.c.observeRow(g, dims, metrics, r)
-}
-
-// observeRuns aggregates an RLE-encoded group column with one map probe
-// per run.
-func (a *key1Acc) observeRuns(b *brick.Batch, runs []brick.Run) {
-	start := 0
-	for _, run := range runs {
-		n := int(run.Length)
-		g, ok := a.groups[run.Value]
-		if !ok {
-			g = newGroup([]uint32{run.Value}, len(a.c.q.Aggregates))
-			a.groups[run.Value] = g
-		}
-		a.c.observeRun(g, b, start, n)
-		start += n
-	}
-}
-
-// observeCodes aggregates a dictionary-encoded group column with at most
-// one map probe per distinct code; per-row work is an array index.
-func (a *key1Acc) observeCodes(b *brick.Batch, codes, dict []uint32) {
-	slots := make([]*group, len(dict))
-	for r, code := range codes {
-		g := slots[code]
-		if g == nil {
-			var ok bool
-			g, ok = a.groups[dict[code]]
-			if !ok {
-				g = newGroup([]uint32{dict[code]}, len(a.c.q.Aggregates))
-				a.groups[dict[code]] = g
-			}
-			slots[code] = g
-		}
-		a.c.observeRow(g, b.Dims, b.Metrics, r)
-	}
-}
-
-func (a *key1Acc) groupFor(key []uint32) *group {
-	g, ok := a.groups[key[0]]
-	if !ok {
-		g = newGroup(key, len(a.c.q.Aggregates))
-		a.groups[key[0]] = g
+	g := a.slots[idx] - 1
+	if g < 0 {
+		g = a.add(key)
+		a.slots[idx] = g + 1
 	}
 	return g
 }
 
-func (a *key1Acc) insertGroup(og *group) {
-	k := og.key[0]
-	g, ok := a.groups[k]
-	if !ok {
-		a.groups[k] = og
-		return
-	}
-	for i := range g.cells {
-		g.cells[i].merge(og.cells[i])
-	}
+// packedAcc keys groups by one uint64: each grouped dimension contributes
+// bits.Len32(hi−lo) bits of (value − lower bound), so the hot path probes
+// an integer-keyed map instead of building a byte-string key per row.
+type packedAcc struct {
+	c *compiled
+	groupSlab
+	lo    []uint32 // per grouped dimension
+	shift []uint8
+	index map[uint64]int32
 }
 
-func (a *key1Acc) mergeFrom(o accumulator) {
-	switch o := o.(type) {
-	case *denseAcc:
-		o.each(a.insertGroup)
-	case *key1Acc:
-		for _, og := range o.groups {
-			a.insertGroup(og)
+// fit adopts bounds when the packed key fits 64 bits — always for one or
+// two grouped dimensions.
+func (a *packedAcc) fit(c *compiled, bounds [][2]uint32) bool {
+	a.lo, a.shift = a.lo[:0], a.shift[:0]
+	total := 0
+	for _, gi := range c.groupIdx {
+		b := bounds[gi]
+		a.lo = append(a.lo, b[0])
+		a.shift = append(a.shift, uint8(total))
+		if total += bits.Len32(b[1] - b[0]); total > 64 {
+			return false
 		}
 	}
-}
-
-func (a *key1Acc) addTo(p *Partial) {
-	for _, g := range a.groups {
-		p.mergeGroup(g.key, g.cells)
+	a.c = c
+	if a.index == nil {
+		a.index = make(map[uint64]int32)
 	}
+	clear(a.index)
+	return true
 }
 
-func (a *key1Acc) clone() accumulator {
-	groups := make(map[uint32]*group, len(a.groups))
-	for k, g := range a.groups {
-		groups[k] = cloneGroup(g)
-	}
-	return &key1Acc{c: a.c, groups: groups}
-}
-
-func (a *key1Acc) memBytes() int64 {
-	var n int64
-	for _, g := range a.groups {
-		n += groupBytes(g)
-	}
-	return n
-}
-
-// key2Acc groups by two dimensions packed into one uint64 key.
-type key2Acc struct {
-	c      *compiled
-	groups map[uint64]*group
-}
-
-func (a *key2Acc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
-	k0 := dims[a.c.groupIdx[0]]
-	k1 := dims[a.c.groupIdx[1]]
+func (a *packedAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
 	if sel == nil {
 		for r := 0; r < rows; r++ {
-			a.observeRow(uint64(k0[r])<<32|uint64(k1[r]), dims, metrics, r)
+			a.observeRow(dims, metrics, r)
 		}
 	} else {
 		for _, r := range sel {
-			a.observeRow(uint64(k0[r])<<32|uint64(k1[r]), dims, metrics, int(r))
+			a.observeRow(dims, metrics, int(r))
 		}
 	}
 }
 
-func (a *key2Acc) observeRow(k uint64, dims [][]uint32, metrics [][]float64, r int) {
-	g, ok := a.groups[k]
-	if !ok {
-		g = newGroup([]uint32{uint32(k >> 32), uint32(k)}, len(a.c.q.Aggregates))
-		a.groups[k] = g
+func (a *packedAcc) observeRow(dims [][]uint32, metrics [][]float64, r int) {
+	var k uint64
+	for i, gi := range a.c.groupIdx {
+		k |= uint64(dims[gi][r]-a.lo[i]) << a.shift[i]
 	}
-	a.c.observeRow(g, dims, metrics, r)
+	g, ok := a.index[k]
+	if !ok {
+		g = a.addRow(a.c.groupIdx, dims, r)
+		a.index[k] = g
+	}
+	a.c.observeRow(a.at(g), dims, metrics, r)
 }
 
-func (a *key2Acc) groupFor(key []uint32) *group {
-	k := uint64(key[0])<<32 | uint64(key[1])
-	g, ok := a.groups[k]
+func (a *packedAcc) groupFor(key []uint32) int32 {
+	var k uint64
+	for i, v := range key {
+		k |= uint64(v-a.lo[i]) << a.shift[i]
+	}
+	g, ok := a.index[k]
 	if !ok {
-		g = newGroup(key, len(a.c.q.Aggregates))
-		a.groups[k] = g
+		g = a.add(key)
+		a.index[k] = g
 	}
 	return g
 }
 
-func (a *key2Acc) insertGroup(og *group) {
-	k := uint64(og.key[0])<<32 | uint64(og.key[1])
-	g, ok := a.groups[k]
-	if !ok {
-		a.groups[k] = og
-		return
-	}
-	for i := range g.cells {
-		g.cells[i].merge(og.cells[i])
-	}
-}
-
-func (a *key2Acc) mergeFrom(o accumulator) {
-	switch o := o.(type) {
-	case *denseAcc:
-		o.each(a.insertGroup)
-	case *key2Acc:
-		for _, og := range o.groups {
-			a.insertGroup(og)
-		}
-	}
-}
-
-func (a *key2Acc) addTo(p *Partial) {
-	for _, g := range a.groups {
-		p.mergeGroup(g.key, g.cells)
-	}
-}
-
-func (a *key2Acc) clone() accumulator {
-	groups := make(map[uint64]*group, len(a.groups))
-	for k, g := range a.groups {
-		groups[k] = cloneGroup(g)
-	}
-	return &key2Acc{c: a.c, groups: groups}
-}
-
-func (a *key2Acc) memBytes() int64 {
-	var n int64
-	for _, g := range a.groups {
-		n += groupBytes(g)
-	}
-	return n
-}
-
-// keyNAcc is the fallback for three or more GROUP BY dimensions, keyed by
+// keyNAcc is the fallback for group domains no uint64 can pack, keyed by
 // the canonical byte-string key. Lookups go through a reused byte buffer
 // (the compiler elides the string conversion in map reads), so only new
 // groups allocate a key.
 type keyNAcc struct {
-	c       *compiled
-	groups  map[string]*group
-	keyVals []uint32
-	keyBuf  []byte
+	c *compiled
+	groupSlab
+	index  map[string]int32
+	keyBuf []byte
+}
+
+func (a *keyNAcc) prepare(c *compiled) {
+	a.c = c
+	a.keyBuf = slices.Grow(a.keyBuf[:0], 4*len(c.groupIdx))[:4*len(c.groupIdx)]
+	if a.index == nil {
+		a.index = make(map[string]int32)
+	}
+	clear(a.index)
 }
 
 func (a *keyNAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
@@ -729,191 +592,24 @@ func (a *keyNAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, s
 
 func (a *keyNAcc) observeRow(dims [][]uint32, metrics [][]float64, r int) {
 	for i, gi := range a.c.groupIdx {
-		v := dims[gi][r]
-		a.keyVals[i] = v
-		binary.LittleEndian.PutUint32(a.keyBuf[4*i:], v)
+		binary.LittleEndian.PutUint32(a.keyBuf[4*i:], dims[gi][r])
 	}
-	g, ok := a.groups[string(a.keyBuf)] // alloc-free lookup
+	g, ok := a.index[string(a.keyBuf)] // alloc-free lookup
 	if !ok {
-		g = newGroup(a.keyVals, len(a.c.q.Aggregates))
-		a.groups[string(a.keyBuf)] = g
+		g = a.addRow(a.c.groupIdx, dims, r)
+		a.index[string(a.keyBuf)] = g
 	}
-	a.c.observeRow(g, dims, metrics, r)
+	a.c.observeRow(a.at(g), dims, metrics, r)
 }
 
-func (a *keyNAcc) groupFor(key []uint32) *group {
+func (a *keyNAcc) groupFor(key []uint32) int32 {
 	for i, v := range key {
 		binary.LittleEndian.PutUint32(a.keyBuf[4*i:], v)
 	}
-	g, ok := a.groups[string(a.keyBuf)] // alloc-free lookup
+	g, ok := a.index[string(a.keyBuf)] // alloc-free lookup
 	if !ok {
-		g = newGroup(key, len(a.c.q.Aggregates))
-		a.groups[string(a.keyBuf)] = g
+		g = a.add(key)
+		a.index[string(a.keyBuf)] = g
 	}
 	return g
-}
-
-func (a *keyNAcc) insertGroup(og *group) {
-	for i, v := range og.key {
-		binary.LittleEndian.PutUint32(a.keyBuf[4*i:], v)
-	}
-	g, ok := a.groups[string(a.keyBuf)]
-	if !ok {
-		a.groups[string(a.keyBuf)] = og
-		return
-	}
-	for i := range g.cells {
-		g.cells[i].merge(og.cells[i])
-	}
-}
-
-func (a *keyNAcc) mergeFrom(o accumulator) {
-	switch o := o.(type) {
-	case *packedNAcc:
-		o.each(a.insertGroup)
-	case *keyNAcc:
-		for k, og := range o.groups {
-			g, ok := a.groups[k]
-			if !ok {
-				a.groups[k] = og
-				continue
-			}
-			for i := range g.cells {
-				g.cells[i].merge(og.cells[i])
-			}
-		}
-	}
-}
-
-func (a *keyNAcc) addTo(p *Partial) {
-	// The kernel's keys are already the canonical partial keys; when the
-	// partial is empty (the common case) the whole map transfers in O(1).
-	if len(p.groups) == 0 {
-		p.groups = a.groups
-		return
-	}
-	for k, g := range a.groups {
-		pg, ok := p.groups[k]
-		if !ok {
-			p.groups[k] = g
-			continue
-		}
-		for i := range pg.cells {
-			pg.cells[i].merge(g.cells[i])
-		}
-	}
-}
-
-func (a *keyNAcc) clone() accumulator {
-	groups := make(map[string]*group, len(a.groups))
-	for k, g := range a.groups {
-		groups[k] = cloneGroup(g)
-	}
-	return &keyNAcc{
-		c:       a.c,
-		groups:  groups,
-		keyVals: make([]uint32, len(a.keyVals)),
-		keyBuf:  make([]byte, len(a.keyBuf)),
-	}
-}
-
-func (a *keyNAcc) memBytes() int64 {
-	var n int64
-	for k, g := range a.groups {
-		n += int64(len(k)) + groupBytes(g)
-	}
-	return n
-}
-
-// packedNAcc is the per-brick kernel for three or more GROUP BY dimensions
-// whose brick-bounded key domain packs into one uint64: each grouped
-// dimension contributes bits.Len32(hi−lo) bits of (value − lower bound),
-// so the hot path probes an integer-keyed map instead of building a
-// byte-string key per row.
-type packedNAcc struct {
-	c      *compiled
-	lo     []uint32
-	shift  []uint8
-	groups map[uint64]*group
-	keys   []uint32 // per-row key scratch; newGroup copies it
-}
-
-func (a *packedNAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
-	if sel == nil {
-		for r := 0; r < rows; r++ {
-			a.observeRow(dims, metrics, r)
-		}
-	} else {
-		for _, r := range sel {
-			a.observeRow(dims, metrics, int(r))
-		}
-	}
-}
-
-func (a *packedNAcc) observeRow(dims [][]uint32, metrics [][]float64, r int) {
-	var k uint64
-	for i, gi := range a.c.groupIdx {
-		v := dims[gi][r]
-		a.keys[i] = v
-		k |= uint64(v-a.lo[i]) << a.shift[i]
-	}
-	g, ok := a.groups[k]
-	if !ok {
-		g = newGroup(a.keys, len(a.c.q.Aggregates))
-		a.groups[k] = g
-	}
-	a.c.observeRow(g, dims, metrics, r)
-}
-
-func (a *packedNAcc) groupFor(key []uint32) *group {
-	var k uint64
-	for i, v := range key {
-		k |= uint64(v-a.lo[i]) << a.shift[i]
-	}
-	g, ok := a.groups[k]
-	if !ok {
-		g = newGroup(key, len(a.c.q.Aggregates))
-		a.groups[k] = g
-	}
-	return g
-}
-
-func (a *packedNAcc) each(fn func(g *group)) {
-	for _, g := range a.groups {
-		fn(g)
-	}
-}
-
-// mergeFrom is never used on packedNAcc: packed kernels are per-brick only;
-// the keyNAcc combiner absorbs them via each.
-func (a *packedNAcc) mergeFrom(accumulator) {
-	panic("engine: packedNAcc cannot combine across bricks")
-}
-
-func (a *packedNAcc) addTo(p *Partial) {
-	for _, g := range a.groups {
-		p.mergeGroup(g.key, g.cells)
-	}
-}
-
-func (a *packedNAcc) clone() accumulator {
-	groups := make(map[uint64]*group, len(a.groups))
-	for k, g := range a.groups {
-		groups[k] = cloneGroup(g)
-	}
-	return &packedNAcc{
-		c:      a.c,
-		lo:     a.lo,
-		shift:  a.shift,
-		groups: groups,
-		keys:   make([]uint32, len(a.keys)),
-	}
-}
-
-func (a *packedNAcc) memBytes() int64 {
-	n := int64(4 * 2 * len(a.lo))
-	for _, g := range a.groups {
-		n += groupBytes(g)
-	}
-	return n
 }

@@ -398,7 +398,7 @@ func scanRollupDelta(st *brick.Store, q *Query, timeDim string, split timeSplit,
 						p.groups[k] = g
 					}
 				}
-				c.observeRow(g, dims, metrics, r)
+				c.observeRow(g.cells, dims, metrics, r)
 			}
 			return nil
 		})

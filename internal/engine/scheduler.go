@@ -16,8 +16,8 @@ import (
 // pass is one plan snapshot (one ScanTask per brick, the morsel), a cursor,
 // and a pool of workers that claim tasks off the cursor and visit each
 // brick exactly once — one decode, one filter evaluation, one batch walk —
-// feeding a private per-brick accumulator for every subscriber. There are
-// four ways into that one loop:
+// whose per-brick groups every subscriber receives a private copy of.
+// There are four ways into that one loop:
 //
 //   - publish: no pass with the query's fold key (QuerySignature +
 //     normalized filter set, see signature.go) is running, so the query
@@ -271,7 +271,7 @@ func (s *Scheduler) enter(q *Query, c *compiled, key string, bc *BrickCache, sha
 
 // taskResult is one brick's accumulated output for one subscriber.
 type taskResult struct {
-	acc          accumulator
+	slab         groupSlab // the brick's sealed groups, owned by this slot
 	rowsScanned  int64
 	decompressed bool
 	cached       bool
@@ -413,9 +413,10 @@ func (p *scanPass) work() {
 
 // visitBrick scans task i and fills results[i] of every given subscriber:
 // brick-cache lookup, blob-bounds prune, then one decode / filter / walk of
-// the brick observed into each subscriber's private accumulator, and a
-// cache fill. The brick is visited exactly once regardless of subscriber
-// count — that shared visit is the entire win of folding.
+// the brick observed into one kernel, sealed into a slab every subscriber
+// gets a copy of, and a cache fill. The brick is visited exactly once
+// regardless of subscriber count — that shared visit is the entire win of
+// folding.
 func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 	if len(subs) == 0 {
 		// Every subscriber detached since the claim: nobody consumes the
@@ -426,7 +427,7 @@ func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 	c := p.c
 	scope := p.sched.cfg.CacheScope
 	if p.bc != nil {
-		if acc, rows, ok := p.bc.get(scope, p.key, t.BrickID, t.Epoch()); ok {
+		if slab, rows, ok := p.bc.get(scope, p.key, t.BrickID, t.Epoch()); ok {
 			// Cache hit: the snapshot stands in for the whole scan. Heat
 			// still accrues — reuse keeps a brick exactly as hot as scanning
 			// it would. Each subscriber gets its own deep copy because
@@ -434,20 +435,17 @@ func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 			t.Touch()
 			for j, sub := range subs {
 				if j > 0 {
-					acc = acc.clone()
+					slab = slab.clone()
 				}
-				sub.results[i] = taskResult{acc: acc, rowsScanned: rows, cached: true}
+				sub.results[i] = taskResult{slab: slab, rowsScanned: rows, cached: true}
 			}
 			return nil
 		}
 	}
-	for _, sub := range subs {
-		sub.results[i].acc = newTaskAccumulator(c, t.Bounds)
-	}
-	// Every subscriber's accumulator is fed identically: the first stands
-	// for all of them when classifying a batch and when filling the cache.
-	first := subs[0].results[i].acc
-	var res taskResult // the accounting every subscriber's slot receives
+	// Every subscriber shares the pass's compiled query, so one kernel —
+	// over the worker's reused buffers — observes the brick for all of them.
+	acc := es.kernels.pick(c, t.Bounds)
+	var res taskResult // what every subscriber's slot receives
 	var pruned bool
 	var epoch uint64
 	if !t.Full && c.filter != nil && !c.noSkippers {
@@ -470,12 +468,8 @@ func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 				res.rowsScanned += int64(b.Rows)
 				// Encoded fast path (see encoded.go): grouped columns that
 				// arrived as runs or dictionary codes feed the kernel without
-				// ever materializing. The batch is classified once — every
-				// subscriber shares one compiled query.
-				v := c.prepareFull(b, first, es)
-				for _, sub := range subs {
-					c.observeFull(sub.results[i].acc, b, &v, es)
-				}
+				// ever materializing.
+				c.observeFull(acc, b, es)
 				return nil
 			}
 			sel, all := es.sel[:0], false
@@ -495,24 +489,29 @@ func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 			} else {
 				res.rowsScanned += int64(len(sel))
 			}
-			for _, sub := range subs {
-				sub.results[i].acc.observeBatch(b.Dims, b.Metrics, b.Rows, sel)
-			}
+			acc.observeBatch(b.Dims, b.Metrics, b.Rows, sel)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
 	}
-	for _, sub := range subs {
-		res.acc = sub.results[i].acc
-		sub.results[i] = res
-	}
+	// Seal: the brick's groups move to exact-size storage and the kernel's
+	// buffers are free for the worker's next brick.
+	res.slab = acc.slab().seal()
 	// Key the fill on the epoch observed during the visit — never the
 	// pre-scan read — so an ingest that lands mid-scan can only file the
 	// entry under a key future lookups (which will see the newer epoch)
 	// already miss.
-	p.bc.put(scope, p.key, t.BrickID, epoch, first, res.rowsScanned)
+	p.bc.put(scope, p.key, t.BrickID, epoch, &res.slab, res.rowsScanned)
+	for j, sub := range subs {
+		sub.results[i] = res
+		if j > 0 {
+			// Combining hands a slab's cells to the combiner, which mutates
+			// them: every subscriber owns a copy.
+			sub.results[i].slab = res.slab.clone()
+		}
+	}
 	return nil
 }
 
@@ -542,24 +541,31 @@ func (p *scanPass) wait(ctx context.Context, sub *foldSub) error {
 	return p.err
 }
 
-// combine folds the subscriber's per-task results in ascending brick-id
-// order into a fresh map-based accumulator (dense per-brick kernels cannot
-// absorb other bricks — their slot arrays are sized to one brick's
-// bounds) and sums the per-task accounting into the partial and info.
+// combine folds the subscriber's per-task slabs in ascending brick-id
+// order into a combiner picked over the whole schema domain (dense when
+// the GROUP BY's domain is small enough), turns it into the partial and
+// sums the per-task accounting into the partial and info.
 func (p *scanPass) combine(sub *foldSub, info *ExecInfo) *Partial {
-	out := NewPartial(sub.q)
-	out.BricksVisited = int64(len(p.tasks))
-	out.BricksPruned = int64(p.pruned)
-	if len(p.tasks) == 0 {
-		return out
+	var ks kernelSet
+	base := ks.pick(p.c, p.c.domain)
+	// Room for every brick's groups up front, so the combiner never
+	// regrows; a dense one cannot hold more groups than its domain has
+	// points.
+	n := 0
+	for i := range sub.results {
+		n += sub.results[i].slab.len()
 	}
-	base := newAccumulator(p.c)
+	if d, ok := base.(*denseAcc); ok {
+		n = min(n, len(d.slots))
+	}
+	base.slab().reserve(n)
+	var rows, decompressions int64
 	for i := range sub.results {
 		res := &sub.results[i]
-		base.mergeFrom(res.acc)
-		out.RowsScanned += res.rowsScanned
+		absorb(base, &res.slab)
+		rows += res.rowsScanned
 		if res.decompressed {
-			out.Decompressions++
+			decompressions++
 		}
 		info.ScanStats.add(res.stats)
 		if res.cached {
@@ -568,6 +574,8 @@ func (p *scanPass) combine(sub *foldSub, info *ExecInfo) *Partial {
 			info.CacheMisses++
 		}
 	}
-	base.addTo(out)
+	out := base.slab().partial(sub.q)
+	out.RowsScanned, out.Decompressions = rows, decompressions
+	out.BricksVisited, out.BricksPruned = int64(len(p.tasks)), int64(p.pruned)
 	return out
 }

@@ -140,6 +140,19 @@ echo "== allocation ceilings (PlanScan <= 2, doorkeeper-rejected put = 0)"
 go test -count=1 -run 'TestPlanScanAllocs' ./internal/brick
 go test -count=1 -run 'TestBrickCacheRejectedPutAllocs' ./internal/engine
 
+# The brick pass keeps groups in index-addressed slabs: a group is an index
+# into flat key and cell arrays, never an object of its own, so a brick's
+# groups cost no allocation each. newGroup is for the serial oracle, the
+# rollup path and partials only. The hazard test pins the four ways slab
+# state can break an answer; the ceiling pins allocations per visited brick.
+echo "== group state without per-group objects"
+if grep -n 'newGroup(' internal/engine/kernels.go internal/engine/encoded.go internal/engine/scheduler.go; then
+    echo "group state without per-group objects: newGroup( is back in the brick pass (see above)"
+    exit 1
+fi
+go test -race -count=1 -run 'TestGroupSlabHazards' ./internal/engine
+go test -count=1 -run 'TestRunAllocsPerBrick' ./internal/engine
+
 echo "== chaos test (seeded fault injection, -race)"
 go test -race -count=1 -run 'TestChaos' ./internal/netexec
 
