@@ -63,8 +63,8 @@ func main() {
 	w.Tracer = tracer
 	w.ExportRateBytes = *migrateRateBytes
 	w.DictCapacity = uint32(*dictCapacity)
-	log.Printf("cubrick-worker serving: fold=%v brick-cache-bytes=%d decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d rollup time-dim=%q bucket=%d dims=%q distinct=%q migrate-rate-bytes=%d",
-		cfg.FoldScans, cfg.BrickCacheBytes, cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth,
+	log.Printf("cubrick-worker serving: fold=%v decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d rollup time-dim=%q bucket=%d dims=%q distinct=%q migrate-rate-bytes=%d",
+		cfg.FoldScans, cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth,
 		cfg.RollupTimeDim, cfg.RollupBucket, cfg.RollupDims, cfg.RollupDistinct, *migrateRateBytes)
 	handler := netexec.ChaosHandler(*chaosFailProb, *chaosSeed, w.Handler())
 	// Debug and metrics endpoints mount on the outer mux so chaos-injected

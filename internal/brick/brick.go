@@ -350,8 +350,8 @@ func (b *Brick) visitBatch(proj *Projection, fn func(*Batch) error) error {
 
 // visitBatchEpoch is visitBatch plus exact epoch observation: the returned
 // epoch is read under the same b.mu critical section as the data, so it is
-// precisely the ingest state the callback saw — the property worker-side
-// caches key on. decoded reports whether the blob was walked (false on raw
+// precisely the ingest state the callback saw — the property the
+// decoded-column cache keys on. decoded reports whether the blob was walked (false on raw
 // bricks and on visits the decoded cache served without it).
 func (b *Brick) visitBatchEpoch(proj *Projection, fn func(*Batch) error) (epoch uint64, decoded bool, err error) {
 	b.mu.Lock()

@@ -32,7 +32,7 @@ func cloneBatch(b *Batch) *Batch {
 func visitCopy(t testing.TB, task *ScanTask, proj *Projection) *Batch {
 	t.Helper()
 	var got *Batch
-	if _, err := task.VisitBatchEpoch(proj, func(b *Batch) error {
+	if err := task.VisitBatch(proj, func(b *Batch) error {
 		got = cloneBatch(b)
 		return nil
 	}); err != nil {
@@ -267,7 +267,7 @@ func TestDecodedCacheConcurrentVisitors(t *testing.T) {
 			for i := 0; i < 40*len(shapes); i++ {
 				si, ti := (g+i)%len(shapes), (g*5+i)%len(tasks)
 				var got *Batch
-				if _, err := tasks[ti].VisitBatchEpoch(shapes[si], func(b *Batch) error {
+				if err := tasks[ti].VisitBatch(shapes[si], func(b *Batch) error {
 					got = cloneBatch(b)
 					return nil
 				}); err != nil {

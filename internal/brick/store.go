@@ -468,15 +468,6 @@ func (t *ScanTask) Rows() int { return t.brick.Rows() }
 // decompression.
 func (t *ScanTask) Compressed() bool { return t.brick.IsCompressed() }
 
-// Epoch returns the brick's current ingest epoch. It is advisory when read
-// outside a visit (an ingest may land right after); VisitBatchEpoch returns
-// the exact epoch the visited data belongs to.
-func (t *ScanTask) Epoch() uint64 { return t.brick.Epoch() }
-
-// Touch adds one unit of query heat to the brick without visiting it —
-// cache hits call it so reuse keeps a brick exactly as hot as a scan would.
-func (t *ScanTask) Touch() { t.brick.Touch(1) }
-
 // Visit streams the brick's fully materialized columnar batch to fn,
 // adding heat and counting decompressions/SSD reads on the store. The
 // column slices are valid only for the duration of the call.
@@ -490,22 +481,12 @@ func (t *ScanTask) Visit(fn func(dims [][]uint32, metrics [][]float64, rows int)
 // columns the projection references (nil materializes everything) into
 // pooled scratch buffers, adding heat and counting decompressions/SSD
 // reads on the store. The batch and its views are valid only for the
-// duration of the call.
+// duration of the call. Decompression / SSD-read accounting counts only
+// visits that actually paid a decode, so decoded-cache hits do not inflate
+// the cost counters.
 func (t *ScanTask) VisitBatch(proj *Projection, fn func(*Batch) error) error {
-	_, err := t.VisitBatchEpoch(proj, fn)
-	return err
-}
-
-// VisitBatchEpoch is VisitBatch plus exact epoch observation: the returned
-// epoch is read inside the same brick critical section as the data, so the
-// batch fn saw belongs to precisely that epoch — an ingest racing with the
-// visit lands either wholly before it (and is in the batch) or wholly
-// after (and has already bumped past the returned epoch). Decompression /
-// SSD-read accounting counts only visits that actually paid a decode, so
-// decoded-cache hits do not inflate the cost counters.
-func (t *ScanTask) VisitBatchEpoch(proj *Projection, fn func(*Batch) error) (uint64, error) {
 	t.brick.Touch(1)
-	epoch, decoded, err := t.brick.visitBatchEpoch(proj, fn)
+	_, decoded, err := t.brick.visitBatchEpoch(proj, fn)
 	if decoded {
 		t.store.mu.Lock()
 		t.store.decompressions++
@@ -514,33 +495,27 @@ func (t *ScanTask) VisitBatchEpoch(proj *Projection, fn func(*Batch) error) (uin
 		}
 		t.store.mu.Unlock()
 	}
-	return epoch, err
+	return err
 }
 
 // PruneEncoded inspects the brick's encoded blob header and reports whether
 // the filter provably matches no row — FOR base/width and dictionary
-// min/max bounds — without decoding any column. The returned epoch belongs
-// to the inspected data (read in the same critical section), so cache
-// entries keyed on it stay exact under racing ingest. Raw and evicted
-// bricks return false: there is no resident blob to inspect without paying
-// a decode or I/O.
-func (t *ScanTask) PruneEncoded(f *Filter) (bool, uint64) {
+// min/max bounds — without decoding any column. Raw and evicted bricks
+// return false: there is no resident blob to inspect without paying a
+// decode or I/O.
+func (t *ScanTask) PruneEncoded(f *Filter) bool {
 	b := t.brick
 	b.mu.Lock()
 	data := b.encoded
 	rows := b.rows
-	epoch := b.epoch
 	b.mu.Unlock()
-	if data == nil {
-		return false, 0
-	}
-	if !blobBoundsPrune(data, rows, len(t.store.schema.Dimensions), f) {
-		return false, 0
+	if data == nil || !blobBoundsPrune(data, rows, len(t.store.schema.Dimensions), f) {
+		return false
 	}
 	// The query touched (and answered from) this brick; heat accrues just
 	// as a real visit would.
 	t.brick.Touch(1)
-	return true, epoch
+	return true
 }
 
 // ScanPlan is a stable snapshot of the bricks a filtered scan must visit,

@@ -97,7 +97,7 @@ func BenchmarkVisitBrickMixedProjections(b *testing.B) {
 			var rows int
 			visit := func(i int) {
 				proj := shapes[i/len(tasks)%len(shapes)]
-				if _, err := tasks[i%len(tasks)].VisitBatchEpoch(proj, func(batch *Batch) error {
+				if err := tasks[i%len(tasks)].VisitBatch(proj, func(batch *Batch) error {
 					rows += batch.Rows
 					return nil
 				}); err != nil {

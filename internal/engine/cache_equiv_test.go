@@ -11,11 +11,11 @@ import (
 	"cubrick/internal/randutil"
 )
 
-// normalizeDecomp zeroes the one counter that legitimately differs between
-// cached and cold executions: a decoded-column or brick-partial cache hit
-// skips the transient decode a cold run pays, so Decompressions is a cost
-// metric, not part of the answer. Everything else — rows, groups, HLL
-// cardinalities, scan accounting — must stay bit-identical.
+// normalizeDecomp zeroes the one counter that may legitimately differ
+// between two runs of one query: Decompressions is a cost metric, not part
+// of the answer (a run without the blob-bounds prune decodes bricks a
+// pruning run skips). Everything else — rows, groups, HLL cardinalities,
+// scan accounting — must stay bit-identical.
 func normalizeDecomp(r *Result) *Result {
 	r.Decompressions = 0
 	return r
@@ -24,10 +24,10 @@ func normalizeDecomp(r *Result) *Result {
 // TestCachedColdEquivalence is the property test for the caching tier:
 // over 30 random trials — random schemas, data, ingest interleavings,
 // compaction states (raw, encoded, evicted bricks), and queries covering
-// every kernel including CountDistinct's HLL sketches — executing with the
-// brick-partial and decoded-column caches enabled (twice: a fill pass and
-// a hit pass) must finalize to exactly the same Result as the fully
-// uncached path, before and after additional ingest.
+// every kernel including CountDistinct's HLL sketches — executing through
+// the decoded-column cache (twice: a fill pass and a hit pass) must
+// finalize to exactly the same Result as the cache-bypassed path, before
+// and after additional ingest.
 func TestCachedColdEquivalence(t *testing.T) {
 	rnd := randutil.New(20260808)
 	aggFuncs := []AggFunc{Sum, Count, Min, Max, Avg, CountDistinct}
@@ -51,7 +51,7 @@ func TestCachedColdEquivalence(t *testing.T) {
 		}
 		dc := brick.NewDecodedCache(8 << 20)
 		s.SetDecodedCache(dc)
-		cached := NewScheduler(s, SchedulerConfig{BrickCache: NewBrickCache(8 << 20), CacheScope: fmt.Sprintf("t%d", trial)})
+		cached := NewScheduler(s, SchedulerConfig{})
 
 		ingest := func(rows int) {
 			dimVals := make([]uint32, nDims)
@@ -119,16 +119,16 @@ func TestCachedColdEquivalence(t *testing.T) {
 				t.Fatalf("trial %d %s cold: %v", trial, stage, err)
 			}
 			cold := normalizeDecomp(coldP.Finalize())
-			// Second-touch admission: the first cached run only marks the
-			// doorkeeper, the second fills, the third must hit. Every run's
-			// answer is compared, whatever it was served from.
-			for run, name := range []string{"first", "fill", "hit"} {
-				p, info, err := cached.Run(context.Background(), q, Opts{Unshared: true})
+			// The first cached run fills the decoded-column cache for the
+			// compressed bricks it decodes, the second must hit it.
+			for run, name := range []string{"fill", "hit"} {
+				before := dc.Stats().Hits
+				p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
 				if err != nil {
 					t.Fatalf("trial %d %s %s: %v", trial, stage, name, err)
 				}
-				if run == 2 && info.CacheHits == 0 && s.BrickCount() > 0 {
-					t.Fatalf("trial %d %s: repeat query got no cache hits over %d bricks", trial, stage, s.BrickCount())
+				if run == 1 && p.Decompressions > 0 && dc.Stats().Hits == before {
+					t.Fatalf("trial %d %s: repeat query got no decoded-cache hits over %d compressed visits", trial, stage, p.Decompressions)
 				}
 				if err := resultsEqual(cold, normalizeDecomp(p.Finalize())); err != nil {
 					t.Fatalf("trial %d %s %s vs cold: %v", trial, stage, name, err)
@@ -138,9 +138,8 @@ func TestCachedColdEquivalence(t *testing.T) {
 		check("initial")
 
 		// Interleave more ingest (and sometimes compaction) and re-check:
-		// the epoch bump must orphan exactly the affected bricks' entries,
-		// never serve them stale, and never corrupt cached snapshots the
-		// earlier passes already consumed.
+		// the epoch bump must orphan exactly the affected bricks' entries
+		// and never serve them stale.
 		ingest(50 + rnd.Intn(500))
 		if rnd.Intn(2) == 0 {
 			compact()
@@ -150,10 +149,11 @@ func TestCachedColdEquivalence(t *testing.T) {
 }
 
 // TestConcurrentIngestCachedFreshness runs cached query replay against a
-// store under concurrent ingest (run with -race): every query issued after
-// the ingester has committed k batches must observe at least the rows of
-// those k batches — a cached partial from before an ingest may never stand
-// in for a brick that has since grown.
+// store under concurrent ingest (run with -race), compressing every brick
+// now and then so visits read through the decoded-column cache: every query
+// issued after the ingester has committed k batches must observe at least
+// the rows of those k batches — decoded columns cached before an ingest may
+// never stand in for a brick that has since grown.
 func TestConcurrentIngestCachedFreshness(t *testing.T) {
 	schema := brick.Schema{
 		Dimensions: []brick.Dimension{{Name: "d0", Max: 16, Buckets: 4}},
@@ -163,8 +163,9 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetDecodedCache(brick.NewDecodedCache(4 << 20))
-	cached := NewScheduler(s, SchedulerConfig{BrickCache: NewBrickCache(4 << 20), CacheScope: "live"})
+	dc := brick.NewDecodedCache(4 << 20)
+	s.SetDecodedCache(dc)
+	cached := NewScheduler(s, SchedulerConfig{})
 
 	const batches = 60
 	const batchRows = 40
@@ -189,8 +190,14 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 		}
 	}()
 
-	q := &Query{Aggregates: []Aggregate{{Func: Count}}}
+	q := &Query{Aggregates: []Aggregate{{Func: Count}, {Func: Sum, Metric: "m0"}}}
+	waitFor(t, func() bool { return committed.Load() > 0 })
 	for i := 0; i < 400; i++ {
+		if i%20 == 0 {
+			if _, _, err := s.EnsureBudget(0, 0.5); err != nil {
+				t.Fatalf("query %d compress: %v", i, err)
+			}
+		}
 		floor := committed.Load() * batchRows
 		p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
 		if err != nil {
@@ -203,22 +210,31 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Quiesced: the cached answer must equal the exact final count.
-	p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
-	if err != nil {
+	// Quiesced and compressed: the answer read through the decoded cache,
+	// filling it and then hitting it, must equal the exact final count.
+	if _, _, err := s.EnsureBudget(0, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Finalize().Rows[0][0]; got != float64(batches*batchRows) {
-		t.Fatalf("final count %v, want %d", got, batches*batchRows)
+	for run := 0; run < 2; run++ {
+		p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Finalize().Rows[0]; got[0] != float64(batches*batchRows) || got[1] != got[0] {
+			t.Fatalf("final run %d: count, sum %v, want %d", run, got, batches*batchRows)
+		}
+	}
+	if st := dc.Stats(); st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("queries never read through the decoded-column cache: %+v", st)
 	}
 }
 
 // TestDecodedCacheShapeSequenceEquivalence drives one compressed store with
 // a long random sequence of query shapes — the ad-hoc traffic whose
 // projections all share a brick's one decoded-cache entry — under a budget
-// small enough that entries are evicted and rebuilt mid-sequence. With the
-// brick-partial cache off every brick visit goes through the decoded cache,
-// and every answer must be bit-identical to the cache-bypassed run.
+// small enough that entries are evicted and rebuilt mid-sequence. Every
+// brick visit goes through the decoded cache, and every answer must be
+// bit-identical to the cache-bypassed run.
 func TestDecodedCacheShapeSequenceEquivalence(t *testing.T) {
 	schema := brick.Schema{
 		Dimensions: []brick.Dimension{

@@ -503,7 +503,7 @@ func Execute(store *brick.Store, q *Query) (*Partial, error) {
 		if !t.Full && c.filter != nil {
 			// Same blob-bounds pruning as the brick pass, so cost
 			// counters (Decompressions) stay identical across paths.
-			if pruned, _ := t.PruneEncoded(c.filter); pruned {
+			if t.PruneEncoded(c.filter) {
 				continue
 			}
 		}

@@ -5,10 +5,8 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"unsafe"
 
 	"cubrick/internal/brick"
-	"cubrick/internal/hll"
 )
 
 // Aggregation kernels for the vectorized execution path. Each kernel
@@ -47,9 +45,6 @@ type groupSlab struct {
 	keys         []uint32
 	cells        []cell
 }
-
-// cellBytes is a cell's in-memory size.
-const cellBytes = int64(unsafe.Sizeof(cell{}))
 
 // slab returns the slab itself; kernels embed a groupSlab, so this is how
 // an accumulator exposes its group state.
@@ -134,25 +129,14 @@ func (s *groupSlab) seal() groupSlab {
 }
 
 // clone returns a deep copy: keys, cells and sketches are all owned by the
-// copy. The brick cache needs it on put and on get, because combining a
-// slab hands its cells to the combiner, which mutates them.
+// copy. A brick's second and later subscribers each get one, because
+// combining a slab hands its cells to the combiner, which mutates them.
 func (s *groupSlab) clone() groupSlab {
 	out := s.copied()
 	for i := range out.cells {
 		out.cells[i].sketch = out.cells[i].sketch.Clone()
 	}
 	return out
-}
-
-// memBytes is the slab's resident size, for cache byte budgeting.
-func (s *groupSlab) memBytes() int64 {
-	n := 4*int64(len(s.keys)) + cellBytes*int64(len(s.cells))
-	for i := range s.cells {
-		if s.cells[i].sketch != nil {
-			n += hll.Bytes
-		}
-	}
-	return n
 }
 
 // partial turns the slab into q's Partial in one step: one []group and

@@ -314,8 +314,8 @@ func ExecuteRollup(ctx context.Context, st *brick.Store, table *rollup.Table, q 
 	for _, e := range edges {
 		qe := *q
 		qe.Filter = overrideTimeFilter(q.Filter, cfg.TimeDim, e)
-		// An unshared pass on a scheduler of its own: no brick cache, and no
-		// trace in the store scheduler's fold counters.
+		// An unshared pass on a scheduler of its own: no trace in the store
+		// scheduler's fold counters.
 		pe, _, err := NewScheduler(st, SchedulerConfig{}).Run(ctx, &qe, Opts{Unshared: true})
 		if err != nil {
 			return nil, info, false, err

@@ -51,27 +51,19 @@ type SchedulerConfig struct {
 	// Metrics, when set, receives the fold counters
 	// engine.fold.{attached,solo,catchup_bricks}.
 	Metrics *metrics.Registry
-	// BrickCache, when set, caches per-brick accumulator snapshots keyed
-	// on (CacheScope, fold key, brick id, brick ingest epoch): passes skip
-	// re-scanning bricks that are unchanged since an earlier pass of the
-	// same shape. Results stay bit-identical to uncached execution.
-	BrickCache *BrickCache
-	// CacheScope isolates this store's keys when BrickCache is shared by
-	// several stores (typically the partition name).
-	CacheScope string
 }
 
 // Opts are the per-call options of Scheduler.Run. The zero value folds
 // the query into an in-flight pass of its fold key when there is one and
-// uses every configured cache.
+// reads compressed bricks through the store's decoded-column cache.
 type Opts struct {
 	// Unshared runs the query on a private pass: it neither joins an
 	// in-flight pass nor lets later queries join its own.
 	Unshared bool
-	// NoCache bypasses every cache level for this run — the brick cache
-	// and the storage layer's decoded-column cache are neither consulted
-	// nor filled. It implies Unshared: a shared pass would hand the run
-	// its peers' cached per-brick partials.
+	// NoCache bypasses the storage layer's decoded-column cache for this
+	// run: it is neither consulted nor filled. It implies Unshared: a
+	// shared pass decodes with its publisher's projection, which reads
+	// through the cache.
 	NoCache bool
 
 	// noSkippers turns off the per-encoding filter skippers and the
@@ -114,9 +106,6 @@ type ExecInfo struct {
 	Folded bool
 	// CatchupBricks is how many bricks the catch-up pass covered.
 	CatchupBricks int
-	// CacheHits / CacheMisses count brick-cache lookups over the bricks
-	// this result consumed (always zero without a brick cache).
-	CacheHits, CacheMisses int
 	// Rollup is the outcome of the rollup attempt the serving layer made
 	// before (or instead of) the brick pass; Scheduler.Run leaves it zero.
 	Rollup RollupInfo
@@ -189,16 +178,12 @@ func (s *Scheduler) runOnce(ctx context.Context, q *Query, o Opts) (*Partial, Ex
 	if err != nil {
 		return nil, info, err
 	}
-	bc := s.cfg.BrickCache
-	if o.NoCache {
-		bc = nil
-	}
 	var key string
-	if bc != nil || !o.Unshared {
+	if !o.Unshared {
 		key = FoldKey(q)
 	}
 
-	pass, sub, folded, err := s.enter(q, c, key, bc, !o.Unshared)
+	pass, sub, folded, err := s.enter(q, c, key, !o.Unshared)
 	if err != nil {
 		return nil, info, err
 	}
@@ -221,7 +206,7 @@ func (s *Scheduler) runOnce(ctx context.Context, q *Query, o Opts) (*Partial, Ex
 		// Catch-up: a private pass over the tasks the shared pass claimed
 		// before this subscriber attached, filling the head of the same
 		// result slots while the shared pass fills the tail.
-		cp := &scanPass{sched: s, key: pass.key, c: pass.c, bc: pass.bc, tasks: pass.tasks[:n], done: make(chan struct{})}
+		cp := &scanPass{sched: s, key: pass.key, c: pass.c, tasks: pass.tasks[:n], done: make(chan struct{})}
 		cs := cp.subscribe(q, sub.results[:n])
 		go cp.run()
 		if err := cp.wait(ctx, cs); err != nil {
@@ -244,7 +229,7 @@ func (s *Scheduler) runOnce(ctx context.Context, q *Query, o Opts) (*Partial, Ex
 // pass published under key when share is set and that pass still accepts
 // subscribers (folded), else a newly planned pass, published when share is
 // set.
-func (s *Scheduler) enter(q *Query, c *compiled, key string, bc *BrickCache, share bool) (pass *scanPass, sub *foldSub, folded bool, err error) {
+func (s *Scheduler) enter(q *Query, c *compiled, key string, share bool) (pass *scanPass, sub *foldSub, folded bool, err error) {
 	if share {
 		// Held across planning and publishing, so a concurrent same-key
 		// query attaches instead of planning its own pass.
@@ -260,7 +245,7 @@ func (s *Scheduler) enter(q *Query, c *compiled, key string, bc *BrickCache, sha
 	if err != nil {
 		return nil, nil, false, err
 	}
-	pass = &scanPass{sched: s, key: key, c: c, bc: bc, tasks: plan.Tasks, pruned: plan.Pruned,
+	pass = &scanPass{sched: s, key: key, c: c, tasks: plan.Tasks, pruned: plan.Pruned,
 		published: share, done: make(chan struct{})}
 	sub = pass.subscribe(q, make([]taskResult, len(pass.tasks)))
 	if share {
@@ -274,7 +259,6 @@ type taskResult struct {
 	slab         groupSlab // the brick's sealed groups, owned by this slot
 	rowsScanned  int64
 	decompressed bool
-	cached       bool
 	stats        ScanStats
 }
 
@@ -294,12 +278,9 @@ type foldSub struct {
 // scanPass is one morsel pass over a store's bricks.
 type scanPass struct {
 	sched *Scheduler
-	// key is the fold key: the brick-cache key prefix, and the index in
-	// Scheduler.passes when published.
-	key string
-	c   *compiled
-	// bc is the brick cache the pass consults and fills, nil for none.
-	bc        *BrickCache
+	// key is the fold key, the index in Scheduler.passes when published.
+	key       string
+	c         *compiled
 	tasks     []brick.ScanTask
 	pruned    int
 	published bool
@@ -412,49 +393,27 @@ func (p *scanPass) work() {
 }
 
 // visitBrick scans task i and fills results[i] of every given subscriber:
-// brick-cache lookup, blob-bounds prune, then one decode / filter / walk of
-// the brick observed into one kernel, sealed into a slab every subscriber
-// gets a copy of, and a cache fill. The brick is visited exactly once
-// regardless of subscriber count — that shared visit is the entire win of
-// folding.
+// blob-bounds prune, then one decode / filter / walk of the brick (through
+// the store's decoded-column cache unless the pass bypasses it) observed
+// into one kernel, sealed into a slab every subscriber gets a copy of. The
+// brick is visited exactly once regardless of subscriber count — that
+// shared visit is the entire win of folding.
 func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 	if len(subs) == 0 {
 		// Every subscriber detached since the claim: nobody consumes the
-		// task, and there is no accumulator to scan into or to cache.
+		// task, so the brick is neither decoded nor scanned.
 		return nil
 	}
 	t := &p.tasks[i]
 	c := p.c
-	scope := p.sched.cfg.CacheScope
-	if p.bc != nil {
-		if slab, rows, ok := p.bc.get(scope, p.key, t.BrickID, t.Epoch()); ok {
-			// Cache hit: the snapshot stands in for the whole scan. Heat
-			// still accrues — reuse keeps a brick exactly as hot as scanning
-			// it would. Each subscriber gets its own deep copy because
-			// combiners take ownership of (and later mutate) what they merge.
-			t.Touch()
-			for j, sub := range subs {
-				if j > 0 {
-					slab = slab.clone()
-				}
-				sub.results[i] = taskResult{slab: slab, rowsScanned: rows, cached: true}
-			}
-			return nil
-		}
-	}
 	// Every subscriber shares the pass's compiled query, so one kernel —
 	// over the worker's reused buffers — observes the brick for all of them.
 	acc := es.kernels.pick(c, t.Bounds)
 	var res taskResult // what every subscriber's slot receives
-	var pruned bool
-	var epoch uint64
-	if !t.Full && c.filter != nil && !c.noSkippers {
-		// Bounds pruning: if the encoded blob's column stats (FOR
-		// base/width, dictionary min/max) prove no row can match, the brick
-		// is done without any decode.
-		pruned, epoch = t.PruneEncoded(c.filter)
-	}
-	if pruned {
+	// Bounds pruning: if the encoded blob's column stats (FOR base/width,
+	// dictionary min/max) prove no row can match, the brick is done without
+	// any decode.
+	if !t.Full && c.filter != nil && !c.noSkippers && t.PruneEncoded(c.filter) {
 		res.stats.BricksStatsPruned++
 	} else {
 		res.decompressed = t.Compressed()
@@ -462,8 +421,7 @@ func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 		if t.Full {
 			proj = &c.projFull
 		}
-		var err error
-		epoch, err = t.VisitBatchEpoch(proj, func(b *brick.Batch) error {
+		err := t.VisitBatch(proj, func(b *brick.Batch) error {
 			if t.Full || c.filter == nil {
 				res.rowsScanned += int64(b.Rows)
 				// Encoded fast path (see encoded.go): grouped columns that
@@ -499,11 +457,6 @@ func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 	// Seal: the brick's groups move to exact-size storage and the kernel's
 	// buffers are free for the worker's next brick.
 	res.slab = acc.slab().seal()
-	// Key the fill on the epoch observed during the visit — never the
-	// pre-scan read — so an ingest that lands mid-scan can only file the
-	// entry under a key future lookups (which will see the newer epoch)
-	// already miss.
-	p.bc.put(scope, p.key, t.BrickID, epoch, &res.slab, res.rowsScanned)
 	for j, sub := range subs {
 		sub.results[i] = res
 		if j > 0 {
@@ -568,11 +521,6 @@ func (p *scanPass) combine(sub *foldSub, info *ExecInfo) *Partial {
 			decompressions++
 		}
 		info.ScanStats.add(res.stats)
-		if res.cached {
-			info.CacheHits++
-		} else if p.bc != nil {
-			info.CacheMisses++
-		}
 	}
 	out := base.slab().partial(sub.q)
 	out.RowsScanned, out.Decompressions = rows, decompressions

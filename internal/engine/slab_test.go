@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"cubrick/internal/brick"
 	"cubrick/internal/hll"
@@ -82,27 +81,6 @@ func TestRunAllocsPerBrick(t *testing.T) {
 	}
 }
 
-// TestSlabMemBytes pins the brick cache's byte accounting to the real
-// layout: a slab costs its cells at unsafe.Sizeof(cell{}), its keys at four
-// bytes each, and one register array per live sketch.
-func TestSlabMemBytes(t *testing.T) {
-	c, err := compile(testSchema(), &Query{
-		Aggregates: []Aggregate{{Func: Sum, Metric: "events"}, {Func: CountDistinct, Metric: "region"}},
-		GroupBy:    []string{"region", "app"},
-	}, Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := new(kernelSet).pick(c, c.domain)
-	acc.observeBatch([][]uint32{{0, 1, 1, 2}, {3, 4, 4, 5}}, [][]float64{{1, 2, 4, 8}, {0, 0, 0, 0}}, 4, []int32{0, 1, 2})
-	slab := acc.slab().seal()
-	// Two groups, (0,3) and (1,4): two cells and one sketch each.
-	want := 2*2*int64(unsafe.Sizeof(cell{})) + 2*2*4 + 2*hll.Bytes
-	if got := slab.memBytes(); got != want {
-		t.Fatalf("memBytes %d, want %d", got, want)
-	}
-}
-
 // slabValue is a slab's state by value, sketch registers included.
 type slabValue struct {
 	arity, nAggs int
@@ -143,7 +121,7 @@ func brickSlabs(t *testing.T, s *brick.Store, q *Query) (*compiled, []uint64, ma
 	for i := range plan.Tasks {
 		task := &plan.Tasks[i]
 		acc := es.kernels.pick(c, task.Bounds)
-		if _, err := task.VisitBatchEpoch(&c.projFull, func(b *brick.Batch) error {
+		if err := task.VisitBatch(&c.projFull, func(b *brick.Batch) error {
 			c.observeFull(acc, b, es)
 			return nil
 		}); err != nil {
@@ -175,7 +153,7 @@ func partialSketches(p *Partial, into map[*hll.Sketch]int, owner int) error {
 // break an answer while most other tests still pass: (a) a cell that
 // starts as the zero value instead of newCell(), (b) a cell view held
 // across an insertion that moves the slab, (c) a slab aliased between a
-// worker's reused buffers, two subscribers and the brick cache, and (d) a
+// worker's reused buffers and two subscribers, and (d) a
 // clone that misses part of a kernel's state. The matrix case runs the
 // path matrix on non-dyadic metrics, where any path that changed the
 // order of float additions would show.
@@ -279,10 +257,8 @@ func TestGroupSlabHazards(t *testing.T) {
 	})
 
 	t.Run("c_no_aliasing", func(t *testing.T) {
-		// A CountDistinct query two subscribers share, cold and then served
-		// from the brick cache. No sketch may be shared by the two answers,
-		// or by an answer and the cache, and every cache entry must still
-		// equal a cold scan of its brick.
+		// A CountDistinct query two subscribers share: no sketch may be
+		// shared by the two answers.
 		s := loadStore(t)
 		q := &Query{Aggregates: []Aggregate{{Func: CountDistinct, Metric: "region"}, {Func: Sum, Metric: "events"}},
 			GroupBy: []string{"app"}}
@@ -290,78 +266,34 @@ func TestGroupSlabHazards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ids, cold := brickSlabs(t, s, q)
-		bc := NewBrickCache(8 << 20)
-		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1, BrickCache: bc, CacheScope: "p"})
-		entries := func() map[uint64]*groupSlab {
-			plan, err := s.PlanScan(nil)
+		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
+		claimed, release, _ := holdClaim(sched, 0)
+		answers := make(chan *Partial, 2)
+		run := func() {
+			p, _, err := sched.Run(ctx, q, Opts{})
 			if err != nil {
+				t.Error(err)
+			}
+			answers <- p
+		}
+		go run()
+		<-claimed
+		go run()
+		waitFor(t, func() bool { return sched.Stats().Attached == 1 })
+		release()
+		owners := make(map[*hll.Sketch]int)
+		for i := 0; i < 2; i++ {
+			p := <-answers
+			if p == nil {
+				t.FailNow()
+			}
+			if err := resultsEqual(want.Finalize(), p.Finalize()); err != nil {
 				t.Fatal(err)
 			}
-			out := make(map[uint64]*groupSlab)
-			for _, task := range plan.Tasks {
-				if v, ok := bc.c.Peek(brickCacheKey("p", FoldKey(q), task.BrickID, task.Epoch()), 0); ok {
-					out[task.BrickID] = &v.(*brickCacheEntry).slab
-				}
-			}
-			return out
-		}
-		shared := func(stage string, wantHits bool) {
-			claimed, release, _ := holdClaim(sched, 0)
-			type answer struct {
-				p    *Partial
-				info ExecInfo
-				err  error
-			}
-			answers := make(chan answer, 2)
-			run := func() {
-				p, info, err := sched.Run(ctx, q, Opts{})
-				answers <- answer{p, info, err}
-			}
-			go run()
-			<-claimed
-			attached := sched.Stats().Attached
-			go run()
-			waitFor(t, func() bool { return sched.Stats().Attached > attached })
-			release()
-			owners := make(map[*hll.Sketch]int)
-			for i := 0; i < 2; i++ {
-				a := <-answers
-				if a.err != nil {
-					t.Fatalf("%s: %v", stage, a.err)
-				}
-				if err := resultsEqual(want.Finalize(), a.p.Finalize()); err != nil {
-					t.Fatalf("%s: %v", stage, err)
-				}
-				if hit := a.info.CacheHits > 0; hit != wantHits {
-					t.Fatalf("%s: brick-cache hits %d", stage, a.info.CacheHits)
-				}
-				if err := partialSketches(a.p, owners, i); err != nil {
-					t.Fatalf("%s: %v", stage, err)
-				}
-			}
-			sched.testClaimHook = nil
-			for id, e := range entries() {
-				for _, c := range e.cells {
-					if _, seen := owners[c.sketch]; c.sketch != nil && seen {
-						t.Fatalf("%s: brick %d's cache entry shares a sketch with an answer", stage, id)
-					}
-				}
-				if want := cold[id]; !reflect.DeepEqual(valueOf(e), valueOf(&want)) {
-					t.Fatalf("%s: brick %d's cache entry no longer equals the brick scanned cold", stage, id)
-				}
-			}
-		}
-		shared("cold", false)
-		for i := 0; i < 2; i++ { // the second touch admits every brick
-			if _, _, err := sched.Run(ctx, q, Opts{Unshared: true}); err != nil {
+			if err := partialSketches(p, owners, i); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if n := len(entries()); n != len(ids) {
-			t.Fatalf("%d of %d bricks cached", n, len(ids))
-		}
-		shared("cached", true)
 	})
 
 	t.Run("d_clone", func(t *testing.T) {

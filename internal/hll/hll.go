@@ -19,10 +19,6 @@ const Precision = 12
 
 const m = 1 << Precision
 
-// Bytes is the fixed in-memory size of a sketch's register array — the
-// marginal cost of keeping one sketch resident, for cache budgeting.
-const Bytes = m
-
 // alpha is the bias-correction constant for m ≥ 128.
 var alpha = 0.7213 / (1 + 1.079/float64(m))
 

@@ -25,7 +25,7 @@ func countingHandler(h http.Handler, partials *atomic.Int64) http.Handler {
 	})
 }
 
-// startCachingCluster spins n workers (brick + decoded caches enabled) behind
+// startCachingCluster spins n workers (decoded cache enabled) behind
 // counting handlers and a coordinator with a result cache, loading rows
 // round-robin through Cluster.Load so the coordinator learns ingest epochs.
 func startCachingCluster(t *testing.T, n, rows int) (*Cluster, *atomic.Int64, func()) {
@@ -34,7 +34,7 @@ func startCachingCluster(t *testing.T, n, rows int) (*Cluster, *atomic.Int64, fu
 	var servers []*httptest.Server
 	var urls []string
 	for i := 0; i < n; i++ {
-		w := NewWorker(partition.Config{BrickCacheBytes: 4 << 20, DecodedCacheBytes: 4 << 20})
+		w := NewWorker(partition.Config{DecodedCacheBytes: 4 << 20})
 		srv := httptest.NewServer(countingHandler(w.Handler(), &partials))
 		servers = append(servers, srv)
 		urls = append(urls, srv.URL)

@@ -57,7 +57,6 @@ func runCachingCell(t *testing.T, stream []*engine.Query, rows int, caches, inge
 	for i := 0; i < 2; i++ {
 		var cfg partition.Config
 		if caches {
-			cfg.BrickCacheBytes = 32 << 20
 			cfg.DecodedCacheBytes = 32 << 20
 		}
 		w := NewWorker(cfg)

@@ -372,16 +372,12 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	}
 	if !info.Rollup.Hit {
 		// Raw path: one brick pass. Per-request cache bypass neither
-		// consults nor fills the brick-partial and decoded-column caches.
+		// consults nor fills the decoded-column cache.
 		if popts.noCache {
 			espan.SetAttr("cache.bypass", "true")
 		}
 		espan.SetAttr("folded", strconv.FormatBool(info.Folded))
 		espan.SetAttrInt("catchup_bricks", int64(info.CatchupBricks))
-		if w.parts.Config().BrickCacheBytes > 0 && !popts.noCache {
-			espan.SetAttrInt("cache.brick.hits", int64(info.CacheHits))
-			espan.SetAttrInt("cache.brick.misses", int64(info.CacheMisses))
-		}
 	}
 	attrMS(espan, "plan_ms", info.Plan)
 	attrMS(espan, "scan_ms", info.Scan)
@@ -615,8 +611,8 @@ type cacheBypassCtxKey struct{}
 
 // WithCacheBypass marks the context so the query skips the coordinator's
 // result cache and carries X-Cubrick-Cache: off to workers, which then
-// bypass their brick and decoded-column caches too — a fully recomputed
-// answer.
+// bypass their rollup tables and decoded-column caches too — a fully
+// recomputed answer.
 func WithCacheBypass(ctx context.Context) context.Context {
 	return context.WithValue(ctx, cacheBypassCtxKey{}, true)
 }

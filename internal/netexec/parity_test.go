@@ -26,8 +26,8 @@ import (
 
 // TestCrossPlaneParity is the wall between the two edges of the partition
 // core: for random (schema, rows, tier mix, query) trials under every
-// serving configuration — rollups on/off × folding on/off × caches off /
-// cold / warm — cubrick.Node.ExecutePartialCtx and POST /partial return
+// serving configuration — rollups on/off × folding on/off × decoded cache
+// off / cold / warm — cubrick.Node.ExecutePartialCtx and POST /partial return
 // byte-identical partials (once the group records, which MarshalBinary
 // writes in map order, are sorted), and both finalize to exactly what the
 // oracle engine.Execute computes over the same rows. Metric values are
@@ -49,8 +49,8 @@ func TestCrossPlaneParity(t *testing.T) {
 			}
 			runs := 1
 			if cell&4 != 0 {
-				cfg.BrickCacheBytes, cfg.DecodedCacheBytes = 4<<20, 4<<20
-				runs = 3 // cold, fill (second touch), warm
+				cfg.DecodedCacheBytes = 4 << 20
+				runs = 2 // cold, warm
 			}
 			name := fmt.Sprintf("trial=%d fold=%v rollup=%v caches=%v", trial, cfg.FoldScans, cfg.RollupTimeDim != "", runs > 1)
 
@@ -94,7 +94,7 @@ func TestCrossPlaneParity(t *testing.T) {
 					if err != nil || resp.StatusCode != http.StatusOK {
 						t.Fatalf("%s query %d run %d: worker: status %d, %v", name, qi, run, resp.StatusCode, err)
 					}
-					if !bytes.Equal(canonicalPartial(t, nodeBlob, runs > 1), canonicalPartial(t, workerBlob, runs > 1)) {
+					if !bytes.Equal(canonicalPartial(t, nodeBlob), canonicalPartial(t, workerBlob)) {
 						t.Fatalf("%s query %d run %d (%+v): node and worker partials differ (%d vs %d bytes)",
 							name, qi, run, q, len(nodeBlob), len(workerBlob))
 					}
@@ -113,7 +113,7 @@ func TestCrossPlaneParity(t *testing.T) {
 		}
 	}
 	c := reg.CounterValues()
-	for _, name := range []string{"worker.rollup.hits", "worker.rollup.misses", "engine.fold.solo", "cache.brick.hit", "cache.decoded.hit"} {
+	for _, name := range []string{"worker.rollup.hits", "worker.rollup.misses", "engine.fold.solo", "cache.decoded.hit"} {
 		if c[name] == 0 {
 			t.Errorf("no trial moved %s: the wall never took that path", name)
 		}
@@ -123,10 +123,8 @@ func TestCrossPlaneParity(t *testing.T) {
 // canonicalPartial returns a wire partial with its group records sorted
 // bytewise: the header (magic, scan counters, arities, group count) stays
 // in place, so two blobs are equal afterwards exactly when they carry the
-// same counters and the same accumulators for the same groups. cached
-// drops the decompression counter: with caches on it depends on which
-// fills each cache's randomly seeded doorkeeper happened to admit.
-func canonicalPartial(t *testing.T, blob []byte, cached bool) []byte {
+// same counters and the same accumulators for the same groups.
+func canonicalPartial(t *testing.T, blob []byte) []byte {
 	t.Helper()
 	off := 4 // magic
 	uvarint := func() uint64 {
@@ -137,17 +135,11 @@ func canonicalPartial(t *testing.T, blob []byte, cached bool) []byte {
 		off += n
 		return v
 	}
-	for i := 0; i < 3; i++ { // rows scanned, bricks visited, bricks pruned
+	for i := 0; i < 4; i++ { // rows scanned, bricks visited, bricks pruned, decompressions
 		uvarint()
 	}
-	kept := off
-	uvarint() // decompressions
-	arities := off
-	if !cached {
-		kept = arities
-	}
 	keyLen, cells, groups := int(uvarint()), int(uvarint()), int(uvarint())
-	out := append(append([]byte(nil), blob[:kept]...), blob[arities:off]...)
+	out := append([]byte(nil), blob[:off]...)
 	records := make([][]byte, groups)
 	for g := range records {
 		start := off

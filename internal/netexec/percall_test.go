@@ -189,7 +189,7 @@ func TestWorkerPartitionLifecycle(t *testing.T) {
 // the "≈0.7 ms of worker CPU per call whatever it scans" line of the
 // benchmark's layer budget (ROADMAP aim 1c); run with -benchmem.
 func BenchmarkServePartialSmall(b *testing.B) {
-	wk := NewWorker(partition.Config{FoldScans: true, BrickCacheBytes: 32 << 20})
+	wk := NewWorker(partition.Config{FoldScans: true})
 	schema := brick.Schema{
 		Dimensions: []brick.Dimension{
 			{Name: "ds", Max: 128, Buckets: 16},
@@ -216,8 +216,7 @@ func BenchmarkServePartialSmall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// An app range nobody asked for before: a new fold key, so the
-		// brick cache can neither hit nor (second touch) fill.
+		// An app range nobody asked for before: a new fold key every call.
 		body := fmt.Sprintf(`{"partition":"wide#0","query":{"Aggregates":[{"Func":0,"Metric":"value"}],"GroupBy":["app","kind"],"Filter":{"app":[%d,%d]}}}`,
 			i%500, 500+i%524)
 		req := httptest.NewRequest(http.MethodPost, "/partial", bytes.NewReader([]byte(body)))

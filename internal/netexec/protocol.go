@@ -28,8 +28,8 @@ const (
 	HeaderFold = "X-Cubrick-Fold"
 	// HeaderCache set to "off" bypasses every cache level for one request:
 	// the coordinator skips its result cache and stamps the header
-	// worker-ward, where /partial neither consults nor fills the brick and
-	// decoded-column caches. The answer is then guaranteed fully
+	// worker-ward, where /partial skips the rollup table and neither
+	// consults nor fills the decoded-column cache. The answer is then guaranteed fully
 	// recomputed — the debugging escape hatch.
 	HeaderCache = "X-Cubrick-Cache"
 	// HeaderEpoch carries ingest-epoch state coordinator-ward in HTTP

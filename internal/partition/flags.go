@@ -35,7 +35,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.cfg.MaxConcurrent, "max-concurrent-queries", 0, "cap on concurrently executing partials per worker; excess queries queue (0 disables admission control)")
 	fs.IntVar(&f.cfg.QueueDepth, "queue-depth", 64, "bound on the admission queue; arrivals beyond it are shed (HTTP 429)")
 	fs.StringVar(&f.fold, "fold", "on", "shared-scan folding: concurrent queries with equal fold keys share one brick pass (on/off)")
-	fs.Int64Var(&f.cfg.BrickCacheBytes, "brick-cache-bytes", 0, "per-worker byte budget for the per-brick partial cache (fold key + ingest epoch keyed; 0 disables)")
+	fs.Int64Var(new(int64), "brick-cache-bytes", 0, "ignored; the per-brick partial cache was removed")
 	fs.Int64Var(&f.cfg.DecodedCacheBytes, "decoded-cache-bytes", 0, "per-worker byte budget for the decoded-column cache pinning hot compressed bricks (0 disables)")
 	fs.StringVar(&f.cfg.RollupTimeDim, "rollup-time-dim", "", "time dimension incremental rollups bucket on (empty disables rollups)")
 	fs.UintVar(&f.rollupBucket, "rollup-bucket", 1, "rollup bucket width in time-dimension values")

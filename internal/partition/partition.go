@@ -46,13 +46,9 @@ type Config struct {
 	// brick pass of the partition's scan scheduler (the -fold flag). A
 	// request can still opt out with Opts.Unshared.
 	FoldScans bool
-	// BrickCacheBytes budgets the per-brick partial cache (fold key +
-	// brick ingest epoch -> finished per-brick accumulator) shared by every
-	// partition of the set; 0 disables it.
-	BrickCacheBytes int64
 	// DecodedCacheBytes budgets the storage layer's decoded-column cache
 	// (hot compressed bricks keep their decoded columns resident), shared
-	// likewise; 0 disables it.
+	// by every partition of the set; 0 disables it.
 	DecodedCacheBytes int64
 	// RollupTimeDim names the time dimension incremental rollup tables
 	// bucket on; empty disables rollups. Each partition whose schema has
@@ -90,26 +86,19 @@ type entry struct {
 type Set struct {
 	cfg          Config
 	admit        *admission.Controller
-	brickCache   *engine.BrickCache
 	decodedCache *brick.DecodedCache
 
 	mu    sync.Mutex
 	parts map[string]*entry
-	// adopted numbers the entries ever made: it is part of each entry's
-	// brick-cache scope, so a partition re-created under a dropped name
-	// (whose fresh store restarts its epochs) cannot hit the old entries.
-	adopted uint64
 }
 
 // New builds an empty set with its cache levels and admission controller.
 func New(cfg Config) *Set {
 	s := &Set{
 		cfg:          cfg,
-		brickCache:   engine.NewBrickCache(cfg.BrickCacheBytes),
 		decodedCache: brick.NewDecodedCache(cfg.DecodedCacheBytes),
 		parts:        make(map[string]*entry),
 	}
-	s.brickCache.SetMetrics(cfg.Metrics)
 	s.decodedCache.SetMetrics(cfg.Metrics)
 	if cfg.MaxConcurrent > 0 {
 		s.admit = admission.New(admission.Config{
@@ -169,14 +158,9 @@ func (s *Set) Adopt(name string, st *brick.Store) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	s.adopted++
 	s.parts[name] = &entry{
-		store: st,
-		sched: engine.NewScheduler(st, engine.SchedulerConfig{
-			Metrics:    s.cfg.Metrics,
-			BrickCache: s.brickCache,
-			CacheScope: fmt.Sprintf("%s\x00%d", name, s.adopted),
-		}),
+		store:  st,
+		sched:  engine.NewScheduler(st, engine.SchedulerConfig{Metrics: s.cfg.Metrics}),
 		rollup: tbl,
 	}
 	s.mu.Unlock()
@@ -330,8 +314,7 @@ type Opts struct {
 	// folds scans (X-Cubrick-Fold: off).
 	Unshared bool
 	// NoCache promises a fully recomputed answer (X-Cubrick-Cache: off):
-	// the rollup table, the brick cache and the decoded-column cache are
-	// all bypassed.
+	// the rollup table and the decoded-column cache are both bypassed.
 	NoCache bool
 	// Admitted, when set, is called once the request holds its admission
 	// slot and before it executes, with the time it queued — the point an

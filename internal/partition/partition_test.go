@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -80,16 +81,15 @@ func firstAgg(p *engine.Partial, groupCols int) float64 {
 	return total
 }
 
-// TestLifecycle: add → ingest → query (rollup-served and raw, repeated so
-// the brick cache fills) → stop serving leaves nothing behind, however the
-// partition goes; a partition re-created under the name starts from a fresh
-// rollup table and never sees the old incarnation's cached brick partials.
+// TestLifecycle: add → ingest → query (rollup-served and raw) → stop
+// serving leaves nothing behind, however the partition goes; a partition
+// re-created under the name starts from a fresh rollup table and answers
+// from its own rows only.
 func TestLifecycle(t *testing.T) {
 	cfg := Config{
-		FoldScans:       true,
-		BrickCacheBytes: 1 << 20,
-		RollupTimeDim:   "ds",
-		RollupBucket:    5,
+		FoldScans:     true,
+		RollupTimeDim: "ds",
+		RollupBucket:  5,
 	}
 	for _, tc := range []struct {
 		name string
@@ -115,17 +115,12 @@ func TestLifecycle(t *testing.T) {
 			if _, info := mustPartial(t, s, "p", rollupQuery, Opts{}); !info.Rollup.Hit {
 				t.Fatalf("eligible query not rollup-served: %+v", info.Rollup)
 			}
-			for i := 0; i < 3; i++ { // second-touch admission: the third run hits
-				p, info := mustPartial(t, s, "p", rawQuery, Opts{})
-				if info.Rollup.Hit || !info.Rollup.Tried {
-					t.Fatalf("ragged query: rollup outcome %+v, want a miss", info.Rollup)
-				}
-				if got := firstAgg(p, 0); got != 10 {
-					t.Fatalf("raw sum = %v, want 10", got)
-				}
-				if i == 2 && info.CacheHits == 0 {
-					t.Fatal("third identical run hit no cached brick partial; the stale-hit check below would be vacuous")
-				}
+			p, info := mustPartial(t, s, "p", rawQuery, Opts{})
+			if info.Rollup.Hit || !info.Rollup.Tried {
+				t.Fatalf("ragged query: rollup outcome %+v, want a miss", info.Rollup)
+			}
+			if got := firstAgg(p, 0); got != 10 {
+				t.Fatalf("raw sum = %v, want 10", got)
 			}
 			old := s.RollupTable("p")
 			if old == nil || old.Stats().Groups == 0 {
@@ -158,8 +153,8 @@ func TestLifecycle(t *testing.T) {
 			}
 			st, _ = s.Store("p")
 			ingest(t, st, 400, 7)
-			if p, info := mustPartial(t, s, "p", rawQuery, Opts{}); firstAgg(p, 0) != 70 || info.CacheHits != 0 {
-				t.Fatalf("re-created partition: sum %v (want 70), %d cache hits (want 0)", firstAgg(p, 0), info.CacheHits)
+			if p, _ := mustPartial(t, s, "p", rawQuery, Opts{}); firstAgg(p, 0) != 70 {
+				t.Fatalf("re-created partition: sum %v, want 70", firstAgg(p, 0))
 			}
 			if p, _ := mustPartial(t, s, "p", rollupQuery, Opts{}); firstAgg(p, 1) != 7*300 {
 				t.Fatalf("re-created partition rollup sum = %v, want %v", firstAgg(p, 1), 7*300)
@@ -313,7 +308,8 @@ func TestCompactAndDecay(t *testing.T) {
 }
 
 // TestFlags: the defaults describe a folding, cache-less, rollup-less,
-// unthrottled worker; every serving flag parses into its Config field;
+// unthrottled worker; every serving flag parses into its Config field,
+// except the retired -brick-cache-bytes, which parses and changes nothing;
 // -fold takes on/off only; and README's table lists each flag with its
 // default, so the documentation cannot drift from RegisterFlags.
 func TestFlags(t *testing.T) {
@@ -327,16 +323,17 @@ func TestFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !cfg.FoldScans || cfg.QueueDepth != 64 || cfg.RollupBucket != 1 || cfg.MaxConcurrent != 0 ||
-		cfg.BrickCacheBytes != 0 || cfg.DecodedCacheBytes != 0 || cfg.RollupTimeDim != "" || cfg.RollupDims != nil {
+		cfg.DecodedCacheBytes != 0 || cfg.RollupTimeDim != "" || cfg.RollupDims != nil {
 		t.Fatalf("default config = %+v", cfg)
 	}
+	defaults := cfg
 	if f.CompactInterval != 0 || f.Compaction != (brick.CompactionConfig{EncodeBelow: 1, EvictBelow: 0.1}) {
 		t.Fatalf("default compaction = %v %+v", f.CompactInterval, f.Compaction)
 	}
 
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
 	f = RegisterFlags(fs)
-	err = fs.Parse(strings.Fields("-fold off -brick-cache-bytes 7 -decoded-cache-bytes 8 -max-concurrent-queries 3 -queue-depth 2 " +
+	err = fs.Parse(strings.Fields("-fold off -decoded-cache-bytes 8 -max-concurrent-queries 3 -queue-depth 2 " +
 		"-rollup-time-dim ds -rollup-bucket 8 -rollup-dims region,,kind -rollup-distinct app " +
 		"-compact-interval 1s -compact-encode-below 5 -compact-evict-below 1 -compact-promote-above 9"))
 	if err != nil {
@@ -346,13 +343,22 @@ func TestFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.FoldScans || cfg.BrickCacheBytes != 7 || cfg.DecodedCacheBytes != 8 || cfg.MaxConcurrent != 3 || cfg.QueueDepth != 2 ||
+	if cfg.FoldScans || cfg.DecodedCacheBytes != 8 || cfg.MaxConcurrent != 3 || cfg.QueueDepth != 2 ||
 		cfg.RollupTimeDim != "ds" || cfg.RollupBucket != 8 || strings.Join(cfg.RollupDims, "+") != "region+kind" ||
 		strings.Join(cfg.RollupDistinct, "+") != "app" {
 		t.Fatalf("parsed config = %+v", cfg)
 	}
 	if f.CompactInterval != time.Second || f.Compaction != (brick.CompactionConfig{EncodeBelow: 5, EvictBelow: 1, PromoteAbove: 9}) {
 		t.Fatalf("parsed compaction = %v %+v", f.CompactInterval, f.Compaction)
+	}
+
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	f = RegisterFlags(fs)
+	if err := fs.Parse([]string{"-brick-cache-bytes", "7"}); err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err = f.Config(); err != nil || !reflect.DeepEqual(cfg, defaults) {
+		t.Fatalf("-brick-cache-bytes 7: config %+v, %v; want the defaults %+v", cfg, err, defaults)
 	}
 
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)

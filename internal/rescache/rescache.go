@@ -13,13 +13,14 @@
 package rescache
 
 import (
-	"container/list"
+	"maps"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/scancache"
 )
 
 // Key identifies one cacheable query against one table. FoldKey pins the
@@ -52,12 +53,10 @@ func KeyFor(table string, q *engine.Query) Key {
 
 // entry is one cached finished result plus the epoch vector it was
 // computed at: one (partition, epoch) pair per partition that contributed.
+// Put never changes an entry, so a lookup reads it without a lock.
 type entry struct {
-	key    string
 	res    *engine.Result
 	epochs map[string]uint64
-	bytes  int64
-	elem   *list.Element
 }
 
 // Stats is a snapshot of cache counters.
@@ -66,32 +65,23 @@ type Stats struct {
 	Bytes, Entries                         int64
 }
 
-// Cache is a bounded-byte LRU of finished results. A nil *Cache is valid
-// and never hits.
+// Cache is a bounded-byte LRU of finished results: scancache's LRU with no
+// heat signal, plus epoch-vector validation and an invalidation count. A
+// nil *Cache is valid and never hits.
 type Cache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	entries  map[string]*entry
-	lru      *list.List // front = most recent
-
-	hits, misses, evictions, invalidations int64
-
-	mHit, mMiss, mEvict, mInval *metrics.Counter
-	mBytes, mEntries            *metrics.Gauge
+	lru           *scancache.Cache
+	invalidations atomic.Int64
+	mInval        atomic.Pointer[metrics.Counter] // set by SetMetrics
 }
 
 // New returns a result cache bounded to maxBytes; non-positive budgets
 // return nil (caching off).
 func New(maxBytes int64) *Cache {
-	if maxBytes <= 0 {
+	lru := scancache.New(maxBytes)
+	if lru == nil {
 		return nil
 	}
-	return &Cache{
-		maxBytes: maxBytes,
-		entries:  make(map[string]*entry),
-		lru:      list.New(),
-	}
+	return &Cache{lru: lru}
 }
 
 // SetMetrics routes hit/miss/evict/invalidate/bytes instrumentation into
@@ -100,14 +90,8 @@ func (c *Cache) SetMetrics(reg *metrics.Registry) {
 	if c == nil || reg == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mHit = reg.Counter("cache.result.hit")
-	c.mMiss = reg.Counter("cache.result.miss")
-	c.mEvict = reg.Counter("cache.result.evict")
-	c.mInval = reg.Counter("cache.result.invalidate")
-	c.mBytes = reg.Gauge("cache.result.bytes")
-	c.mEntries = reg.Gauge("cache.result.entries")
+	c.lru.SetMetrics(reg, "cache.result")
+	c.mInval.Store(reg.Counter("cache.result.invalidate"))
 }
 
 // Get returns a private deep copy of the cached Result for key, provided
@@ -122,50 +106,31 @@ func (c *Cache) Get(key Key, current func(partition string) (uint64, bool)) (*en
 		return nil, false
 	}
 	ks := key.String()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[ks]
+	v, ok := c.lru.Peek(ks, 0)
 	if !ok {
-		c.miss()
+		c.lru.Count(false)
 		return nil, false
 	}
-	stale := false
+	e := v.(*entry)
 	for part, cachedEpoch := range e.epochs {
 		cur, known := current(part)
 		if !known {
 			// No epoch knowledge for this partition (coordinator restart,
 			// membership change): cannot prove freshness, so miss without
 			// destroying an entry that may validate later.
-			c.miss()
+			c.lru.Count(false)
 			return nil, false
 		}
 		if cur != cachedEpoch {
-			stale = true
-			break
+			if c.lru.Delete(ks) {
+				c.invalidated(1)
+			}
+			c.lru.Count(false)
+			return nil, false
 		}
 	}
-	if stale {
-		c.removeLocked(e)
-		c.invalidations++
-		if c.mInval != nil {
-			c.mInval.Inc()
-		}
-		c.miss()
-		return nil, false
-	}
-	c.lru.MoveToFront(e.elem)
-	c.hits++
-	if c.mHit != nil {
-		c.mHit.Inc()
-	}
+	c.lru.Count(true)
 	return cloneResult(e.res), true
-}
-
-func (c *Cache) miss() {
-	c.misses++
-	if c.mMiss != nil {
-		c.mMiss.Inc()
-	}
 }
 
 // Put stores a deep copy of res under key, recording the epoch vector it
@@ -177,36 +142,9 @@ func (c *Cache) Put(key Key, res *engine.Result, epochs map[string]uint64) {
 		return
 	}
 	snap := cloneResult(res)
-	ev := make(map[string]uint64, len(epochs))
-	for p, e := range epochs {
-		ev[p] = e
-	}
 	ks := key.String()
-	size := resultBytes(snap) + int64(len(ks)) + int64(len(ev))*48 + 96
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if size > c.maxBytes {
-		return
-	}
-	if old, ok := c.entries[ks]; ok {
-		c.removeLocked(old)
-	}
-	for c.bytes+size > c.maxBytes {
-		tail := c.lru.Back()
-		if tail == nil {
-			break
-		}
-		c.removeLocked(tail.Value.(*entry))
-		c.evictions++
-		if c.mEvict != nil {
-			c.mEvict.Inc()
-		}
-	}
-	e := &entry{key: ks, res: snap, epochs: ev, bytes: size}
-	e.elem = c.lru.PushFront(e)
-	c.entries[ks] = e
-	c.bytes += size
-	c.gauges()
+	size := resultBytes(snap) + int64(len(ks)) + int64(len(epochs))*48 + 96
+	c.lru.Put(ks, &entry{res: snap, epochs: maps.Clone(epochs)}, size, 0)
 }
 
 // Invalidate drops every entry whose epoch vector includes partition —
@@ -216,32 +154,16 @@ func (c *Cache) Invalidate(partition string) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		if _, ok := e.epochs[partition]; ok {
-			c.removeLocked(e)
-			c.invalidations++
-			if c.mInval != nil {
-				c.mInval.Inc()
-			}
-		}
-	}
+	c.invalidated(c.lru.DeleteFunc(func(v any) bool {
+		_, ok := v.(*entry).epochs[partition]
+		return ok
+	}))
 }
 
-func (c *Cache) removeLocked(e *entry) {
-	delete(c.entries, e.key)
-	c.lru.Remove(e.elem)
-	c.bytes -= e.bytes
-	c.gauges()
-}
-
-func (c *Cache) gauges() {
-	if c.mBytes != nil {
-		c.mBytes.Set(float64(c.bytes))
-	}
-	if c.mEntries != nil {
-		c.mEntries.Set(float64(len(c.entries)))
+func (c *Cache) invalidated(n int) {
+	c.invalidations.Add(int64(n))
+	if m := c.mInval.Load(); m != nil {
+		m.Add(int64(n))
 	}
 }
 
@@ -250,16 +172,9 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		Bytes:         c.bytes,
-		Entries:       int64(len(c.entries)),
-	}
+	st := c.lru.Stats()
+	return Stats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
+		Invalidations: c.invalidations.Load(), Bytes: st.Bytes, Entries: int64(st.Entries)}
 }
 
 // cloneResult deep-copies a Result so cached state is never aliased by a

@@ -1,11 +1,12 @@
-// Package scancache is the byte-budgeted LRU shared by the worker-side
-// caches of the query path: the engine's per-brick partial cache and the
-// storage layer's decoded-column cache. It is deliberately generic — keys
-// are strings the owner derives (fold key + brick epoch, or brick
-// generation + epoch), values are opaque, and the owner decides the byte
-// cost of each entry — and may raise it: an owner whose entries grow in
-// place (the decoded-column cache adds column slots to a brick's entry)
-// re-prices one by putting it again under the same key.
+// Package scancache is the byte-budgeted LRU under both caches of the query
+// path: the storage layer's decoded-column cache on the worker and the
+// result cache (internal/rescache) on the coordinator. It is deliberately
+// generic — keys are strings the owner derives (brick generation + epoch,
+// or table + query identity), values are opaque, and the owner decides the
+// byte cost of each entry — and may raise it: an owner whose entries grow
+// in place (the decoded-column cache adds column slots to a brick's entry)
+// re-prices one by putting it again under the same key, and drops one it
+// knows is stale with Delete or DeleteFunc, which are not evictions.
 //
 // Eviction is recency-ordered but heat-aware: when over budget the cache
 // examines a bounded window of the least-recently-used entries and evicts
@@ -61,7 +62,7 @@ func New(maxBytes int64) *Cache {
 }
 
 // SetMetrics routes the cache's hit/miss/evict counters and bytes/entries
-// gauges into reg under prefix (e.g. "cache.brick" → "cache.brick.hit").
+// gauges into reg under prefix (e.g. "cache.decoded" → "cache.decoded.hit").
 func (c *Cache) SetMetrics(reg *metrics.Registry, prefix string) {
 	if c == nil || reg == nil {
 		return
@@ -155,7 +156,7 @@ func (c *Cache) Put(key string, v any, bytes int64, heat float64) {
 		if !ok {
 			return
 		}
-		c.removeLocked(el)
+		c.evictLocked(el)
 	case ok:
 		e := el.Value.(*entry)
 		c.bytes += bytes - e.bytes
@@ -186,19 +187,60 @@ func (c *Cache) evictColdest() {
 			victim, coldest = el, e.heat
 		}
 	}
-	c.removeLocked(victim)
+	c.evictLocked(victim)
 }
 
-// removeLocked drops one entry and counts it as an eviction.
+// evictLocked drops one entry and counts it as an eviction.
+func (c *Cache) evictLocked(el *list.Element) {
+	c.removeLocked(el)
+	c.evictions++
+	if c.evictC != nil {
+		c.evictC.Inc()
+	}
+}
+
 func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	c.lru.Remove(el)
 	delete(c.byKey, e.key)
 	c.bytes -= e.bytes
-	c.evictions++
-	if c.evictC != nil {
-		c.evictC.Inc()
+}
+
+// Delete drops key's entry and reports whether there was one.
+func (c *Cache) Delete(key string) bool {
+	if c == nil {
+		return false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if ok {
+		c.removeLocked(el)
+		c.publishSizeLocked()
+	}
+	return ok
+}
+
+// DeleteFunc drops every entry whose value drop reports true for and
+// returns how many. drop runs on a snapshot, outside the lock, so a value
+// put under a dropped key meanwhile goes too: a lost fill, never a stale hit.
+func (c *Cache) DeleteFunc(drop func(v any) bool) int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	snap := make([]entry, 0, c.lru.Len())
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		snap = append(snap, *el.Value.(*entry))
+	}
+	c.mu.Unlock()
+	n := 0
+	for _, e := range snap {
+		if drop(e.value) && c.Delete(e.key) {
+			n++
+		}
+	}
+	return n
 }
 
 func (c *Cache) publishSizeLocked() {

@@ -125,6 +125,56 @@ func TestPeekCountAndRegrow(t *testing.T) {
 	}
 }
 
+// Delete and DeleteFunc drop what an owner knows is stale: bytes, entries
+// and both gauges follow, and neither counts as an eviction.
+func TestDeleteAndDeleteFunc(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := New(1000)
+	c.SetMetrics(reg, "cache.test")
+	for i, key := range []string{"a1", "a2", "b1", "b2"} {
+		c.Put(key, i, 100, 0)
+	}
+	sized := func(stage string, bytes int64, entries int) {
+		t.Helper()
+		st := c.Stats()
+		if st.Bytes != bytes || st.Entries != entries || st.Evictions != 0 {
+			t.Fatalf("%s: %+v, want %d bytes in %d entries and no evictions", stage, st, bytes, entries)
+		}
+		gb, ge := reg.Gauge("cache.test.bytes").Value(), reg.Gauge("cache.test.entries").Value()
+		if gb != float64(bytes) || ge != float64(entries) {
+			t.Fatalf("%s: gauges bytes=%v entries=%v", stage, gb, ge)
+		}
+	}
+	if !c.Delete("a1") || c.Delete("a1") || c.Delete("nope") {
+		t.Fatal("Delete must report exactly whether the key was resident")
+	}
+	if _, ok := c.Peek("a1", 0); ok {
+		t.Fatal("deleted entry still resident")
+	}
+	sized("after Delete", 300, 3)
+
+	var seen []int
+	n := c.DeleteFunc(func(v any) bool {
+		seen = append(seen, v.(int))
+		return v.(int) >= 2
+	})
+	if n != 2 || len(seen) != 3 {
+		t.Fatalf("DeleteFunc dropped %d after looking at %v, want 2 of 3", n, seen)
+	}
+	if _, ok := c.Peek("a2", 0); !ok {
+		t.Fatal("DeleteFunc dropped an entry its predicate kept")
+	}
+	sized("after DeleteFunc", 100, 1)
+	if vals := reg.CounterValues(); vals["cache.test.evict"] != 0 {
+		t.Fatalf("deletes counted as evictions: %v", vals)
+	}
+
+	var nilCache *Cache
+	if nilCache.Delete("a2") || nilCache.DeleteFunc(func(any) bool { return true }) != 0 {
+		t.Fatal("nil cache deleted something")
+	}
+}
+
 func TestHeatAwareEviction(t *testing.T) {
 	c := New(300)
 	// Hot entry inserted first (LRU tail), cold ones after.
@@ -184,6 +234,12 @@ func TestConcurrentAccess(t *testing.T) {
 					_ = v.(int)
 				} else {
 					c.Put(key, i, 300, float64(i%5))
+				}
+				switch i % 50 {
+				case 7:
+					c.Delete(key)
+				case 31:
+					c.DeleteFunc(func(v any) bool { return v.(int)%3 == w%3 })
 				}
 			}
 		}(w)
