@@ -351,6 +351,97 @@ func TestSkipperOracle(t *testing.T) {
 	}
 }
 
+// TestSelectionEdges pins buildSel's selection vectors on the ranges a
+// random filter rarely draws — inverted, single-value, starting at 0,
+// ending at MaxUint32, accepting a brick's last run — and on filters of
+// three and four predicates, so the in-place compaction runs more than
+// once. Every filter column shape takes part: runs ("run"), dictionary
+// codes ("code") and materialized values ("val", "val2") in encoded
+// bricks, and materialized values only in the same rows kept raw. Run
+// must equal the serial Execute bit for bit.
+func TestSelectionEdges(t *testing.T) {
+	const top = ^uint32(0)
+	schema := brick.Schema{
+		Dimensions: []brick.Dimension{
+			{Name: "key", Max: 40, Buckets: 4},
+			{Name: "run", Max: 100, Buckets: 1},   // ascending in every brick: runs
+			{Name: "code", Max: 1000, Buckets: 1}, // four values: dictionary codes
+			{Name: "val", Max: 1000, Buckets: 1},  // uniform: materialized
+			{Name: "val2", Max: 64, Buckets: 1},   // uniform: materialized
+		},
+		Metrics: []brick.Metric{{Name: "m"}},
+	}
+	rnd := randutil.New(0x5E1)
+	encoded, err := brick.NewStore(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := brick.NewStore(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := []uint32{7, 133, 512, 900}
+	const rows = 3000
+	for i := 0; i < rows; i++ {
+		d := []uint32{uint32(rnd.Intn(40)), uint32(i * 100 / rows), tags[rnd.Intn(len(tags))],
+			uint32(rnd.Intn(1000)), uint32(rnd.Intn(64))}
+		// Dyadic: Execute sums a group across bricks in one register, Run
+		// per brick, so only exact sums compare bit for bit.
+		m := []float64{float64(rnd.Intn(1<<16)) / 4}
+		if err := encoded.Insert(d, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := raw.Insert(d, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := encoded.EnsureBudget(0, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if st := encoded.EncodingStats(); st.Dims["rle"] == 0 || st.Dims["dict"] == 0 || st.Dims["for"] == 0 {
+		t.Fatalf("want run, dictionary and FOR-materialized filter columns, got %v", st.Dims)
+	}
+	filters := map[string]map[string][2]uint32{
+		"inverted materialized":         {"val": {600, 300}},
+		"inverted codes":                {"code": {900, 7}},
+		"inverted runs":                 {"run": {40, 10}},
+		"inverted behind runs":          {"run": {3, 60}, "val2": {40, 10}},
+		"inverted behind codes":         {"code": {100, 600}, "val": {700, 100}},
+		"single value materialized":     {"val": {500, 500}},
+		"single value codes":            {"code": {133, 133}},
+		"single value runs":             {"run": {42, 42}, "val2": {7, 7}},
+		"lo 0":                          {"val": {0, 99}, "code": {0, 133}, "run": {0, 5}},
+		"hi max materialized":           {"val": {900, top}},
+		"hi max codes":                  {"code": {512, top}, "val2": {0, 31}},
+		"full range materialized":       {"val": {0, top}, "val2": {3, 9}},
+		"span ends at last row":         {"run": {90, top}, "val": {100, 900}},
+		"last run alone":                {"run": {99, 99}, "val2": {0, 31}},
+		"three predicates":              {"code": {100, 600}, "val": {200, 800}, "val2": {10, 40}},
+		"runs and three predicates":     {"run": {20, 70}, "code": {0, 600}, "val": {100, 700}, "val2": {5, 50}},
+		"three predicates, last sparse": {"code": {7, 512}, "val": {0, 999}, "val2": {63, top}},
+		"vacuous codes, sparse first":   {"code": {0, top}, "val": {995, top}, "val2": {0, 63}},
+	}
+	aggs := []Aggregate{{Func: Sum, Metric: "m"}, {Func: Count}, {Func: Min, Metric: "m"}, {Func: CountDistinct, Metric: "val"}}
+	for name, f := range filters {
+		for _, s := range []*brick.Store{encoded, raw} {
+			for _, groupBy := range [][]string{{"key"}, nil} {
+				q := &Query{Aggregates: aggs, GroupBy: groupBy, Filter: f}
+				want, err := Execute(s, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := runUnshared(s, q, 2, Opts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := resultsEqual(want.Finalize(), got.Finalize()); err != nil {
+					t.Fatalf("%s (encoded %v, groupby %v): %v", name, s == encoded, groupBy, err)
+				}
+			}
+		}
+	}
+}
+
 // TestCompositeKeyEncodedViews pins the composite-key encoded paths the
 // random harness reaches only by luck: dictionary-tuple aggregation (dense
 // slot array over the code cross-product) feeding the wide-key kernels

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"cubrick/internal/brick"
@@ -26,8 +26,13 @@ import (
 // Partially covered bricks build their selection through buildSel: each
 // filter dimension contributes either accepted row spans (one range test
 // per RLE run), a code-interval test (the brick dictionary is sorted, so
-// the accepted codes are contiguous), or a per-row value test. Rows
-// rejected at the run level never reach per-row evaluation.
+// the accepted codes are contiguous), or a value test over a materialized
+// column; a code or value test every row passes is dropped, a value test
+// when its range covers the brick's bounds. The remaining tests run column
+// at a time over a selection vector: the first writes the passing rows of
+// the accepted spans without a data-dependent branch, each further one
+// compacts the vector in place. Rows rejected at the run level never reach
+// a column test.
 //
 // Every path observes rows in ascending row order per group, so results are
 // bit-identical to the materialized row-at-a-time reference — including
@@ -96,6 +101,11 @@ type encScratch struct {
 // encScratchPool recycles scratch across pass workers: one is taken per
 // worker per pass, and a 16-partition query starts 32 of them.
 var encScratchPool = sync.Pool{New: func() any { return &encScratch{sel: make([]int32, 0, 1024)} }}
+
+// slabPool recycles sealed brick slabs: a pass worker takes one per brick
+// and subscriber (groupSlab.pooledSeal, pooledClone), and combine returns
+// each after absorbing it (groupSlab.release).
+var slabPool = sync.Pool{New: func() any { return new(groupSlab) }}
 
 func (es *encScratch) keyBuf(k int) []uint32 {
 	if cap(es.keys) < k {
@@ -283,15 +293,47 @@ type rowSpan struct {
 
 // rowPred is one per-row predicate: vals is either a materialized column
 // (value test) or a code column (interval test over the accepted codes).
+// lo <= hi always: buildSel never builds an inverted predicate, because
+// the one-compare test below would pass every value of one.
 type rowPred struct {
 	vals   []uint32
 	lo, hi uint32
 }
 
+// keep appends to sel the rows of sp whose value passes p; sel must have
+// room for every row of sp. The row is written unconditionally and the
+// cursor advances by the test's outcome, lo <= v <= hi decided as
+// v−lo <= hi−lo by the sign of a 64-bit difference, so no branch depends
+// on the data.
+func (p *rowPred) keep(sel []int32, sp rowSpan) []int32 {
+	n := len(sel)
+	out := sel[:n+int(sp.end-sp.start)]
+	lo, w := p.lo, uint64(p.hi-p.lo)
+	for i, v := range p.vals[sp.start:sp.end] {
+		out[n] = sp.start + int32(i)
+		n += int(1 ^ (w-uint64(v-lo))>>63)
+	}
+	return out[:n]
+}
+
+// compact keeps, in place and in order, the rows of sel whose value passes
+// p, with keep's branch-free test.
+func (p *rowPred) compact(sel []int32) []int32 {
+	lo, w := p.lo, uint64(p.hi-p.lo)
+	n := 0
+	for _, r := range sel {
+		sel[n] = r
+		n += int(1 ^ (w-uint64(p.vals[r]-lo))>>63)
+	}
+	return sel[:n]
+}
+
 // buildSel evaluates the compiled filter over a partially covered batch
-// using the encoded skippers, returning the surviving row selection.
-// all == true means every row passes (sel is unused). Counters land in st.
-func (c *compiled) buildSel(b *brick.Batch, sel []int32, es *encScratch, st *ScanStats) (out []int32, all bool) {
+// of a brick with the given bounds using the encoded skippers, returning
+// the surviving row selection in ascending row order. sel is an empty
+// buffer; all == true means every row passes (sel is unused). Counters
+// land in st.
+func (c *compiled) buildSel(b *brick.Batch, bounds [][2]uint32, sel []int32, es *encScratch, st *ScanStats) (out []int32, all bool) {
 	var spans []rowSpan
 	cur := -1 // index of the spanBuf backing spans, -1 until the first runs dim
 	haveSpans := false
@@ -331,10 +373,13 @@ func (c *compiled) buildSel(b *brick.Batch, sel []int32, es *encScratch, st *Sca
 			continue
 		}
 		if codes, dict := b.Codes(fd.idx); codes != nil {
-			// Dictionary skipper: the brick dictionary is sorted, so the
-			// accepted codes form one contiguous interval.
-			cLo := sort.Search(len(dict), func(i int) bool { return dict[i] >= fd.lo })
-			cHi := sort.Search(len(dict), func(i int) bool { return dict[i] > fd.hi }) - 1
+			// Dictionary skipper: the brick dictionary is sorted and
+			// distinct, so the accepted codes form one contiguous interval.
+			cLo, _ := slices.BinarySearch(dict, fd.lo)
+			cHi, found := slices.BinarySearch(dict, fd.hi)
+			if !found {
+				cHi--
+			}
 			acc := int64(0)
 			if cHi >= cLo {
 				acc = int64(cHi - cLo + 1)
@@ -350,39 +395,39 @@ func (c *compiled) buildSel(b *brick.Batch, sel []int32, es *encScratch, st *Sca
 			es.preds = append(es.preds, rowPred{vals: codes, lo: uint32(cLo), hi: uint32(cHi)})
 			continue
 		}
+		if fd.lo > fd.hi {
+			return sel[:0], false // an inverted range selects nothing
+		}
+		if fd.lo <= bounds[fd.idx][0] && fd.hi >= bounds[fd.idx][1] {
+			continue // the range covers the brick's values: the predicate is vacuous
+		}
 		es.preds = append(es.preds, rowPred{vals: b.Dims[fd.idx], lo: fd.lo, hi: fd.hi})
 	}
 	if !haveSpans && len(es.preds) == 0 {
 		return sel, true
 	}
-	preds := es.preds
-	emit := func(start, end int32) {
-	row:
-		for r := start; r < end; r++ {
-			for pi := range preds {
-				if v := preds[pi].vals[r]; v < preds[pi].lo || v > preds[pi].hi {
-					continue row
-				}
-			}
-			sel = append(sel, r)
-		}
+	if !haveSpans {
+		es.spanBufs[0] = append(es.spanBufs[0][:0], rowSpan{end: int32(b.Rows)})
+		spans = es.spanBufs[0]
 	}
-	if haveSpans {
-		if len(preds) == 0 {
-			// Pure run filtering: expand spans without touching any column.
-			for _, sp := range spans {
-				for r := sp.start; r < sp.end; r++ {
-					sel = append(sel, r)
-				}
-			}
-			return sel, false
-		}
+	if len(es.preds) == 0 {
+		// Pure run filtering: expand spans without touching any column.
 		for _, sp := range spans {
-			emit(sp.start, sp.end)
+			for r := sp.start; r < sp.end; r++ {
+				sel = append(sel, r)
+			}
 		}
 		return sel, false
 	}
-	emit(0, int32(b.Rows))
+	// Column at a time: the first predicate selects over the accepted
+	// spans, each further one compacts the selection in place.
+	sel = slices.Grow(sel, b.Rows)
+	for _, sp := range spans {
+		sel = es.preds[0].keep(sel, sp)
+	}
+	for pi := 1; pi < len(es.preds); pi++ {
+		sel = es.preds[pi].compact(sel)
+	}
 	return sel, false
 }
 

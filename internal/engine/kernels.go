@@ -27,9 +27,10 @@ import (
 // kernel keeps its groups in a groupSlab — a group is an index into flat
 // key and cell arrays, not an object — so a brick's groups cost no
 // allocation of their own. A pass worker reuses one kernel set brick after
-// brick and seals each brick's groups into an exact-size slab; a
-// subscriber folds those slabs in ascending brick-id order into the
-// combiner, whose slab becomes the Partial's groups in one step. Parallel
+// brick and seals each brick's groups into a slab recycled through
+// slabPool; a subscriber folds those slabs in ascending brick-id order into
+// the combiner, releasing each to the pool once absorbed, and the
+// combiner's slab becomes the Partial's groups in one step. Parallel
 // execution is therefore deterministic and scheduling-independent.
 
 // groupSlab is a kernel's group state addressed by group index: group g's
@@ -107,36 +108,40 @@ func (s *groupSlab) reserve(n int) {
 	}
 }
 
-// copied returns an exact-size copy of the groups that shares their
-// sketches.
-func (s *groupSlab) copied() groupSlab {
-	out := groupSlab{arity: s.arity, nAggs: s.nAggs}
-	if len(s.cells) > 0 {
-		out.keys = append([]uint32(nil), s.keys...)
-		out.cells = append([]cell(nil), s.cells...)
-	}
-	return out
-}
-
-// seal moves the groups into an exact-size slab the caller owns, sketches
-// included, and empties s for the next brick: nothing sealed stays
+// pooledSeal moves the groups, sketches included, into a slab from
+// slabPool without copying them: the slab takes s's buffers and s takes
+// the slab's emptied ones for the next brick, so nothing sealed stays
 // reachable from s.
-func (s *groupSlab) seal() groupSlab {
-	out := s.copied()
-	clear(s.cells)
-	s.keys, s.cells = s.keys[:0], s.cells[:0]
+func (s *groupSlab) pooledSeal() *groupSlab {
+	out := slabPool.Get().(*groupSlab)
+	out.arity, out.nAggs = s.arity, s.nAggs
+	out.keys, s.keys = s.keys, out.keys[:0]
+	out.cells, s.cells = s.cells, out.cells[:0]
 	return out
 }
 
-// clone returns a deep copy: keys, cells and sketches are all owned by the
-// copy. A brick's second and later subscribers each get one, because
-// combining a slab hands its cells to the combiner, which mutates them.
-func (s *groupSlab) clone() groupSlab {
-	out := s.copied()
+// pooledClone returns a slab from slabPool holding a deep copy of the
+// groups: keys, cells and sketches are all owned by the copy. A brick's
+// second and later subscribers each get one, because combining a slab
+// hands its cells to the combiner, which mutates them.
+func (s *groupSlab) pooledClone() *groupSlab {
+	out := slabPool.Get().(*groupSlab)
+	out.arity, out.nAggs = s.arity, s.nAggs
+	out.keys = append(out.keys[:0], s.keys...)
+	out.cells = append(out.cells[:0], s.cells...)
 	for i := range out.cells {
 		out.cells[i].sketch = out.cells[i].sketch.Clone()
 	}
 	return out
+}
+
+// release empties a pooled slab — dropping its sketch pointers, which the
+// combiner that absorbed it now owns — and returns it to slabPool. Nothing
+// may use the slab afterwards.
+func (s *groupSlab) release() {
+	clear(s.cells)
+	s.keys, s.cells = s.keys[:0], s.cells[:0]
+	slabPool.Put(s)
 }
 
 // partial turns the slab into q's Partial in one step: one []group and

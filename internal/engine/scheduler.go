@@ -256,7 +256,7 @@ func (s *Scheduler) enter(q *Query, c *compiled, key string, share bool) (pass *
 
 // taskResult is one brick's accumulated output for one subscriber.
 type taskResult struct {
-	slab         groupSlab // the brick's sealed groups, owned by this slot
+	slab         *groupSlab // the brick's sealed groups, pooled, owned by this slot
 	rowsScanned  int64
 	decompressed bool
 	stats        ScanStats
@@ -438,7 +438,7 @@ func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 					}
 				}
 			} else {
-				sel, all = c.buildSel(b, sel, es, &res.stats)
+				sel, all = c.buildSel(b, t.Bounds, sel, es, &res.stats)
 			}
 			es.sel = sel
 			if all {
@@ -454,15 +454,15 @@ func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 			return err
 		}
 	}
-	// Seal: the brick's groups move to exact-size storage and the kernel's
+	// Seal: the brick's groups move into a pooled slab and the kernel's
 	// buffers are free for the worker's next brick.
-	res.slab = acc.slab().seal()
+	res.slab = acc.slab().pooledSeal()
 	for j, sub := range subs {
 		sub.results[i] = res
 		if j > 0 {
 			// Combining hands a slab's cells to the combiner, which mutates
 			// them: every subscriber owns a copy.
-			sub.results[i].slab = res.slab.clone()
+			sub.results[i].slab = res.slab.pooledClone()
 		}
 	}
 	return nil
@@ -515,7 +515,9 @@ func (p *scanPass) combine(sub *foldSub, info *ExecInfo) *Partial {
 	var rows, decompressions int64
 	for i := range sub.results {
 		res := &sub.results[i]
-		absorb(base, &res.slab)
+		absorb(base, res.slab)
+		res.slab.release()
+		res.slab = nil
 		rows += res.rowsScanned
 		if res.decompressed {
 			decompressions++

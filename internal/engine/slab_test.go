@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -43,8 +44,8 @@ func allocStore(t *testing.T, groups int) *brick.Store {
 var raceEnabled bool
 
 // TestRunAllocsPerBrick is the allocation ceiling check.sh enforces on the
-// brick pass: groups live in slabs, so an unshared run allocates a bounded
-// number of objects per visited brick (the sealed slab's keys and cells)
+// brick pass: groups live in slabs and sealed slabs are recycled, so an
+// unshared run allocates at most a couple of objects per visited brick
 // plus a per-run constant, however many groups each brick holds.
 func TestRunAllocsPerBrick(t *testing.T) {
 	if raceEnabled {
@@ -52,7 +53,7 @@ func TestRunAllocsPerBrick(t *testing.T) {
 		// workers' scratch is not reliably reused.
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const perBrick, perRun = 4, 60
+	const perBrick, perRun = 2, 60
 	for _, groups := range []int{2, 32, 200} {
 		s := allocStore(t, groups)
 		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
@@ -94,10 +95,33 @@ type cellValue struct {
 	sketch        *hll.Sketch // a private copy
 }
 
+func cellValueOf(c cell) cellValue {
+	return cellValue{sum: c.sum, min: c.min, max: c.max, count: c.count, sketch: c.sketch.Clone()}
+}
+
 func valueOf(s *groupSlab) slabValue {
 	v := slabValue{arity: s.arity, nAggs: s.nAggs, keys: append([]uint32(nil), s.keys...)}
 	for _, c := range s.cells {
-		v.cells = append(v.cells, cellValue{sum: c.sum, min: c.min, max: c.max, count: c.count, sketch: c.sketch.Clone()})
+		v.cells = append(v.cells, cellValueOf(c))
+	}
+	return v
+}
+
+// groupValue is one partial group's state by value.
+type groupValue struct {
+	key   []uint32
+	cells []cellValue
+}
+
+// partialValue is a partial's groups by value, keyed like the partial.
+func partialValue(p *Partial) map[string]groupValue {
+	v := make(map[string]groupValue, len(p.groups))
+	for k, g := range p.groups {
+		gv := groupValue{key: append([]uint32(nil), g.key...)}
+		for _, c := range g.cells {
+			gv.cells = append(gv.cells, cellValueOf(c))
+		}
+		v[k] = gv
 	}
 	return v
 }
@@ -105,7 +129,7 @@ func valueOf(s *groupSlab) slabValue {
 // brickSlabs visits every brick of s for the unfiltered query q with fresh
 // visit buffers — empty slabs that grow as groups appear — and returns
 // each brick's sealed slab by brick id, plus the ids in plan order.
-func brickSlabs(t *testing.T, s *brick.Store, q *Query) (*compiled, []uint64, map[uint64]groupSlab) {
+func brickSlabs(t *testing.T, s *brick.Store, q *Query) (*compiled, []uint64, map[uint64]*groupSlab) {
 	t.Helper()
 	c, err := compile(s.Schema(), q, Opts{})
 	if err != nil {
@@ -117,7 +141,7 @@ func brickSlabs(t *testing.T, s *brick.Store, q *Query) (*compiled, []uint64, ma
 	}
 	es := &encScratch{}
 	var ids []uint64
-	slabs := make(map[uint64]groupSlab)
+	slabs := make(map[uint64]*groupSlab)
 	for i := range plan.Tasks {
 		task := &plan.Tasks[i]
 		acc := es.kernels.pick(c, task.Bounds)
@@ -128,7 +152,7 @@ func brickSlabs(t *testing.T, s *brick.Store, q *Query) (*compiled, []uint64, ma
 			t.Fatal(err)
 		}
 		ids = append(ids, task.BrickID)
-		slabs[task.BrickID] = acc.slab().seal()
+		slabs[task.BrickID] = acc.slab().pooledSeal()
 	}
 	return c, ids, slabs
 }
@@ -149,12 +173,13 @@ func partialSketches(p *Partial, into map[*hll.Sketch]int, owner int) error {
 	return nil
 }
 
-// TestGroupSlabHazards pins the four ways index-addressed group state can
+// TestGroupSlabHazards pins the five ways index-addressed group state can
 // break an answer while most other tests still pass: (a) a cell that
 // starts as the zero value instead of newCell(), (b) a cell view held
 // across an insertion that moves the slab, (c) a slab aliased between a
-// worker's reused buffers and two subscribers, and (d) a
-// clone that misses part of a kernel's state. The matrix case runs the
+// worker's reused buffers and two subscribers, (d) a
+// clone that misses part of a kernel's state, and (e) a recycled slab
+// still reachable from an answer. The matrix case runs the
 // path matrix on non-dyadic metrics, where any path that changed the
 // order of float additions would show.
 func TestGroupSlabHazards(t *testing.T) {
@@ -242,8 +267,7 @@ func TestGroupSlabHazards(t *testing.T) {
 				c, ids, slabs := brickSlabs(t, s, q)
 				base := new(kernelSet).pick(c, c.domain)
 				for _, id := range ids {
-					slab := slabs[id]
-					absorb(base, &slab)
+					absorb(base, slabs[id])
 				}
 				want, err := Execute(s, q)
 				if err != nil {
@@ -334,8 +358,7 @@ func TestGroupSlabHazards(t *testing.T) {
 			}
 			combiner := new(kernelSet).pick(c, c.domain)
 			acc.observeBatch(first, mets, 3, nil)
-			brickSlab := acc.slab().clone()
-			absorb(combiner, &brickSlab)
+			absorb(combiner, acc.slab().pooledClone())
 			for _, k := range []struct {
 				name string
 				acc  accumulator
@@ -350,12 +373,12 @@ func TestGroupSlabHazards(t *testing.T) {
 			} {
 				orig := k.acc.slab()
 				want := valueOf(orig)
-				cl := orig.clone()
+				cl := orig.pooledClone()
 				k.feed()
 				if reflect.DeepEqual(valueOf(orig), want) {
 					t.Fatalf("%s: feeding more rows changed nothing", k.name)
 				}
-				if !reflect.DeepEqual(valueOf(&cl), want) {
+				if !reflect.DeepEqual(valueOf(cl), want) {
 					t.Fatalf("%s: the clone no longer equals the state it was taken from", k.name)
 				}
 				wantOrig := valueOf(orig)
@@ -366,6 +389,110 @@ func TestGroupSlabHazards(t *testing.T) {
 				if !reflect.DeepEqual(valueOf(orig), wantOrig) {
 					t.Fatalf("%s: the original changed with its clone", k.name)
 				}
+			}
+		}
+	})
+
+	t.Run("e_recycled_slabs", func(t *testing.T) {
+		// Sealed slabs go back to a pool once combined and come out again
+		// for later bricks, so an answer must own everything it holds. The
+		// partials of one folded pass (a publisher and two attachers, each
+		// with a catch-up) and of unshared runs are kept; 200 more queries
+		// recycle the slabs; every kept partial must still hold the state it
+		// was returned with, bit for bit.
+		rnd := randutil.New(0xE5)
+		s, err := brick.NewStore(brick.Schema{
+			Dimensions: []brick.Dimension{{Name: "g", Max: 32, Buckets: 4}, {Name: "h", Max: 16, Buckets: 2},
+				{Name: "u", Max: 1000, Buckets: 1}},
+			Metrics: []brick.Metric{{Name: "m"}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 3000; r++ {
+			if err := s.Insert([]uint32{uint32(rnd.Intn(32)), uint32(rnd.Intn(16)), uint32(rnd.Intn(1000))},
+				[]float64{rnd.Float64() * 1e3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := s.EnsureBudget(0, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		aggs := []Aggregate{{Func: Sum, Metric: "m"}, {Func: CountDistinct, Metric: "u"}, {Func: Min, Metric: "m"}}
+		shapes := []*Query{
+			{Aggregates: aggs, GroupBy: []string{"g"}},
+			{Aggregates: aggs, GroupBy: []string{"h", "g"}, Filter: map[string][2]uint32{"u": {100, 800}}},
+			{Aggregates: aggs},
+		}
+		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
+		type kept struct {
+			p    *Partial
+			want map[string]groupValue
+		}
+		var keep []kept
+		hold := func(p *Partial, shape int) {
+			// The oracle is the serial Execute, which sums a group across
+			// bricks in one register: its sums match to rounding only.
+			want, err := Execute(s, shapes[shape])
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, g := want.Finalize(), p.Finalize()
+			if len(w.Rows) != len(g.Rows) {
+				t.Fatalf("answer %d (shape %d) when returned: %d rows, Execute %d", len(keep), shape, len(g.Rows), len(w.Rows))
+			}
+			for i := range w.Rows {
+				for j, v := range w.Rows[i] {
+					if math.Abs(g.Rows[i][j]-v) > 1e-9*math.Abs(v) {
+						t.Fatalf("answer %d (shape %d) when returned: row %d col %d %v, Execute %v", len(keep), shape, i, j, g.Rows[i][j], v)
+					}
+				}
+			}
+			keep = append(keep, kept{p, partialValue(p)})
+		}
+
+		claimed, release, _ := holdClaim(sched, 0)
+		answers := make(chan *Partial, 3)
+		run := func() {
+			p, _, err := sched.Run(ctx, shapes[0], Opts{})
+			if err != nil {
+				t.Error(err)
+			}
+			answers <- p
+		}
+		go run()
+		<-claimed
+		for attached := int64(1); attached <= 2; attached++ {
+			go run()
+			waitFor(t, func() bool { return sched.Stats().Attached == attached })
+		}
+		release()
+		for i := 0; i < 3; i++ {
+			p := <-answers
+			if p == nil {
+				t.FailNow()
+			}
+			hold(p, 0)
+		}
+		if st := sched.Stats(); st.CatchupBricks != 2 {
+			t.Fatalf("want two attachers catching up one brick each, got %+v", st)
+		}
+		for i, q := range shapes {
+			p, _, err := sched.Run(ctx, q, Opts{Unshared: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hold(p, i)
+		}
+
+		for i := 0; i < 200; i++ {
+			if _, _, err := sched.Run(ctx, shapes[i%len(shapes)], Opts{Unshared: i%2 == 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, k := range keep {
+			if !reflect.DeepEqual(partialValue(k.p), k.want) {
+				t.Fatalf("kept answer %d changed after 200 more queries", i)
 			}
 		}
 	})

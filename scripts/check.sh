@@ -164,13 +164,27 @@ go test -count=1 -run 'TestPlanScanAllocs' ./internal/brick
 # The brick pass keeps groups in index-addressed slabs: a group is an index
 # into flat key and cell arrays, never an object of its own, so a brick's
 # groups cost no allocation each. newGroup is for the serial oracle, the
-# rollup path and partials only. The hazard test pins the four ways slab
-# state can break an answer; the ceiling pins allocations per visited brick.
+# rollup path and partials only. Sealed brick slabs come from a pool and go
+# back to it once combined: scheduler.go builds them only through
+# groupSlab.pooledSeal and pooledClone. A partially covered brick's filter
+# is selection vectors, column at a time: buildSel holds no per-row
+# closure. The hazard test pins the five ways slab state can break an
+# answer; the ceiling pins allocations per visited brick.
 echo "== group state without per-group objects"
 if grep -n 'newGroup(' internal/engine/kernels.go internal/engine/encoded.go internal/engine/scheduler.go; then
     echo "group state without per-group objects: newGroup( is back in the brick pass (see above)"
     exit 1
 fi
+if grep -nE 'groupSlab\{|new\(groupSlab\)|\[\]cell|slabPool\.Get|\.(seal|clone|copied)\(' internal/engine/scheduler.go; then
+    echo "group state without per-group objects: scheduler.go builds a slab outside groupSlab.pooledSeal/pooledClone (see above)"
+    exit 1
+fi
+CLOSURES="$(awk '/^func \(c \*compiled\) buildSel\(/ { inside = 1; next } inside && /^}/ { inside = 0 } inside && /func[ (]/' internal/engine/encoded.go | wc -l)"
+if [ "$CLOSURES" != 0 ]; then
+    echo "group state without per-group objects: buildSel holds a closure again; filter column at a time (rowPred.keep/compact)"
+    exit 1
+fi
+echo "internal/engine non-test lines: $(cat $ENGINE_SRC | wc -l)"
 go test -race -count=1 -run 'TestGroupSlabHazards' ./internal/engine
 go test -count=1 -run 'TestRunAllocsPerBrick' ./internal/engine
 
