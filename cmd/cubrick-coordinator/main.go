@@ -61,7 +61,6 @@ type options struct {
 	maxShards, resultCacheBytes int64
 	deadline                    time.Duration
 	replication, maxConcurrent  int
-	topkOverfetch               int
 	enableMetrics, enablePprof  bool
 	// policy starts as netexec.DefaultQueryPolicy; a flag overrides a field.
 	policy netexec.QueryPolicy
@@ -84,7 +83,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.maxConcurrent, "max-concurrent-queries", 0, "cap on concurrently executing queries; excess queries queue (0 disables admission control)")
 	fs.StringVar(&o.fold, "fold", "on", "worker-side shared-scan folding for queries from this coordinator (on/off)")
 	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "byte budget for the finished-result cache with ingest-epoch invalidation (0 disables)")
-	fs.IntVar(&o.topkOverfetch, "topk-overfetch", 0, "top-k pushdown overfetch factor: workers ship their local top overfetch*k groups plus a bound instead of full partials (0 disables)")
+	fs.IntVar(new(int), "topk-overfetch", 0, "ignored; top-k pushdown was removed")
 	return o
 }
 
@@ -116,7 +115,6 @@ func main() {
 	coord.Breakers.Metrics = reg
 	coord.Metrics = reg
 	coord.NoFold = o.fold == "off"
-	coord.TopKOverfetch = o.topkOverfetch
 	if o.resultCacheBytes > 0 {
 		coord.ResultCache = rescache.New(o.resultCacheBytes)
 		coord.ResultCache.SetMetrics(reg)

@@ -128,8 +128,9 @@ func TestCoordinatorErrors(t *testing.T) {
 }
 
 // TestFlags pins the flag set: the parsed defaults are the default query
-// policy, and README's table lists each flag with its default, so the
-// documentation cannot drift from registerFlags.
+// policy, the retired -topk-overfetch parses and changes nothing, and
+// README's table lists each flag with its default, so the documentation
+// cannot drift from registerFlags.
 func TestFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	o := registerFlags(fs)
@@ -138,6 +139,13 @@ func TestFlags(t *testing.T) {
 	}
 	if o.policy != netexec.DefaultQueryPolicy() {
 		t.Fatalf("default policy = %+v, want %+v", o.policy, netexec.DefaultQueryPolicy())
+	}
+	defaults := *o
+	if err := fs.Parse(strings.Fields("-topk-overfetch 4")); err != nil {
+		t.Fatal(err)
+	}
+	if *o != defaults {
+		t.Fatalf("-topk-overfetch 4: options %+v, want the defaults %+v", *o, defaults)
 	}
 	if err := fs.Parse(strings.Fields("-retries 1 -hedge-quantile 0 -min-coverage 0.5")); err != nil {
 		t.Fatal(err)

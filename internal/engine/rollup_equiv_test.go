@@ -13,26 +13,22 @@ import (
 
 // The realtime property harness: across random trials of schema × rollup
 // configuration × ingest interleaving × compaction tier × query shape, the
-// two new answer paths must be bit-identical to the full-scan reference —
-//
-//	rollup hybrid (rollup groups + delta scan + edge scans) ≡ raw brick pass
-//	distributed top-k pushdown (prune/threshold/certify/phase-2) ≡ merged
-//	    full partials
+// rollup hybrid (rollup groups + delta scan + edge scans) must be
+// bit-identical to a raw brick pass.
 //
 // Metric values are integers, so SUM is exact in any fold order and
 // bit-identical is a meaningful demand (see DESIGN.md §6l for the float
 // caveat). Scan counters legitimately differ between the paths (that is
 // the point), so comparisons use rowsEqual.
 
-// realtimeTrial is one random scenario shared by the rollup and top-k
-// checks: a schema whose dimension 0 is the time dimension, a rollup
-// config over the remaining dimensions, and rows partitioned across
-// 1–3 worker stores (the rollup check uses store 0's rows only).
+// realtimeTrial is one random scenario: a schema whose dimension 0 is the
+// time dimension, a rollup config over the remaining dimensions, a store
+// and its rollup table.
 type realtimeTrial struct {
 	schema brick.Schema
 	cfg    rollup.Config
-	stores []*brick.Store
-	tables []*rollup.Table
+	store  *brick.Store
+	table  *rollup.Table
 }
 
 func newRealtimeTrial(t *testing.T, rnd *randutil.Source) *realtimeTrial {
@@ -60,24 +56,18 @@ func newRealtimeTrial(t *testing.T, rnd *randutil.Source) *realtimeTrial {
 			tr.cfg.DistinctDims = append(tr.cfg.DistinctDims, tr.schema.Dimensions[d].Name)
 		}
 	}
-	nStores := 1 + rnd.Intn(3)
-	for i := 0; i < nStores; i++ {
-		s, err := brick.NewStore(tr.schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl, err := rollup.New(tr.schema, tr.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.stores = append(tr.stores, s)
-		tr.tables = append(tr.tables, tbl)
+	var err error
+	if tr.store, err = brick.NewStore(tr.schema); err != nil {
+		t.Fatal(err)
+	}
+	if tr.table, err = rollup.New(tr.schema, tr.cfg); err != nil {
+		t.Fatal(err)
 	}
 	return tr
 }
 
-// ingest inserts n random rows spread across the worker stores. Metric
-// values are small integers so every aggregate is fold-order independent.
+// ingest inserts n random rows. Metric values are small integers so every
+// aggregate is fold-order independent.
 func (tr *realtimeTrial) ingest(t *testing.T, rnd *randutil.Source, n int) {
 	t.Helper()
 	dims := make([]uint32, len(tr.schema.Dimensions))
@@ -96,7 +86,7 @@ func (tr *realtimeTrial) ingest(t *testing.T, rnd *randutil.Source, n int) {
 		for m := range mets {
 			mets[m] = float64(rnd.Intn(1000))
 		}
-		if err := tr.stores[rnd.Intn(len(tr.stores))].Insert(dims, mets); err != nil {
+		if err := tr.store.Insert(dims, mets); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,17 +94,15 @@ func (tr *realtimeTrial) ingest(t *testing.T, rnd *randutil.Source, n int) {
 
 func (tr *realtimeTrial) compact(t *testing.T, rnd *randutil.Source) {
 	t.Helper()
-	for _, s := range tr.stores {
-		if rnd.Bernoulli(0.5) {
-			continue
-		}
-		s.DecayHotness(rnd.Float64())
-		if _, err := s.CompactOnce(brick.CompactionConfig{
-			EncodeBelow: rnd.Float64() * 20,
-			EvictBelow:  rnd.Float64() * 10,
-		}); err != nil {
-			t.Fatal(err)
-		}
+	if rnd.Bernoulli(0.5) {
+		return
+	}
+	tr.store.DecayHotness(rnd.Float64())
+	if _, err := tr.store.CompactOnce(brick.CompactionConfig{
+		EncodeBelow: rnd.Float64() * 20,
+		EvictBelow:  rnd.Float64() * 10,
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -165,12 +153,11 @@ func (tr *realtimeTrial) rollupQuery(rnd *randutil.Source) *Query {
 	return q
 }
 
-// checkRollup compares the hybrid rollup answer on store 0 against the
-// full-scan reference, exercising the snapshot/delta codec round-trip on a
-// third of the hits. Returns whether the query was rollup-served.
+// checkRollup compares the hybrid rollup answer against the full-scan
+// reference. Returns whether the query was rollup-served.
 func (tr *realtimeTrial) checkRollup(t *testing.T, rnd *randutil.Source, trial int) bool {
 	t.Helper()
-	st, tbl := tr.stores[0], tr.tables[0]
+	st, tbl := tr.store, tr.table
 	q := tr.rollupQuery(rnd)
 	p, info, ok, err := ExecuteRollup(context.Background(), st, tbl, q)
 	if err != nil {
@@ -200,141 +187,28 @@ func (tr *realtimeTrial) checkRollup(t *testing.T, rnd *randutil.Source, trial i
 	return true
 }
 
-// topkQuery builds a random pushdown-eligible top-k query over every
-// eligible (aggregate, direction) combination.
-func (tr *realtimeTrial) topkQuery(rnd *randutil.Source) *Query {
-	q := &Query{}
-	shapes := []struct {
-		agg  Aggregate
-		desc bool
-	}{
-		{Aggregate{Func: Sum, Metric: "m0"}, true},
-		{Aggregate{Func: Sum, Metric: "m0"}, false},
-		{Aggregate{Func: Count}, true},
-		{Aggregate{Func: Count}, false},
-		{Aggregate{Func: Max, Metric: "m0"}, true},
-		{Aggregate{Func: Min, Metric: "m0"}, false},
-	}
-	s := shapes[rnd.Intn(len(shapes))]
-	q.Aggregates = []Aggregate{s.agg, {Func: Count, Alias: "n"}}
-	q.OrderBy, q.Desc = s.agg.Name(), s.desc
-	nGroup := 1 + rnd.Intn(2)
-	if nGroup > len(tr.schema.Dimensions) {
-		nGroup = len(tr.schema.Dimensions)
-	}
-	for _, d := range rnd.Perm(len(tr.schema.Dimensions))[:nGroup] {
-		q.GroupBy = append(q.GroupBy, tr.schema.Dimensions[d].Name)
-	}
-	q.Limit = 1 + rnd.Intn(8)
-	if rnd.Bernoulli(0.4) {
-		max := tr.schema.Dimensions[0].Max
-		lo := uint32(rnd.Intn(int(max)))
-		q.Filter = map[string][2]uint32{"ds": {lo, lo + uint32(rnd.Intn(int(max-lo)))}}
-	}
-	return q
-}
-
-// checkTopK runs the full distributed top-k protocol test-side — per-worker
-// prune, merge, certify, targeted phase 2, full-partial fallback — and
-// compares against merging unpruned partials. Returns (certified phase-1,
-// usedPhase2).
-func (tr *realtimeTrial) checkTopK(t *testing.T, rnd *randutil.Source, trial int) (bool, bool) {
-	t.Helper()
-	q := tr.topkQuery(rnd)
-	ref := NewPartial(q)
-	for _, s := range tr.stores {
-		p, _, err := runUnshared(s, q, 0, Opts{})
-		if err != nil {
-			t.Fatalf("trial %d topk reference: %v", trial, err)
-		}
-		if err := ref.Merge(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := ref.Finalize()
-
-	m, ok := NewTopKMerger(q)
-	if !ok {
-		t.Fatalf("trial %d: topk query unexpectedly ineligible (q=%+v)", trial, q)
-	}
-	kPrime := q.Limit * (1 + rnd.Intn(3)) // overfetch 1x..3x: 1x provokes phase 2
-	for wi, s := range tr.stores {
-		p, _, err := runUnshared(s, q, 0, Opts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wi == 0 && rnd.Bernoulli(0.2) {
-			// A mixed-fleet worker that ignored the negotiation and shipped
-			// its full partial: bounded=false, exact everywhere.
-			if _, err := m.Add(p, 0, false); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		threshold, complete := PruneTopK(p, kPrime)
-		if _, err := m.Add(p, threshold, !complete); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := m.Resolve()
-	phase1Certified := res.Certified
-	usedPhase2 := false
-	if !res.Certified && !res.UnseenBlocked && len(res.NeedKeys) > 0 {
-		usedPhase2 = true
-		for wi, keys := range res.NeedKeys {
-			p, _, err := runUnshared(tr.stores[wi], q, 0, Opts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Subset(keys)
-			if err := m.AddResolved(wi, p, keys); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res = m.Resolve()
-		if !res.Certified && !res.UnseenBlocked {
-			t.Fatalf("trial %d: phase 2 resolved nothing (q=%+v, need=%v)", trial, q, res.NeedKeys)
-		}
-	}
-	var got *Result
-	if res.Certified {
-		got = res.Result.Finalize()
-	} else {
-		// UnseenBlocked: protocol falls back to full partials.
-		got = want
-	}
-	if err := rowsEqual(want, got); err != nil {
-		t.Fatalf("trial %d topk vs reference (q=%+v, certified=%v): %v", trial, q, res.Certified, err)
-	}
-	return phase1Certified, usedPhase2
-}
-
-// TestRealtimeEquivalence is the pinning harness for the realtime paths:
-// 40 random trials, each interleaving ingest, rollup catch-up, compaction
-// and a brick-replacing self-import (generation bump), then checking both
-// the rollup hybrid and the distributed top-k protocol against full scans.
+// TestRealtimeEquivalence is the pinning harness for the rollup path: 40
+// random trials, each interleaving ingest, rollup catch-up, compaction and
+// a brick-replacing self-import (generation bump), then checking the
+// rollup hybrid against a full scan.
 func TestRealtimeEquivalence(t *testing.T) {
 	rnd := randutil.New(0x701CAFE)
-	rollupHits, topkCertified, topkPhase2 := 0, 0, 0
+	rollupHits := 0
 	for trial := 0; trial < 40; trial++ {
 		tr := newRealtimeTrial(t, rnd)
 		tr.ingest(t, rnd, 300+rnd.Intn(900))
 		// Catch the rollup up mid-stream so watermarks sit strictly inside
 		// bricks, then keep ingesting: the freshest rows are covered only by
 		// the delta scan, which is exactly the freshness guarantee under test.
-		for _, tbl := range tr.tables {
-			if _, err := tbl.CatchUp(tr.stores[0]); err != nil && tbl == tr.tables[0] {
-				t.Fatalf("trial %d catch-up: %v", trial, err)
-			}
-			break
+		if _, err := tr.table.CatchUp(tr.store); err != nil {
+			t.Fatalf("trial %d catch-up: %v", trial, err)
 		}
 		tr.compact(t, rnd)
 		tr.ingest(t, rnd, 100+rnd.Intn(400))
 		if rnd.Bernoulli(0.25) {
 			// Brick-replacing self-import: voids watermarks, bumps the store
 			// generation; the rollup must rebuild, not double-count.
-			st := tr.stores[0]
-			blob, err := st.Export()
+			blob, err := tr.store.Export()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,29 +219,16 @@ func TestRealtimeEquivalence(t *testing.T) {
 			if err := fresh.Import(blob); err != nil {
 				t.Fatal(err)
 			}
-			tr.stores[0] = fresh
+			tr.store = fresh
 		}
 		tr.ingest(t, rnd, 50+rnd.Intn(200))
 		if tr.checkRollup(t, rnd, trial) {
 			rollupHits++
-		}
-		c, p2 := tr.checkTopK(t, rnd, trial)
-		if c {
-			topkCertified++
-		}
-		if p2 {
-			topkPhase2++
 		}
 	}
 	// The harness must actually exercise the interesting paths, not skip
 	// its way to green.
 	if rollupHits < 20 {
 		t.Fatalf("only %d/40 trials were rollup-served", rollupHits)
-	}
-	if topkCertified < 10 {
-		t.Fatalf("only %d/40 top-k trials certified in one phase", topkCertified)
-	}
-	if topkPhase2 < 3 {
-		t.Fatalf("only %d/40 top-k trials exercised phase 2", topkPhase2)
 	}
 }

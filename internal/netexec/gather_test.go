@@ -19,40 +19,37 @@ import (
 	"cubrick/internal/rescache"
 )
 
-// gatherStrategy is one row of TestGatherStrategies' strategy axis: rows of
-// (ds, app, value) for partitions t#0 and t#1, the rows a fresher copy of
-// t#0 holds on top, and the overfetch under which the query — the top app
-// by SUM(value) — takes the named path. Every value is chosen so the path
-// is the same with and without the fresher rows.
-type gatherStrategy struct {
-	name      string
-	overfetch int
-	p0, p1    [][3]float64
-	fresh     [][3]float64
-	topkPath  string // the netexec.topk.* counter the path increments; "" for plain
-	cacheable bool   // a second phase mixes epochs and must not be cached
+// gatherSkew is one row of TestGatherStrategies' data axis: rows of
+// (ds, app, value) for partitions t#0 and t#1, and the rows a fresher copy
+// of t#0 holds on top. The query — the top app by SUM(value) — is answered
+// from merged full partials on every row; the rows keep the names of the
+// top-k pushdown outcomes their skews once provoked, when the coordinator
+// had a second merge path.
+type gatherSkew struct {
+	name   string
+	p0, p1 [][3]float64
+	fresh  [][3]float64
 }
 
-var gatherStrategies = []gatherStrategy{
-	{name: "plain", overfetch: 0,
+var gatherSkews = []gatherSkew{
+	// app 1 leads on both partitions.
+	{name: "plain",
 		p0: [][3]float64{{0, 1, 100}, {1, 2, 5}}, p1: [][3]float64{{0, 1, 50}, {1, 3, 4}},
-		fresh: [][3]float64{{2, 1, 1}}, cacheable: true},
-	// app 1 is every worker's local top 1 and the unsent mass (5+4) is far
-	// below it: phase 1 certifies.
-	{name: "topk-one-phase", overfetch: 1,
-		p0: [][3]float64{{0, 1, 100}, {1, 2, 5}}, p1: [][3]float64{{0, 1, 50}, {1, 3, 4}},
-		fresh: [][3]float64{{2, 1, 1}}, topkPath: "netexec.topk.certified", cacheable: true},
-	// TestTopKPushdownSecondPhase's skew: app 2's upper bound (90 + t#0's
-	// threshold) ties app 1, so t#0 is asked for app 2 exactly. The fresher
-	// rows raise app 1 and the threshold together, keeping the tie.
-	{name: "topk-two-phase", overfetch: 1,
+		fresh: [][3]float64{{2, 1, 1}}},
+	// apps 1 and 2 tie for the top, with and without the fresher rows:
+	// LIMIT 1 keeps the lower key.
+	{name: "topk-one-phase",
+		p0: [][3]float64{{0, 1, 100}, {1, 2, 5}}, p1: [][3]float64{{0, 2, 95}, {1, 3, 4}},
+		fresh: [][3]float64{{2, 1, 1}, {3, 2, 1}}},
+	// app 2 is t#1's leader and hides below t#0's; app 1 still wins.
+	{name: "topk-two-phase",
 		p0: [][3]float64{{0, 1, 100}, {1, 2, 5}, {2, 3, 10}}, p1: [][3]float64{{0, 2, 90}, {1, 4, 8}},
-		fresh: [][3]float64{{3, 1, 1}, {4, 3, 1}}, topkPath: "netexec.topk.second_phase"},
-	// TestTopKPushdownFallback's skew: the unsent mass (90+45) exceeds the
-	// provisional winner, so only full partials can answer.
-	{name: "topk-fallback", overfetch: 1,
+		fresh: [][3]float64{{3, 1, 1}, {4, 3, 1}}},
+	// Each partition's runner-up is close behind its leader; app 1, t#0's
+	// leader, wins.
+	{name: "topk-fallback",
 		p0: [][3]float64{{0, 1, 100}, {1, 2, 90}}, p1: [][3]float64{{0, 3, 50}, {1, 4, 45}},
-		fresh: [][3]float64{{2, 1, 1}}, topkPath: "netexec.topk.fallback", cacheable: true},
+		fresh: [][3]float64{{2, 1, 1}}},
 }
 
 // gatherWorker starts a worker holding one partition with the given loads
@@ -72,11 +69,11 @@ func gatherWorker(t *testing.T, part string, loads ...[][3]float64) (string, *br
 	return srv.URL, st
 }
 
-// TestGatherStrategies crosses the coordinator's query strategies with
-// everything the one fan-out under them handles — a dual-read window on
-// t#0, a degradation policy with a dead partition, and a fault on t#1 —
-// and holds every cell to the oracle: engine.Execute merged over the
-// stores the answer must have come from.
+// TestGatherStrategies crosses leaderboard skews with everything the one
+// fan-out handles — a dual-read window on t#0, a degradation policy with a
+// dead partition, and a fault on t#1 — and holds every cell to the oracle:
+// engine.Execute merged over the stores the answer must have come from,
+// sorted and limited by Finalize.
 func TestGatherStrategies(t *testing.T) {
 	q := &engine.Query{
 		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value", Alias: "total"}},
@@ -96,7 +93,7 @@ func TestGatherStrategies(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 
-	for _, s := range gatherStrategies {
+	for _, s := range gatherSkews {
 		staleURL, _ := gatherWorker(t, "t#0", s.p0)
 		freshURL, freshStore := gatherWorker(t, "t#0", s.p0, s.fresh)
 		p1URL, p1Store := gatherWorker(t, "t#1", s.p1)
@@ -146,11 +143,10 @@ func TestGatherStrategies(t *testing.T) {
 						tr := NewTransport()
 						reg := metrics.NewRegistry()
 						coord := &Coordinator{
-							Client:        &http.Client{Transport: tr},
-							Policy:        QueryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
-							Metrics:       reg,
-							TopKOverfetch: s.overfetch,
-							ResultCache:   rescache.New(1 << 20),
+							Client:      &http.Client{Transport: tr},
+							Policy:      QueryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+							Metrics:     reg,
+							ResultCache: rescache.New(1 << 20),
 						}
 						targets := []Target{d.t0, f.t1}
 						if degrade {
@@ -186,15 +182,6 @@ func TestGatherStrategies(t *testing.T) {
 						tr.CloseIdleConnections()
 						queryEqual(t, got, want)
 
-						// Top-k stands down under a degradation policy, and
-						// only there: a dual-read window does not switch it off.
-						topk := s.topkPath != "" && !degrade
-						if c["netexec.topk.queries"] != b2i(topk) {
-							t.Fatalf("netexec.topk.queries = %d, want %d", c["netexec.topk.queries"], b2i(topk))
-						}
-						if topk && c[s.topkPath] != 1 {
-							t.Fatalf("%s = %d, want 1 (counters %v)", s.topkPath, c[s.topkPath], c)
-						}
 						if dual := len(d.t0.Dual) > 0; (c["netexec.fetch.dualreads"] > 0) != dual {
 							t.Fatalf("netexec.fetch.dualreads = %d with dual=%v", c["netexec.fetch.dualreads"], dual)
 						}
@@ -214,9 +201,8 @@ func TestGatherStrategies(t *testing.T) {
 						}
 
 						// The result enters the cache exactly when gather
-						// returned a full epoch vector and no second phase
-						// mixed epochs into it.
-						cacheable := !degrade && !f.noEpoch && (s.cacheable || !topk)
+						// returned a full epoch vector.
+						cacheable := !degrade && !f.noEpoch
 						if n := coord.ResultCache.Stats().Entries; n != int64(b2i(cacheable)) {
 							t.Fatalf("result cache entries = %d, cacheable = %v", n, cacheable)
 						}

@@ -313,14 +313,7 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 		return http.StatusBadRequest, err
 	}
 	trace.SpanFromContext(ctx).SetAttr("partition", req.Partition)
-	popts, err := parsePartialOpts(r.Header)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	keys, err := req.keys()
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
+	popts := parsePartialOpts(r.Header)
 	opts := partition.Opts{
 		Tenant:   popts.tenant,
 		Priority: popts.priority,
@@ -393,26 +386,6 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	w.observe("worker.execute.latency", info.Total())
 	w.countAdd("worker.rows.scanned", partial.RowsScanned)
 
-	// Top-k pushdown. Phase 2 (keys) subsets the full partial to the
-	// coordinator's uncertain keys; phase 1 (kPrime) prunes to the local
-	// top k′ and reports the threshold bounding unsent groups.
-	meta := partialMeta{epoch: epoch, hasEpoch: true}
-	if keys != nil {
-		partial.Subset(keys)
-		w.countAdd("worker.topk.phase2", 1)
-	} else if popts.kPrime > 0 {
-		if _, ok := engine.TopKSpecFor(&req.Query); ok {
-			before := partial.GroupCount()
-			meta.threshold, meta.complete = engine.PruneTopK(partial, popts.kPrime)
-			if !meta.complete {
-				meta.hasThreshold = true
-				meta.dropped = before - partial.GroupCount()
-				w.countAdd("worker.topk.pruned", 1)
-				w.countAdd("worker.topk.groups_dropped", int64(meta.dropped))
-			}
-		}
-	}
-
 	_, mspan := w.Tracer.StartSpan(ctx, "worker.marshal")
 	blob, err := partial.MarshalBinary()
 	if err != nil {
@@ -440,7 +413,7 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	mspan.SetAttrInt("bytes", int64(len(payload)))
 	mspan.SetAttr("gzip", strconv.FormatBool(gzipped))
 	mspan.End()
-	meta.stamp(rw.Header())
+	rw.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	if _, err := rw.Write(payload); err != nil {
@@ -552,15 +525,6 @@ type Coordinator struct {
 	// NoFold stamps X-Cubrick-Fold: off on worker requests, bypassing
 	// worker-side shared-scan folding for queries from this coordinator.
 	NoFold bool
-	// TopKOverfetch enables distributed top-k pushdown for eligible
-	// ORDER BY <aggregate> LIMIT k queries (the -topk-overfetch flag):
-	// workers ship only their local top overfetch×k groups plus a
-	// threshold bounding the rest, and the coordinator certifies the
-	// global top k from the bounds, issuing at most one targeted
-	// second-phase fetch for uncertain keys before falling back to full
-	// partials. 0 disables pushdown. Only exact-semantics queries
-	// (MinCoverage 0 or 1) push down.
-	TopKOverfetch int
 	// ResultCache, when set, remembers finished full-coverage Results keyed
 	// on the complete query identity (fold key + residue + partition set)
 	// and validated against the per-partition ingest epochs workers report
@@ -766,20 +730,38 @@ func (c *Coordinator) Query(ctx context.Context, targets []Target, q *engine.Que
 		}
 		fanSpan.SetAttr("cache.hit", "false")
 	}
-	// What every /partial call of this query carries; the top-k strategy
-	// adds its fields per call.
-	base := partialOpts{tenant: meta.Tenant, priority: meta.Priority, noFold: c.NoFold, noCache: bypass}
-	strategy := c.queryPlain
-	if c.topkEligible(q) {
-		strategy = c.queryTopK
-	}
-	res, epochs, err := strategy(ctx, targets, q, base)
-	if err == nil && c.ResultCache != nil && !bypass && epochs != nil {
-		// Only full-epoch-vector, full-coverage results are cacheable (Put
-		// re-checks Coverage); epochs is nil whenever any partial arrived
-		// without an epoch header, a partition was dropped, or a top-k
-		// second phase mixed per-partition epochs.
-		c.ResultCache.Put(key, res, epochs)
+	// Every target's full partial folds into one accumulator the moment it
+	// arrives; Finalize then applies HAVING, sorts and limits.
+	opts := partialOpts{tenant: meta.Tenant, priority: meta.Priority, noFold: c.NoFold, noCache: bypass}
+	merged := engine.NewPartial(q)
+	epochs, missing, err := c.gather(ctx, q, targets, opts, func(blob []byte) error {
+		var mstart time.Time
+		if c.Metrics != nil {
+			mstart = time.Now()
+		}
+		if err := engine.MergeWire(merged, blob); err != nil {
+			return err
+		}
+		if c.Metrics != nil {
+			c.Metrics.Histogram("netexec.merge.latency").Observe(time.Since(mstart).Seconds())
+		}
+		return nil
+	})
+	var res *engine.Result
+	if err == nil {
+		_, finSpan := c.Tracer.StartSpan(ctx, "coordinator.finalize")
+		res = merged.Finalize()
+		finSpan.End()
+		if len(missing) > 0 {
+			res.Coverage = float64(len(targets)-len(missing)) / float64(len(targets))
+			res.MissingPartitions = missing
+		}
+		if c.ResultCache != nil && !bypass && epochs != nil {
+			// Only full-epoch-vector, full-coverage results are cacheable
+			// (Put re-checks Coverage); epochs is nil whenever any partial
+			// arrived without an epoch header or a partition was dropped.
+			c.ResultCache.Put(key, res, epochs)
+		}
 	}
 	fanSpan.EndErr(err)
 	if c.Metrics != nil {
@@ -800,66 +782,23 @@ func targetsKey(targets []Target) string {
 	return strings.Join(parts, "\x1f")
 }
 
-// queryPlain is the plain strategy: every target's full partial folds
-// into one accumulator the moment it arrives. The second return value is
-// the ingest-epoch vector the result was computed at (see gather), which is
-// what makes the result eligible for the coordinator's cache.
-func (c *Coordinator) queryPlain(ctx context.Context, targets []Target, q *engine.Query, base partialOpts) (*engine.Result, map[string]uint64, error) {
-	calls := make([]call, len(targets))
-	for i, t := range targets {
-		calls[i] = call{t, base}
-	}
-	merged := engine.NewPartial(q)
-	epochs, missing, err := c.gather(ctx, q, calls, func(_ int, blob []byte, _ partialMeta) error {
-		var mstart time.Time
-		if c.Metrics != nil {
-			mstart = time.Now()
-		}
-		if err := engine.MergeWire(merged, blob); err != nil {
-			return err
-		}
-		if c.Metrics != nil {
-			c.Metrics.Histogram("netexec.merge.latency").Observe(time.Since(mstart).Seconds())
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	_, finSpan := c.Tracer.StartSpan(ctx, "coordinator.finalize")
-	res := merged.Finalize()
-	finSpan.End()
-	if len(missing) > 0 {
-		res.Coverage = float64(len(targets)-len(missing)) / float64(len(targets))
-		res.MissingPartitions = missing
-	}
-	return res, epochs, nil
-}
-
-// call is one unit of a fan-out: a target and the options of its /partial
-// request.
-type call struct {
-	target Target
-	opts   partialOpts
-}
-
-// gather is the coordinator's one fan-out. It fetches every call
-// concurrently (fetchPartition, under one "partition" span per call whose
-// children are the individual attempts, so a retry or hedge shows up as an
-// extra fetch span under it) and hands each answer to sink on the calling
-// goroutine, in arrival order: sink is where a strategy merges, and it
-// overlaps the slower workers' network time.
+// gather is the coordinator's one fan-out. It fetches every target's
+// partial under opts concurrently (fetchPartition, under one "partition"
+// span per target whose children are the individual attempts, so a retry
+// or hedge shows up as an extra fetch span under it) and hands each blob
+// to sink on the calling goroutine, in arrival order: sink is where Query
+// merges, and it overlaps the slower workers' network time.
 //
 // Failure follows c.Policy as Query documents: the first failed call of
 // an exact fan-out cancels the in-flight peers; a degrading one returns
 // the dropped partitions as missing (sorted). A sink error is always
-// terminal: the strategy's accumulator may have absorbed a prefix of a
-// corrupt partial, so its state can no longer be trusted.
+// terminal: the accumulator may have absorbed a prefix of a corrupt
+// partial, so its state can no longer be trusted.
 //
 // epochs is the ingest-epoch vector the answers were computed at, one
 // entry per partition, each also fed to ObserveEpoch. It is nil unless
 // every call answered and every answer carried an epoch header.
-func (c *Coordinator) gather(ctx context.Context, q *engine.Query, calls []call, sink func(i int, blob []byte, meta partialMeta) error) (epochs map[string]uint64, missing []string, err error) {
+func (c *Coordinator) gather(ctx context.Context, q *engine.Query, targets []Target, opts partialOpts, sink func(blob []byte) error) (epochs map[string]uint64, missing []string, err error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -870,20 +809,12 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, calls []call,
 	}
 	// Buffered to the fan-out so late finishers never block: gather may
 	// return on the first error while peers are still draining.
-	ch := make(chan outcome, len(calls))
-	for i := range calls {
+	ch := make(chan outcome, len(targets))
+	for i := range targets {
 		go func(i int) {
-			cl := &calls[i]
 			pctx, pspan := c.Tracer.StartSpan(ctx, "partition")
-			pspan.SetAttr("partition", cl.target.Partition)
-			switch {
-			case len(cl.opts.keys) > 0:
-				pspan.SetAttr("topk", "phase2")
-				pspan.SetAttrInt("keys", int64(len(cl.opts.keys)))
-			case cl.opts.kPrime > 0:
-				pspan.SetAttr("topk", "phase1")
-			}
-			blob, meta, err := c.fetchPartition(pctx, cl.target, q, cl.opts)
+			pspan.SetAttr("partition", targets[i].Partition)
+			blob, meta, err := c.fetchPartition(pctx, targets[i], q, opts)
 			pspan.EndErr(err)
 			ch <- outcome{i, blob, meta, err}
 		}(i)
@@ -893,11 +824,11 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, calls []call,
 		return fmt.Errorf("%w: %s %s: %w", ErrWorkerFailed, t.URL, t.Partition, err)
 	}
 	exact := c.Policy.exact()
-	epochs = make(map[string]uint64, len(calls))
+	epochs = make(map[string]uint64, len(targets))
 	allEpochs := true
-	for range calls {
+	for range targets {
 		o := <-ch
-		t := calls[o.idx].target
+		t := targets[o.idx]
 		if o.err != nil {
 			if exact {
 				return nil, nil, failed(t, o.err)
@@ -912,13 +843,13 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, calls []call,
 		} else {
 			allEpochs = false
 		}
-		if err := sink(o.idx, o.blob, o.meta); err != nil {
+		if err := sink(o.blob); err != nil {
 			return nil, nil, failed(t, err)
 		}
 	}
 	if len(missing) > 0 {
 		sort.Strings(missing)
-		coverage := float64(len(calls)-len(missing)) / float64(len(calls))
+		coverage := float64(len(targets)-len(missing)) / float64(len(targets))
 		if coverage < c.Policy.MinCoverage {
 			c.count("netexec.query.failed")
 			return nil, nil, fmt.Errorf("%w: coverage %.3f below policy minimum %.3f (missing: %s)",
@@ -936,11 +867,11 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, calls []call,
 // a migration that is one resilient fetch over the target's primary and
 // replicas. During a dual-read window (t.Dual is set) it runs the same
 // request against the current and the previous placement concurrently and
-// returns the fresher answer with its own metadata: the success with the
+// returns the fresher answer with its own epoch: the success with the
 // higher ingest epoch wins, a lone success wins regardless, two failures
 // surface the current placement's error.
 func (c *Coordinator) fetchPartition(ctx context.Context, t Target, q *engine.Query, opts partialOpts) ([]byte, partialMeta, error) {
-	body, err := json.Marshal(newPartialRequest(t.Partition, q, opts))
+	body, err := json.Marshal(partialRequest{Partition: t.Partition, Query: *q})
 	if err != nil {
 		return nil, partialMeta{}, err
 	}
@@ -1153,7 +1084,7 @@ func (c *Coordinator) doPartial(ctx context.Context, url string, body []byte, op
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, meta, &HTTPStatusError{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(msg))}
 	}
-	meta = parsePartialMeta(resp.Header)
+	meta.epoch, meta.hasEpoch = epochFromHeader(resp.Header)
 	limit := c.maxPartialBytes()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {

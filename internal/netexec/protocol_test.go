@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,11 +21,11 @@ import (
 	"cubrick/internal/partition"
 )
 
-// TestProtocolRoundTrip: what one end stamps the other parses back, for
-// every combination of options and of response metadata the protocol can
-// carry, with the threshold exact to the bit.
+// TestProtocolRoundTrip: what the coordinator stamps the worker parses
+// back, for every combination of options, and the epoch a response
+// carries parses back exact; a missing or unparsable epoch is absent.
 func TestProtocolRoundTrip(t *testing.T) {
-	for bits := 0; bits < 1<<6; bits++ {
+	for bits := 0; bits < 1<<4; bits++ {
 		on := func(b int) bool { return bits&(1<<b) != 0 }
 		opts := partialOpts{noFold: on(2), noCache: on(3)}
 		if on(0) {
@@ -33,53 +34,30 @@ func TestProtocolRoundTrip(t *testing.T) {
 		if on(1) {
 			opts.priority = -7
 		}
-		if on(4) {
-			opts.kPrime = 12
-		}
-		if on(5) {
-			opts.keys = []string{"\x01\x00\x00\x00", "", "\xff\x00\x7f"}
-		}
 		h := make(http.Header)
 		opts.stamp(h)
-		got, err := parsePartialOpts(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := newPartialRequest("t#0", &engine.Query{}, opts)
-		if got.keys, err = req.keys(); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, opts) {
+		if got := parsePartialOpts(h); got != opts {
 			t.Fatalf("opts %+v came back as %+v (headers %v)", opts, got, h)
 		}
 	}
-	for _, k := range []string{"0", "-3", "x", "1.5"} {
-		h := make(http.Header)
-		h.Set(HeaderTopK, k)
-		if _, err := parsePartialOpts(h); err == nil {
-			t.Errorf("%s: %q accepted", HeaderTopK, k)
-		}
-	}
-	if _, err := (&partialRequest{TopKKeys: []string{"zz"}}).keys(); err == nil {
-		t.Error("non-hex topk key accepted")
-	}
 
-	thresholds := []float64{0, math.Copysign(0, -1), 10, -1.0 / 3, math.Pi * 1e300, math.SmallestNonzeroFloat64, math.Inf(-1)}
-	for bits := 0; bits < 1<<3; bits++ {
-		for _, th := range thresholds {
-			m := partialMeta{hasEpoch: bits&1 != 0, hasThreshold: bits&2 != 0, complete: bits&4 != 0}
-			if m.hasEpoch {
-				m.epoch = math.MaxUint64
-			}
-			if m.hasThreshold {
-				m.threshold, m.dropped = th, 41
-			}
-			h := make(http.Header)
-			m.stamp(h)
-			got := parsePartialMeta(h)
-			if got != m || math.Float64bits(got.threshold) != math.Float64bits(m.threshold) {
-				t.Fatalf("meta %+v came back as %+v (headers %v)", m, got, h)
-			}
+	for _, c := range []struct {
+		header string
+		want   partialMeta
+	}{
+		{"", partialMeta{}},
+		{"0", partialMeta{0, true}},
+		{strconv.FormatUint(math.MaxUint64, 10), partialMeta{math.MaxUint64, true}},
+		{"-1", partialMeta{}},
+		{"x", partialMeta{}},
+	} {
+		h := make(http.Header)
+		if c.header != "" {
+			h.Set(HeaderEpoch, c.header)
+		}
+		var got partialMeta
+		if got.epoch, got.hasEpoch = epochFromHeader(h); got != c.want {
+			t.Fatalf("epoch header %q came back as %+v, want %+v", c.header, got, c.want)
 		}
 	}
 }
@@ -124,9 +102,11 @@ func (l *wireLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestPartialWireGolden pins the /partial exchange byte for byte — request
 // headers and body, response headers and blob — for a plain call carrying
-// every per-query option, a top-k phase-1 call and the phase-2 call that
-// follows it. The goldens were recorded from the commit before protocol.go
-// existed; benchkit's proxy parses and replays this request.
+// every per-query option. The golden was recorded from the commit before
+// protocol.go existed; benchkit's proxy parses and replays this request.
+// It also pins what a coordinator from before top-k pushdown was removed
+// gets when it still asks for a pruned leaderboard partial: the full
+// partial, with no top-k response header.
 func TestPartialWireGolden(t *testing.T) {
 	w0 := NewWorker(partition.Config{})
 	log := &wireLog{worker: w0.Handler()}
@@ -138,7 +118,6 @@ func TestPartialWireGolden(t *testing.T) {
 	}
 	t1, _, cl1, stop1 := realtimeWorker(t, "t#1", false)
 	defer stop1()
-	// TestTopKPushdownSecondPhase's skew: t#0 is asked for app 2 in phase 2.
 	loadRows(t, cl0, "t#0", nil, [][3]float64{{0, 1, 100}, {1, 2, 5}, {2, 3, 10}})
 	loadRows(t, cl1, "t#1", nil, [][3]float64{{0, 2, 90}, {1, 4, 8}})
 	targets := []Target{{URL: srv0.URL, Partition: "t#0"}, t1}
@@ -151,6 +130,7 @@ func TestPartialWireGolden(t *testing.T) {
 	if _, err := (&Coordinator{NoFold: true}).Query(ctx, targets, plain); err != nil {
 		t.Fatal(err)
 	}
+
 	topk := &engine.Query{
 		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value", Alias: "total"}},
 		GroupBy:    []string{"app"},
@@ -158,18 +138,43 @@ func TestPartialWireGolden(t *testing.T) {
 		Desc:       true,
 		Limit:      1,
 	}
-	if _, err := (&Coordinator{TopKOverfetch: 1}).Query(context.Background(), targets, topk); err != nil {
+	body, err := json.Marshal(partialRequest{Partition: "t#0", Query: *topk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, srv0.URL+"/partial", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Cubrick-TopK", "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	want := []string{partialGoldenPlain, partialGoldenPhase1, partialGoldenPhase2}
-	if len(log.seen) != len(want) {
-		t.Fatalf("%d /partial exchanges at t#0, want %d:\n%s", len(log.seen), len(want), strings.Join(log.seen, "\n"))
+	if len(log.seen) != 2 {
+		t.Fatalf("%d /partial exchanges at t#0, want 2:\n%s", len(log.seen), strings.Join(log.seen, "\n"))
 	}
-	for i := range want {
-		if log.seen[i] != want[i] {
-			t.Errorf("exchange %d\n--- got ---\n%s--- want ---\n%s", i, log.seen[i], want[i])
-		}
+	if log.seen[0] != partialGoldenPlain {
+		t.Errorf("plain exchange\n--- got ---\n%s--- want ---\n%s", log.seen[0], partialGoldenPlain)
+	}
+	// The blob's group records come in map order, so its bytes are not
+	// pinned; the partial must hold every group of t#0.
+	if want := partialGoldenLegacyTopK + hex.EncodeToString(blob) + "\n"; log.seen[1] != want {
+		t.Errorf("legacy top-k exchange\n--- got ---\n%s--- want ---\n%s", log.seen[1], want)
+	}
+	p, err := engine.UnmarshalPartial(topk, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Groups() != 3 {
+		t.Fatalf("legacy top-k request got %d groups, want all 3", p.Groups())
 	}
 }
 
@@ -186,23 +191,11 @@ X-Cubrick-Epoch: 1
 52504243020100000002010000000000405a40020000000000001440000000000000594000000000000000004002000000000000f03f000000000000f03f00
 `
 
-const partialGoldenPhase1 = `POST /partial
+const partialGoldenLegacyTopK = `POST /partial
 Content-Type: application/json
 X-Cubrick-Topk: 1
 {"partition":"t#0","query":{"Aggregates":[{"Func":0,"Metric":"value","Alias":"total"}],"GroupBy":["app"],"Filter":null,"OrderBy":"total","Desc":true,"Limit":1,"Having":null}}
 -> 200
 Content-Type: application/octet-stream
 X-Cubrick-Epoch: 1
-X-Cubrick-Topk-Dropped: 2
-X-Cubrick-Topk-Threshold: 0x1.4p+03
-5250424303010000010101010000000000000000005940010000000000005940000000000000594000
-`
-
-const partialGoldenPhase2 = `POST /partial
-Content-Type: application/json
-{"partition":"t#0","query":{"Aggregates":[{"Func":0,"Metric":"value","Alias":"total"}],"GroupBy":["app"],"Filter":null,"OrderBy":"total","Desc":true,"Limit":1,"Having":null},"topk_keys":["02000000"]}
--> 200
-Content-Type: application/octet-stream
-X-Cubrick-Epoch: 1
-5250424303010000010101020000000000000000001440010000000000001440000000000000144000
 `

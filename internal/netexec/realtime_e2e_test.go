@@ -63,122 +63,6 @@ func queryEqual(t *testing.T, got, want *engine.Result) {
 	}
 }
 
-// TestTopKPushdownSinglePhase: a query whose phase-1 bounds certify
-// directly; the pushdown answer is bit-identical to the full fan-out.
-func TestTopKPushdownSinglePhase(t *testing.T) {
-	targets, whole, cleanup := startCluster(t, 3, 900)
-	defer cleanup()
-	q := &engine.Query{
-		Aggregates: []engine.Aggregate{
-			{Func: engine.Sum, Metric: "value", Alias: "total"},
-			{Func: engine.Count},
-		},
-		GroupBy: []string{"app"},
-		OrderBy: "total",
-		Desc:    true,
-		Limit:   3,
-	}
-	reg := metrics.NewRegistry()
-	coord := &Coordinator{TopKOverfetch: 4, Metrics: reg}
-	got, err := coord.Query(context.Background(), targets, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := engine.Execute(whole, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queryEqual(t, got, ref.Finalize())
-	c := reg.CounterValues()
-	if c["netexec.topk.queries"] != 1 || c["netexec.topk.certified"] != 1 {
-		t.Fatalf("counters: %v", c)
-	}
-	if c["netexec.topk.fallback"] != 0 {
-		t.Fatalf("unexpected fallback: %v", c)
-	}
-}
-
-// TestTopKPushdownSecondPhase constructs a skew where a group's global
-// winner is outside one worker's local top-k′: certification requires the
-// targeted second-phase fetch, and the answer stays exact.
-func TestTopKPushdownSecondPhase(t *testing.T) {
-	t1, _, cl1, stop1 := realtimeWorker(t, "t#0", false)
-	defer stop1()
-	t2, _, cl2, stop2 := realtimeWorker(t, "t#1", false)
-	defer stop2()
-	whole, _ := brick.NewStore(testSchema())
-	// Worker 0: app 1 dominates (100); app 2 hides below the shipped top-1
-	// (5) with threshold 10 from app 3. Worker 1: app 2 leads (90) over
-	// app 4 (8). Globally app 1 (100) beats app 2 (95), but phase 1 alone
-	// cannot prove it: app 2's upper bound is 90+10 = 100, not strictly
-	// below. The unseen bound 10+8 = 18 stays far under, so the resolver
-	// fetches app 2 from worker 0 instead of falling back.
-	loadRows(t, cl1, "t#0", whole, [][3]float64{{0, 1, 100}, {1, 2, 5}, {2, 3, 10}})
-	loadRows(t, cl2, "t#1", whole, [][3]float64{{0, 2, 90}, {1, 4, 8}})
-	q := &engine.Query{
-		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value", Alias: "total"}},
-		GroupBy:    []string{"app"},
-		OrderBy:    "total",
-		Desc:       true,
-		Limit:      1,
-	}
-	reg := metrics.NewRegistry()
-	coord := &Coordinator{TopKOverfetch: 1, Metrics: reg}
-	got, err := coord.Query(context.Background(), []Target{t1, t2}, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := engine.Execute(whole, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queryEqual(t, got, ref.Finalize())
-	if got.Rows[0][0] != 1 || got.Rows[0][1] != 100 {
-		t.Fatalf("want app 1 total 100, got %v", got.Rows[0])
-	}
-	c := reg.CounterValues()
-	if c["netexec.topk.second_phase"] != 1 || c["netexec.topk.certified"] != 1 {
-		t.Fatalf("counters: %v", c)
-	}
-}
-
-// TestTopKPushdownFallback: thresholds so heavy that a group no worker
-// surfaced could still win; the coordinator must fall back to full
-// partials and still return the exact answer.
-func TestTopKPushdownFallback(t *testing.T) {
-	t1, _, cl1, stop1 := realtimeWorker(t, "t#0", false)
-	defer stop1()
-	t2, _, cl2, stop2 := realtimeWorker(t, "t#1", false)
-	defer stop2()
-	whole, _ := brick.NewStore(testSchema())
-	// Unsent mass 90+45 = 135 exceeds the provisional winner (100): a
-	// group unseen by the coordinator could hold up to 135.
-	loadRows(t, cl1, "t#0", whole, [][3]float64{{0, 1, 100}, {1, 2, 90}})
-	loadRows(t, cl2, "t#1", whole, [][3]float64{{0, 3, 50}, {1, 4, 45}})
-	q := &engine.Query{
-		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value", Alias: "total"}},
-		GroupBy:    []string{"app"},
-		OrderBy:    "total",
-		Desc:       true,
-		Limit:      1,
-	}
-	reg := metrics.NewRegistry()
-	coord := &Coordinator{TopKOverfetch: 1, Metrics: reg}
-	got, err := coord.Query(context.Background(), []Target{t1, t2}, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := engine.Execute(whole, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queryEqual(t, got, ref.Finalize())
-	c := reg.CounterValues()
-	if c["netexec.topk.fallback"] != 1 {
-		t.Fatalf("expected fallback, counters: %v", c)
-	}
-}
-
 // TestRollupServedPartialFreshness: a rollup-enabled worker answers an
 // aligned dashboard query from its pre-aggregates, and rows ingested at
 // epoch E are reflected in the very next rollup-served answer — freshness

@@ -42,12 +42,13 @@ type ReplayConfig struct {
 	// window is fully servable from bucketed pre-aggregates; an unaligned
 	// one forces ragged-edge scans).
 	TimeAlign int
-	// TopKProb is the probability a grouped sum/count shape becomes a
-	// leaderboard: ORDER BY its first aggregate DESC LIMIT TopK. Zero or
-	// negative disables top-k shapes.
-	TopKProb float64
-	// TopK is the LIMIT attached to leaderboard shapes (defaults to 10).
-	TopK int
+	// LeaderboardProb is the probability a grouped sum/count shape becomes
+	// a leaderboard: ORDER BY its first aggregate DESC LIMIT
+	// LeaderboardLimit. Zero or negative disables leaderboard shapes.
+	LeaderboardProb float64
+	// LeaderboardLimit is the LIMIT attached to leaderboard shapes
+	// (defaults to 10).
+	LeaderboardLimit int
 }
 
 // QueryReplay generates queries from a fixed population of distinct
@@ -170,10 +171,10 @@ func randomShape(schema brick.Schema, cfg ReplayConfig, rnd *randutil.Source) *e
 		q.Filter[d.Name] = [2]uint32{uint32(lo), uint32(hi)}
 	}
 	// Leaderboard shapes: grouped sum/count aggregates become
-	// ORDER BY <agg> DESC LIMIT k — the shape top-k pushdown serves.
-	if cfg.TopKProb > 0 && len(q.GroupBy) > 0 && rnd.Float64() < cfg.TopKProb {
+	// ORDER BY <agg> DESC LIMIT k.
+	if cfg.LeaderboardProb > 0 && len(q.GroupBy) > 0 && rnd.Float64() < cfg.LeaderboardProb {
 		if a := q.Aggregates[0]; a.Func == engine.Sum || a.Func == engine.Count {
-			k := cfg.TopK
+			k := cfg.LeaderboardLimit
 			if k < 1 {
 				k = 10
 			}

@@ -124,13 +124,13 @@ func TestReplayDashboardShapes(t *testing.T) {
 		Metrics: []brick.Metric{{Name: "events"}},
 	}
 	cfg := ReplayConfig{
-		Shapes: 10, TimeWindow: 10, TimeAlign: 4, TopKProb: 1, TopK: 5,
+		Shapes: 10, TimeWindow: 10, TimeAlign: 4, LeaderboardProb: 1, LeaderboardLimit: 5,
 	}
 	r, err := NewQueryReplay(schema, cfg, randutil.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	topk := 0
+	leaderboards := 0
 	for _, q := range r.Shapes() {
 		if err := q.Validate(schema); err != nil {
 			t.Fatalf("invalid shape %+v: %v", q, err)
@@ -151,17 +151,15 @@ func TestReplayDashboardShapes(t *testing.T) {
 			t.Fatalf("window [%d,%d] outside domain", lo, hi)
 		}
 		if q.Limit > 0 {
-			topk++
-			if q.Limit != 5 || !q.Desc || q.OrderBy != q.Aggregates[0].Name() {
+			leaderboards++
+			if f := q.Aggregates[0].Func; q.Limit != 5 || !q.Desc || q.OrderBy != q.Aggregates[0].Name() ||
+				len(q.GroupBy) == 0 || f != engine.Sum && f != engine.Count {
 				t.Fatalf("bad leaderboard shape %+v", q)
-			}
-			if _, ok := engine.TopKSpecFor(q); !ok {
-				t.Fatalf("leaderboard shape not pushdown-eligible: %+v", q)
 			}
 		}
 	}
-	if topk == 0 {
-		t.Fatal("TopKProb=1 produced no leaderboard shapes")
+	if leaderboards == 0 {
+		t.Fatal("LeaderboardProb=1 produced no leaderboard shapes")
 	}
 	// Unaligned windows keep the exact requested width.
 	r2, err := NewQueryReplay(schema, ReplayConfig{Shapes: 8, TimeWindow: 10}, randutil.New(12))

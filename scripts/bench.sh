@@ -148,11 +148,8 @@ cat BENCH_rebalance.json
 
 # Realtime dashboard path: aligned coarse time-window aggregates served
 # from the incremental rollup vs the same query as a raw brick scan
-# (p50/p99 over a 1M-row store), and top-k pushdown wire bytes + phase-1
-# certification rate vs full-partial fan-out on a 3-worker cluster.
-# Acceptance: rollup >=10x p50, pushdown <=10% of full-partial bytes with
-# >=90% of queries certified in a single phase.
-echo "== realtime bench (rollup vs raw scan, top-k pushdown wire bytes)"
+# (p50/p99 over a 1M-row store). Acceptance: rollup >=10x p50.
+echo "== realtime bench (rollup vs raw scan)"
 REALTIME_BENCH_OUT="$(pwd)/BENCH_realtime.json" \
     go test ./internal/netexec/ -run '^TestRealtimeBench$' -count=1 -timeout 30m
 echo "== wrote BENCH_realtime.json"

@@ -63,9 +63,7 @@ echo "internal/netexec + internal/cubrick + internal/partition non-test lines: $
 
 # One fan-out (PR 19): Coordinator.gather is the only goroutine-per-target
 # loop and calls the one fetchPartition; fetchResilient is reached through
-# it only; protocol.go is the only non-test file that spells the /partial
-# request body or its top-k headers; and the networked plane does not
-# import the in-process one.
+# it only; and the networked plane does not import the in-process one.
 echo "== one fan-out"
 NETEXEC_SRC="$(ls internal/netexec/*.go | grep -v _test.go)"
 SITES="$(cat $NETEXEC_SRC | grep -v '^func ' | grep -c 'fetchPartition(' || true)"
@@ -80,13 +78,6 @@ if [ "$OUTSIDE" != 0 ]; then
     grep -n 'fetchResilient(' $NETEXEC_SRC
     exit 1
 fi
-for LITERAL in 'X-Cubrick-TopK' 'topk_keys'; do
-    FILES="$(grep -lF "$LITERAL" $NETEXEC_SRC | tr '\n' ' ')"
-    if [ "$FILES" != "internal/netexec/protocol.go " ]; then
-        echo "one fan-out: $LITERAL appears in [ $FILES], want internal/netexec/protocol.go only"
-        exit 1
-    fi
-done
 if go list -f '{{join .Imports "\n"}}' ./internal/netexec | grep -q 'internal/cubrick$'; then
     echo "one fan-out: internal/netexec imports internal/cubrick again"
     exit 1
@@ -99,8 +90,8 @@ echo "internal/netexec non-test lines: $(cat $NETEXEC_SRC | wc -l)"
 # -brick-cache-bytes flag, which partition/flags.go still parses and
 # ignores because the benchmark rig (internal/benchkit) still passes it.
 echo "== no per-brick partial cache"
-CACHE_SRC="$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/benchkit/*')"
-if grep -n 'BrickCache\|CacheScope\|brickCacheKey' $CACHE_SRC; then
+NONTEST_SRC="$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/benchkit/*')"
+if grep -n 'BrickCache\|CacheScope\|brickCacheKey' $NONTEST_SRC; then
     echo "no per-brick partial cache: the cache or its plumbing is back (see above)"
     exit 1
 fi
@@ -109,10 +100,27 @@ if grep -n 'brick-cache-bytes' $FLAG_SRC; then
     echo "no per-brick partial cache: -brick-cache-bytes is spelled outside internal/partition/flags.go (see above)"
     exit 1
 fi
-CORE_SRC="$(ls internal/engine/*.go internal/partition/*.go internal/netexec/*.go internal/cubrick/*.go | grep -v _test.go)"
 CACHES_SRC="$(ls internal/rescache/*.go internal/scancache/*.go | grep -v _test.go)"
-echo "internal/engine + partition + netexec + cubrick non-test lines: $(cat $CORE_SRC | wc -l)"
 echo "internal/rescache + scancache non-test lines: $(cat $CACHES_SRC | wc -l)"
+
+# No top-k pushdown: an ablation on the benchmark's dashboard workload, the
+# only one with ORDER BY ... LIMIT queries, moved no end-to-end metric, so
+# pruned partials, their bounds and the second phase were deleted rather
+# than kept as a mode. Every query merges full partials. What remains is
+# the retired -topk-overfetch flag, which cubrick-coordinator still parses
+# and ignores because the benchmark rig (internal/benchkit) still passes it.
+echo "== no top-k pushdown"
+if grep -n 'TopK\|kPrime\|topk_keys\|X-Cubrick-TopK' $NONTEST_SRC; then
+    echo "no top-k pushdown: pushdown or its plumbing is back (see above)"
+    exit 1
+fi
+FLAG_SRC="$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/benchkit/*' ! -path './.bench_build/*' ! -path './cmd/cubrick-coordinator/main.go')"
+if grep -n 'topk-overfetch' $FLAG_SRC; then
+    echo "no top-k pushdown: -topk-overfetch is spelled outside cmd/cubrick-coordinator/main.go (see above)"
+    exit 1
+fi
+CORE_SRC="$(ls internal/engine/*.go internal/partition/*.go internal/netexec/*.go internal/cubrick/*.go | grep -v _test.go)"
+echo "internal/engine + partition + netexec + cubrick non-test lines: $(cat $CORE_SRC | wc -l)"
 
 # One decoded copy per brick (PR 25): the decoded-column cache holds one
 # entry per (brick generation, epoch) with a slot per column, shared by
@@ -148,7 +156,7 @@ echo "== one decoded copy per brick: every shape served from the brick's one ent
 go test -race -count=1 -run 'TestDecodedCacheOneEntryPerBrick|TestDecodedCacheConcurrentVisitors' ./internal/brick
 go test -race -count=1 -run 'TestDecodedCacheShapeSequenceEquivalence' ./internal/engine
 
-echo "== rollup/top-k equivalence under concurrent ingest (-race)"
+echo "== rollup equivalence under concurrent ingest (-race)"
 go test -race -count=1 -run 'TestRealtimeEquivalence' ./internal/engine
 
 echo "== encoded-execution differential harness (-race)"
