@@ -32,6 +32,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -42,11 +43,13 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"cubrick/internal/admission"
 	"cubrick/internal/core"
 	"cubrick/internal/cql"
+	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
 	"cubrick/internal/migrate"
 	"cubrick/internal/netexec"
@@ -296,17 +299,45 @@ func (s *coordServer) query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fanout, _ := s.cluster.Fanout(sel.Table)
-	resp := map[string]interface{}{
-		"columns":     res.Columns,
-		"rows":        res.Rows,
-		"rowsScanned": res.RowsScanned,
-		"fanout":      fanout,
-		"coverage":    res.Coverage,
+	writeQueryResponse(w, res, fanout)
+}
+
+// queryReply is the /query success reply. Its fields are in sorted key
+// order, the order encoding/json writes a map's keys in, so its bytes are
+// those of the same reply as a map (TestQueryResponseBytes).
+type queryReply struct {
+	Columns           []string    `json:"columns"`
+	Coverage          float64     `json:"coverage"`
+	Fanout            int         `json:"fanout"`
+	MissingPartitions []string    `json:"missingPartitions,omitempty"`
+	Rows              [][]float64 `json:"rows"`
+	RowsScanned       int64       `json:"rowsScanned"`
+}
+
+// replyPool recycles /query reply buffers: a reply is copied into the
+// response as it is written, so its buffer is free again afterwards.
+var replyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeQueryResponse writes the /query success reply in one Write with a
+// Content-Length. A result JSON cannot carry (a non-finite value) gets the
+// empty 200 writeJSON gives it.
+func writeQueryResponse(w http.ResponseWriter, res *engine.Result, fanout int) {
+	buf := replyPool.Get().(*bytes.Buffer)
+	defer replyPool.Put(buf)
+	buf.Reset()
+	w.Header().Set("Content-Type", "application/json")
+	if json.NewEncoder(buf).Encode(queryReply{
+		Columns:           res.Columns,
+		Coverage:          res.Coverage,
+		Fanout:            fanout,
+		MissingPartitions: res.MissingPartitions,
+		Rows:              res.Rows,
+		RowsScanned:       res.RowsScanned,
+	}) == nil {
+		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	}
-	if len(res.MissingPartitions) > 0 {
-		resp["missingPartitions"] = res.MissingPartitions
-	}
-	writeJSON(w, http.StatusOK, resp)
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf.Bytes())
 }
 
 // move runs (POST) or observes (GET) an online shard migration.

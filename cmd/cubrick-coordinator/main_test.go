@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"cubrick/internal/core"
+	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
 	"cubrick/internal/migrate"
 	"cubrick/internal/netexec"
@@ -265,5 +269,90 @@ func TestLoadRacingMoveLosesNoRows(t *testing.T) {
 	}
 	if resp.Rows[0][0] != 150 {
 		t.Fatalf("count after the move = %v, want 150", resp.Rows[0][0])
+	}
+}
+
+// queryResponse is the /query success reply as a map: the reference
+// TestQueryResponseBytes checks queryReply's bytes against.
+func queryResponse(res *engine.Result, fanout int) map[string]interface{} {
+	resp := map[string]interface{}{
+		"columns":     res.Columns,
+		"rows":        res.Rows,
+		"rowsScanned": res.RowsScanned,
+		"fanout":      fanout,
+		"coverage":    res.Coverage,
+	}
+	if len(res.MissingPartitions) > 0 {
+		resp["missingPartitions"] = res.MissingPartitions
+	}
+	return resp
+}
+
+// TestQueryResponseBytes: the /query reply is byte for byte what
+// encoding/json writes for the reply map, over random results with the
+// float and string cases encoding/json formats specially; a non-finite
+// value answers as writeJSON does.
+func TestQueryResponseBytes(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, -2.5, 1e-7, -1e-7, 1.5e-6, 1e-6, 9.99e20, 1e21, -1e21, 1.5e300,
+		1 << 53, 1<<53 - 2, 1<<53 + 2, -(1<<53 + 2), 5e-324, 2.2250738585072014e-308 / 3, math.MaxFloat64, 123456.789}
+	names := []string{"app", "sum(value)", "count(*)", "<b>&", "a<b", "x>y", `q"u\o`, "tab\tnl\n", "é", "\u2028", "\x7f", "\xff", ""}
+	rnd := rand.New(rand.NewSource(7))
+	value := func() float64 {
+		if rnd.Intn(2) == 0 {
+			return floats[rnd.Intn(len(floats))]
+		}
+		return rnd.NormFloat64() * math.Pow(10, float64(rnd.Intn(40)-20))
+	}
+	strs := func() []string {
+		if rnd.Intn(4) == 0 {
+			return nil
+		}
+		ss := make([]string, rnd.Intn(4))
+		for i := range ss {
+			ss[i] = names[rnd.Intn(len(names))]
+		}
+		return ss
+	}
+	for trial := 0; trial < 500; trial++ {
+		res := &engine.Result{Columns: strs(), Coverage: value(), RowsScanned: rnd.Int63n(1 << 40), MissingPartitions: strs()}
+		switch rnd.Intn(4) {
+		case 0: // nil rows
+		case 1:
+			res.Rows = [][]float64{}
+		default:
+			res.Rows = make([][]float64, rnd.Intn(6))
+			for i := range res.Rows {
+				if rnd.Intn(8) > 0 {
+					res.Rows[i] = make([]float64, rnd.Intn(5))
+					for j := range res.Rows[i] {
+						res.Rows[i][j] = value()
+					}
+				}
+			}
+		}
+		fanout := rnd.Intn(64)
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(queryResponse(res, fanout)); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeQueryResponse(rec, res, fanout)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) ||
+			rec.Header().Get("Content-Length") != strconv.Itoa(want.Len()) || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("trial %d: the handler wrote %d %v\n got %s\nwant %s", trial, rec.Code, rec.Header(), rec.Body.Bytes(), want.Bytes())
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, res := range []*engine.Result{
+			{Columns: []string{"x"}, Rows: [][]float64{{1, bad}}, Coverage: 1},
+			{Columns: []string{"x"}, Coverage: bad},
+		} {
+			got, want := httptest.NewRecorder(), httptest.NewRecorder()
+			writeQueryResponse(got, res, 1)
+			writeJSON(want, http.StatusOK, queryResponse(res, 1))
+			if got.Code != want.Code || got.Body.String() != want.Body.String() || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+				t.Fatalf("%v: wrote %d %q, writeJSON %d %q", bad, got.Code, got.Body, want.Code, want.Body)
+			}
+		}
 	}
 }

@@ -7,10 +7,10 @@
 package engine
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cubrick/internal/brick"
@@ -274,26 +274,17 @@ func (c *cell) finalize(f AggFunc) float64 {
 	}
 }
 
-// group holds one group's key values and accumulators.
-type group struct {
-	key   []uint32
-	cells []cell
-}
-
-// newGroup allocates a group with initialized cells for a copied key.
-func newGroup(key []uint32, nCells int) *group {
-	g := &group{key: append([]uint32{}, key...), cells: make([]cell, nCells)}
-	for i := range g.cells {
-		g.cells[i] = newCell()
-	}
-	return g
-}
-
 // Partial is an unfinalised grouped aggregation from one partition. It can
 // be merged with other partials of the same query and then finalized.
+//
+// Its groups live in a groupSlab, the brick pass's own type: a group is an
+// index into flat key and cell arrays. The index finding a group by key is
+// built the first time something probes (groupFor), so a Partial that is
+// only marshalled or finalized never builds it.
 type Partial struct {
-	query  *Query
-	groups map[string]*group
+	query *Query
+	groupSlab
+	index groupIndex
 	// RowsScanned counts rows visited (post-filter), for instrumentation.
 	RowsScanned int64
 	// BricksVisited and BricksPruned count the bricks the scan touched vs
@@ -306,13 +297,17 @@ type Partial struct {
 	Decompressions int64
 }
 
-// groupKey serializes group-by values into a map key.
-func groupKey(vals []uint32) string {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], v)
+// groupFor returns the index of key's group, adding the group with fresh
+// cells when absent. As in every slab, a view from at is valid only until
+// the next add.
+func (p *Partial) groupFor(key []uint32) int32 { return p.index.find(&p.groupSlab, key) }
+
+// grow makes room for n groups in all, in the slab and in the index.
+func (p *Partial) grow(n int) {
+	if d := n - p.Groups(); d > 0 {
+		p.reserve(d)
 	}
-	return string(buf)
+	p.index.reserve(&p.groupSlab, n)
 }
 
 // compiled is a query plan: the schema-resolved column indexes every
@@ -494,9 +489,6 @@ func Execute(store *brick.Store, q *Query) (*Partial, error) {
 	p := NewPartial(q)
 	p.BricksPruned = int64(plan.Pruned)
 	keyVals := make([]uint32, len(c.groupIdx))
-	// Global aggregates accumulate into one group with no per-row map
-	// lookup or key materialization.
-	var global *group
 	for ti := range plan.Tasks {
 		t := &plan.Tasks[ti]
 		p.BricksVisited++
@@ -521,25 +513,10 @@ func Execute(store *brick.Store, q *Query) (*Partial, error) {
 					continue
 				}
 				p.RowsScanned++
-				var g *group
-				if len(c.groupIdx) == 0 {
-					if global == nil {
-						global = newGroup(nil, len(q.Aggregates))
-						p.groups[groupKey(nil)] = global
-					}
-					g = global
-				} else {
-					for i, gi := range c.groupIdx {
-						keyVals[i] = dims[gi][r]
-					}
-					k := groupKey(keyVals)
-					var ok bool
-					if g, ok = p.groups[k]; !ok {
-						g = newGroup(keyVals, len(q.Aggregates))
-						p.groups[k] = g
-					}
+				for i, gi := range c.groupIdx {
+					keyVals[i] = dims[gi][r]
 				}
-				c.observeRow(g.cells, dims, metrics, r)
+				c.observeRow(p.at(p.groupFor(keyVals)), dims, metrics, r)
 			}
 			return nil
 		})
@@ -553,7 +530,7 @@ func Execute(store *brick.Store, q *Query) (*Partial, error) {
 // NewPartial returns an empty partial for the query, used as the merge
 // identity by coordinators.
 func NewPartial(q *Query) *Partial {
-	return &Partial{query: q, groups: make(map[string]*group)}
+	return &Partial{query: q, groupSlab: groupSlab{arity: len(q.GroupBy), nAggs: len(q.Aggregates)}}
 }
 
 // compatible reports whether two queries produce structurally and
@@ -577,19 +554,13 @@ func (p *Partial) Merge(o *Partial) error {
 	if !compatible(p.query, o.query) {
 		return errors.New("engine: merging partials of different queries")
 	}
-	for k, og := range o.groups {
-		g, ok := p.groups[k]
-		if !ok {
-			ng := &group{key: append([]uint32(nil), og.key...), cells: make([]cell, len(og.cells))}
-			for i := range ng.cells {
-				ng.cells[i] = newCell()
-				ng.cells[i].merge(og.cells[i])
-			}
-			p.groups[k] = ng
-			continue
-		}
-		for i := range g.cells {
-			g.cells[i].merge(og.cells[i])
+	// A group new to p gets fresh cells that o's merge into, so p shares no
+	// sketch with o.
+	p.grow(o.Groups())
+	for g := range int32(o.Groups()) {
+		cells := p.at(p.groupFor(o.key(g)))
+		for i, c := range o.at(g) {
+			cells[i].merge(c)
 		}
 	}
 	p.RowsScanned += o.RowsScanned
@@ -600,7 +571,7 @@ func (p *Partial) Merge(o *Partial) error {
 }
 
 // Groups returns the number of groups accumulated so far.
-func (p *Partial) Groups() int { return len(p.groups) }
+func (p *Partial) Groups() int { return p.len() }
 
 // Result is a finalized query result.
 type Result struct {
@@ -628,99 +599,102 @@ type Result struct {
 	MissingPartitions []string
 }
 
-// Finalize sorts, limits and materializes the partial into a Result.
+// Finalize applies HAVING, orders and limits the partial's groups into a
+// Result. Every row is written into one flat array, and a row HAVING drops
+// is overwritten by the next.
 func (p *Partial) Finalize() *Result {
 	q := p.query
 	res := &Result{
+		Columns:        make([]string, 0, len(q.GroupBy)+len(q.Aggregates)),
 		RowsScanned:    p.RowsScanned,
 		BricksVisited:  p.BricksVisited,
 		BricksPruned:   p.BricksPruned,
 		Decompressions: p.Decompressions,
 		Coverage:       1,
 	}
-	for _, g := range q.GroupBy {
-		res.Columns = append(res.Columns, g)
-	}
+	res.Columns = append(res.Columns, q.GroupBy...)
 	for _, a := range q.Aggregates {
 		res.Columns = append(res.Columns, a.Name())
 	}
-	for _, g := range p.groups {
-		row := make([]float64, 0, len(res.Columns))
-		for _, v := range g.key {
-			row = append(row, float64(v))
+	src := &p.groupSlab
+	if len(q.GroupBy) == 0 && p.Groups() == 0 {
+		// SQL semantics: a global aggregate (no GROUP BY) over zero rows
+		// still yields exactly one row — COUNT(*) of an empty set is 0.
+		src = &groupSlab{nAggs: len(q.Aggregates)}
+		src.add(nil)
+	}
+	// A HAVING column resolves to its last match among the columns.
+	having := make([]int, len(q.Having))
+	for i, h := range q.Having {
+		for j, c := range res.Columns {
+			if c == h.Column {
+				having[i] = j
+			}
 		}
-		for i, a := range q.Aggregates {
-			row = append(row, g.cells[i].finalize(a.Func))
+	}
+	w, n := len(res.Columns), src.len()
+	flat := make([]float64, n*w)
+	if n > 0 {
+		res.Rows = make([][]float64, 0, n)
+	}
+rows:
+	for g := range int32(n) {
+		row := flat[len(res.Rows)*w:][:w:w]
+		for i, v := range src.key(g) {
+			row[i] = float64(v)
+		}
+		for i, c := range src.at(g) {
+			row[len(q.GroupBy)+i] = c.finalize(q.Aggregates[i].Func)
+		}
+		for i, h := range q.Having {
+			if !h.matches(row[having[i]]) {
+				continue rows
+			}
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	// SQL semantics: a global aggregate (no GROUP BY) over zero rows still
-	// yields exactly one row — COUNT(*) of an empty set is 0, not absent.
-	if len(q.GroupBy) == 0 && len(res.Rows) == 0 {
-		row := make([]float64, len(q.Aggregates))
-		empty := newCell()
-		for i, a := range q.Aggregates {
-			row[i] = empty.finalize(a.Func)
-		}
-		res.Rows = append(res.Rows, row)
-	}
+	res.Rows = q.order(res.Columns, res.Rows)
+	return res
+}
 
-	// HAVING: filter groups by their finalized aggregate values.
-	if len(q.Having) > 0 {
-		colIdx := make(map[string]int, len(res.Columns))
-		for i, c := range res.Columns {
-			colIdx[c] = i
-		}
-		kept := res.Rows[:0]
-		for _, row := range res.Rows {
-			ok := true
-			for _, h := range q.Having {
-				if !h.matches(row[colIdx[h.Column]]) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		res.Rows = kept
-	}
-
-	// Sort: by OrderBy column if given, else by group key columns.
+// order sorts rows by the ORDER BY column (its first match among cols),
+// ties and queries without ORDER BY by the group key columns, and cuts
+// them to the LIMIT. Under a LIMIT k below the row count the first k are
+// copied out into an array of their own: the result never pins the full
+// one (a result cache would, for its lifetime).
+func (q *Query) order(cols []string, rows [][]float64) [][]float64 {
 	orderIdx := -1
 	if q.OrderBy != "" {
-		for i, c := range res.Columns {
-			if c == q.OrderBy {
-				orderIdx = i
-				break
-			}
-		}
+		orderIdx = slices.Index(cols, q.OrderBy)
 	}
-	sort.Slice(res.Rows, func(i, j int) bool {
-		a, b := res.Rows[i], res.Rows[j]
-		if orderIdx >= 0 {
-			if a[orderIdx] != b[orderIdx] {
-				if q.Desc {
-					return a[orderIdx] > b[orderIdx]
+	desc, keys := q.Desc, len(q.GroupBy)
+	cmp := func(a, b []float64) int {
+		if orderIdx >= 0 && a[orderIdx] != b[orderIdx] {
+			if (a[orderIdx] < b[orderIdx]) != desc {
+				return -1
+			}
+			return 1
+		}
+		for k, v := range a[:keys] {
+			if v != b[k] {
+				if v < b[k] {
+					return -1
 				}
-				return a[orderIdx] < b[orderIdx]
+				return 1
 			}
 		}
-		// Tie-break (and default order) on the leading columns for
-		// deterministic output.
-		for k := 0; k < len(q.GroupBy); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	if q.Limit > 0 && len(res.Rows) > q.Limit {
-		// Copy into a right-sized slice: a bare reslice would keep the full
-		// backing array (potentially millions of groups) alive behind a
-		// LIMIT 10 result, which result caches then pin for their lifetime.
-		res.Rows = append(make([][]float64, 0, q.Limit), res.Rows[:q.Limit]...)
+		return 0
 	}
-	return res
+	slices.SortFunc(rows, cmp)
+	k := q.Limit
+	if k <= 0 || k >= len(rows) {
+		return rows
+	}
+	w := len(cols)
+	flat, top := make([]float64, k*w), make([][]float64, k)
+	for i, r := range rows[:k] {
+		top[i] = flat[i*w:][:w:w]
+		copy(top[i], r)
+	}
+	return top
 }

@@ -196,7 +196,7 @@ func ExecuteJoin(factStore, dimStore *brick.Store, q *Query, join *JoinSpec) (*P
 	}
 
 	factKeyIdx := fact.DimIndex(join.On)
-	p := &Partial{query: q, groups: make(map[string]*group)}
+	p := NewPartial(q)
 	keyVals := make([]uint32, len(groupRefs))
 	err = factStore.Scan(scanFilter, func(dims []uint32, metrics []float64) error {
 		p.RowsScanned++
@@ -217,28 +217,20 @@ func ExecuteJoin(factStore, dimStore *brick.Store, q *Query, join *JoinSpec) (*P
 				keyVals[i] = attrs[ref.attrIdx]
 			}
 		}
-		k := groupKey(keyVals)
-		g, ok := p.groups[k]
-		if !ok {
-			g = &group{key: append([]uint32(nil), keyVals...), cells: make([]cell, len(q.Aggregates))}
-			for i := range g.cells {
-				g.cells[i] = newCell()
-			}
-			p.groups[k] = g
-		}
+		cells := p.at(p.groupFor(keyVals))
 		for i := range q.Aggregates {
 			if ref := distinctRefs[i]; ref.factIdx >= 0 {
-				g.cells[i].observeDistinct(dims[ref.factIdx])
+				cells[i].observeDistinct(dims[ref.factIdx])
 				continue
 			} else if ref.attrIdx >= 0 {
-				g.cells[i].observeDistinct(attrs[ref.attrIdx])
+				cells[i].observeDistinct(attrs[ref.attrIdx])
 				continue
 			}
 			v := 1.0
 			if metricIdx[i] >= 0 {
 				v = metrics[metricIdx[i]]
 			}
-			g.cells[i].observe(v)
+			cells[i].observe(v)
 		}
 		return nil
 	})

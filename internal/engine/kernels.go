@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"slices"
-	"strings"
 
 	"cubrick/internal/brick"
 )
@@ -20,7 +18,8 @@ import (
 //     by (value − lower bound), no hashing
 //   - packedAcc: each grouped value minus its lower bound, bit-packed into
 //     one uint64 map key
-//   - keyNAcc:   packed keys wider than 64 bits — a byte-string map key
+//   - keyNAcc:   packed keys wider than 64 bits — a groupIndex over the
+//     slab's own keys
 //
 // One ladder picks the kernel from per-dimension bounds: a brick's bounds
 // for the per-brick kernel, the schema domain for the combiner. Every
@@ -30,8 +29,8 @@ import (
 // brick and seals each brick's groups into a slab recycled through
 // slabPool; a subscriber folds those slabs in ascending brick-id order into
 // the combiner, releasing each to the pool once absorbed, and the
-// combiner's slab becomes the Partial's groups in one step. Parallel
-// execution is therefore deterministic and scheduling-independent.
+// combiner's slab becomes the Partial. Parallel execution is therefore
+// deterministic and scheduling-independent.
 
 // groupSlab is a kernel's group state addressed by group index: group g's
 // key is keys[g*arity:(g+1)*arity] and its cells are
@@ -58,8 +57,13 @@ func (s *groupSlab) reset(c *compiled) {
 	s.arity, s.nAggs = len(c.groupIdx), len(c.q.Aggregates)
 }
 
-// len returns the group count.
-func (s *groupSlab) len() int { return len(s.cells) / s.nAggs }
+// len returns the group count; a slab for no aggregates holds none.
+func (s *groupSlab) len() int {
+	if s.nAggs == 0 {
+		return 0
+	}
+	return len(s.cells) / s.nAggs
+}
 
 func (s *groupSlab) key(g int32) []uint32 {
 	i := int(g) * s.arity
@@ -144,27 +148,88 @@ func (s *groupSlab) release() {
 	slabPool.Put(s)
 }
 
-// partial turns the slab into q's Partial in one step: one []group and
-// one key string back every map entry, and the groups alias the slab's
-// keys and cells, so the slab must not be used afterwards.
+// partial makes the slab q's Partial: the Partial takes the slab's keys
+// and cells as they are, so the slab must not be used afterwards. Its key
+// index is built only if something probes it.
 func (s *groupSlab) partial(q *Query) *Partial {
-	n := s.len()
-	var kb strings.Builder
-	kb.Grow(4 * len(s.keys))
-	var buf [4]byte
-	for _, v := range s.keys {
-		binary.LittleEndian.PutUint32(buf[:], v)
-		kb.Write(buf[:])
+	return &Partial{query: q, groupSlab: *s}
+}
+
+// groupIndex finds a slab's groups by key without a per-group object:
+// open addressing with linear probing over slots holding 1 + a group index
+// (0 marks an empty slot). A key of arity ≤ 2 packs losslessly into the
+// slot's uint64, so a probe compares integers; a wider key's slot holds its
+// hash, and a hash match is confirmed against the slab's own key array.
+type groupIndex struct {
+	slots []indexSlot
+	shift uint8 // 64 − log2(len(slots)): a hash's top bits pick the slot
+}
+
+type indexSlot struct {
+	k uint64
+	g int32
+}
+
+// keyBits is key packed into a uint64 when its arity is at most 2, its
+// hash otherwise.
+func keyBits(key []uint32) uint64 {
+	switch len(key) {
+	case 0:
+		return 0
+	case 1:
+		return uint64(key[0])
+	case 2:
+		return uint64(key[0]) | uint64(key[1])<<32
 	}
-	keys := kb.String()
-	p := &Partial{query: q, groups: make(map[string]*group, n)}
-	gs := make([]group, n)
-	w := 4 * s.arity
-	for g := range gs {
-		gs[g] = group{key: s.key(int32(g)), cells: s.at(int32(g))}
-		p.groups[keys[g*w:g*w+w]] = &gs[g]
+	h := uint64(len(key))
+	for _, v := range key {
+		h = (h ^ uint64(v)) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
 	}
-	return p
+	return h
+}
+
+func (x *groupIndex) home(k uint64) int { return int((k * 0x9E3779B97F4A7C15) >> x.shift) }
+
+// find returns the index of key's group in s, adding the group with fresh
+// cells when absent.
+func (x *groupIndex) find(s *groupSlab, key []uint32) int32 {
+	x.reserve(s, s.len()+1)
+	k, mask := keyBits(key), len(x.slots)-1
+	for i := x.home(k); ; i = (i + 1) & mask {
+		sl := &x.slots[i]
+		if sl.g == 0 {
+			g := s.add(key)
+			*sl = indexSlot{k, g + 1}
+			return g
+		}
+		if sl.k == k && (len(key) <= 2 || slices.Equal(s.key(sl.g-1), key)) {
+			return sl.g - 1
+		}
+	}
+}
+
+// reserve sizes the table for n groups at a load of at most 3/4,
+// re-inserting s's groups when it grows; a table that is already large
+// enough is left as it is.
+func (x *groupIndex) reserve(s *groupSlab, n int) {
+	if n <= len(x.slots)*3/4 {
+		return
+	}
+	size := 16
+	for size*3/4 < n {
+		size *= 2
+	}
+	x.slots = make([]indexSlot, size)
+	x.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	for g := range int32(s.len()) {
+		k := keyBits(s.key(g))
+		i := x.home(k)
+		for x.slots[i].g != 0 {
+			i = (i + 1) & (size - 1)
+		}
+		x.slots[i] = indexSlot{k, g + 1}
+	}
 }
 
 // observeRun folds rows [start, start+n) — all belonging to one group —
@@ -547,24 +612,20 @@ func (a *packedAcc) groupFor(key []uint32) int32 {
 	return g
 }
 
-// keyNAcc is the fallback for group domains no uint64 can pack, keyed by
-// the canonical byte-string key. Lookups go through a reused byte buffer
-// (the compiler elides the string conversion in map reads), so only new
-// groups allocate a key.
+// keyNAcc is the fallback for group domains no uint64 can pack: the same
+// groupIndex a Partial uses, probed with the row's key gathered into a
+// reused buffer, so no group costs an allocation of its own.
 type keyNAcc struct {
 	c *compiled
 	groupSlab
-	index  map[string]int32
-	keyBuf []byte
+	index  groupIndex
+	keyBuf []uint32
 }
 
 func (a *keyNAcc) prepare(c *compiled) {
 	a.c = c
-	a.keyBuf = slices.Grow(a.keyBuf[:0], 4*len(c.groupIdx))[:4*len(c.groupIdx)]
-	if a.index == nil {
-		a.index = make(map[string]int32)
-	}
-	clear(a.index)
+	a.keyBuf = slices.Grow(a.keyBuf[:0], len(c.groupIdx))[:len(c.groupIdx)]
+	clear(a.index.slots)
 }
 
 func (a *keyNAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
@@ -581,24 +642,9 @@ func (a *keyNAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, s
 
 func (a *keyNAcc) observeRow(dims [][]uint32, metrics [][]float64, r int) {
 	for i, gi := range a.c.groupIdx {
-		binary.LittleEndian.PutUint32(a.keyBuf[4*i:], dims[gi][r])
+		a.keyBuf[i] = dims[gi][r]
 	}
-	g, ok := a.index[string(a.keyBuf)] // alloc-free lookup
-	if !ok {
-		g = a.addRow(a.c.groupIdx, dims, r)
-		a.index[string(a.keyBuf)] = g
-	}
-	a.c.observeRow(a.at(g), dims, metrics, r)
+	a.c.observeRow(a.at(a.groupFor(a.keyBuf)), dims, metrics, r)
 }
 
-func (a *keyNAcc) groupFor(key []uint32) int32 {
-	for i, v := range key {
-		binary.LittleEndian.PutUint32(a.keyBuf[4*i:], v)
-	}
-	g, ok := a.index[string(a.keyBuf)] // alloc-free lookup
-	if !ok {
-		g = a.add(key)
-		a.index[string(a.keyBuf)] = g
-	}
-	return g
-}
+func (a *keyNAcc) groupFor(key []uint32) int32 { return a.index.find(&a.groupSlab, key) }

@@ -272,15 +272,9 @@ func ExecuteRollup(ctx context.Context, st *brick.Store, table *rollup.Table, q 
 				keyVals[i] = g.Dims[pos]
 			}
 		}
-		k := groupKey(keyVals)
-		pg, ok := p.groups[k]
-		if !ok {
-			pg = newGroup(keyVals, len(q.Aggregates))
-			p.groups[k] = pg
-		}
+		cells := p.at(p.groupFor(keyVals))
 		for i := range q.Aggregates {
-			rc := rollupCell(q.Aggregates[i], g, metricIdx[i], sketchIdx[i])
-			pg.cells[i].merge(rc)
+			cells[i].merge(rollupCell(q.Aggregates[i], g, metricIdx[i], sketchIdx[i]))
 		}
 		p.RowsScanned += g.Rows
 		return nil
@@ -379,26 +373,10 @@ func scanRollupDelta(st *brick.Store, q *Query, timeDim string, split timeSplit,
 					continue
 				}
 				deltaRows++
-				var g *group
-				if len(c.groupIdx) == 0 {
-					k := groupKey(nil)
-					var ok bool
-					if g, ok = p.groups[k]; !ok {
-						g = newGroup(nil, len(q.Aggregates))
-						p.groups[k] = g
-					}
-				} else {
-					for i, gi := range c.groupIdx {
-						keyVals[i] = dims[gi][r]
-					}
-					k := groupKey(keyVals)
-					var ok bool
-					if g, ok = p.groups[k]; !ok {
-						g = newGroup(keyVals, len(q.Aggregates))
-						p.groups[k] = g
-					}
+				for i, gi := range c.groupIdx {
+					keyVals[i] = dims[gi][r]
 				}
-				c.observeRow(g.cells, dims, metrics, r)
+				c.observeRow(p.at(p.groupFor(keyVals)), dims, metrics, r)
 			}
 			return nil
 		})

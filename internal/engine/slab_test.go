@@ -113,15 +113,15 @@ type groupValue struct {
 	cells []cellValue
 }
 
-// partialValue is a partial's groups by value, keyed like the partial.
+// partialValue is a partial's groups by value, keyed by their key.
 func partialValue(p *Partial) map[string]groupValue {
-	v := make(map[string]groupValue, len(p.groups))
-	for k, g := range p.groups {
-		gv := groupValue{key: append([]uint32(nil), g.key...)}
-		for _, c := range g.cells {
+	v := make(map[string]groupValue, p.Groups())
+	for g := range int32(p.Groups()) {
+		gv := groupValue{key: append([]uint32(nil), p.key(g)...)}
+		for _, c := range p.at(g) {
 			gv.cells = append(gv.cells, cellValueOf(c))
 		}
-		v[k] = gv
+		v[fmt.Sprint(gv.key)] = gv
 	}
 	return v
 }
@@ -159,8 +159,8 @@ func brickSlabs(t *testing.T, s *brick.Store, q *Query) (*compiled, []uint64, ma
 
 // partialSketches collects the sketch pointers a partial's groups hold.
 func partialSketches(p *Partial, into map[*hll.Sketch]int, owner int) error {
-	for _, g := range p.groups {
-		for _, c := range g.cells {
+	for g := range int32(p.Groups()) {
+		for _, c := range p.at(g) {
 			if c.sketch == nil {
 				continue
 			}

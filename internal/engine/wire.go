@@ -1,11 +1,11 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cubrick/internal/hll"
 )
@@ -25,78 +25,54 @@ import (
 //	           cellCount × (f64 sum, varint count, f64 min, f64 max,
 //	                        uvarint sketchLen, sketchLen sketch bytes)
 //
-// sketchLen is zero for cells without a distinct-count sketch. The group
-// key bytes are laid out exactly as the in-memory map key (concatenated
-// little-endian u32s), which is what lets MergeWire probe the accumulator
-// map with a subslice of the wire blob instead of materialized keys.
+// sketchLen is zero for cells without a distinct-count sketch. Groups are
+// written in the Partial's slab order, so a given Partial always encodes to
+// the same bytes.
 const partialMagic = 0x43425052 // "CBPR"
 
 // MarshalBinary serializes the partial's accumulators (not finalized
-// values, so avg/min/max merge exactly on the coordinator).
+// values, so avg/min/max merge exactly on the coordinator) into one buffer
+// of exactly the encoded size.
 func (p *Partial) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
+	n := p.Groups()
+	header := [...]uint64{uint64(p.RowsScanned), uint64(p.BricksVisited), uint64(p.BricksPruned),
+		uint64(p.Decompressions), uint64(p.arity), uint64(p.nAggs), uint64(n)}
+	size := 4 + 4*n*p.arity
+	for _, v := range header {
+		size += uvarintLen(v)
 	}
-	putU32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf.Write(b[:])
-	}
-	putF64 := func(v float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		buf.Write(b[:])
-	}
-
-	putU32(partialMagic)
-	putUvarint(uint64(p.RowsScanned))
-	putUvarint(uint64(p.BricksVisited))
-	putUvarint(uint64(p.BricksPruned))
-	putUvarint(uint64(p.Decompressions))
-	keyLen := 0
-	cells := 0
-	if p.query != nil {
-		keyLen = len(p.query.GroupBy)
-		cells = len(p.query.Aggregates)
-	} else {
-		for _, g := range p.groups {
-			keyLen = len(g.key)
-			cells = len(g.cells)
-			break
+	for _, c := range p.cells {
+		size += 8 + uvarintLen(uint64(c.count)) + 8 + 8 + 1
+		if c.sketch != nil {
+			size += uvarintLen(hll.BinarySize) - 1 + hll.BinarySize
 		}
 	}
-	putUvarint(uint64(keyLen))
-	putUvarint(uint64(cells))
-	putUvarint(uint64(len(p.groups)))
-	for _, g := range p.groups {
-		if len(g.key) != keyLen || len(g.cells) != cells {
-			return nil, fmt.Errorf("engine: inconsistent group arity %d/%d", len(g.key), len(g.cells))
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), partialMagic)
+	for _, v := range header {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	for g := range int32(n) {
+		for _, k := range p.key(g) {
+			buf = binary.LittleEndian.AppendUint32(buf, k)
 		}
-		for _, k := range g.key {
-			putU32(k)
-		}
-		for _, c := range g.cells {
-			putF64(c.sum)
-			putUvarint(uint64(c.count))
-			putF64(c.min)
-			putF64(c.max)
+		for _, c := range p.at(g) {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.sum))
+			buf = binary.AppendUvarint(buf, uint64(c.count))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.min))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.max))
 			if c.sketch == nil {
-				putUvarint(0)
+				buf = append(buf, 0)
 				continue
 			}
-			blob, err := c.sketch.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			putUvarint(uint64(len(blob)))
-			buf.Write(blob)
+			buf = binary.AppendUvarint(buf, hll.BinarySize)
+			buf, _ = c.sketch.AppendBinary(buf)
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 var errTruncatedPartial = errors.New("engine: truncated partial")
 
@@ -148,11 +124,15 @@ func (c *wireCursor) slice(n int) ([]byte, error) {
 }
 
 // MergeWire folds a wire-format partial directly into p's accumulators.
-// This is the coordinator's zero-copy decode path: group keys are probed
-// against the accumulator map as subslices of the blob (no throwaway
-// string keys), cells merge in place (no intermediate Partial or group
-// churn), and distinct-count sketches merge register-wise straight from
-// the wire bytes. The blob's shape must match p's query exactly.
+// This is the coordinator's decode path: the slab and its index are sized
+// for at least the blob's group count up front (later blobs often repeat
+// groups p holds, so past the first p grows only as new ones arrive), each
+// group key read from the blob probes the index, a new group's key is
+// copied into the slab, cells merge
+// in place (no intermediate Partial), and distinct-count sketches merge
+// register-wise straight from the wire bytes. Nothing p holds afterwards
+// refers to data, so the caller may reuse the blob's buffer. The blob's
+// shape must match p's query exactly.
 //
 // On a decode error p may have absorbed a prefix of the blob's groups;
 // callers treat any error as fatal for the whole merge (the coordinator
@@ -201,27 +181,18 @@ func MergeWire(p *Partial, data []byte) error {
 		return fmt.Errorf("engine: group count %d exceeds payload", nGroups)
 	}
 
-	keyBytes := 4 * int(keyLen)
+	p.grow(int(nGroups))
+	var kbuf [4]uint32 // a key of up to 4 values is read without allocating
+	key := append(kbuf[:0], make([]uint32, keyLen)...)
 	for gi := uint64(0); gi < nGroups; gi++ {
-		kb, err := cur.slice(keyBytes)
-		if err != nil {
-			return fmt.Errorf("engine: corrupt group key: %w", err)
-		}
-		// Alloc-free probe: the wire key bytes are laid out exactly like the
-		// map key, so string(kb) in the lookup does not allocate.
-		g, ok := p.groups[string(kb)]
-		if !ok {
-			g = &group{key: make([]uint32, keyLen), cells: make([]cell, cells)}
-			for i := range g.key {
-				g.key[i] = binary.LittleEndian.Uint32(kb[4*i:])
+		for i := range key {
+			if key[i], err = cur.u32(); err != nil {
+				return fmt.Errorf("engine: corrupt group key: %w", err)
 			}
-			for i := range g.cells {
-				g.cells[i] = newCell()
-			}
-			p.groups[string(kb)] = g
 		}
-		for i := range g.cells {
-			c := &g.cells[i]
+		cells := p.at(p.groupFor(key))
+		for i := range cells {
+			c := &cells[i]
 			sum, err := cur.f64()
 			if err != nil {
 				return fmt.Errorf("engine: corrupt cell: %w", err)

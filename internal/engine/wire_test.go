@@ -142,7 +142,7 @@ func TestMergeWireErrors(t *testing.T) {
 	if err := MergeWire(nil, nil); err == nil {
 		t.Fatal("nil partial accepted")
 	}
-	if err := MergeWire(&Partial{groups: map[string]*group{}}, nil); err == nil {
+	if err := MergeWire(&Partial{}, nil); err == nil {
 		t.Fatal("query-less partial accepted")
 	}
 	if err := MergeWire(NewPartial(q), []byte("CBPRgarbage")); err == nil {

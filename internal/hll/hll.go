@@ -98,11 +98,17 @@ func (s *Sketch) Empty() bool {
 	return true
 }
 
-// MarshalBinary serializes the registers (fixed m bytes).
+// BinarySize is the length of every sketch's binary form.
+const BinarySize = m
+
+// MarshalBinary serializes the registers (BinarySize bytes).
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	out := make([]byte, m)
-	copy(out, s.registers[:])
-	return out, nil
+	return s.AppendBinary(make([]byte, 0, m))
+}
+
+// AppendBinary appends the MarshalBinary form to b.
+func (s *Sketch) AppendBinary(b []byte) ([]byte, error) {
+	return append(b, s.registers[:]...), nil
 }
 
 // ErrCorrupt is returned for malformed sketch bytes.

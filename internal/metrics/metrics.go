@@ -261,13 +261,23 @@ func (h *Histogram) loadBuckets() (buckets []int64, total int64) {
 }
 
 // Quantile returns an estimate of the q-quantile (q in [0,1]) of the
-// recorded distribution, or zero when the histogram is empty.
+// recorded distribution, or zero when the histogram is empty. It reads the
+// live buckets twice instead of copying them — once for the total, once to
+// find the rank — so it allocates nothing (the coordinator asks for one on
+// fetches that may hedge).
 func (h *Histogram) Quantile(q float64) float64 {
-	buckets, total := h.loadBuckets()
-	return h.quantileFrom(buckets, total, q)
+	var total int64
+	for i := range h.buckets {
+		total += h.buckets[i].Load()
+	}
+	return h.quantileFrom(func(i int) int64 { return h.buckets[i].Load() }, total, q)
 }
 
-func (h *Histogram) quantileFrom(buckets []int64, total int64, q float64) float64 {
+// quantileFrom finds the q-quantile over the bucket counts count reads,
+// total being their sum. Should the counts have moved since total was
+// taken (a Reset racing the read), a rank beyond them clamps to the last
+// non-empty bucket.
+func (h *Histogram) quantileFrom(count func(i int) int64, total int64, q float64) float64 {
 	if total == 0 {
 		return 0
 	}
@@ -281,15 +291,21 @@ func (h *Histogram) quantileFrom(buckets []int64, total int64, q float64) float6
 	}
 	rank := int64(math.Ceil(q * float64(total)))
 	var cum int64
-	for i, n := range buckets {
-		cum += n
-		if cum >= rank {
-			// Clamp the bucket estimate to the exact observed range so
-			// quantiles remain consistent with Min/Max.
-			return math.Min(math.Max(h.bucketValue(i), minSeen), maxSeen)
+	last := -1
+	for i := range h.buckets {
+		if n := count(i); n > 0 {
+			cum, last = cum+n, i
+			if cum >= rank {
+				break
+			}
 		}
 	}
-	return maxSeen
+	if last < 0 {
+		return 0
+	}
+	// Clamp the bucket estimate to the exact observed range so quantiles
+	// remain consistent with Min/Max.
+	return math.Min(math.Max(h.bucketValue(last), minSeen), maxSeen)
 }
 
 // Quantiles returns estimates for several quantiles at once, from a single
@@ -298,7 +314,7 @@ func (h *Histogram) Quantiles(qs ...float64) []float64 {
 	buckets, total := h.loadBuckets()
 	out := make([]float64, len(qs))
 	for i, q := range qs {
-		out[i] = h.quantileFrom(buckets, total, q)
+		out[i] = h.quantileFrom(func(i int) int64 { return buckets[i] }, total, q)
 	}
 	return out
 }

@@ -146,6 +146,25 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileAllocs: Quantile reads the live buckets, so asking
+// for one allocates nothing, and it answers what Quantiles does from its
+// snapshot.
+func TestHistogramQuantileAllocs(t *testing.T) {
+	h := NewLatencyHistogram()
+	for i := 1; i <= 1000; i++ {
+		h.Observe(float64(i) * 1e-4)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.Quantile(0.95) }); allocs != 0 {
+		t.Fatalf("Quantile allocates %.0f times per call, want 0", allocs)
+	}
+	qs := []float64{0, 0.01, 0.5, 0.95, 0.999, 1}
+	for i, want := range h.Quantiles(qs...) {
+		if got := h.Quantile(qs[i]); got != want {
+			t.Fatalf("Quantile(%v) = %v, Quantiles says %v", qs[i], got, want)
+		}
+	}
+}
+
 func TestHistogramClamping(t *testing.T) {
 	h := NewHistogram(1, 100, 2)
 	h.Observe(0.001) // below range

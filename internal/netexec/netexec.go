@@ -803,9 +803,14 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, targets []Tar
 	defer cancel()
 	type outcome struct {
 		idx  int
-		blob []byte
+		blob *bytes.Buffer
 		meta partialMeta
 		err  error
+	}
+	// One marshalled query serves every target's request body.
+	query, err := json.Marshal(q)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Buffered to the fan-out so late finishers never block: gather may
 	// return on the first error while peers are still draining.
@@ -814,7 +819,7 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, targets []Tar
 		go func(i int) {
 			pctx, pspan := c.Tracer.StartSpan(ctx, "partition")
 			pspan.SetAttr("partition", targets[i].Partition)
-			blob, meta, err := c.fetchPartition(pctx, targets[i], q, opts)
+			blob, meta, err := c.fetchPartition(pctx, targets[i], query, opts)
 			pspan.EndErr(err)
 			ch <- outcome{i, blob, meta, err}
 		}(i)
@@ -843,7 +848,10 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, targets []Tar
 		} else {
 			allEpochs = false
 		}
-		if err := sink(o.blob); err != nil {
+		// The sink keeps nothing of the blob, so its buffer is free again.
+		err := sink(o.blob.Bytes())
+		blobPool.Put(o.blob)
+		if err != nil {
 			return nil, nil, failed(t, err)
 		}
 	}
@@ -863,15 +871,15 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, targets []Tar
 	return epochs, missing, nil
 }
 
-// fetchPartition fetches one partition's wire partial under opts. Outside
-// a migration that is one resilient fetch over the target's primary and
-// replicas. During a dual-read window (t.Dual is set) it runs the same
+// fetchPartition fetches one partition's wire partial for the marshalled
+// query under opts, into a buffer from blobPool. Outside a migration that
+// is one resilient fetch over the target's primary and replicas. During a dual-read window (t.Dual is set) it runs the same
 // request against the current and the previous placement concurrently and
 // returns the fresher answer with its own epoch: the success with the
 // higher ingest epoch wins, a lone success wins regardless, two failures
 // surface the current placement's error.
-func (c *Coordinator) fetchPartition(ctx context.Context, t Target, q *engine.Query, opts partialOpts) ([]byte, partialMeta, error) {
-	body, err := json.Marshal(partialRequest{Partition: t.Partition, Query: *q})
+func (c *Coordinator) fetchPartition(ctx context.Context, t Target, query []byte, opts partialOpts) (*bytes.Buffer, partialMeta, error) {
+	body, err := partialBody(t.Partition, query)
 	if err != nil {
 		return nil, partialMeta{}, err
 	}
@@ -880,7 +888,7 @@ func (c *Coordinator) fetchPartition(ctx context.Context, t Target, q *engine.Qu
 	}
 	c.count("netexec.fetch.dualreads")
 	type res struct {
-		blob []byte
+		blob *bytes.Buffer
 		meta partialMeta
 		err  error
 	}
@@ -906,7 +914,7 @@ func (c *Coordinator) fetchPartition(ctx context.Context, t Target, q *engine.Qu
 // a replica after the hedge delay; breaker-open hosts are skipped. Errors
 // classify as retryable or terminal (ClassifyError); terminal errors and
 // query-context expiry end the loop immediately.
-func (c *Coordinator) fetchResilient(ctx context.Context, urls []string, body []byte, opts partialOpts) ([]byte, partialMeta, error) {
+func (c *Coordinator) fetchResilient(ctx context.Context, urls []string, body []byte, opts partialOpts) (*bytes.Buffer, partialMeta, error) {
 	attempts := c.Policy.attempts()
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -980,7 +988,7 @@ func (c *Coordinator) hedgeCandidate(urls []string, attempt int, primary string)
 // the loser. Returns the blob and the URL that produced it; on failure the
 // error is the last failure observed and url names its host. Per-URL
 // failures are reported to the breaker group as they happen.
-func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt int, body []byte, opts partialOpts) (blob []byte, meta partialMeta, url string, err error) {
+func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt int, body []byte, opts partialOpts) (blob *bytes.Buffer, meta partialMeta, url string, err error) {
 	primary := c.pickURL(urls, attempt)
 	var actx context.Context
 	var cancel context.CancelFunc
@@ -992,7 +1000,7 @@ func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt i
 	defer cancel()
 
 	type res struct {
-		blob []byte
+		blob *bytes.Buffer
 		meta partialMeta
 		url  string
 		err  error
@@ -1022,10 +1030,14 @@ func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt i
 	inflight := 1
 
 	var timerC <-chan time.Time
-	if d := c.hedgeDelay(); d > 0 && len(urls) > 1 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		timerC = timer.C
+	if len(urls) > 1 {
+		// Only a placement with a replica can hedge: an unreplicated fetch
+		// never reads the latency quantile.
+		if d := c.hedgeDelay(); d > 0 {
+			timer := time.NewTimer(d)
+			defer timer.Stop()
+			timerC = timer.C
+		}
 	}
 	hedged := false
 	var lastErr error
@@ -1060,11 +1072,17 @@ func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt i
 	}
 }
 
-// doPartial performs one HTTP partial fetch against a worker URL with the
-// response read bounded by MaxPartialBytes. The transport advertises gzip
-// and transparently decompresses, so large partials cross the wire
-// compressed without any handling here.
-func (c *Coordinator) doPartial(ctx context.Context, url string, body []byte, opts partialOpts) ([]byte, partialMeta, error) {
+// blobPool recycles the buffers partial responses are read into. gather
+// returns each buffer once its blob is merged; a blob a hedge or a
+// dual-read discards is left to the collector instead.
+var blobPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// doPartial performs one HTTP partial fetch against a worker URL, reading
+// the response into a buffer from blobPool with the read bounded by
+// MaxPartialBytes. The transport advertises gzip and transparently
+// decompresses, so large partials cross the wire compressed without any
+// handling here.
+func (c *Coordinator) doPartial(ctx context.Context, url string, body []byte, opts partialOpts) (*bytes.Buffer, partialMeta, error) {
 	var meta partialMeta
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/partial", bytes.NewReader(body))
 	if err != nil {
@@ -1086,14 +1104,16 @@ func (c *Coordinator) doPartial(ctx context.Context, url string, body []byte, op
 	}
 	meta.epoch, meta.hasEpoch = epochFromHeader(resp.Header)
 	limit := c.maxPartialBytes()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
+	buf := blobPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
+		blobPool.Put(buf)
 		return nil, meta, err
 	}
-	if int64(len(data)) > limit {
-		return nil, meta, &PartialSizeError{Limit: limit}
+	if int64(buf.Len()) > limit {
+		return nil, meta, &PartialSizeError{Limit: limit} // too big to keep pooled
 	}
-	return data, meta, nil
+	return buf, meta, nil
 }
 
 // DefaultAdminTimeout bounds admin calls (partition create, ingest) made

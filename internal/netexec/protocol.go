@@ -7,6 +7,7 @@
 package netexec
 
 import (
+	"encoding/json"
 	"net/http"
 	"strconv"
 
@@ -43,6 +44,15 @@ const (
 type partialRequest struct {
 	Partition string       `json:"partition"`
 	Query     engine.Query `json:"query"`
+}
+
+// partialBody is partialRequest{partition, query} as encoding/json writes
+// it, around a query marshalled once for all of a query's targets.
+func partialBody(partition string, query json.RawMessage) ([]byte, error) {
+	return json.Marshal(struct {
+		Partition string          `json:"partition"`
+		Query     json.RawMessage `json:"query"`
+	}{partition, query})
 }
 
 // partialOpts is everything a /partial request carries besides the

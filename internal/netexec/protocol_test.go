@@ -62,6 +62,37 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPartialBody: a body built around a query marshalled once is the
+// body encoding/json writes for the request, whatever the partition name
+// holds.
+func TestPartialBody(t *testing.T) {
+	queries := []*engine.Query{
+		{Aggregates: []engine.Aggregate{{Func: engine.Count}}},
+		{Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value", Alias: "<t>&"}}, GroupBy: []string{"app", "kind"},
+			Filter: map[string][2]uint32{"ds": {3, 9}, "app": {0, 1}}, OrderBy: "<t>&", Desc: true, Limit: 10,
+			Having: []engine.HavingCond{{Column: "<t>&", Op: ">", Value: 1.5e-7}}},
+	}
+	for _, name := range []string{"t#0", "wide#15", `q"uo\te`, "<a>&b", "é\u2028\x01"} {
+		for _, q := range queries {
+			query, err := json.Marshal(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(partialRequest{Partition: name, Query: *q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := partialBody(name, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("partition %q:\n got %s\nwant %s", name, got, want)
+			}
+		}
+	}
+}
+
 // wireLog records every /partial exchange through it, headers and bodies,
 // in front of one worker.
 type wireLog struct {
@@ -106,7 +137,7 @@ func (l *wireLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // protocol.go existed; benchkit's proxy parses and replays this request.
 // It also pins what a coordinator from before top-k pushdown was removed
 // gets when it still asks for a pruned leaderboard partial: the full
-// partial, with no top-k response header.
+// partial, blob byte for byte, with no top-k response header.
 func TestPartialWireGolden(t *testing.T) {
 	w0 := NewWorker(partition.Config{})
 	log := &wireLog{worker: w0.Handler()}
@@ -164,10 +195,13 @@ func TestPartialWireGolden(t *testing.T) {
 	if log.seen[0] != partialGoldenPlain {
 		t.Errorf("plain exchange\n--- got ---\n%s--- want ---\n%s", log.seen[0], partialGoldenPlain)
 	}
-	// The blob's group records come in map order, so its bytes are not
-	// pinned; the partial must hold every group of t#0.
-	if want := partialGoldenLegacyTopK + hex.EncodeToString(blob) + "\n"; log.seen[1] != want {
-		t.Errorf("legacy top-k exchange\n--- got ---\n%s--- want ---\n%s", log.seen[1], want)
+	// A partial's group records come in its slab order, so the blob is
+	// pinned too: it is the one received, and it holds every group of t#0.
+	if log.seen[1] != partialGoldenLegacyTopK {
+		t.Errorf("legacy top-k exchange\n--- got ---\n%s--- want ---\n%s", log.seen[1], partialGoldenLegacyTopK)
+	}
+	if got := hex.EncodeToString(blob) + "\n"; !strings.HasSuffix(partialGoldenLegacyTopK, "\n"+got) {
+		t.Errorf("legacy top-k blob received %s", got)
 	}
 	p, err := engine.UnmarshalPartial(topk, blob)
 	if err != nil {
@@ -198,4 +232,5 @@ X-Cubrick-Topk: 1
 -> 200
 Content-Type: application/octet-stream
 X-Cubrick-Epoch: 1
+5250424303010000010103010000000000000000005940010000000000005940000000000000594000020000000000000000001440010000000000001440000000000000144000030000000000000000002440010000000000002440000000000000244000
 `

@@ -178,13 +178,22 @@ func (c *Cache) Stats() Stats {
 }
 
 // cloneResult deep-copies a Result so cached state is never aliased by a
-// caller that sorts, truncates or otherwise mutates what it received.
+// caller that sorts, truncates or otherwise mutates what it received. The
+// rows are copied into one flat array, each capped at its own length.
 func cloneResult(r *engine.Result) *engine.Result {
 	out := *r
 	out.Columns = append([]string(nil), r.Columns...)
 	out.Rows = make([][]float64, len(r.Rows))
+	n := 0
+	for _, row := range r.Rows {
+		n += len(row)
+	}
+	flat := make([]float64, n)
 	for i, row := range r.Rows {
-		out.Rows[i] = append([]float64(nil), row...)
+		if len(row) > 0 {
+			out.Rows[i] = flat[:len(row):len(row)]
+			flat = flat[copy(out.Rows[i], row):]
+		}
 	}
 	out.MissingPartitions = append([]string(nil), r.MissingPartitions...)
 	return &out

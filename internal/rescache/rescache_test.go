@@ -57,6 +57,24 @@ func TestHitReturnsDeepCopy(t *testing.T) {
 	}
 }
 
+// TestHitRowsOwnTheirCells: a copy's rows share one backing array, each
+// capped at its own length, so appending to one row cannot overwrite the
+// next.
+func TestHitRowsOwnTheirCells(t *testing.T) {
+	c := New(1 << 20)
+	k := Key{Table: "t", FoldKey: "f", Residue: "r"}
+	ev := vec("p0", uint64(3))
+	c.Put(k, sampleResult(), ev)
+	got, ok := c.Get(k, fixed(ev))
+	if !ok {
+		t.Fatal("expected hit")
+	}
+	_ = append(got.Rows[0], -1)
+	if want := sampleResult(); !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("appending to row 0 changed the rows: %v, want %v", got.Rows, want.Rows)
+	}
+}
+
 // Regression: two queries sharing a fold key (same aggregates, grouping,
 // filter) but differing in residue (LIMIT here) must never collide in the
 // result cache.

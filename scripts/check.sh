@@ -171,18 +171,13 @@ go test -count=1 -run 'TestPlanScanAllocs' ./internal/brick
 
 # The brick pass keeps groups in index-addressed slabs: a group is an index
 # into flat key and cell arrays, never an object of its own, so a brick's
-# groups cost no allocation each. newGroup is for the serial oracle, the
-# rollup path and partials only. Sealed brick slabs come from a pool and go
+# groups cost no allocation each. Sealed brick slabs come from a pool and go
 # back to it once combined: scheduler.go builds them only through
 # groupSlab.pooledSeal and pooledClone. A partially covered brick's filter
 # is selection vectors, column at a time: buildSel holds no per-row
 # closure. The hazard test pins the five ways slab state can break an
 # answer; the ceiling pins allocations per visited brick.
 echo "== group state without per-group objects"
-if grep -n 'newGroup(' internal/engine/kernels.go internal/engine/encoded.go internal/engine/scheduler.go; then
-    echo "group state without per-group objects: newGroup( is back in the brick pass (see above)"
-    exit 1
-fi
 if grep -nE 'groupSlab\{|new\(groupSlab\)|\[\]cell|slabPool\.Get|\.(seal|clone|copied)\(' internal/engine/scheduler.go; then
     echo "group state without per-group objects: scheduler.go builds a slab outside groupSlab.pooledSeal/pooledClone (see above)"
     exit 1
@@ -195,6 +190,19 @@ fi
 echo "internal/engine non-test lines: $(cat $ENGINE_SRC | wc -l)"
 go test -race -count=1 -run 'TestGroupSlabHazards' ./internal/engine
 go test -count=1 -run 'TestRunAllocsPerBrick' ./internal/engine
+
+# A Partial is a group slab plus a key index too, so the
+# coordinator's merge, finalize and reply allocate nothing per group or per
+# row: no group object, string group key or map of groups anywhere in the
+# engine. The ceilings pin the merge of 16 wide_fanout-shaped partials with
+# finalize, and the hedge delay's quantile read.
+echo "== partials without per-group objects"
+if grep -nE 'newGroup\(|groupKey\(|map\[string\]\*group' $ENGINE_SRC; then
+    echo "partials without per-group objects: a per-group object is back in internal/engine (see above)"
+    exit 1
+fi
+go test -count=1 -run 'TestCoordinatorMergeAllocs' ./internal/engine
+go test -count=1 -run 'TestHistogramQuantileAllocs' ./internal/metrics
 
 echo "== chaos test (seeded fault injection, -race)"
 go test -race -count=1 -run 'TestChaos' ./internal/netexec
