@@ -211,8 +211,11 @@ func (x *groupIndex) find(s *groupSlab, key []uint32) int32 {
 
 // reserve sizes the table for n groups at a load of at most 3/4,
 // re-inserting s's groups when it grows; a table that is already large
-// enough is left as it is.
+// enough is left as it is. n counts at least the groups s holds already:
+// the first probe of a partial built without an index re-inserts all of
+// them, however few its caller asked room for.
 func (x *groupIndex) reserve(s *groupSlab, n int) {
+	n = max(n, s.len())
 	if n <= len(x.slots)*3/4 {
 		return
 	}

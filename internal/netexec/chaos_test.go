@@ -102,7 +102,8 @@ func runChaosQueries(t *testing.T, coord *Coordinator, targets []Target, wantRow
 // per-request failure probability at fan-out 64 (one replica per
 // partition), the resilient coordinator must stay >= 99%% successful while
 // the brittle baseline — whose success decays as (1-p)^n, the paper's
-// scalability wall — is materially lower.
+// scalability wall — is materially lower. n counts calls, and a query
+// makes one call per placement: 64 partitions on 8 hosts are 8 calls.
 func TestChaosSuccessRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos experiment is statistical; skipped in -short")
@@ -144,11 +145,15 @@ func TestChaosSuccessRate(t *testing.T) {
 			if resRate < 0.99 {
 				t.Fatalf("resilient success rate %.3f < 0.99 at fanout %d", resRate, fanout)
 			}
-			// The wall: baseline success ~ (1-p)^n. At fanout 64 that is
-			// ~0.27; the bound leaves wide statistical slack.
+			// The host wall: baseline success ~ (1-p)^hosts. At fanout 64
+			// on 8 hosts that is 0.98^8 ≈ 0.85, not the 0.98^64 ≈ 0.27 of a
+			// call per partition; the bounds leave wide statistical slack.
 			if fanout == 64 {
-				if baseRate > 0.7 {
-					t.Fatalf("baseline success rate %.3f unexpectedly high; fault injection is not biting", baseRate)
+				if baseRate < 0.7 {
+					t.Fatalf("baseline success rate %.3f is near the per-partition wall 0.98^64: calls are not one per host", baseRate)
+				}
+				if baseRate == 1 {
+					t.Fatal("baseline never failed; fault injection is not biting")
 				}
 				if resRate <= baseRate {
 					t.Fatalf("resilience did not improve on baseline: %.3f vs %.3f", resRate, baseRate)

@@ -61,14 +61,15 @@ func (c *Cluster) AddWorker(url string) bool {
 }
 
 // MovePartition reroutes a partition to a new placement, retaining the
-// previous placement for dual reads until window elapses. It also resets
+// previous placement — an earlier move's, or the static one on a first
+// move — for dual reads until window elapses. It also resets
 // the coordinator's known epoch for the partition and drops every cached
 // result the partition contributed to: cached entries are pinned to the
 // old placement's epoch vector, and across an ownership change they must
 // revalidate against the new owner or miss — never serve stale rows.
 func (c *Cluster) MovePartition(partition string, to []string, window time.Duration) {
 	c.mu.Lock()
-	prev := c.overrideLocked(partition)
+	prev := c.placementLocked(partition)
 	if c.overrides == nil {
 		c.overrides = make(map[string]*placementOverride)
 	}
@@ -84,13 +85,22 @@ func (c *Cluster) MovePartition(partition string, to []string, window time.Durat
 	}
 }
 
-// overrideLocked returns the partition's current placement if overridden
-// (nil otherwise). Callers hold c.mu.
-func (c *Cluster) overrideLocked(partition string) []string {
+// placementLocked returns the partition's current placement: its override
+// if it has one, else the static placement of its table's shard (nil for a
+// partition of no known table). Callers hold c.mu.
+func (c *Cluster) placementLocked(partition string) []string {
 	if ov, ok := c.overrides[partition]; ok {
 		return append([]string(nil), ov.urls...)
 	}
-	return nil
+	table, p, err := core.SplitPartitionName(partition)
+	if err != nil {
+		return nil
+	}
+	t, ok := c.tables[table]
+	if !ok {
+		return nil
+	}
+	return c.placement(c.mapper.Shard(table, p), t.replicas)
 }
 
 // route resolves a partition's placement for ingest and queries: the

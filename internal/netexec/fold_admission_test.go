@@ -110,7 +110,7 @@ func TestFoldedDistributedEqualsLocal(t *testing.T) {
 
 func postPartial(t *testing.T, url, partition string, q *engine.Query, hdr map[string]string) *http.Response {
 	t.Helper()
-	body, err := json.Marshal(map[string]any{"partition": partition, "query": q})
+	body, err := json.Marshal(map[string]any{"partitions": []string{partition}, "query": q})
 	if err != nil {
 		t.Fatal(err)
 	}

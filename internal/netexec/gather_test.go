@@ -9,6 +9,7 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,7 +74,9 @@ func gatherWorker(t *testing.T, part string, loads ...[][3]float64) (string, *br
 // fan-out handles — a dual-read window on t#0, a degradation policy with a
 // dead partition, and a fault on t#1 — and holds every cell to the oracle:
 // engine.Execute merged over the stores the answer must have come from,
-// sorted and limited by Finalize.
+// sorted and limited by Finalize. Its co-location axis puts t#0 and t#1 on
+// one worker, answered in one call: a fault on that call is a fault on
+// both partitions, so they retry, fail or go missing together.
 func TestGatherStrategies(t *testing.T) {
 	q := &engine.Query{
 		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value", Alias: "total"}},
@@ -135,6 +138,7 @@ func TestGatherStrategies(t *testing.T) {
 			{name: "terminal", t1: Target{URL: fail400, Partition: "t#1"}, fails: true},
 			{name: "no-epoch-header", t1: Target{URL: stripSrv.URL, Partition: "t#1"}, noEpoch: true},
 		}
+		colocatedCells(t, q, s, want, fail500, fail400, dead.URL)
 		for _, d := range duals {
 			for _, degrade := range []bool{false, true} {
 				for _, f := range faults {
@@ -213,6 +217,127 @@ func TestGatherStrategies(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// colocatedCells runs TestGatherStrategies' co-location axis for skew s:
+// t#0 (with the fresher rows) and t#1 on one worker, so one call answers
+// both. want is the answer over both partitions.
+func colocatedCells(t *testing.T, q *engine.Query, s gatherSkew, want *engine.Result, fail500, fail400, deadURL string) {
+	t.Helper()
+	var calls atomic.Int64
+	srv := httptest.NewServer(countingHandler(NewWorker(partition.Config{}).Handler(), &calls))
+	t.Cleanup(srv.Close)
+	cl := &Client{BaseURL: srv.URL}
+	for _, part := range []string{"t#0", "t#1"} {
+		if err := cl.CreatePartition(context.Background(), part, testSchema()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rows := range [][][3]float64{s.p0, s.fresh} {
+		loadRows(t, cl, "t#0", nil, rows)
+	}
+	loadRows(t, cl, "t#1", nil, s.p1)
+	// A partition on a host of its own: what is left when the shared call
+	// dies.
+	p2URL, p2Store := gatherWorker(t, "t#2", s.p1)
+	p2Partial, err := engine.Execute(p2Store, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantP2 := p2Partial.Finalize()
+
+	faults := []struct {
+		name    string
+		urls    []string // the shared placement of t#0 and t#1
+		fails   bool
+		deadAll bool // degrade only: the shared call dies, t#2 answers
+	}{
+		{name: "no-fault", urls: []string{srv.URL}},
+		{name: "retry-on-replica", urls: []string{fail500, srv.URL}},
+		{name: "terminal", urls: []string{fail400}, fails: true},
+		{name: "shared-call-dead", urls: []string{deadURL}, deadAll: true},
+	}
+	for _, degrade := range []bool{false, true} {
+		for _, f := range faults {
+			if f.deadAll && !degrade {
+				continue // an exact query over a dead call is the terminal cell
+			}
+			t.Run(fmt.Sprintf("%s/colocated/degrade=%v/%s", s.name, degrade, f.name), func(t *testing.T) {
+				tr := NewTransport()
+				defer tr.CloseIdleConnections()
+				reg := metrics.NewRegistry()
+				coord := &Coordinator{
+					Client:      &http.Client{Transport: tr},
+					Policy:      QueryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+					Metrics:     reg,
+					ResultCache: rescache.New(1 << 20),
+				}
+				targets := []Target{
+					{URL: f.urls[0], Partition: "t#0", Replicas: f.urls[1:]},
+					{URL: f.urls[0], Partition: "t#1", Replicas: f.urls[1:]},
+				}
+				if degrade {
+					// One partition of three on a host of its own: dead unless
+					// the shared call is, so coverage is 2/3 or 1/3.
+					coord.Policy.MinCoverage = 0.3
+					third := deadURL
+					if f.deadAll {
+						third = p2URL
+					}
+					targets = append(targets, Target{URL: third, Partition: "t#2"})
+				}
+				calls.Store(0)
+				got, err := coord.Query(context.Background(), targets, q)
+				c := reg.CounterValues()
+				if f.fails {
+					if !errors.Is(err, ErrWorkerFailed) {
+						t.Fatalf("err = %v, want ErrWorkerFailed", err)
+					}
+					if c["netexec.query.failed"] != 1 {
+						t.Fatalf("netexec.query.failed = %d, want 1", c["netexec.query.failed"])
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := calls.Load(); n != b2i(!f.deadAll) {
+					t.Fatalf("%d /partial calls at the shared worker, want %d", n, b2i(!f.deadAll))
+				}
+				if retried := f.name == "retry-on-replica" || degrade; (c["netexec.fetch.retries"] > 0) != retried {
+					t.Fatalf("netexec.fetch.retries = %d for %s", c["netexec.fetch.retries"], f.name)
+				}
+				switch {
+				case f.deadAll:
+					queryEqual(t, got, wantP2)
+					if got.Coverage != 1.0/3 || len(got.MissingPartitions) != 2 ||
+						got.MissingPartitions[0] != "t#0" || got.MissingPartitions[1] != "t#1" {
+						t.Fatalf("coverage %v missing %v, want 1/3 and [t#0 t#1]", got.Coverage, got.MissingPartitions)
+					}
+				case degrade:
+					queryEqual(t, got, want)
+					if got.Coverage != 2.0/3 || len(got.MissingPartitions) != 1 || got.MissingPartitions[0] != "t#2" {
+						t.Fatalf("coverage %v missing %v, want 2/3 and [t#2]", got.Coverage, got.MissingPartitions)
+					}
+				default:
+					queryEqual(t, got, want)
+					if got.Coverage != 1 || got.MissingPartitions != nil {
+						t.Fatalf("coverage %v missing %v on a full answer", got.Coverage, got.MissingPartitions)
+					}
+				}
+				// Cached exactly when nothing was dropped: the one call
+				// answered with an epoch for each of its partitions.
+				if n := coord.ResultCache.Stats().Entries; n != b2i(!degrade) {
+					t.Fatalf("result cache entries = %d, degrade = %v", n, degrade)
+				}
+				for _, part := range []string{"t#0", "t#1"} {
+					if _, known := coord.KnownEpoch(part); known == f.deadAll {
+						t.Fatalf("%s's epoch known = %v with the shared call dead = %v", part, known, f.deadAll)
+					}
+				}
+			})
 		}
 	}
 }

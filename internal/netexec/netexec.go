@@ -16,7 +16,6 @@ package netexec
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -82,18 +81,14 @@ func FromSchema(s brick.Schema) SchemaJSON {
 	return sj
 }
 
-// DefaultGzipMinBytes is the partial-response size above which workers
-// gzip the blob for clients that accept it. Small partials are cheaper to
-// send raw than to compress.
-const DefaultGzipMinBytes = 16 << 10
-
 // Worker is the HTTP edge of a partition.Set: it serves the set's
 // partitions (ingest and partial-query execution) to a remote coordinator.
 //
 //	POST /partition  {"name": ..., "schema": {...}}     create a partition
 //	POST /loadbin    binary columnar batch (see EncodeBatch)
-//	POST /partial    {"partition": ..., "query": {...}} execute, returns a
-//	                 binary engine partial (application/octet-stream)
+//	POST /partial    {"partitions": [...], "query": {...}} execute over
+//	                 each partition, returns their merged binary engine
+//	                 partial (application/octet-stream), sent raw
 //	GET  /health     liveness
 //
 // plus the migration plane (transfer.go) and the dictionary plane
@@ -108,9 +103,6 @@ const DefaultGzipMinBytes = 16 << 10
 // registry configured, request counters and latency histograms accumulate
 // and are served in Prometheus text format at GET /metrics.
 type Worker struct {
-	// GzipMinBytes overrides the partial-response compression threshold:
-	// 0 means DefaultGzipMinBytes, negative disables compression.
-	GzipMinBytes int
 	// Tracer, when set, records worker-side spans (partial handling,
 	// execute with scan accounting, marshal) into propagated traces.
 	Tracer *trace.Tracer
@@ -279,47 +271,74 @@ func attrMS(s *trace.Span, key string, d time.Duration) {
 	}
 }
 
-// gzipBuf recycles a gzip.Writer (~1 MB of deflate state per NewWriter) and
-// its output buffer across /partial replies.
-type gzipBuf struct {
-	buf bytes.Buffer
-	zw  *gzip.Writer
-}
-
-var gzipPool = sync.Pool{New: func() any {
-	// BestSpeed: level-6 deflate was a tenth of worker CPU on the scan and
-	// fan-out workloads, and loopback/LAN bytes are cheaper than that. The
-	// only error NewWriterLevel has is an invalid level.
-	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
-	return &gzipBuf{zw: zw}
-}}
-
-// servePartial executes one partial request. On failure it returns the
-// HTTP status to send with the error; on success it writes the response
-// itself and returns a nil error.
+// servePartial executes one /partial call. On failure it returns the HTTP
+// status to send with the error; on success it writes the response itself
+// and returns a nil error.
+//
+// The call's partitions run one after another — each brick pass already
+// spreads over GOMAXPROCS workers — and merge into the first answer in list
+// order. The first partition that fails fails the call.
 func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *http.Request) (int, error) {
-	var req struct {
-		partialRequest
-		// espan is the request's execute span. It carries the PR 1 scan
-		// accounting (bricks visited and pruned, rows scanned,
-		// decompressions) plus the engine's own plan/scan/combine stage
-		// split, so a slow partial is attributable from the trace alone.
-		// The admission hook below starts it; it sits beside the decoded
-		// body, which is on the heap already, so an untraced call pays no
-		// allocation for it.
-		espan *trace.Span
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req.partialRequest); err != nil {
+	var req partialRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		return http.StatusBadRequest, err
 	}
-	trace.SpanFromContext(ctx).SetAttr("partition", req.Partition)
+	if len(req.Partitions) == 0 {
+		return http.StatusBadRequest, errors.New("netexec: /partial names no partition")
+	}
+	if span := trace.SpanFromContext(ctx); span != nil {
+		span.SetAttr("partitions", strings.Join(req.Partitions, ","))
+	}
 	popts := parsePartialOpts(r.Header)
+	var merged *engine.Partial
+	epochs := make([]uint64, len(req.Partitions))
+	for i, name := range req.Partitions {
+		partial, epoch, status, err := w.partitionPartial(ctx, name, &req.Query, popts)
+		if err != nil {
+			return status, err
+		}
+		epochs[i] = epoch
+		if merged == nil {
+			merged = partial
+		} else if err := merged.Merge(partial); err != nil {
+			return http.StatusInternalServerError, err
+		}
+	}
+
+	_, mspan := w.Tracer.StartSpan(ctx, "worker.marshal")
+	blob, err := merged.MarshalBinary()
+	if err != nil {
+		mspan.EndErr(err)
+		return http.StatusInternalServerError, err
+	}
+	mspan.SetAttrInt("bytes", int64(len(blob)))
+	mspan.End()
+	rw.Header().Set(HeaderEpoch, formatEpochs(epochs))
+	rw.Header().Set("Content-Type", "application/octet-stream")
+	rw.Header().Set("Content-Length", strconv.Itoa(len(blob)))
+	if _, err := rw.Write(blob); err != nil {
+		// The response is already committed; all we can do is log the
+		// broken pipe rather than silently truncate the partial.
+		log.Printf("netexec: partial response for %v aborted: %v", req.Partitions, err)
+	}
+	return 0, nil
+}
+
+// partitionPartial answers q over one partition of a /partial call, under
+// its own worker.execute span, and returns the partition's epoch. On
+// failure it returns the HTTP status the call fails with.
+func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Query, popts partialOpts) (*engine.Partial, uint64, int, error) {
 	opts := partition.Opts{
 		Tenant:   popts.tenant,
 		Priority: popts.priority,
 		Unshared: popts.noFold,
 		NoCache:  popts.noCache,
 	}
+	// espan is the partition's execute span. It carries the scan accounting
+	// (bricks visited and pruned, rows scanned, decompressions) plus the
+	// engine's own plan/scan/combine stage split, so a slow partial is
+	// attributable from the trace alone.
+	var espan *trace.Span
 	if w.Tracer != nil {
 		// The execute span starts once the request holds its admission
 		// slot, so it never counts queueing.
@@ -327,11 +346,11 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 			if w.parts.Admission() != nil {
 				attrMS(trace.SpanFromContext(ctx), "queue_ms", queued)
 			}
-			_, req.espan = w.Tracer.StartSpan(ctx, "worker.execute")
+			_, espan = w.Tracer.StartSpan(ctx, "worker.execute")
+			espan.SetAttr("partition", name)
 		}
 	}
-	partial, info, epoch, err := w.parts.Partial(ctx, req.Partition, &req.Query, opts)
-	espan := req.espan
+	partial, info, epoch, err := w.parts.Partial(ctx, name, q, opts)
 	if ri := info.Rollup; ri.Tried {
 		switch {
 		case ri.Err != nil:
@@ -353,15 +372,15 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 		var notAdmitted *partition.AdmissionError
 		switch {
 		case errors.Is(err, partition.ErrNoPartition):
-			return http.StatusNotFound, err
+			return nil, 0, http.StatusNotFound, err
 		case errors.Is(err, admission.ErrQueueFull):
 			// 429 is classified retryable by the coordinator's resilience
 			// policy, so shed queries retry or fail over.
-			return http.StatusTooManyRequests, err
+			return nil, 0, http.StatusTooManyRequests, err
 		case errors.As(err, &notAdmitted):
-			return http.StatusServiceUnavailable, err
+			return nil, 0, http.StatusServiceUnavailable, err
 		}
-		return http.StatusBadRequest, err
+		return nil, 0, http.StatusBadRequest, err
 	}
 	if !info.Rollup.Hit {
 		// Raw path: one brick pass. Per-request cache bypass neither
@@ -385,43 +404,7 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	espan.End()
 	w.observe("worker.execute.latency", info.Total())
 	w.countAdd("worker.rows.scanned", partial.RowsScanned)
-
-	_, mspan := w.Tracer.StartSpan(ctx, "worker.marshal")
-	blob, err := partial.MarshalBinary()
-	if err != nil {
-		mspan.EndErr(err)
-		return http.StatusInternalServerError, err
-	}
-	payload := blob
-	gzMin := w.GzipMinBytes
-	if gzMin == 0 {
-		gzMin = DefaultGzipMinBytes
-	}
-	gzipped := false
-	if gzMin > 0 && len(blob) >= gzMin && strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		// Held until the payload is written: it aliases the pooled buffer.
-		gz := gzipPool.Get().(*gzipBuf)
-		defer gzipPool.Put(gz)
-		gz.buf.Reset()
-		gz.zw.Reset(&gz.buf)
-		if _, err := gz.zw.Write(blob); err == nil && gz.zw.Close() == nil {
-			payload = gz.buf.Bytes()
-			rw.Header().Set("Content-Encoding", "gzip")
-			gzipped = true
-		}
-	}
-	mspan.SetAttrInt("bytes", int64(len(payload)))
-	mspan.SetAttr("gzip", strconv.FormatBool(gzipped))
-	mspan.End()
-	rw.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set("Content-Length", strconv.Itoa(len(payload)))
-	if _, err := rw.Write(payload); err != nil {
-		// The response is already committed; all we can do is log the
-		// broken pipe rather than silently truncate the partial.
-		log.Printf("netexec: partial response for %q aborted: %v", req.Partition, err)
-	}
-	return 0, nil
+	return partial, epoch, 0, nil
 }
 
 // Target is one partition placement: which worker URL serves it, plus any
@@ -458,10 +441,10 @@ func (t Target) urls() []string {
 var ErrWorkerFailed = errors.New("netexec: worker request failed")
 
 // idleConnsPerHost is how many keep-alive connections the coordinator
-// keeps per worker host. A query holds one connection per partition on the
-// host (plus hedges) and every connection over the idle cap is closed on
-// return and re-dialled by the next query, so the cap must cover
-// partitions-per-host × concurrent queries, not the worker count. Idle
+// keeps per worker host. A query holds one connection per host (plus
+// hedges, and a second during a dual-read window) and every connection over
+// the idle cap is closed on return and re-dialled by the next query, so the
+// cap must cover concurrent queries, not the worker count. Idle
 // connections cost a few KB each and lapse after IdleConnTimeout.
 const idleConnsPerHost = 256
 
@@ -672,15 +655,21 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 // order-independent — so results are bit-identical regardless of arrival
 // order.
 //
+// The fan-out makes one worker call per placement, not per partition:
+// targets whose primary and replicas are the same share a call, and the
+// worker merges their partials before replying, so a query's calls — and
+// its exposure to the scalability wall, (1−p)^calls — scale with hosts.
+//
 // Failure semantics follow c.Policy. Under exact semantics (MinCoverage 0
-// or 1, the default and the paper's §II-C posture) any partition whose
-// fetch fails — after the policy's retries, hedges and breaker-driven
-// failover — fails the query with an error wrapping ErrWorkerFailed, and
-// the first failure cancels the in-flight peers (fail fast). Under a
-// degradation policy (0 < MinCoverage < 1) unreachable partitions are
-// dropped instead: if the merged fraction stays >= MinCoverage the result
-// is returned annotated with Coverage and MissingPartitions, otherwise the
-// query fails. Merge errors (corrupt partials) are always terminal.
+// or 1, the default and the paper's §II-C posture) any call that fails —
+// after the policy's retries, hedges and breaker-driven failover — fails
+// the query with an error wrapping ErrWorkerFailed, and the first failure
+// cancels the in-flight peers (fail fast). Under a degradation policy
+// (0 < MinCoverage < 1) the partitions of an unreachable call are dropped
+// instead: if the merged fraction of partitions stays >= MinCoverage the
+// result is returned annotated with Coverage and MissingPartitions,
+// otherwise the query fails. Merge errors (corrupt partials) are always
+// terminal.
 func (c *Coordinator) Query(ctx context.Context, targets []Target, q *engine.Query) (*engine.Result, error) {
 	if len(targets) == 0 {
 		return nil, errors.New("netexec: no targets")
@@ -782,22 +771,62 @@ func targetsKey(targets []Target) string {
 	return strings.Join(parts, "\x1f")
 }
 
-// gather is the coordinator's one fan-out. It fetches every target's
-// partial under opts concurrently (fetchPartition, under one "partition"
-// span per target whose children are the individual attempts, so a retry
-// or hedge shows up as an extra fetch span under it) and hands each blob
-// to sink on the calling goroutine, in arrival order: sink is where Query
-// merges, and it overlaps the slower workers' network time.
+// call is one /partial request of a query: every target that shares one
+// placement, answered by one worker call. The call, not the partition, is
+// the unit of retry, hedge, breaker report and degradation.
+type call struct {
+	parts []string // the targets' partition names, in target order
+	urls  []string // the shared placement: primary, then replicas
+	// dual is the previous placement while a dual-read window is open. A
+	// target inside one always gets a call of its own, so the fresher-epoch
+	// rule stays per partition.
+	dual []string
+	body []byte // the marshalled request
+}
+
+// planCalls groups targets into calls: targets with an identical placement
+// (urls: primary, then replicas) share one, in order of first appearance.
+func planCalls(targets []Target, query json.RawMessage) ([]call, error) {
+	calls := make([]call, 0, len(targets))
+	byPlacement := make(map[string]int, len(targets))
+	for _, t := range targets {
+		urls := t.urls()
+		if len(t.Dual) == 0 {
+			key := strings.Join(urls, "\x00")
+			if ci, ok := byPlacement[key]; ok {
+				calls[ci].parts = append(calls[ci].parts, t.Partition)
+				continue
+			}
+			byPlacement[key] = len(calls)
+		}
+		calls = append(calls, call{parts: []string{t.Partition}, urls: urls, dual: t.Dual})
+	}
+	for i := range calls {
+		body, err := partialBody(calls[i].parts, query)
+		if err != nil {
+			return nil, err
+		}
+		calls[i].body = body
+	}
+	return calls, nil
+}
+
+// gather is the coordinator's one fan-out. It makes one call per placement
+// (planCalls) under opts concurrently (fetchCall, under one "call" span per
+// call whose children are the individual attempts, so a retry or hedge
+// shows up as an extra fetch span under it) and hands each blob to sink on
+// the calling goroutine, in arrival order: sink is where Query merges, and
+// it overlaps the slower workers' network time.
 //
 // Failure follows c.Policy as Query documents: the first failed call of
 // an exact fan-out cancels the in-flight peers; a degrading one returns
-// the dropped partitions as missing (sorted). A sink error is always
-// terminal: the accumulator may have absorbed a prefix of a corrupt
+// every partition of a failed call as missing (sorted). A sink error is
+// always terminal: the accumulator may have absorbed a prefix of a corrupt
 // partial, so its state can no longer be trusted.
 //
 // epochs is the ingest-epoch vector the answers were computed at, one
 // entry per partition, each also fed to ObserveEpoch. It is nil unless
-// every call answered and every answer carried an epoch header.
+// every call answered with one epoch per partition it named.
 func (c *Coordinator) gather(ctx context.Context, q *engine.Query, targets []Target, opts partialOpts, sink func(blob []byte) error) (epochs map[string]uint64, missing []string, err error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -807,44 +836,52 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, targets []Tar
 		meta partialMeta
 		err  error
 	}
-	// One marshalled query serves every target's request body.
+	// One marshalled query serves every call's request body.
 	query, err := json.Marshal(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	calls, err := planCalls(targets, query)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Buffered to the fan-out so late finishers never block: gather may
 	// return on the first error while peers are still draining.
-	ch := make(chan outcome, len(targets))
-	for i := range targets {
+	ch := make(chan outcome, len(calls))
+	for i := range calls {
 		go func(i int) {
-			pctx, pspan := c.Tracer.StartSpan(ctx, "partition")
-			pspan.SetAttr("partition", targets[i].Partition)
-			blob, meta, err := c.fetchPartition(pctx, targets[i], query, opts)
-			pspan.EndErr(err)
+			cctx, cspan := c.Tracer.StartSpan(ctx, "call")
+			if cspan != nil {
+				cspan.SetAttr("partitions", strings.Join(calls[i].parts, ","))
+			}
+			blob, meta, err := c.fetchCall(cctx, &calls[i], opts)
+			cspan.EndErr(err)
 			ch <- outcome{i, blob, meta, err}
 		}(i)
 	}
-	failed := func(t Target, err error) error {
+	failed := func(cl *call, err error) error {
 		c.count("netexec.query.failed")
-		return fmt.Errorf("%w: %s %s: %w", ErrWorkerFailed, t.URL, t.Partition, err)
+		return fmt.Errorf("%w: %s %s: %w", ErrWorkerFailed, cl.urls[0], strings.Join(cl.parts, ","), err)
 	}
 	exact := c.Policy.exact()
 	epochs = make(map[string]uint64, len(targets))
 	allEpochs := true
-	for range targets {
+	for range calls {
 		o := <-ch
-		t := targets[o.idx]
+		cl := &calls[o.idx]
 		if o.err != nil {
 			if exact {
-				return nil, nil, failed(t, o.err)
+				return nil, nil, failed(cl, o.err)
 			}
-			missing = append(missing, t.Partition)
+			missing = append(missing, cl.parts...)
 			allEpochs = false
 			continue
 		}
-		if o.meta.hasEpoch {
-			epochs[t.Partition] = o.meta.epoch
-			c.ObserveEpoch(t.Partition, o.meta.epoch)
+		if len(o.meta.epochs) == len(cl.parts) {
+			for k, part := range cl.parts {
+				epochs[part] = o.meta.epochs[k]
+				c.ObserveEpoch(part, o.meta.epochs[k])
+			}
 		} else {
 			allEpochs = false
 		}
@@ -852,7 +889,7 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, targets []Tar
 		err := sink(o.blob.Bytes())
 		blobPool.Put(o.blob)
 		if err != nil {
-			return nil, nil, failed(t, err)
+			return nil, nil, failed(cl, err)
 		}
 	}
 	if len(missing) > 0 {
@@ -871,20 +908,17 @@ func (c *Coordinator) gather(ctx context.Context, q *engine.Query, targets []Tar
 	return epochs, missing, nil
 }
 
-// fetchPartition fetches one partition's wire partial for the marshalled
-// query under opts, into a buffer from blobPool. Outside a migration that
-// is one resilient fetch over the target's primary and replicas. During a dual-read window (t.Dual is set) it runs the same
-// request against the current and the previous placement concurrently and
-// returns the fresher answer with its own epoch: the success with the
-// higher ingest epoch wins, a lone success wins regardless, two failures
-// surface the current placement's error.
-func (c *Coordinator) fetchPartition(ctx context.Context, t Target, query []byte, opts partialOpts) (*bytes.Buffer, partialMeta, error) {
-	body, err := partialBody(t.Partition, query)
-	if err != nil {
-		return nil, partialMeta{}, err
-	}
-	if len(t.Dual) == 0 {
-		return c.fetchResilient(ctx, t.urls(), body, opts)
+// fetchCall fetches one call's merged wire partial under opts, into a
+// buffer from blobPool. Outside a migration that is one resilient fetch
+// over the call's primary and replicas. During a dual-read window (cl.dual
+// is set, and the call holds that one partition) it runs the same request
+// against the current and the previous placement concurrently and returns
+// the fresher answer with its own epoch: the success with the higher
+// ingest epoch wins, a lone success wins regardless, two failures surface
+// the current placement's error.
+func (c *Coordinator) fetchCall(ctx context.Context, cl *call, opts partialOpts) (*bytes.Buffer, partialMeta, error) {
+	if len(cl.dual) == 0 {
+		return c.fetchResilient(ctx, cl.urls, cl, opts)
 	}
 	c.count("netexec.fetch.dualreads")
 	type res struct {
@@ -894,27 +928,27 @@ func (c *Coordinator) fetchPartition(ctx context.Context, t Target, query []byte
 	}
 	ch := make(chan res, 1)
 	go func() {
-		b, m, err := c.fetchResilient(ctx, t.Dual, body, opts)
+		b, m, err := c.fetchResilient(ctx, cl.dual, cl, opts)
 		ch <- res{b, m, err}
 	}()
-	cb, cm, cerr := c.fetchResilient(ctx, t.urls(), body, opts)
+	cb, cm, cerr := c.fetchResilient(ctx, cl.urls, cl, opts)
 	pr := <-ch
 	// A strictly fresher old placement means the flip has not fully landed
 	// on the new owner yet: its answer is the one without a hole.
-	if pr.err == nil && (cerr != nil || pr.meta.hasEpoch && (!cm.hasEpoch || pr.meta.epoch > cm.epoch)) {
+	if pr.err == nil && (cerr != nil || pr.meta.epochs != nil && (cm.epochs == nil || pr.meta.epochs[0] > cm.epochs[0])) {
 		c.count("netexec.fetch.dual_wins")
 		return pr.blob, pr.meta, nil
 	}
 	return cb, cm, cerr
 }
 
-// fetchResilient posts one /partial body under the policy: attempts
+// fetchResilient posts one call's /partial body under the policy: attempts
 // rotate over urls (a placement's primary and replicas) with capped,
 // jittered exponential backoff between retries; each attempt may hedge to
 // a replica after the hedge delay; breaker-open hosts are skipped. Errors
 // classify as retryable or terminal (ClassifyError); terminal errors and
 // query-context expiry end the loop immediately.
-func (c *Coordinator) fetchResilient(ctx context.Context, urls []string, body []byte, opts partialOpts) (*bytes.Buffer, partialMeta, error) {
+func (c *Coordinator) fetchResilient(ctx context.Context, urls []string, cl *call, opts partialOpts) (*bytes.Buffer, partialMeta, error) {
 	attempts := c.Policy.attempts()
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -925,7 +959,7 @@ func (c *Coordinator) fetchResilient(ctx context.Context, urls []string, body []
 			return nil, partialMeta{}, lastErr
 		}
 		start := time.Now()
-		blob, meta, url, err := c.fetchAttempt(ctx, urls, a, body, opts)
+		blob, meta, url, err := c.fetchAttempt(ctx, urls, a, cl, opts)
 		if err == nil {
 			if c.Breakers != nil {
 				c.Breakers.ReportSuccess(url)
@@ -988,7 +1022,7 @@ func (c *Coordinator) hedgeCandidate(urls []string, attempt int, primary string)
 // the loser. Returns the blob and the URL that produced it; on failure the
 // error is the last failure observed and url names its host. Per-URL
 // failures are reported to the breaker group as they happen.
-func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt int, body []byte, opts partialOpts) (blob *bytes.Buffer, meta partialMeta, url string, err error) {
+func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt int, cl *call, opts partialOpts) (blob *bytes.Buffer, meta partialMeta, url string, err error) {
 	primary := c.pickURL(urls, attempt)
 	var actx context.Context
 	var cancel context.CancelFunc
@@ -1009,7 +1043,7 @@ func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt i
 	// goroutine never blocks after the winner returns.
 	ch := make(chan res, 2)
 	// Each in-flight request gets its own fetch span (child of the
-	// partition span carried by ctx/actx): the attrs say which host, which
+	// call span carried by ctx/actx): the attrs say which host, which
 	// try and whether it was the primary or the hedge, and a losing hedge
 	// half ends StatusCanceled when the winner's return cancels actx.
 	launch := func(u, role string, breakerSkip bool) {
@@ -1021,7 +1055,7 @@ func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt i
 			if breakerSkip {
 				fspan.SetAttr("breaker_skip", "true")
 			}
-			b, m, e := c.doPartial(fctx, u, body, opts)
+			b, m, e := c.doPartial(fctx, u, cl, opts)
 			fspan.EndErr(e)
 			ch <- res{b, m, u, e}
 		}()
@@ -1077,14 +1111,12 @@ func (c *Coordinator) fetchAttempt(ctx context.Context, urls []string, attempt i
 // dual-read discards is left to the collector instead.
 var blobPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// doPartial performs one HTTP partial fetch against a worker URL, reading
+// doPartial performs one HTTP /partial call against a worker URL, reading
 // the response into a buffer from blobPool with the read bounded by
-// MaxPartialBytes. The transport advertises gzip and transparently
-// decompresses, so large partials cross the wire compressed without any
-// handling here.
-func (c *Coordinator) doPartial(ctx context.Context, url string, body []byte, opts partialOpts) (*bytes.Buffer, partialMeta, error) {
+// MaxPartialBytes.
+func (c *Coordinator) doPartial(ctx context.Context, url string, cl *call, opts partialOpts) (*bytes.Buffer, partialMeta, error) {
 	var meta partialMeta
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/partial", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/partial", bytes.NewReader(cl.body))
 	if err != nil {
 		return nil, meta, err
 	}
@@ -1102,7 +1134,7 @@ func (c *Coordinator) doPartial(ctx context.Context, url string, body []byte, op
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, meta, &HTTPStatusError{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(msg))}
 	}
-	meta.epoch, meta.hasEpoch = epochFromHeader(resp.Header)
+	meta.epochs = epochsFromHeader(resp.Header, len(cl.parts))
 	limit := c.maxPartialBytes()
 	buf := blobPool.Get().(*bytes.Buffer)
 	buf.Reset()

@@ -19,11 +19,10 @@ import (
 )
 
 // TestFanoutReusesConnections drives 50 fan-out-16 queries, two at a time,
-// at two workers holding eight partitions each — sixteen calls in flight
-// per host — and counts dials with http.Server.ConnState. The pool must
-// keep every connection the first queries opened: once warm, a query dials
-// nothing. (A pool capped at the worker count kept 4 per host and re-dialled
-// the other 12 on every query.)
+// at two workers holding eight partitions each — one call per host per
+// query, so two in flight per host — and counts dials with
+// http.Server.ConnState. The pool must keep every connection the first
+// queries opened: once warm, a query dials nothing.
 func TestFanoutReusesConnections(t *testing.T) {
 	const workers, partsPerWorker, queries, clients = 2, 8, 50, 2
 	var dials atomic.Int64
@@ -217,10 +216,9 @@ func BenchmarkServePartialSmall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// An app range nobody asked for before: a new fold key every call.
-		body := fmt.Sprintf(`{"partition":"wide#0","query":{"Aggregates":[{"Func":0,"Metric":"value"}],"GroupBy":["app","kind"],"Filter":{"app":[%d,%d]}}}`,
+		body := fmt.Sprintf(`{"partitions":["wide#0"],"query":{"Aggregates":[{"Func":0,"Metric":"value"}],"GroupBy":["app","kind"],"Filter":{"app":[%d,%d]}}}`,
 			i%500, 500+i%524)
 		req := httptest.NewRequest(http.MethodPost, "/partial", bytes.NewReader([]byte(body)))
-		req.Header.Set("Accept-Encoding", "gzip")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {

@@ -3,6 +3,13 @@
 // sets on the response. Both ends of the request call the stamp/parse pair
 // in this file; nothing else in the package reads or writes a /partial
 // request header or declares the body.
+//
+// One call names every partition a query reads on one host: the worker
+// answers them one after another, merges the answers in list order and
+// replies with one raw blob plus one epoch per partition. A call succeeds
+// or fails whole — every failure a worker returns is either a whole-call
+// one (transport, 429, 503) or one that would repeat on every partition
+// (400) — so its partitions are merged or missing together.
 
 package netexec
 
@@ -10,6 +17,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"cubrick/internal/engine"
 )
@@ -32,27 +40,29 @@ const (
 	// recomputed — the debugging escape hatch.
 	HeaderCache = "X-Cubrick-Cache"
 	// HeaderEpoch carries ingest-epoch state coordinator-ward in HTTP
-	// responses: /partial reports the partition's epoch read before
-	// execution (conservative — a mid-scan ingest yields a higher epoch
-	// that invalidates), /loadbin reports the epoch after the batch
-	// committed. The coordinator's result cache validates its
-	// entries against the latest epoch seen per partition.
+	// responses: /partial reports each requested partition's epoch read
+	// before execution (conservative — a mid-scan ingest yields a higher
+	// epoch that invalidates), comma-separated in request order, so a call
+	// for one partition carries one plain number; /loadbin reports the
+	// epoch after the batch committed. The coordinator's result cache
+	// validates its entries against the latest epoch seen per partition.
 	HeaderEpoch = "X-Cubrick-Epoch"
 )
 
-// partialRequest is the /partial request body.
+// partialRequest is the /partial request body. A single partition is a
+// list of one.
 type partialRequest struct {
-	Partition string       `json:"partition"`
-	Query     engine.Query `json:"query"`
+	Partitions []string     `json:"partitions"`
+	Query      engine.Query `json:"query"`
 }
 
-// partialBody is partialRequest{partition, query} as encoding/json writes
-// it, around a query marshalled once for all of a query's targets.
-func partialBody(partition string, query json.RawMessage) ([]byte, error) {
+// partialBody is partialRequest{partitions, query} as encoding/json writes
+// it, around a query marshalled once for all of a query's calls.
+func partialBody(partitions []string, query json.RawMessage) ([]byte, error) {
 	return json.Marshal(struct {
-		Partition string          `json:"partition"`
-		Query     json.RawMessage `json:"query"`
-	}{partition, query})
+		Partitions []string        `json:"partitions"`
+		Query      json.RawMessage `json:"query"`
+	}{partitions, query})
 }
 
 // partialOpts is everything a /partial request carries besides the
@@ -95,16 +105,15 @@ func parsePartialOpts(h http.Header) partialOpts {
 	return o
 }
 
-// partialMeta is what a /partial response carries besides the blob: the
-// partition's ingest epoch, hasEpoch=false when the response had no
-// parsable X-Cubrick-Epoch header.
+// partialMeta is what a /partial response carries besides the blob: one
+// ingest epoch per requested partition, in request order, or nil when the
+// response had no X-Cubrick-Epoch header that parses into exactly that many.
 type partialMeta struct {
-	epoch    uint64
-	hasEpoch bool
+	epochs []uint64
 }
 
-// epochFromHeader parses an X-Cubrick-Epoch header (/partial, /loadbin and
-// the transfer endpoints all carry one).
+// epochFromHeader parses a single-epoch X-Cubrick-Epoch header (/loadbin
+// and the transfer endpoints carry one).
 func epochFromHeader(hdr http.Header) (uint64, bool) {
 	h := hdr.Get(HeaderEpoch)
 	if h == "" {
@@ -115,4 +124,36 @@ func epochFromHeader(hdr http.Header) (uint64, bool) {
 		return 0, false
 	}
 	return e, true
+}
+
+// epochsFromHeader parses a /partial response's X-Cubrick-Epoch list for a
+// call that named n partitions. A missing header, an element that is not a
+// number, or a count other than n yields nil: the answer is then merged
+// but not cacheable.
+func epochsFromHeader(hdr http.Header, n int) []uint64 {
+	h := hdr.Get(HeaderEpoch)
+	if h == "" || strings.Count(h, ",") != n-1 {
+		return nil
+	}
+	epochs := make([]uint64, 0, n)
+	for _, f := range strings.Split(h, ",") {
+		e, err := strconv.ParseUint(f, 10, 64)
+		if err != nil {
+			return nil
+		}
+		epochs = append(epochs, e)
+	}
+	return epochs
+}
+
+// formatEpochs writes epochs as an X-Cubrick-Epoch list.
+func formatEpochs(epochs []uint64) string {
+	var b []byte
+	for i, e := range epochs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, e, 10)
+	}
+	return string(b)
 }

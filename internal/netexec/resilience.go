@@ -22,11 +22,11 @@ import (
 )
 
 // QueryPolicy configures the coordinator's fault handling. The zero value
-// reproduces the brittle baseline exactly: one attempt per partition, no
+// reproduces the brittle baseline exactly: one attempt per call, no
 // hedging, no degradation (any worker failure fails the query).
 type QueryPolicy struct {
-	// MaxAttempts is the total number of tries per partition, spread
-	// round-robin over the target's primary and replica URLs. 0 or 1 means
+	// MaxAttempts is the total number of tries per call (one per
+	// placement), spread round-robin over its primary and replica URLs. 0 or 1 means
 	// no retries.
 	MaxAttempts int
 	// BaseBackoff is the first retry delay; each retry doubles it up to
@@ -52,8 +52,9 @@ type QueryPolicy struct {
 	// MinCoverage is the smallest fraction of partitions that must merge
 	// for the query to succeed. 0 or 1 keeps exact semantics (§II-C: any
 	// missing partition fails the query). A value in (0,1) allows graceful
-	// degradation: unreachable partitions (after retries) are dropped and
-	// the result is annotated with Coverage and MissingPartitions.
+	// degradation: the partitions of an unreachable call (after retries)
+	// are dropped and the result is annotated with Coverage and
+	// MissingPartitions.
 	MinCoverage float64
 }
 

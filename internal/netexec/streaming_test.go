@@ -2,7 +2,6 @@ package netexec
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
@@ -213,11 +212,12 @@ func TestBatchWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartialGzipAndContentLength covers two satellites: /partial sets
-// Content-Length, and large blobs gzip when the client accepts it.
-func TestPartialGzipAndContentLength(t *testing.T) {
+// TestPartialRawReplyAndContentLength: /partial sets Content-Length and
+// sends the blob raw, even to a client that advertises gzip — compressing
+// pays only on links far slower than a datacenter's — and the coordinator
+// path reads it back.
+func TestPartialRawReplyAndContentLength(t *testing.T) {
 	w := NewWorker(partition.Config{})
-	w.GzipMinBytes = 64 // force compression of modest partials
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	cl := &Client{BaseURL: srv.URL}
@@ -233,9 +233,14 @@ func TestPartialGzipAndContentLength(t *testing.T) {
 	if _, err := cl.Load(context.Background(), "p", dims, mets); err != nil {
 		t.Fatal(err)
 	}
-	body := []byte(`{"partition":"p","query":{"Aggregates":[{"Func":0,"Metric":"value"}],"GroupBy":["ds","app"]}}`)
+	body := []byte(`{"partitions":["p"],"query":{"Aggregates":[{"Func":0,"Metric":"value"}],"GroupBy":["ds","app"]}}`)
+	q := &engine.Query{
+		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value"}},
+		GroupBy:    []string{"ds", "app"},
+	}
 
-	do := func(acceptEncoding string) *http.Response {
+	var blobs [][]byte
+	for _, acceptEncoding := range []string{"identity", "gzip"} {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/partial", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -246,63 +251,26 @@ func TestPartialGzipAndContentLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ce := resp.Header.Get("Content-Encoding"); ce != "" {
+			t.Fatalf("Accept-Encoding %s got Content-Encoding %q", acceptEncoding, ce)
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(raw)) {
+			t.Fatalf("Content-Length %q, body %d bytes", cl, len(raw))
+		}
+		if _, err := engine.UnmarshalPartial(q, raw); err != nil {
+			t.Fatalf("Accept-Encoding %s: %v", acceptEncoding, err)
+		}
+		blobs = append(blobs, raw)
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatal("a gzip-accepting client got other bytes than an identity one")
 	}
 
-	// Identity: raw blob with exact Content-Length.
-	resp := do("identity")
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.Get("Content-Encoding") != "" {
-		t.Fatalf("identity request got Content-Encoding %q", resp.Header.Get("Content-Encoding"))
-	}
-	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(raw)) {
-		t.Fatalf("Content-Length %q, body %d bytes", cl, len(raw))
-	}
-
-	// Gzip: compressed on the wire, identical blob after decompression.
-	resp = do("gzip")
-	zbody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.Get("Content-Encoding") != "gzip" {
-		t.Fatal("large partial not gzipped for a gzip-accepting client")
-	}
-	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(zbody)) {
-		t.Fatalf("gzip Content-Length %q, body %d bytes", cl, len(zbody))
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(zbody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	unzipped, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wire partials are not byte-canonical (groups serialize in map
-	// order), so compare the decoded, finalized results instead of bytes.
-	q := &engine.Query{
-		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value"}},
-		GroupBy:    []string{"ds", "app"},
-	}
-	pRaw, err := engine.UnmarshalPartial(q, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pZip, err := engine.UnmarshalPartial(q, unzipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resultsEqual(pRaw.Finalize(), pZip.Finalize()); err != nil {
-		t.Fatalf("gzip round trip changed the partial: %v", err)
-	}
-
-	// And the full coordinator path works against a gzipping worker.
 	if _, err := (&Coordinator{}).Query(context.Background(), []Target{{URL: srv.URL, Partition: "p"}}, q); err != nil {
 		t.Fatal(err)
 	}
@@ -336,9 +304,7 @@ func TestStreamingMergeEqualsBarrier(t *testing.T) {
 		var servers []*httptest.Server
 		var locals []*brick.Store
 		for i := 0; i < nWorkers; i++ {
-			w := NewWorker(partition.Config{})
-			w.GzipMinBytes = 128 // exercise compressed partials too
-			srv := httptest.NewServer(w.Handler())
+			srv := httptest.NewServer(NewWorker(partition.Config{}).Handler())
 			servers = append(servers, srv)
 			part := fmt.Sprintf("t#%d", i)
 			if err := (&Client{BaseURL: srv.URL}).CreatePartition(context.Background(), part, schema); err != nil {

@@ -24,7 +24,7 @@ import (
 // RoundTripper serializes the requests into explicit turns — each turn
 // advances the fake clock by a known amount before answering — so every
 // span's start and duration is exact and the whole tree is asserted as
-// one string: the retry span sits under t#3's partition span, the losing
+// one string: the retry span sits under t#3's call span, the losing
 // hedge half ends canceled, and the durations are the fake-clock deltas.
 
 // seqTurn is one scheduled response: the request it answers (keyed
@@ -40,7 +40,7 @@ type seqTurn struct {
 
 // seqRT is the sequencing transport. All first-wave requests (the eight
 // initial tries) must be blocked inside RoundTrip before the first turn
-// fires, so every partition and fetch span starts at fake-clock zero;
+// fires, so every call and fetch span starts at fake-clock zero;
 // after that, turns fire in order, each gated on the previous turn's
 // spans having ended (settle tokens fed by Tracer.OnSpanEnd).
 type seqRT struct {
@@ -97,16 +97,19 @@ func (rt *seqRT) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	req.Body.Close()
 	var pr struct {
-		Partition string `json:"partition"`
+		Partitions []string `json:"partitions"`
 	}
 	if err := json.Unmarshal(body, &pr); err != nil {
 		return nil, err
 	}
+	if len(pr.Partitions) != 1 {
+		return nil, fmt.Errorf("call for %v: every partition has a host of its own", pr.Partitions)
+	}
 	host := req.URL.Host
 	rt.mu.Lock()
-	tk := pr.Partition + "|" + host
+	tk := pr.Partitions[0] + "|" + host
 	rt.tries[tk]++
-	key := fmt.Sprintf("%s|%s|%d", pr.Partition, host, rt.tries[tk])
+	key := fmt.Sprintf("%s|%s|%d", pr.Partitions[0], host, rt.tries[tk])
 	if rt.tries[tk] == 1 && host != "p7b" {
 		rt.firstWave++
 		rt.cond.Broadcast()
@@ -183,8 +186,8 @@ func TestTraceTreeDeterministic(t *testing.T) {
 	rt := newSeqRT(clk, traceTestBlob(t), turns)
 	tracer.OnSpanEnd = func(d trace.SpanData) {
 		switch d.Name {
-		case "partition":
-			rt.settle("partition:" + d.Attrs["partition"])
+		case "call":
+			rt.settle("partition:" + d.Attrs["partitions"])
 		case "fetch":
 			rt.settle("fetch:" + d.Attrs["url"] + ":" + d.Attrs["try"])
 		}
@@ -254,23 +257,23 @@ func TestTraceTreeDeterministic(t *testing.T) {
 
 	want := `coordinator.query ok [0.000ms +12.000ms]
   coordinator.fanout ok [0.000ms +12.000ms] targets=8
-    partition ok [0.000ms +1.000ms] partition=t#0
+    call ok [0.000ms +1.000ms] partitions=t#0
       fetch ok [0.000ms +1.000ms] role=primary try=1 url=http://p0
-    partition ok [0.000ms +10.000ms] partition=t#3
+    call ok [0.000ms +10.000ms] partitions=t#3
       fetch error [0.000ms +8.000ms] role=primary try=1 url=http://p3 err="status 500: injected fault"
       fetch ok [8.000ms +2.000ms] role=primary try=2 url=http://p3
-    partition ok [0.000ms +12.000ms] partition=t#7
+    call ok [0.000ms +12.000ms] partitions=t#7
       fetch canceled [0.000ms +12.000ms] role=primary try=1 url=http://p7a
       fetch ok [10.000ms +2.000ms] role=hedge try=1 url=http://p7b
-    partition ok [0.000ms +2.000ms] partition=t#1
+    call ok [0.000ms +2.000ms] partitions=t#1
       fetch ok [0.000ms +2.000ms] role=primary try=1 url=http://p1
-    partition ok [0.000ms +3.000ms] partition=t#2
+    call ok [0.000ms +3.000ms] partitions=t#2
       fetch ok [0.000ms +3.000ms] role=primary try=1 url=http://p2
-    partition ok [0.000ms +4.000ms] partition=t#4
+    call ok [0.000ms +4.000ms] partitions=t#4
       fetch ok [0.000ms +4.000ms] role=primary try=1 url=http://p4
-    partition ok [0.000ms +5.000ms] partition=t#5
+    call ok [0.000ms +5.000ms] partitions=t#5
       fetch ok [0.000ms +5.000ms] role=primary try=1 url=http://p5
-    partition ok [0.000ms +6.000ms] partition=t#6
+    call ok [0.000ms +6.000ms] partitions=t#6
       fetch ok [0.000ms +6.000ms] role=primary try=1 url=http://p6
     coordinator.finalize ok [12.000ms +0.000ms]
 `

@@ -61,25 +61,38 @@ fi
 WORKER_SRC="$(ls internal/netexec/*.go internal/cubrick/*.go internal/partition/*.go | grep -v _test.go)"
 echo "internal/netexec + internal/cubrick + internal/partition non-test lines: $(cat $WORKER_SRC | wc -l)"
 
-# One fan-out (PR 19): Coordinator.gather is the only goroutine-per-target
-# loop and calls the one fetchPartition; fetchResilient is reached through
-# it only; and the networked plane does not import the in-process one.
+# One fan-out (PR 19): Coordinator.gather is the only goroutine-per-call
+# loop and calls the one fetchCall; fetchResilient is reached through it
+# only; and the networked plane does not import the in-process one.
 echo "== one fan-out"
 NETEXEC_SRC="$(ls internal/netexec/*.go | grep -v _test.go)"
-SITES="$(cat $NETEXEC_SRC | grep -v '^func ' | grep -c 'fetchPartition(' || true)"
+SITES="$(cat $NETEXEC_SRC | grep -v '^func ' | grep -c 'fetchCall(' || true)"
 if [ "$SITES" != 1 ]; then
-    echo "one fan-out: $SITES call sites of fetchPartition( in non-test internal/netexec, want exactly 1:"
-    grep -n 'fetchPartition(' $NETEXEC_SRC
+    echo "one fan-out: $SITES call sites of fetchCall( in non-test internal/netexec, want exactly 1:"
+    grep -n 'fetchCall(' $NETEXEC_SRC
     exit 1
 fi
-OUTSIDE="$(cat $NETEXEC_SRC | awk '/^func \(c \*Coordinator\) fetchPartition\(/ { inside = 1 } /^}/ { inside = 0 } !inside && !/^func / && /fetchResilient\(/' | wc -l)"
+OUTSIDE="$(cat $NETEXEC_SRC | awk '/^func \(c \*Coordinator\) fetchCall\(/ { inside = 1 } /^}/ { inside = 0 } !inside && !/^func / && /fetchResilient\(/' | wc -l)"
 if [ "$OUTSIDE" != 0 ]; then
-    echo "one fan-out: fetchResilient( is called outside fetchPartition:"
+    echo "one fan-out: fetchResilient( is called outside fetchCall:"
     grep -n 'fetchResilient(' $NETEXEC_SRC
     exit 1
 fi
 if go list -f '{{join .Imports "\n"}}' ./internal/netexec | grep -q 'internal/cubrick$'; then
     echo "one fan-out: internal/netexec imports internal/cubrick again"
+    exit 1
+fi
+echo "internal/netexec non-test lines: $(cat $NETEXEC_SRC | wc -l)"
+
+# One /partial call per host: a query makes one worker call per placement
+# and the worker merges the call's partitions, so its calls — and its
+# exposure to the wall, (1-p)^calls — scale with hosts. A host's merged
+# blob is several partitions' worth, and compressing it cost more CPU on
+# both ends than it saved on any datacenter link, so replies go raw: no
+# gzip writer or threshold may come back. The tests run after the build.
+echo "== one /partial call per host"
+if grep -n 'compress/gzip\|GzipMinBytes' $NETEXEC_SRC; then
+    echo "one /partial call per host: /partial replies are compressed again (see above); they are sent raw"
     exit 1
 fi
 echo "internal/netexec non-test lines: $(cat $NETEXEC_SRC | wc -l)"
@@ -203,6 +216,10 @@ if grep -nE 'newGroup\(|groupKey\(|map\[string\]\*group' $ENGINE_SRC; then
 fi
 go test -count=1 -run 'TestCoordinatorMergeAllocs' ./internal/engine
 go test -count=1 -run 'TestHistogramQuantileAllocs' ./internal/metrics
+
+echo "== one /partial call per host: merge into unprobed partials, co-located calls, wire, host wall (-race)"
+go test -race -count=1 -run 'TestMergeIntoUnprobedPartial' ./internal/engine
+go test -race -count=1 -run 'TestGatherStrategies|TestPartialWireGolden|TestChaosSuccessRate' ./internal/netexec
 
 echo "== chaos test (seeded fault injection, -race)"
 go test -race -count=1 -run 'TestChaos' ./internal/netexec
