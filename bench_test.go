@@ -183,11 +183,10 @@ func BenchmarkFig4fHostRepairs(b *testing.B) {
 	b.ReportMetric(repairsPerDay, "repairs_per_day")
 }
 
-// BenchmarkScanParallelism compares the serial row-at-a-time reference
-// against brick-parallel vectorized execution on a single partition's
-// store: one morsel per brick, worker pool sized by GOMAXPROCS,
-// thread-local kernels merged in brick order. Both paths finalize to the
-// same result; the interesting quantity is the speedup.
+// BenchmarkScanParallelism compares a one-worker brick pass against one
+// with the worker pool sized by GOMAXPROCS on a single partition's store:
+// one morsel per brick, thread-local kernels merged in brick order. Both
+// finalize to the same result; the interesting quantity is the speedup.
 func BenchmarkScanParallelism(b *testing.B) {
 	schema := brick.Schema{
 		Dimensions: []brick.Dimension{
@@ -212,23 +211,18 @@ func BenchmarkScanParallelism(b *testing.B) {
 		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value"}, {Func: engine.Avg, Metric: "value"}},
 		GroupBy:    []string{"ds", "app"},
 	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Execute(s, q); err != nil {
-				b.Fatal(err)
+	for _, workers := range []int{1, 0} {
+		name := map[int]string{1: "serial", 0: "parallel"}[workers]
+		b.Run(name, func(b *testing.B) {
+			sched := engine.NewScheduler(s, engine.SchedulerConfig{Parallelism: workers})
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sched.Run(context.Background(), q, engine.Opts{Unshared: true}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(float64(s.BrickCount()), "bricks")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		sched := engine.NewScheduler(s, engine.SchedulerConfig{})
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sched.Run(context.Background(), q, engine.Opts{Unshared: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(s.BrickCount()), "bricks")
-	})
+			b.ReportMetric(float64(s.BrickCount()), "bricks")
+		})
+	}
 }
 
 // BenchmarkEndToEndGroupBy runs a grouped aggregation through the public

@@ -20,37 +20,12 @@ func benchFactStore(b *testing.B, rows int) *brick.Store {
 	return s
 }
 
-func BenchmarkAggregateGlobal(b *testing.B) {
-	s := benchFactStore(b, 100000)
-	q := &Query{Aggregates: []Aggregate{{Func: Sum, Metric: "value"}, {Func: Count}}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Execute(s, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGroupBy(b *testing.B) {
-	s := benchFactStore(b, 100000)
-	q := &Query{
-		Aggregates: []Aggregate{{Func: Sum, Metric: "value"}, {Func: Avg, Metric: "value"}},
-		GroupBy:    []string{"ds", "app"},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Execute(s, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMergePartials(b *testing.B) {
 	s := benchFactStore(b, 50000)
 	q := &Query{Aggregates: []Aggregate{{Func: Sum, Metric: "value"}}, GroupBy: []string{"app"}}
 	partials := make([]*Partial, 8)
 	for i := range partials {
-		p, err := Execute(s, q)
+		p, err := runQuery(s, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,21 +79,8 @@ func benchGroupedQuery() *Query {
 	}
 }
 
-// BenchmarkExecuteSerial is the row-at-a-time baseline on the multi-brick
-// grouped-aggregation workload BenchmarkRunUnshared runs.
-func BenchmarkExecuteSerial(b *testing.B) {
-	s := benchParallelStore(b, 200000)
-	q := benchGroupedQuery()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Execute(s, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunUnshared is the brick-parallel vectorized path on the
-// same workload; compare against BenchmarkExecuteSerial for the speedup.
+// BenchmarkRunUnshared is the brick-parallel vectorized path on a
+// multi-brick grouped-aggregation workload.
 func BenchmarkRunUnshared(b *testing.B) {
 	s := benchParallelStore(b, 200000)
 	q := benchGroupedQuery()
@@ -130,24 +92,16 @@ func BenchmarkRunUnshared(b *testing.B) {
 	}
 }
 
-// benchKernel compares the serial reference against the vectorized kernel
-// on a single worker, isolating kernel throughput from thread scaling.
+// benchKernel times the vectorized kernel on a single worker, isolating
+// kernel throughput from thread scaling.
 func benchKernel(b *testing.B, q *Query) {
 	s := benchParallelStore(b, 200000)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Execute(s, q); err != nil {
-				b.Fatal(err)
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := runUnshared(s, q, 1, Opts{}); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("vectorized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := runUnshared(s, q, 1, Opts{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkKernelGlobal exercises the scalar global-aggregate kernel (no

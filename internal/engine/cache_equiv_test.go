@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,114 +10,23 @@ import (
 	"cubrick/internal/randutil"
 )
 
-// normalizeDecomp zeroes the one counter that may legitimately differ
-// between two runs of one query: Decompressions is a cost metric, not part
-// of the answer (a run without the blob-bounds prune decodes bricks a
-// pruning run skips). Everything else — rows, groups, HLL cardinalities,
-// scan accounting — must stay bit-identical.
-func normalizeDecomp(r *Result) *Result {
-	r.Decompressions = 0
-	return r
-}
-
 // TestCachedColdEquivalence is the property test for the caching tier:
-// over 30 random trials — random schemas, data, ingest interleavings,
-// compaction states (raw, encoded, evicted bricks), and queries covering
-// every kernel including CountDistinct's HLL sketches — executing through
-// the decoded-column cache (twice: a fill pass and a hit pass) must
-// finalize to exactly the same Result as the cache-bypassed path, before
-// and after additional ingest.
+// over 30 generated trials — schemas, data, tier mixes (raw, encoded,
+// evicted bricks) and queries covering every kernel including
+// CountDistinct's HLL sketches — executing through the decoded-column
+// cache (twice: a fill pass and a hit pass) must equal the oracle bit for
+// bit, before and after additional ingest and compaction.
 func TestCachedColdEquivalence(t *testing.T) {
 	rnd := randutil.New(20260808)
-	aggFuncs := []AggFunc{Sum, Count, Min, Max, Avg, CountDistinct}
 	for trial := 0; trial < 30; trial++ {
-		nDims := 1 + rnd.Intn(3)
-		schema := brick.Schema{}
-		for d := 0; d < nDims; d++ {
-			max := uint32(2 + rnd.Intn(30))
-			buckets := uint32(1 + rnd.Intn(int(max)))
-			schema.Dimensions = append(schema.Dimensions, brick.Dimension{
-				Name: fmt.Sprintf("d%d", d), Max: max, Buckets: buckets,
-			})
-		}
-		nMetrics := 1 + rnd.Intn(2)
-		for m := 0; m < nMetrics; m++ {
-			schema.Metrics = append(schema.Metrics, brick.Metric{Name: fmt.Sprintf("m%d", m)})
-		}
-		s, err := brick.NewStore(schema)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		s, q := Oracle.NewTrial(t, rnd, false)
+		schema := s.Schema()
 		dc := brick.NewDecodedCache(8 << 20)
 		s.SetDecodedCache(dc)
 		cached := NewScheduler(s, SchedulerConfig{})
 
-		ingest := func(rows int) {
-			dimVals := make([]uint32, nDims)
-			metVals := make([]float64, nMetrics)
-			for r := 0; r < rows; r++ {
-				for d := range dimVals {
-					dimVals[d] = uint32(rnd.Intn(int(schema.Dimensions[d].Max)))
-				}
-				for m := range metVals {
-					metVals[m] = float64(rnd.Intn(1<<16)) / 4
-				}
-				if err := s.Insert(dimVals, metVals); err != nil {
-					t.Fatalf("trial %d insert: %v", trial, err)
-				}
-			}
-		}
-		// Random compaction state: encode (and sometimes flate+evict) a
-		// random fraction of bricks so the trial mix covers all three tiers.
-		compact := func() {
-			s.DecayHotness(rnd.Float64())
-			cfg := brick.CompactionConfig{EncodeBelow: rnd.Float64() * 2}
-			if rnd.Intn(2) == 0 {
-				cfg.EvictBelow = rnd.Float64()
-			}
-			if _, err := s.CompactOnce(cfg); err != nil {
-				t.Fatalf("trial %d compact: %v", trial, err)
-			}
-		}
-
-		ingest(100 + rnd.Intn(1500))
-		if rnd.Intn(3) > 0 {
-			compact()
-		}
-
-		q := &Query{}
-		nAggs := 1 + rnd.Intn(3)
-		for a := 0; a < nAggs; a++ {
-			fn := aggFuncs[rnd.Intn(len(aggFuncs))]
-			agg := Aggregate{Func: fn}
-			if fn == CountDistinct {
-				agg.Metric = schema.Dimensions[rnd.Intn(nDims)].Name
-			} else if fn != Count {
-				agg.Metric = schema.Metrics[rnd.Intn(nMetrics)].Name
-			}
-			q.Aggregates = append(q.Aggregates, agg)
-		}
-		if rnd.Intn(4) > 0 {
-			q.GroupBy = []string{schema.Dimensions[rnd.Intn(nDims)].Name}
-		}
-		if rnd.Intn(2) == 0 {
-			d := schema.Dimensions[rnd.Intn(nDims)]
-			lo := uint32(rnd.Intn(int(d.Max)))
-			hi := lo + uint32(rnd.Intn(int(d.Max-lo)))
-			q.Filter = map[string][2]uint32{d.Name: {lo, hi}}
-		}
-		if len(q.GroupBy) > 0 && rnd.Intn(2) == 0 {
-			q.OrderBy = q.Aggregates[0].Name()
-			q.Desc = rnd.Intn(2) == 0
-			q.Limit = 1 + rnd.Intn(10)
-		}
-
 		check := func(stage string) {
-			coldP, _, err := runUnshared(s, q, 0, Opts{NoCache: true})
-			if err != nil {
-				t.Fatalf("trial %d %s cold: %v", trial, stage, err)
-			}
-			cold := normalizeDecomp(coldP.Finalize())
+			want := reference(t, q, s)
 			// The first cached run fills the decoded-column cache for the
 			// compressed bricks it decodes, the second must hit it.
 			for run, name := range []string{"fill", "hit"} {
@@ -130,8 +38,8 @@ func TestCachedColdEquivalence(t *testing.T) {
 				if run == 1 && p.Decompressions > 0 && dc.Stats().Hits == before {
 					t.Fatalf("trial %d %s: repeat query got no decoded-cache hits over %d compressed visits", trial, stage, p.Decompressions)
 				}
-				if err := resultsEqual(cold, normalizeDecomp(p.Finalize())); err != nil {
-					t.Fatalf("trial %d %s %s vs cold: %v", trial, stage, name, err)
+				if err := Oracle.Equal(want, p.Finalize()); err != nil {
+					t.Fatalf("trial %d %s %s: %v", trial, stage, name, err)
 				}
 			}
 		}
@@ -140,9 +48,23 @@ func TestCachedColdEquivalence(t *testing.T) {
 		// Interleave more ingest (and sometimes compaction) and re-check:
 		// the epoch bump must orphan exactly the affected bricks' entries
 		// and never serve them stale.
-		ingest(50 + rnd.Intn(500))
+		dims, mets := make([]uint32, len(schema.Dimensions)), make([]float64, len(schema.Metrics))
+		for r, n := 0, 50+rnd.Intn(500); r < n; r++ {
+			for d := range dims {
+				dims[d] = uint32(rnd.Intn(int(schema.Dimensions[d].Max)))
+			}
+			for m := range mets {
+				mets[m] = rnd.Float64() * 1e3
+			}
+			if err := s.Insert(dims, mets); err != nil {
+				t.Fatalf("trial %d insert: %v", trial, err)
+			}
+		}
 		if rnd.Intn(2) == 0 {
-			compact()
+			s.DecayHotness(rnd.Float64())
+			if _, err := s.CompactOnce(brick.CompactionConfig{EncodeBelow: rnd.Float64() * 2, EvictBelow: rnd.Float64()}); err != nil {
+				t.Fatalf("trial %d compact: %v", trial, err)
+			}
 		}
 		check("after-ingest")
 	}
@@ -234,7 +156,7 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 // projections all share a brick's one decoded-cache entry — under a budget
 // small enough that entries are evicted and rebuilt mid-sequence. Every
 // brick visit goes through the decoded cache, and every answer must be
-// bit-identical to the cache-bypassed run.
+// bit-identical to the oracle's, which bypasses the cache.
 func TestDecodedCacheShapeSequenceEquivalence(t *testing.T) {
 	schema := brick.Schema{
 		Dimensions: []brick.Dimension{
@@ -252,7 +174,7 @@ func TestDecodedCacheShapeSequenceEquivalence(t *testing.T) {
 	const rows = 20000
 	for r := 0; r < rows; r++ {
 		dims := []uint32{uint32(r * 64 / rows), uint32(rnd.Intn(8)), uint32(rnd.Intn(16)) * 16}
-		if err := s.Insert(dims, []float64{float64(rnd.Intn(1<<16)) / 4, float64(1 + rnd.Intn(3))}); err != nil {
+		if err := s.Insert(dims, []float64{rnd.Float64() * 1e3, float64(1 + rnd.Intn(3))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,16 +220,12 @@ func TestDecodedCacheShapeSequenceEquivalence(t *testing.T) {
 			}
 			q.Filter[dim.Name] = [2]uint32{lo, lo + uint32(rnd.Intn(int(dim.Max-lo)))}
 		}
-		coldP, _, err := runUnshared(s, q, 0, Opts{NoCache: true})
-		if err != nil {
-			t.Fatalf("query %d cold: %v", i, err)
-		}
 		p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
 		if err != nil {
 			t.Fatalf("query %d cached: %v", i, err)
 		}
-		if err := resultsEqual(normalizeDecomp(coldP.Finalize()), normalizeDecomp(p.Finalize())); err != nil {
-			t.Fatalf("query %d (%+v) cached vs cold: %v", i, q, err)
+		if err := Oracle.Equal(reference(t, q, s), p.Finalize()); err != nil {
+			t.Fatalf("query %d (%+v) cached vs oracle: %v", i, q, err)
 		}
 	}
 	st := dc.Stats()

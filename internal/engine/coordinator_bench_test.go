@@ -31,7 +31,7 @@ func coordinatorPartials(tb testing.TB) (*Query, [][]byte) {
 				tb.Fatal(err)
 			}
 		}
-		p, err := Execute(s, q)
+		p, err := runQuery(s, q)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -13,7 +13,7 @@ func TestCountDistinctExactSmall(t *testing.T) {
 		{Func: CountDistinct, Metric: "app", Alias: "apps"},
 		{Func: CountDistinct, Metric: "region", Alias: "regions"},
 	}}
-	p, err := Execute(s, q)
+	p, err := runQuery(s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestCountDistinctPerGroup(t *testing.T) {
 		Aggregates: []Aggregate{{Func: CountDistinct, Metric: "app", Alias: "apps"}},
 		GroupBy:    []string{"region"},
 	}
-	p, _ := Execute(s, q)
+	p, _ := runQuery(s, q)
 	res := p.Finalize()
 	if len(res.Rows) != 4 {
 		t.Fatalf("groups = %d", len(res.Rows))
@@ -77,13 +77,13 @@ func TestCountDistinctMergeEqualsSingle(t *testing.T) {
 		parts[i%4].Insert(dims, m)
 	}
 	q := &Query{Aggregates: []Aggregate{{Func: CountDistinct, Metric: "app"}}}
-	pw, err := Execute(whole, q)
+	pw, err := runQuery(whole, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	merged := NewPartial(q)
 	for _, part := range parts {
-		pp, err := Execute(part, q)
+		pp, err := runQuery(part, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestCountDistinctWireRoundTrip(t *testing.T) {
 		Aggregates: []Aggregate{{Func: CountDistinct, Metric: "app"}, {Func: Count}},
 		GroupBy:    []string{"region"},
 	}
-	p, _ := Execute(s, q)
+	p, _ := runQuery(s, q)
 	blob, err := p.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestCountDistinctLargeWithinError(t *testing.T) {
 		s.Insert([]uint32{uint32(i)}, []float64{1})
 	}
 	q := &Query{Aggregates: []Aggregate{{Func: CountDistinct, Metric: "user"}}}
-	p, _ := Execute(s, q)
+	p, _ := runQuery(s, q)
 	got := p.Finalize().Rows[0][0]
 	if math.Abs(got-n)/n > 0.05 {
 		t.Fatalf("distinct(%d) = %v — error too large", n, got)
@@ -180,7 +180,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 		GroupBy:    []string{"app"},
 		Having:     []HavingCond{{Column: "total", Op: ">", Value: 80}},
 	}
-	p, err := Execute(s, q)
+	p, err := runQuery(s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 			{Column: "app", Op: "<", Value: 6},
 		},
 	}
-	p2, _ := Execute(s, q2)
+	p2, _ := runQuery(s, q2)
 	if got := len(p2.Finalize().Rows); got != 3 {
 		t.Fatalf("combined HAVING groups = %d, want 3", got)
 	}
@@ -243,7 +243,7 @@ func TestHavingAppliedAfterMerge(t *testing.T) {
 	}
 	merged := NewPartial(q)
 	for _, part := range parts {
-		pp, err := Execute(part, q)
+		pp, err := runQuery(part, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -335,12 +335,6 @@ type compiled struct {
 	// columns only — filter-irrelevant dimensions are never decoded.
 	// Encoded-eligible group dimensions ask for the run/dictionary view.
 	projFull brick.Projection
-	// projFullSerial is projFull with every column materialized, for the
-	// row-at-a-time serial reference path.
-	projFullSerial brick.Projection
-	// projPartSerial is proj with every column materialized, for the serial
-	// reference path's per-row MatchesAt filtering.
-	projPartSerial brick.Projection
 	// encGroups[i] reports whether GROUP BY dimension i (groupIdx order) is
 	// requested as an encoded view on fully covered bricks; encGroup is set
 	// when at least one is.
@@ -349,9 +343,6 @@ type compiled struct {
 	// filterDims is the filter as a deterministic list (ascending dimension
 	// index) the per-encoding skippers walk.
 	filterDims []filterDim
-	// noSkippers is Opts.noSkippers: the brick visit evaluates the filter
-	// row-at-a-time and skips blob-bounds pruning.
-	noSkippers bool
 }
 
 // filterDim is one filter predicate resolved to a dimension index.
@@ -361,8 +352,8 @@ type filterDim struct {
 }
 
 // compile validates the query against the schema and resolves columns.
-// The options shape the projections: which columns arrive as encoded views
-// and whether the decoded-column cache is bypassed.
+// The options decide whether the projections bypass the decoded-column
+// cache.
 func compile(schema brick.Schema, q *Query, o Opts) (*compiled, error) {
 	if err := q.Validate(schema); err != nil {
 		return nil, err
@@ -373,7 +364,6 @@ func compile(schema brick.Schema, q *Query, o Opts) (*compiled, error) {
 		metricIdx:   make([]int, len(q.Aggregates)),
 		distinctIdx: make([]int, len(q.Aggregates)),
 		domain:      make([][2]uint32, len(schema.Dimensions)),
-		noSkippers:  o.noSkippers,
 	}
 	for i, d := range schema.Dimensions {
 		c.domain[i] = [2]uint32{0, d.Max - 1}
@@ -422,24 +412,15 @@ func (c *compiled) buildProjections(schema brick.Schema, o Opts) {
 		}
 	}
 	full := append([]brick.ColRequest(nil), dims...)
-	serialFull := append([]brick.ColRequest(nil), dims...)
-	partSerial := append([]brick.ColRequest(nil), dims...)
 	part := dims
 	if c.filter != nil {
 		for di := range c.filter.Ranges {
-			if partSerial[di] == brick.ColSkip {
-				partSerial[di] = brick.ColNeed
-			}
 			if part[di] == brick.ColSkip {
 				// Filter-only columns arrive as encoded views so the
 				// skipper evaluates the range once per run or dictionary
 				// code; the decoder materializes them anyway when the
 				// encoding has no such structure.
-				if o.noSkippers {
-					part[di] = brick.ColNeed
-				} else {
-					part[di] = brick.ColGroupEncoded
-				}
+				part[di] = brick.ColGroupEncoded
 			}
 		}
 		c.filterDims = make([]filterDim, 0, len(c.filter.Ranges))
@@ -453,78 +434,15 @@ func (c *compiled) buildProjections(schema brick.Schema, o Opts) {
 	// arity: composite keys go through run intersection, code tuples, or a
 	// one-time scratch materialization (see encoded.go).
 	c.encGroups = make([]bool, len(c.groupIdx))
-	if !o.noEncodedKernels {
-		for i, gi := range c.groupIdx {
-			eligible := true
-			for _, di := range c.distinctIdx {
-				if di == gi {
-					eligible = false
-				}
-			}
-			if eligible {
-				c.encGroups[i] = true
-				c.encGroup = true
-				full[gi] = brick.ColGroupEncoded
-			}
+	for i, gi := range c.groupIdx {
+		if !slices.Contains(c.distinctIdx, gi) {
+			c.encGroups[i] = true
+			c.encGroup = true
+			full[gi] = brick.ColGroupEncoded
 		}
 	}
 	c.proj = brick.Projection{Dims: part, Metrics: mets, NoCache: o.NoCache}
 	c.projFull = brick.Projection{Dims: full, Metrics: mets, NoCache: o.NoCache}
-	c.projFullSerial = brick.Projection{Dims: serialFull, Metrics: mets}
-	c.projPartSerial = brick.Projection{Dims: partSerial, Metrics: mets}
-}
-
-// Execute runs the query over one partition's store, returning a partial.
-// It is the serial, row-at-a-time reference implementation; production
-// paths use Scheduler.Run, which produces identical results.
-func Execute(store *brick.Store, q *Query) (*Partial, error) {
-	c, err := compile(store.Schema(), q, Opts{})
-	if err != nil {
-		return nil, err
-	}
-	plan, err := store.PlanScan(c.filter)
-	if err != nil {
-		return nil, err
-	}
-	p := NewPartial(q)
-	p.BricksPruned = int64(plan.Pruned)
-	keyVals := make([]uint32, len(c.groupIdx))
-	for ti := range plan.Tasks {
-		t := &plan.Tasks[ti]
-		p.BricksVisited++
-		if !t.Full && c.filter != nil {
-			// Same blob-bounds pruning as the brick pass, so cost
-			// counters (Decompressions) stay identical across paths.
-			if t.PruneEncoded(c.filter) {
-				continue
-			}
-		}
-		if t.Compressed() {
-			p.Decompressions++
-		}
-		proj := &c.projPartSerial
-		if t.Full {
-			proj = &c.projFullSerial
-		}
-		err := t.VisitBatch(proj, func(b *brick.Batch) error {
-			dims, metrics, rows := b.Dims, b.Metrics, b.Rows
-			for r := 0; r < rows; r++ {
-				if !t.Full && !c.filter.MatchesAt(dims, r) {
-					continue
-				}
-				p.RowsScanned++
-				for i, gi := range c.groupIdx {
-					keyVals[i] = dims[gi][r]
-				}
-				c.observeRow(p.at(p.groupFor(keyVals)), dims, metrics, r)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
 }
 
 // NewPartial returns an empty partial for the query, used as the merge

@@ -45,7 +45,7 @@ func TestGlobalAggregates(t *testing.T) {
 		{Func: Max, Metric: "latency"},
 		{Func: Avg, Metric: "latency"},
 	}}
-	p, err := Execute(s, q)
+	p, err := runQuery(s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestGroupByWithFilter(t *testing.T) {
 		GroupBy:    []string{"region"},
 		Filter:     map[string][2]uint32{"app": {0, 4}},
 	}
-	p, err := Execute(s, q)
+	p, err := runQuery(s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestOrderByAndLimit(t *testing.T) {
 		Desc:       true,
 		Limit:      3,
 	}
-	p, _ := Execute(s, q)
+	p, _ := runQuery(s, q)
 	res := p.Finalize()
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(res.Rows))
@@ -124,7 +124,7 @@ func TestOrderByAndLimit(t *testing.T) {
 		Aggregates: []Aggregate{{Func: Count}},
 		GroupBy:    []string{"app"},
 	}
-	p2, _ := Execute(s, q2)
+	p2, _ := runQuery(s, q2)
 	res2 := p2.Finalize()
 	for i := 1; i < len(res2.Rows); i++ {
 		if res2.Rows[i-1][0] >= res2.Rows[i][0] {
@@ -204,13 +204,13 @@ func TestMergeEqualsSingleExecution(t *testing.T) {
 		return nil
 	})
 
-	pw, err := Execute(whole, q)
+	pw, err := runQuery(whole, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	merged := NewPartial(q)
 	for _, part := range parts {
-		pp, err := Execute(part, q)
+		pp, err := runQuery(part, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,13 +257,13 @@ func TestMergeInvariantProperty(t *testing.T) {
 			whole.Insert(dims, m)
 			parts[i%nParts].Insert(dims, m)
 		}
-		pw, err := Execute(whole, q)
+		pw, err := runQuery(whole, q)
 		if err != nil {
 			return false
 		}
 		merged := NewPartial(q)
 		for _, part := range parts {
-			pp, err := Execute(part, q)
+			pp, err := runQuery(part, q)
 			if err != nil {
 				return false
 			}
@@ -293,8 +293,8 @@ func TestMergeMismatchedQueries(t *testing.T) {
 	s := loadStore(t)
 	q1 := &Query{Aggregates: []Aggregate{{Func: Count}}}
 	q2 := &Query{Aggregates: []Aggregate{{Func: Count}, {Func: Sum, Metric: "events"}}}
-	p1, _ := Execute(s, q1)
-	p2, _ := Execute(s, q2)
+	p1, _ := runQuery(s, q1)
+	p2, _ := runQuery(s, q2)
 	if err := p1.Merge(p2); err == nil {
 		t.Fatal("merging different queries accepted")
 	}
@@ -306,7 +306,7 @@ func TestMergeMismatchedQueries(t *testing.T) {
 func TestEmptyStoreResult(t *testing.T) {
 	s, _ := brick.NewStore(testSchema())
 	q := &Query{Aggregates: []Aggregate{{Func: Sum, Metric: "events"}}, GroupBy: []string{"region"}}
-	p, err := Execute(s, q)
+	p, err := runQuery(s, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"sort"
 	"testing"
 
@@ -103,32 +102,6 @@ func legacyFinalize(p *Partial) *Result {
 	return res
 }
 
-// sameResult compares two results field by field, values bit for bit and
-// a nil row list apart from an empty one (the JSON reply tells them apart).
-func sameResult(a, b *Result) error {
-	if fmt.Sprint(a.Columns) != fmt.Sprint(b.Columns) {
-		return fmt.Errorf("columns %q vs %q", a.Columns, b.Columns)
-	}
-	if (a.Rows == nil) != (b.Rows == nil) || len(a.Rows) != len(b.Rows) {
-		return fmt.Errorf("rows %d (nil %v) vs %d (nil %v)", len(a.Rows), a.Rows == nil, len(b.Rows), b.Rows == nil)
-	}
-	for i := range a.Rows {
-		if len(a.Rows[i]) != len(b.Rows[i]) {
-			return fmt.Errorf("row %d: %v vs %v", i, a.Rows[i], b.Rows[i])
-		}
-		for j := range a.Rows[i] {
-			if math.Float64bits(a.Rows[i][j]) != math.Float64bits(b.Rows[i][j]) {
-				return fmt.Errorf("row %d: %v vs %v", i, a.Rows[i], b.Rows[i])
-			}
-		}
-	}
-	if a.RowsScanned != b.RowsScanned || a.BricksVisited != b.BricksVisited || a.BricksPruned != b.BricksPruned ||
-		a.Decompressions != b.Decompressions || a.Coverage != b.Coverage {
-		return fmt.Errorf("counters %+v vs %+v", *a, *b)
-	}
-	return nil
-}
-
 // randomPartial fills a partial for q with about rows observations over
 // keys drawn below domain (offset into the high half of the uint32 range
 // when high is set) and metric values drawn from a handful, so ORDER BY
@@ -184,7 +157,13 @@ func TestFinalizeDifferential(t *testing.T) {
 		all := len(legacyFinalize(p).Rows)
 		for _, limit := range []int{0, 1, 1 + rnd.Intn(all+1), all + 1} {
 			q.Limit = limit
-			if err := sameResult(legacyFinalize(p), p.Finalize()); err != nil {
+			want, got := legacyFinalize(p), p.Finalize()
+			err := Oracle.Equal(want, got)
+			if err == nil && (want.Rows == nil) != (got.Rows == nil) {
+				// Equal takes nil and empty rows as equal; the JSON reply does not.
+				err = fmt.Errorf("nil rows %v, want nil %v", got.Rows == nil, want.Rows == nil)
+			}
+			if err != nil {
 				t.Fatalf("trial %d, %d groups, groupby %v order %q desc %v limit %d having %v: %v",
 					trial, p.Groups(), q.GroupBy, q.OrderBy, q.Desc, limit, q.Having, err)
 			}
@@ -220,7 +199,7 @@ func TestMergeWireBlobReuse(t *testing.T) {
 				blob[i] = 0xFF
 			}
 		}
-		if err := sameResult(want.Finalize(), got.Finalize()); err != nil {
+		if err := Oracle.Equal(want.Finalize(), got.Finalize()); err != nil {
 			t.Fatalf("groupby %v: overwriting the blobs changed the merge: %v", groupBy, err)
 		}
 	}
@@ -256,7 +235,7 @@ func TestMarshalBinaryDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameResult(p.Finalize(), back.Finalize()); err != nil {
+		if err := Oracle.Equal(p.Finalize(), back.Finalize()); err != nil {
 			t.Fatalf("groupby %v: round trip: %v", groupBy, err)
 		}
 	}

@@ -366,8 +366,7 @@ func (c *compiled) observeRow(cells []cell, dims [][]uint32, metrics [][]float64
 
 // globalAcc is the scalar kernel for global aggregates: column-at-a-time
 // accumulation into per-aggregate registers, no lookup and no key on the
-// hot path. An empty scan leaves it with zero groups, exactly like the
-// serial path.
+// hot path. An empty scan leaves it with zero groups, like every kernel.
 type globalAcc struct {
 	c *compiled
 	groupSlab

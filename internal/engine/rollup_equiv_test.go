@@ -19,7 +19,7 @@ import (
 // Metric values are integers, so SUM is exact in any fold order and
 // bit-identical is a meaningful demand (see DESIGN.md §6l for the float
 // caveat). Scan counters legitimately differ between the paths (that is
-// the point), so comparisons use rowsEqual.
+// the point), so comparisons are of the answer alone (oracle.Answer).
 
 // realtimeTrial is one random scenario: a schema whose dimension 0 is the
 // time dimension, a rollup config over the remaining dimensions, a store
@@ -163,17 +163,14 @@ func (tr *realtimeTrial) checkRollup(t *testing.T, rnd *randutil.Source, trial i
 	if err != nil {
 		t.Fatalf("trial %d ExecuteRollup: %v", trial, err)
 	}
-	ref, _, err := runUnshared(st, q, 0, Opts{})
-	if err != nil {
-		t.Fatalf("trial %d reference: %v", trial, err)
-	}
+	ref := reference(t, q, st)
 	if !ok {
 		return false
 	}
 	if !info.Hit {
 		t.Fatalf("trial %d: ok without Hit", trial)
 	}
-	if err := rowsEqual(ref.Finalize(), p.Finalize()); err != nil {
+	if err := Oracle.Equal(Oracle.Answer(ref), Oracle.Answer(p.Finalize())); err != nil {
 		t.Fatalf("trial %d rollup vs reference (q=%+v, info=%+v): %v", trial, q, info, err)
 	}
 	if info.EdgeScans > 0 {

@@ -34,9 +34,10 @@ import (
 // the brick's row order, and combines the slots in ascending brick-id
 // order into a fresh accumulator. Every brick's rows are folded in a fixed
 // order and the per-brick results are combined in a fixed order, so the
-// finalized result is bit-identical to the serial Execute (including float
-// summation order and HLL register state) whichever way the query entered
-// and however the workers were scheduled.
+// finalized result is bit-identical (float summation order and HLL
+// register state included) whichever way the query entered and however
+// the workers were scheduled; the tests' brick-ordered reference,
+// internal/oracle, fixes the same order.
 
 // errPassAborted is returned to a subscriber whose shared pass stopped
 // early because every other subscriber detached before the scan finished.
@@ -65,14 +66,6 @@ type Opts struct {
 	// shared pass decodes with its publisher's projection, which reads
 	// through the cache.
 	NoCache bool
-
-	// noSkippers turns off the per-encoding filter skippers and the
-	// encoded-brick stats pruning: filter columns materialize and
-	// predicates evaluate row-at-a-time. noEncodedKernels turns off
-	// encoding-aware GROUP BY aggregation: the projection materializes the
-	// group columns instead. Test and benchmark baselines only; a shared
-	// pass runs with its publisher's settings.
-	noSkippers, noEncodedKernels bool
 }
 
 // FoldStats reports a scheduler's folding activity.
@@ -150,9 +143,10 @@ func (s *Scheduler) count(name string, delta int64) {
 }
 
 // Run executes the query over the store with brick-level parallelism and
-// vectorized aggregation kernels, returning a partial that finalizes to
-// the same Result as the serial Execute. A cancelled ctx stops the run
-// claiming bricks and returns ctx.Err().
+// vectorized aggregation kernels, returning a partial whose groups fold
+// each brick's rows in row order and combine bricks in ascending brick-id
+// order. A cancelled ctx stops the run claiming bricks and returns
+// ctx.Err().
 func (s *Scheduler) Run(ctx context.Context, q *Query, o Opts) (*Partial, ExecInfo, error) {
 	// A published pass aborts only when all its subscribers cancel; a live
 	// subscriber that attached during the abort window simply retries on a
@@ -413,7 +407,7 @@ func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 	// Bounds pruning: if the encoded blob's column stats (FOR base/width,
 	// dictionary min/max) prove no row can match, the brick is done without
 	// any decode.
-	if !t.Full && c.filter != nil && !c.noSkippers && t.PruneEncoded(c.filter) {
+	if !t.Full && c.filter != nil && t.PruneEncoded(c.filter) {
 		res.stats.BricksStatsPruned++
 	} else {
 		res.decompressed = t.Compressed()
@@ -430,16 +424,7 @@ func (p *scanPass) visitBrick(i int, subs []*foldSub, es *encScratch) error {
 				c.observeFull(acc, b, es)
 				return nil
 			}
-			sel, all := es.sel[:0], false
-			if c.noSkippers {
-				for r := 0; r < b.Rows; r++ {
-					if c.filter.MatchesAt(b.Dims, r) {
-						sel = append(sel, int32(r))
-					}
-				}
-			} else {
-				sel, all = c.buildSel(b, t.Bounds, sel, es, &res.stats)
-			}
+			sel, all := c.buildSel(b, t.Bounds, es.sel[:0], es, &res.stats)
 			es.sel = sel
 			if all {
 				sel = nil

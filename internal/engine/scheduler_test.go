@@ -44,11 +44,7 @@ func TestSchedulerAttachMidPass(t *testing.T) {
 	sched := NewScheduler(s, SchedulerConfig{Parallelism: 1, Metrics: reg})
 	q := &Query{Aggregates: []Aggregate{{Func: Sum, Metric: "events"}, {Func: Count}},
 		GroupBy: []string{"app"}}
-	serial, err := Execute(s, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := serial.Finalize()
+	want := reference(t, q, s)
 
 	claimed, release, _ := holdClaim(sched, 0)
 
@@ -91,11 +87,9 @@ func TestSchedulerAttachMidPass(t *testing.T) {
 	if fo.info.CatchupBricks != 1 {
 		t.Fatalf("follower catch-up bricks = %d, want 1", fo.info.CatchupBricks)
 	}
-	if err := resultsEqual(want, cr.p.Finalize()); err != nil {
+	if err := Oracle.Equal(want, cr.p.Finalize()); err != nil {
 		t.Fatalf("creator result: %v", err)
 	}
-	// The follower ordered by total desc with a different alias; compare
-	// against the serial reference for its own query.
 	st := sched.Stats()
 	if st.Solo != 1 || st.Attached != 1 || st.CatchupBricks != 1 {
 		t.Fatalf("stats = %+v, want solo=1 attached=1 catchup=1", st)
@@ -104,15 +98,12 @@ func TestSchedulerAttachMidPass(t *testing.T) {
 	if cv["engine.fold.attached"] != 1 || cv["engine.fold.solo"] != 1 || cv["engine.fold.catchup_bricks"] != 1 {
 		t.Fatalf("fold counters = %v", cv)
 	}
-	// Bit-identical accumulator state: the follower's partial must merge
-	// cleanly and finalize to its own query's serial reference.
-	q2serial, err := Execute(s, &Query{Aggregates: []Aggregate{
+	// Bit-identical accumulator state: the follower, which ordered by total
+	// desc under another alias, finalizes to the oracle for its own query.
+	q2 := &Query{Aggregates: []Aggregate{
 		{Func: Sum, Metric: "events", Alias: "total"}, {Func: Count}},
-		GroupBy: []string{"app"}, OrderBy: "total", Desc: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resultsEqual(q2serial.Finalize(), fo.p.Finalize()); err != nil {
+		GroupBy: []string{"app"}, OrderBy: "total", Desc: true}
+	if err := Oracle.Equal(reference(t, q2, s), fo.p.Finalize()); err != nil {
 		t.Fatalf("follower result: %v", err)
 	}
 }
@@ -124,18 +115,14 @@ func TestSchedulerDetachOnCancel(t *testing.T) {
 	s := loadStore(t)
 	sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
 	q := &Query{Aggregates: []Aggregate{{Func: Sum, Metric: "events"}}, GroupBy: []string{"region"}}
-	serial, err := Execute(s, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := serial.Finalize()
+	want := reference(t, q, s)
 
 	claimed, release, _ := holdClaim(sched, 0)
 	creator := make(chan error, 1)
 	go func() {
 		p, _, err := sched.Run(context.Background(), q, Opts{})
 		if err == nil {
-			err = resultsEqual(want, p.Finalize())
+			err = Oracle.Equal(want, p.Finalize())
 		}
 		creator <- err
 	}()
@@ -187,7 +174,7 @@ func TestSchedulerDetachOnCancel(t *testing.T) {
 	if info.Folded {
 		t.Fatal("fresh query folded into aborted pass")
 	}
-	if err := resultsEqual(want, p.Finalize()); err != nil {
+	if err := Oracle.Equal(want, p.Finalize()); err != nil {
 		t.Fatalf("result after aborted pass: %v", err)
 	}
 }
@@ -257,113 +244,35 @@ func TestSchedulerZeroSubscriberTask(t *testing.T) {
 	}
 
 	sched.testClaimHook = nil
-	want, err := Execute(s, q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p, _, err := sched.Run(context.Background(), q, Opts{})
 	if err != nil {
 		t.Fatalf("query after the abandoned pass: %v", err)
 	}
-	if err := resultsEqual(want.Finalize(), p.Finalize()); err != nil {
+	if err := Oracle.Equal(reference(t, q, s), p.Finalize()); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestFoldedSerialEquivalence is the path-matrix wall. Each random (schema,
-// data, tier mix, query) trial first races N concurrent queries with equal
-// fold keys through one scheduler (some attaching mid-pass and catching up),
-// then walks every way into the brick pass deterministically —
+// TestFoldedSerialEquivalence is the path-matrix wall. Each generated
+// (schema, data, tier mix, query) trial, with metrics whose sums round,
+// first races N concurrent queries with equal fold keys through one
+// scheduler (some attaching mid-pass and catching up), then walks every
+// way into the brick pass deterministically —
 //
 //	{unshared, publishing subscriber, attached mid-pass with catch-up,
 //	 attached mid-pass after the publisher cancelled}
 //	× {first run, second run on the same scheduler}
-//	× {decoded cache on, bypassed} × {skippers on, off} × {encoded kernels on, off}
+//	× {decoded cache on, bypassed}
 //
-// — and every run must finalize bit-identically to the serial reference,
-// including exact float aggregation order and HLL CountDistinct register
-// state, with the cost counters equal across the cells of one skipper
-// setting.
+// — and every run must equal the oracle bit for bit, float summation
+// order, HLL CountDistinct register state and scan counters included.
 func TestFoldedSerialEquivalence(t *testing.T) {
 	rnd := randutil.New(20260807)
-	aggFuncs := []AggFunc{Sum, Count, Min, Max, Avg, CountDistinct}
 	const subscribers = 6
 	for trial := 0; trial < 25; trial++ {
-		nDims := 1 + rnd.Intn(4)
-		schema := brick.Schema{}
-		for d := 0; d < nDims; d++ {
-			max := uint32(2 + rnd.Intn(40))
-			buckets := uint32(1 + rnd.Intn(int(max)))
-			schema.Dimensions = append(schema.Dimensions, brick.Dimension{
-				Name: fmt.Sprintf("d%d", d), Max: max, Buckets: buckets,
-			})
-		}
-		nMetrics := 1 + rnd.Intn(2)
-		for m := 0; m < nMetrics; m++ {
-			schema.Metrics = append(schema.Metrics, brick.Metric{Name: fmt.Sprintf("m%d", m)})
-		}
-		s, err := brick.NewStore(schema)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		rows := 200 + rnd.Intn(1500)
-		dimVals := make([]uint32, nDims)
-		metVals := make([]float64, nMetrics)
-		for r := 0; r < rows; r++ {
-			for d := range dimVals {
-				dimVals[d] = uint32(rnd.Intn(int(schema.Dimensions[d].Max)))
-			}
-			for m := range metVals {
-				metVals[m] = float64(rnd.Intn(1<<16)) / 4 // dyadic: exact sums
-			}
-			if err := s.Insert(dimVals, metVals); err != nil {
-				t.Fatalf("trial %d insert: %v", trial, err)
-			}
-		}
+		s, q := Oracle.NewTrial(t, rnd, false)
 		s.SetDecodedCache(brick.NewDecodedCache(8 << 20))
-		switch trial % 3 {
-		case 0: // every brick compressed
-			if _, _, err := s.EnsureBudget(0, 0.5); err != nil {
-				t.Fatalf("trial %d compress: %v", trial, err)
-			}
-		case 1: // a mix of raw, encoded and flate+evicted bricks
-			s.DecayHotness(rnd.Float64())
-			if _, err := s.CompactOnce(brick.CompactionConfig{
-				EncodeBelow: rnd.Float64() * 2, EvictBelow: rnd.Float64(),
-			}); err != nil {
-				t.Fatalf("trial %d compact: %v", trial, err)
-			}
-		}
-
-		q := &Query{}
-		nAggs := 1 + rnd.Intn(3)
-		for a := 0; a < nAggs; a++ {
-			f := aggFuncs[rnd.Intn(len(aggFuncs))]
-			agg := Aggregate{Func: f, Alias: fmt.Sprintf("a%d", a)}
-			switch f {
-			case Count:
-			case CountDistinct:
-				agg.Metric = schema.Dimensions[rnd.Intn(nDims)].Name
-			default:
-				agg.Metric = schema.Metrics[rnd.Intn(nMetrics)].Name
-			}
-			q.Aggregates = append(q.Aggregates, agg)
-		}
-		for _, d := range rnd.Perm(nDims)[:rnd.Intn(nDims+1)] {
-			q.GroupBy = append(q.GroupBy, schema.Dimensions[d].Name)
-		}
-		if rnd.Bernoulli(0.5) {
-			d := schema.Dimensions[rnd.Intn(nDims)]
-			lo := uint32(rnd.Intn(int(d.Max)))
-			hi := lo + uint32(rnd.Intn(int(d.Max-lo)))
-			q.Filter = map[string][2]uint32{d.Name: {lo, hi}}
-		}
-
-		serial, err := Execute(s, q)
-		if err != nil {
-			t.Fatalf("trial %d serial: %v", trial, err)
-		}
-		want := serial.Finalize()
+		want := reference(t, q, s)
 
 		sched := NewScheduler(s, SchedulerConfig{Parallelism: 2})
 		errs := make([]error, subscribers)
@@ -377,7 +286,7 @@ func TestFoldedSerialEquivalence(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				errs[i] = resultsEqual(want, p.Finalize())
+				errs[i] = Oracle.Equal(want, p.Finalize())
 			}(i)
 		}
 		wg.Wait()
@@ -401,29 +310,19 @@ const (
 )
 
 // runPathMatrix runs q through every cell of the path matrix and compares
-// each against the serial reference want.
+// each against the oracle's want.
 func runPathMatrix(t *testing.T, rnd *randutil.Source, name string, s *brick.Store, q *Query, want *Result) {
 	t.Helper()
 	ctx := context.Background()
 	tasks := int(want.BricksVisited)
-	// Decompressions is a cost, not part of the answer: with the skippers
-	// off the missing blob-bounds prune decodes bricks a pruning run skips.
-	// It must agree across the cells of one skipper setting; with skippers
-	// on that is the serial reference's.
-	decomp := map[bool]int64{false: want.Decompressions}
-	sameAnswer := func(got *Result) error {
-		w, g := *want, *got
-		return resultsEqual(normalizeDecomp(&w), normalizeDecomp(&g))
-	}
-	for cell := 0; cell < entryCount*2*2*2*2; cell++ {
+	for cell := 0; cell < entryCount*2*2; cell++ {
 		entry, second := cell%entryCount, cell/entryCount%2 == 1
 		bypass := cell/(entryCount*2)%2 == 1
-		toggles := Opts{noSkippers: cell/(entryCount*4)%2 == 1, noEncodedKernels: cell/(entryCount*8)%2 == 1}
 		attaches := entry == entryAttach || entry == entryAttachPeerCancelled
 		if attaches && tasks < 2 {
 			continue // nothing left to share once the first claim is held
 		}
-		cellName := fmt.Sprintf("%s cell entry=%d second=%v bypass=%v %+v", name, entry, second, bypass, toggles)
+		cellName := fmt.Sprintf("%s cell entry=%d second=%v bypass=%v", name, entry, second, bypass)
 
 		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
 		if st := sched.Stats(); st != (FoldStats{}) {
@@ -437,9 +336,7 @@ func runPathMatrix(t *testing.T, rnd *randutil.Source, name string, s *brick.Sto
 			}
 		}
 
-		subject := toggles
-		subject.Unshared = entry == entryUnshared
-		subject.NoCache = bypass
+		subject := Opts{Unshared: entry == entryUnshared, NoCache: bypass}
 		var wantStats FoldStats
 		if entry != entryUnshared && (attaches || !bypass) {
 			wantStats.Solo = 1
@@ -457,9 +354,9 @@ func runPathMatrix(t *testing.T, rnd *randutil.Source, name string, s *brick.Sto
 			peerCtx, cancelPeer := context.WithCancel(ctx)
 			peer := make(chan error, 1)
 			go func() {
-				pp, _, err := sched.Run(peerCtx, q, toggles)
+				pp, _, err := sched.Run(peerCtx, q, Opts{})
 				if err == nil {
-					err = sameAnswer(pp.Finalize())
+					err = Oracle.Equal(want, pp.Finalize())
 				}
 				peer <- err
 			}()
@@ -505,13 +402,7 @@ func runPathMatrix(t *testing.T, rnd *randutil.Source, name string, s *brick.Sto
 		if st := sched.Stats(); st != wantStats {
 			t.Fatalf("%s: fold stats %+v, want %+v", cellName, st, wantStats)
 		}
-		got := p.Finalize()
-		if d, seen := decomp[toggles.noSkippers]; !seen {
-			decomp[toggles.noSkippers] = got.Decompressions
-		} else if got.Decompressions != d {
-			t.Fatalf("%s: Decompressions %d, other cells %d", cellName, got.Decompressions, d)
-		}
-		if err := sameAnswer(got); err != nil {
+		if err := Oracle.Equal(want, p.Finalize()); err != nil {
 			t.Fatalf("%s: %v", cellName, err)
 		}
 	}
@@ -519,21 +410,13 @@ func runPathMatrix(t *testing.T, rnd *randutil.Source, name string, s *brick.Sto
 
 // TestSchedulerConcurrentMixedShapes races two distinct fold keys plus
 // random cancellations through one scheduler under load; surviving
-// queries must match their serial references exactly.
+// queries must match the oracle exactly.
 func TestSchedulerConcurrentMixedShapes(t *testing.T) {
 	s := loadStore(t)
 	qa := &Query{Aggregates: []Aggregate{{Func: Sum, Metric: "events"}}, GroupBy: []string{"region"}}
 	qb := &Query{Aggregates: []Aggregate{{Func: Avg, Metric: "latency"}, {Func: Count}},
 		GroupBy: []string{"app"}, Filter: map[string][2]uint32{"region": {1, 3}}}
-	wantA, err := Execute(s, qa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantB, err := Execute(s, qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wA, wB := wantA.Finalize(), wantB.Finalize()
+	wA, wB := reference(t, qa, s), reference(t, qb, s)
 
 	sched := NewScheduler(s, SchedulerConfig{Parallelism: 2})
 	rnd := randutil.New(7)
@@ -564,7 +447,7 @@ func TestSchedulerConcurrentMixedShapes(t *testing.T) {
 					}
 					return
 				}
-				if err := resultsEqual(want, p.Finalize()); err != nil {
+				if err := Oracle.Equal(want, p.Finalize()); err != nil {
 					errCh <- fmt.Errorf("query %d: %v", i, err)
 				}
 			}(i)
@@ -595,7 +478,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // non-zero ScanStats unshared, as the publishing subscriber, and as a
 // subscriber that attached mid-pass and caught up.
 func TestScanStatsPathInvariant(t *testing.T) {
-	s, _, _ := skipperOracleStore(t, randutil.New(0x5C1B))
+	s := skipperOracleStore(t, randutil.New(0x5C1B))
 	q := &Query{
 		Aggregates: []Aggregate{{Func: Count}},
 		GroupBy:    []string{"key"},

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -213,15 +212,11 @@ func TestGroupSlabHazards(t *testing.T) {
 				{Aggregates: aggs[:3]},
 				{Aggregates: aggs, GroupBy: []string{"h"}, Filter: map[string][2]uint32{"h": {1, 6}}},
 			} {
-				want, err := Execute(s, q)
-				if err != nil {
-					t.Fatal(err)
-				}
 				got, _, err := sched.Run(ctx, q, Opts{Unshared: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := resultsEqual(want.Finalize(), got.Finalize()); err != nil {
+				if err := Oracle.Equal(reference(t, q, s), got.Finalize()); err != nil {
 					t.Fatalf("round %d groupby %v: %v", round, q.GroupBy, err)
 				}
 			}
@@ -269,11 +264,8 @@ func TestGroupSlabHazards(t *testing.T) {
 				for _, id := range ids {
 					absorb(base, slabs[id])
 				}
-				want, err := Execute(s, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := rowsEqual(want.Finalize(), base.slab().partial(q).Finalize()); err != nil {
+				want := Oracle.Answer(reference(t, q, s))
+				if err := Oracle.Equal(want, base.slab().partial(q).Finalize()); err != nil {
 					t.Fatalf("max %d groupby %v: %v", max, q.GroupBy, err)
 				}
 			}
@@ -286,10 +278,7 @@ func TestGroupSlabHazards(t *testing.T) {
 		s := loadStore(t)
 		q := &Query{Aggregates: []Aggregate{{Func: CountDistinct, Metric: "region"}, {Func: Sum, Metric: "events"}},
 			GroupBy: []string{"app"}}
-		want, err := Execute(s, q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := reference(t, q, s)
 		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
 		claimed, release, _ := holdClaim(sched, 0)
 		answers := make(chan *Partial, 2)
@@ -311,7 +300,7 @@ func TestGroupSlabHazards(t *testing.T) {
 			if p == nil {
 				t.FailNow()
 			}
-			if err := resultsEqual(want.Finalize(), p.Finalize()); err != nil {
+			if err := Oracle.Equal(want, p.Finalize()); err != nil {
 				t.Fatal(err)
 			}
 			if err := partialSketches(p, owners, i); err != nil {
@@ -431,22 +420,8 @@ func TestGroupSlabHazards(t *testing.T) {
 		}
 		var keep []kept
 		hold := func(p *Partial, shape int) {
-			// The oracle is the serial Execute, which sums a group across
-			// bricks in one register: its sums match to rounding only.
-			want, err := Execute(s, shapes[shape])
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, g := want.Finalize(), p.Finalize()
-			if len(w.Rows) != len(g.Rows) {
-				t.Fatalf("answer %d (shape %d) when returned: %d rows, Execute %d", len(keep), shape, len(g.Rows), len(w.Rows))
-			}
-			for i := range w.Rows {
-				for j, v := range w.Rows[i] {
-					if math.Abs(g.Rows[i][j]-v) > 1e-9*math.Abs(v) {
-						t.Fatalf("answer %d (shape %d) when returned: row %d col %d %v, Execute %v", len(keep), shape, i, j, g.Rows[i][j], v)
-					}
-				}
+			if err := Oracle.Equal(reference(t, shapes[shape], s), p.Finalize()); err != nil {
+				t.Fatalf("answer %d (shape %d) when returned: %v", len(keep), shape, err)
 			}
 			keep = append(keep, kept{p, partialValue(p)})
 		}
@@ -498,8 +473,8 @@ func TestGroupSlabHazards(t *testing.T) {
 	})
 
 	t.Run("matrix_non_dyadic", func(t *testing.T) {
-		// Every path of the matrix must agree bit for bit on metrics whose
-		// sums round: the reference is the plain unshared run.
+		// Every path of the matrix must agree bit for bit with the oracle on
+		// metrics whose sums round.
 		rnd := randutil.New(0x5AB)
 		s, err := brick.NewStore(brick.Schema{
 			Dimensions: []brick.Dimension{{Name: "d0", Max: 24, Buckets: 4}, {Name: "d1", Max: 12, Buckets: 3},
@@ -533,11 +508,7 @@ func TestGroupSlabHazards(t *testing.T) {
 			{Aggregates: aggs[:2], GroupBy: []string{"d0", "d2"}, Filter: map[string][2]uint32{"d1": {2, 9}}},
 			{Aggregates: aggs[1:], GroupBy: []string{"d2", "d1", "d0"}, Filter: map[string][2]uint32{"d0": {3, 20}}},
 		} {
-			ref, _, err := runUnshared(s, q, 1, Opts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			runPathMatrix(t, rnd, fmt.Sprintf("non-dyadic groupby %v", q.GroupBy), s, q, ref.Finalize())
+			runPathMatrix(t, rnd, fmt.Sprintf("non-dyadic groupby %v", q.GroupBy), s, q, reference(t, q, s))
 		}
 	})
 }

@@ -30,7 +30,7 @@ func fuzzSeeds(f *testing.F) {
 		q,
 		{Aggregates: q.Aggregates, GroupBy: q.GroupBy, Filter: map[string][2]uint32{"region": {0, 1}}},
 	} {
-		p, err := Execute(s, query)
+		p, err := runQuery(s, query)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func fuzzSeeds(f *testing.F) {
 		f.Add(blob)
 	}
 	empty, _ := brick.NewStore(testSchema())
-	p, err := Execute(empty, q)
+	p, err := runQuery(empty, q)
 	if err != nil {
 		f.Fatal(err)
 	}

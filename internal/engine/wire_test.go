@@ -20,7 +20,7 @@ func TestPartialWireRoundTrip(t *testing.T) {
 		},
 		GroupBy: []string{"region", "app"},
 	}
-	p, err := Execute(s, q)
+	p, err := runQuery(s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestWireMergeEqualsLocalMerge(t *testing.T) {
 		Aggregates: []Aggregate{{Func: Avg, Metric: "events"}},
 		GroupBy:    []string{"region"},
 	}
-	p1, _ := Execute(s, q)
-	p2, _ := Execute(s, q)
+	p1, _ := runQuery(s, q)
+	p2, _ := runQuery(s, q)
 
 	local := NewPartial(q)
 	local.Merge(p1)
@@ -105,7 +105,7 @@ func TestMergeWireEqualsUnmarshalMerge(t *testing.T) {
 	for qi, q := range queries {
 		var blobs [][]byte
 		for i := 0; i < 3; i++ {
-			p, err := Execute(s, q)
+			p, err := runQuery(s, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestMergeWireEqualsUnmarshalMerge(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := resultsEqual(reference.Finalize(), direct.Finalize()); err != nil {
+		if err := Oracle.Equal(reference.Finalize(), direct.Finalize()); err != nil {
 			t.Fatalf("query %d: MergeWire diverged from reference: %v", qi, err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestUnmarshalPartialErrors(t *testing.T) {
 	// query.
 	s := loadStore(t)
 	q2 := &Query{Aggregates: []Aggregate{{Func: Count}, {Func: Sum, Metric: "events"}}}
-	p, _ := Execute(s, q2)
+	p, _ := runQuery(s, q2)
 	blob, _ := p.MarshalBinary()
 	if _, err := UnmarshalPartial(q, blob); err == nil {
 		t.Fatal("shape mismatch accepted")
@@ -208,7 +208,7 @@ func TestWireFuzzProperty(t *testing.T) {
 func TestEmptyPartialWire(t *testing.T) {
 	q := &Query{Aggregates: []Aggregate{{Func: Count}}, GroupBy: []string{"app"}}
 	st, _ := brick.NewStore(testSchema())
-	p, err := Execute(st, q)
+	p, err := runQuery(st, q)
 	if err != nil {
 		t.Fatal(err)
 	}

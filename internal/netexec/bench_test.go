@@ -69,7 +69,7 @@ func benchBlobs(b *testing.B, nWorkers, rowsPerWorker int, q *engine.Query) [][]
 		if err := st.InsertBatchRows(dims, mets); err != nil {
 			b.Fatal(err)
 		}
-		p, err := engine.Execute(st, q)
+		p, _, err := engine.NewScheduler(st, engine.SchedulerConfig{}).Run(context.Background(), q, engine.Opts{Unshared: true})
 		if err != nil {
 			b.Fatal(err)
 		}

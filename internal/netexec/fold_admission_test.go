@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -80,21 +79,8 @@ func TestFoldedDistributedEqualsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localPartial, err := engine.Execute(whole, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := localPartial.Finalize()
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("rows: %d vs %d", len(got.Rows), len(want.Rows))
-	}
-	for i := range want.Rows {
-		for j := range want.Rows[i] {
-			if math.Abs(got.Rows[i][j]-want.Rows[i][j]) > 1e-9 {
-				t.Fatalf("row %d col %d: %v vs %v", i, j, got.Rows[i][j], want.Rows[i][j])
-			}
-		}
-	}
+	want := reference(t, q, whole)
+	queryEqual(t, got, want)
 	if got.RowsScanned != want.RowsScanned {
 		t.Fatalf("rows scanned: %d vs %d", got.RowsScanned, want.RowsScanned)
 	}

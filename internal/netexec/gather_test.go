@@ -72,9 +72,8 @@ func gatherWorker(t *testing.T, part string, loads ...[][3]float64) (string, *br
 
 // TestGatherStrategies crosses leaderboard skews with everything the one
 // fan-out handles — a dual-read window on t#0, a degradation policy with a
-// dead partition, and a fault on t#1 — and holds every cell to the oracle:
-// engine.Execute merged over the stores the answer must have come from,
-// sorted and limited by Finalize. Its co-location axis puts t#0 and t#1 on
+// dead partition, and a fault on t#1 — and holds every cell to the answer
+// of oracle.Run over the stores it must have come from. Its co-location axis puts t#0 and t#1 on
 // one worker, answered in one call: a fault on that call is a fault on
 // both partitions, so they retry, fail or go missing together.
 func TestGatherStrategies(t *testing.T) {
@@ -107,17 +106,7 @@ func TestGatherStrategies(t *testing.T) {
 		stripSrv := httptest.NewServer(strip)
 		t.Cleanup(stripSrv.Close)
 
-		wantPartial := engine.NewPartial(q)
-		for _, st := range []*brick.Store{freshStore, p1Store} {
-			p, err := engine.Execute(st, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := wantPartial.Merge(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := wantPartial.Finalize()
+		want := reference(t, q, freshStore, p1Store)
 
 		duals := []struct {
 			name string
@@ -242,11 +231,7 @@ func colocatedCells(t *testing.T, q *engine.Query, s gatherSkew, want *engine.Re
 	// A partition on a host of its own: what is left when the shared call
 	// dies.
 	p2URL, p2Store := gatherWorker(t, "t#2", s.p1)
-	p2Partial, err := engine.Execute(p2Store, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantP2 := p2Partial.Finalize()
+	wantP2 := reference(t, q, p2Store)
 
 	faults := []struct {
 		name    string

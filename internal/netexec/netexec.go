@@ -23,6 +23,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -285,6 +286,12 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	}
 	if len(req.Partitions) == 0 {
 		return http.StatusBadRequest, errors.New("netexec: /partial names no partition")
+	}
+	// A partition named twice would be merged into the answer twice.
+	for i, name := range req.Partitions {
+		if slices.Contains(req.Partitions[:i], name) {
+			return http.StatusBadRequest, fmt.Errorf("netexec: /partial names partition %q twice", name)
+		}
 	}
 	if span := trace.SpanFromContext(ctx); span != nil {
 		span.SetAttr("partitions", strings.Join(req.Partitions, ","))

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -18,6 +17,7 @@ import (
 	"cubrick/internal/cubrick"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/oracle"
 	"cubrick/internal/partition"
 	"cubrick/internal/randutil"
 	"cubrick/internal/shardmgr"
@@ -29,8 +29,8 @@ import (
 // serving configuration — rollups on/off × folding on/off × decoded cache
 // off / cold / warm — cubrick.Node.ExecutePartialCtx and POST /partial return
 // byte-identical partials (once the group records, which MarshalBinary
-// writes in map order, are sorted), and both finalize to exactly what the
-// oracle engine.Execute computes over the same rows. Metric values are
+// writes in map order, are sorted), and both finalize to exactly the
+// answer internal/oracle computes over the same rows. Metric values are
 // small integers, so sums are exact whatever order the rows fold in.
 func TestCrossPlaneParity(t *testing.T) {
 	const trials = 20
@@ -75,10 +75,7 @@ func TestCrossPlaneParity(t *testing.T) {
 			srv := httptest.NewServer(worker.Handler())
 
 			for qi, q := range queries {
-				want, err := engine.Execute(ref, q)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := oracle.Answer(reference(t, q, ref))
 				for run := 0; run < runs; run++ {
 					np, err := node.ExecutePartialCtx(context.Background(), shard, part, q)
 					if err != nil {
@@ -102,10 +99,8 @@ func TestCrossPlaneParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					g, w := got.Finalize(), want.Finalize()
-					if !reflect.DeepEqual(g.Columns, w.Columns) || !reflect.DeepEqual(g.Rows, w.Rows) {
-						t.Fatalf("%s query %d run %d (%+v): answer differs from the oracle\n got %v\nwant %v",
-							name, qi, run, q, g.Rows, w.Rows)
+					if err := oracle.Equal(want, oracle.Answer(got.Finalize())); err != nil {
+						t.Fatalf("%s query %d run %d (%+v): answer differs from the oracle: %v", name, qi, run, q, err)
 					}
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/oracle"
 	"cubrick/internal/partition"
 )
 
@@ -49,18 +50,24 @@ func loadRows(t *testing.T, cl *Client, part string, whole *brick.Store, rows []
 	}
 }
 
+// queryEqual fails t unless got's answer equals want's. Partials merge in
+// arrival order and rollups in bucket order, so these walls load dyadic
+// metrics: their sums are exact in any order.
 func queryEqual(t *testing.T, got, want *engine.Result) {
 	t.Helper()
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("rows: got %d want %d\ngot %v\nwant %v", len(got.Rows), len(want.Rows), got.Rows, want.Rows)
+	if err := oracle.Equal(oracle.Answer(want), oracle.Answer(got)); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want.Rows {
-		for j := range want.Rows[i] {
-			if got.Rows[i][j] != want.Rows[i][j] {
-				t.Fatalf("row %d col %d: got %v want %v", i, j, got.Rows[i][j], want.Rows[i][j])
-			}
-		}
+}
+
+// reference returns the oracle's result for q over the stores.
+func reference(t *testing.T, q *engine.Query, stores ...*brick.Store) *engine.Result {
+	t.Helper()
+	want, err := oracle.Run(q, stores...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return want
 }
 
 // TestRollupServedPartialFreshness: a rollup-enabled worker answers an
@@ -89,11 +96,7 @@ func TestRollupServedPartialFreshness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := engine.Execute(whole, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queryEqual(t, got, ref.Finalize())
+	queryEqual(t, got, reference(t, q, whole))
 	c := reg.CounterValues()
 	if c["worker.rollup.hits"] != 1 {
 		t.Fatalf("expected a rollup hit, counters: %v", c)
@@ -106,11 +109,7 @@ func TestRollupServedPartialFreshness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref2, err := engine.Execute(whole, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queryEqual(t, got2, ref2.Finalize())
+	queryEqual(t, got2, reference(t, q, whole))
 	if got2.Rows[0][0] != got.Rows[0][0]+2000 {
 		t.Fatalf("fresh rows missing: %v -> %v", got.Rows[0], got2.Rows[0])
 	}
@@ -132,17 +131,14 @@ func TestRollupServedPartialFreshness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref3, err := engine.Execute(whole, q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queryEqual(t, got3, ref3.Finalize())
+	ref3 := reference(t, q2, whole)
+	queryEqual(t, got3, ref3)
 	hitsBefore := reg.CounterValues()["worker.rollup.hits"]
 	got4, err := coord.Query(WithCacheBypass(context.Background()), []Target{target}, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queryEqual(t, got4, ref3.Finalize())
+	queryEqual(t, got4, ref3)
 	if reg.CounterValues()["worker.rollup.hits"] != hitsBefore {
 		t.Fatal("cache bypass still hit the rollup")
 	}

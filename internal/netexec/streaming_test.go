@@ -8,13 +8,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
+	"cubrick/internal/oracle"
 	"cubrick/internal/partition"
 	"cubrick/internal/randutil"
 )
@@ -108,24 +111,12 @@ func TestLoadBinEqualsLocalInsert(t *testing.T) {
 		},
 		GroupBy: []string{"app"},
 	}
-	ap, err := engine.Execute(local, q)
+	got, err := (&Coordinator{}).Query(context.Background(), []Target{{URL: srv.URL, Partition: "bin"}}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ap.Finalize()
-	b, err := (&Coordinator{}).Query(context.Background(), []Target{{URL: srv.URL, Partition: "bin"}}, q)
-	if err != nil {
+	if err := oracle.Equal(reference(t, q, local), got); err != nil {
 		t.Fatal(err)
-	}
-	if len(a.Rows) != len(b.Rows) || a.RowsScanned != b.RowsScanned {
-		t.Fatalf("shape differs: %d/%d rows, %d/%d scanned", len(a.Rows), len(b.Rows), a.RowsScanned, b.RowsScanned)
-	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
-				t.Fatalf("row %d col %d: %v vs %v", i, j, a.Rows[i][j], b.Rows[i][j])
-			}
-		}
 	}
 }
 
@@ -276,29 +267,38 @@ func TestPartialRawReplyAndContentLength(t *testing.T) {
 	}
 }
 
+// TestPartialRejectsDuplicatePartition: a /partial body naming one
+// partition twice is refused with 400, not answered with that partition
+// merged into itself (doubled sums and counts, epoch header "e,e").
+func TestPartialRejectsDuplicatePartition(t *testing.T) {
+	srv := httptest.NewServer(NewWorker(partition.Config{}).Handler())
+	defer srv.Close()
+	if err := (&Client{BaseURL: srv.URL}).CreatePartition(context.Background(), "p", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"partitions":["p","p"],"query":{"Aggregates":[{"Func":1}]}}`
+	resp, err := http.Post(srv.URL+"/partial", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || resp.Header.Get(HeaderEpoch) != "" {
+		t.Fatalf("duplicate partitions: status %d, epochs %q; want 400 and none", resp.StatusCode, resp.Header.Get(HeaderEpoch))
+	}
+}
+
 // TestStreamingMergeEqualsBarrier is the acceptance property test: over
-// random schemas, data distributions and queries, the streaming
-// MergeWire-based coordinator must produce exactly the Result the old
-// barrier path (fetch all, UnmarshalPartial each, Merge serially,
-// Finalize) produces — including CountDistinct rows backed by HLL
-// sketches, which must merge register-identically in any arrival order.
+// generated schemas, data distributions and queries, the streaming
+// MergeWire-based coordinator must produce exactly the Result the oracle
+// computes over the partitions' stores, merged in partition order as the
+// old barrier path did — scan counters and CountDistinct rows backed by
+// HLL sketches included, which must merge register-identically in any
+// arrival order. Metrics are dyadic: partials merge in arrival order.
 func TestStreamingMergeEqualsBarrier(t *testing.T) {
 	rnd := randutil.New(20260805)
-	aggFuncs := []engine.AggFunc{engine.Sum, engine.Count, engine.Min, engine.Max, engine.Avg, engine.CountDistinct}
 	for trial := 0; trial < 20; trial++ {
-		nDims := 1 + rnd.Intn(3)
-		schema := brick.Schema{}
-		for d := 0; d < nDims; d++ {
-			max := uint32(2 + rnd.Intn(30))
-			schema.Dimensions = append(schema.Dimensions, brick.Dimension{
-				Name: fmt.Sprintf("d%d", d), Max: max, Buckets: uint32(1 + rnd.Intn(int(max))),
-			})
-		}
-		nMetrics := rnd.Intn(3)
-		for m := 0; m < nMetrics; m++ {
-			schema.Metrics = append(schema.Metrics, brick.Metric{Name: fmt.Sprintf("m%d", m)})
-		}
-
+		store, q := oracle.NewTrial(t, rnd, true)
+		schema := store.Schema()
 		nWorkers := 2 + rnd.Intn(5)
 		var targets []Target
 		var servers []*httptest.Server
@@ -317,21 +317,18 @@ func TestStreamingMergeEqualsBarrier(t *testing.T) {
 			}
 			locals = append(locals, local)
 		}
-		rows := rnd.Intn(800)
+		// The trial's rows, dealt round-robin over the partitions.
 		perWorkerDims := make([][][]uint32, nWorkers)
 		perWorkerMets := make([][][]float64, nWorkers)
-		for r := 0; r < rows; r++ {
-			dims := make([]uint32, nDims)
-			for d := range dims {
-				dims[d] = uint32(rnd.Intn(int(schema.Dimensions[d].Max)))
-			}
-			mets := make([]float64, nMetrics)
-			for m := range mets {
-				mets[m] = float64(rnd.Intn(1<<16)) / 4 // dyadic: exact sums
-			}
-			wi := r % nWorkers
-			perWorkerDims[wi] = append(perWorkerDims[wi], dims)
-			perWorkerMets[wi] = append(perWorkerMets[wi], mets)
+		rows := 0
+		if err := store.Scan(nil, func(dims []uint32, mets []float64) error {
+			wi := rows % nWorkers
+			perWorkerDims[wi] = append(perWorkerDims[wi], slices.Clone(dims))
+			perWorkerMets[wi] = append(perWorkerMets[wi], slices.Clone(mets))
+			rows++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		for i := 0; i < nWorkers; i++ {
 			if _, err := (&Client{BaseURL: servers[i].URL}).Load(context.Background(), targets[i].Partition, perWorkerDims[i], perWorkerMets[i]); err != nil {
@@ -342,61 +339,11 @@ func TestStreamingMergeEqualsBarrier(t *testing.T) {
 			}
 		}
 
-		q := &engine.Query{}
-		nAggs := 1 + rnd.Intn(3)
-		for a := 0; a < nAggs; a++ {
-			f := aggFuncs[rnd.Intn(len(aggFuncs))]
-			if nMetrics == 0 && f != engine.Count && f != engine.CountDistinct {
-				f = engine.CountDistinct
-			}
-			agg := engine.Aggregate{Func: f, Alias: fmt.Sprintf("a%d", a)}
-			switch f {
-			case engine.Count:
-			case engine.CountDistinct:
-				agg.Metric = schema.Dimensions[rnd.Intn(nDims)].Name
-			default:
-				agg.Metric = schema.Metrics[rnd.Intn(nMetrics)].Name
-			}
-			q.Aggregates = append(q.Aggregates, agg)
-		}
-		for _, d := range rnd.Perm(nDims)[:rnd.Intn(nDims+1)] {
-			q.GroupBy = append(q.GroupBy, schema.Dimensions[d].Name)
-		}
-		if rnd.Bernoulli(0.5) {
-			d := schema.Dimensions[rnd.Intn(nDims)]
-			lo := uint32(rnd.Intn(int(d.Max)))
-			hi := lo + uint32(rnd.Intn(int(d.Max-lo)))
-			q.Filter = map[string][2]uint32{d.Name: {lo, hi}}
-		}
-
-		// Barrier reference: execute each partition locally, round-trip
-		// every partial through the wire format, merge serially in partition
-		// order — the exact pre-streaming coordinator algorithm.
-		barrier := engine.NewPartial(q)
-		for i := 0; i < nWorkers; i++ {
-			p, err := engine.Execute(locals[i], q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, err := p.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp, err := engine.UnmarshalPartial(q, blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := barrier.Merge(rp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := barrier.Finalize()
-
 		got, err := (&Coordinator{}).Query(context.Background(), targets, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := resultsEqual(want, got); err != nil {
+		if err := oracle.Equal(reference(t, q, locals...), got); err != nil {
 			t.Fatalf("trial %d (%d workers, %d rows, groupby %v, filter %v): %v",
 				trial, nWorkers, rows, q.GroupBy, q.Filter, err)
 		}
@@ -404,35 +351,4 @@ func TestStreamingMergeEqualsBarrier(t *testing.T) {
 			s.Close()
 		}
 	}
-}
-
-// resultsEqual is exact equality over finalized results, including the
-// scan counters — CountDistinct values come from merged HLL sketches, so
-// equality here means the sketches merged bit-identically.
-func resultsEqual(a, b *engine.Result) error {
-	if len(a.Columns) != len(b.Columns) {
-		return fmt.Errorf("columns %v vs %v", a.Columns, b.Columns)
-	}
-	for i := range a.Columns {
-		if a.Columns[i] != b.Columns[i] {
-			return fmt.Errorf("column %d: %q vs %q", i, a.Columns[i], b.Columns[i])
-		}
-	}
-	if len(a.Rows) != len(b.Rows) {
-		return fmt.Errorf("row counts %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
-				return fmt.Errorf("row %d col %d: %v vs %v", i, j, a.Rows[i][j], b.Rows[i][j])
-			}
-		}
-	}
-	if a.RowsScanned != b.RowsScanned || a.BricksVisited != b.BricksVisited ||
-		a.BricksPruned != b.BricksPruned || a.Decompressions != b.Decompressions {
-		return fmt.Errorf("counters (%d,%d,%d,%d) vs (%d,%d,%d,%d)",
-			a.RowsScanned, a.BricksVisited, a.BricksPruned, a.Decompressions,
-			b.RowsScanned, b.BricksVisited, b.BricksPruned, b.Decompressions)
-	}
-	return nil
 }

@@ -153,7 +153,7 @@ func traceTestBlob(t *testing.T) []byte {
 		}
 	}
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	partial, err := engine.Execute(st, q)
+	partial, _, err := engine.NewScheduler(st, engine.SchedulerConfig{}).Run(context.Background(), q, engine.Opts{Unshared: true})
 	if err != nil {
 		t.Fatal(err)
 	}

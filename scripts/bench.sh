@@ -82,33 +82,21 @@ cat BENCH_observability.json
 
 # Storage layer: compression ratio + cold-scan throughput of the adaptive
 # per-column encodings versus the legacy flate-of-varints baseline, across
-# low-cardinality / sequential / random shapes, plus the run-aware GROUP BY
-# kernel versus materialize-then-aggregate over RLE bricks, plus the
-# encoded-execution series: 2-dim composite-key GROUP BY over encoded
-# bricks (>=3x vs materialize) and selective-filter scans touching <10%
-# of runs under the compiled skippers + bounds pruning (>=5x vs full
-# decode). Acceptance: lightweight scans >=3x faster than flate on
-# lowcard/sequential with compression ratio within 1.5x of flate.
+# low-cardinality / sequential / random shapes. Acceptance: lightweight
+# scans >=3x faster than flate on lowcard/sequential with compression
+# ratio within 1.5x of flate. The run-aware GROUP BY kernel and
+# encoded-execution series are not regenerated: their baselines were
+# engine modes that no longer exist.
 echo "== storage bench (adaptive encodings vs flate baseline)"
 STORAGE_RAW="$(mktemp)"
-RLE_RAW="$(mktemp)"
-ENCODED_RAW="$(mktemp)"
 STORAGE_BENCH_OUT="$STORAGE_RAW" \
     go test ./internal/brick/ -run '^TestStorageBench$' -count=1
-RLE_BENCH_OUT="$RLE_RAW" \
-    go test ./internal/engine/ -run '^TestRLEKernelBench$' -count=1
-ENCODED_BENCH_OUT="$ENCODED_RAW" \
-    go test ./internal/engine/ -run '^TestEncodedExecBench$' -count=1
 {
     printf '{\n  "storage": '
     cat "$STORAGE_RAW"
-    printf ',\n  "rle_kernel": '
-    cat "$RLE_RAW"
-    printf ',\n  "encoded_exec": '
-    cat "$ENCODED_RAW"
     printf '}\n'
 } > BENCH_storage.json
-rm -f "$STORAGE_RAW" "$RLE_RAW" "$ENCODED_RAW"
+rm -f "$STORAGE_RAW"
 echo "== wrote BENCH_storage.json"
 cat BENCH_storage.json
 

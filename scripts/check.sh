@@ -16,28 +16,38 @@ fi
 
 # One brick loop (PR 14): scheduler.go's visitBrick is the engine's only
 # decode/filter/observe body, reached through the one Scheduler.Run entry
-# point; engine.go holds the serial reference Execute it is checked
-# against. A second VisitBatch call site outside engine.go is a second copy
-# of that body in the making; the old entry points and the package-level
-# test toggles must not come back.
+# point. A second VisitBatch call site anywhere in non-test internal/engine
+# is a second copy of that body in the making; the old entry points, the
+# serial Execute and the test toggles that forked the brick visit must not
+# come back. The reference the loop is checked against is internal/oracle,
+# which tests alone import.
 echo "== one brick loop"
 ENGINE_SRC="$(ls internal/engine/*.go | grep -v _test.go)"
-LOOP_SRC="$(echo "$ENGINE_SRC" | grep -v '/engine\.go$')"
-SITES="$(cat $LOOP_SRC | grep -c 'VisitBatch(' || true)"
+SITES="$(cat $ENGINE_SRC | grep -c 'VisitBatch(' || true)"
 if [ "$SITES" != 1 ]; then
-    echo "one brick loop: $SITES VisitBatch( call sites in non-test internal/engine outside engine.go, want exactly 1:"
-    grep -n 'VisitBatch(' $LOOP_SRC
+    echo "one brick loop: $SITES VisitBatch( call sites in non-test internal/engine, want exactly 1:"
+    grep -n 'VisitBatch(' $ENGINE_SRC
     exit 1
 fi
 if grep -rn --include='*.go' 'ExecuteParallel' .; then
     echo "one brick loop: ExecuteParallel is back (see above); Scheduler.Run is the only entry point"
     exit 1
 fi
-if grep -n 'disableSkippers\|disableEncodedKernels' $ENGINE_SRC; then
-    echo "one brick loop: test toggles are package-level again (see above); they are unexported Opts fields"
+if grep -n 'disableSkippers\|disableEncodedKernels\|noSkippers\|noEncodedKernels\|func Execute(' $ENGINE_SRC; then
+    echo "one brick loop: the serial Execute or a test toggle is back in non-test internal/engine (see above); tests check Run against internal/oracle"
     exit 1
 fi
 echo "internal/engine non-test lines: $(cat $ENGINE_SRC | wc -l)"
+
+# One reference oracle: internal/oracle is a test package, the reference
+# every differential wall checks Run against. Production code importing it
+# would ship a second executor.
+echo "== oracle imported by tests only"
+NONTEST_GO="$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*')"
+if grep -n '"cubrick/internal/oracle"' $NONTEST_GO; then
+    echo "oracle imported by tests only: non-test code imports internal/oracle (see above)"
+    exit 1
+fi
 
 # One worker (PR 16): internal/partition is the only place a partition gets
 # a scan scheduler or a rollup table and the only caller of the rollup
@@ -172,8 +182,8 @@ go test -race -count=1 -run 'TestDecodedCacheShapeSequenceEquivalence' ./interna
 echo "== rollup equivalence under concurrent ingest (-race)"
 go test -race -count=1 -run 'TestRealtimeEquivalence' ./internal/engine
 
-echo "== encoded-execution differential harness (-race)"
-go test -race -count=1 -run 'TestEncodedDifferential|TestSkipperOracle|TestCompositeKeyEncodedViews' ./internal/engine
+echo "== encoded-execution differential harness against the oracle (-race)"
+go test -race -count=1 -run 'TestEncodedDifferential|TestSkipperOracle|TestSelectionEdges|TestCompositeKeyEncodedViews' ./internal/engine
 
 # The per-call allocation diet (PR 13): planning a scan must stay free of
 # per-brick allocations. The per-layer costs it guards are measured by
