@@ -273,7 +273,7 @@ func (s *coordServer) query(w http.ResponseWriter, r *http.Request) {
 	}
 	// X-Cubrick-Cache: off forces a fully recomputed answer — the result
 	// cache is skipped here and the header propagates to workers, which
-	// bypass their rollup tables and decoded-column caches too.
+	// bypass their decoded-column caches too.
 	if r.Header.Get(netexec.HeaderCache) == "off" {
 		ctx = netexec.WithCacheBypass(ctx)
 	}

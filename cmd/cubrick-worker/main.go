@@ -6,7 +6,7 @@
 //
 // API: POST /partition, POST /loadbin, POST /partial, GET /health, plus
 // the migration and dictionary planes (see internal/netexec). The serving
-// flags (-fold, -compact-*, cache budgets, -rollup-*, admission) are
+// flags (-fold, -compact-*, cache budgets, admission) are
 // partition.RegisterFlags, shared with cubrick-server.
 //
 // Observability: GET /metrics serves counters and latency histograms in
@@ -63,9 +63,8 @@ func main() {
 	w.Tracer = tracer
 	w.ExportRateBytes = *migrateRateBytes
 	w.DictCapacity = uint32(*dictCapacity)
-	log.Printf("cubrick-worker serving: fold=%v decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d rollup time-dim=%q bucket=%d dims=%q distinct=%q migrate-rate-bytes=%d",
-		cfg.FoldScans, cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth,
-		cfg.RollupTimeDim, cfg.RollupBucket, cfg.RollupDims, cfg.RollupDistinct, *migrateRateBytes)
+	log.Printf("cubrick-worker serving: fold=%v decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d migrate-rate-bytes=%d",
+		cfg.FoldScans, cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth, *migrateRateBytes)
 	handler := netexec.ChaosHandler(*chaosFailProb, *chaosSeed, w.Handler())
 	// Debug and metrics endpoints mount on the outer mux so chaos-injected
 	// 500s never hit the observability plane that diagnoses them.

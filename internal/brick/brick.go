@@ -328,16 +328,6 @@ func (b *Brick) decompressLocked() error {
 	return nil
 }
 
-// visit streams the full materialized batch, transparently decoding a
-// compressed brick without changing its stored state. The callback views
-// are valid only for the call. Kept as the projection-free wrapper around
-// visitBatch for row-at-a-time consumers.
-func (b *Brick) visit(fn func(dims [][]uint32, metrics [][]float64, rows int) error) error {
-	return b.visitBatch(nil, func(batch *Batch) error {
-		return fn(batch.Dims, batch.Metrics, batch.Rows)
-	})
-}
-
 // visitBatch streams the brick's columnar batch to fn, decoding only the
 // columns the projection references (a nil projection materializes
 // everything) into pooled scratch buffers. Queries over cold bricks pay a

@@ -113,26 +113,10 @@ type Store struct {
 	// too (fresh brick generation). Tier moves never touch it.
 	epoch atomic.Uint64
 
-	// gen counts brick-replacement events (Import/ImportBricks). Within one
-	// generation bricks are append-only with stable row order, which is the
-	// invariant incremental consumers (rollup watermarks) rely on; a bump
-	// tells them their per-brick row marks are void and a full rebuild is
-	// needed.
-	gen atomic.Uint64
-
-	// ingestObs is an optional hook invoked after every successful
-	// Insert/InsertBatch, once the rows are appended and epochs stamped.
-	// Rollup maintenance attaches here so pre-aggregates chase ingest.
-	ingestObs atomic.Value // of func()
-
 	// dcache holds the optional decoded-column cache, shared with every
 	// brick so late attachment reaches existing bricks.
 	dcache dcacheRef
 }
-
-// ErrGenerationChanged reports that a brick-replacing import raced with a
-// VisitSince pass, invalidating the caller's row marks mid-visit.
-var ErrGenerationChanged = fmt.Errorf("brick: store generation changed during visit")
 
 // NewStore creates an empty store for the schema.
 func NewStore(schema Schema) (*Store, error) {
@@ -161,28 +145,6 @@ func (s *Store) Schema() Schema { return s.schema }
 // the counter past the tag, so a result cached under the tag can never
 // hide rows it did not see.
 func (s *Store) Epoch() uint64 { return s.epoch.Load() }
-
-// Generation returns the store's brick-replacement generation. It changes
-// only when Import/ImportBricks swap brick contents wholesale; append-only
-// ingest never touches it. Incremental consumers that track per-brick row
-// watermarks (the rollup subsystem) compare generations to detect that
-// their marks no longer describe the resident bricks.
-func (s *Store) Generation() uint64 { return s.gen.Load() }
-
-// SetIngestObserver installs fn to be called after every successful
-// Insert/InsertBatch, outside all store and brick locks. A nil fn
-// detaches. The observer must tolerate concurrent invocations.
-func (s *Store) SetIngestObserver(fn func()) {
-	s.ingestObs.Store(fn)
-}
-
-func (s *Store) notifyIngest() {
-	if v := s.ingestObs.Load(); v != nil {
-		if fn := v.(func()); fn != nil {
-			fn()
-		}
-	}
-}
 
 // SetDecodedCache attaches (or, with nil, detaches) a decoded-column
 // cache: scans over compressed bricks consult it before paying the column
@@ -228,7 +190,6 @@ func (s *Store) Insert(dims []uint32, metrics []float64) error {
 		return err
 	}
 	b.Touch(1)
-	s.notifyIngest()
 	return nil
 }
 
@@ -311,7 +272,6 @@ func (s *Store) InsertBatch(dimCols [][]uint32, metricCols [][]float64) error {
 		}
 		t.b.Touch(float64(len(t.idx))) // ingest heats data, one unit per row
 	}
-	s.notifyIngest()
 	return nil
 }
 
@@ -395,52 +355,6 @@ func (s *Store) snapshotBricks() []brickEntry {
 		return *p
 	}
 	return nil
-}
-
-// VisitSince streams, brick by brick, every row appended past the caller's
-// per-brick watermarks and advances the marks to the new row counts. It
-// returns the covered epoch E: the store epoch read before any brick was
-// visited. Epoch-exactness argument: an append stamped with epoch ≤ E
-// performed its atomic draw before our Epoch() load, inside the brick's
-// append critical section — so acquiring that brick's mutex afterwards (as
-// the visit does) observes its rows. An append the visit misses therefore
-// drew an epoch > E. After VisitSince returns, "every row with epoch ≤ E
-// sits below some mark" holds; rows above the marks (including any the
-// visit happened to catch early) are exactly the delta a hybrid scan must
-// read from raw bricks.
-//
-// fn receives each brick's full materialized batch plus the start row to
-// fold from; the column views are valid only for the duration of the call.
-// Bricks whose row count has not passed their mark are skipped without
-// decoding. If a brick-replacing import lands during the pass the marks
-// (and anything fn folded) are void: VisitSince returns
-// ErrGenerationChanged and the caller must reset and rebuild.
-func (s *Store) VisitSince(marks map[uint64]int, fn func(id uint64, dims [][]uint32, metrics [][]float64, start, rows int) error) (uint64, error) {
-	gen := s.gen.Load()
-	epoch := s.Epoch()
-	for _, e := range s.snapshotBricks() {
-		mark := marks[e.id]
-		if e.b.Rows() <= mark {
-			continue
-		}
-		err := e.b.visit(func(dims [][]uint32, metrics [][]float64, rows int) error {
-			if rows <= mark {
-				return nil
-			}
-			if err := fn(e.id, dims, metrics, mark, rows); err != nil {
-				return err
-			}
-			marks[e.id] = rows
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	if s.gen.Load() != gen {
-		return 0, ErrGenerationChanged
-	}
-	return epoch, nil
 }
 
 // ScanTask is one brick's worth of scan work — the morsel unit of

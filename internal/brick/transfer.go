@@ -199,10 +199,6 @@ func (s *Store) Import(blob []byte) error {
 	s.rows = total
 	s.publishLocked(nil, ids)
 	s.mu.Unlock()
-	// Imported bricks are a fresh generation: row order and counts bear no
-	// relation to the replaced bricks, so watermark-based consumers must
-	// rebuild from scratch.
-	s.gen.Add(1)
 	return nil
 }
 
@@ -233,10 +229,6 @@ func (s *Store) ImportBricks(blob []byte) (int64, error) {
 	s.rows += delta
 	s.publishLocked(s.snapshotBricks(), ids)
 	s.mu.Unlock()
-	// Replaced bricks invalidate per-brick row watermarks (a replacement
-	// carries the brick's whole row set in arbitrary order relative to the
-	// replaced one), so this counts as a new generation.
-	s.gen.Add(1)
 	return delta, nil
 }
 

@@ -68,8 +68,8 @@ type NodeConfig struct {
 	// hotness counters.
 	HotnessDecay float64
 	// Config is the serving configuration of the node's partition set:
-	// folding (on in the production default), cache budgets, rollups and
-	// admission.
+	// folding (on in the production default), the decoded-column cache
+	// budget and admission.
 	partition.Config
 }
 
@@ -461,8 +461,8 @@ func (n *Node) ExecutePartial(shard int64, partName string, q *engine.Query) (*e
 
 // ExecutePartialCtx is ExecutePartial with a context: once the node is
 // known to own the partition, the partition set admits the query (tenant
-// and priority drawn from admission.MetaFrom(ctx)) and answers it from the
-// rollup table or a brick pass.
+// and priority drawn from admission.MetaFrom(ctx)) and answers it with a
+// brick pass.
 func (n *Node) ExecutePartialCtx(ctx context.Context, shard int64, partName string, q *engine.Query) (*engine.Partial, error) {
 	if err := n.owns(shard, partName); err != nil {
 		return nil, err

@@ -3,16 +3,15 @@ package cubrick
 import (
 	"testing"
 
+	"cubrick/internal/brick"
 	"cubrick/internal/engine"
-	"cubrick/internal/rollup"
 	"cubrick/internal/shardmgr"
 )
 
 // TestNodePartitionLifecycle: partitions that were loaded and queried
-// (rollup-served and raw) leave nothing in the node's partition set once
-// their shard is dropped, they are dropped one by one, or the node is
-// reset — no entry, no rollup table — and taking the shard again serves
-// them over fresh rollup tables.
+// leave nothing in the node's partition set once their shard is dropped,
+// they are dropped one by one, or the node is reset — no entry, no store —
+// and taking the shard again serves them over fresh stores.
 func TestNodePartitionLifecycle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -49,15 +48,13 @@ func TestNodePartitionLifecycle(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultNodeConfig()
-			cfg.RollupTimeDim, cfg.RollupBucket = "ds", 5
-			d := testDeploymentNode(t, cfg)
+			d := testDeploymentNode(t, DefaultNodeConfig())
 			if _, err := d.CreateTable("t", smallSchema()); err != nil {
 				t.Fatal(err)
 			}
 			want := loadRows(t, d, "t", 600)
 			if res, err := d.Query("east", "t", sumQuery(), 0); err != nil || res.Rows[0][0] != want {
-				t.Fatalf("rollup-served sum = %v, %v; want %v", res, err, want)
+				t.Fatalf("sum = %v, %v; want %v", res, err, want)
 			}
 			ragged := sumQuery()
 			ragged.Filter = map[string][2]uint32{"ds": {3, 3}}
@@ -69,12 +66,14 @@ func TestNodePartitionLifecycle(t *testing.T) {
 			served := 0
 			for _, n := range d.Nodes() {
 				shards := n.Shards()
-				old := make(map[string]*rollup.Table)
+				old := make(map[string]*brick.Store)
 				for _, shard := range shards {
 					for _, ref := range d.Catalog.PartitionsOf(shard) {
-						if old[ref.Name()] = n.Parts().RollupTable(ref.Name()); old[ref.Name()] == nil {
-							t.Fatalf("%s serves %s without a rollup table", n.Host().Name, ref.Name())
+						st, ok := n.Parts().Store(ref.Name())
+						if !ok {
+							t.Fatalf("%s serves %s without a store", n.Host().Name, ref.Name())
 						}
+						old[ref.Name()] = st
 						served++
 					}
 				}
@@ -86,8 +85,8 @@ func TestNodePartitionLifecycle(t *testing.T) {
 				}
 				for _, shard := range shards {
 					for _, ref := range d.Catalog.PartitionsOf(shard) {
-						if n.Parts().RollupTable(ref.Name()) != nil {
-							t.Fatalf("rollup table of %s survives %s", ref.Name(), tc.name)
+						if _, ok := n.Parts().Store(ref.Name()); ok {
+							t.Fatalf("store of %s survives %s", ref.Name(), tc.name)
 						}
 						if _, err := n.ExecutePartial(shard, ref.Name(), count); err == nil {
 							t.Fatalf("%s still answers after %s", ref.Name(), tc.name)
@@ -105,9 +104,9 @@ func TestNodePartitionLifecycle(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, ref := range refs {
-						fresh := n.Parts().RollupTable(ref.Name())
-						if fresh == nil || fresh == old[ref.Name()] || fresh.CoveredEpoch() != 0 {
-							t.Fatalf("%s re-created over a stale rollup table", ref.Name())
+						fresh, ok := n.Parts().Store(ref.Name())
+						if !ok || fresh == old[ref.Name()] {
+							t.Fatalf("%s re-created over a stale store", ref.Name())
 						}
 						if _, err := n.ExecutePartial(shard, ref.Name(), count); err != nil {
 							t.Fatalf("%s does not answer once re-created: %v", ref.Name(), err)

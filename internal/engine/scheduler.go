@@ -99,9 +99,6 @@ type ExecInfo struct {
 	Folded bool
 	// CatchupBricks is how many bricks the catch-up pass covered.
 	CatchupBricks int
-	// Rollup is the outcome of the rollup attempt the serving layer made
-	// before (or instead of) the brick pass; Scheduler.Run leaves it zero.
-	Rollup RollupInfo
 }
 
 // Scheduler owns the scan passes over one store.

@@ -93,10 +93,10 @@ func FromSchema(s brick.Schema) SchemaJSON {
 //	GET  /health     liveness
 //
 // plus the migration plane (transfer.go) and the dictionary plane
-// (dictsync.go). Serving behaviour — folding, caches, rollups, admission,
-// the metrics registry — is the set's partition.Config, fixed by NewWorker;
-// the fields below configure the edge only and are set before the first
-// request.
+// (dictsync.go). Serving behaviour — folding, the decoded-column cache,
+// admission, the metrics registry — is the set's partition.Config, fixed by
+// NewWorker; the fields below configure the edge only and are set before
+// the first request.
 //
 // With Tracer set, /partial continues the coordinator's trace (trace
 // context arrives in X-Cubrick-Trace / X-Cubrick-Span headers) and also
@@ -358,22 +358,6 @@ func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Qu
 		}
 	}
 	partial, info, epoch, err := w.parts.Partial(ctx, name, q, opts)
-	if ri := info.Rollup; ri.Tried {
-		switch {
-		case ri.Err != nil:
-			w.countAdd("worker.rollup.errors", 1)
-		case ri.Hit:
-			w.countAdd("worker.rollup.hits", 1)
-			w.countAdd("worker.rollup.delta_rows", ri.DeltaRows)
-			espan.SetAttr("rollup.hit", "true")
-			espan.SetAttrInt("rollup.groups", int64(ri.Groups))
-			espan.SetAttrInt("rollup.delta_rows", ri.DeltaRows)
-			espan.SetAttrInt("rollup.edge_scans", int64(ri.EdgeScans))
-			espan.SetAttrInt("rollup.epoch", int64(ri.Epoch))
-		default:
-			w.countAdd("worker.rollup.misses", 1)
-		}
-	}
 	if err != nil {
 		espan.EndErr(err)
 		var notAdmitted *partition.AdmissionError
@@ -389,15 +373,13 @@ func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Qu
 		}
 		return nil, 0, http.StatusBadRequest, err
 	}
-	if !info.Rollup.Hit {
-		// Raw path: one brick pass. Per-request cache bypass neither
-		// consults nor fills the decoded-column cache.
-		if popts.noCache {
-			espan.SetAttr("cache.bypass", "true")
-		}
-		espan.SetAttr("folded", strconv.FormatBool(info.Folded))
-		espan.SetAttrInt("catchup_bricks", int64(info.CatchupBricks))
+	// Per-request cache bypass neither consults nor fills the
+	// decoded-column cache.
+	if popts.noCache {
+		espan.SetAttr("cache.bypass", "true")
 	}
+	espan.SetAttr("folded", strconv.FormatBool(info.Folded))
+	espan.SetAttrInt("catchup_bricks", int64(info.CatchupBricks))
 	attrMS(espan, "plan_ms", info.Plan)
 	attrMS(espan, "scan_ms", info.Scan)
 	attrMS(espan, "combine_ms", info.Combine)
@@ -565,8 +547,7 @@ type cacheBypassCtxKey struct{}
 
 // WithCacheBypass marks the context so the query skips the coordinator's
 // result cache and carries X-Cubrick-Cache: off to workers, which then
-// bypass their rollup tables and decoded-column caches too — a fully
-// recomputed answer.
+// bypass their decoded-column caches too — a fully recomputed answer.
 func WithCacheBypass(ctx context.Context) context.Context {
 	return context.WithValue(ctx, cacheBypassCtxKey{}, true)
 }

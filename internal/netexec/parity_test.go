@@ -26,8 +26,8 @@ import (
 
 // TestCrossPlaneParity is the wall between the two edges of the partition
 // core: for random (schema, rows, tier mix, query) trials under every
-// serving configuration — rollups on/off × folding on/off × decoded cache
-// off / cold / warm — cubrick.Node.ExecutePartialCtx and POST /partial return
+// serving configuration — folding on/off × decoded cache off / cold /
+// warm — cubrick.Node.ExecutePartialCtx and POST /partial return
 // byte-identical partials (once the group records, which MarshalBinary
 // writes in map order, are sorted), and both finalize to exactly the
 // answer internal/oracle computes over the same rows. Metric values are
@@ -42,17 +42,14 @@ func TestCrossPlaneParity(t *testing.T) {
 		ref, _ := brick.NewStore(schema)
 		build(t, ref)
 		queries := parityQueries(t, schema, rnd)
-		for cell := 0; cell < 8; cell++ {
+		for cell := 0; cell < 4; cell++ {
 			cfg := partition.Config{FoldScans: cell&1 != 0, Metrics: reg}
-			if cell&2 != 0 {
-				cfg.RollupTimeDim, cfg.RollupBucket = schema.Dimensions[0].Name, 4
-			}
 			runs := 1
-			if cell&4 != 0 {
+			if cell&2 != 0 {
 				cfg.DecodedCacheBytes = 4 << 20
 				runs = 2 // cold, warm
 			}
-			name := fmt.Sprintf("trial=%d fold=%v rollup=%v caches=%v", trial, cfg.FoldScans, cfg.RollupTimeDim != "", runs > 1)
+			name := fmt.Sprintf("trial=%d fold=%v caches=%v", trial, cfg.FoldScans, runs > 1)
 
 			catalog := cubrick.NewCatalog(core.MonotonicMapper{MaxShards: 1000}, core.DefaultPartitionPolicy())
 			if _, err := catalog.CreateTable("t", schema); err != nil {
@@ -108,7 +105,7 @@ func TestCrossPlaneParity(t *testing.T) {
 		}
 	}
 	c := reg.CounterValues()
-	for _, name := range []string{"worker.rollup.hits", "worker.rollup.misses", "engine.fold.solo", "cache.decoded.hit"} {
+	for _, name := range []string{"engine.fold.solo", "cache.decoded.hit"} {
 		if c[name] == 0 {
 			t.Errorf("no trial moved %s: the wall never took that path", name)
 		}
@@ -154,8 +151,8 @@ func canonicalPartial(t *testing.T, blob []byte) []byte {
 	return append(out, bytes.Join(records, nil)...)
 }
 
-// parityShema draws a 2–4 dimension schema whose first (time) dimension is
-// a multiple of the rollup bucket width.
+// parityShema draws a 2–4 dimension schema whose first dimension, ds, is
+// the time dimension dashboard windows slide over.
 func parityShema(rnd *randutil.Source) brick.Schema {
 	schema := brick.Schema{
 		Dimensions: []brick.Dimension{{Name: "ds", Max: uint32(4 * (4 + rnd.Intn(8))), Buckets: 4}},
@@ -211,8 +208,8 @@ func parityBuild(schema brick.Schema, rnd *randutil.Source) func(*testing.T, *br
 	}
 }
 
-// parityQueries draws the trial's query shapes: random ones, and trailing
-// time windows snapped to the rollup bucket so the rollup path is taken.
+// parityQueries draws the trial's query shapes: random ones, and the
+// dashboard's trailing time windows.
 func parityQueries(t *testing.T, schema brick.Schema, rnd *randutil.Source) []*engine.Query {
 	t.Helper()
 	var out []*engine.Query

@@ -87,10 +87,10 @@ func TestFanoutReusesConnections(t *testing.T) {
 }
 
 // TestWorkerPartitionLifecycle: a partition that was ingested into and
-// queried (rollup-served and raw) leaves nothing on the worker once
-// dropped, by POST /droppart or Worker.RemovePartition alike — no set
-// entry, no rollup table, no fence — and a partition re-created under the
-// same name plans from its own bricks only, over a fresh rollup table.
+// queried leaves nothing on the worker once dropped, by POST /droppart or
+// Worker.RemovePartition alike — no set entry, no store, no fence — and a
+// partition re-created under the same name plans from its own bricks only,
+// over a fresh store.
 func TestWorkerPartitionLifecycle(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -106,8 +106,7 @@ func TestWorkerPartitionLifecycle(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := metrics.NewRegistry()
-			wk := NewWorker(partition.Config{RollupTimeDim: "ds", RollupBucket: 5, Metrics: reg})
+			wk := NewWorker(partition.Config{Metrics: metrics.NewRegistry()})
 			srv := httptest.NewServer(wk.Handler())
 			defer srv.Close()
 			cl := &Client{BaseURL: srv.URL}
@@ -130,18 +129,15 @@ func TestWorkerPartitionLifecycle(t *testing.T) {
 			load(600) // every one of the 24 bricks
 			res, err := (&Coordinator{}).Query(ctx, targets, count)
 			if err != nil || res.Rows[0][0] != 600 {
-				t.Fatalf("rollup-served count: %v, %+v", err, res)
+				t.Fatalf("count: %v, %+v", err, res)
 			}
 			res, err = (&Coordinator{}).Query(ctx, targets, ragged)
 			if err != nil || res.Rows[0][0] != 20 || res.BricksVisited != 4 {
 				t.Fatalf("raw count: %v, %+v", err, res)
 			}
-			if c := reg.CounterValues(); c["worker.rollup.hits"] != 1 || c["worker.rollup.misses"] != 1 {
-				t.Fatalf("rollup hits/misses = %d/%d, want 1/1", c["worker.rollup.hits"], c["worker.rollup.misses"])
-			}
-			old := wk.Parts().RollupTable("t#0")
-			if old == nil || old.CoveredEpoch() == 0 {
-				t.Fatal("no caught-up rollup table before the drop")
+			old, ok := wk.Parts().Store("t#0")
+			if !ok || old.Rows() != 600 {
+				t.Fatal("no loaded store before the drop")
 			}
 			if err := wk.Fence("t#0", true); err != nil {
 				t.Fatal(err)
@@ -153,8 +149,8 @@ func TestWorkerPartitionLifecycle(t *testing.T) {
 			if n := wk.Parts().Len(); n != 0 {
 				t.Fatalf("%d set entries survive the drop", n)
 			}
-			if wk.Parts().RollupTable("t#0") != nil {
-				t.Fatal("rollup table survives the drop")
+			if _, ok := wk.Parts().Store("t#0"); ok {
+				t.Fatal("store survives the drop")
 			}
 			if wk.IsFenced("t#0") {
 				t.Fatal("fence survives the drop")
@@ -166,8 +162,8 @@ func TestWorkerPartitionLifecycle(t *testing.T) {
 			}
 
 			load(3) // ds 0..2, app 0: one brick
-			if fresh := wk.Parts().RollupTable("t#0"); fresh == old || fresh.Stats().FoldedRows != 3 {
-				t.Fatalf("re-created partition inherited the rollup table: %+v", fresh.Stats())
+			if fresh, _ := wk.Parts().Store("t#0"); fresh == old || fresh.Rows() != 3 {
+				t.Fatal("re-created partition inherited the dropped store")
 			}
 			res, err = (&Coordinator{}).Query(ctx, targets, count)
 			if err != nil || res.Rows[0][0] != 3 {

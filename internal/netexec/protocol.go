@@ -35,9 +35,9 @@ const (
 	HeaderFold = "X-Cubrick-Fold"
 	// HeaderCache set to "off" bypasses every cache level for one request:
 	// the coordinator skips its result cache and stamps the header
-	// worker-ward, where /partial skips the rollup table and neither
-	// consults nor fills the decoded-column cache. The answer is then guaranteed fully
-	// recomputed — the debugging escape hatch.
+	// worker-ward, where /partial neither consults nor fills the
+	// decoded-column cache. The answer is then guaranteed fully recomputed —
+	// the debugging escape hatch.
 	HeaderCache = "X-Cubrick-Cache"
 	// HeaderEpoch carries ingest-epoch state coordinator-ward in HTTP
 	// responses: /partial reports each requested partition's epoch read

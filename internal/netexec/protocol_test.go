@@ -201,7 +201,7 @@ func TestPartialWireGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	t1, _, cl1, stop1 := realtimeWorker(t, "t#1", false)
+	t1, cl1, stop1 := httpWorker(t, "t#1")
 	defer stop1()
 	loadRows(t, cl0, "t#0", nil, [][3]float64{{0, 1, 100}, {1, 2, 5}, {2, 3, 10}})
 	loadRows(t, cl1, "t#1", nil, [][3]float64{{0, 2, 90}, {1, 4, 8}})

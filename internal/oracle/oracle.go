@@ -264,15 +264,14 @@ func holds(h engine.HavingCond, v float64) bool {
 //
 //   - nil and empty Rows (or MissingPartitions) are equal;
 //   - for the answer alone, compare Answer(want) with Answer(got): two
-//     paths that read different bricks for the same rows (a rollup, a
-//     store in another tier, the coordinator's summed partials) differ in
-//     cost, not in answer.
+//     paths that read different bricks for the same rows (a store in
+//     another tier, the coordinator's summed partials) differ in cost, not
+//     in answer.
 //
 // Bit-for-bit sums hold against Run wherever the compared path is a brick
 // pass, so engine walls use non-dyadic metrics. Walls through the networked
-// plane merge partials in arrival order, and rollup-served answers sum in
-// rollup-bucket order; both stay on dyadic metrics, whose sums are exact
-// in any order.
+// plane merge partials in arrival order, so they stay on dyadic metrics,
+// whose sums are exact in any order.
 func Equal(want, got *engine.Result) error {
 	if !slices.Equal(want.Columns, got.Columns) {
 		return fmt.Errorf("columns %v, want %v", got.Columns, want.Columns)

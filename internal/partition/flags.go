@@ -3,7 +3,6 @@ package partition
 import (
 	"flag"
 	"fmt"
-	"strings"
 	"time"
 
 	"cubrick/internal/brick"
@@ -17,10 +16,8 @@ type Flags struct {
 	CompactInterval time.Duration
 	Compaction      brick.CompactionConfig
 
-	cfg                        Config
-	fold                       string
-	rollupBucket               uint
-	rollupDims, rollupDistinct string
+	cfg  Config
+	fold string
 }
 
 // RegisterFlags declares the serving flags on fs: the one place their
@@ -37,10 +34,9 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.fold, "fold", "on", "shared-scan folding: concurrent queries with equal fold keys share one brick pass (on/off)")
 	fs.Int64Var(new(int64), "brick-cache-bytes", 0, "ignored; the per-brick partial cache was removed")
 	fs.Int64Var(&f.cfg.DecodedCacheBytes, "decoded-cache-bytes", 0, "per-worker byte budget for the decoded-column cache pinning hot compressed bricks (0 disables)")
-	fs.StringVar(&f.cfg.RollupTimeDim, "rollup-time-dim", "", "time dimension incremental rollups bucket on (empty disables rollups)")
-	fs.UintVar(&f.rollupBucket, "rollup-bucket", 1, "rollup bucket width in time-dimension values")
-	fs.StringVar(&f.rollupDims, "rollup-dims", "", "comma-separated dimensions rollups group by (empty = all non-time dimensions)")
-	fs.StringVar(&f.rollupDistinct, "rollup-distinct", "", "comma-separated dimensions maintained as HLL sketches for COUNT(DISTINCT)")
+	fs.String("rollup-time-dim", "", "ignored; incremental rollups were removed")
+	fs.Uint("rollup-bucket", 1, "ignored; incremental rollups were removed")
+	fs.String("rollup-dims", "", "ignored; incremental rollups were removed")
 	return f
 }
 
@@ -51,20 +47,5 @@ func (f *Flags) Config() (Config, error) {
 	}
 	cfg := f.cfg
 	cfg.FoldScans = f.fold == "on"
-	cfg.RollupBucket = uint32(f.rollupBucket)
-	cfg.RollupDims = splitList(f.rollupDims)
-	cfg.RollupDistinct = splitList(f.rollupDistinct)
 	return cfg, nil
-}
-
-// splitList parses a comma-separated flag value into its non-empty,
-// space-trimmed elements.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -1,9 +1,9 @@
 // Package partition is the worker of the paper's query flow (§IV: a node
 // holds table partitions and answers one partial per partition), once. A
-// Set keeps everything a served partition needs — store, scan scheduler,
-// rollup table — in one map entry, owns the node-wide cache levels and the
-// admission controller, and runs the only admission → rollup → brick-pass
-// ladder outside internal/engine. netexec.Worker (HTTP) and cubrick.Node
+// Set keeps everything a served partition needs — store and scan
+// scheduler — in one map entry, owns the node-wide decoded-column cache and
+// the admission controller, and runs the only admission → brick-pass path
+// outside internal/engine. netexec.Worker (HTTP) and cubrick.Node
 // (Shard Manager app server) are edges around it: they decide which
 // partition a request names and how the answer travels, nothing else.
 package partition
@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"time"
 
@@ -20,7 +19,6 @@ import (
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
-	"cubrick/internal/rollup"
 )
 
 // ErrNoPartition is returned for a partition name the set does not serve.
@@ -39,8 +37,7 @@ func (e *AdmissionError) Error() string { return e.Err.Error() }
 func (e *AdmissionError) Unwrap() error { return e.Err }
 
 // Config is the serving configuration of one worker. All of it is fixed at
-// construction; the zero value serves unshared, uncached, rollup-less and
-// unthrottled.
+// construction; the zero value serves unshared, uncached and unthrottled.
 type Config struct {
 	// FoldScans lets concurrent queries with equal fold keys share one
 	// brick pass of the partition's scan scheduler (the -fold flag). A
@@ -50,20 +47,6 @@ type Config struct {
 	// (hot compressed bricks keep their decoded columns resident), shared
 	// by every partition of the set; 0 disables it.
 	DecodedCacheBytes int64
-	// RollupTimeDim names the time dimension incremental rollup tables
-	// bucket on; empty disables rollups. Each partition whose schema has
-	// the dimension gets a table that catches up on every ingest batch and
-	// answers eligible queries without a raw scan (engine.ExecuteRollup).
-	RollupTimeDim string
-	// RollupBucket is the bucket width in time-dimension units; 0 means 1.
-	RollupBucket uint32
-	// RollupDims lists the dimensions rollup groups carry; empty means
-	// every non-time dimension of the partition's schema. Dimensions a
-	// schema lacks are skipped.
-	RollupDims []string
-	// RollupDistinct lists dimensions maintained as HLL sketches for
-	// COUNT(DISTINCT) serving.
-	RollupDistinct []string
 	// MaxConcurrent caps concurrently executing partials; the excess
 	// queues up to QueueDepth and is shed with admission.ErrQueueFull
 	// beyond it. 0 admits everything.
@@ -77,9 +60,8 @@ type Config struct {
 // entry is everything one served partition owns. Dropping the map entry
 // drops all of it at once.
 type entry struct {
-	store  *brick.Store
-	sched  *engine.Scheduler
-	rollup *rollup.Table // nil when rollups are off or the schema lacks the time dimension
+	store *brick.Store
+	sched *engine.Scheduler
 }
 
 // Set is the partitions one worker serves.
@@ -144,70 +126,20 @@ func (s *Set) Add(name string, schema brick.Schema) error {
 	return s.Adopt(name, st)
 }
 
-// Adopt serves a store built by NewStore under name: it gets its scan
-// scheduler and, when rollups are configured and the schema has the time
-// dimension, a rollup table that the store's ingest observer keeps caught
-// up. Queries never depend on the observer — Serve catches up again under
-// its own lock — it only keeps query-time catch-up work near zero. A store
-// that already holds rows (a promoted migration receive) is folded in by
-// the table's first catch-up.
+// Adopt serves a store built by NewStore under name with its own scan
+// scheduler. A store that already holds rows (a promoted migration
+// receive) is served as it stands.
 func (s *Set) Adopt(name string, st *brick.Store) error {
-	tbl := s.newRollup(name, st.Schema())
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.parts[name]; ok {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	s.parts[name] = &entry{
-		store:  st,
-		sched:  engine.NewScheduler(st, engine.SchedulerConfig{Metrics: s.cfg.Metrics}),
-		rollup: tbl,
-	}
-	s.mu.Unlock()
-	if tbl != nil {
-		st.SetIngestObserver(func() {
-			if _, err := tbl.CatchUp(st); err != nil && s.cfg.Metrics != nil {
-				s.cfg.Metrics.Counter("worker.rollup.catchup_errors").Inc()
-			}
-		})
+		store: st,
+		sched: engine.NewScheduler(st, engine.SchedulerConfig{Metrics: s.cfg.Metrics}),
 	}
 	return nil
-}
-
-// newRollup builds a partition's rollup table from the configuration, or
-// returns nil when rollups do not apply to the schema.
-func (s *Set) newRollup(name string, schema brick.Schema) *rollup.Table {
-	if s.cfg.RollupTimeDim == "" || schema.DimIndex(s.cfg.RollupTimeDim) < 0 {
-		return nil
-	}
-	cfg := rollup.Config{TimeDim: s.cfg.RollupTimeDim, Bucket: s.cfg.RollupBucket}
-	if cfg.Bucket == 0 {
-		cfg.Bucket = 1
-	}
-	if len(s.cfg.RollupDims) > 0 {
-		for _, d := range s.cfg.RollupDims {
-			if d != cfg.TimeDim && schema.DimIndex(d) >= 0 {
-				cfg.Dims = append(cfg.Dims, d)
-			}
-		}
-	} else {
-		for _, d := range schema.Dimensions {
-			if d.Name != cfg.TimeDim {
-				cfg.Dims = append(cfg.Dims, d.Name)
-			}
-		}
-	}
-	for _, d := range s.cfg.RollupDistinct {
-		if schema.DimIndex(d) >= 0 {
-			cfg.DistinctDims = append(cfg.DistinctDims, d)
-		}
-	}
-	tbl, err := rollup.New(schema, cfg)
-	if err != nil {
-		log.Printf("partition %q: rollup disabled: %v", name, err)
-		return nil
-	}
-	return tbl
 }
 
 // Drop stops serving a partition and reports whether it was served.
@@ -238,15 +170,6 @@ func (s *Set) Store(name string) (*brick.Store, bool) {
 		return e.store, true
 	}
 	return nil, false
-}
-
-// RollupTable returns a served partition's rollup table, nil when it has
-// none.
-func (s *Set) RollupTable(name string) *rollup.Table {
-	if e := s.entry(name); e != nil {
-		return e.rollup
-	}
-	return nil
 }
 
 // Len returns how many partitions are served.
@@ -314,7 +237,7 @@ type Opts struct {
 	// folds scans (X-Cubrick-Fold: off).
 	Unshared bool
 	// NoCache promises a fully recomputed answer (X-Cubrick-Cache: off):
-	// the rollup table and the decoded-column cache are both bypassed.
+	// the decoded-column cache is bypassed.
 	NoCache bool
 	// Admitted, when set, is called once the request holds its admission
 	// slot and before it executes, with the time it queued — the point an
@@ -322,10 +245,9 @@ type Opts struct {
 	Admitted func(queued time.Duration)
 }
 
-// Partial answers q over one partition: admission, then the partition's
-// rollup table when the query is eligible, then a brick pass of its scan
-// scheduler. It returns the partial, how it was computed (info.Rollup
-// reports the rollup attempt) and the partition's ingest epoch read before
+// Partial answers q over one partition: admission, then a brick pass of
+// its scan scheduler. It returns the partial, how it was computed and the
+// partition's ingest epoch read before
 // execution — conservative, so a batch landing mid-scan (which the scan may
 // have missed) yields a higher epoch than the one reported and a result
 // cached under it invalidates the moment the newer epoch is learned.
@@ -347,22 +269,9 @@ func (s *Set) Partial(ctx context.Context, name string, q *engine.Query, o Opts)
 	if o.Admitted != nil {
 		o.Admitted(queued)
 	}
-	var rinfo engine.RollupInfo
-	if e.rollup != nil && !o.NoCache {
-		start := time.Now()
-		p, ri, ok, err := engine.ExecuteRollup(ctx, e.store, e.rollup, q)
-		// A rollup failure is an availability bug only if it fails the
-		// query: record it and fall through to the raw path.
-		rinfo = ri
-		rinfo.Tried, rinfo.Err = true, err
-		if err == nil && ok {
-			return p, engine.ExecInfo{Timings: engine.Timings{Scan: time.Since(start)}, Rollup: rinfo}, epoch, nil
-		}
-	}
 	p, info, err := e.sched.Run(ctx, q, engine.Opts{
 		Unshared: !s.cfg.FoldScans || o.Unshared,
 		NoCache:  o.NoCache,
 	})
-	info.Rollup = rinfo
 	return p, info, epoch, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -49,10 +50,10 @@ func ingest(t *testing.T, st *brick.Store, n int, scale float64) {
 	}
 }
 
-// rollupQuery is served from a bucket-width-5 rollup (whole buckets 5..34);
-// rawQuery filters on a ragged single value, so it never is.
+// groupQuery groups the rows with ds in 5..34 by app; rawQuery filters on
+// a single ds value, which lies in the first-ingested brick alone.
 var (
-	rollupQuery = &engine.Query{
+	groupQuery = &engine.Query{
 		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value"}, {Func: engine.Count}},
 		GroupBy:    []string{"app"},
 		Filter:     map[string][2]uint32{"ds": {5, 34}},
@@ -81,16 +82,10 @@ func firstAgg(p *engine.Partial, groupCols int) float64 {
 	return total
 }
 
-// TestLifecycle: add → ingest → query (rollup-served and raw) → stop
-// serving leaves nothing behind, however the partition goes; a partition
-// re-created under the name starts from a fresh rollup table and answers
-// from its own rows only.
+// TestLifecycle: add → ingest → query → stop serving leaves nothing
+// behind, however the partition goes; a partition re-created under the
+// name answers from its own rows only.
 func TestLifecycle(t *testing.T) {
-	cfg := Config{
-		FoldScans:     true,
-		RollupTimeDim: "ds",
-		RollupBucket:  5,
-	}
 	for _, tc := range []struct {
 		name string
 		drop func(*Set)
@@ -103,7 +98,7 @@ func TestLifecycle(t *testing.T) {
 		{"Reset", (*Set).Reset},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(cfg)
+			s := New(Config{FoldScans: true})
 			if err := s.Add("p", testSchema()); err != nil {
 				t.Fatal(err)
 			}
@@ -112,27 +107,16 @@ func TestLifecycle(t *testing.T) {
 			}
 			st, _ := s.Store("p")
 			ingest(t, st, 400, 1)
-			if _, info := mustPartial(t, s, "p", rollupQuery, Opts{}); !info.Rollup.Hit {
-				t.Fatalf("eligible query not rollup-served: %+v", info.Rollup)
+			if p, _ := mustPartial(t, s, "p", groupQuery, Opts{}); firstAgg(p, 1) != 300 {
+				t.Fatalf("grouped sum = %v, want 300", firstAgg(p, 1))
 			}
-			p, info := mustPartial(t, s, "p", rawQuery, Opts{})
-			if info.Rollup.Hit || !info.Rollup.Tried {
-				t.Fatalf("ragged query: rollup outcome %+v, want a miss", info.Rollup)
-			}
-			if got := firstAgg(p, 0); got != 10 {
-				t.Fatalf("raw sum = %v, want 10", got)
-			}
-			old := s.RollupTable("p")
-			if old == nil || old.Stats().Groups == 0 {
-				t.Fatal("rollup table missing or empty before the drop")
+			if p, _ := mustPartial(t, s, "p", rawQuery, Opts{}); firstAgg(p, 0) != 10 {
+				t.Fatalf("raw sum = %v, want 10", firstAgg(p, 0))
 			}
 
 			tc.drop(s)
 			if s.Len() != 0 || len(s.Stores()) != 0 {
 				t.Fatalf("%d entries left", s.Len())
-			}
-			if s.RollupTable("p") != nil {
-				t.Fatal("rollup table survives the drop")
 			}
 			if _, ok := s.Store("p"); ok {
 				t.Fatal("store survives the drop")
@@ -148,24 +132,21 @@ func TestLifecycle(t *testing.T) {
 			if err := s.Add("p", testSchema()); err != nil {
 				t.Fatal(err)
 			}
-			if fresh := s.RollupTable("p"); fresh == old || fresh.Stats().Groups != 0 || fresh.CoveredEpoch() != 0 {
-				t.Fatalf("re-created partition inherited rollup state: %+v", fresh.Stats())
-			}
 			st, _ = s.Store("p")
 			ingest(t, st, 400, 7)
 			if p, _ := mustPartial(t, s, "p", rawQuery, Opts{}); firstAgg(p, 0) != 70 {
 				t.Fatalf("re-created partition: sum %v, want 70", firstAgg(p, 0))
 			}
-			if p, _ := mustPartial(t, s, "p", rollupQuery, Opts{}); firstAgg(p, 1) != 7*300 {
-				t.Fatalf("re-created partition rollup sum = %v, want %v", firstAgg(p, 1), 7*300)
+			if p, _ := mustPartial(t, s, "p", groupQuery, Opts{}); firstAgg(p, 1) != 7*300 {
+				t.Fatalf("re-created partition grouped sum = %v, want %v", firstAgg(p, 1), 7*300)
 			}
 		})
 	}
 }
 
 // TestAdoptStagedStore: a store built off to the side and filled by an
-// import (a migration receive) serves from the moment it is adopted, rollup
-// included — the table folds the imported rows on its first catch-up.
+// import (a migration receive) serves from the moment it is adopted, and
+// ingest after adoption shows in the very next answer.
 func TestAdoptStagedStore(t *testing.T) {
 	src, _ := brick.NewStore(testSchema())
 	ingest(t, src, 400, 2)
@@ -173,7 +154,7 @@ func TestAdoptStagedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{RollupTimeDim: "ds", RollupBucket: 5, DecodedCacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
+	s := New(Config{DecodedCacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
 	staged, err := s.NewStore(testSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -190,29 +171,28 @@ func TestAdoptStagedStore(t *testing.T) {
 	if err := s.Adopt("p", staged); !errors.Is(err, ErrExists) {
 		t.Fatalf("second Adopt = %v, want ErrExists", err)
 	}
-	p, info := mustPartial(t, s, "p", rollupQuery, Opts{})
-	if !info.Rollup.Hit || firstAgg(p, 1) != 2*300 {
-		t.Fatalf("adopted store: rollup %+v, sum %v (want 600)", info.Rollup, firstAgg(p, 1))
+	if p, _ := mustPartial(t, s, "p", groupQuery, Opts{}); firstAgg(p, 1) != 2*300 {
+		t.Fatalf("adopted store: sum %v, want 600", firstAgg(p, 1))
 	}
-	// Ingest after adoption reaches the table through the observer.
 	ingest(t, staged, 40, 2)
-	if got := s.RollupTable("p").Stats().FoldedRows; got != 440 {
-		t.Fatalf("rollup folded %d rows, want 440", got)
+	if p, _ := mustPartial(t, s, "p", groupQuery, Opts{}); firstAgg(p, 1) != 2*330 {
+		t.Fatalf("after ingest: sum %v, want 660", firstAgg(p, 1))
 	}
 }
 
-// TestPartialOptions: NoCache skips the rollup table, Unshared keeps the
-// run out of the fold counters, and the schema without the time dimension
-// gets no table at all.
+// TestPartialOptions: NoCache answers as the cached path does, and
+// Unshared keeps the run out of the fold counters.
 func TestPartialOptions(t *testing.T) {
-	s := New(Config{FoldScans: true, RollupTimeDim: "ds", RollupBucket: 5})
+	s := New(Config{FoldScans: true, DecodedCacheBytes: 1 << 20})
 	if err := s.Add("p", testSchema()); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := s.Store("p")
 	ingest(t, st, 400, 1)
-	if _, info := mustPartial(t, s, "p", rollupQuery, Opts{NoCache: true}); info.Rollup.Tried {
-		t.Fatalf("cache-bypassed query consulted the rollup: %+v", info.Rollup)
+	cached, _ := mustPartial(t, s, "p", groupQuery, Opts{})
+	bypassed, _ := mustPartial(t, s, "p", groupQuery, Opts{NoCache: true})
+	if got, want := bypassed.Finalize().Rows, cached.Finalize().Rows; !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache-bypassed rows %v, want %v", got, want)
 	}
 	before := s.FoldStats()
 	mustPartial(t, s, "p", rawQuery, Opts{Unshared: true})
@@ -222,20 +202,6 @@ func TestPartialOptions(t *testing.T) {
 	mustPartial(t, s, "p", rawQuery, Opts{})
 	if got := s.FoldStats().Solo; got != before.Solo+1 {
 		t.Fatalf("shared run: solo = %d, want %d", got, before.Solo+1)
-	}
-
-	noTime := brick.Schema{
-		Dimensions: []brick.Dimension{{Name: "app", Max: 20, Buckets: 4}},
-		Metrics:    []brick.Metric{{Name: "value"}},
-	}
-	if err := s.Add("q", noTime); err != nil {
-		t.Fatal(err)
-	}
-	if s.RollupTable("q") != nil {
-		t.Fatal("schema without the time dimension got a rollup table")
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
 	}
 }
 
@@ -307,9 +273,10 @@ func TestCompactAndDecay(t *testing.T) {
 	}
 }
 
-// TestFlags: the defaults describe a folding, cache-less, rollup-less,
-// unthrottled worker; every serving flag parses into its Config field,
-// except the retired -brick-cache-bytes, which parses and changes nothing;
+// TestFlags: the defaults describe a folding, cache-less, unthrottled
+// worker; every serving flag parses into its Config field, except the
+// retired -brick-cache-bytes and -rollup-{time-dim,bucket,dims}, which
+// parse and change nothing, and the deleted -rollup-distinct, which fails;
 // -fold takes on/off only; and README's table lists each flag with its
 // default, so the documentation cannot drift from RegisterFlags.
 func TestFlags(t *testing.T) {
@@ -322,8 +289,7 @@ func TestFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.FoldScans || cfg.QueueDepth != 64 || cfg.RollupBucket != 1 || cfg.MaxConcurrent != 0 ||
-		cfg.DecodedCacheBytes != 0 || cfg.RollupTimeDim != "" || cfg.RollupDims != nil {
+	if !cfg.FoldScans || cfg.QueueDepth != 64 || cfg.MaxConcurrent != 0 || cfg.DecodedCacheBytes != 0 {
 		t.Fatalf("default config = %+v", cfg)
 	}
 	defaults := cfg
@@ -334,7 +300,6 @@ func TestFlags(t *testing.T) {
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
 	f = RegisterFlags(fs)
 	err = fs.Parse(strings.Fields("-fold off -decoded-cache-bytes 8 -max-concurrent-queries 3 -queue-depth 2 " +
-		"-rollup-time-dim ds -rollup-bucket 8 -rollup-dims region,,kind -rollup-distinct app " +
 		"-compact-interval 1s -compact-encode-below 5 -compact-evict-below 1 -compact-promote-above 9"))
 	if err != nil {
 		t.Fatal(err)
@@ -343,9 +308,7 @@ func TestFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.FoldScans || cfg.DecodedCacheBytes != 8 || cfg.MaxConcurrent != 3 || cfg.QueueDepth != 2 ||
-		cfg.RollupTimeDim != "ds" || cfg.RollupBucket != 8 || strings.Join(cfg.RollupDims, "+") != "region+kind" ||
-		strings.Join(cfg.RollupDistinct, "+") != "app" {
+	if cfg.FoldScans || cfg.DecodedCacheBytes != 8 || cfg.MaxConcurrent != 3 || cfg.QueueDepth != 2 {
 		t.Fatalf("parsed config = %+v", cfg)
 	}
 	if f.CompactInterval != time.Second || f.Compaction != (brick.CompactionConfig{EncodeBelow: 5, EvictBelow: 1, PromoteAbove: 9}) {
@@ -354,11 +317,19 @@ func TestFlags(t *testing.T) {
 
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
 	f = RegisterFlags(fs)
-	if err := fs.Parse([]string{"-brick-cache-bytes", "7"}); err != nil {
+	retired := strings.Fields("-brick-cache-bytes 7 -rollup-time-dim ds -rollup-bucket 8 -rollup-dims region,kind")
+	if err := fs.Parse(retired); err != nil {
 		t.Fatal(err)
 	}
 	if cfg, err = f.Config(); err != nil || !reflect.DeepEqual(cfg, defaults) {
-		t.Fatalf("-brick-cache-bytes 7: config %+v, %v; want the defaults %+v", cfg, err, defaults)
+		t.Fatalf("%v: config %+v, %v; want the defaults %+v", retired, cfg, err, defaults)
+	}
+
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	RegisterFlags(fs)
+	if err := fs.Parse([]string{"-rollup-distinct", "app"}); err == nil {
+		t.Fatal("-rollup-distinct parsed; it was deleted")
 	}
 
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)

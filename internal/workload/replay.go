@@ -38,9 +38,8 @@ type ReplayConfig struct {
 	// refresh pattern, where each widget re-queries a sliding window.
 	TimeWindow int
 	// TimeAlign, when > 1, snaps the window to multiples of TimeAlign so
-	// the predicate lands exactly on rollup bucket boundaries (an aligned
-	// window is fully servable from bucketed pre-aggregates; an unaligned
-	// one forces ragged-edge scans).
+	// the predicate lands exactly on time-bucket boundaries, as a
+	// dashboard's aligned panels do.
 	TimeAlign int
 	// LeaderboardProb is the probability a grouped sum/count shape becomes
 	// a leaderboard: ORDER BY its first aggregate DESC LIMIT
@@ -145,7 +144,7 @@ func randomShape(schema brick.Schema, cfg ReplayConfig, rnd *randutil.Source) *e
 		q.Filter = map[string][2]uint32{d.Name: {lo, hi}}
 	}
 	// Dashboard time window: a trailing "last N" range on dimension 0,
-	// optionally snapped to rollup bucket boundaries. Overrides any random
+	// optionally snapped to time-bucket boundaries. Overrides any random
 	// filter that happened to pick the time dimension.
 	if cfg.TimeWindow > 0 {
 		d := schema.Dimensions[0]

@@ -133,12 +133,3 @@ REBALANCE_BENCH_OUT="$(pwd)/BENCH_rebalance.json" \
     go test ./internal/migrate/ -run '^TestRebalanceBench$' -count=1 -timeout 30m
 echo "== wrote BENCH_rebalance.json"
 cat BENCH_rebalance.json
-
-# Realtime dashboard path: aligned coarse time-window aggregates served
-# from the incremental rollup vs the same query as a raw brick scan
-# (p50/p99 over a 1M-row store). Acceptance: rollup >=10x p50.
-echo "== realtime bench (rollup vs raw scan)"
-REALTIME_BENCH_OUT="$(pwd)/BENCH_realtime.json" \
-    go test ./internal/netexec/ -run '^TestRealtimeBench$' -count=1 -timeout 30m
-echo "== wrote BENCH_realtime.json"
-cat BENCH_realtime.json

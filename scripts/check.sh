@@ -17,7 +17,9 @@ fi
 # One brick loop (PR 14): scheduler.go's visitBrick is the engine's only
 # decode/filter/observe body, reached through the one Scheduler.Run entry
 # point. A second VisitBatch call site anywhere in non-test internal/engine
-# is a second copy of that body in the making; the old entry points, the
+# is a second copy of that body in the making, and so is a ScanTask.Visit
+# call: the deleted rollup delta scan was a row-at-a-time brick loop over
+# Visit that the VisitBatch count never saw. The old entry points, the
 # serial Execute and the test toggles that forked the brick visit must not
 # come back. The reference the loop is checked against is internal/oracle,
 # which tests alone import.
@@ -27,6 +29,10 @@ SITES="$(cat $ENGINE_SRC | grep -c 'VisitBatch(' || true)"
 if [ "$SITES" != 1 ]; then
     echo "one brick loop: $SITES VisitBatch( call sites in non-test internal/engine, want exactly 1:"
     grep -n 'VisitBatch(' $ENGINE_SRC
+    exit 1
+fi
+if grep -n '\.Visit(' $ENGINE_SRC; then
+    echo "one brick loop: non-test internal/engine calls ScanTask.Visit (see above); visitBrick's VisitBatch is the only brick loop"
     exit 1
 fi
 if grep -rn --include='*.go' 'ExecuteParallel' .; then
@@ -50,26 +56,57 @@ if grep -n '"cubrick/internal/oracle"' $NONTEST_GO; then
 fi
 
 # One worker (PR 16): internal/partition is the only place a partition gets
-# a scan scheduler or a rollup table and the only caller of the rollup
-# ladder; netexec.Worker and cubrick.Node are edges around it. A second
-# call site of any of the three is a second worker in the making, and the
-# runtime setters that existed to reconfigure one must not come back.
+# a scan scheduler, so every worker answer is admission plus one brick
+# pass; netexec.Worker and cubrick.Node are edges around it. A second call
+# site is a second worker in the making, and the runtime setters that
+# existed to reconfigure one must not come back.
 echo "== one worker"
 OUTSIDE_ENGINE="$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/engine/*' ! -path './.bench_build/*')"
-for CALL in 'engine.ExecuteRollup(' 'engine.NewScheduler(' 'rollup.New('; do
-    SITES="$(cat $OUTSIDE_ENGINE | grep -cF "$CALL" || true)"
-    if [ "$SITES" != 1 ]; then
-        echo "one worker: $SITES call sites of $CALL in non-test code outside internal/engine, want exactly 1:"
-        grep -nF "$CALL" $OUTSIDE_ENGINE
-        exit 1
-    fi
-done
+SITES="$(cat $OUTSIDE_ENGINE | grep -cF 'engine.NewScheduler(' || true)"
+if [ "$SITES" != 1 ]; then
+    echo "one worker: $SITES call sites of engine.NewScheduler( in non-test code outside internal/engine, want exactly 1:"
+    grep -nF 'engine.NewScheduler(' $OUTSIDE_ENGINE
+    exit 1
+fi
 if grep -rn 'SetFoldScans\|SetCacheBudgets\|SetAdmission' --include='*.go' .; then
     echo "one worker: a runtime serving setter is back (see above); serving options are partition.Config, fixed at construction"
     exit 1
 fi
 WORKER_SRC="$(ls internal/netexec/*.go internal/cubrick/*.go internal/partition/*.go | grep -v _test.go)"
 echo "internal/netexec + internal/cubrick + internal/partition non-test lines: $(cat $WORKER_SRC | wc -l)"
+
+# No rollups: incremental rollups were a second answer path on every
+# worker, and switching them off doubled dash_replay's qps (the only
+# workload they served) and moved no other workload past its bound, so
+# they were deleted with their brick hooks rather than kept as a mode. What
+# remains is -rollup-time-dim, -rollup-bucket and -rollup-dims, which
+# partition/flags.go still parses and ignores because the benchmark rig
+# (internal/benchkit) still passes them.
+echo "== no rollups"
+if [ -e internal/rollup ]; then
+    echo "no rollups: internal/rollup is back"
+    exit 1
+fi
+if grep -n 'ExecuteRollup\|VisitSince\|SetIngestObserver' $NONTEST_GO; then
+    echo "no rollups: the rollup path or a brick hook only it used is back (see above)"
+    exit 1
+fi
+
+# Wall-clock ratchet: logic that reads the wall clock cannot be replayed
+# deterministically, so the count of wall-clock call sites in non-test
+# internal/ (simclock is the clock abstraction; benchkit measures real
+# time) may fall but never rise. Lower WALL_CLOCK_MAX when a change removes
+# sites.
+echo "== wall-clock ratchet"
+WALL_CLOCK_MAX=31
+CLOCK_SRC="$(find internal -name '*.go' ! -name '*_test.go' ! -path 'internal/simclock/*' ! -path 'internal/benchkit/*')"
+CLOCK_SITES="$(cat $CLOCK_SRC | grep -oE 'time\.(Now|Since|After|NewTimer|NewTicker|Sleep|Tick|AfterFunc|Until)\(' | wc -l)"
+echo "wall-clock call sites in non-test internal/: $CLOCK_SITES (ceiling $WALL_CLOCK_MAX)"
+if [ "$CLOCK_SITES" -gt "$WALL_CLOCK_MAX" ]; then
+    echo "wall-clock ratchet: $CLOCK_SITES call sites, above the ceiling of $WALL_CLOCK_MAX:"
+    grep -nE 'time\.(Now|Since|After|NewTimer|NewTicker|Sleep|Tick|AfterFunc|Until)\(' $CLOCK_SRC
+    exit 1
+fi
 
 # One fan-out (PR 19): Coordinator.gather is the only goroutine-per-call
 # loop and calls the one fetchCall; fetchResilient is reached through it
@@ -173,14 +210,11 @@ echo "== go test -race (concurrency-bearing packages)"
 go test -race ./internal/engine ./internal/brick ./internal/cubrick ./internal/netexec \
     ./internal/trace ./internal/metrics ./internal/admission ./internal/workload \
     ./internal/rescache ./internal/scancache ./internal/migrate ./internal/dict ./internal/cql \
-    ./internal/rollup ./internal/partition
+    ./internal/partition
 
 echo "== one decoded copy per brick: every shape served from the brick's one entry (-race)"
 go test -race -count=1 -run 'TestDecodedCacheOneEntryPerBrick|TestDecodedCacheConcurrentVisitors' ./internal/brick
 go test -race -count=1 -run 'TestDecodedCacheShapeSequenceEquivalence' ./internal/engine
-
-echo "== rollup equivalence under concurrent ingest (-race)"
-go test -race -count=1 -run 'TestRealtimeEquivalence' ./internal/engine
 
 echo "== encoded-execution differential harness against the oracle (-race)"
 go test -race -count=1 -run 'TestEncodedDifferential|TestSkipperOracle|TestSelectionEdges|TestCompositeKeyEncodedViews' ./internal/engine
@@ -264,7 +298,7 @@ go test -run '^$' -fuzz '^FuzzDecodeMetricColumn$' -fuzztime 5s ./internal/brick
 echo "== coverage gate (>= 70%)"
 for pkg in ./internal/netexec ./internal/engine ./internal/trace ./internal/metrics ./internal/brick \
     ./internal/admission ./internal/rescache ./internal/scancache ./internal/migrate \
-    ./internal/dict ./internal/cql ./internal/rollup ./internal/partition; do
+    ./internal/dict ./internal/cql ./internal/partition; do
     line="$(go test -cover "$pkg" | tail -1)"
     echo "$line"
     pct="$(printf '%s\n' "$line" | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p')"
