@@ -215,8 +215,10 @@ func BenchmarkScanParallelism(b *testing.B) {
 		name := map[int]string{1: "serial", 0: "parallel"}[workers]
 		b.Run(name, func(b *testing.B) {
 			sched := engine.NewScheduler(s, engine.SchedulerConfig{Parallelism: workers})
+			var cb engine.Combiner
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sched.Run(context.Background(), q, engine.Opts{Unshared: true}); err != nil {
+				cb.Reset()
+				if _, err := sched.Run(context.Background(), q, engine.Opts{Unshared: true}, &cb); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -468,11 +468,15 @@ func (n *Node) ExecutePartialCtx(ctx context.Context, shard int64, partName stri
 		return nil, err
 	}
 	meta := admission.MetaFrom(ctx)
-	p, _, _, err := n.parts.Partial(ctx, partName, q, partition.Opts{Tenant: meta.Tenant, Priority: meta.Priority})
+	var cb engine.Combiner
+	_, _, err := n.parts.Partial(ctx, partName, q, partition.Opts{Tenant: meta.Tenant, Priority: meta.Priority}, &cb)
 	if errors.Is(err, partition.ErrNoPartition) { // dropped since the ownership check
-		err = fmt.Errorf("%w: %w", ErrNotServing, err)
+		return nil, fmt.Errorf("%w: %w", ErrNotServing, err)
 	}
-	return p, err
+	if err != nil {
+		return nil, err
+	}
+	return cb.Partial(q), nil
 }
 
 // enforceBudget runs the memory monitor when a budget is configured:

@@ -93,7 +93,7 @@ func BenchmarkRunAdhocPartition(b *testing.B) {
 	sched := NewScheduler(s, SchedulerConfig{Parallelism: 2})
 	ctx := context.Background()
 	for _, q := range qs { // warm the decoded-column cache
-		if _, _, err := sched.Run(ctx, q, Opts{}); err != nil {
+		if _, _, err := runPartial(sched, ctx, q, Opts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func BenchmarkRunAdhocPartition(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, _, err := sched.Run(ctx, qs[i%len(qs)], Opts{})
+		p, _, err := runPartial(sched, ctx, qs[i%len(qs)], Opts{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func TestCachedColdEquivalence(t *testing.T) {
 			// compressed bricks it decodes, the second must hit it.
 			for run, name := range []string{"fill", "hit"} {
 				before := dc.Stats().Hits
-				p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
+				p, _, err := runPartial(cached, context.Background(), q, Opts{Unshared: true})
 				if err != nil {
 					t.Fatalf("trial %d %s %s: %v", trial, stage, name, err)
 				}
@@ -121,7 +121,7 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 			}
 		}
 		floor := committed.Load() * batchRows
-		p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
+		p, _, err := runPartial(cached, context.Background(), q, Opts{Unshared: true})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -138,7 +138,7 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for run := 0; run < 2; run++ {
-		p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
+		p, _, err := runPartial(cached, context.Background(), q, Opts{Unshared: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestDecodedCacheShapeSequenceEquivalence(t *testing.T) {
 			}
 			q.Filter[dim.Name] = [2]uint32{lo, lo + uint32(rnd.Intn(int(dim.Max-lo)))}
 		}
-		p, _, err := cached.Run(context.Background(), q, Opts{Unshared: true})
+		p, _, err := runPartial(cached, context.Background(), q, Opts{Unshared: true})
 		if err != nil {
 			t.Fatalf("query %d cached: %v", i, err)
 		}

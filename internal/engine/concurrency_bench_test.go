@@ -120,7 +120,7 @@ func TestConcurrencyBench(t *testing.T) {
 			// Warm up and clear the previous mode's garbage so one GC pause
 			// doesn't decide a p99.
 			for i := 0; i < 3; i++ {
-				if _, _, err := sched.Run(context.Background(), stream[i%len(stream)], opts); err != nil {
+				if _, err := sched.Run(context.Background(), stream[i%len(stream)], opts, new(engine.Combiner)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -134,9 +134,11 @@ func TestConcurrencyBench(t *testing.T) {
 					defer wg.Done()
 					mine := stream[w*iters : (w+1)*iters]
 					lats[w] = make([]time.Duration, len(mine))
+					var cb engine.Combiner
 					for i, q := range mine {
 						t0 := time.Now()
-						if _, _, err := sched.Run(context.Background(), q, opts); err != nil {
+						cb.Reset()
+						if _, err := sched.Run(context.Background(), q, opts, &cb); err != nil {
 							t.Error(err)
 							return
 						}

@@ -28,9 +28,9 @@ import (
 // allocation of their own. A pass worker reuses one kernel set brick after
 // brick and seals each brick's groups into a slab recycled through
 // slabPool; a subscriber folds those slabs in ascending brick-id order into
-// the combiner, releasing each to the pool once absorbed, and the
-// combiner's slab becomes the Partial. Parallel execution is therefore
-// deterministic and scheduling-independent.
+// the caller's Combiner, releasing each to the pool once absorbed, and the
+// combiner's slab becomes the Partial or is encoded in place. Parallel
+// execution is therefore deterministic and scheduling-independent.
 
 // groupSlab is a kernel's group state addressed by group index: group g's
 // key is keys[g*arity:(g+1)*arity] and its cells are
@@ -318,8 +318,8 @@ const denseDomainLimit = 4096
 
 // kernelSet holds one kernel of each type. A pass worker keeps one in its
 // encScratch and picks from it for every brick, so slot arrays, maps and
-// slab buffers are reused brick after brick; a combiner picks from a fresh
-// set.
+// slab buffers are reused brick after brick; a Combiner keeps a set of its
+// own, reused query after query when the Combiner is.
 type kernelSet struct {
 	global globalAcc
 	dense  denseAcc

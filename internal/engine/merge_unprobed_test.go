@@ -50,7 +50,7 @@ func TestMergeIntoUnprobedPartial(t *testing.T) {
 			GroupBy:    groupBy,
 		}
 		run := func(st *brick.Store) *Partial {
-			p, _, err := NewScheduler(st, SchedulerConfig{}).Run(context.Background(), q, Opts{Unshared: true})
+			p, _, err := runPartial(NewScheduler(st, SchedulerConfig{}), context.Background(), q, Opts{Unshared: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,11 +28,22 @@ func reference(tb testing.TB, q *Query, stores ...*brick.Store) *Result {
 	return want
 }
 
+// runPartial runs q on sched into a fresh Combiner and returns the
+// combiner's answer as a Partial, nil when the run fails.
+func runPartial(sched *Scheduler, ctx context.Context, q *Query, o Opts) (*Partial, ExecInfo, error) {
+	var cb Combiner
+	info, err := sched.Run(ctx, q, o, &cb)
+	if err != nil {
+		return nil, info, err
+	}
+	return cb.Partial(q), info, nil
+}
+
 // runUnshared runs q over s on a private pass of a throwaway scheduler with
 // the given worker count (0 = GOMAXPROCS).
 func runUnshared(s *brick.Store, q *Query, parallelism int, o Opts) (*Partial, ExecInfo, error) {
 	o.Unshared = true
-	return NewScheduler(s, SchedulerConfig{Parallelism: parallelism}).Run(context.Background(), q, o)
+	return runPartial(NewScheduler(s, SchedulerConfig{Parallelism: parallelism}), context.Background(), q, o)
 }
 
 // runQuery runs q over s on a private pass, for tests that need a partial.

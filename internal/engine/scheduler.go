@@ -32,12 +32,13 @@ import (
 //
 // Determinism: each subscriber keeps one result slot per task, filled in
 // the brick's row order, and combines the slots in ascending brick-id
-// order into a fresh accumulator. Every brick's rows are folded in a fixed
-// order and the per-brick results are combined in a fixed order, so the
-// finalized result is bit-identical (float summation order and HLL
+// order into the caller's Combiner. Every brick's rows are folded in a
+// fixed order and the per-brick results are combined in a fixed order, so
+// the finalized result is bit-identical (float summation order and HLL
 // register state included) whichever way the query entered and however
 // the workers were scheduled; the tests' brick-ordered reference,
-// internal/oracle, fixes the same order.
+// internal/oracle, fixes the same order, and folds several stores' bricks
+// one store after another as runs into one Combiner do.
 
 // errPassAborted is returned to a subscriber whose shared pass stopped
 // early because every other subscriber detached before the scan finished.
@@ -99,6 +100,11 @@ type ExecInfo struct {
 	Folded bool
 	// CatchupBricks is how many bricks the catch-up pass covered.
 	CatchupBricks int
+	// RowsScanned counts the rows the run folded (post-filter),
+	// BricksVisited and BricksPruned the bricks its plan visited and
+	// skipped via bound pruning, and Decompressions the visited bricks that
+	// paid a transient decode. The combiner sums them over its runs.
+	RowsScanned, BricksVisited, BricksPruned, Decompressions int64
 }
 
 // Scheduler owns the scan passes over one store.
@@ -140,34 +146,39 @@ func (s *Scheduler) count(name string, delta int64) {
 }
 
 // Run executes the query over the store with brick-level parallelism and
-// vectorized aggregation kernels, returning a partial whose groups fold
-// each brick's rows in row order and combine bricks in ascending brick-id
-// order. A cancelled ctx stops the run claiming bricks and returns
-// ctx.Err().
-func (s *Scheduler) Run(ctx context.Context, q *Query, o Opts) (*Partial, ExecInfo, error) {
+// vectorized aggregation kernels and folds the answer into cb: each
+// brick's rows fold in row order and the bricks combine into cb's groups
+// in ascending brick-id order, after whatever earlier runs left there. A
+// run whose group shape differs from cb's is an error. A cancelled ctx
+// stops the run claiming bricks and returns ctx.Err(); a failed run may
+// leave cb partly combined, so the caller discards or resets it.
+func (s *Scheduler) Run(ctx context.Context, q *Query, o Opts, cb *Combiner) (ExecInfo, error) {
 	// A published pass aborts only when all its subscribers cancel; a live
 	// subscriber that attached during the abort window simply retries on a
 	// fresh pass. Two aborts in a row means pathological churn — fall back
 	// to an unshared run, which only its own caller can abort.
 	for attempt := 0; ; attempt++ {
 		o.Unshared = o.Unshared || o.NoCache || attempt == 2
-		p, info, err := s.runOnce(ctx, q, o)
+		info, err := s.runOnce(ctx, q, o, cb)
 		if errors.Is(err, errPassAborted) && ctx.Err() == nil {
 			continue
 		}
-		return p, info, err
+		return info, err
 	}
 }
 
-func (s *Scheduler) runOnce(ctx context.Context, q *Query, o Opts) (*Partial, ExecInfo, error) {
+func (s *Scheduler) runOnce(ctx context.Context, q *Query, o Opts, cb *Combiner) (ExecInfo, error) {
 	var info ExecInfo
 	if err := ctx.Err(); err != nil {
-		return nil, info, err
+		return info, err
 	}
 	planStart := time.Now()
 	c, err := compile(s.store.Schema(), q, o)
 	if err != nil {
-		return nil, info, err
+		return info, err
+	}
+	if err := cb.bind(c); err != nil {
+		return info, err
 	}
 	var key string
 	if !o.Unshared {
@@ -176,7 +187,7 @@ func (s *Scheduler) runOnce(ctx context.Context, q *Query, o Opts) (*Partial, Ex
 
 	pass, sub, folded, err := s.enter(q, c, key, !o.Unshared)
 	if err != nil {
-		return nil, info, err
+		return info, err
 	}
 	if info.Folded = folded; folded {
 		info.CatchupBricks = sub.joinedAt
@@ -202,18 +213,18 @@ func (s *Scheduler) runOnce(ctx context.Context, q *Query, o Opts) (*Partial, Ex
 		go cp.run()
 		if err := cp.wait(ctx, cs); err != nil {
 			pass.detach(sub)
-			return nil, info, err
+			return info, err
 		}
 	}
 	err = pass.wait(ctx, sub)
 	combineStart := time.Now()
 	info.Scan = combineStart.Sub(scanStart)
 	if err != nil {
-		return nil, info, err
+		return info, err
 	}
-	p := pass.combine(sub, &info)
+	pass.combine(sub, &info, cb)
 	info.Combine = time.Since(combineStart)
-	return p, info, nil
+	return info, nil
 }
 
 // enter subscribes the query to the pass it will run on: the in-flight
@@ -477,12 +488,12 @@ func (p *scanPass) wait(ctx context.Context, sub *foldSub) error {
 }
 
 // combine folds the subscriber's per-task slabs in ascending brick-id
-// order into a combiner picked over the whole schema domain (dense when
-// the GROUP BY's domain is small enough), turns it into the partial and
-// sums the per-task accounting into the partial and info.
-func (p *scanPass) combine(sub *foldSub, info *ExecInfo) *Partial {
-	var ks kernelSet
-	base := ks.pick(p.c, p.c.domain)
+// order into cb's kernel, which bind picked over the whole schema domain
+// (dense when the GROUP BY's domain is small enough), and sums the per-task
+// accounting into info and cb.
+func (p *scanPass) combine(sub *foldSub, info *ExecInfo, cb *Combiner) {
+	acc := cb.acc
+	dst := acc.slab()
 	// Room for every brick's groups up front, so the combiner never
 	// regrows; a dense one cannot hold more groups than its domain has
 	// points.
@@ -490,24 +501,24 @@ func (p *scanPass) combine(sub *foldSub, info *ExecInfo) *Partial {
 	for i := range sub.results {
 		n += sub.results[i].slab.len()
 	}
-	if d, ok := base.(*denseAcc); ok {
-		n = min(n, len(d.slots))
+	if d, ok := acc.(*denseAcc); ok {
+		n = min(n, len(d.slots)-dst.len())
 	}
-	base.slab().reserve(n)
-	var rows, decompressions int64
+	dst.reserve(n)
 	for i := range sub.results {
 		res := &sub.results[i]
-		absorb(base, res.slab)
+		absorb(acc, res.slab)
 		res.slab.release()
 		res.slab = nil
-		rows += res.rowsScanned
+		info.RowsScanned += res.rowsScanned
 		if res.decompressed {
-			decompressions++
+			info.Decompressions++
 		}
 		info.ScanStats.add(res.stats)
 	}
-	out := base.slab().partial(sub.q)
-	out.RowsScanned, out.Decompressions = rows, decompressions
-	out.BricksVisited, out.BricksPruned = int64(len(p.tasks)), int64(p.pruned)
-	return out
+	info.BricksVisited, info.BricksPruned = int64(len(p.tasks)), int64(p.pruned)
+	cb.rowsScanned += info.RowsScanned
+	cb.bricksVisited += info.BricksVisited
+	cb.bricksPruned += info.BricksPruned
+	cb.decompressions += info.Decompressions
 }

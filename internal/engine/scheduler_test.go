@@ -55,7 +55,7 @@ func TestSchedulerAttachMidPass(t *testing.T) {
 	}
 	creator := make(chan out, 1)
 	go func() {
-		p, info, err := sched.Run(context.Background(), q, Opts{})
+		p, info, err := runPartial(sched, context.Background(), q, Opts{})
 		creator <- out{p, info, err}
 	}()
 	<-claimed // the pass has claimed brick 0 and is held mid-visit
@@ -67,7 +67,7 @@ func TestSchedulerAttachMidPass(t *testing.T) {
 		q2 := &Query{Aggregates: []Aggregate{
 			{Func: Sum, Metric: "events", Alias: "total"}, {Func: Count}},
 			GroupBy: []string{"app"}, OrderBy: "total", Desc: true}
-		p, info, err := sched.Run(context.Background(), q2, Opts{})
+		p, info, err := runPartial(sched, context.Background(), q2, Opts{})
 		follower <- out{p, info, err}
 	}()
 	waitFor(t, func() bool { return sched.Stats().Attached == 1 })
@@ -120,7 +120,7 @@ func TestSchedulerDetachOnCancel(t *testing.T) {
 	claimed, release, _ := holdClaim(sched, 0)
 	creator := make(chan error, 1)
 	go func() {
-		p, _, err := sched.Run(context.Background(), q, Opts{})
+		p, _, err := runPartial(sched, context.Background(), q, Opts{})
 		if err == nil {
 			err = Oracle.Equal(want, p.Finalize())
 		}
@@ -131,7 +131,7 @@ func TestSchedulerDetachOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	follower := make(chan error, 1)
 	go func() {
-		_, _, err := sched.Run(ctx, q, Opts{})
+		_, _, err := runPartial(sched, ctx, q, Opts{})
 		follower <- err
 	}()
 	waitFor(t, func() bool { return sched.Stats().Attached == 1 })
@@ -158,7 +158,7 @@ func TestSchedulerDetachOnCancel(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	solo := make(chan error, 1)
 	go func() {
-		_, _, err := sched2.Run(ctx2, q, Opts{})
+		_, _, err := runPartial(sched2, ctx2, q, Opts{})
 		solo <- err
 	}()
 	<-claimed2
@@ -167,7 +167,7 @@ func TestSchedulerDetachOnCancel(t *testing.T) {
 		t.Fatalf("canceled creator error = %v", err)
 	}
 	release2()
-	p, info, err := sched2.Run(context.Background(), q, Opts{})
+	p, info, err := runPartial(sched2, context.Background(), q, Opts{})
 	if err != nil {
 		t.Fatalf("query after aborted pass: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestSchedulerZeroSubscriberTask(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := sched.Run(ctx, q, Opts{})
+		_, _, err := runPartial(sched, ctx, q, Opts{})
 		close(gaveUp)
 		done <- err
 	}()
@@ -244,7 +244,7 @@ func TestSchedulerZeroSubscriberTask(t *testing.T) {
 	}
 
 	sched.testClaimHook = nil
-	p, _, err := sched.Run(context.Background(), q, Opts{})
+	p, _, err := runPartial(sched, context.Background(), q, Opts{})
 	if err != nil {
 		t.Fatalf("query after the abandoned pass: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestFoldedSerialEquivalence(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				p, _, err := sched.Run(context.Background(), q, Opts{})
+				p, _, err := runPartial(sched, context.Background(), q, Opts{})
 				if err != nil {
 					errs[i] = err
 					return
@@ -331,7 +331,7 @@ func runPathMatrix(t *testing.T, rnd *randutil.Source, name string, s *brick.Sto
 		if second {
 			// The scheduler has run the query before, so the subject reads
 			// columns that run left in the decoded cache.
-			if _, _, err := sched.Run(ctx, q, Opts{Unshared: true}); err != nil {
+			if _, _, err := runPartial(sched, ctx, q, Opts{Unshared: true}); err != nil {
 				t.Fatalf("%s first run: %v", cellName, err)
 			}
 		}
@@ -345,7 +345,7 @@ func runPathMatrix(t *testing.T, rnd *randutil.Source, name string, s *brick.Sto
 		var info ExecInfo
 		var err error
 		if !attaches {
-			p, info, err = sched.Run(ctx, q, subject)
+			p, info, err = runPartial(sched, ctx, q, subject)
 		} else {
 			// A peer publishes the pass and is held after claiming task k;
 			// the subject arrives while it is parked there.
@@ -354,7 +354,7 @@ func runPathMatrix(t *testing.T, rnd *randutil.Source, name string, s *brick.Sto
 			peerCtx, cancelPeer := context.WithCancel(ctx)
 			peer := make(chan error, 1)
 			go func() {
-				pp, _, err := sched.Run(peerCtx, q, Opts{})
+				pp, _, err := runPartial(sched, peerCtx, q, Opts{})
 				if err == nil {
 					err = Oracle.Equal(want, pp.Finalize())
 				}
@@ -363,7 +363,7 @@ func runPathMatrix(t *testing.T, rnd *randutil.Source, name string, s *brick.Sto
 			<-claimed
 			done := make(chan struct{})
 			go func() {
-				p, info, err = sched.Run(ctx, q, subject)
+				p, info, err = runPartial(sched, ctx, q, subject)
 				close(done)
 			}()
 			if bypass {
@@ -440,7 +440,7 @@ func TestSchedulerConcurrentMixedShapes(t *testing.T) {
 				if i%2 == 1 {
 					q, want = qb, wB
 				}
-				p, _, err := sched.Run(ctx, q, Opts{})
+				p, _, err := runPartial(sched, ctx, q, Opts{})
 				if err != nil {
 					if !errors.Is(err, context.Canceled) {
 						errCh <- fmt.Errorf("query %d: %v", i, err)
@@ -497,7 +497,7 @@ func TestScanStatsPathInvariant(t *testing.T) {
 	claimed, release, _ := holdClaim(sched, 1)
 	infos := make(chan ExecInfo, 2)
 	run := func() {
-		_, info, err := sched.Run(context.Background(), q, Opts{})
+		_, info, err := runPartial(sched, context.Background(), q, Opts{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -537,7 +537,7 @@ func TestRunCancelStopsClaiming(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, _, err := sched.Run(ctx, q, o)
+			_, _, err := runPartial(sched, ctx, q, o)
 			done <- err
 		}()
 		<-claimed

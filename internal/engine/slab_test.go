@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cubrick/internal/brick"
@@ -60,7 +63,7 @@ func TestRunAllocsPerBrick(t *testing.T) {
 			{Aggregates: []Aggregate{{Func: Sum, Metric: "m"}, {Func: Max, Metric: "m"}}, GroupBy: []string{"g"}},
 			{Aggregates: []Aggregate{{Func: Count}}, GroupBy: []string{"g"}, Filter: map[string][2]uint32{"h": {5, 40}}},
 		} {
-			p, _, err := sched.Run(context.Background(), q, Opts{Unshared: true}) // warms the decoded cache
+			p, _, err := runPartial(sched, context.Background(), q, Opts{Unshared: true}) // warms the decoded cache
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +71,7 @@ func TestRunAllocsPerBrick(t *testing.T) {
 				t.Fatalf("%d groups per brick: the run found only %d groups", groups, p.Groups())
 			}
 			allocs := testing.AllocsPerRun(20, func() {
-				if _, _, err := sched.Run(context.Background(), q, Opts{Unshared: true}); err != nil {
+				if _, _, err := runPartial(sched, context.Background(), q, Opts{Unshared: true}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -172,15 +175,16 @@ func partialSketches(p *Partial, into map[*hll.Sketch]int, owner int) error {
 	return nil
 }
 
-// TestGroupSlabHazards pins the five ways index-addressed group state can
+// TestGroupSlabHazards pins the six ways index-addressed group state can
 // break an answer while most other tests still pass: (a) a cell that
 // starts as the zero value instead of newCell(), (b) a cell view held
 // across an insertion that moves the slab, (c) a slab aliased between a
 // worker's reused buffers and two subscribers, (d) a
-// clone that misses part of a kernel's state, and (e) a recycled slab
-// still reachable from an answer. The matrix case runs the
-// path matrix on non-dyadic metrics, where any path that changed the
-// order of float additions would show.
+// clone that misses part of a kernel's state, (e) a recycled slab
+// still reachable from an answer, and (f) a reused Combiner carrying
+// state, or a buffer it gave away, from one query into the next. The
+// matrix case runs the path matrix on non-dyadic metrics, where any path
+// that changed the order of float additions would show.
 func TestGroupSlabHazards(t *testing.T) {
 	ctx := context.Background()
 
@@ -212,7 +216,7 @@ func TestGroupSlabHazards(t *testing.T) {
 				{Aggregates: aggs[:3]},
 				{Aggregates: aggs, GroupBy: []string{"h"}, Filter: map[string][2]uint32{"h": {1, 6}}},
 			} {
-				got, _, err := sched.Run(ctx, q, Opts{Unshared: true})
+				got, _, err := runPartial(sched, ctx, q, Opts{Unshared: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -283,7 +287,7 @@ func TestGroupSlabHazards(t *testing.T) {
 		claimed, release, _ := holdClaim(sched, 0)
 		answers := make(chan *Partial, 2)
 		run := func() {
-			p, _, err := sched.Run(ctx, q, Opts{})
+			p, _, err := runPartial(sched, ctx, q, Opts{})
 			if err != nil {
 				t.Error(err)
 			}
@@ -429,7 +433,7 @@ func TestGroupSlabHazards(t *testing.T) {
 		claimed, release, _ := holdClaim(sched, 0)
 		answers := make(chan *Partial, 3)
 		run := func() {
-			p, _, err := sched.Run(ctx, shapes[0], Opts{})
+			p, _, err := runPartial(sched, ctx, shapes[0], Opts{})
 			if err != nil {
 				t.Error(err)
 			}
@@ -453,7 +457,7 @@ func TestGroupSlabHazards(t *testing.T) {
 			t.Fatalf("want two attachers catching up one brick each, got %+v", st)
 		}
 		for i, q := range shapes {
-			p, _, err := sched.Run(ctx, q, Opts{Unshared: true})
+			p, _, err := runPartial(sched, ctx, q, Opts{Unshared: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -461,13 +465,149 @@ func TestGroupSlabHazards(t *testing.T) {
 		}
 
 		for i := 0; i < 200; i++ {
-			if _, _, err := sched.Run(ctx, shapes[i%len(shapes)], Opts{Unshared: i%2 == 0}); err != nil {
+			if _, _, err := runPartial(sched, ctx, shapes[i%len(shapes)], Opts{Unshared: i%2 == 0}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i, k := range keep {
 			if !reflect.DeepEqual(partialValue(k.p), k.want) {
 				t.Fatalf("kept answer %d changed after 200 more queries", i)
+			}
+		}
+	})
+
+	t.Run("f_reused_combiner", func(t *testing.T) {
+		// One Combiner, Reset between queries, answers a sequence that walks
+		// every combiner kernel with and without COUNT(DISTINCT), twice, on
+		// non-dyadic metrics. Each answer must encode to the bytes a fresh
+		// combiner's does; Reset must leave no sketch in the cells it keeps;
+		// a blob encoded before a Reset, and a Partial the combiner handed
+		// over, must not change with later queries; and AppendBinary must
+		// equal Partial(q).MarshalBinary() byte for byte.
+		schema := brick.Schema{
+			Dimensions: []brick.Dimension{{Name: "a", Max: 64, Buckets: 4}, {Name: "b", Max: 1 << 20, Buckets: 2},
+				{Name: "c", Max: 1 << 20, Buckets: 1}, {Name: "d", Max: 1 << 30, Buckets: 1}, {Name: "u", Max: 1000, Buckets: 1}},
+			Metrics: []brick.Metric{{Name: "m"}},
+		}
+		s, err := brick.NewStore(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rnd := randutil.New(0xF)
+		for r := 0; r < 3000; r++ {
+			dims := []uint32{uint32(rnd.Intn(64)), uint32(rnd.Intn(40)) * 20000, uint32(rnd.Intn(30)) * 30000,
+				uint32(rnd.Intn(10)) * 100_000_000, uint32(rnd.Intn(1000))}
+			if err := s.Insert(dims, []float64{rnd.Float64() * 1e3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plain := []Aggregate{{Func: Sum, Metric: "m"}, {Func: Min, Metric: "m"}}
+		distinct := []Aggregate{{Func: Sum, Metric: "m"}, {Func: CountDistinct, Metric: "u"}, {Func: Max, Metric: "m"}}
+		kernels := []struct {
+			kernel  string
+			groupBy []string
+		}{
+			{"*engine.globalAcc", nil},
+			{"*engine.denseAcc", []string{"a"}},
+			{"*engine.packedAcc", []string{"b", "c"}},
+			{"*engine.keyNAcc", []string{"b", "c", "d"}},
+		}
+		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
+		type kept struct {
+			blob []byte
+			want []byte
+			p    *Partial
+			pv   map[string]groupValue
+		}
+		var keep []kept
+		var cb Combiner
+		for round := 0; round < 2; round++ {
+			for i, k := range kernels {
+				for j, aggs := range [][]Aggregate{plain, distinct} {
+					q := &Query{Aggregates: aggs, GroupBy: k.groupBy}
+					if round == 1 {
+						q.Filter = map[string][2]uint32{"a": {5, 50}}
+					}
+					if _, err := sched.Run(ctx, q, Opts{Unshared: true}, &cb); err != nil {
+						t.Fatal(err)
+					}
+					if got := fmt.Sprintf("%T", cb.acc); got != k.kernel {
+						t.Fatalf("groupby %v: combiner picked %s, want %s", k.groupBy, got, k.kernel)
+					}
+					var fresh Combiner
+					if _, err := sched.Run(ctx, q, Opts{Unshared: true}, &fresh); err != nil {
+						t.Fatal(err)
+					}
+					want := fresh.AppendBinary(q, nil)
+					fp := fresh.Partial(q)
+					if err := Oracle.Equal(reference(t, q, s), fp.Finalize()); err != nil {
+						t.Fatalf("groupby %v: %v", k.groupBy, err)
+					}
+					marshalled, err := fp.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(want, marshalled) {
+						t.Fatalf("groupby %v: AppendBinary and Partial(q).MarshalBinary() differ", k.groupBy)
+					}
+					blob := cb.AppendBinary(q, nil)
+					if !bytes.Equal(blob, want) {
+						t.Fatalf("round %d groupby %v aggs %d: the reused combiner's answer differs from a fresh one's",
+							round, k.groupBy, len(aggs))
+					}
+					kp := kept{blob: blob, want: bytes.Clone(blob)}
+					if (i+j+round)%3 == 0 {
+						// Hand the groups over: the combiner then starts the
+						// next query without the buffers it gave away.
+						kp.p = cb.Partial(q)
+						kp.pv = partialValue(kp.p)
+					}
+					keep = append(keep, kp)
+					cb.Reset()
+					for _, sl := range []*groupSlab{&cb.ks.global.groupSlab, &cb.ks.dense.groupSlab,
+						&cb.ks.packed.groupSlab, &cb.ks.keyN.groupSlab} {
+						for _, c := range sl.cells[:cap(sl.cells)] {
+							if c.sketch != nil {
+								t.Fatalf("groupby %v: a sketch survives Reset", k.groupBy)
+							}
+						}
+					}
+				}
+			}
+		}
+		for i, k := range keep {
+			if !bytes.Equal(k.blob, k.want) {
+				t.Fatalf("blob %d changed after later queries", i)
+			}
+			if k.p != nil && !reflect.DeepEqual(partialValue(k.p), k.pv) {
+				t.Fatalf("handed-over partial %d changed after later queries", i)
+			}
+		}
+
+		// A run of another group shape into a bound combiner is refused:
+		// another arity, another aggregate count, another domain.
+		q := &Query{Aggregates: plain, GroupBy: []string{"a"}}
+		other := schema
+		other.Dimensions = slices.Clone(schema.Dimensions)
+		other.Dimensions[0].Max = 128
+		s2, err := brick.NewStore(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			sched *Scheduler
+			q     *Query
+		}{
+			{sched, &Query{Aggregates: plain, GroupBy: []string{"a", "b"}}},
+			{sched, &Query{Aggregates: distinct, GroupBy: []string{"a"}}},
+			{NewScheduler(s2, SchedulerConfig{}), q},
+		} {
+			cb.Reset()
+			if _, err := sched.Run(ctx, q, Opts{Unshared: true}, &cb); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tc.sched.Run(ctx, tc.q, Opts{Unshared: true}, &cb); !errors.Is(err, errCombinerShape) {
+				t.Fatalf("groupby %v, %d aggregates: %v, want errCombinerShape", tc.q.GroupBy, len(tc.q.Aggregates), err)
 			}
 		}
 	})

@@ -34,28 +34,41 @@ const partialMagic = 0x43425052 // "CBPR"
 // values, so avg/min/max merge exactly on the coordinator) into one buffer
 // of exactly the encoded size.
 func (p *Partial) MarshalBinary() ([]byte, error) {
-	n := p.Groups()
-	header := [...]uint64{uint64(p.RowsScanned), uint64(p.BricksVisited), uint64(p.BricksPruned),
-		uint64(p.Decompressions), uint64(p.arity), uint64(p.nAggs), uint64(n)}
-	size := 4 + 4*n*p.arity
+	return appendPartial(nil, &p.groupSlab,
+		[4]int64{p.RowsScanned, p.BricksVisited, p.BricksPruned, p.Decompressions}), nil
+}
+
+// appendPartial is the one wire encoder: it appends s's groups under the
+// scan counters (rows scanned, bricks visited, bricks pruned,
+// decompressions) to dst. A dst without room for the encoding is replaced
+// by one with room for it, or twice dst's capacity if that is more, so a
+// reused buffer stops regrowing; a nil dst gets exactly the room needed.
+func appendPartial(dst []byte, s *groupSlab, counters [4]int64) []byte {
+	n := s.len()
+	header := [...]uint64{uint64(counters[0]), uint64(counters[1]), uint64(counters[2]),
+		uint64(counters[3]), uint64(s.arity), uint64(s.nAggs), uint64(n)}
+	size := 4 + 4*n*s.arity
 	for _, v := range header {
 		size += uvarintLen(v)
 	}
-	for _, c := range p.cells {
+	for _, c := range s.cells {
 		size += 8 + uvarintLen(uint64(c.count)) + 8 + 8 + 1
 		if c.sketch != nil {
 			size += uvarintLen(hll.BinarySize) - 1 + hll.BinarySize
 		}
 	}
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), partialMagic)
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, max(len(dst)+size, 2*cap(dst))), dst...)
+	}
+	buf := binary.LittleEndian.AppendUint32(dst, partialMagic)
 	for _, v := range header {
 		buf = binary.AppendUvarint(buf, v)
 	}
 	for g := range int32(n) {
-		for _, k := range p.key(g) {
+		for _, k := range s.key(g) {
 			buf = binary.LittleEndian.AppendUint32(buf, k)
 		}
-		for _, c := range p.at(g) {
+		for _, c := range s.at(g) {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.sum))
 			buf = binary.AppendUvarint(buf, uint64(c.count))
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.min))
@@ -68,7 +81,7 @@ func (p *Partial) MarshalBinary() ([]byte, error) {
 			buf, _ = c.sketch.AppendBinary(buf)
 		}
 	}
-	return buf, nil
+	return buf
 }
 
 // uvarintLen is the length of v's uvarint encoding.

@@ -69,13 +69,11 @@ func benchBlobs(b *testing.B, nWorkers, rowsPerWorker int, q *engine.Query) [][]
 		if err := st.InsertBatchRows(dims, mets); err != nil {
 			b.Fatal(err)
 		}
-		p, _, err := engine.NewScheduler(st, engine.SchedulerConfig{}).Run(context.Background(), q, engine.Opts{Unshared: true})
-		if err != nil {
+		var cb engine.Combiner
+		if _, err := engine.NewScheduler(st, engine.SchedulerConfig{}).Run(context.Background(), q, engine.Opts{Unshared: true}, &cb); err != nil {
 			b.Fatal(err)
 		}
-		if blobs[w], err = p.MarshalBinary(); err != nil {
-			b.Fatal(err)
-		}
+		blobs[w] = cb.AppendBinary(q, nil)
 	}
 	return blobs
 }

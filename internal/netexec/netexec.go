@@ -272,13 +272,22 @@ func attrMS(s *trace.Span, key string, d time.Duration) {
 	}
 }
 
+// The group state and reply buffer of /partial calls, reused call after
+// call, so a host answer allocates neither per partition nor per group.
+var (
+	combinerPool = sync.Pool{New: func() any { return new(engine.Combiner) }}
+	wireBufPool  = sync.Pool{New: func() any { return new([]byte) }}
+)
+
 // servePartial executes one /partial call. On failure it returns the HTTP
 // status to send with the error; on success it writes the response itself
 // and returns a nil error.
 //
 // The call's partitions run one after another — each brick pass already
-// spreads over GOMAXPROCS workers — and merge into the first answer in list
-// order. The first partition that fails fails the call.
+// spreads over GOMAXPROCS workers — into one pooled engine.Combiner, so the
+// answer is one left fold over the call's bricks: partitions in list
+// order, bricks in brick-id order within each. It is encoded in place into
+// a pooled buffer. The first partition that fails fails the call.
 func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *http.Request) (int, error) {
 	var req partialRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -287,37 +296,45 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 	if len(req.Partitions) == 0 {
 		return http.StatusBadRequest, errors.New("netexec: /partial names no partition")
 	}
-	// A partition named twice would be merged into the answer twice.
+	// A partition named twice would be folded into the answer twice, and
+	// partitions of different schemas cannot share a combiner: its kernel
+	// addresses groups by their offset in the first partition's domain.
+	var schema brick.Schema
 	for i, name := range req.Partitions {
 		if slices.Contains(req.Partitions[:i], name) {
 			return http.StatusBadRequest, fmt.Errorf("netexec: /partial names partition %q twice", name)
+		}
+		st, ok := w.parts.Store(name)
+		if !ok {
+			continue // partitionPartial answers 404
+		}
+		if schema.Dimensions == nil {
+			schema = st.Schema()
+		} else if s := st.Schema(); !slices.Equal(s.Dimensions, schema.Dimensions) || !slices.Equal(s.Metrics, schema.Metrics) {
+			return http.StatusBadRequest, fmt.Errorf("netexec: /partial names partitions of different schemas (%q)", name)
 		}
 	}
 	if span := trace.SpanFromContext(ctx); span != nil {
 		span.SetAttr("partitions", strings.Join(req.Partitions, ","))
 	}
 	popts := parsePartialOpts(r.Header)
-	var merged *engine.Partial
+	cb := combinerPool.Get().(*engine.Combiner)
+	defer func() {
+		cb.Reset()
+		combinerPool.Put(cb)
+	}()
 	epochs := make([]uint64, len(req.Partitions))
 	for i, name := range req.Partitions {
-		partial, epoch, status, err := w.partitionPartial(ctx, name, &req.Query, popts)
+		epoch, status, err := w.partitionPartial(ctx, name, &req.Query, popts, cb)
 		if err != nil {
 			return status, err
 		}
 		epochs[i] = epoch
-		if merged == nil {
-			merged = partial
-		} else if err := merged.Merge(partial); err != nil {
-			return http.StatusInternalServerError, err
-		}
 	}
 
 	_, mspan := w.Tracer.StartSpan(ctx, "worker.marshal")
-	blob, err := merged.MarshalBinary()
-	if err != nil {
-		mspan.EndErr(err)
-		return http.StatusInternalServerError, err
-	}
+	buf := wireBufPool.Get().(*[]byte)
+	blob := cb.AppendBinary(&req.Query, (*buf)[:0])
 	mspan.SetAttrInt("bytes", int64(len(blob)))
 	mspan.End()
 	rw.Header().Set(HeaderEpoch, formatEpochs(epochs))
@@ -328,13 +345,17 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 		// broken pipe rather than silently truncate the partial.
 		log.Printf("netexec: partial response for %v aborted: %v", req.Partitions, err)
 	}
+	// Write has copied the blob out, so the buffer is free for the next
+	// call.
+	*buf = blob
+	wireBufPool.Put(buf)
 	return 0, nil
 }
 
-// partitionPartial answers q over one partition of a /partial call, under
-// its own worker.execute span, and returns the partition's epoch. On
-// failure it returns the HTTP status the call fails with.
-func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Query, popts partialOpts) (*engine.Partial, uint64, int, error) {
+// partitionPartial answers q over one partition of a /partial call into
+// cb, under its own worker.execute span, and returns the partition's
+// epoch. On failure it returns the HTTP status the call fails with.
+func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Query, popts partialOpts, cb *engine.Combiner) (uint64, int, error) {
 	opts := partition.Opts{
 		Tenant:   popts.tenant,
 		Priority: popts.priority,
@@ -357,21 +378,21 @@ func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Qu
 			espan.SetAttr("partition", name)
 		}
 	}
-	partial, info, epoch, err := w.parts.Partial(ctx, name, q, opts)
+	info, epoch, err := w.parts.Partial(ctx, name, q, opts, cb)
 	if err != nil {
 		espan.EndErr(err)
 		var notAdmitted *partition.AdmissionError
 		switch {
 		case errors.Is(err, partition.ErrNoPartition):
-			return nil, 0, http.StatusNotFound, err
+			return 0, http.StatusNotFound, err
 		case errors.Is(err, admission.ErrQueueFull):
 			// 429 is classified retryable by the coordinator's resilience
 			// policy, so shed queries retry or fail over.
-			return nil, 0, http.StatusTooManyRequests, err
+			return 0, http.StatusTooManyRequests, err
 		case errors.As(err, &notAdmitted):
-			return nil, 0, http.StatusServiceUnavailable, err
+			return 0, http.StatusServiceUnavailable, err
 		}
-		return nil, 0, http.StatusBadRequest, err
+		return 0, http.StatusBadRequest, err
 	}
 	// Per-request cache bypass neither consults nor fills the
 	// decoded-column cache.
@@ -383,17 +404,17 @@ func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Qu
 	attrMS(espan, "plan_ms", info.Plan)
 	attrMS(espan, "scan_ms", info.Scan)
 	attrMS(espan, "combine_ms", info.Combine)
-	espan.SetAttrInt("rows_scanned", partial.RowsScanned)
-	espan.SetAttrInt("bricks_visited", partial.BricksVisited)
-	espan.SetAttrInt("bricks_pruned", partial.BricksPruned)
+	espan.SetAttrInt("rows_scanned", info.RowsScanned)
+	espan.SetAttrInt("bricks_visited", info.BricksVisited)
+	espan.SetAttrInt("bricks_pruned", info.BricksPruned)
 	espan.SetAttrInt("bricks_stats_pruned", info.BricksStatsPruned)
 	espan.SetAttrInt("runs_skipped", info.RunsSkipped)
 	espan.SetAttrInt("codes_skipped", info.CodesSkipped)
-	espan.SetAttrInt("decompressions", partial.Decompressions)
+	espan.SetAttrInt("decompressions", info.Decompressions)
 	espan.End()
 	w.observe("worker.execute.latency", info.Total())
-	w.countAdd("worker.rows.scanned", partial.RowsScanned)
-	return partial, epoch, 0, nil
+	w.countAdd("worker.rows.scanned", info.RowsScanned)
+	return epoch, 0, nil
 }
 
 // Target is one partition placement: which worker URL serves it, plus any

@@ -3,11 +3,15 @@ package netexec
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -185,16 +189,7 @@ func TestWorkerPartitionLifecycle(t *testing.T) {
 // benchmark's layer budget (ROADMAP aim 1c); run with -benchmem.
 func BenchmarkServePartialSmall(b *testing.B) {
 	wk := NewWorker(partition.Config{FoldScans: true})
-	schema := brick.Schema{
-		Dimensions: []brick.Dimension{
-			{Name: "ds", Max: 128, Buckets: 16},
-			{Name: "region", Max: 16, Buckets: 4},
-			{Name: "app", Max: 1024, Buckets: 4},
-			{Name: "kind", Max: 64, Buckets: 1},
-		},
-		Metrics: []brick.Metric{{Name: "value"}},
-	}
-	if err := wk.AddPartition("wide#0", schema); err != nil {
+	if err := wk.AddPartition("wide#0", wideSchema()); err != nil {
 		b.Fatal(err)
 	}
 	st, _ := wk.Store("wide#0")
@@ -220,5 +215,136 @@ func BenchmarkServePartialSmall(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// wideSchema is the benchmark's wide table: ds, region, app, kind.
+func wideSchema() brick.Schema {
+	return brick.Schema{
+		Dimensions: []brick.Dimension{
+			{Name: "ds", Max: 128, Buckets: 16},
+			{Name: "region", Max: 16, Buckets: 4},
+			{Name: "app", Max: 1024, Buckets: 4},
+			{Name: "kind", Max: 64, Buckets: 1},
+		},
+		Metrics: []brick.Metric{{Name: "value"}},
+	}
+}
+
+// hostWorker is a worker holding parts partitions of the wide table, each
+// loaded with the rows row(p, r) draws for r in [0, rows).
+func hostWorker(tb testing.TB, parts, rows int, row func(p, r int) []uint32) (*Worker, []string) {
+	tb.Helper()
+	wk := NewWorker(partition.Config{FoldScans: true})
+	names := make([]string, parts)
+	for p := range names {
+		names[p] = fmt.Sprintf("wide#%d", p)
+		if err := wk.AddPartition(names[p], wideSchema()); err != nil {
+			tb.Fatal(err)
+		}
+		st, _ := wk.Store(names[p])
+		dims, mets := make([][]uint32, rows), make([][]float64, rows)
+		for r := range dims {
+			dims[r], mets[r] = row(p, r), []float64{float64(r%97) / 7}
+		}
+		if err := st.InsertBatchRows(dims, mets); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return wk, names
+}
+
+// discardWriter is a ResponseWriter that drops the body, so measuring a
+// call's allocations does not count a recorder's copy of the reply.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(code int)        { d.code = code }
+
+// BenchmarkServePartialHost is one host's share of a wide_fanout query: a
+// /partial call naming eight wide-table partitions of 4 000 rows each,
+// GROUP BY app, kind over a unique app range every iteration, so each
+// partition answers thousands of groups and no cache can help. The handler
+// is driven in-process with no socket; run with -benchmem.
+func BenchmarkServePartialHost(b *testing.B) {
+	rnd := rand.New(rand.NewSource(8))
+	h, names := hostWorker(b, 8, 4000, func(int, int) []uint32 {
+		return []uint32{uint32(rnd.Intn(120)), uint32(rnd.Intn(16)), uint32(rnd.Intn(1024)), uint32(rnd.Intn(64))}
+	})
+	list, err := json.Marshal(names)
+	if err != nil {
+		b.Fatal(err)
+	}
+	handler := h.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i % 900
+		body := fmt.Sprintf(`{"partitions":%s,"query":{"Aggregates":[{"Func":0,"Metric":"value"},{"Func":1}],"GroupBy":["app","kind"],"Filter":{"app":[%d,%d],"ds":[10,40]}}}`,
+			list, lo, lo+48+i%96)
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/partial", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestServePartialBytesFlat is the allocation ceiling check.sh enforces on
+// a host answer: with the pools warm, a /partial call folds its partitions
+// into a reused combiner and encodes into a reused buffer, so the bytes it
+// allocates do not depend on how many groups it answers. Eight partitions
+// each hold all 2 000 (app, kind) pairs of app < 250, kind < 8; the same
+// call answering 2 000 groups may allocate at most bytesTolerance more
+// than it does answering 10.
+func TestServePartialBytesFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random, so allocations are not meaningful under -race")
+	}
+	const bytesTolerance = 1.25
+	wk, names := hostWorker(t, 8, 2000, func(p, r int) []uint32 {
+		return []uint32{uint32(r*7+p) % 120, uint32(r % 16), uint32(r % 250), uint32(r/250) % 8}
+	})
+	list, err := json.Marshal(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := wk.Handler()
+	call := func(app, kind int) func() {
+		body := []byte(fmt.Sprintf(`{"partitions":%s,"query":{"Aggregates":[{"Func":0,"Metric":"value"},{"Func":1}],"GroupBy":["app","kind"],"Filter":{"app":[0,%d],"kind":[0,%d]}}}`,
+			list, app-1, kind-1))
+		return func() {
+			w := &discardWriter{h: http.Header{}}
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/partial", bytes.NewReader(body)))
+			if w.code != 0 && w.code != http.StatusOK {
+				t.Fatalf("status %d", w.code)
+			}
+		}
+	}
+	perCall := func(f func()) float64 {
+		for i := 0; i < 20; i++ { // warm the pools
+			f()
+		}
+		const n = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	few, many := perCall(call(5, 2)), perCall(call(250, 8))
+	t.Logf("bytes allocated per call: %.0f answering 10 groups, %.0f answering 2000", few, many)
+	if many > few*bytesTolerance {
+		t.Fatalf("a call answering 2000 groups allocates %.0f bytes, %.2fx the %.0f of one answering 10; ceiling %.2fx",
+			many, many/few, few, bytesTolerance)
 	}
 }

@@ -4,8 +4,9 @@
 // in this file; nothing else in the package reads or writes a /partial
 // request header or declares the body.
 //
-// One call names every partition a query reads on one host: the worker
-// answers them one after another, merges the answers in list order and
+// One call names every partition a query reads on one host, all of one
+// table's schema: the worker runs them one after another into one
+// combiner, so the answer is one fold over their bricks in list order, and
 // replies with one raw blob plus one epoch per partition. A call succeeds
 // or fails whole — every failure a worker returns is either a whole-call
 // one (transport, 429, 503) or one that would repeat on every partition

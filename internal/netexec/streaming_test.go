@@ -3,6 +3,7 @@ package netexec
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -284,6 +285,100 @@ func TestPartialRejectsDuplicatePartition(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || resp.Header.Get(HeaderEpoch) != "" {
 		t.Fatalf("duplicate partitions: status %d, epochs %q; want 400 and none", resp.StatusCode, resp.Header.Get(HeaderEpoch))
+	}
+}
+
+// TestPartialRejectsMixedSchemas: a /partial body naming partitions of
+// different schemas is refused with 400. The coordinator never sends one,
+// but the endpoint takes outside input, and one combiner cannot hold both:
+// its kernel addresses groups by their offset in the first partition's
+// domain, so the second's groups would mis-key or index out of range.
+func TestPartialRejectsMixedSchemas(t *testing.T) {
+	wk := NewWorker(partition.Config{})
+	narrow := testSchema()
+	wide := testSchema()
+	wide.Dimensions = slices.Clone(wide.Dimensions)
+	wide.Dimensions[0].Max *= 64
+	for name, schema := range map[string]brick.Schema{"narrow": narrow, "wide": wide} {
+		if err := wk.AddPartition(name, schema); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := wk.Store(name)
+		top := schema.Dimensions[0].Max - 1
+		if err := st.Insert([]uint32{top, 1}, []float64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := wk.Handler()
+	for _, order := range []string{`"narrow","wide"`, `"wide","narrow"`} {
+		body := `{"partitions":[` + order + `],"query":{"Aggregates":[{"Func":1}],"GroupBy":["ds"]}}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/partial", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || rec.Header().Get(HeaderEpoch) != "" {
+			t.Fatalf("partitions [%s]: status %d, epochs %q; want 400 and none", order, rec.Code, rec.Header().Get(HeaderEpoch))
+		}
+	}
+}
+
+// TestHostAnswerFoldsListOrder is the single-host wall on non-dyadic
+// metrics: a worker serving three partitions of a table answers a /partial
+// call naming them in a random order with one left fold over their bricks
+// — partitions in list order, bricks in brick-id order within each — so
+// the decoded, finalized answer equals oracle.Run over the stores in that
+// order bit for bit, scan counters included, even though the sums round.
+func TestHostAnswerFoldsListOrder(t *testing.T) {
+	rnd := randutil.New(0x4057)
+	for trial := 0; trial < 25; trial++ {
+		store, q := oracle.NewTrial(t, rnd, false)
+		wk := NewWorker(partition.Config{})
+		names := []string{"t#0", "t#1", "t#2"}
+		dims, mets := make([][][]uint32, len(names)), make([][][]float64, len(names))
+		rows := 0
+		if err := store.Scan(nil, func(d []uint32, m []float64) error {
+			i := rows % len(names)
+			dims[i] = append(dims[i], slices.Clone(d))
+			mets[i] = append(mets[i], slices.Clone(m))
+			rows++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range names {
+			if err := wk.AddPartition(name, store.Schema()); err != nil {
+				t.Fatal(err)
+			}
+			st, _ := wk.Store(name)
+			if err := st.InsertBatchRows(dims[i], mets[i]); err != nil {
+				t.Fatal(err)
+			}
+			if rnd.Bernoulli(0.5) { // encoded bricks take the encoded kernels
+				if _, _, err := st.EnsureBudget(0, 0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rnd.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+		stores := make([]*brick.Store, len(names))
+		for i, name := range names {
+			stores[i], _ = wk.Store(name)
+		}
+		body, err := json.Marshal(partialRequest{Partitions: names, Query: *q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		wk.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/partial", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("trial %d: status %d: %s", trial, rec.Code, rec.Body.String())
+		}
+		p, err := engine.UnmarshalPartial(q, rec.Body.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.Equal(reference(t, q, stores...), p.Finalize()); err != nil {
+			t.Fatalf("trial %d (partitions %v, %d rows, groupby %v, filter %v): %v",
+				trial, names, rows, q.GroupBy, q.Filter, err)
+		}
 	}
 }
 

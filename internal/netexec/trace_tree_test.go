@@ -153,15 +153,11 @@ func traceTestBlob(t *testing.T) []byte {
 		}
 	}
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	partial, _, err := engine.NewScheduler(st, engine.SchedulerConfig{}).Run(context.Background(), q, engine.Opts{Unshared: true})
-	if err != nil {
+	var cb engine.Combiner
+	if _, err := engine.NewScheduler(st, engine.SchedulerConfig{}).Run(context.Background(), q, engine.Opts{Unshared: true}, &cb); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := partial.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
+	return cb.AppendBinary(q, nil)
 }
 
 // TestTraceTreeDeterministic drives the scenario above and asserts the

@@ -6,11 +6,11 @@
 //
 // The reference fixes every float summation order the engine does:
 // within a brick, a group's cells fold its rows in row order starting from
-// zero; the bricks of a store combine in ascending brick-id order into
-// fresh cells; stores combine in argument order, each store's total folded
-// into the running one the way a coordinator merges partials in partition
-// order. Sums therefore equal a brick pass's bit for bit even when metric
-// values round.
+// zero; the bricks of every store combine into one running total, stores
+// in argument order and a store's bricks in ascending brick-id order, the
+// way a worker folds the partitions of one /partial call into one
+// combiner. For one store that is a brick pass's order. Sums therefore
+// equal the engine's bit for bit even when metric values round.
 package oracle
 
 import (
@@ -91,22 +91,20 @@ func Run(q *engine.Query, stores ...*brick.Store) (*engine.Result, error) {
 	total := newGroups(len(q.Aggregates))
 	res := &engine.Result{Coverage: 1}
 	for _, s := range stores {
-		g, err := scan(q, s, res)
-		if err != nil {
+		if err := scan(q, s, total, res); err != nil {
 			return nil, err
 		}
-		total.fold(g)
 	}
 	finalize(q, total, res)
 	return res, nil
 }
 
-// scan folds one store into fresh groups, brick by brick, and adds its
-// scan counters to res.
-func scan(q *engine.Query, s *brick.Store, res *engine.Result) (*groups, error) {
+// scan folds one store into total, brick by brick, and adds its scan
+// counters to res.
+func scan(q *engine.Query, s *brick.Store, total *groups, res *engine.Result) error {
 	schema := s.Schema()
 	if err := q.Validate(schema); err != nil {
-		return nil, err
+		return err
 	}
 	var filter *brick.Filter
 	if len(q.Filter) > 0 {
@@ -117,10 +115,9 @@ func scan(q *engine.Query, s *brick.Store, res *engine.Result) (*groups, error) 
 	}
 	plan, err := s.PlanScan(filter)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.BricksPruned += int64(plan.Pruned)
-	total := newGroups(len(q.Aggregates))
 	key := make([]uint32, len(q.GroupBy))
 	all := &brick.Projection{NoCache: true} // every column materialised
 	for i := range plan.Tasks {
@@ -164,11 +161,11 @@ func scan(q *engine.Query, s *brick.Store, res *engine.Result) (*groups, error) 
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		total.fold(g)
 	}
-	return total, nil
+	return nil
 }
 
 // finalize turns the groups into res's columns and rows: HAVING (a column
@@ -269,9 +266,10 @@ func holds(h engine.HavingCond, v float64) bool {
 //     in answer.
 //
 // Bit-for-bit sums hold against Run wherever the compared path is a brick
-// pass, so engine walls use non-dyadic metrics. Walls through the networked
-// plane merge partials in arrival order, so they stay on dyadic metrics,
-// whose sums are exact in any order.
+// pass, or one worker's /partial answer over its partitions in list order,
+// so engine walls and the single-host wall use non-dyadic metrics. Walls
+// through the coordinator merge host answers in arrival order, so they
+// stay on dyadic metrics, whose sums are exact in any order.
 func Equal(want, got *engine.Result) error {
 	if !slices.Equal(want.Columns, got.Columns) {
 		return fmt.Errorf("columns %v, want %v", got.Columns, want.Columns)

@@ -245,23 +245,24 @@ type Opts struct {
 	Admitted func(queued time.Duration)
 }
 
-// Partial answers q over one partition: admission, then a brick pass of
-// its scan scheduler. It returns the partial, how it was computed and the
-// partition's ingest epoch read before
-// execution — conservative, so a batch landing mid-scan (which the scan may
-// have missed) yields a higher epoch than the one reported and a result
-// cached under it invalidates the moment the newer epoch is learned.
-func (s *Set) Partial(ctx context.Context, name string, q *engine.Query, o Opts) (*engine.Partial, engine.ExecInfo, uint64, error) {
+// Partial answers q over one partition into cb: admission, then a brick
+// pass of its scan scheduler, whose bricks fold into cb after whatever cb
+// already holds. It returns how the pass ran and the partition's ingest
+// epoch read before execution — conservative, so a batch landing mid-scan
+// (which the scan may have missed) yields a higher epoch than the one
+// reported and a result cached under it invalidates the moment the newer
+// epoch is learned.
+func (s *Set) Partial(ctx context.Context, name string, q *engine.Query, o Opts, cb *engine.Combiner) (engine.ExecInfo, uint64, error) {
 	e := s.entry(name)
 	if e == nil {
-		return nil, engine.ExecInfo{}, 0, fmt.Errorf("%w: %q", ErrNoPartition, name)
+		return engine.ExecInfo{}, 0, fmt.Errorf("%w: %q", ErrNoPartition, name)
 	}
 	epoch := e.store.Epoch()
 	var queued time.Duration
 	if s.admit != nil {
 		tkt, err := s.admit.Admit(ctx, o.Tenant, o.Priority)
 		if err != nil {
-			return nil, engine.ExecInfo{}, epoch, &AdmissionError{err}
+			return engine.ExecInfo{}, epoch, &AdmissionError{err}
 		}
 		defer tkt.Release()
 		queued = tkt.Queued
@@ -269,9 +270,9 @@ func (s *Set) Partial(ctx context.Context, name string, q *engine.Query, o Opts)
 	if o.Admitted != nil {
 		o.Admitted(queued)
 	}
-	p, info, err := e.sched.Run(ctx, q, engine.Opts{
+	info, err := e.sched.Run(ctx, q, engine.Opts{
 		Unshared: !s.cfg.FoldScans || o.Unshared,
 		NoCache:  o.NoCache,
-	})
-	return p, info, epoch, err
+	}, cb)
+	return info, epoch, err
 }

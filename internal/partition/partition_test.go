@@ -66,11 +66,12 @@ var (
 
 func mustPartial(t *testing.T, s *Set, name string, q *engine.Query, o Opts) (*engine.Partial, engine.ExecInfo) {
 	t.Helper()
-	p, info, _, err := s.Partial(context.Background(), name, q, o)
+	var cb engine.Combiner
+	info, _, err := s.Partial(context.Background(), name, q, o, &cb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, info
+	return cb.Partial(q), info
 }
 
 // firstAgg sums the first aggregate column over every result row.
@@ -121,7 +122,7 @@ func TestLifecycle(t *testing.T) {
 			if _, ok := s.Store("p"); ok {
 				t.Fatal("store survives the drop")
 			}
-			if _, _, _, err := s.Partial(context.Background(), "p", rawQuery, Opts{}); !errors.Is(err, ErrNoPartition) {
+			if _, _, err := s.Partial(context.Background(), "p", rawQuery, Opts{}, new(engine.Combiner)); !errors.Is(err, ErrNoPartition) {
 				t.Fatalf("query after drop = %v, want ErrNoPartition", err)
 			}
 			if s.Drop("p") {
@@ -221,14 +222,14 @@ func TestPartialAdmission(t *testing.T) {
 	}
 	calls := 0
 	o := Opts{Tenant: "acme", Admitted: func(time.Duration) { calls++ }}
-	if _, _, _, err := s.Partial(context.Background(), "p", rawQuery, o); !errors.Is(err, admission.ErrQueueFull) {
+	if _, _, err := s.Partial(context.Background(), "p", rawQuery, o, new(engine.Combiner)); !errors.Is(err, admission.ErrQueueFull) {
 		t.Fatalf("with the slot held: %v, want ErrQueueFull", err)
 	}
 	if calls != 0 {
 		t.Fatal("Admitted ran for a shed request")
 	}
 	tkt.Release()
-	_, _, epoch, err := s.Partial(context.Background(), "p", rawQuery, o)
+	_, epoch, err := s.Partial(context.Background(), "p", rawQuery, o, new(engine.Combiner))
 	if err != nil || calls != 1 {
 		t.Fatalf("with the slot free: err %v, %d Admitted calls", err, calls)
 	}

@@ -144,6 +144,19 @@ if grep -n 'compress/gzip\|GzipMinBytes' $NETEXEC_SRC; then
 fi
 echo "internal/netexec non-test lines: $(cat $NETEXEC_SRC | wc -l)"
 
+# One combiner per /partial call: a worker folds every partition a call
+# names into one pooled engine.Combiner and encodes it in place into a
+# pooled buffer, so a host answer allocates nothing per partition or per
+# group; the coordinator folds wire blobs with engine.MergeWire. A Merge of
+# Partials or a MarshalBinary in non-test netexec is the per-partition
+# answer coming back. The byte ceiling and the host wall run after the
+# build.
+echo "== one combiner per /partial call"
+if grep -n '\.Merge(\|MarshalBinary(' $NETEXEC_SRC; then
+    echo "one combiner per /partial call: non-test internal/netexec merges or marshals a Partial (see above); fold into the call's Combiner and encode with AppendBinary"
+    exit 1
+fi
+
 # No per-brick partial cache: an ablation on every benchmark workload moved
 # no end-to-end metric, so it was deleted with its key scopes, counters and
 # config field rather than kept as a mode. What remains is the retired
@@ -220,11 +233,13 @@ echo "== encoded-execution differential harness against the oracle (-race)"
 go test -race -count=1 -run 'TestEncodedDifferential|TestSkipperOracle|TestSelectionEdges|TestCompositeKeyEncodedViews' ./internal/engine
 
 # The per-call allocation diet (PR 13): planning a scan must stay free of
-# per-brick allocations. The per-layer costs it guards are measured by
-# BenchmarkPlanScan256 (internal/brick) and BenchmarkServePartialSmall
-# (internal/netexec, -benchmem).
-echo "== allocation ceilings (PlanScan <= 2)"
+# per-brick allocations, and a /partial call's bytes must not grow with the
+# groups it answers. The per-layer costs they guard are measured by
+# BenchmarkPlanScan256 (internal/brick) and BenchmarkServePartialSmall and
+# BenchmarkServePartialHost (internal/netexec, -benchmem).
+echo "== allocation ceilings (PlanScan <= 2; a /partial call's bytes flat in its group count)"
 go test -count=1 -run 'TestPlanScanAllocs' ./internal/brick
+go test -count=1 -run 'TestServePartialBytesFlat' ./internal/netexec
 
 # The brick pass keeps groups in index-addressed slabs: a group is an index
 # into flat key and cell arrays, never an object of its own, so a brick's
@@ -263,7 +278,7 @@ go test -count=1 -run 'TestHistogramQuantileAllocs' ./internal/metrics
 
 echo "== one /partial call per host: merge into unprobed partials, co-located calls, wire, host wall (-race)"
 go test -race -count=1 -run 'TestMergeIntoUnprobedPartial' ./internal/engine
-go test -race -count=1 -run 'TestGatherStrategies|TestPartialWireGolden|TestChaosSuccessRate' ./internal/netexec
+go test -race -count=1 -run 'TestGatherStrategies|TestPartialWireGolden|TestChaosSuccessRate|TestHostAnswerFoldsListOrder|TestPartialRejectsMixedSchemas' ./internal/netexec
 
 echo "== chaos test (seeded fault injection, -race)"
 go test -race -count=1 -run 'TestChaos' ./internal/netexec
