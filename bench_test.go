@@ -214,11 +214,10 @@ func BenchmarkScanParallelism(b *testing.B) {
 	for _, workers := range []int{1, 0} {
 		name := map[int]string{1: "serial", 0: "parallel"}[workers]
 		b.Run(name, func(b *testing.B) {
-			sched := engine.NewScheduler(s, engine.SchedulerConfig{Parallelism: workers})
 			var cb engine.Combiner
 			for i := 0; i < b.N; i++ {
 				cb.Reset()
-				if _, err := sched.Run(context.Background(), q, engine.Opts{Unshared: true}, &cb); err != nil {
+				if _, err := engine.Run(context.Background(), s, q, engine.Opts{Parallelism: workers}, &cb); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -60,7 +60,7 @@ import (
 
 // options is the parsed command line.
 type options struct {
-	addr, workers, fold         string
+	addr, workers               string
 	maxShards, resultCacheBytes int64
 	deadline                    time.Duration
 	replication, maxConcurrent  int
@@ -84,7 +84,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.enableMetrics, "metrics", true, "serve Prometheus text format on /metrics")
 	fs.BoolVar(&o.enablePprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent-queries", 0, "cap on concurrently executing queries; excess queries queue (0 disables admission control)")
-	fs.StringVar(&o.fold, "fold", "on", "worker-side shared-scan folding for queries from this coordinator (on/off)")
+	fs.String("fold", "on", "ignored; shared-scan folding was removed")
 	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "byte budget for the finished-result cache with ingest-epoch invalidation (0 disables)")
 	fs.IntVar(new(int), "topk-overfetch", 0, "ignored; top-k pushdown was removed")
 	return o
@@ -93,9 +93,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 func main() {
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	if o.fold != "on" && o.fold != "off" {
-		log.Fatalf("cubrick-coordinator: -fold must be on or off, got %q", o.fold)
-	}
 	var clean []string
 	for _, u := range strings.Split(o.workers, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -117,7 +114,6 @@ func main() {
 	coord.Breakers = netexec.NewBreakerGroup(netexec.DefaultBreakerConfig())
 	coord.Breakers.Metrics = reg
 	coord.Metrics = reg
-	coord.NoFold = o.fold == "off"
 	if o.resultCacheBytes > 0 {
 		coord.ResultCache = rescache.New(o.resultCacheBytes)
 		coord.ResultCache.SetMetrics(reg)

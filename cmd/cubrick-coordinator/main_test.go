@@ -132,9 +132,9 @@ func TestCoordinatorErrors(t *testing.T) {
 }
 
 // TestFlags pins the flag set: the parsed defaults are the default query
-// policy, the retired -topk-overfetch parses and changes nothing, and
-// README's table lists each flag with its default, so the documentation
-// cannot drift from registerFlags.
+// policy, the retired -topk-overfetch and -fold parse and change nothing,
+// and README's table lists each flag with its default, so the
+// documentation cannot drift from registerFlags.
 func TestFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	o := registerFlags(fs)
@@ -145,11 +145,13 @@ func TestFlags(t *testing.T) {
 		t.Fatalf("default policy = %+v, want %+v", o.policy, netexec.DefaultQueryPolicy())
 	}
 	defaults := *o
-	if err := fs.Parse(strings.Fields("-topk-overfetch 4")); err != nil {
-		t.Fatal(err)
-	}
-	if *o != defaults {
-		t.Fatalf("-topk-overfetch 4: options %+v, want the defaults %+v", *o, defaults)
+	for _, retired := range []string{"-topk-overfetch 4", "-fold on"} {
+		if err := fs.Parse(strings.Fields(retired)); err != nil {
+			t.Fatal(err)
+		}
+		if *o != defaults {
+			t.Fatalf("%s: options %+v, want the defaults %+v", retired, *o, defaults)
+		}
 	}
 	if err := fs.Parse(strings.Fields("-retries 1 -hedge-quantile 0 -min-coverage 0.5")); err != nil {
 		t.Fatal(err)

@@ -40,10 +40,7 @@ func main() {
 	flag.Parse()
 
 	cfg := cubrick.Defaults()
-	var err error
-	if cfg.Deployment.Node.Config, err = serving.Config(); err != nil {
-		log.Fatalf("cubrick-server: %v", err)
-	}
+	cfg.Deployment.Node.Config = serving.Config()
 	if *dualReadWindow > 0 {
 		// In the in-process deployment the dual-read window IS the §IV-E
 		// propagation wait: the old replica keeps its data (and keeps

@@ -6,7 +6,7 @@
 //
 // API: POST /partition, POST /loadbin, POST /partial, GET /health, plus
 // the migration and dictionary planes (see internal/netexec). The serving
-// flags (-fold, -compact-*, cache budgets, admission) are
+// flags (-compact-*, cache budgets, admission) are
 // partition.RegisterFlags, shared with cubrick-server.
 //
 // Observability: GET /metrics serves counters and latency histograms in
@@ -48,10 +48,7 @@ func main() {
 	dictCapacity := flag.Uint("dict-capacity", 0, "fallback id capacity for global dictionaries created over /dict when the column names no schema dimension (0 = schema-derived only)")
 	serving := partition.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	cfg, err := serving.Config()
-	if err != nil {
-		log.Fatalf("cubrick-worker: %v", err)
-	}
+	cfg := serving.Config()
 	if *enableMetrics {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -63,8 +60,8 @@ func main() {
 	w.Tracer = tracer
 	w.ExportRateBytes = *migrateRateBytes
 	w.DictCapacity = uint32(*dictCapacity)
-	log.Printf("cubrick-worker serving: fold=%v decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d migrate-rate-bytes=%d",
-		cfg.FoldScans, cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth, *migrateRateBytes)
+	log.Printf("cubrick-worker serving: decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d migrate-rate-bytes=%d",
+		cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth, *migrateRateBytes)
 	handler := netexec.ChaosHandler(*chaosFailProb, *chaosSeed, w.Handler())
 	// Debug and metrics endpoints mount on the outer mux so chaos-injected
 	// 500s never hit the observability plane that diagnoses them.

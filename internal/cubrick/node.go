@@ -67,9 +67,8 @@ type NodeConfig struct {
 	// HotnessDecay is the per-decay-tick multiplier applied to brick
 	// hotness counters.
 	HotnessDecay float64
-	// Config is the serving configuration of the node's partition set:
-	// folding (on in the production default), the decoded-column cache
-	// budget and admission.
+	// Config is the serving configuration of the node's partition set: the
+	// decoded-column cache budget and admission.
 	partition.Config
 }
 
@@ -80,7 +79,6 @@ func DefaultNodeConfig() NodeConfig {
 		MetricGen:           Gen2,
 		AvgCompressionRatio: 3,
 		HotnessDecay:        0.8,
-		Config:              partition.Config{FoldScans: true},
 	}
 }
 

@@ -83,17 +83,16 @@ func adhocQueries(n int) []*Query {
 }
 
 // BenchmarkRunAdhocPartition is the engine's share of one adhoc_scan
-// /partial: Scheduler.Run of unique one-dimension GROUP BY queries under
+// /partial: Run of unique one-dimension GROUP BY queries under
 // app and unaligned ds filters over one 100k-row encoded partition, two
 // pass workers. Run with -benchmem: allocations per call are what the
 // aggregation kernels' group state costs.
 func BenchmarkRunAdhocPartition(b *testing.B) {
 	s := adhocPartition(b, 100_000)
 	qs := adhocQueries(256)
-	sched := NewScheduler(s, SchedulerConfig{Parallelism: 2})
 	ctx := context.Background()
 	for _, q := range qs { // warm the decoded-column cache
-		if _, _, err := runPartial(sched, ctx, q, Opts{}); err != nil {
+		if _, _, err := runPartial(ctx, s, q, Opts{Parallelism: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +100,7 @@ func BenchmarkRunAdhocPartition(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, _, err := runPartial(sched, ctx, qs[i%len(qs)], Opts{})
+		p, _, err := runPartial(ctx, s, qs[i%len(qs)], Opts{Parallelism: 2})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"cubrick/internal/brick"
@@ -79,14 +80,14 @@ func benchGroupedQuery() *Query {
 	}
 }
 
-// BenchmarkRunUnshared is the brick-parallel vectorized path on a
+// BenchmarkRun is the brick-parallel vectorized path on a
 // multi-brick grouped-aggregation workload.
-func BenchmarkRunUnshared(b *testing.B) {
+func BenchmarkRun(b *testing.B) {
 	s := benchParallelStore(b, 200000)
 	q := benchGroupedQuery()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := runUnshared(s, q, 0, Opts{}); err != nil {
+		if _, _, err := runPartial(context.Background(), s, q, Opts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +99,7 @@ func benchKernel(b *testing.B, q *Query) {
 	s := benchParallelStore(b, 200000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := runUnshared(s, q, 1, Opts{}); err != nil {
+		if _, _, err := runPartial(context.Background(), s, q, Opts{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,7 +23,6 @@ func TestCachedColdEquivalence(t *testing.T) {
 		schema := s.Schema()
 		dc := brick.NewDecodedCache(8 << 20)
 		s.SetDecodedCache(dc)
-		cached := NewScheduler(s, SchedulerConfig{})
 
 		check := func(stage string) {
 			want := reference(t, q, s)
@@ -31,7 +30,7 @@ func TestCachedColdEquivalence(t *testing.T) {
 			// compressed bricks it decodes, the second must hit it.
 			for run, name := range []string{"fill", "hit"} {
 				before := dc.Stats().Hits
-				p, _, err := runPartial(cached, context.Background(), q, Opts{Unshared: true})
+				p, _, err := runPartial(context.Background(), s, q, Opts{})
 				if err != nil {
 					t.Fatalf("trial %d %s %s: %v", trial, stage, name, err)
 				}
@@ -87,7 +86,6 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 	}
 	dc := brick.NewDecodedCache(4 << 20)
 	s.SetDecodedCache(dc)
-	cached := NewScheduler(s, SchedulerConfig{})
 
 	const batches = 60
 	const batchRows = 40
@@ -121,7 +119,7 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 			}
 		}
 		floor := committed.Load() * batchRows
-		p, _, err := runPartial(cached, context.Background(), q, Opts{Unshared: true})
+		p, _, err := runPartial(context.Background(), s, q, Opts{})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -138,7 +136,7 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for run := 0; run < 2; run++ {
-		p, _, err := runPartial(cached, context.Background(), q, Opts{Unshared: true})
+		p, _, err := runPartial(context.Background(), s, q, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +183,7 @@ func TestDecodedCacheShapeSequenceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	heat := &Query{Aggregates: []Aggregate{{Func: Count}}, Filter: map[string][2]uint32{"ds": {0, 31}}}
-	if _, _, err := runUnshared(s, heat, 0, Opts{NoCache: true}); err != nil {
+	if _, _, err := runPartial(context.Background(), s, heat, Opts{NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := s.CompactOnce(brick.CompactionConfig{EvictBelow: 1}); err != nil || st.Evicted == 0 || st.Evicted == s.BrickCount() {
@@ -195,7 +193,6 @@ func TestDecodedCacheShapeSequenceEquivalence(t *testing.T) {
 	// falling out while the sequence revisits them.
 	dc := brick.NewDecodedCache(rows * schema.RowBytes() / 4)
 	s.SetDecodedCache(dc)
-	cached := NewScheduler(s, SchedulerConfig{})
 
 	aggFuncs := []AggFunc{Sum, Count, Min, Max, Avg, CountDistinct}
 	for i := 0; i < 150; i++ {
@@ -220,7 +217,7 @@ func TestDecodedCacheShapeSequenceEquivalence(t *testing.T) {
 			}
 			q.Filter[dim.Name] = [2]uint32{lo, lo + uint32(rnd.Intn(int(dim.Max-lo)))}
 		}
-		p, _, err := runPartial(cached, context.Background(), q, Opts{Unshared: true})
+		p, _, err := runPartial(context.Background(), s, q, Opts{})
 		if err != nil {
 			t.Fatalf("query %d cached: %v", i, err)
 		}

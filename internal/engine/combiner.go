@@ -2,8 +2,8 @@ package engine
 
 import "errors"
 
-// Combiner is the group state of one answer, owned by the caller of
-// Scheduler.Run: every run into it absorbs its pass's per-brick slabs, in
+// Combiner is the group state of one answer, owned by the caller of Run:
+// every run into it absorbs its pass's per-brick slabs, in
 // ascending brick-id order, into one kernel picked over the schema domain
 // by the first run. Runs into one combiner are therefore one left fold over
 // their bricks — the first run's bricks, then the second's — which is how

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestEncodedDifferential(t *testing.T) {
 		s, q := Oracle.NewTrial(t, rnd, false)
 		want := reference(t, q, s)
 		for _, parallelism := range []int{1, 4} {
-			got, _, err := runUnshared(s, q, parallelism, Opts{})
+			got, _, err := runPartial(context.Background(), s, q, Opts{Parallelism: parallelism})
 			if err != nil {
 				t.Fatalf("trial %d parallelism %d: %v", trial, parallelism, err)
 			}
@@ -99,7 +100,7 @@ func TestSkipperOracle(t *testing.T) {
 			GroupBy:    []string{"key"},
 			Filter:     f,
 		}
-		got, _, err := runUnshared(s, q, 0, Opts{})
+		got, _, err := runPartial(context.Background(), s, q, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func TestSkipperOracle(t *testing.T) {
 		GroupBy:    []string{"key"},
 		Filter:     map[string][2]uint32{"pos": {40, 42}},
 	}
-	_, st, err := runUnshared(s, q, 0, Opts{})
+	_, st, err := runPartial(context.Background(), s, q, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSkipperOracle(t *testing.T) {
 		GroupBy:    []string{"key"},
 		Filter:     map[string][2]uint32{"tag": {200, 400}},
 	}
-	res, std, err := runUnshared(s, qd, 0, Opts{})
+	res, std, err := runPartial(context.Background(), s, qd, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestSelectionEdges(t *testing.T) {
 		for _, s := range []*brick.Store{encoded, raw} {
 			for _, groupBy := range [][]string{{"key"}, nil} {
 				q := &Query{Aggregates: aggs, GroupBy: groupBy, Filter: f}
-				got, _, err := runUnshared(s, q, 2, Opts{})
+				got, _, err := runPartial(context.Background(), s, q, Opts{Parallelism: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -278,7 +279,7 @@ func TestCompositeKeyEncodedViews(t *testing.T) {
 		for d := 0; d < nDims; d++ {
 			q.GroupBy = append(q.GroupBy, fmt.Sprintf("d%d", d))
 		}
-		got, _, err := runUnshared(s, q, 4, Opts{})
+		got, _, err := runPartial(context.Background(), s, q, Opts{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,8 @@ import (
 // structure, and compiled filter skippers that evaluate a predicate once
 // per RLE run or dictionary code instead of per row.
 //
-// Fully covered bricks dispatch through observeFull, once per visit
-// whatever the subscriber count, on the shape the grouped columns arrived
-// in:
+// Fully covered bricks dispatch through observeFull, once per visit, on
+// the shape the grouped columns arrived in:
 //
 //   - every grouped dimension as runs: k-wise run intersection into maximal
 //     constant-key segments, one group resolution + run-length fold per
@@ -103,8 +102,8 @@ type encScratch struct {
 var encScratchPool = sync.Pool{New: func() any { return &encScratch{sel: make([]int32, 0, 1024)} }}
 
 // slabPool recycles sealed brick slabs: a pass worker takes one per brick
-// and subscriber (groupSlab.pooledSeal, pooledClone), and combine returns
-// each after absorbing it (groupSlab.release).
+// (groupSlab.pooledSeal), and combine returns each after absorbing it
+// (groupSlab.release).
 var slabPool = sync.Pool{New: func() any { return new(groupSlab) }}
 
 func (es *encScratch) keyBuf(k int) []uint32 {

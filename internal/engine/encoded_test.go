@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"cubrick/internal/brick"
@@ -112,7 +113,7 @@ func TestEncodedKernelEquivalence(t *testing.T) {
 			for qi, q := range queries {
 				for fi, f := range filters {
 					q.Filter = f
-					parallel, _, err := runUnshared(s, q, 4, Opts{})
+					parallel, _, err := runPartial(context.Background(), s, q, Opts{Parallelism: 4})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -234,11 +235,11 @@ func TestMixedTierEquivalence(t *testing.T) {
 		if raw.CompressedBrickCount() != 0 {
 			t.Fatal("the clone is not raw")
 		}
-		a, _, err := runUnshared(mixed, q, 4, Opts{})
+		a, _, err := runPartial(context.Background(), mixed, q, Opts{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := runUnshared(raw, q, 4, Opts{})
+		b, _, err := runPartial(context.Background(), raw, q, Opts{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ import (
 // key and cell arrays, not an object — so a brick's groups cost no
 // allocation of their own. A pass worker reuses one kernel set brick after
 // brick and seals each brick's groups into a slab recycled through
-// slabPool; a subscriber folds those slabs in ascending brick-id order into
+// slabPool; the run folds those slabs in ascending brick-id order into
 // the caller's Combiner, releasing each to the pool once absorbed, and the
 // combiner's slab becomes the Partial or is encoded in place. Parallel
 // execution is therefore deterministic and scheduling-independent.
@@ -121,21 +121,6 @@ func (s *groupSlab) pooledSeal() *groupSlab {
 	out.arity, out.nAggs = s.arity, s.nAggs
 	out.keys, s.keys = s.keys, out.keys[:0]
 	out.cells, s.cells = s.cells, out.cells[:0]
-	return out
-}
-
-// pooledClone returns a slab from slabPool holding a deep copy of the
-// groups: keys, cells and sketches are all owned by the copy. A brick's
-// second and later subscribers each get one, because combining a slab
-// hands its cells to the combiner, which mutates them.
-func (s *groupSlab) pooledClone() *groupSlab {
-	out := slabPool.Get().(*groupSlab)
-	out.arity, out.nAggs = s.arity, s.nAggs
-	out.keys = append(out.keys[:0], s.keys...)
-	out.cells = append(out.cells[:0], s.cells...)
-	for i := range out.cells {
-		out.cells[i].sketch = out.cells[i].sketch.Clone()
-	}
 	return out
 }
 

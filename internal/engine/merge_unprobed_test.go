@@ -10,7 +10,7 @@ import (
 	"cubrick/internal/brick"
 )
 
-// TestMergeIntoUnprobedPartial: a partial straight from Scheduler.Run has
+// TestMergeIntoUnprobedPartial: a partial straight from Run has
 // no key index yet. Merging a smaller partial into it — by Merge or by
 // MergeWire, on the packed-key path (arity 1) and the hashed-key path
 // (arity 3) — builds the index for every group the slab already holds, not
@@ -50,7 +50,7 @@ func TestMergeIntoUnprobedPartial(t *testing.T) {
 			GroupBy:    groupBy,
 		}
 		run := func(st *brick.Store) *Partial {
-			p, _, err := runPartial(NewScheduler(st, SchedulerConfig{}), context.Background(), q, Opts{Unshared: true})
+			p, _, err := runPartial(context.Background(), st, q, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}

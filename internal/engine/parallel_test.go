@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"cubrick/internal/brick"
@@ -12,7 +13,7 @@ import (
 func TestParallelEmptyStore(t *testing.T) {
 	s, _ := brick.NewStore(testSchema())
 	global := &Query{Aggregates: []Aggregate{{Func: Count}}}
-	p, _, err := runUnshared(s, global, 0, Opts{})
+	p, _, err := runPartial(context.Background(), s, global, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestParallelEmptyStore(t *testing.T) {
 		t.Fatalf("empty global aggregate = %v", res.Rows)
 	}
 	grouped := &Query{Aggregates: []Aggregate{{Func: Count}}, GroupBy: []string{"region"}}
-	p2, _, err := runUnshared(s, grouped, 0, Opts{})
+	p2, _, err := runPartial(context.Background(), s, grouped, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestParallelDeterministic(t *testing.T) {
 	}
 	want := reference(t, q, s)
 	for i := 0; i < 20; i++ {
-		p, _, err := runUnshared(s, q, 8, Opts{})
+		p, _, err := runPartial(context.Background(), s, q, Opts{Parallelism: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func mathFloat64bits(v float64) uint64 { return math.Float64bits(v) }
 // that determine accumulator structure and scan semantics. Two queries
 // with equal signatures produce structurally and semantically mergeable
 // partials; two queries with equal fold keys additionally scan the same
-// rows, so they can share one brick pass (see scheduler.go). Cosmetic
+// rows, so they compute the same partial over the same data. Cosmetic
 // fields (aliases, order, limit, having) are applied at finalize time and
 // are deliberately excluded from both.
 
@@ -23,7 +23,7 @@ func mathFloat64bits(v float64) uint64 { return math.Float64bits(v) }
 // aggregate list (function and input, position by position — Count ignores
 // its metric) and the GROUP BY columns in order. It is the single source
 // of truth for "same query shape", used by Partial.Merge validation and as
-// the prefix of scheduler fold keys.
+// the prefix of fold keys.
 func QuerySignature(q *Query) string {
 	if q == nil {
 		return ""
@@ -48,11 +48,12 @@ func QuerySignature(q *Query) string {
 	return b.String()
 }
 
-// FoldKey returns the key under which concurrent queries fold into one
-// shared brick pass: the semantic signature plus the normalized filter
-// set (dimension ranges sorted by dimension name, so map iteration order
-// cannot split equivalent queries). Queries with equal fold keys compile
-// to the same projection, filter, and scan plan over a given store.
+// FoldKey returns the prefix of the result cache's key (rescache.Key): the
+// semantic signature plus the normalized filter set (dimension ranges
+// sorted by dimension name, so map iteration order cannot split equivalent
+// queries). Queries with equal fold keys compile to the same projection,
+// filter, and scan plan over a given store, so they compute the same
+// partial.
 func FoldKey(q *Query) string {
 	if q == nil {
 		return ""

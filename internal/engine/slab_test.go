@@ -58,12 +58,11 @@ func TestRunAllocsPerBrick(t *testing.T) {
 	const perBrick, perRun = 2, 60
 	for _, groups := range []int{2, 32, 200} {
 		s := allocStore(t, groups)
-		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
 		for _, q := range []*Query{
 			{Aggregates: []Aggregate{{Func: Sum, Metric: "m"}, {Func: Max, Metric: "m"}}, GroupBy: []string{"g"}},
 			{Aggregates: []Aggregate{{Func: Count}}, GroupBy: []string{"g"}, Filter: map[string][2]uint32{"h": {5, 40}}},
 		} {
-			p, _, err := runPartial(sched, context.Background(), q, Opts{Unshared: true}) // warms the decoded cache
+			p, _, err := runPartial(context.Background(), s, q, Opts{Parallelism: 1}) // warms the decoded cache
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +70,7 @@ func TestRunAllocsPerBrick(t *testing.T) {
 				t.Fatalf("%d groups per brick: the run found only %d groups", groups, p.Groups())
 			}
 			allocs := testing.AllocsPerRun(20, func() {
-				if _, _, err := runPartial(sched, context.Background(), q, Opts{Unshared: true}); err != nil {
+				if _, _, err := runPartial(context.Background(), s, q, Opts{Parallelism: 1}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -84,13 +83,7 @@ func TestRunAllocsPerBrick(t *testing.T) {
 	}
 }
 
-// slabValue is a slab's state by value, sketch registers included.
-type slabValue struct {
-	arity, nAggs int
-	keys         []uint32
-	cells        []cellValue
-}
-
+// cellValue is a cell's state by value, sketch registers included.
 type cellValue struct {
 	sum, min, max float64
 	count         int64
@@ -99,14 +92,6 @@ type cellValue struct {
 
 func cellValueOf(c cell) cellValue {
 	return cellValue{sum: c.sum, min: c.min, max: c.max, count: c.count, sketch: c.sketch.Clone()}
-}
-
-func valueOf(s *groupSlab) slabValue {
-	v := slabValue{arity: s.arity, nAggs: s.nAggs, keys: append([]uint32(nil), s.keys...)}
-	for _, c := range s.cells {
-		v.cells = append(v.cells, cellValueOf(c))
-	}
-	return v
 }
 
 // groupValue is one partial group's state by value.
@@ -175,16 +160,15 @@ func partialSketches(p *Partial, into map[*hll.Sketch]int, owner int) error {
 	return nil
 }
 
-// TestGroupSlabHazards pins the six ways index-addressed group state can
+// TestGroupSlabHazards pins the five ways index-addressed group state can
 // break an answer while most other tests still pass: (a) a cell that
 // starts as the zero value instead of newCell(), (b) a cell view held
-// across an insertion that moves the slab, (c) a slab aliased between a
-// worker's reused buffers and two subscribers, (d) a
-// clone that misses part of a kernel's state, (e) a recycled slab
-// still reachable from an answer, and (f) a reused Combiner carrying
-// state, or a buffer it gave away, from one query into the next. The
-// matrix case runs the path matrix on non-dyadic metrics, where any path
-// that changed the order of float additions would show.
+// across an insertion that moves the slab, (c) a sketch aliased between
+// two answers of one store, (e) a recycled slab still reachable from an
+// answer, and (f) a reused Combiner carrying state, or a buffer it gave
+// away, from one query into the next. The matrix case runs the run matrix
+// on non-dyadic metrics, where any cell that changed the order of float
+// additions would show.
 func TestGroupSlabHazards(t *testing.T) {
 	ctx := context.Background()
 
@@ -207,7 +191,6 @@ func TestGroupSlabHazards(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
 		aggs := []Aggregate{{Func: Min, Metric: "pos"}, {Func: Max, Metric: "neg"}, {Func: Max, Metric: "pos"}, {Func: Min, Metric: "neg"}}
 		for round := 0; round < 3; round++ {
 			for _, q := range []*Query{
@@ -216,7 +199,7 @@ func TestGroupSlabHazards(t *testing.T) {
 				{Aggregates: aggs[:3]},
 				{Aggregates: aggs, GroupBy: []string{"h"}, Filter: map[string][2]uint32{"h": {1, 6}}},
 			} {
-				got, _, err := runPartial(sched, ctx, q, Opts{Unshared: true})
+				got, _, err := runPartial(ctx, s, q, Opts{Parallelism: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -277,27 +260,22 @@ func TestGroupSlabHazards(t *testing.T) {
 	})
 
 	t.Run("c_no_aliasing", func(t *testing.T) {
-		// A CountDistinct query two subscribers share: no sketch may be
-		// shared by the two answers.
+		// A CountDistinct query run twice at once over one store: no sketch
+		// may be shared by the two answers.
 		s := loadStore(t)
 		q := &Query{Aggregates: []Aggregate{{Func: CountDistinct, Metric: "region"}, {Func: Sum, Metric: "events"}},
 			GroupBy: []string{"app"}}
 		want := reference(t, q, s)
-		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
-		claimed, release, _ := holdClaim(sched, 0)
 		answers := make(chan *Partial, 2)
 		run := func() {
-			p, _, err := runPartial(sched, ctx, q, Opts{})
+			p, _, err := runPartial(ctx, s, q, Opts{Parallelism: 1})
 			if err != nil {
 				t.Error(err)
 			}
 			answers <- p
 		}
 		go run()
-		<-claimed
 		go run()
-		waitFor(t, func() bool { return sched.Stats().Attached == 1 })
-		release()
 		owners := make(map[*hll.Sketch]int)
 		for i := 0; i < 2; i++ {
 			p := <-answers
@@ -313,86 +291,12 @@ func TestGroupSlabHazards(t *testing.T) {
 		}
 	})
 
-	t.Run("d_clone", func(t *testing.T) {
-		// Every kernel type, and the combiner: a clone keeps the state it
-		// was taken from while the original goes on observing, and the
-		// original keeps its own while the clone is changed.
-		schema := brick.Schema{
-			Dimensions: []brick.Dimension{{Name: "x", Max: 1 << 20, Buckets: 1}, {Name: "y", Max: 1 << 20, Buckets: 1},
-				{Name: "z", Max: 1 << 30, Buckets: 1}, {Name: "w", Max: 64, Buckets: 1}},
-			Metrics: []brick.Metric{{Name: "m"}},
-		}
-		narrow := [][2]uint32{{0, 15}, {0, 15}, {0, 15}, {0, 63}}
-		cases := []struct {
-			kernel  string
-			groupBy []string
-			bounds  [][2]uint32
-		}{
-			{"*engine.globalAcc", nil, narrow},
-			{"*engine.denseAcc", []string{"x", "y"}, narrow},
-			{"*engine.packedAcc", []string{"x", "y", "z"}, [][2]uint32{{0, 1 << 19}, {0, 1 << 19}, {0, 1 << 19}, {0, 63}}},
-			{"*engine.keyNAcc", []string{"x", "y", "z"}, nil}, // nil: the schema domain
-		}
-		first := [][]uint32{{1, 2, 1}, {4, 4, 4}, {7, 7, 7}, {1, 2, 3}}
-		more := [][]uint32{{1, 2, 3}, {4, 4, 5}, {7, 7, 9}, {40, 41, 42}} // new sketch values in old groups, and a new group
-		mets := [][]float64{{0.5, -1.25, 3}}
-		for _, tc := range cases {
-			c, err := compile(schema, &Query{GroupBy: tc.groupBy, Aggregates: []Aggregate{
-				{Func: Sum, Metric: "m"}, {Func: Min, Metric: "m"}, {Func: CountDistinct, Metric: "w"}}}, Opts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.bounds == nil {
-				tc.bounds = c.domain
-			}
-			acc := new(kernelSet).pick(c, tc.bounds)
-			if got := fmt.Sprintf("%T", acc); got != tc.kernel {
-				t.Fatalf("picked %s, want %s", got, tc.kernel)
-			}
-			combiner := new(kernelSet).pick(c, c.domain)
-			acc.observeBatch(first, mets, 3, nil)
-			absorb(combiner, acc.slab().pooledClone())
-			for _, k := range []struct {
-				name string
-				acc  accumulator
-				feed func()
-			}{
-				{tc.kernel, acc, func() { acc.observeBatch(more, mets, 3, nil) }},
-				{"combiner of " + tc.kernel, combiner, func() {
-					next := new(kernelSet).pick(c, tc.bounds)
-					next.observeBatch(more, mets, 3, nil)
-					absorb(combiner, next.slab())
-				}},
-			} {
-				orig := k.acc.slab()
-				want := valueOf(orig)
-				cl := orig.pooledClone()
-				k.feed()
-				if reflect.DeepEqual(valueOf(orig), want) {
-					t.Fatalf("%s: feeding more rows changed nothing", k.name)
-				}
-				if !reflect.DeepEqual(valueOf(cl), want) {
-					t.Fatalf("%s: the clone no longer equals the state it was taken from", k.name)
-				}
-				wantOrig := valueOf(orig)
-				for i := range cl.cells {
-					cl.cells[i].observeDistinct(60)
-					cl.cells[i].observe(-100)
-				}
-				if !reflect.DeepEqual(valueOf(orig), wantOrig) {
-					t.Fatalf("%s: the original changed with its clone", k.name)
-				}
-			}
-		}
-	})
-
 	t.Run("e_recycled_slabs", func(t *testing.T) {
 		// Sealed slabs go back to a pool once combined and come out again
-		// for later bricks, so an answer must own everything it holds. The
-		// partials of one folded pass (a publisher and two attachers, each
-		// with a catch-up) and of unshared runs are kept; 200 more queries
-		// recycle the slabs; every kept partial must still hold the state it
-		// was returned with, bit for bit.
+		// for later bricks, so an answer must own everything it holds. One
+		// partial per shape is kept; 200 more queries recycle the slabs;
+		// every kept partial must still hold the state it was returned with,
+		// bit for bit.
 		rnd := randutil.New(0xE5)
 		s, err := brick.NewStore(brick.Schema{
 			Dimensions: []brick.Dimension{{Name: "g", Max: 32, Buckets: 4}, {Name: "h", Max: 16, Buckets: 2},
@@ -417,7 +321,6 @@ func TestGroupSlabHazards(t *testing.T) {
 			{Aggregates: aggs, GroupBy: []string{"h", "g"}, Filter: map[string][2]uint32{"u": {100, 800}}},
 			{Aggregates: aggs},
 		}
-		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
 		type kept struct {
 			p    *Partial
 			want map[string]groupValue
@@ -429,35 +332,8 @@ func TestGroupSlabHazards(t *testing.T) {
 			}
 			keep = append(keep, kept{p, partialValue(p)})
 		}
-
-		claimed, release, _ := holdClaim(sched, 0)
-		answers := make(chan *Partial, 3)
-		run := func() {
-			p, _, err := runPartial(sched, ctx, shapes[0], Opts{})
-			if err != nil {
-				t.Error(err)
-			}
-			answers <- p
-		}
-		go run()
-		<-claimed
-		for attached := int64(1); attached <= 2; attached++ {
-			go run()
-			waitFor(t, func() bool { return sched.Stats().Attached == attached })
-		}
-		release()
-		for i := 0; i < 3; i++ {
-			p := <-answers
-			if p == nil {
-				t.FailNow()
-			}
-			hold(p, 0)
-		}
-		if st := sched.Stats(); st.CatchupBricks != 2 {
-			t.Fatalf("want two attachers catching up one brick each, got %+v", st)
-		}
 		for i, q := range shapes {
-			p, _, err := runPartial(sched, ctx, q, Opts{Unshared: true})
+			p, _, err := runPartial(ctx, s, q, Opts{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -465,7 +341,7 @@ func TestGroupSlabHazards(t *testing.T) {
 		}
 
 		for i := 0; i < 200; i++ {
-			if _, _, err := runPartial(sched, ctx, shapes[i%len(shapes)], Opts{Unshared: i%2 == 0}); err != nil {
+			if _, _, err := runPartial(ctx, s, shapes[i%len(shapes)], Opts{Parallelism: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -512,7 +388,7 @@ func TestGroupSlabHazards(t *testing.T) {
 			{"*engine.packedAcc", []string{"b", "c"}},
 			{"*engine.keyNAcc", []string{"b", "c", "d"}},
 		}
-		sched := NewScheduler(s, SchedulerConfig{Parallelism: 1})
+		one := Opts{Parallelism: 1}
 		type kept struct {
 			blob []byte
 			want []byte
@@ -528,14 +404,14 @@ func TestGroupSlabHazards(t *testing.T) {
 					if round == 1 {
 						q.Filter = map[string][2]uint32{"a": {5, 50}}
 					}
-					if _, err := sched.Run(ctx, q, Opts{Unshared: true}, &cb); err != nil {
+					if _, err := Run(ctx, s, q, one, &cb); err != nil {
 						t.Fatal(err)
 					}
 					if got := fmt.Sprintf("%T", cb.acc); got != k.kernel {
 						t.Fatalf("groupby %v: combiner picked %s, want %s", k.groupBy, got, k.kernel)
 					}
 					var fresh Combiner
-					if _, err := sched.Run(ctx, q, Opts{Unshared: true}, &fresh); err != nil {
+					if _, err := Run(ctx, s, q, one, &fresh); err != nil {
 						t.Fatal(err)
 					}
 					want := fresh.AppendBinary(q, nil)
@@ -595,26 +471,26 @@ func TestGroupSlabHazards(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct {
-			sched *Scheduler
+			store *brick.Store
 			q     *Query
 		}{
-			{sched, &Query{Aggregates: plain, GroupBy: []string{"a", "b"}}},
-			{sched, &Query{Aggregates: distinct, GroupBy: []string{"a"}}},
-			{NewScheduler(s2, SchedulerConfig{}), q},
+			{s, &Query{Aggregates: plain, GroupBy: []string{"a", "b"}}},
+			{s, &Query{Aggregates: distinct, GroupBy: []string{"a"}}},
+			{s2, q},
 		} {
 			cb.Reset()
-			if _, err := sched.Run(ctx, q, Opts{Unshared: true}, &cb); err != nil {
+			if _, err := Run(ctx, s, q, one, &cb); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tc.sched.Run(ctx, tc.q, Opts{Unshared: true}, &cb); !errors.Is(err, errCombinerShape) {
+			if _, err := Run(ctx, tc.store, tc.q, Opts{}, &cb); !errors.Is(err, errCombinerShape) {
 				t.Fatalf("groupby %v, %d aggregates: %v, want errCombinerShape", tc.q.GroupBy, len(tc.q.Aggregates), err)
 			}
 		}
 	})
 
 	t.Run("matrix_non_dyadic", func(t *testing.T) {
-		// Every path of the matrix must agree bit for bit with the oracle on
-		// metrics whose sums round.
+		// Every cell of the run matrix must agree bit for bit with the oracle
+		// on metrics whose sums round.
 		rnd := randutil.New(0x5AB)
 		s, err := brick.NewStore(brick.Schema{
 			Dimensions: []brick.Dimension{{Name: "d0", Max: 24, Buckets: 4}, {Name: "d1", Max: 12, Buckets: 3},
@@ -648,7 +524,7 @@ func TestGroupSlabHazards(t *testing.T) {
 			{Aggregates: aggs[:2], GroupBy: []string{"d0", "d2"}, Filter: map[string][2]uint32{"d1": {2, 9}}},
 			{Aggregates: aggs[1:], GroupBy: []string{"d2", "d1", "d0"}, Filter: map[string][2]uint32{"d0": {3, 20}}},
 		} {
-			runPathMatrix(t, rnd, fmt.Sprintf("non-dyadic groupby %v", q.GroupBy), s, q, reference(t, q, s))
+			runMatrix(t, fmt.Sprintf("non-dyadic groupby %v", q.GroupBy), s, q, reference(t, q, s))
 		}
 	})
 }

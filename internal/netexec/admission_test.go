@@ -14,13 +14,14 @@ import (
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/oracle"
 	"cubrick/internal/partition"
 )
 
-// startFoldCluster is startCluster with scan folding enabled and a metrics
-// registry per worker so tests can observe the fold counters; cfg supplies
-// the rest of the serving configuration.
-func startFoldCluster(t *testing.T, n, rows int, cfg partition.Config) ([]Target, []*Worker, *brick.Store, func()) {
+// startMetricsCluster is startCluster with a metrics registry per worker so
+// tests can observe the serving counters; cfg supplies the rest of the
+// serving configuration.
+func startMetricsCluster(t *testing.T, n, rows int, cfg partition.Config) ([]Target, []*Worker, *brick.Store, func()) {
 	t.Helper()
 	var targets []Target
 	var workers []*Worker
@@ -37,7 +38,6 @@ func startFoldCluster(t *testing.T, n, rows int, cfg partition.Config) ([]Target
 		metsPer[w] = append(metsPer[w], mets)
 	}
 	for i := 0; i < n; i++ {
-		cfg.FoldScans = true
 		cfg.Metrics = metrics.NewRegistry()
 		w := NewWorker(cfg)
 		workers = append(workers, w)
@@ -61,35 +61,42 @@ func startFoldCluster(t *testing.T, n, rows int, cfg partition.Config) ([]Target
 	return targets, workers, whole, cleanup
 }
 
-// TestFoldedDistributedEqualsLocal: routing worker execution through the
-// scan scheduler must not change results.
-func TestFoldedDistributedEqualsLocal(t *testing.T) {
-	targets, workers, whole, cleanup := startFoldCluster(t, 3, 900, partition.Config{})
+// TestConcurrentDistributedEqualsLocal: concurrent queries of several
+// shapes through one coordinator, each worker answering them on brick
+// passes that run side by side over the same stores, must each equal the
+// single-store reference.
+func TestConcurrentDistributedEqualsLocal(t *testing.T) {
+	targets, _, whole, cleanup := startMetricsCluster(t, 3, 900, partition.Config{DecodedCacheBytes: 1 << 20})
 	defer cleanup()
-	q := &engine.Query{
-		Aggregates: []engine.Aggregate{
-			{Func: engine.Sum, Metric: "value"},
-			{Func: engine.Count},
-		},
-		GroupBy: []string{"app"},
-		Filter:  map[string][2]uint32{"ds": {0, 14}},
+	queries := []*engine.Query{
+		{Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value"}, {Func: engine.Count}},
+			GroupBy: []string{"app"}, Filter: map[string][2]uint32{"ds": {0, 14}}},
+		{Aggregates: []engine.Aggregate{{Func: engine.Max, Metric: "value"}}, GroupBy: []string{"ds", "app"}},
+		{Aggregates: []engine.Aggregate{{Func: engine.Avg, Metric: "value"}}},
+	}
+	wants := make([]*engine.Result, len(queries))
+	for i, q := range queries {
+		wants[i] = oracle.Answer(reference(t, q, whole))
 	}
 	coord := &Coordinator{}
-	got, err := coord.Query(context.Background(), targets, q)
-	if err != nil {
-		t.Fatal(err)
+	errs := make([]error, 4*len(queries))
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := coord.Query(context.Background(), targets, queries[i%len(queries)])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			errs[i] = oracle.Equal(wants[i%len(queries)], oracle.Answer(got))
+		}(i)
 	}
-	want := reference(t, q, whole)
-	queryEqual(t, got, want)
-	if got.RowsScanned != want.RowsScanned {
-		t.Fatalf("rows scanned: %d vs %d", got.RowsScanned, want.RowsScanned)
-	}
-	// Every worker executed through the scheduler (solo pass, nothing
-	// concurrent to fold with).
-	for i, w := range workers {
-		if w.Parts().Config().Metrics.CounterValues()["engine.fold.solo"] != 1 {
-			t.Fatalf("worker %d fold.solo = %d, want 1",
-				i, w.Parts().Config().Metrics.CounterValues()["engine.fold.solo"])
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d (%+v): %v", i, queries[i%len(queries)], err)
 		}
 	}
 }
@@ -114,36 +121,10 @@ func postPartial(t *testing.T, url, partition string, q *engine.Query, hdr map[s
 	return resp
 }
 
-// TestFoldHeaderOffBypassesScheduler: X-Cubrick-Fold: off must take the
-// pre-scheduler solo path, leaving the fold counters untouched.
-func TestFoldHeaderOffBypassesScheduler(t *testing.T) {
-	targets, workers, _, cleanup := startFoldCluster(t, 1, 200, partition.Config{})
-	defer cleanup()
-	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-
-	resp := postPartial(t, targets[0].URL, targets[0].Partition, q, map[string]string{HeaderFold: "off"})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fold-off partial status %d", resp.StatusCode)
-	}
-	if got := workers[0].Parts().Config().Metrics.CounterValues()["engine.fold.solo"]; got != 0 {
-		t.Fatalf("fold.solo = %d after fold-off request, want 0", got)
-	}
-
-	resp = postPartial(t, targets[0].URL, targets[0].Partition, q, nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("partial status %d", resp.StatusCode)
-	}
-	if got := workers[0].Parts().Config().Metrics.CounterValues()["engine.fold.solo"]; got != 1 {
-		t.Fatalf("fold.solo = %d after scheduled request, want 1", got)
-	}
-}
-
 // TestWorkerShedReturns429: a full admission queue sheds with 429, which
 // the resilience policy classifies retryable, and counts query.shed.
 func TestWorkerShedReturns429(t *testing.T) {
-	targets, workers, _, cleanup := startFoldCluster(t, 1, 100, partition.Config{MaxConcurrent: 1})
+	targets, workers, _, cleanup := startMetricsCluster(t, 1, 100, partition.Config{MaxConcurrent: 1})
 	defer cleanup()
 	w := workers[0]
 
@@ -179,7 +160,7 @@ func TestWorkerShedReturns429(t *testing.T) {
 // TestCoordinatorAdmissionShed: coordinator-level admission sheds whole
 // queries with ErrQueueFull and counts netexec.query.shed.
 func TestCoordinatorAdmissionShed(t *testing.T) {
-	targets, _, _, cleanup := startFoldCluster(t, 1, 100, partition.Config{})
+	targets, _, _, cleanup := startMetricsCluster(t, 1, 100, partition.Config{})
 	defer cleanup()
 	reg := metrics.NewRegistry()
 	coord := &Coordinator{
@@ -204,10 +185,9 @@ func TestCoordinatorAdmissionShed(t *testing.T) {
 }
 
 // TestCoordinatorPropagatesAdmissionHeaders: tenant/priority from the
-// request context and the coordinator's NoFold switch must reach workers
-// as headers.
+// request context must reach workers as headers.
 func TestCoordinatorPropagatesAdmissionHeaders(t *testing.T) {
-	targets, _, _, cleanup := startFoldCluster(t, 1, 100, partition.Config{})
+	targets, _, _, cleanup := startMetricsCluster(t, 1, 100, partition.Config{})
 	defer cleanup()
 
 	// Wrap the worker with a header-capturing proxy.
@@ -242,7 +222,7 @@ func TestCoordinatorPropagatesAdmissionHeaders(t *testing.T) {
 	}))
 	defer proxy.Close()
 
-	coord := &Coordinator{NoFold: true}
+	coord := &Coordinator{}
 	ctx := admission.WithMeta(context.Background(), admission.Meta{Tenant: "acme", Priority: 3})
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
 	if _, err := coord.Query(ctx, []Target{{URL: proxy.URL, Partition: targets[0].Partition}}, q); err != nil {
@@ -258,8 +238,5 @@ func TestCoordinatorPropagatesAdmissionHeaders(t *testing.T) {
 	}
 	if got := captured.Get(HeaderPriority); got != "3" {
 		t.Fatalf("%s = %q, want 3", HeaderPriority, got)
-	}
-	if got := captured.Get(HeaderFold); got != "off" {
-		t.Fatalf("%s = %q, want off", HeaderFold, got)
 	}
 }

@@ -93,8 +93,8 @@ func FromSchema(s brick.Schema) SchemaJSON {
 //	GET  /health     liveness
 //
 // plus the migration plane (transfer.go) and the dictionary plane
-// (dictsync.go). Serving behaviour — folding, the decoded-column cache,
-// admission, the metrics registry — is the set's partition.Config, fixed by
+// (dictsync.go). Serving behaviour — the decoded-column cache, admission,
+// the metrics registry — is the set's partition.Config, fixed by
 // NewWorker; the fields below configure the edge only and are set before
 // the first request.
 //
@@ -359,7 +359,6 @@ func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Qu
 	opts := partition.Opts{
 		Tenant:   popts.tenant,
 		Priority: popts.priority,
-		Unshared: popts.noFold,
 		NoCache:  popts.noCache,
 	}
 	// espan is the partition's execute span. It carries the scan accounting
@@ -399,8 +398,6 @@ func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Qu
 	if popts.noCache {
 		espan.SetAttr("cache.bypass", "true")
 	}
-	espan.SetAttr("folded", strconv.FormatBool(info.Folded))
-	espan.SetAttrInt("catchup_bricks", int64(info.CatchupBricks))
 	attrMS(espan, "plan_ms", info.Plan)
 	attrMS(espan, "scan_ms", info.Scan)
 	attrMS(espan, "combine_ms", info.Combine)
@@ -515,9 +512,6 @@ type Coordinator struct {
 	// priority come from admission.WithMeta on the request context. Nil
 	// admits everything.
 	Admission *admission.Controller
-	// NoFold stamps X-Cubrick-Fold: off on worker requests, bypassing
-	// worker-side shared-scan folding for queries from this coordinator.
-	NoFold bool
 	// ResultCache, when set, remembers finished full-coverage Results keyed
 	// on the complete query identity (fold key + residue + partition set)
 	// and validated against the per-partition ingest epochs workers report
@@ -730,7 +724,7 @@ func (c *Coordinator) Query(ctx context.Context, targets []Target, q *engine.Que
 	}
 	// Every target's full partial folds into one accumulator the moment it
 	// arrives; Finalize then applies HAVING, sorts and limits.
-	opts := partialOpts{tenant: meta.Tenant, priority: meta.Priority, noFold: c.NoFold, noCache: bypass}
+	opts := partialOpts{tenant: meta.Tenant, priority: meta.Priority, noCache: bypass}
 	merged := engine.NewPartial(q)
 	epochs, missing, err := c.gather(ctx, q, targets, opts, func(blob []byte) error {
 		var mstart time.Time

@@ -188,7 +188,7 @@ func TestWorkerPartitionLifecycle(t *testing.T) {
 // the "≈0.7 ms of worker CPU per call whatever it scans" line of the
 // benchmark's layer budget (ROADMAP aim 1c); run with -benchmem.
 func BenchmarkServePartialSmall(b *testing.B) {
-	wk := NewWorker(partition.Config{FoldScans: true})
+	wk := NewWorker(partition.Config{})
 	if err := wk.AddPartition("wide#0", wideSchema()); err != nil {
 		b.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func wideSchema() brick.Schema {
 // loaded with the rows row(p, r) draws for r in [0, rows).
 func hostWorker(tb testing.TB, parts, rows int, row func(p, r int) []uint32) (*Worker, []string) {
 	tb.Helper()
-	wk := NewWorker(partition.Config{FoldScans: true})
+	wk := NewWorker(partition.Config{})
 	names := make([]string, parts)
 	for p := range names {
 		names[p] = fmt.Sprintf("wide#%d", p)

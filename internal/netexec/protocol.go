@@ -25,15 +25,12 @@ import (
 
 // Request metadata travels worker-ward in HTTP headers: the coordinator
 // stamps its context's tenant and priority onto /partial requests so
-// worker-side quotas account the right tenant, and can switch folding and
-// caching off per request. HeaderTenant, HeaderPriority and HeaderCache are
+// worker-side quotas account the right tenant, and can switch caching off
+// per request. HeaderTenant, HeaderPriority and HeaderCache are
 // also what a client sends the coordinator's /query.
 const (
 	HeaderTenant   = "X-Cubrick-Tenant"
 	HeaderPriority = "X-Cubrick-Priority"
-	// HeaderFold set to "off" runs the request on an unshared brick pass:
-	// it neither joins an in-flight pass nor lets other requests join.
-	HeaderFold = "X-Cubrick-Fold"
 	// HeaderCache set to "off" bypasses every cache level for one request:
 	// the coordinator skips its result cache and stamps the header
 	// worker-ward, where /partial neither consults nor fills the
@@ -72,7 +69,6 @@ func partialBody(partitions []string, query json.RawMessage) ([]byte, error) {
 type partialOpts struct {
 	tenant   string
 	priority int
-	noFold   bool
 	noCache  bool
 }
 
@@ -84,9 +80,6 @@ func (o partialOpts) stamp(h http.Header) {
 	if o.priority != 0 {
 		h.Set(HeaderPriority, strconv.Itoa(o.priority))
 	}
-	if o.noFold {
-		h.Set(HeaderFold, "off")
-	}
 	if o.noCache {
 		h.Set(HeaderCache, "off")
 	}
@@ -97,7 +90,6 @@ func (o partialOpts) stamp(h http.Header) {
 func parsePartialOpts(h http.Header) partialOpts {
 	o := partialOpts{
 		tenant:  h.Get(HeaderTenant),
-		noFold:  h.Get(HeaderFold) == "off",
 		noCache: h.Get(HeaderCache) == "off",
 	}
 	if p := h.Get(HeaderPriority); p != "" {

@@ -27,9 +27,9 @@ import (
 // carries parse back exact; a missing or unparsable epoch header, or one
 // whose count is not the call's partition count, is absent.
 func TestProtocolRoundTrip(t *testing.T) {
-	for bits := 0; bits < 1<<4; bits++ {
+	for bits := 0; bits < 1<<3; bits++ {
 		on := func(b int) bool { return bits&(1<<b) != 0 }
-		opts := partialOpts{noFold: on(2), noCache: on(3)}
+		opts := partialOpts{noCache: on(2)}
 		if on(0) {
 			opts.tenant = "acme"
 		}
@@ -185,9 +185,10 @@ func (l *wireLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // every per-query option, and for a call naming two partitions of one
 // host: one body listing both, one X-Cubrick-Epoch entry per partition in
 // request order, one blob the worker merged. The goldens were re-recorded
-// once, on purpose, when the body's partition became a partition list;
-// benchkit's proxy parses and replays this request. It also pins that a
-// worker ignores the X-Cubrick-TopK header of a coordinator from before
+// on purpose when the body's partition became a partition list, and when
+// the X-Cubrick-Fold header left with shared-scan folding; benchkit's
+// proxy parses and replays this request. It also pins that a worker
+// ignores the X-Cubrick-TopK header of a coordinator from before
 // top-k pushdown was removed: the full partial, blob byte for byte, with
 // no top-k response header.
 func TestPartialWireGolden(t *testing.T) {
@@ -215,7 +216,7 @@ func TestPartialWireGolden(t *testing.T) {
 		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value", Alias: "total"}, {Func: engine.Count}},
 		Filter:     map[string][2]uint32{"ds": {0, 1}},
 	}
-	if _, err := (&Coordinator{NoFold: true}).Query(ctx, targets, plain); err != nil {
+	if _, err := (&Coordinator{}).Query(ctx, targets, plain); err != nil {
 		t.Fatal(err)
 	}
 
@@ -287,7 +288,6 @@ func TestPartialWireGolden(t *testing.T) {
 const partialGoldenPlain = `POST /partial
 Content-Type: application/json
 X-Cubrick-Cache: off
-X-Cubrick-Fold: off
 X-Cubrick-Priority: 3
 X-Cubrick-Tenant: acme
 {"partitions":["t#0"],"query":{"Aggregates":[{"Func":0,"Metric":"value","Alias":"total"},{"Func":1,"Metric":"","Alias":""}],"GroupBy":null,"Filter":{"ds":[0,1]},"OrderBy":"","Desc":false,"Limit":0,"Having":null}}

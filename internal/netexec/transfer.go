@@ -63,7 +63,7 @@ func (w *Worker) IsFenced(partition string) bool {
 }
 
 // RemovePartition drops everything the worker holds for a partition — its
-// set entry (store and scan scheduler) and its fence flag.
+// set entry (its store) and its fence flag.
 // Removing an absent partition reports false without error — the migration
 // driver's drop step must be safely re-runnable.
 func (w *Worker) RemovePartition(name string) bool {

@@ -1,5 +1,5 @@
 // Package oracle is the reference the engine's differential walls check
-// Scheduler.Run against. It is imported by tests only: a brick-ordered
+// engine.Run against. It is imported by tests only: a brick-ordered
 // executor written against the public brick API alone, a seeded generator
 // of (schema, rows, tier mix, query) trials, and one result comparison
 // whose normalisations are stated on Equal.

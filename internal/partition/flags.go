@@ -2,7 +2,6 @@ package partition
 
 import (
 	"flag"
-	"fmt"
 	"time"
 
 	"cubrick/internal/brick"
@@ -16,8 +15,7 @@ type Flags struct {
 	CompactInterval time.Duration
 	Compaction      brick.CompactionConfig
 
-	cfg  Config
-	fold string
+	cfg Config
 }
 
 // RegisterFlags declares the serving flags on fs: the one place their
@@ -31,7 +29,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.Compaction.PromoteAbove, "compact-promote-above", 0, "promote colder-tier bricks whose hotness rises above this (0 disables)")
 	fs.IntVar(&f.cfg.MaxConcurrent, "max-concurrent-queries", 0, "cap on concurrently executing partials per worker; excess queries queue (0 disables admission control)")
 	fs.IntVar(&f.cfg.QueueDepth, "queue-depth", 64, "bound on the admission queue; arrivals beyond it are shed (HTTP 429)")
-	fs.StringVar(&f.fold, "fold", "on", "shared-scan folding: concurrent queries with equal fold keys share one brick pass (on/off)")
+	fs.String("fold", "on", "ignored; shared-scan folding was removed")
 	fs.Int64Var(new(int64), "brick-cache-bytes", 0, "ignored; the per-brick partial cache was removed")
 	fs.Int64Var(&f.cfg.DecodedCacheBytes, "decoded-cache-bytes", 0, "per-worker byte budget for the decoded-column cache pinning hot compressed bricks (0 disables)")
 	fs.String("rollup-time-dim", "", "ignored; incremental rollups were removed")
@@ -41,11 +39,4 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 }
 
 // Config returns the serving configuration the flags describe.
-func (f *Flags) Config() (Config, error) {
-	if f.fold != "on" && f.fold != "off" {
-		return Config{}, fmt.Errorf("-fold must be on or off, got %q", f.fold)
-	}
-	cfg := f.cfg
-	cfg.FoldScans = f.fold == "on"
-	return cfg, nil
-}
+func (f *Flags) Config() Config { return f.cfg }

@@ -1,11 +1,11 @@
 // Package partition is the worker of the paper's query flow (§IV: a node
 // holds table partitions and answers one partial per partition), once. A
-// Set keeps everything a served partition needs — store and scan
-// scheduler — in one map entry, owns the node-wide decoded-column cache and
-// the admission controller, and runs the only admission → brick-pass path
-// outside internal/engine. netexec.Worker (HTTP) and cubrick.Node
-// (Shard Manager app server) are edges around it: they decide which
-// partition a request names and how the answer travels, nothing else.
+// Set maps each served partition to its store, owns the node-wide
+// decoded-column cache and the admission controller, and runs the only
+// admission → brick-pass path outside internal/engine. netexec.Worker
+// (HTTP) and cubrick.Node (Shard Manager app server) are edges around it:
+// they decide which partition a request names and how the answer travels,
+// nothing else.
 package partition
 
 import (
@@ -37,12 +37,8 @@ func (e *AdmissionError) Error() string { return e.Err.Error() }
 func (e *AdmissionError) Unwrap() error { return e.Err }
 
 // Config is the serving configuration of one worker. All of it is fixed at
-// construction; the zero value serves unshared, uncached and unthrottled.
+// construction; the zero value serves uncached and unthrottled.
 type Config struct {
-	// FoldScans lets concurrent queries with equal fold keys share one
-	// brick pass of the partition's scan scheduler (the -fold flag). A
-	// request can still opt out with Opts.Unshared.
-	FoldScans bool
 	// DecodedCacheBytes budgets the storage layer's decoded-column cache
 	// (hot compressed bricks keep their decoded columns resident), shared
 	// by every partition of the set; 0 disables it.
@@ -52,16 +48,9 @@ type Config struct {
 	// beyond it. 0 admits everything.
 	MaxConcurrent int
 	QueueDepth    int
-	// Metrics, when set, receives the engine, cache, storage and admission
+	// Metrics, when set, receives the cache, storage and admission
 	// instrumentation of everything the set serves.
 	Metrics *metrics.Registry
-}
-
-// entry is everything one served partition owns. Dropping the map entry
-// drops all of it at once.
-type entry struct {
-	store *brick.Store
-	sched *engine.Scheduler
 }
 
 // Set is the partitions one worker serves.
@@ -71,7 +60,7 @@ type Set struct {
 	decodedCache *brick.DecodedCache
 
 	mu    sync.Mutex
-	parts map[string]*entry
+	parts map[string]*brick.Store
 }
 
 // New builds an empty set with its cache levels and admission controller.
@@ -79,7 +68,7 @@ func New(cfg Config) *Set {
 	s := &Set{
 		cfg:          cfg,
 		decodedCache: brick.NewDecodedCache(cfg.DecodedCacheBytes),
-		parts:        make(map[string]*entry),
+		parts:        make(map[string]*brick.Store),
 	}
 	s.decodedCache.SetMetrics(cfg.Metrics)
 	if cfg.MaxConcurrent > 0 {
@@ -126,19 +115,15 @@ func (s *Set) Add(name string, schema brick.Schema) error {
 	return s.Adopt(name, st)
 }
 
-// Adopt serves a store built by NewStore under name with its own scan
-// scheduler. A store that already holds rows (a promoted migration
-// receive) is served as it stands.
+// Adopt serves a store built by NewStore under name. A store that already
+// holds rows (a promoted migration receive) is served as it stands.
 func (s *Set) Adopt(name string, st *brick.Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.parts[name]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	s.parts[name] = &entry{
-		store: st,
-		sched: engine.NewScheduler(st, engine.SchedulerConfig{Metrics: s.cfg.Metrics}),
-	}
+	s.parts[name] = st
 	return nil
 }
 
@@ -155,21 +140,15 @@ func (s *Set) Drop(name string) bool {
 func (s *Set) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.parts = make(map[string]*entry)
-}
-
-func (s *Set) entry(name string) *entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.parts[name]
+	s.parts = make(map[string]*brick.Store)
 }
 
 // Store returns a served partition's store.
 func (s *Set) Store(name string) (*brick.Store, bool) {
-	if e := s.entry(name); e != nil {
-		return e.store, true
-	}
-	return nil, false
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.parts[name]
+	return st, ok
 }
 
 // Len returns how many partitions are served.
@@ -184,8 +163,8 @@ func (s *Set) Stores() []*brick.Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*brick.Store, 0, len(s.parts))
-	for _, e := range s.parts {
-		out = append(out, e.store)
+	for _, st := range s.parts {
+		out = append(out, st)
 	}
 	return out
 }
@@ -213,29 +192,12 @@ func (s *Set) DecayHotness(factor float64) {
 	}
 }
 
-// FoldStats sums folding counters across the served partitions.
-func (s *Set) FoldStats() engine.FoldStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total engine.FoldStats
-	for _, e := range s.parts {
-		st := e.sched.Stats()
-		total.Solo += st.Solo
-		total.Attached += st.Attached
-		total.CatchupBricks += st.CatchupBricks
-	}
-	return total
-}
-
 // Opts are the per-request options of Partial.
 type Opts struct {
 	// Tenant and Priority are what the admission controller accounts the
 	// request under.
 	Tenant   string
 	Priority int
-	// Unshared runs the request on a private brick pass even when the set
-	// folds scans (X-Cubrick-Fold: off).
-	Unshared bool
 	// NoCache promises a fully recomputed answer (X-Cubrick-Cache: off):
 	// the decoded-column cache is bypassed.
 	NoCache bool
@@ -245,19 +207,19 @@ type Opts struct {
 	Admitted func(queued time.Duration)
 }
 
-// Partial answers q over one partition into cb: admission, then a brick
-// pass of its scan scheduler, whose bricks fold into cb after whatever cb
+// Partial answers q over one partition into cb: admission, then one brick
+// pass over its store, whose bricks fold into cb after whatever cb
 // already holds. It returns how the pass ran and the partition's ingest
 // epoch read before execution — conservative, so a batch landing mid-scan
 // (which the scan may have missed) yields a higher epoch than the one
 // reported and a result cached under it invalidates the moment the newer
 // epoch is learned.
 func (s *Set) Partial(ctx context.Context, name string, q *engine.Query, o Opts, cb *engine.Combiner) (engine.ExecInfo, uint64, error) {
-	e := s.entry(name)
-	if e == nil {
+	st, ok := s.Store(name)
+	if !ok {
 		return engine.ExecInfo{}, 0, fmt.Errorf("%w: %q", ErrNoPartition, name)
 	}
-	epoch := e.store.Epoch()
+	epoch := st.Epoch()
 	var queued time.Duration
 	if s.admit != nil {
 		tkt, err := s.admit.Admit(ctx, o.Tenant, o.Priority)
@@ -270,9 +232,6 @@ func (s *Set) Partial(ctx context.Context, name string, q *engine.Query, o Opts,
 	if o.Admitted != nil {
 		o.Admitted(queued)
 	}
-	info, err := e.sched.Run(ctx, q, engine.Opts{
-		Unshared: !s.cfg.FoldScans || o.Unshared,
-		NoCache:  o.NoCache,
-	}, cb)
+	info, err := engine.Run(ctx, st, q, engine.Opts{NoCache: o.NoCache}, cb)
 	return info, epoch, err
 }

@@ -99,7 +99,7 @@ func TestLifecycle(t *testing.T) {
 		{"Reset", (*Set).Reset},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{FoldScans: true})
+			s := New(Config{})
 			if err := s.Add("p", testSchema()); err != nil {
 				t.Fatal(err)
 			}
@@ -181,28 +181,29 @@ func TestAdoptStagedStore(t *testing.T) {
 	}
 }
 
-// TestPartialOptions: NoCache answers as the cached path does, and
-// Unshared keeps the run out of the fold counters.
+// TestPartialOptions: NoCache answers as the cached path does and leaves
+// the decoded-column cache untouched.
 func TestPartialOptions(t *testing.T) {
-	s := New(Config{FoldScans: true, DecodedCacheBytes: 1 << 20})
+	s := New(Config{DecodedCacheBytes: 1 << 20})
 	if err := s.Add("p", testSchema()); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := s.Store("p")
 	ingest(t, st, 400, 1)
+	if _, _, err := st.EnsureBudget(0, 0.5); err != nil {
+		t.Fatal(err)
+	}
 	cached, _ := mustPartial(t, s, "p", groupQuery, Opts{})
+	before := s.decodedCache.Stats()
+	if before.Misses == 0 {
+		t.Fatalf("the cached run never consulted the decoded-column cache: %+v", before)
+	}
 	bypassed, _ := mustPartial(t, s, "p", groupQuery, Opts{NoCache: true})
 	if got, want := bypassed.Finalize().Rows, cached.Finalize().Rows; !reflect.DeepEqual(got, want) {
 		t.Fatalf("cache-bypassed rows %v, want %v", got, want)
 	}
-	before := s.FoldStats()
-	mustPartial(t, s, "p", rawQuery, Opts{Unshared: true})
-	if got := s.FoldStats(); got != before {
-		t.Fatalf("unshared run moved the fold counters: %+v -> %+v", before, got)
-	}
-	mustPartial(t, s, "p", rawQuery, Opts{})
-	if got := s.FoldStats().Solo; got != before.Solo+1 {
-		t.Fatalf("shared run: solo = %d, want %d", got, before.Solo+1)
+	if got := s.decodedCache.Stats(); got != before {
+		t.Fatalf("the bypassed run touched the decoded-column cache: %+v -> %+v", before, got)
 	}
 }
 
@@ -274,23 +275,20 @@ func TestCompactAndDecay(t *testing.T) {
 	}
 }
 
-// TestFlags: the defaults describe a folding, cache-less, unthrottled
-// worker; every serving flag parses into its Config field, except the
-// retired -brick-cache-bytes and -rollup-{time-dim,bucket,dims}, which
-// parse and change nothing, and the deleted -rollup-distinct, which fails;
-// -fold takes on/off only; and README's table lists each flag with its
-// default, so the documentation cannot drift from RegisterFlags.
+// TestFlags: the defaults describe a cache-less, unthrottled worker; every
+// serving flag parses into its Config field, except the retired -fold,
+// -brick-cache-bytes and -rollup-{time-dim,bucket,dims}, which parse and
+// change nothing, and the deleted -rollup-distinct, which fails; and
+// README's table lists each flag with its default, so the documentation
+// cannot drift from RegisterFlags.
 func TestFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := RegisterFlags(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := f.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.FoldScans || cfg.QueueDepth != 64 || cfg.MaxConcurrent != 0 || cfg.DecodedCacheBytes != 0 {
+	cfg := f.Config()
+	if cfg.QueueDepth != 64 || cfg.MaxConcurrent != 0 || cfg.DecodedCacheBytes != 0 {
 		t.Fatalf("default config = %+v", cfg)
 	}
 	defaults := cfg
@@ -300,16 +298,13 @@ func TestFlags(t *testing.T) {
 
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
 	f = RegisterFlags(fs)
-	err = fs.Parse(strings.Fields("-fold off -decoded-cache-bytes 8 -max-concurrent-queries 3 -queue-depth 2 " +
+	err := fs.Parse(strings.Fields("-decoded-cache-bytes 8 -max-concurrent-queries 3 -queue-depth 2 " +
 		"-compact-interval 1s -compact-encode-below 5 -compact-evict-below 1 -compact-promote-above 9"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err = f.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.FoldScans || cfg.DecodedCacheBytes != 8 || cfg.MaxConcurrent != 3 || cfg.QueueDepth != 2 {
+	cfg = f.Config()
+	if cfg.DecodedCacheBytes != 8 || cfg.MaxConcurrent != 3 || cfg.QueueDepth != 2 {
 		t.Fatalf("parsed config = %+v", cfg)
 	}
 	if f.CompactInterval != time.Second || f.Compaction != (brick.CompactionConfig{EncodeBelow: 5, EvictBelow: 1, PromoteAbove: 9}) {
@@ -318,12 +313,12 @@ func TestFlags(t *testing.T) {
 
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
 	f = RegisterFlags(fs)
-	retired := strings.Fields("-brick-cache-bytes 7 -rollup-time-dim ds -rollup-bucket 8 -rollup-dims region,kind")
+	retired := strings.Fields("-fold on -brick-cache-bytes 7 -rollup-time-dim ds -rollup-bucket 8 -rollup-dims region,kind")
 	if err := fs.Parse(retired); err != nil {
 		t.Fatal(err)
 	}
-	if cfg, err = f.Config(); err != nil || !reflect.DeepEqual(cfg, defaults) {
-		t.Fatalf("%v: config %+v, %v; want the defaults %+v", retired, cfg, err, defaults)
+	if cfg = f.Config(); !reflect.DeepEqual(cfg, defaults) {
+		t.Fatalf("%v: config %+v; want the defaults %+v", retired, cfg, defaults)
 	}
 
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
@@ -331,15 +326,6 @@ func TestFlags(t *testing.T) {
 	RegisterFlags(fs)
 	if err := fs.Parse([]string{"-rollup-distinct", "app"}); err == nil {
 		t.Fatal("-rollup-distinct parsed; it was deleted")
-	}
-
-	fs = flag.NewFlagSet("test", flag.ContinueOnError)
-	f = RegisterFlags(fs)
-	if err := fs.Parse([]string{"-fold", "maybe"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Config(); err == nil {
-		t.Fatal("-fold maybe accepted")
 	}
 
 	readme, err := os.ReadFile("../../README.md")

@@ -12,8 +12,8 @@ import (
 // but a small population of distinct shapes (each widget re-issues its
 // query on refresh) with heavily skewed repetition. The replay generator
 // draws from a fixed set of distinct shapes with zipf skew, which is what
-// makes shared-scan folding measurable: the fold hit rate is exactly the
-// probability two in-flight queries drew the same shape.
+// makes result caching measurable: a repeat is exactly a draw of a shape
+// already answered since the table last ingested.
 
 // ReplayConfig parameterizes a query replay stream.
 type ReplayConfig struct {

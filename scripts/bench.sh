@@ -100,17 +100,6 @@ rm -f "$STORAGE_RAW"
 echo "== wrote BENCH_storage.json"
 cat BENCH_storage.json
 
-# Shared-scan folding under concurrency: aggregate QPS and p50/p99 at
-# 1/8/64/512 concurrent queries over a zipf-skewed shape population,
-# folded (scan scheduler) vs unfolded (solo passes). Acceptance: >=2x
-# aggregate QPS at 64 concurrent same-table queries, p99 at concurrency 1
-# no worse than unfolded.
-echo "== concurrency bench (shared-scan folding vs solo)"
-CONCURRENCY_BENCH_OUT="$(pwd)/BENCH_concurrency.json" \
-    go test ./internal/engine/ -run '^TestConcurrencyBench$' -count=1 -timeout 30m
-echo "== wrote BENCH_concurrency.json"
-cat BENCH_concurrency.json
-
 # Multi-level caching tier: p50/p99 of a zipf-2.0 dashboard replay (4 hot
 # shapes) against a 2-worker cluster, caches on/off x ingest on/off, plus
 # result-cache hit rates and invalidation counts. Acceptance: >=5x p50

@@ -14,8 +14,8 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 
-# One brick loop (PR 14): scheduler.go's visitBrick is the engine's only
-# decode/filter/observe body, reached through the one Scheduler.Run entry
+# One brick loop (PR 14): run.go's visitBrick is the engine's only
+# decode/filter/observe body, reached through the one engine.Run entry
 # point. A second VisitBatch call site anywhere in non-test internal/engine
 # is a second copy of that body in the making, and so is a ScanTask.Visit
 # call: the deleted rollup delta scan was a row-at-a-time brick loop over
@@ -36,7 +36,7 @@ if grep -n '\.Visit(' $ENGINE_SRC; then
     exit 1
 fi
 if grep -rn --include='*.go' 'ExecuteParallel' .; then
-    echo "one brick loop: ExecuteParallel is back (see above); Scheduler.Run is the only entry point"
+    echo "one brick loop: ExecuteParallel is back (see above); engine.Run is the only entry point"
     exit 1
 fi
 if grep -n 'disableSkippers\|disableEncodedKernels\|noSkippers\|noEncodedKernels\|func Execute(' $ENGINE_SRC; then
@@ -55,17 +55,17 @@ if grep -n '"cubrick/internal/oracle"' $NONTEST_GO; then
     exit 1
 fi
 
-# One worker (PR 16): internal/partition is the only place a partition gets
-# a scan scheduler, so every worker answer is admission plus one brick
-# pass; netexec.Worker and cubrick.Node are edges around it. A second call
-# site is a second worker in the making, and the runtime setters that
+# One worker (PR 16): internal/partition is the only place a partition's
+# store meets a brick pass, so every worker answer is admission plus one
+# engine.Run; netexec.Worker and cubrick.Node are edges around it. A second
+# call site is a second worker in the making, and the runtime setters that
 # existed to reconfigure one must not come back.
 echo "== one worker"
 OUTSIDE_ENGINE="$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/engine/*' ! -path './.bench_build/*')"
-SITES="$(cat $OUTSIDE_ENGINE | grep -cF 'engine.NewScheduler(' || true)"
+SITES="$(cat $OUTSIDE_ENGINE | grep -cF 'engine.Run(' || true)"
 if [ "$SITES" != 1 ]; then
-    echo "one worker: $SITES call sites of engine.NewScheduler( in non-test code outside internal/engine, want exactly 1:"
-    grep -nF 'engine.NewScheduler(' $OUTSIDE_ENGINE
+    echo "one worker: $SITES call sites of engine.Run( in non-test code outside internal/engine, want exactly 1:"
+    grep -nF 'engine.Run(' $OUTSIDE_ENGINE
     exit 1
 fi
 if grep -rn 'SetFoldScans\|SetCacheBudgets\|SetAdmission' --include='*.go' .; then
@@ -89,6 +89,25 @@ if [ -e internal/rollup ]; then
 fi
 if grep -n 'ExecuteRollup\|VisitSince\|SetIngestObserver' $NONTEST_GO; then
     echo "no rollups: the rollup path or a brick hook only it used is back (see above)"
+    exit 1
+fi
+
+# No shared scans: folding concurrent same-key queries into one brick pass
+# (publish, attach, catch-up, abort-retry) was measured on the benchmark's
+# own workloads — an attach ratio of 0.004 on dash_replay, absent on the
+# others, and no end-to-end metric moved with it off — so it was deleted
+# rather than kept as a mode: every query runs its own brick pass. What
+# remains is the retired -fold flag, which partition/flags.go and
+# cubrick-coordinator still parse and ignore because the benchmark rig
+# (internal/benchkit) still passes it.
+echo "== no shared scans"
+if grep -n 'FoldStats\|HeaderFold\|NoFold\|FoldScans\|Unshared\|CatchupBricks\|errPassAborted\|pooledClone' $NONTEST_GO; then
+    echo "no shared scans: shared-scan folding or its plumbing is back (see above)"
+    exit 1
+fi
+FLAG_SRC="$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/benchkit/*' ! -path './.bench_build/*' ! -path './internal/partition/flags.go' ! -path './cmd/cubrick-coordinator/main.go')"
+if grep -n '"fold"' $FLAG_SRC; then
+    echo "no shared scans: a \"fold\" flag is declared outside internal/partition/flags.go and cmd/cubrick-coordinator/main.go (see above)"
     exit 1
 fi
 
@@ -244,14 +263,14 @@ go test -count=1 -run 'TestServePartialBytesFlat' ./internal/netexec
 # The brick pass keeps groups in index-addressed slabs: a group is an index
 # into flat key and cell arrays, never an object of its own, so a brick's
 # groups cost no allocation each. Sealed brick slabs come from a pool and go
-# back to it once combined: scheduler.go builds them only through
-# groupSlab.pooledSeal and pooledClone. A partially covered brick's filter
+# back to it once combined: run.go builds them only through
+# groupSlab.pooledSeal. A partially covered brick's filter
 # is selection vectors, column at a time: buildSel holds no per-row
 # closure. The hazard test pins the five ways slab state can break an
 # answer; the ceiling pins allocations per visited brick.
 echo "== group state without per-group objects"
-if grep -nE 'groupSlab\{|new\(groupSlab\)|\[\]cell|slabPool\.Get|\.(seal|clone|copied)\(' internal/engine/scheduler.go; then
-    echo "group state without per-group objects: scheduler.go builds a slab outside groupSlab.pooledSeal/pooledClone (see above)"
+if grep -nE 'groupSlab\{|new\(groupSlab\)|\[\]cell|slabPool\.Get|\.(seal|clone|copied)\(' internal/engine/run.go; then
+    echo "group state without per-group objects: run.go builds a slab outside groupSlab.pooledSeal (see above)"
     exit 1
 fi
 CLOSURES="$(awk '/^func \(c \*compiled\) buildSel\(/ { inside = 1; next } inside && /^}/ { inside = 0 } inside && /func[ (]/' internal/engine/encoded.go | wc -l)"
