@@ -217,7 +217,7 @@ func BenchmarkScanParallelism(b *testing.B) {
 			var cb engine.Combiner
 			for i := 0; i < b.N; i++ {
 				cb.Reset()
-				if _, err := engine.Run(context.Background(), s, q, engine.Opts{Parallelism: workers}, &cb); err != nil {
+				if _, err := engine.Run(context.Background(), q, engine.Opts{Parallelism: workers}, &cb, s); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -260,12 +260,11 @@ func (s *coordServer) query(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
-	// Clients identify themselves for admission accounting: tenant quotas
-	// and priority scheduling key off these headers, and both propagate
-	// worker-ward on the partial fetches.
-	if tenant, prio := r.Header.Get(netexec.HeaderTenant), r.Header.Get(netexec.HeaderPriority); tenant != "" || prio != "" {
+	// A client's priority orders its query in the admission queues, here
+	// and, propagated worker-ward on the partial fetches, at the workers.
+	if prio := r.Header.Get(netexec.HeaderPriority); prio != "" {
 		priority, _ := strconv.Atoi(prio)
-		ctx = admission.WithMeta(ctx, admission.Meta{Tenant: tenant, Priority: priority})
+		ctx = admission.WithMeta(ctx, admission.Meta{Priority: priority})
 	}
 	// X-Cubrick-Cache: off forces a fully recomputed answer — the result
 	// cache is skipped here and the header propagates to workers, which

@@ -1,7 +1,7 @@
-// Package admission provides the query admission layer: per-tenant
-// concurrency quotas, a bounded priority queue, and load shedding. It sits
-// in front of query execution at both the worker (Node.ExecutePartial /
-// the /partial HTTP handler) and the coordinator (netexec.Coordinator), so
+// Package admission provides the query admission layer: a concurrency
+// cap, a bounded priority queue, and load shedding. It sits in front of
+// query execution at both the worker (partition.Set.Partial, one ticket
+// per /partial call) and the coordinator (netexec.Coordinator), so
 // a burst of dashboard traffic queues briefly — with queue time recorded
 // in the trace plane and the query.queue_ms histogram — instead of
 // thrashing the scan workers, and sheds (429, retryable under the
@@ -31,10 +31,6 @@ type Config struct {
 	// with ErrQueueFull. Zero means no queue: beyond MaxConcurrent,
 	// arrivals shed immediately.
 	QueueDepth int
-	// PerTenantMax caps concurrently running queries per tenant (0 =
-	// no per-tenant cap). A tenant at its cap queues even when global
-	// slots are free; other tenants pass it in the queue.
-	PerTenantMax int
 	// Clock supplies time for queue-time measurement; nil uses the real
 	// clock. Tests drive a simclock.
 	Clock simclock.Clock
@@ -46,7 +42,6 @@ type Config struct {
 // Ticket is one admitted query's slot; Release returns it.
 type Ticket struct {
 	c        *Controller
-	tenant   string
 	Queued   time.Duration // time spent waiting for admission
 	released bool
 	mu       sync.Mutex
@@ -65,12 +60,13 @@ func (t *Ticket) Release() {
 	if done {
 		return
 	}
-	t.c.release(t.tenant)
+	t.c.mu.Lock()
+	t.c.releaseLocked()
+	t.c.mu.Unlock()
 }
 
 // waiter is one queued admission request.
 type waiter struct {
-	tenant   string
 	priority int
 	seq      uint64
 	enqueued time.Time
@@ -86,7 +82,6 @@ type Controller struct {
 
 	mu      sync.Mutex
 	running int
-	tenants map[string]int
 	queue   []*waiter
 	seq     uint64
 	shed    int64
@@ -105,7 +100,7 @@ func New(cfg Config) *Controller {
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	return &Controller{cfg: cfg, clock: clock, tenants: make(map[string]int)}
+	return &Controller{cfg: cfg, clock: clock}
 }
 
 // QueueLen returns the number of queries waiting for admission.
@@ -138,26 +133,6 @@ func (c *Controller) Shed() int64 {
 	return c.shed
 }
 
-// canRun reports whether a query for the tenant may start now, ignoring
-// the queue. Caller holds c.mu.
-func (c *Controller) canRun(tenant string) bool {
-	if c.running >= c.cfg.MaxConcurrent {
-		return false
-	}
-	if c.cfg.PerTenantMax > 0 && tenant != "" && c.tenants[tenant] >= c.cfg.PerTenantMax {
-		return false
-	}
-	return true
-}
-
-// admitLocked marks one query running. Caller holds c.mu.
-func (c *Controller) admitLocked(tenant string) {
-	c.running++
-	if tenant != "" {
-		c.tenants[tenant]++
-	}
-}
-
 // beats reports whether waiter a should be admitted before waiter b:
 // higher priority first, then FIFO by arrival sequence.
 func beats(a, b *waiter) bool {
@@ -167,27 +142,19 @@ func beats(a, b *waiter) bool {
 	return a.seq < b.seq
 }
 
-// pump admits every eligible waiter, best first. A tenant at its quota is
-// skipped without blocking the waiters behind it. Caller holds c.mu.
+// pump admits the best waiter while a slot is free. Caller holds c.mu.
 func (c *Controller) pump() {
-	for c.running < c.cfg.MaxConcurrent {
-		var best *waiter
-		bestIdx := -1
+	for c.running < c.cfg.MaxConcurrent && len(c.queue) > 0 {
+		bestIdx := 0
 		for i, w := range c.queue {
-			if !c.canRun(w.tenant) {
-				continue
-			}
-			if best == nil || beats(w, best) {
-				best = w
+			if beats(w, c.queue[bestIdx]) {
 				bestIdx = i
 			}
 		}
-		if best == nil {
-			return
-		}
+		best := c.queue[bestIdx]
 		c.queue = append(c.queue[:bestIdx], c.queue[bestIdx+1:]...)
 		best.admitted = true
-		c.admitLocked(best.tenant)
+		c.running++
 		close(best.ready)
 	}
 }
@@ -196,17 +163,19 @@ func (c *Controller) pump() {
 // sheds it with ErrQueueFull when the queue is at capacity. A canceled
 // context abandons the wait with ctx.Err(). A nil Controller admits
 // immediately with a no-op ticket.
-func (c *Controller) Admit(ctx context.Context, tenant string, priority int) (*Ticket, error) {
+func (c *Controller) Admit(ctx context.Context, priority int) (*Ticket, error) {
 	if c == nil {
 		return &Ticket{}, nil
 	}
 	c.mu.Lock()
-	// Fast path: free slot and nothing queued that should go first.
-	if c.canRun(tenant) && !c.hasEligibleWaiterLocked(priority) {
-		c.admitLocked(tenant)
+	// Fast path: a free slot. The queue is then empty, because a waiter
+	// is only queued while every slot is taken, and pump admits it as soon
+	// as one frees.
+	if c.running < c.cfg.MaxConcurrent {
+		c.running++
 		c.mu.Unlock()
 		c.observeQueue(0)
-		return &Ticket{c: c, tenant: tenant}, nil
+		return &Ticket{c: c}, nil
 	}
 	if len(c.queue) >= c.cfg.QueueDepth {
 		c.shed++
@@ -218,27 +187,25 @@ func (c *Controller) Admit(ctx context.Context, tenant string, priority int) (*T
 	}
 	c.seq++
 	w := &waiter{
-		tenant:   tenant,
 		priority: priority,
 		seq:      c.seq,
 		enqueued: c.clock.Now(),
 		ready:    make(chan struct{}),
 	}
 	c.queue = append(c.queue, w)
-	c.pump()
 	c.mu.Unlock()
 
 	select {
 	case <-w.ready:
 		queued := c.clock.Now().Sub(w.enqueued)
 		c.observeQueue(queued)
-		return &Ticket{c: c, tenant: tenant, Queued: queued}, nil
+		return &Ticket{c: c, Queued: queued}, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		if w.admitted {
 			// Lost the race: admitted between cancel and lock. Give the
 			// slot back and dispatch the next waiter.
-			c.releaseLocked(tenant)
+			c.releaseLocked()
 			c.mu.Unlock()
 			return nil, ctx.Err()
 		}
@@ -253,39 +220,15 @@ func (c *Controller) Admit(ctx context.Context, tenant string, priority int) (*T
 	}
 }
 
-// hasEligibleWaiterLocked reports whether some queued waiter could run
-// right now with priority >= the arriving query's. When true, the arrival
-// must queue behind it rather than jump the line. Caller holds c.mu.
-func (c *Controller) hasEligibleWaiterLocked(priority int) bool {
-	for _, w := range c.queue {
-		if w.priority >= priority && c.canRun(w.tenant) {
-			return true
-		}
-	}
-	return false
-}
-
 func (c *Controller) observeQueue(d time.Duration) {
 	if c.cfg.Metrics != nil {
 		c.cfg.Metrics.Histogram("query.queue_ms").Observe(float64(d) / float64(time.Millisecond))
 	}
 }
 
-// releaseLocked returns one running slot. Caller holds c.mu.
-func (c *Controller) releaseLocked(tenant string) {
+// releaseLocked returns one running slot and admits the next waiter.
+// Caller holds c.mu.
+func (c *Controller) releaseLocked() {
 	c.running--
-	if tenant != "" {
-		if c.tenants[tenant] <= 1 {
-			delete(c.tenants, tenant)
-		} else {
-			c.tenants[tenant]--
-		}
-	}
 	c.pump()
-}
-
-func (c *Controller) release(tenant string) {
-	c.mu.Lock()
-	c.releaseLocked(tenant)
-	c.mu.Unlock()
 }

@@ -24,7 +24,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // admitAsync starts an Admit on its own goroutine and returns a channel of
 // the outcome.
-func admitAsync(c *Controller, ctx context.Context, tenant string, priority int) chan struct {
+func admitAsync(c *Controller, ctx context.Context, priority int) chan struct {
 	tkt *Ticket
 	err error
 } {
@@ -33,7 +33,7 @@ func admitAsync(c *Controller, ctx context.Context, tenant string, priority int)
 		err error
 	}, 1)
 	go func() {
-		tkt, err := c.Admit(ctx, tenant, priority)
+		tkt, err := c.Admit(ctx, priority)
 		ch <- struct {
 			tkt *Ticket
 			err error
@@ -44,7 +44,7 @@ func admitAsync(c *Controller, ctx context.Context, tenant string, priority int)
 
 func TestNilControllerAdmitsEverything(t *testing.T) {
 	var c *Controller
-	tkt, err := c.Admit(context.Background(), "anyone", 5)
+	tkt, err := c.Admit(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +56,13 @@ func TestNilControllerAdmitsEverything(t *testing.T) {
 
 func TestFIFOWithinPriority(t *testing.T) {
 	c := New(Config{MaxConcurrent: 1, QueueDepth: 8})
-	first, err := c.Admit(context.Background(), "", 0)
+	first, err := c.Admit(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := admitAsync(c, context.Background(), "", 0)
+	a := admitAsync(c, context.Background(), 0)
 	waitFor(t, func() bool { return c.QueueLen() == 1 })
-	b := admitAsync(c, context.Background(), "", 0)
+	b := admitAsync(c, context.Background(), 0)
 	waitFor(t, func() bool { return c.QueueLen() == 2 })
 
 	first.Release()
@@ -89,10 +89,10 @@ func TestFIFOWithinPriority(t *testing.T) {
 
 func TestPriorityBeatsFIFO(t *testing.T) {
 	c := New(Config{MaxConcurrent: 1, QueueDepth: 8})
-	first, _ := c.Admit(context.Background(), "", 0)
-	low := admitAsync(c, context.Background(), "", 0)
+	first, _ := c.Admit(context.Background(), 0)
+	low := admitAsync(c, context.Background(), 0)
 	waitFor(t, func() bool { return c.QueueLen() == 1 })
-	high := admitAsync(c, context.Background(), "", 7)
+	high := admitAsync(c, context.Background(), 7)
 	waitFor(t, func() bool { return c.QueueLen() == 2 })
 
 	first.Release()
@@ -109,42 +109,14 @@ func TestPriorityBeatsFIFO(t *testing.T) {
 	(<-low).tkt.Release()
 }
 
-// TestArrivalCannotJumpEqualPriorityWaiter: with a slot free but an
-// eligible equal-priority waiter queued, a new arrival queues behind it.
-func TestArrivalCannotJumpEqualPriorityWaiter(t *testing.T) {
-	c := New(Config{MaxConcurrent: 2, QueueDepth: 8, PerTenantMax: 1})
-	// Tenant a fills its quota; a second tenant-a query queues with one
-	// global slot still free.
-	ta, err := c.Admit(context.Background(), "a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aQueued := admitAsync(c, context.Background(), "a", 0)
-	waitFor(t, func() bool { return c.QueueLen() == 1 })
-	// A tenant-b arrival can use the free slot: the queued tenant-a query
-	// is NOT eligible (quota), so this is not queue-jumping.
-	tb, err := c.Admit(context.Background(), "b", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Releasing tenant a admits the queued tenant-a query.
-	ta.Release()
-	ra := <-aQueued
-	if ra.err != nil {
-		t.Fatal(ra.err)
-	}
-	ra.tkt.Release()
-	tb.Release()
-}
-
 func TestShedOnFullQueue(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := New(Config{MaxConcurrent: 1, QueueDepth: 1, Metrics: reg})
-	tkt, _ := c.Admit(context.Background(), "", 0)
-	queued := admitAsync(c, context.Background(), "", 0)
+	tkt, _ := c.Admit(context.Background(), 0)
+	queued := admitAsync(c, context.Background(), 0)
 	waitFor(t, func() bool { return c.QueueLen() == 1 })
 
-	if _, err := c.Admit(context.Background(), "", 0); !errors.Is(err, ErrQueueFull) {
+	if _, err := c.Admit(context.Background(), 0); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow admit error = %v, want ErrQueueFull", err)
 	}
 	if c.Shed() != 1 {
@@ -159,46 +131,18 @@ func TestShedOnFullQueue(t *testing.T) {
 
 func TestZeroQueueDepthShedsImmediately(t *testing.T) {
 	c := New(Config{MaxConcurrent: 1})
-	tkt, _ := c.Admit(context.Background(), "", 0)
-	if _, err := c.Admit(context.Background(), "", 0); !errors.Is(err, ErrQueueFull) {
+	tkt, _ := c.Admit(context.Background(), 0)
+	if _, err := c.Admit(context.Background(), 0); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("error = %v, want ErrQueueFull", err)
 	}
 	tkt.Release()
 }
 
-func TestPerTenantQuotaDoesNotBlockOthers(t *testing.T) {
-	c := New(Config{MaxConcurrent: 4, QueueDepth: 8, PerTenantMax: 1})
-	ta, err := c.Admit(context.Background(), "a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tenant a is at quota: its second query queues...
-	aQueued := admitAsync(c, context.Background(), "a", 0)
-	waitFor(t, func() bool { return c.QueueLen() == 1 })
-	// ...but tenant b sails past it.
-	tb, err := c.Admit(context.Background(), "b", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-aQueued:
-		t.Fatal("tenant a exceeded its quota")
-	default:
-	}
-	ta.Release()
-	ra := <-aQueued
-	if ra.err != nil {
-		t.Fatal(ra.err)
-	}
-	ra.tkt.Release()
-	tb.Release()
-}
-
 func TestCancelWhileQueued(t *testing.T) {
 	c := New(Config{MaxConcurrent: 1, QueueDepth: 8})
-	tkt, _ := c.Admit(context.Background(), "", 0)
+	tkt, _ := c.Admit(context.Background(), 0)
 	ctx, cancel := context.WithCancel(context.Background())
-	queued := admitAsync(c, ctx, "", 0)
+	queued := admitAsync(c, ctx, 0)
 	waitFor(t, func() bool { return c.QueueLen() == 1 })
 	cancel()
 	r := <-queued
@@ -223,14 +167,14 @@ func TestQueueTimeSimClock(t *testing.T) {
 	clk := simclock.NewSim(time.Unix(0, 0))
 	reg := metrics.NewRegistry()
 	c := New(Config{MaxConcurrent: 1, QueueDepth: 8, Clock: clk, Metrics: reg})
-	tkt, err := c.Admit(context.Background(), "", 0)
+	tkt, err := c.Admit(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tkt.Queued != 0 {
 		t.Fatalf("uncontended queue time = %v, want 0", tkt.Queued)
 	}
-	queued := admitAsync(c, context.Background(), "", 0)
+	queued := admitAsync(c, context.Background(), 0)
 	waitFor(t, func() bool { return c.QueueLen() == 1 })
 	clk.Advance(250 * time.Millisecond)
 	tkt.Release()
@@ -255,14 +199,14 @@ func TestQueueTimeSimClock(t *testing.T) {
 
 func TestDoubleReleaseIsNoop(t *testing.T) {
 	c := New(Config{MaxConcurrent: 1, QueueDepth: 8})
-	tkt, _ := c.Admit(context.Background(), "t", 0)
+	tkt, _ := c.Admit(context.Background(), 0)
 	tkt.Release()
 	tkt.Release()
 	if c.Running() != 0 {
 		t.Fatalf("running = %d, want 0", c.Running())
 	}
-	// A fresh admit still works and per-tenant accounting is intact.
-	tkt2, err := c.Admit(context.Background(), "t", 0)
+	// A fresh admit still works: the slot was returned once.
+	tkt2, err := c.Admit(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +214,10 @@ func TestDoubleReleaseIsNoop(t *testing.T) {
 }
 
 // TestConcurrentChurn hammers the controller from many goroutines under
-// -race: quotas and the running count must never be violated and must
-// drain to zero.
+// -race: the running count must never exceed the cap and must drain to
+// zero.
 func TestConcurrentChurn(t *testing.T) {
-	c := New(Config{MaxConcurrent: 4, QueueDepth: 64, PerTenantMax: 2})
-	tenants := []string{"a", "b", "c", ""}
+	c := New(Config{MaxConcurrent: 4, QueueDepth: 64})
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	maxRunning := 0
@@ -287,7 +230,7 @@ func TestConcurrentChurn(t *testing.T) {
 				if (i+j)%7 == 0 {
 					cancel()
 				}
-				tkt, err := c.Admit(ctx, tenants[(i+j)%len(tenants)], j%3)
+				tkt, err := c.Admit(ctx, j%3)
 				if err != nil {
 					cancel()
 					continue

@@ -2,12 +2,10 @@ package admission
 
 import "context"
 
-// Meta carries per-query admission attributes: the tenant the query is
-// accounted against and its scheduling priority (higher first, 0 =
-// default). Frontends attach it to the request context; admission points
-// read it with MetaFrom.
+// Meta carries per-query admission attributes: the query's scheduling
+// priority (higher first, 0 = default). Frontends attach it to the request
+// context; admission points read it with MetaFrom.
 type Meta struct {
-	Tenant   string
 	Priority int
 }
 
@@ -19,7 +17,7 @@ func WithMeta(ctx context.Context, m Meta) context.Context {
 }
 
 // MetaFrom extracts admission attributes from the context; the zero Meta
-// (anonymous tenant, default priority) when absent.
+// (default priority) when absent.
 func MetaFrom(ctx context.Context) Meta {
 	m, _ := ctx.Value(metaKey{}).(Meta)
 	return m

@@ -21,7 +21,7 @@ func TestNodeAdmissionShedsQuery(t *testing.T) {
 
 	var tickets []*admission.Ticket
 	for _, n := range d.Nodes() {
-		tkt, err := n.Parts().Admission().Admit(t.Context(), "", 0)
+		tkt, err := n.Parts().Admission().Admit(t.Context(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -458,16 +458,15 @@ func (n *Node) ExecutePartial(shard int64, partName string, q *engine.Query) (*e
 }
 
 // ExecutePartialCtx is ExecutePartial with a context: once the node is
-// known to own the partition, the partition set admits the query (tenant
-// and priority drawn from admission.MetaFrom(ctx)) and answers it with a
-// brick pass.
+// known to own the partition, the partition set admits the query (priority
+// drawn from admission.MetaFrom(ctx)) and answers it with a brick pass.
 func (n *Node) ExecutePartialCtx(ctx context.Context, shard int64, partName string, q *engine.Query) (*engine.Partial, error) {
 	if err := n.owns(shard, partName); err != nil {
 		return nil, err
 	}
-	meta := admission.MetaFrom(ctx)
 	var cb engine.Combiner
-	_, _, err := n.parts.Partial(ctx, partName, q, partition.Opts{Tenant: meta.Tenant, Priority: meta.Priority}, &cb)
+	opts := partition.Opts{Priority: admission.MetaFrom(ctx).Priority}
+	_, _, err := n.parts.Partial(ctx, []string{partName}, q, opts, &cb)
 	if errors.Is(err, partition.ErrNoPartition) { // dropped since the ownership check
 		return nil, fmt.Errorf("%w: %w", ErrNotServing, err)
 	}

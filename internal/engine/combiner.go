@@ -3,12 +3,10 @@ package engine
 import "errors"
 
 // Combiner is the group state of one answer, owned by the caller of Run:
-// every run into it absorbs its pass's per-brick slabs, in
-// ascending brick-id order, into one kernel picked over the schema domain
-// by the first run. Runs into one combiner are therefore one left fold over
-// their bricks — the first run's bricks, then the second's — which is how
-// a worker answers a /partial call naming several partitions: one combiner,
-// no per-partition answer, no merge.
+// a run absorbs its pass's per-brick slabs, in task order, into one kernel
+// picked over the schema domain. A combiner holds one run: a /partial call
+// naming several partitions is one run over all of their stores, so one
+// combiner, no per-partition answer, no merge.
 //
 // The zero value is ready to use. Partial hands the groups over; Reset
 // empties the combiner but keeps its buffers, so a caller answering query
@@ -16,40 +14,22 @@ import "errors"
 // Combiner is not safe for concurrent use.
 type Combiner struct {
 	ks kernelSet
-	// acc is the kernel the first run picked, nil while the combiner is
-	// empty.
+	// acc is the kernel the run picked, nil while the combiner is empty.
 	acc accumulator
-	// group is the value range of each grouped dimension, in GROUP BY
-	// order: the domain a dense or packed acc addresses its groups by.
-	group [][2]uint32
-	// The scan counters summed over the runs.
-	rowsScanned, bricksVisited, bricksPruned, decompressions int64
+	// counts are the run's scan counters: rows scanned, bricks visited,
+	// bricks pruned, decompressions.
+	counts [4]int64
 }
 
-var errCombinerShape = errors.New("engine: run's group shape differs from the combiner's")
+var errCombinerInUse = errors.New("engine: Run into a combiner that already holds a run")
 
-// bind readies the combiner for a run of c: an empty combiner picks its
-// kernel over c's schema domain; a bound one accepts only a run of the same
-// arity, aggregate count and grouped-dimension domain, because a dense or
-// packed kernel addresses groups by their offset in that domain and would
-// mis-key, or index out of range, anything else.
+// bind readies an empty combiner for a run of c by picking its kernel over
+// c's schema domain. A combiner holds one run until Reset.
 func (cb *Combiner) bind(c *compiled) error {
-	if cb.acc == nil {
-		cb.acc = cb.ks.pick(c, c.domain)
-		cb.group = cb.group[:0]
-		for _, gi := range c.groupIdx {
-			cb.group = append(cb.group, c.domain[gi])
-		}
-		return nil
+	if cb.acc != nil {
+		return errCombinerInUse
 	}
-	if s := cb.acc.slab(); s.arity != len(c.groupIdx) || s.nAggs != len(c.q.Aggregates) {
-		return errCombinerShape
-	}
-	for i, gi := range c.groupIdx {
-		if c.domain[gi] != cb.group[i] {
-			return errCombinerShape
-		}
-	}
+	cb.acc = cb.ks.pick(c, c.domain)
 	return nil
 }
 
@@ -62,13 +42,13 @@ func (cb *Combiner) slab(q *Query) *groupSlab {
 	return cb.acc.slab()
 }
 
-// Partial hands the groups over as q's Partial, with the summed scan
+// Partial hands the groups over as q's Partial, with the run's scan
 // counters. Afterwards the combiner is empty and refers to no buffer the
 // Partial holds.
 func (cb *Combiner) Partial(q *Query) *Partial {
 	p := cb.slab(q).partial(q)
 	p.RowsScanned, p.BricksVisited, p.BricksPruned, p.Decompressions =
-		cb.rowsScanned, cb.bricksVisited, cb.bricksPruned, cb.decompressions
+		cb.counts[0], cb.counts[1], cb.counts[2], cb.counts[3]
 	if cb.acc != nil {
 		*cb.acc.slab() = groupSlab{}
 	}
@@ -80,8 +60,7 @@ func (cb *Combiner) Partial(q *Query) *Partial {
 // Partial(q).MarshalBinary() returns, without building the Partial. The
 // combiner keeps its groups.
 func (cb *Combiner) AppendBinary(q *Query, dst []byte) []byte {
-	return appendPartial(dst, cb.slab(q),
-		[4]int64{cb.rowsScanned, cb.bricksVisited, cb.bricksPruned, cb.decompressions})
+	return appendPartial(dst, cb.slab(q), cb.counts)
 }
 
 // Reset empties the combiner and keeps its buffers. It clears the cells,
@@ -93,5 +72,5 @@ func (cb *Combiner) Reset() {
 		s.keys, s.cells = s.keys[:0], s.cells[:0]
 	}
 	cb.acc = nil
-	cb.rowsScanned, cb.bricksVisited, cb.bricksPruned, cb.decompressions = 0, 0, 0, 0
+	cb.counts = [4]int64{}
 }

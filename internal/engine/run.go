@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"time"
@@ -9,19 +10,19 @@ import (
 	"cubrick/internal/brick"
 )
 
-// The brick pass: the engine's one way to answer a query over a store. A
-// pass is one plan snapshot (one ScanTask per brick, the morsel), a cursor,
-// and a pool of workers that claim tasks off the cursor and visit each
-// brick exactly once — one decode, one filter evaluation, one batch walk —
-// sealing its groups into the task's result slot.
+// The brick pass: the engine's one way to answer a query. A pass is one
+// plan snapshot over one or more stores of a schema (one ScanTask per
+// brick, the morsel; a task carries its store), a cursor, and a pool of
+// workers that claim tasks off the cursor and visit each brick exactly once
+// — one decode, one filter evaluation, one batch walk — sealing its groups
+// into the task's result slot.
 //
 // Determinism: a brick's rows fold in row order into its slot, and the
-// slots combine in ascending brick-id order into the caller's Combiner, so
+// slots combine in task order — stores in argument order, bricks in
+// ascending brick-id order within each — into the caller's Combiner, so
 // the finalized result is bit-identical (float summation order and HLL
 // register state included) however the workers were scheduled; the tests'
-// brick-ordered reference, internal/oracle, fixes the same order, and folds
-// several stores' bricks one store after another as runs into one Combiner
-// do.
+// brick-ordered reference, internal/oracle, fixes the same order.
 
 // Opts are the per-call options of Run. The zero value reads compressed
 // bricks through the store's decoded-column cache on GOMAXPROCS workers.
@@ -53,7 +54,7 @@ type ExecInfo struct {
 	// RowsScanned counts the rows the run folded (post-filter),
 	// BricksVisited and BricksPruned the bricks its plan visited and
 	// skipped via bound pruning, and Decompressions the visited bricks that
-	// paid a transient decode. The combiner sums them over its runs.
+	// paid a transient decode, each over all of the run's stores.
 	RowsScanned, BricksVisited, BricksPruned, Decompressions int64
 }
 
@@ -62,33 +63,48 @@ type ExecInfo struct {
 // known cursor. Engine tests do not run in parallel.
 var testClaimHook func(task int)
 
-// Run executes the query over the store with brick-level parallelism and
-// vectorized aggregation kernels and folds the answer into cb: each
-// brick's rows fold in row order and the bricks combine into cb's groups
-// in ascending brick-id order, after whatever earlier runs left there. A
-// run whose group shape differs from cb's is an error. A cancelled ctx
-// returns ctx.Err() at once, even while a worker is inside a brick, and no
-// worker claims a brick after that; a failed run may leave cb partly
-// combined, so the caller discards or resets it.
-func Run(ctx context.Context, store *brick.Store, q *Query, o Opts, cb *Combiner) (ExecInfo, error) {
+// errNoStore is Run's answer to a call naming no store.
+var errNoStore = errors.New("engine: Run over no store")
+
+// Run executes the query over the stores, which share one schema, with
+// brick-level parallelism and vectorized aggregation kernels, and folds
+// the answer into cb, which must be empty: one compile, one plan over
+// every store's bricks and one pass, whose bricks combine into cb's groups
+// in task order — stores in argument order, ascending brick id within
+// each — with each brick's rows in row order. A cancelled ctx returns
+// ctx.Err() at once, even while a worker is inside a brick, and no worker
+// claims a brick after that; a failed run may leave cb partly combined, so
+// the caller resets it.
+func Run(ctx context.Context, q *Query, o Opts, cb *Combiner, stores ...*brick.Store) (ExecInfo, error) {
 	var info ExecInfo
 	if err := ctx.Err(); err != nil {
 		return info, err
 	}
+	if len(stores) == 0 {
+		return info, errNoStore
+	}
 	planStart := time.Now()
-	c, err := compile(store.Schema(), q, o)
+	c, err := compile(stores[0].Schema(), q, o)
 	if err != nil {
 		return info, err
 	}
 	if err := cb.bind(c); err != nil {
 		return info, err
 	}
-	plan, err := store.PlanScan(c.filter)
-	if err != nil {
-		return info, err
+	p := &pass{c: c, done: make(chan struct{})}
+	for _, st := range stores {
+		plan, err := st.PlanScan(c.filter)
+		if err != nil {
+			return info, err
+		}
+		if p.tasks == nil {
+			p.tasks = plan.Tasks
+		} else {
+			p.tasks = append(p.tasks, plan.Tasks...)
+		}
+		p.pruned += plan.Pruned
 	}
-	p := &pass{c: c, tasks: plan.Tasks, pruned: plan.Pruned,
-		results: make([]taskResult, len(plan.Tasks)), done: make(chan struct{})}
+	p.results = make([]taskResult, len(p.tasks))
 	p.start(o.Parallelism)
 	scanStart := time.Now()
 	info.Plan = scanStart.Sub(planStart)
@@ -111,7 +127,7 @@ type taskResult struct {
 	stats        ScanStats
 }
 
-// pass is one morsel pass over a store's bricks.
+// pass is one morsel pass over the bricks of a run's stores.
 type pass struct {
 	c       *compiled
 	tasks   []brick.ScanTask
@@ -253,10 +269,10 @@ func (p *pass) wait(ctx context.Context) error {
 	return p.err
 }
 
-// combine folds the per-task slabs in ascending brick-id order into cb's
-// kernel, which bind picked over the whole schema domain (dense when the
-// GROUP BY's domain is small enough), and sums the per-task accounting
-// into info and cb.
+// combine folds the per-task slabs in task order into cb's kernel, which
+// bind picked over the whole schema domain (dense when the GROUP BY's
+// domain is small enough), and sums the per-task accounting into info and
+// cb's counters.
 func (p *pass) combine(info *ExecInfo, cb *Combiner) {
 	acc := cb.acc
 	dst := acc.slab()
@@ -283,8 +299,5 @@ func (p *pass) combine(info *ExecInfo, cb *Combiner) {
 		info.ScanStats.add(res.stats)
 	}
 	info.BricksVisited, info.BricksPruned = int64(len(p.tasks)), int64(p.pruned)
-	cb.rowsScanned += info.RowsScanned
-	cb.bricksVisited += info.BricksVisited
-	cb.bricksPruned += info.BricksPruned
-	cb.decompressions += info.Decompressions
+	cb.counts = [4]int64{info.RowsScanned, info.BricksVisited, info.BricksPruned, info.Decompressions}
 }

@@ -38,7 +38,7 @@ func reference(tb testing.TB, q *Query, stores ...*brick.Store) *Result {
 // combiner's answer as a Partial, nil when the run fails.
 func runPartial(ctx context.Context, s *brick.Store, q *Query, o Opts) (*Partial, ExecInfo, error) {
 	var cb Combiner
-	info, err := Run(ctx, s, q, o, &cb)
+	info, err := Run(ctx, q, o, &cb, s)
 	if err != nil {
 		return nil, info, err
 	}
@@ -149,6 +149,48 @@ func runMatrix(t *testing.T, name string, s *brick.Store, q *Query, want *Result
 		if err := Oracle.Equal(want, p.Finalize()); err != nil {
 			t.Fatalf("%s: %v", cellName, err)
 		}
+	}
+}
+
+// TestRunFoldsStoresInOrder is the multi-store wall on non-dyadic metrics:
+// one Run over several stores of a schema — some encoded — is one pass
+// whose bricks combine stores in argument order, brick id within each, so
+// its answer equals oracle.Run over the stores in that order bit for bit,
+// scan counters included, on any worker count.
+func TestRunFoldsStoresInOrder(t *testing.T) {
+	rnd := randutil.New(0x5705)
+	for trial := 0; trial < 20; trial++ {
+		whole, q := Oracle.NewTrial(t, rnd, false)
+		stores := make([]*brick.Store, 1+rnd.Intn(4))
+		for i := range stores {
+			st, err := brick.NewStore(whole.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[i] = st
+		}
+		if err := whole.Scan(nil, func(d []uint32, m []float64) error {
+			return stores[rnd.Intn(len(stores))].Insert(d, m)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stores {
+			if rnd.Bernoulli(0.5) { // encoded bricks take the encoded kernels
+				if _, _, err := st.EnsureBudget(0, 0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var cb Combiner
+		if _, err := Run(context.Background(), q, Opts{Parallelism: 1 + rnd.Intn(4)}, &cb, stores...); err != nil {
+			t.Fatal(err)
+		}
+		if err := Oracle.Equal(reference(t, q, stores...), cb.Partial(q).Finalize()); err != nil {
+			t.Fatalf("trial %d (%d stores, groupby %v, filter %v): %v", trial, len(stores), q.GroupBy, q.Filter, err)
+		}
+	}
+	if _, err := Run(context.Background(), &Query{Aggregates: []Aggregate{{Func: Count}}}, Opts{}, new(Combiner)); !errors.Is(err, errNoStore) {
+		t.Fatalf("a run over no store: %v, want errNoStore", err)
 	}
 }
 

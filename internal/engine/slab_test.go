@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"cubrick/internal/brick"
@@ -358,8 +357,9 @@ func TestGroupSlabHazards(t *testing.T) {
 		// non-dyadic metrics. Each answer must encode to the bytes a fresh
 		// combiner's does; Reset must leave no sketch in the cells it keeps;
 		// a blob encoded before a Reset, and a Partial the combiner handed
-		// over, must not change with later queries; and AppendBinary must
-		// equal Partial(q).MarshalBinary() byte for byte.
+		// over, must not change with later queries; AppendBinary must
+		// equal Partial(q).MarshalBinary() byte for byte; and a combiner
+		// holding a run refuses another until Reset.
 		schema := brick.Schema{
 			Dimensions: []brick.Dimension{{Name: "a", Max: 64, Buckets: 4}, {Name: "b", Max: 1 << 20, Buckets: 2},
 				{Name: "c", Max: 1 << 20, Buckets: 1}, {Name: "d", Max: 1 << 30, Buckets: 1}, {Name: "u", Max: 1000, Buckets: 1}},
@@ -404,14 +404,14 @@ func TestGroupSlabHazards(t *testing.T) {
 					if round == 1 {
 						q.Filter = map[string][2]uint32{"a": {5, 50}}
 					}
-					if _, err := Run(ctx, s, q, one, &cb); err != nil {
+					if _, err := Run(ctx, q, one, &cb, s); err != nil {
 						t.Fatal(err)
 					}
 					if got := fmt.Sprintf("%T", cb.acc); got != k.kernel {
 						t.Fatalf("groupby %v: combiner picked %s, want %s", k.groupBy, got, k.kernel)
 					}
 					var fresh Combiner
-					if _, err := Run(ctx, s, q, one, &fresh); err != nil {
+					if _, err := Run(ctx, q, one, &fresh, s); err != nil {
 						t.Fatal(err)
 					}
 					want := fresh.AppendBinary(q, nil)
@@ -460,31 +460,21 @@ func TestGroupSlabHazards(t *testing.T) {
 			}
 		}
 
-		// A run of another group shape into a bound combiner is refused:
-		// another arity, another aggregate count, another domain.
+		// A combiner holds one run: a second run into it is refused, of
+		// the same shape or another, until Reset.
 		q := &Query{Aggregates: plain, GroupBy: []string{"a"}}
-		other := schema
-		other.Dimensions = slices.Clone(schema.Dimensions)
-		other.Dimensions[0].Max = 128
-		s2, err := brick.NewStore(other)
-		if err != nil {
+		cb.Reset()
+		if _, err := Run(ctx, q, one, &cb, s); err != nil {
 			t.Fatal(err)
 		}
-		for _, tc := range []struct {
-			store *brick.Store
-			q     *Query
-		}{
-			{s, &Query{Aggregates: plain, GroupBy: []string{"a", "b"}}},
-			{s, &Query{Aggregates: distinct, GroupBy: []string{"a"}}},
-			{s2, q},
-		} {
-			cb.Reset()
-			if _, err := Run(ctx, s, q, one, &cb); err != nil {
-				t.Fatal(err)
+		want := cb.AppendBinary(q, nil)
+		for _, q2 := range []*Query{q, {Aggregates: distinct, GroupBy: []string{"a", "b"}}} {
+			if _, err := Run(ctx, q2, Opts{}, &cb, s); !errors.Is(err, errCombinerInUse) {
+				t.Fatalf("groupby %v, %d aggregates: %v, want errCombinerInUse", q2.GroupBy, len(q2.Aggregates), err)
 			}
-			if _, err := Run(ctx, tc.store, tc.q, Opts{}, &cb); !errors.Is(err, errCombinerShape) {
-				t.Fatalf("groupby %v, %d aggregates: %v, want errCombinerShape", tc.q.GroupBy, len(tc.q.Aggregates), err)
-			}
+		}
+		if !bytes.Equal(cb.AppendBinary(q, nil), want) {
+			t.Fatal("a refused run changed the combiner's answer")
 		}
 	})
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -129,12 +130,12 @@ func TestWorkerShedReturns429(t *testing.T) {
 	w := workers[0]
 
 	// Occupy the only slot so the next request sheds immediately.
-	tkt, err := w.Parts().Admission().Admit(context.Background(), "", 0)
+	tkt, err := w.Parts().Admission().Admit(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	resp := postPartial(t, targets[0].URL, targets[0].Partition, q, map[string]string{HeaderTenant: "acme"})
+	resp := postPartial(t, targets[0].URL, targets[0].Partition, q, nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shed status = %d, want 429", resp.StatusCode)
@@ -167,7 +168,7 @@ func TestCoordinatorAdmissionShed(t *testing.T) {
 		Metrics:   reg,
 		Admission: admission.New(admission.Config{MaxConcurrent: 1, QueueDepth: 0, Metrics: reg}),
 	}
-	tkt, err := coord.Admission.Admit(context.Background(), "", 0)
+	tkt, err := coord.Admission.Admit(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +185,8 @@ func TestCoordinatorAdmissionShed(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPropagatesAdmissionHeaders: tenant/priority from the
-// request context must reach workers as headers.
+// TestCoordinatorPropagatesAdmissionHeaders: the priority from the
+// request context must reach workers as a header.
 func TestCoordinatorPropagatesAdmissionHeaders(t *testing.T) {
 	targets, _, _, cleanup := startMetricsCluster(t, 1, 100, partition.Config{})
 	defer cleanup()
@@ -223,7 +224,7 @@ func TestCoordinatorPropagatesAdmissionHeaders(t *testing.T) {
 	defer proxy.Close()
 
 	coord := &Coordinator{}
-	ctx := admission.WithMeta(context.Background(), admission.Meta{Tenant: "acme", Priority: 3})
+	ctx := admission.WithMeta(context.Background(), admission.Meta{Priority: 3})
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
 	if _, err := coord.Query(ctx, []Target{{URL: proxy.URL, Partition: targets[0].Partition}}, q); err != nil {
 		t.Fatal(err)
@@ -233,10 +234,81 @@ func TestCoordinatorPropagatesAdmissionHeaders(t *testing.T) {
 	if captured == nil {
 		t.Fatal("no /partial request captured")
 	}
-	if got := captured.Get(HeaderTenant); got != "acme" {
-		t.Fatalf("%s = %q, want acme", HeaderTenant, got)
-	}
 	if got := captured.Get(HeaderPriority); got != "3" {
 		t.Fatalf("%s = %q, want 3", HeaderPriority, got)
+	}
+}
+
+// admittedWorker is a worker with admission and a metrics registry serving
+// eight partitions of 50 rows each, p0 to p7.
+func admittedWorker(t *testing.T) (*Worker, *metrics.Registry) {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	wk := NewWorker(partition.Config{MaxConcurrent: 4, QueueDepth: 4, Metrics: reg})
+	for p := 0; p < 8; p++ {
+		name := fmt.Sprintf("p%d", p)
+		if err := wk.AddPartition(name, testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := wk.Store(name)
+		for r := 0; r < 50; r++ {
+			if err := st.Insert([]uint32{uint32(r % 30), uint32(p)}, []float64{float64(r)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return wk, reg
+}
+
+// servePartialList posts one /partial call naming the partitions to the
+// worker's handler and returns the status.
+func servePartialList(t *testing.T, wk *Worker, names ...string) int {
+	t.Helper()
+	q := engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value"}}, GroupBy: []string{"app"}}
+	body, err := json.Marshal(partialRequest{Partitions: names, Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	wk.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/partial", bytes.NewReader(body)))
+	return rec.Code
+}
+
+// TestPartialCallTakesOneTicket: a /partial call is admitted as one query
+// and executes as one pass, whatever the number of partitions it names —
+// one query.queue_ms observation and one worker.execute.latency
+// observation for a call naming eight partitions.
+func TestPartialCallTakesOneTicket(t *testing.T) {
+	wk, reg := admittedWorker(t)
+	names := []string{"p3", "p0", "p7", "p1", "p6", "p2", "p5", "p4"}
+	if code := servePartialList(t, wk, names...); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	for _, name := range []string{"query.queue_ms", "worker.execute.latency"} {
+		if got := reg.Histogram(name).Count(); got != 1 {
+			t.Fatalf("%s count = %d after one call naming %d partitions, want 1", name, got, len(names))
+		}
+	}
+	if got := reg.CounterValues()["worker.rows.scanned"]; got != 8*50 {
+		t.Fatalf("worker.rows.scanned = %d, want %d", got, 8*50)
+	}
+	if wk.Parts().Admission().Running() != 0 {
+		t.Fatal("the call kept its admission slot")
+	}
+}
+
+// TestPartialMissingFailsBeforeAdmission: a call naming a partition the
+// worker does not serve answers 404 before it queues or scans anything,
+// even when the partitions listed before it are served.
+func TestPartialMissingFailsBeforeAdmission(t *testing.T) {
+	wk, reg := admittedWorker(t)
+	if code := servePartialList(t, wk, "p0", "missing"); code != http.StatusNotFound {
+		t.Fatalf("status %d, want 404", code)
+	}
+	if got := reg.Histogram("query.queue_ms").Count(); got != 0 {
+		t.Fatalf("query.queue_ms count = %d, want 0: the call was admitted", got)
+	}
+	if got := reg.CounterValues()["worker.rows.scanned"]; got != 0 {
+		t.Fatalf("worker.rows.scanned = %d, want 0: p0 was scanned", got)
 	}
 }

@@ -70,7 +70,7 @@ func benchBlobs(b *testing.B, nWorkers, rowsPerWorker int, q *engine.Query) [][]
 			b.Fatal(err)
 		}
 		var cb engine.Combiner
-		if _, err := engine.Run(context.Background(), st, q, engine.Opts{}, &cb); err != nil {
+		if _, err := engine.Run(context.Background(), q, engine.Opts{}, &cb, st); err != nil {
 			b.Fatal(err)
 		}
 		blobs[w] = cb.AppendBinary(q, nil)

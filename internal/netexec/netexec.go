@@ -23,7 +23,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,9 +86,9 @@ func FromSchema(s brick.Schema) SchemaJSON {
 //
 //	POST /partition  {"name": ..., "schema": {...}}     create a partition
 //	POST /loadbin    binary columnar batch (see EncodeBatch)
-//	POST /partial    {"partitions": [...], "query": {...}} execute over
-//	                 each partition, returns their merged binary engine
-//	                 partial (application/octet-stream), sent raw
+//	POST /partial    {"partitions": [...], "query": {...}} execute one
+//	                 brick pass over the partitions, returns their binary
+//	                 engine partial (application/octet-stream), sent raw
 //	GET  /health     liveness
 //
 // plus the migration plane (transfer.go) and the dictionary plane
@@ -283,115 +282,55 @@ var (
 // status to send with the error; on success it writes the response itself
 // and returns a nil error.
 //
-// The call's partitions run one after another — each brick pass already
-// spreads over GOMAXPROCS workers — into one pooled engine.Combiner, so the
-// answer is one left fold over the call's bricks: partitions in list
-// order, bricks in brick-id order within each. It is encoded in place into
-// a pooled buffer. The first partition that fails fails the call.
+// The call is one partition.Set.Partial — one admission ticket and one
+// brick pass over every partition it names — into one pooled
+// engine.Combiner, so the answer is one left fold over the call's bricks:
+// partitions in list order, bricks in brick-id order within each. It is
+// encoded in place into a pooled buffer. A call fails whole.
 func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *http.Request) (int, error) {
 	var req partialRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		return http.StatusBadRequest, err
 	}
-	if len(req.Partitions) == 0 {
-		return http.StatusBadRequest, errors.New("netexec: /partial names no partition")
-	}
-	// A partition named twice would be folded into the answer twice, and
-	// partitions of different schemas cannot share a combiner: its kernel
-	// addresses groups by their offset in the first partition's domain.
-	var schema brick.Schema
-	for i, name := range req.Partitions {
-		if slices.Contains(req.Partitions[:i], name) {
-			return http.StatusBadRequest, fmt.Errorf("netexec: /partial names partition %q twice", name)
-		}
-		st, ok := w.parts.Store(name)
-		if !ok {
-			continue // partitionPartial answers 404
-		}
-		if schema.Dimensions == nil {
-			schema = st.Schema()
-		} else if s := st.Schema(); !slices.Equal(s.Dimensions, schema.Dimensions) || !slices.Equal(s.Metrics, schema.Metrics) {
-			return http.StatusBadRequest, fmt.Errorf("netexec: /partial names partitions of different schemas (%q)", name)
-		}
-	}
-	if span := trace.SpanFromContext(ctx); span != nil {
-		span.SetAttr("partitions", strings.Join(req.Partitions, ","))
-	}
 	popts := parsePartialOpts(r.Header)
-	cb := combinerPool.Get().(*engine.Combiner)
-	defer func() {
-		cb.Reset()
-		combinerPool.Put(cb)
-	}()
-	epochs := make([]uint64, len(req.Partitions))
-	for i, name := range req.Partitions {
-		epoch, status, err := w.partitionPartial(ctx, name, &req.Query, popts, cb)
-		if err != nil {
-			return status, err
-		}
-		epochs[i] = epoch
-	}
-
-	_, mspan := w.Tracer.StartSpan(ctx, "worker.marshal")
-	buf := wireBufPool.Get().(*[]byte)
-	blob := cb.AppendBinary(&req.Query, (*buf)[:0])
-	mspan.SetAttrInt("bytes", int64(len(blob)))
-	mspan.End()
-	rw.Header().Set(HeaderEpoch, formatEpochs(epochs))
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-	if _, err := rw.Write(blob); err != nil {
-		// The response is already committed; all we can do is log the
-		// broken pipe rather than silently truncate the partial.
-		log.Printf("netexec: partial response for %v aborted: %v", req.Partitions, err)
-	}
-	// Write has copied the blob out, so the buffer is free for the next
-	// call.
-	*buf = blob
-	wireBufPool.Put(buf)
-	return 0, nil
-}
-
-// partitionPartial answers q over one partition of a /partial call into
-// cb, under its own worker.execute span, and returns the partition's
-// epoch. On failure it returns the HTTP status the call fails with.
-func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Query, popts partialOpts, cb *engine.Combiner) (uint64, int, error) {
-	opts := partition.Opts{
-		Tenant:   popts.tenant,
-		Priority: popts.priority,
-		NoCache:  popts.noCache,
-	}
-	// espan is the partition's execute span. It carries the scan accounting
+	opts := partition.Opts{Priority: popts.priority, NoCache: popts.noCache}
+	// espan is the call's execute span. It carries the scan accounting
 	// (bricks visited and pruned, rows scanned, decompressions) plus the
 	// engine's own plan/scan/combine stage split, so a slow partial is
 	// attributable from the trace alone.
 	var espan *trace.Span
 	if w.Tracer != nil {
-		// The execute span starts once the request holds its admission
-		// slot, so it never counts queueing.
+		span := trace.SpanFromContext(ctx)
+		span.SetAttr("partitions", strings.Join(req.Partitions, ","))
+		// The execute span starts once the call holds its admission slot,
+		// so it never counts queueing.
 		opts.Admitted = func(queued time.Duration) {
 			if w.parts.Admission() != nil {
-				attrMS(trace.SpanFromContext(ctx), "queue_ms", queued)
+				attrMS(span, "queue_ms", queued)
 			}
 			_, espan = w.Tracer.StartSpan(ctx, "worker.execute")
-			espan.SetAttr("partition", name)
 		}
 	}
-	info, epoch, err := w.parts.Partial(ctx, name, q, opts, cb)
+	cb := combinerPool.Get().(*engine.Combiner)
+	defer func() {
+		cb.Reset()
+		combinerPool.Put(cb)
+	}()
+	info, epochs, err := w.parts.Partial(ctx, req.Partitions, &req.Query, opts, cb)
 	if err != nil {
 		espan.EndErr(err)
 		var notAdmitted *partition.AdmissionError
 		switch {
 		case errors.Is(err, partition.ErrNoPartition):
-			return 0, http.StatusNotFound, err
+			return http.StatusNotFound, err
 		case errors.Is(err, admission.ErrQueueFull):
 			// 429 is classified retryable by the coordinator's resilience
 			// policy, so shed queries retry or fail over.
-			return 0, http.StatusTooManyRequests, err
+			return http.StatusTooManyRequests, err
 		case errors.As(err, &notAdmitted):
-			return 0, http.StatusServiceUnavailable, err
+			return http.StatusServiceUnavailable, err
 		}
-		return 0, http.StatusBadRequest, err
+		return http.StatusBadRequest, err
 	}
 	// Per-request cache bypass neither consults nor fills the
 	// decoded-column cache.
@@ -411,7 +350,25 @@ func (w *Worker) partitionPartial(ctx context.Context, name string, q *engine.Qu
 	espan.End()
 	w.observe("worker.execute.latency", info.Total())
 	w.countAdd("worker.rows.scanned", info.RowsScanned)
-	return epoch, 0, nil
+
+	_, mspan := w.Tracer.StartSpan(ctx, "worker.marshal")
+	buf := wireBufPool.Get().(*[]byte)
+	blob := cb.AppendBinary(&req.Query, (*buf)[:0])
+	mspan.SetAttrInt("bytes", int64(len(blob)))
+	mspan.End()
+	rw.Header().Set(HeaderEpoch, formatEpochs(epochs))
+	rw.Header().Set("Content-Type", "application/octet-stream")
+	rw.Header().Set("Content-Length", strconv.Itoa(len(blob)))
+	if _, err := rw.Write(blob); err != nil {
+		// The response is already committed; all we can do is log the
+		// broken pipe rather than silently truncate the partial.
+		log.Printf("netexec: partial response for %v aborted: %v", req.Partitions, err)
+	}
+	// Write has copied the blob out, so the buffer is free for the next
+	// call.
+	*buf = blob
+	wireBufPool.Put(buf)
+	return 0, nil
 }
 
 // Target is one partition placement: which worker URL serves it, plus any
@@ -505,12 +462,12 @@ type Coordinator struct {
 	// MaxPartialBytes bounds each worker response read; 0 means
 	// DefaultMaxPartialBytes, negative disables the bound.
 	MaxPartialBytes int64
-	// Admission, when set, gates whole queries before fan-out: per-tenant
-	// quotas and a bounded priority queue, with queue time recorded on
-	// the fan-out span and the query.queue_ms histogram, and
-	// ErrQueueFull shedding when the queue is at capacity. Tenant and
-	// priority come from admission.WithMeta on the request context. Nil
-	// admits everything.
+	// Admission, when set, gates whole queries before fan-out: a
+	// concurrency cap and a bounded priority queue, with queue time
+	// recorded on the fan-out span and the query.queue_ms histogram, and
+	// ErrQueueFull shedding when the queue is at capacity. Priority comes
+	// from admission.WithMeta on the request context. Nil admits
+	// everything.
 	Admission *admission.Controller
 	// ResultCache, when set, remembers finished full-coverage Results keyed
 	// on the complete query identity (fold key + residue + partition set)
@@ -684,7 +641,7 @@ func (c *Coordinator) Query(ctx context.Context, targets []Target, q *engine.Que
 	meta := admission.MetaFrom(ctx)
 	var queued time.Duration
 	if c.Admission != nil {
-		tkt, err := c.Admission.Admit(ctx, meta.Tenant, meta.Priority)
+		tkt, err := c.Admission.Admit(ctx, meta.Priority)
 		if err != nil {
 			if errors.Is(err, admission.ErrQueueFull) {
 				c.count("netexec.query.shed")
@@ -724,7 +681,7 @@ func (c *Coordinator) Query(ctx context.Context, targets []Target, q *engine.Que
 	}
 	// Every target's full partial folds into one accumulator the moment it
 	// arrives; Finalize then applies HAVING, sorts and limits.
-	opts := partialOpts{tenant: meta.Tenant, priority: meta.Priority, noCache: bypass}
+	opts := partialOpts{priority: meta.Priority, noCache: bypass}
 	merged := engine.NewPartial(q)
 	epochs, missing, err := c.gather(ctx, q, targets, opts, func(blob []byte) error {
 		var mstart time.Time

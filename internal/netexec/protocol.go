@@ -5,12 +5,13 @@
 // request header or declares the body.
 //
 // One call names every partition a query reads on one host, all of one
-// table's schema: the worker runs them one after another into one
-// combiner, so the answer is one fold over their bricks in list order, and
-// replies with one raw blob plus one epoch per partition. A call succeeds
-// or fails whole — every failure a worker returns is either a whole-call
-// one (transport, 429, 503) or one that would repeat on every partition
-// (400) — so its partitions are merged or missing together.
+// table's schema: the worker answers it with one admission ticket and one
+// brick pass over all of them into one combiner, so the answer is one fold
+// over their bricks in list order, and replies with one raw blob plus one
+// epoch per partition. A call succeeds or fails whole — every failure a
+// worker returns is a whole-call one (transport, 404, 429, 503, or a 400
+// that would repeat on every partition) — so its partitions are merged or
+// missing together.
 
 package netexec
 
@@ -24,12 +25,11 @@ import (
 )
 
 // Request metadata travels worker-ward in HTTP headers: the coordinator
-// stamps its context's tenant and priority onto /partial requests so
-// worker-side quotas account the right tenant, and can switch caching off
-// per request. HeaderTenant, HeaderPriority and HeaderCache are
-// also what a client sends the coordinator's /query.
+// stamps its context's priority onto /partial requests so the worker's
+// admission queue orders the call by it, and can switch caching off per
+// request. HeaderPriority and HeaderCache are also what a client sends the
+// coordinator's /query.
 const (
-	HeaderTenant   = "X-Cubrick-Tenant"
 	HeaderPriority = "X-Cubrick-Priority"
 	// HeaderCache set to "off" bypasses every cache level for one request:
 	// the coordinator skips its result cache and stamps the header
@@ -67,16 +67,12 @@ func partialBody(partitions []string, query json.RawMessage) ([]byte, error) {
 // partition and the query, the same for every call of a query. The zero
 // value stamps no header.
 type partialOpts struct {
-	tenant   string
 	priority int
 	noCache  bool
 }
 
 // stamp writes the options' request headers.
 func (o partialOpts) stamp(h http.Header) {
-	if o.tenant != "" {
-		h.Set(HeaderTenant, o.tenant)
-	}
 	if o.priority != 0 {
 		h.Set(HeaderPriority, strconv.Itoa(o.priority))
 	}
@@ -88,10 +84,7 @@ func (o partialOpts) stamp(h http.Header) {
 // parsePartialOpts reads a /partial request's headers. An unparsable
 // priority counts as 0; headers this worker does not know are ignored.
 func parsePartialOpts(h http.Header) partialOpts {
-	o := partialOpts{
-		tenant:  h.Get(HeaderTenant),
-		noCache: h.Get(HeaderCache) == "off",
-	}
+	o := partialOpts{noCache: h.Get(HeaderCache) == "off"}
 	if p := h.Get(HeaderPriority); p != "" {
 		o.priority, _ = strconv.Atoi(p)
 	}

@@ -27,13 +27,10 @@ import (
 // carries parse back exact; a missing or unparsable epoch header, or one
 // whose count is not the call's partition count, is absent.
 func TestProtocolRoundTrip(t *testing.T) {
-	for bits := 0; bits < 1<<3; bits++ {
+	for bits := 0; bits < 1<<2; bits++ {
 		on := func(b int) bool { return bits&(1<<b) != 0 }
-		opts := partialOpts{noCache: on(2)}
+		opts := partialOpts{noCache: on(1)}
 		if on(0) {
-			opts.tenant = "acme"
-		}
-		if on(1) {
 			opts.priority = -7
 		}
 		h := make(http.Header)
@@ -185,8 +182,9 @@ func (l *wireLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // every per-query option, and for a call naming two partitions of one
 // host: one body listing both, one X-Cubrick-Epoch entry per partition in
 // request order, one blob the worker merged. The goldens were re-recorded
-// on purpose when the body's partition became a partition list, and when
-// the X-Cubrick-Fold header left with shared-scan folding; benchkit's
+// on purpose when the body's partition became a partition list, when the
+// X-Cubrick-Fold header left with shared-scan folding, and when the
+// X-Cubrick-Tenant header left with the per-tenant quota; benchkit's
 // proxy parses and replays this request. It also pins that a worker
 // ignores the X-Cubrick-TopK header of a coordinator from before
 // top-k pushdown was removed: the full partial, blob byte for byte, with
@@ -211,7 +209,7 @@ func TestPartialWireGolden(t *testing.T) {
 	loadRows(t, cl0, "t#2", nil, [][3]float64{{3, 5, 1}})
 	targets := []Target{{URL: srv0.URL, Partition: "t#0"}, t1}
 
-	ctx := admission.WithMeta(WithCacheBypass(context.Background()), admission.Meta{Tenant: "acme", Priority: 3})
+	ctx := admission.WithMeta(WithCacheBypass(context.Background()), admission.Meta{Priority: 3})
 	plain := &engine.Query{
 		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value", Alias: "total"}, {Func: engine.Count}},
 		Filter:     map[string][2]uint32{"ds": {0, 1}},
@@ -289,7 +287,6 @@ const partialGoldenPlain = `POST /partial
 Content-Type: application/json
 X-Cubrick-Cache: off
 X-Cubrick-Priority: 3
-X-Cubrick-Tenant: acme
 {"partitions":["t#0"],"query":{"Aggregates":[{"Func":0,"Metric":"value","Alias":"total"},{"Func":1,"Metric":"","Alias":""}],"GroupBy":null,"Filter":{"ds":[0,1]},"OrderBy":"","Desc":false,"Limit":0,"Having":null}}
 -> 200
 Content-Type: application/octet-stream

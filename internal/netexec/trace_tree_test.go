@@ -154,7 +154,7 @@ func traceTestBlob(t *testing.T) []byte {
 	}
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
 	var cb engine.Combiner
-	if _, err := engine.Run(context.Background(), st, q, engine.Opts{}, &cb); err != nil {
+	if _, err := engine.Run(context.Background(), q, engine.Opts{}, &cb, st); err != nil {
 		t.Fatal(err)
 	}
 	return cb.AppendBinary(q, nil)

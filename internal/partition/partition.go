@@ -1,17 +1,19 @@
 // Package partition is the worker of the paper's query flow (§IV: a node
-// holds table partitions and answers one partial per partition), once. A
-// Set maps each served partition to its store, owns the node-wide
-// decoded-column cache and the admission controller, and runs the only
-// admission → brick-pass path outside internal/engine. netexec.Worker
-// (HTTP) and cubrick.Node (Shard Manager app server) are edges around it:
-// they decide which partition a request names and how the answer travels,
-// nothing else.
+// holds table partitions and answers for all of a query's partitions it
+// holds), once. A Set maps each served partition to its store, owns the
+// node-wide decoded-column cache and the admission controller, and runs
+// the only admission → brick-pass path outside internal/engine: one ticket
+// and one pass per call, whatever the number of partitions it names.
+// netexec.Worker (HTTP) and cubrick.Node (Shard Manager app server) are
+// edges around it: they decide which partitions a request names and how
+// the answer travels, nothing else.
 package partition
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,7 +45,7 @@ type Config struct {
 	// (hot compressed bricks keep their decoded columns resident), shared
 	// by every partition of the set; 0 disables it.
 	DecodedCacheBytes int64
-	// MaxConcurrent caps concurrently executing partials; the excess
+	// MaxConcurrent caps concurrently executing Partial calls; the excess
 	// queues up to QueueDepth and is shed with admission.ErrQueueFull
 	// beyond it. 0 admits everything.
 	MaxConcurrent int
@@ -194,9 +196,7 @@ func (s *Set) DecayHotness(factor float64) {
 
 // Opts are the per-request options of Partial.
 type Opts struct {
-	// Tenant and Priority are what the admission controller accounts the
-	// request under.
-	Tenant   string
+	// Priority orders the request in the admission queue.
 	Priority int
 	// NoCache promises a fully recomputed answer (X-Cubrick-Cache: off):
 	// the decoded-column cache is bypassed.
@@ -207,24 +207,31 @@ type Opts struct {
 	Admitted func(queued time.Duration)
 }
 
-// Partial answers q over one partition into cb: admission, then one brick
-// pass over its store, whose bricks fold into cb after whatever cb
-// already holds. It returns how the pass ran and the partition's ingest
-// epoch read before execution — conservative, so a batch landing mid-scan
-// (which the scan may have missed) yields a higher epoch than the one
-// reported and a result cached under it invalidates the moment the newer
-// epoch is learned.
-func (s *Set) Partial(ctx context.Context, name string, q *engine.Query, o Opts, cb *engine.Combiner) (engine.ExecInfo, uint64, error) {
-	st, ok := s.Store(name)
-	if !ok {
-		return engine.ExecInfo{}, 0, fmt.Errorf("%w: %q", ErrNoPartition, name)
+// Partial answers q over the named partitions into cb, which must be
+// empty: every name is resolved first, so a partition not served here
+// (ErrNoPartition), a name listed twice or partitions of different schemas
+// fail the call before it queues or scans. Then one admission ticket and
+// one brick pass over all of their stores, whose bricks fold into cb in
+// list order, brick-id order within each partition. It returns how the
+// pass ran and each partition's ingest epoch, in list order, read before
+// execution — conservative, so a batch landing mid-scan (which the scan
+// may have missed) yields a higher epoch than the one reported and a
+// result cached under it invalidates the moment the newer epoch is
+// learned.
+func (s *Set) Partial(ctx context.Context, names []string, q *engine.Query, o Opts, cb *engine.Combiner) (engine.ExecInfo, []uint64, error) {
+	stores, err := s.resolve(names)
+	if err != nil {
+		return engine.ExecInfo{}, nil, err
 	}
-	epoch := st.Epoch()
+	epochs := make([]uint64, len(stores))
+	for i, st := range stores {
+		epochs[i] = st.Epoch()
+	}
 	var queued time.Duration
 	if s.admit != nil {
-		tkt, err := s.admit.Admit(ctx, o.Tenant, o.Priority)
+		tkt, err := s.admit.Admit(ctx, o.Priority)
 		if err != nil {
-			return engine.ExecInfo{}, epoch, &AdmissionError{err}
+			return engine.ExecInfo{}, nil, &AdmissionError{err}
 		}
 		defer tkt.Release()
 		queued = tkt.Queued
@@ -232,6 +239,36 @@ func (s *Set) Partial(ctx context.Context, name string, q *engine.Query, o Opts,
 	if o.Admitted != nil {
 		o.Admitted(queued)
 	}
-	info, err := engine.Run(ctx, st, q, engine.Opts{NoCache: o.NoCache}, cb)
-	return info, epoch, err
+	info, err := engine.Run(ctx, q, engine.Opts{NoCache: o.NoCache}, cb, stores...)
+	return info, epochs, err
+}
+
+// resolve returns the stores of a call's partitions, in list order. A
+// partition named twice would fold into the answer twice, and partitions
+// of different schemas cannot share a pass: its kernel addresses groups by
+// their offset in one schema's domain.
+func (s *Set) resolve(names []string) ([]*brick.Store, error) {
+	if len(names) == 0 {
+		return nil, errors.New("partition: Partial names no partition")
+	}
+	stores := make([]*brick.Store, len(names))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, name := range names {
+		st, ok := s.parts[name]
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("%w: %q", ErrNoPartition, name)
+		case slices.Contains(names[:i], name):
+			return nil, fmt.Errorf("partition: Partial names partition %q twice", name)
+		case i > 0 && !sameSchema(st.Schema(), stores[0].Schema()):
+			return nil, fmt.Errorf("partition: Partial names partitions of different schemas (%q)", name)
+		}
+		stores[i] = st
+	}
+	return stores, nil
+}
+
+func sameSchema(a, b brick.Schema) bool {
+	return slices.Equal(a.Dimensions, b.Dimensions) && slices.Equal(a.Metrics, b.Metrics)
 }

@@ -67,7 +67,7 @@ var (
 func mustPartial(t *testing.T, s *Set, name string, q *engine.Query, o Opts) (*engine.Partial, engine.ExecInfo) {
 	t.Helper()
 	var cb engine.Combiner
-	info, _, err := s.Partial(context.Background(), name, q, o, &cb)
+	info, _, err := s.Partial(context.Background(), []string{name}, q, o, &cb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestLifecycle(t *testing.T) {
 			if _, ok := s.Store("p"); ok {
 				t.Fatal("store survives the drop")
 			}
-			if _, _, err := s.Partial(context.Background(), "p", rawQuery, Opts{}, new(engine.Combiner)); !errors.Is(err, ErrNoPartition) {
+			if _, _, err := s.Partial(context.Background(), []string{"p"}, rawQuery, Opts{}, new(engine.Combiner)); !errors.Is(err, ErrNoPartition) {
 				t.Fatalf("query after drop = %v, want ErrNoPartition", err)
 			}
 			if s.Drop("p") {
@@ -217,25 +217,25 @@ func TestPartialAdmission(t *testing.T) {
 	}
 	st, _ := s.Store("p")
 	ingest(t, st, 100, 1)
-	tkt, err := s.Admission().Admit(context.Background(), "", 0)
+	tkt, err := s.Admission().Admit(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	o := Opts{Tenant: "acme", Admitted: func(time.Duration) { calls++ }}
-	if _, _, err := s.Partial(context.Background(), "p", rawQuery, o, new(engine.Combiner)); !errors.Is(err, admission.ErrQueueFull) {
+	o := Opts{Admitted: func(time.Duration) { calls++ }}
+	if _, _, err := s.Partial(context.Background(), []string{"p"}, rawQuery, o, new(engine.Combiner)); !errors.Is(err, admission.ErrQueueFull) {
 		t.Fatalf("with the slot held: %v, want ErrQueueFull", err)
 	}
 	if calls != 0 {
 		t.Fatal("Admitted ran for a shed request")
 	}
 	tkt.Release()
-	_, epoch, err := s.Partial(context.Background(), "p", rawQuery, o, new(engine.Combiner))
+	_, epochs, err := s.Partial(context.Background(), []string{"p"}, rawQuery, o, new(engine.Combiner))
 	if err != nil || calls != 1 {
 		t.Fatalf("with the slot free: err %v, %d Admitted calls", err, calls)
 	}
-	if epoch != st.Epoch() || epoch == 0 {
-		t.Fatalf("epoch = %d, store at %d", epoch, st.Epoch())
+	if len(epochs) != 1 || epochs[0] != st.Epoch() || epochs[0] == 0 {
+		t.Fatalf("epochs = %v, store at %d", epochs, st.Epoch())
 	}
 	if s.Admission().Running() != 0 {
 		t.Fatal("Partial kept its admission slot")

@@ -176,6 +176,28 @@ if grep -n '\.Merge(\|MarshalBinary(' $NETEXEC_SRC; then
     exit 1
 fi
 
+# One pass per /partial call: a call is the worker's unit — one
+# partition.Set.Partial, so one admission ticket, one compile and one brick
+# pass over every partition it names. A per-partition loop in the worker
+# edge is that unit splitting again; a combiner that accepts a second run
+# is what such a loop needs; and the per-tenant quota, which no binary
+# could switch on, must not come back with its header.
+echo "== one pass per /partial call"
+if grep -n 'partitionPartial' $NETEXEC_SRC; then
+    echo "one pass per /partial call: the per-partition loop is back in non-test internal/netexec (see above)"
+    exit 1
+fi
+SITES="$(cat $NETEXEC_SRC | grep -cF 'parts.Partial(' || true)"
+if [ "$SITES" -gt 1 ]; then
+    echo "one pass per /partial call: $SITES call sites of parts.Partial( in non-test internal/netexec, want at most 1:"
+    grep -nF 'parts.Partial(' $NETEXEC_SRC
+    exit 1
+fi
+if grep -n 'errCombinerShape\|PerTenantMax\|HeaderTenant' $NONTEST_GO; then
+    echo "one pass per /partial call: a multi-run combiner or the per-tenant quota is back (see above)"
+    exit 1
+fi
+
 # No per-brick partial cache: an ablation on every benchmark workload moved
 # no end-to-end metric, so it was deleted with its key scopes, counters and
 # config field rather than kept as a mode. What remains is the retired
