@@ -285,7 +285,8 @@ func (s *coordServer) query(w http.ResponseWriter, r *http.Request) {
 	span.EndErr(err)
 	if err != nil {
 		if errors.Is(err, admission.ErrQueueFull) {
-			// Shed by admission control: 429 is retryable under the
+			// Shed by admission control, here or at a worker (whose 429
+			// matches ErrQueueFull): 429 is retryable under the
 			// client-side resilience policy.
 			writeErr(w, http.StatusTooManyRequests, err)
 			return

@@ -1,10 +1,12 @@
 package cubrick
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"cubrick/internal/cluster"
+	"cubrick/internal/engine"
 	"cubrick/internal/randutil"
 )
 
@@ -115,5 +117,71 @@ func TestChaosSoak(t *testing.T) {
 	d.Clock.Advance(time.Minute)
 	if got := checkAll("healed"); got != len(d.Config.Regions) {
 		t.Fatalf("after healing only %d/%d regions answer correctly", got, len(d.Config.Regions))
+	}
+}
+
+// TestSeedReplaysFaultStream: a query draws every host's call outcome
+// before its fan-out starts, so two deployments opened with one seed answer
+// one query stream identically — the same error, Latency, Fanout, Coverage
+// and Rows for every query — although each query's calls run on
+// concurrent goroutines. The stream pairs exact and best-effort queries
+// under a 10% request failure rate with one east host down.
+func TestSeedReplaysFaultStream(t *testing.T) {
+	type answer struct {
+		err      string
+		latency  time.Duration
+		fanout   int
+		coverage float64
+		rows     [][]float64
+	}
+	open := func() *Deployment {
+		cfg := DefaultDeploymentConfig()
+		cfg.Policy.InitialPartitions = 4
+		cfg.Transport.RequestFailureProb = 0.1
+		d, err := Open(cfg, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.CreateTable("t", smallSchema()); err != nil {
+			t.Fatal(err)
+		}
+		loadRows(t, d, "t", 400)
+		a, err := d.SM.Assignment(ServiceName("east"), d.Catalog.ShardOf("t", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _ := d.Fleet.Host(a.Primary())
+		h.SetState(cluster.Down)
+		return d
+	}
+	ask := func(query func(region, table string, q *engine.Query, coordinatorPart int) (*QueryResult, error)) answer {
+		res, err := query("east", "t", sumQuery(), 0)
+		if err != nil {
+			return answer{err: err.Error()}
+		}
+		return answer{latency: res.Latency, fanout: res.Fanout, coverage: res.Coverage, rows: res.Rows}
+	}
+	a, b := open(), open()
+	coverages := make(map[float64]int)
+	for i := 0; i < 100; i++ {
+		for _, exact := range []bool{true, false} {
+			qa, qb := a.QueryBestEffort, b.QueryBestEffort
+			if exact {
+				qa, qb = a.Query, b.Query
+			}
+			x, y := ask(qa), ask(qb)
+			if !reflect.DeepEqual(x, y) {
+				t.Fatalf("query %d (exact=%v): one seed, two answers:\n%+v\n%+v", i, exact, x, y)
+			}
+			if exact && x.err == "" {
+				t.Fatalf("query %d: exact query answered with a host down: %+v", i, x)
+			}
+			if !exact {
+				coverages[x.coverage]++
+			}
+		}
+	}
+	if len(coverages) < 2 {
+		t.Fatalf("best-effort coverages %v: the stream never failed a live host's call, so it replays nothing", coverages)
 	}
 }

@@ -584,31 +584,3 @@ func TestDeploymentAccessors(t *testing.T) {
 		t.Fatalf("DecompressAll did not restore residency: %d vs %d", node.MemoryBytes(), resident)
 	}
 }
-
-func TestForwardTargetDuringMigration(t *testing.T) {
-	d := testDeployment(t)
-	d.CreateTable("m", smallSchema())
-	loadRows(t, d, "m", 50)
-	shard := d.Catalog.ShardOf("m", 0)
-	svc := ServiceName("east")
-	a, _ := d.SM.Assignment(svc, shard)
-	from := a.Primary()
-	var to string
-	for _, h := range d.Fleet.Region("east") {
-		if h.Name == from {
-			continue
-		}
-		if err := d.SM.MigrateShard(svc, shard, from, h.Name); err == nil {
-			to = h.Name
-			break
-		}
-	}
-	if to == "" {
-		t.Skip("no eligible migration target")
-	}
-	// During the propagation window the old node forwards.
-	fromNode, _ := d.Node(from)
-	if tgt, ok := fromNode.ForwardTarget(shard); !ok || tgt != to {
-		t.Fatalf("ForwardTarget = %q/%v, want %q", tgt, ok, to)
-	}
-}

@@ -95,23 +95,8 @@ type Deployment struct {
 	// replicatedLog records every row loaded into replicated tables so
 	// rejoining hosts can rebuild their replicas.
 	replicatedLog map[string][]replicatedRow
-	// rndMu serializes use of rnd on the (concurrent) query path.
+	// rndMu serializes the query path's draws from rnd (plan).
 	rndMu sync.Mutex
-}
-
-// sampleFanOut samples the network cost of a scatter-gather; safe for
-// concurrent queries.
-func (d *Deployment) sampleFanOut(hosts []string) (time.Duration, error) {
-	d.rndMu.Lock()
-	defer d.rndMu.Unlock()
-	return d.Transport.FanOut(hosts, 0, d.rnd)
-}
-
-// sampleCall samples one request outcome; safe for concurrent queries.
-func (d *Deployment) sampleCall(host string) cluster.Outcome {
-	d.rndMu.Lock()
-	defer d.rndMu.Unlock()
-	return d.Transport.Call(host, d.rnd)
 }
 
 // ServiceName returns the SM service name for a region. Cubrick deploys as
@@ -168,7 +153,7 @@ func Open(cfg DeploymentConfig, epoch time.Time) (*Deployment, error) {
 		}
 		for _, h := range fleet.Region(region) {
 			node := NewNode(h, region, catalog, cfg.Node)
-			node.SetPeerLookup(d.peerLookup)
+			node.SetPeerLookup(d.Node)
 			node.SetRecoverySource(d.recoverySourceFor(node))
 			d.nodes[h.Name] = node
 			agent := newAgentFor(d, region, h, node)
@@ -226,10 +211,6 @@ func (d *Deployment) Nodes() []*Node {
 
 // Rand exposes the deployment's deterministic random source.
 func (d *Deployment) Rand() *randutil.Source { return d.rnd }
-
-func (d *Deployment) peerLookup(host string) (*Node, error) {
-	return d.Node(host)
-}
 
 // recoverySourceFor returns the failover data source of a node: a healthy
 // owner of the shard in any *other* region (§IV-D: failovers download a

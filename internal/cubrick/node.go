@@ -1,17 +1,17 @@
 package cubrick
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"cubrick/internal/admission"
 	"cubrick/internal/brick"
 	"cubrick/internal/cluster"
 	"cubrick/internal/core"
-	"cubrick/internal/engine"
+	"cubrick/internal/netexec"
 	"cubrick/internal/partition"
 	"cubrick/internal/shardmgr"
 )
@@ -82,9 +82,11 @@ func DefaultNodeConfig() NodeConfig {
 	}
 }
 
-// Node is one Cubrick server, the Shard Manager edge of a partition.Set:
+// Node is one Cubrick server, the Shard Manager edge of a netexec.Worker:
 // it owns a set of SM shards, each naming one or more table partitions the
-// set serves, and implements shardmgr.AppServer over them.
+// worker's partition.Set serves, and implements shardmgr.AppServer over
+// them. Queries reach the partitions only through the worker's /partial
+// handler, as they reach a cubrick-worker process.
 type Node struct {
 	host    *cluster.Host
 	region  string
@@ -99,8 +101,10 @@ type Node struct {
 	// (§IV-D/E). May be nil in single-region deployments.
 	recoverFrom func(shard int64) (map[string][]byte, error)
 
-	// parts serves every live partition of every owned shard.
-	parts *partition.Set
+	// parts serves every live partition of every owned shard, and handler
+	// is the HTTP edge of the worker that owns parts.
+	parts   *partition.Set
+	handler http.Handler
 
 	mu sync.Mutex
 	// shards maps an owned shard id to the names of its partitions in
@@ -110,8 +114,6 @@ type Node struct {
 	// staged holds data received via PrepareAddShard, keyed by shard and
 	// partition name, adopted into parts by AddShard.
 	staged map[int64]map[string]*brick.Store
-	// forwards maps shards being gracefully dropped to their new owner.
-	forwards map[int64]string
 	// replicated holds this node's full copies of replicated dimension
 	// tables (§II-B), keyed by table name.
 	replicated map[string]*brick.Store
@@ -121,15 +123,16 @@ type Node struct {
 
 // NewNode constructs a Cubrick server for a host in a region.
 func NewNode(host *cluster.Host, region string, catalog *Catalog, cfg NodeConfig) *Node {
+	w := netexec.NewWorker(cfg.Config)
 	return &Node{
-		host:     host,
-		region:   region,
-		catalog:  catalog,
-		cfg:      cfg,
-		parts:    partition.New(cfg.Config),
-		shards:   make(map[int64]map[string]bool),
-		staged:   make(map[int64]map[string]*brick.Store),
-		forwards: make(map[int64]string),
+		host:    host,
+		region:  region,
+		catalog: catalog,
+		cfg:     cfg,
+		parts:   w.Parts(),
+		handler: w.Handler(),
+		shards:  make(map[int64]map[string]bool),
+		staged:  make(map[int64]map[string]*brick.Store),
 	}
 }
 
@@ -229,7 +232,6 @@ func (n *Node) AddShard(shard int64, _ shardmgr.Role) error {
 		}
 		n.shards[shard][name] = true
 	}
-	delete(n.forwards, shard)
 	return nil
 }
 
@@ -241,14 +243,14 @@ func (n *Node) Reset() {
 	defer n.mu.Unlock()
 	n.shards = make(map[int64]map[string]bool)
 	n.staged = make(map[int64]map[string]*brick.Store)
-	n.forwards = make(map[int64]string)
 	n.replicated = make(map[string]*brick.Store)
 	n.parts.Reset()
 }
 
 // DropShard implements shardmgr.AppServer: all data and metadata for the
 // shard are deleted. (Production Cubrick also waits for the request rate
-// to reach zero; the forwarding map covers requests that raced the drop.)
+// to reach zero; here SM drops only after the propagation wait, by which
+// time queries resolve the shard to its new owner.)
 func (n *Node) DropShard(shard int64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -257,13 +259,12 @@ func (n *Node) DropShard(shard int64) error {
 	}
 	delete(n.shards, shard)
 	delete(n.staged, shard)
-	delete(n.forwards, shard)
 	return nil
 }
 
 // PrepareAddShard implements the receiving half of graceful migration
 // (§IV-E): copy all data and metadata for the shard from the current
-// owner, so this server can answer forwarded requests immediately.
+// owner, so this server can answer queries the moment SM points them here.
 func (n *Node) PrepareAddShard(shard int64, from string) error {
 	refs := n.catalog.PartitionsOf(shard)
 	layouts := make([]core.TableLayout, 0, len(refs))
@@ -309,24 +310,17 @@ func (n *Node) PrepareAddShard(shard int64, from string) error {
 	return nil
 }
 
-// PrepareDropShard implements the releasing half of graceful migration:
-// requests for the shard are forwarded to the new owner from now on.
-func (n *Node) PrepareDropShard(shard int64, to string) error {
+// PrepareDropShard implements the releasing half of graceful migration.
+// The node keeps serving the shard until DropShard, which SM sends only
+// after AddShard on the new owner and the propagation wait, so a query
+// resolved to either owner meanwhile finds the data.
+func (n *Node) PrepareDropShard(shard int64, _ string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.shards[shard]; !ok {
 		return fmt.Errorf("%w: %d", ErrNotServing, shard)
 	}
-	n.forwards[shard] = to
 	return nil
-}
-
-// ForwardTarget returns the migration forward target for a shard, if any.
-func (n *Node) ForwardTarget(shard int64) (string, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	t, ok := n.forwards[shard]
-	return t, ok
 }
 
 // ExportShard serializes every partition store in a shard (the data-copy
@@ -447,33 +441,6 @@ func (n *Node) InsertBatch(shard int64, partName string, dims [][]uint32, metric
 		n.enforceBudget()
 	}
 	return nil
-}
-
-// ExecutePartial runs a query over one partition and returns the partial
-// result (the per-worker step of scatter-gather). Execution is
-// brick-parallel: the partition's bricks are morsels consumed by a worker
-// pool sized by GOMAXPROCS.
-func (n *Node) ExecutePartial(shard int64, partName string, q *engine.Query) (*engine.Partial, error) {
-	return n.ExecutePartialCtx(context.Background(), shard, partName, q)
-}
-
-// ExecutePartialCtx is ExecutePartial with a context: once the node is
-// known to own the partition, the partition set admits the query (priority
-// drawn from admission.MetaFrom(ctx)) and answers it with a brick pass.
-func (n *Node) ExecutePartialCtx(ctx context.Context, shard int64, partName string, q *engine.Query) (*engine.Partial, error) {
-	if err := n.owns(shard, partName); err != nil {
-		return nil, err
-	}
-	var cb engine.Combiner
-	opts := partition.Opts{Priority: admission.MetaFrom(ctx).Priority}
-	_, _, err := n.parts.Partial(ctx, []string{partName}, q, opts, &cb)
-	if errors.Is(err, partition.ErrNoPartition) { // dropped since the ownership check
-		return nil, fmt.Errorf("%w: %w", ErrNotServing, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return cb.Partial(q), nil
 }
 
 // enforceBudget runs the memory monitor when a budget is configured:
@@ -622,21 +589,6 @@ func (n *Node) Shards() []int64 {
 	for sh := range n.shards {
 		out = append(out, sh)
 	}
-	sortInt64s(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInt64s(v []int64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j-1] > v[j]; j-- {
-			v[j-1], v[j] = v[j], v[j-1]
-		}
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

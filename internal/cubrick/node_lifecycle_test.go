@@ -5,6 +5,7 @@ import (
 
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
+	"cubrick/internal/partition"
 	"cubrick/internal/shardmgr"
 )
 
@@ -63,6 +64,11 @@ func TestNodePartitionLifecycle(t *testing.T) {
 			}
 
 			count := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
+			answer := func(n *Node, name string) error {
+				var cb engine.Combiner
+				_, _, err := n.Parts().Partial(t.Context(), []string{name}, count, partition.Opts{}, &cb)
+				return err
+			}
 			served := 0
 			for _, n := range d.Nodes() {
 				shards := n.Shards()
@@ -88,7 +94,7 @@ func TestNodePartitionLifecycle(t *testing.T) {
 						if _, ok := n.Parts().Store(ref.Name()); ok {
 							t.Fatalf("store of %s survives %s", ref.Name(), tc.name)
 						}
-						if _, err := n.ExecutePartial(shard, ref.Name(), count); err == nil {
+						if err := answer(n, ref.Name()); err == nil {
 							t.Fatalf("%s still answers after %s", ref.Name(), tc.name)
 						}
 					}
@@ -108,7 +114,7 @@ func TestNodePartitionLifecycle(t *testing.T) {
 						if !ok || fresh == old[ref.Name()] {
 							t.Fatalf("%s re-created over a stale store", ref.Name())
 						}
-						if _, err := n.ExecutePartial(shard, ref.Name(), count); err != nil {
+						if err := answer(n, ref.Name()); err != nil {
 							t.Fatalf("%s does not answer once re-created: %v", ref.Name(), err)
 						}
 					}

@@ -1,40 +1,35 @@
-package netexec
+package cubrick
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
-	"sort"
 	"testing"
 
 	"cubrick/internal/brick"
-	"cubrick/internal/cluster"
 	"cubrick/internal/core"
-	"cubrick/internal/cubrick"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
+	"cubrick/internal/netexec"
 	"cubrick/internal/oracle"
 	"cubrick/internal/partition"
 	"cubrick/internal/randutil"
-	"cubrick/internal/shardmgr"
 	"cubrick/internal/workload"
 )
 
-// TestCrossPlaneParity is the wall between the two edges of the partition
-// core: for random (schema, rows, tier mix, query) trials under every
-// serving configuration — decoded cache off, or cold then warm —
-// cubrick.Node.ExecutePartialCtx and POST /partial return
-// byte-identical partials (once the group records, which MarshalBinary
-// writes in map order, are sorted), and both finalize to exactly the
-// answer internal/oracle computes over the same rows. Metric values are
-// small integers, so sums are exact whatever order the rows fold in.
+// TestCrossPlaneParity is the wall between the two planes: for random
+// (schema, rows, tier mix, query) trials under every serving configuration
+// — decoded cache off, or cold then warm — Deployment.Query over the
+// in-memory transport and netexec.Cluster.Query over httptest workers both
+// finalize to exactly the answer internal/oracle computes over the same
+// rows. Both planes run one netexec.Coordinator and one netexec.Worker, so
+// the wall checks whole queries, not partials. Metric values are small
+// integers, so sums are exact whatever order the rows fold in.
 func TestCrossPlaneParity(t *testing.T) {
 	const trials = 20
 	reg := metrics.NewRegistry() // shared by every cell, to show below that no path went unvisited
+	ctx := context.Background()
+	part := core.PartitionName("t", 0)
 	for trial := 0; trial < trials; trial++ {
 		rnd := randutil.New(int64(1000 + trial))
 		schema := parityShema(rnd)
@@ -51,53 +46,61 @@ func TestCrossPlaneParity(t *testing.T) {
 			}
 			name := fmt.Sprintf("trial=%d caches=%v", trial, runs > 1)
 
-			catalog := cubrick.NewCatalog(core.MonotonicMapper{MaxShards: 1000}, core.DefaultPartitionPolicy())
-			if _, err := catalog.CreateTable("t", schema); err != nil {
+			// The in-process plane: one host holding the table's one partition.
+			dcfg := DefaultDeploymentConfig()
+			dcfg.Regions, dcfg.RacksPerRegion, dcfg.HostsPerRack = []string{"east"}, 1, 1
+			dcfg.Node.Config = cfg
+			dcfg.Policy.InitialPartitions = 1
+			dcfg.Transport.RequestFailureProb = 0
+			d, err := Open(dcfg, epoch)
+			if err != nil {
 				t.Fatal(err)
 			}
-			shard, part := catalog.ShardOf("t", 0), core.PartitionName("t", 0)
-			node := cubrick.NewNode(&cluster.Host{Name: "h"}, "east", catalog, cubrick.NodeConfig{Config: cfg})
-			if err := node.AddShard(shard, shardmgr.Primary); err != nil {
+			if _, err := d.CreateTable("t", schema); err != nil {
 				t.Fatal(err)
 			}
-			nodeStore, _ := node.Parts().Store(part)
+			nodeStore, ok := d.Nodes()[0].Parts().Store(part)
+			if !ok {
+				t.Fatalf("%s: the deployment's one host does not serve %s", name, part)
+			}
 			build(t, nodeStore)
 
-			worker := NewWorker(cfg)
-			if err := worker.AddPartition(part, schema); err != nil {
+			// The networked plane: one worker behind a real socket.
+			worker := netexec.NewWorker(cfg)
+			srv := httptest.NewServer(worker.Handler())
+			cl, err := netexec.NewCluster([]string{srv.URL}, 1000, srv.Client())
+			if err != nil {
 				t.Fatal(err)
 			}
-			workerStore, _ := worker.Store(part)
+			if err := cl.CreateTable(ctx, "t", schema, 1); err != nil {
+				t.Fatal(err)
+			}
+			workerStore, err := worker.Store(part)
+			if err != nil {
+				t.Fatal(err)
+			}
 			build(t, workerStore)
-			srv := httptest.NewServer(worker.Handler())
 
 			for qi, q := range queries {
-				want := oracle.Answer(reference(t, q, ref))
+				want, err := oracle.Run(q, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = oracle.Answer(want)
 				for run := 0; run < runs; run++ {
-					np, err := node.ExecutePartialCtx(context.Background(), shard, part, q)
+					res, err := d.Query("east", "t", q, 0)
 					if err != nil {
-						t.Fatalf("%s query %d run %d: node: %v", name, qi, run, err)
+						t.Fatalf("%s query %d run %d: in-process: %v", name, qi, run, err)
 					}
-					nodeBlob, err := np.MarshalBinary()
+					if err := oracle.Equal(want, oracle.Answer(res.Result)); err != nil {
+						t.Fatalf("%s query %d run %d (%+v): in-process answer differs from the oracle: %v", name, qi, run, q, err)
+					}
+					got, err := cl.Query(ctx, "t", q)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s query %d run %d: networked: %v", name, qi, run, err)
 					}
-					resp := postPartial(t, srv.URL, part, q, nil)
-					workerBlob, err := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if err != nil || resp.StatusCode != http.StatusOK {
-						t.Fatalf("%s query %d run %d: worker: status %d, %v", name, qi, run, resp.StatusCode, err)
-					}
-					if !bytes.Equal(canonicalPartial(t, nodeBlob), canonicalPartial(t, workerBlob)) {
-						t.Fatalf("%s query %d run %d (%+v): node and worker partials differ (%d vs %d bytes)",
-							name, qi, run, q, len(nodeBlob), len(workerBlob))
-					}
-					got, err := engine.UnmarshalPartial(q, workerBlob)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := oracle.Equal(want, oracle.Answer(got.Finalize())); err != nil {
-						t.Fatalf("%s query %d run %d (%+v): answer differs from the oracle: %v", name, qi, run, q, err)
+					if err := oracle.Equal(want, oracle.Answer(got)); err != nil {
+						t.Fatalf("%s query %d run %d (%+v): networked answer differs from the oracle: %v", name, qi, run, q, err)
 					}
 				}
 			}
@@ -107,45 +110,6 @@ func TestCrossPlaneParity(t *testing.T) {
 	if reg.CounterValues()["cache.decoded.hit"] == 0 {
 		t.Error("no trial moved cache.decoded.hit: the wall never read through a warm decoded-column cache")
 	}
-}
-
-// canonicalPartial returns a wire partial with its group records sorted
-// bytewise: the header (magic, scan counters, arities, group count) stays
-// in place, so two blobs are equal afterwards exactly when they carry the
-// same counters and the same accumulators for the same groups.
-func canonicalPartial(t *testing.T, blob []byte) []byte {
-	t.Helper()
-	off := 4 // magic
-	uvarint := func() uint64 {
-		v, n := binary.Uvarint(blob[off:])
-		if n <= 0 {
-			t.Fatalf("corrupt partial at offset %d", off)
-		}
-		off += n
-		return v
-	}
-	for i := 0; i < 4; i++ { // rows scanned, bricks visited, bricks pruned, decompressions
-		uvarint()
-	}
-	keyLen, cells, groups := int(uvarint()), int(uvarint()), int(uvarint())
-	out := append([]byte(nil), blob[:off]...)
-	records := make([][]byte, groups)
-	for g := range records {
-		start := off
-		off += 4 * keyLen
-		for c := 0; c < cells; c++ {
-			off += 8 // sum
-			uvarint()
-			off += 16 // min, max
-			off += int(uvarint())
-		}
-		records[g] = blob[start:off]
-	}
-	if off != len(blob) {
-		t.Fatalf("partial has %d trailing bytes", len(blob)-off)
-	}
-	sort.Slice(records, func(i, j int) bool { return bytes.Compare(records[i], records[j]) < 0 })
-	return append(out, bytes.Join(records, nil)...)
 }
 
 // parityShema draws a 2–4 dimension schema whose first dimension, ds, is

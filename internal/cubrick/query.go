@@ -1,14 +1,19 @@
 package cubrick
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"time"
 
 	"cubrick/internal/cluster"
 	"cubrick/internal/core"
 	"cubrick/internal/engine"
+	"cubrick/internal/netexec"
 )
 
 // QueryResult is a finalized distributed query result plus the metadata
@@ -42,123 +47,13 @@ var ErrRegionUnavailable = errors.New("cubrick: region cannot serve query")
 
 // Query executes a grouped aggregation against a table in one region:
 // resolve every partition's host, execute partials there (pushing compute
-// to the data), merge on the coordinator, and finalize. coordinatorPart
-// selects which partition's host acts as coordinator (§IV-C); pass 0 when
-// unconcerned.
+// to the data), merge on the coordinator, and finalize. Any partition that
+// cannot answer fails the query in this region — partial results are
+// never silently dropped (§II-C: Cubrick does not trade accuracy).
+// coordinatorPart selects which partition's host acts as coordinator
+// (§IV-C); pass 0 when unconcerned.
 func (d *Deployment) Query(region, table string, q *engine.Query, coordinatorPart int) (*QueryResult, error) {
-	info, err := d.Catalog.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	return d.scatterGather(region, info, q, coordinatorPart, func(n *Node, shard int64, part string) (*engine.Partial, error) {
-		return n.ExecutePartial(shard, part, q)
-	})
-}
-
-// scatterGather is the exact-semantics query flow shared by Query and
-// QueryJoin: resolve every partition of the table to its host, sample the
-// fan-out's network cost, run exec on every partition concurrently and
-// merge the partials in partition order.
-func (d *Deployment) scatterGather(region string, info TableInfo, q *engine.Query, coordinatorPart int,
-	exec func(n *Node, shard int64, part string) (*engine.Partial, error)) (*QueryResult, error) {
-	table := info.Name
-	svc := ServiceName(region)
-
-	// Resolve all partitions up front; any resolution or availability
-	// failure fails the whole query in this region — partial results are
-	// never silently dropped (§II-C: Cubrick does not trade accuracy).
-	type target struct {
-		shard int64
-		part  string
-		node  *Node
-	}
-	targets := make([]target, info.Partitions)
-	hostSet := make(map[string]bool)
-	for p := 0; p < info.Partitions; p++ {
-		shard := d.Catalog.ShardOf(table, p)
-		a, err := d.SM.Assignment(svc, shard)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
-		}
-		host := a.Primary()
-		h, err := d.Fleet.Host(host)
-		if err != nil || !h.Available() {
-			return nil, fmt.Errorf("%w: host %s down for %s#%d", ErrRegionUnavailable, host, table, p)
-		}
-		node, err := d.Node(host)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
-		}
-		targets[p] = target{shard: shard, part: core.PartitionName(table, p), node: node}
-		hostSet[host] = true
-	}
-
-	if coordinatorPart < 0 || coordinatorPart >= info.Partitions {
-		coordinatorPart = 0
-	}
-	coordinator := targets[coordinatorPart].node.Host().Name
-
-	// Sample the network/tail-latency cost of the scatter-gather across
-	// the distinct hosts (the Fig 5 quantity), before doing the actual
-	// data work in-process.
-	hosts := make([]string, 0, len(hostSet))
-	for h := range hostSet {
-		hosts = append(hosts, h)
-	}
-	latency, err := d.sampleFanOut(hosts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
-	}
-
-	// Execute all partitions concurrently — each node's partial execution
-	// is itself brick-parallel — and merge in partition order so the
-	// combined partial is deterministic.
-	partials := make([]*engine.Partial, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i := range targets {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t := targets[i]
-			// Follow one graceful-migration forward if the shard moved
-			// after resolution (§IV-E).
-			partial, err := exec(t.node, t.shard, t.part)
-			if errors.Is(err, ErrNotServing) {
-				if fwd, ok := t.node.ForwardTarget(t.shard); ok {
-					if fnode, ferr := d.Node(fwd); ferr == nil {
-						partial, err = exec(fnode, t.shard, t.part)
-					}
-				}
-			}
-			partials[i], errs[i] = partial, err
-		}(i)
-	}
-	wg.Wait()
-
-	merged := engine.NewPartial(q)
-	for i := range targets {
-		if errs[i] != nil {
-			// Both %w: callers match ErrRegionUnavailable for routing and
-			// the underlying cause (e.g. admission.ErrQueueFull → 429).
-			return nil, fmt.Errorf("%w: %w", ErrRegionUnavailable, errs[i])
-		}
-		if err := merged.Merge(partials[i]); err != nil {
-			return nil, err
-		}
-	}
-
-	return &QueryResult{
-		Result:      merged.Finalize(),
-		Table:       table,
-		Partitions:  info.Partitions,
-		Version:     info.Version,
-		Region:      region,
-		Coordinator: coordinator,
-		Fanout:      len(hosts),
-		Latency:     latency,
-		Coverage:    1,
-	}, nil
+	return d.query(region, table, q, coordinatorPart, netexec.QueryPolicy{})
 }
 
 // QueryBestEffort is the Scuba-style alternative the paper contrasts with
@@ -169,79 +64,120 @@ func (d *Deployment) scatterGather(region string, info TableInfo, q *engine.Quer
 // fundamental" — Cubrick's BI workloads cannot make that assumption, which
 // is why the production system uses partial sharding instead.
 func (d *Deployment) QueryBestEffort(region, table string, q *engine.Query, coordinatorPart int) (*QueryResult, error) {
+	return d.query(region, table, q, coordinatorPart, netexec.QueryPolicy{MinCoverage: math.SmallestNonzeroFloat64})
+}
+
+// query runs one region's query through netexec.Coordinator, the
+// coordinator the networked plane runs, over memTransport: one primary-only
+// target per partition, so one /partial call per host, merged in arrival
+// order. The zero policy is exact with one attempt and no hedge, so it
+// starts no timer; a MinCoverage policy drops the partitions of failed
+// calls instead.
+func (d *Deployment) query(region, table string, q *engine.Query, coordinatorPart int, policy netexec.QueryPolicy) (*QueryResult, error) {
 	info, err := d.Catalog.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	svc := ServiceName(region)
-	merged := engine.NewPartial(q)
-	answered := 0
-	var missing []string
-	hostSet := make(map[string]bool)
-	coordinator := ""
-	var maxLatency time.Duration
-	for p := 0; p < info.Partitions; p++ {
-		part := core.PartitionName(table, p)
-		shard := d.Catalog.ShardOf(table, p)
-		a, err := d.SM.Assignment(svc, shard)
-		if err != nil {
-			missing = append(missing, part)
-			continue
-		}
-		host := a.Primary()
-		h, err := d.Fleet.Host(host)
-		if err != nil || !h.Available() {
-			missing = append(missing, part)
-			continue
-		}
-		node, err := d.Node(host)
-		if err != nil {
-			missing = append(missing, part)
-			continue
-		}
-		out := d.sampleCall(host)
-		if out.Err != nil {
-			missing = append(missing, part)
-			continue
-		}
-		partial, err := node.ExecutePartial(shard, part, q)
-		if err != nil {
-			missing = append(missing, part)
-			continue
-		}
-		if err := merged.Merge(partial); err != nil {
-			return nil, err
-		}
-		answered++
-		hostSet[host] = true
-		if coordinator == "" || p == coordinatorPart {
-			coordinator = host
-		}
-		if out.Latency > maxLatency {
-			maxLatency = out.Latency
+	p, err := d.plan(region, info, policy.MinCoverage == 0)
+	if err != nil {
+		return nil, err
+	}
+	targets := make([]netexec.Target, len(p.hosts))
+	for i, host := range p.hosts {
+		targets[i] = netexec.Target{URL: "http://" + host, Partition: core.PartitionName(table, i)}
+	}
+	c := netexec.Coordinator{Client: &http.Client{Transport: memTransport{d, p.draws}}, Policy: policy}
+	res, err := c.Query(context.TODO(), targets, q)
+	if err != nil {
+		// Both %w: callers match ErrRegionUnavailable for routing and the
+		// underlying cause (e.g. a worker's 429 as admission.ErrQueueFull).
+		return nil, fmt.Errorf("%w: %w", ErrRegionUnavailable, err)
+	}
+	return p.result(region, info, res, coordinatorPart), nil
+}
+
+// queryPlan is one query's view of a region: the primary host of every
+// partition, and one sampled call outcome per host.
+type queryPlan struct {
+	hosts []string                   // by partition; "" when unresolved
+	draws map[string]cluster.Outcome // by host, "" included when unresolved
+}
+
+// plan resolves every partition of a table to its primary host in region
+// and draws each distinct host's cluster.Transport.Call outcome once, in
+// sorted host order, before any call starts: the fan-out's calls run on
+// concurrent goroutines, so only draws taken here replay from one seed. An
+// exact plan fails on the first unresolved partition or failed draw. A
+// best-effort plan keeps going, and the partitions of unresolved or failed
+// hosts go missing from the answer.
+func (d *Deployment) plan(region string, info TableInfo, exact bool) (queryPlan, error) {
+	p := queryPlan{hosts: make([]string, info.Partitions), draws: make(map[string]cluster.Outcome)}
+	for i := range p.hosts {
+		a, err := d.SM.Assignment(ServiceName(region), d.Catalog.ShardOf(info.Name, i))
+		if err == nil {
+			p.hosts[i] = a.Primary()
+		} else if exact {
+			return p, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
+		} else {
+			p.draws[""] = cluster.Outcome{Err: err}
 		}
 	}
-	if answered == 0 {
-		return nil, fmt.Errorf("%w: no partition of %s answered in %s", ErrRegionUnavailable, table, region)
+	hosts := slices.Clone(p.hosts)
+	slices.Sort(hosts)
+	d.rndMu.Lock()
+	defer d.rndMu.Unlock()
+	for _, host := range slices.Compact(hosts) {
+		if _, drawn := p.draws[host]; !drawn {
+			p.draws[host] = d.Transport.Call(host, d.rnd)
+		}
+		if err := p.draws[host].Err; exact && err != nil {
+			return p, fmt.Errorf("%w: %w", ErrRegionUnavailable, err)
+		}
 	}
-	res := merged.Finalize()
-	coverage := float64(answered) / float64(info.Partitions)
-	// Annotate the embedded engine result too, so callers that only see an
-	// *engine.Result (the networked plane's type) get the same degradation
-	// metadata as QueryResult carries.
-	res.Coverage = coverage
-	res.MissingPartitions = missing
-	return &QueryResult{
-		Result:      res,
-		Table:       table,
-		Partitions:  info.Partitions,
-		Version:     info.Version,
-		Region:      region,
-		Coordinator: coordinator,
-		Fanout:      len(hostSet),
-		Latency:     maxLatency,
-		Coverage:    coverage,
-	}, nil
+	return p, nil
+}
+
+// result annotates a finalized answer with the plan: Fanout and Latency
+// count the hosts whose draw succeeded, and the coordinator is
+// coordinatorPart's host, or the first such host when that one failed.
+func (p queryPlan) result(region string, info TableInfo, res *engine.Result, coordinatorPart int) *QueryResult {
+	out := &QueryResult{Result: res, Table: info.Name, Partitions: info.Partitions, Version: info.Version,
+		Region: region, Coverage: res.Coverage}
+	for i, host := range p.hosts {
+		if p.draws[host].Err == nil && (out.Coordinator == "" || i == coordinatorPart) {
+			out.Coordinator = host
+		}
+	}
+	for _, o := range p.draws {
+		if o.Err == nil {
+			out.Fanout++
+			out.Latency = max(out.Latency, o.Latency)
+		}
+	}
+	return out
+}
+
+// memTransport is the in-process plane's wire: it hands each /partial call
+// to the named host's worker handler, or fails it with the host's failed
+// draw. It reports sampled latency through the plan and never sleeps.
+type memTransport struct {
+	d     *Deployment
+	draws map[string]cluster.Outcome
+}
+
+// RoundTrip implements http.RoundTripper.
+func (t memTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	defer req.Body.Close()
+	if err := t.draws[req.URL.Host].Err; err != nil {
+		return nil, err
+	}
+	n, err := t.d.Node(req.URL.Host)
+	if err != nil {
+		return nil, err
+	}
+	rec := httptest.NewRecorder()
+	n.handler.ServeHTTP(rec, req)
+	return rec.Result(), nil
 }
 
 // Repartition evaluates the partition policy for a table and, when the

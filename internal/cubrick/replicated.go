@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cubrick/internal/brick"
+	"cubrick/internal/core"
 	"cubrick/internal/engine"
 )
 
@@ -194,9 +195,27 @@ func (d *Deployment) QueryJoin(region, factTable, dimTable string, q *engine.Que
 		return nil, err
 	}
 
-	return d.scatterGather(region, factInfo, q, coordinatorPart, func(n *Node, shard int64, part string) (*engine.Partial, error) {
-		return n.ExecuteJoinPartial(shard, part, dimTable, q, join)
-	})
+	// Co-located joins have no /partial form, so they run serially in
+	// process over the same plan and draws as Query, in partition order.
+	p, err := d.plan(region, factInfo, true)
+	if err != nil {
+		return nil, err
+	}
+	merged := engine.NewPartial(q)
+	for i, host := range p.hosts {
+		n, err := d.Node(host)
+		if err == nil {
+			var part *engine.Partial
+			part, err = n.ExecuteJoinPartial(d.Catalog.ShardOf(factTable, i), core.PartitionName(factTable, i), dimTable, q, join)
+			if err == nil {
+				err = merged.Merge(part)
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrRegionUnavailable, err)
+		}
+	}
+	return p.result(region, factInfo, merged.Finalize(), coordinatorPart), nil
 }
 
 // InferJoin builds the JoinSpec for a query: the ON key must be shared by

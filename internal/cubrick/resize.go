@@ -36,7 +36,7 @@ func (d *Deployment) AddHost(region, rack, name string) (*Node, error) {
 		return nil, err
 	}
 	node := NewNode(h, region, d.Catalog, d.Config.Node)
-	node.SetPeerLookup(d.peerLookup)
+	node.SetPeerLookup(d.Node)
 	node.SetRecoverySource(d.recoverySourceFor(node))
 	d.mu.Lock()
 	d.nodes[name] = node

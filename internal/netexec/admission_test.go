@@ -148,6 +148,14 @@ func TestWorkerShedReturns429(t *testing.T) {
 	if ClassifyError(&HTTPStatusError{Status: http.StatusTooManyRequests}) != Retryable {
 		t.Fatal("429 must classify retryable")
 	}
+	// Across the wire the shed stays admission.ErrQueueFull, so a caller
+	// above the coordinator answers it as its own shed; no other status does.
+	if !errors.Is(fmt.Errorf("%w: %w", ErrWorkerFailed, &HTTPStatusError{Status: http.StatusTooManyRequests}), admission.ErrQueueFull) {
+		t.Fatal("a wrapped 429 must match admission.ErrQueueFull")
+	}
+	if errors.Is(&HTTPStatusError{Status: http.StatusServiceUnavailable}, admission.ErrQueueFull) {
+		t.Fatal("a 503 must not match admission.ErrQueueFull")
+	}
 	tkt.Release()
 
 	// With the slot free the same request succeeds.

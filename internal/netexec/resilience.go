@@ -14,9 +14,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"sync"
 	"time"
 
+	"cubrick/internal/admission"
 	"cubrick/internal/cluster"
 	"cubrick/internal/metrics"
 )
@@ -130,6 +132,12 @@ type HTTPStatusError struct {
 // Error implements error.
 func (e *HTTPStatusError) Error() string {
 	return fmt.Sprintf("status %d: %s", e.Status, e.Msg)
+}
+
+// Is makes a worker's 429 match admission.ErrQueueFull, the shed it
+// reports, so a shed stays matchable across the wire.
+func (e *HTTPStatusError) Is(target error) bool {
+	return target == admission.ErrQueueFull && e.Status == http.StatusTooManyRequests
 }
 
 // PartialSizeError reports a worker partial exceeding the coordinator's

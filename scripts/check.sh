@@ -150,6 +150,32 @@ if go list -f '{{join .Imports "\n"}}' ./internal/netexec | grep -q 'internal/cu
 fi
 echo "internal/netexec non-test lines: $(cat $NETEXEC_SRC | wc -l)"
 
+# One coordinator: the in-process plane runs netexec.Coordinator too, over
+# an in-memory transport that hands each /partial call to the host's
+# netexec.Worker handler. So Deployment.Query and QueryBestEffort make one
+# call per host through the networked plane's fan-out, and non-test
+# internal/cubrick starts no goroutine of its own. The per-partition
+# scatter-gather, its fan-out sampler, the node's direct partial entry
+# point and the migration forward only it followed must not come back, and
+# the package builds its Coordinator in one place.
+echo "== one coordinator"
+CUBRICK_SRC="$(ls internal/cubrick/*.go | grep -v _test.go)"
+if grep -nE '^[[:space:]]*go[[:space:]]|[{;][[:space:]]*go[[:space:]]' $CUBRICK_SRC; then
+    echo "one coordinator: non-test internal/cubrick starts a goroutine (see above); fan out through netexec.Coordinator"
+    exit 1
+fi
+if grep -n 'scatterGather\|sampleFanOut\|ExecutePartial\|ForwardTarget' $NONTEST_GO; then
+    echo "one coordinator: the in-process scatter-gather or its plumbing is back (see above)"
+    exit 1
+fi
+SITES="$(cat $CUBRICK_SRC | grep -oF 'netexec.Coordinator{' | wc -l)"
+if [ "$SITES" -gt 1 ]; then
+    echo "one coordinator: $SITES netexec.Coordinator{ literals in non-test internal/cubrick, want at most 1:"
+    grep -nF 'netexec.Coordinator{' $CUBRICK_SRC
+    exit 1
+fi
+echo "internal/cubrick non-test lines: $(cat $CUBRICK_SRC | wc -l)"
+
 # One /partial call per host: a query makes one worker call per placement
 # and the worker merges the call's partitions, so its calls — and its
 # exposure to the wall, (1-p)^calls — scale with hosts. A host's merged
