@@ -32,13 +32,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -298,42 +298,101 @@ func (s *coordServer) query(w http.ResponseWriter, r *http.Request) {
 	writeQueryResponse(w, res, fanout)
 }
 
-// queryReply is the /query success reply. Its fields are in sorted key
-// order, the order encoding/json writes a map's keys in, so its bytes are
-// those of the same reply as a map (TestQueryResponseBytes).
-type queryReply struct {
-	Columns           []string    `json:"columns"`
-	Coverage          float64     `json:"coverage"`
-	Fanout            int         `json:"fanout"`
-	MissingPartitions []string    `json:"missingPartitions,omitempty"`
-	Rows              [][]float64 `json:"rows"`
-	RowsScanned       int64       `json:"rowsScanned"`
-}
-
 // replyPool recycles /query reply buffers: a reply is copied into the
 // response as it is written, so its buffer is free again afterwards.
-var replyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeQueryResponse writes the /query success reply in one Write with a
-// Content-Length. A result JSON cannot carry (a non-finite value) gets the
-// empty 200 writeJSON gives it.
+// Content-Length. A result JSON cannot carry — a non-finite value — answers
+// 500 with an error naming the value.
 func writeQueryResponse(w http.ResponseWriter, res *engine.Result, fanout int) {
-	buf := replyPool.Get().(*bytes.Buffer)
+	buf := replyPool.Get().(*[]byte)
 	defer replyPool.Put(buf)
-	buf.Reset()
-	w.Header().Set("Content-Type", "application/json")
-	if json.NewEncoder(buf).Encode(queryReply{
-		Columns:           res.Columns,
-		Coverage:          res.Coverage,
-		Fanout:            fanout,
-		MissingPartitions: res.MissingPartitions,
-		Rows:              res.Rows,
-		RowsScanned:       res.RowsScanned,
-	}) == nil {
-		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	b, err := appendQueryReply((*buf)[:0], res, fanout)
+	*buf = b
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	w.Write(b)
+}
+
+// appendQueryReply appends the /query success reply to b: the bytes
+// encoding/json's Encoder writes for the reply as a map, keys in sorted
+// order and missingPartitions only when non-empty, newline included
+// (TestQueryResponseBytes). It returns b, grown, even with an error.
+func appendQueryReply(b []byte, res *engine.Result, fanout int) ([]byte, error) {
+	// Marshalling a []string cannot fail.
+	cols, _ := json.Marshal(res.Columns)
+	b = append(append(b, `{"columns":`...), cols...)
+	b = append(b, `,"coverage":`...)
+	b, err := appendFloat(b, res.Coverage)
+	if err != nil {
+		return b, err
+	}
+	b = strconv.AppendInt(append(b, `,"fanout":`...), int64(fanout), 10)
+	if len(res.MissingPartitions) > 0 {
+		missing, _ := json.Marshal(res.MissingPartitions)
+		b = append(append(b, `,"missingPartitions":`...), missing...)
+	}
+	b = append(b, `,"rows":`...)
+	if res.Rows == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, row := range res.Rows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if row == nil {
+				b = append(b, "null"...)
+				continue
+			}
+			b = append(b, '[')
+			for j, v := range row {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				if b, err = appendFloat(b, v); err != nil {
+					return b, err
+				}
+			}
+			b = append(b, ']')
+		}
+		b = append(b, ']')
+	}
+	b = strconv.AppendInt(append(b, `,"rowsScanned":`...), res.RowsScanned, 10)
+	return append(b, "}\n"...), nil
+}
+
+// appendFloat appends v as encoding/json writes a float64. An integral
+// value below 2^53 in magnitude, other than −0, is its own shortest
+// round-trip form, so it is written as an integer; any other value takes
+// json's rule: 'e' format below 1e-6 or from 1e21 in magnitude, 'f'
+// otherwise, and a two-digit negative exponent loses its leading zero.
+func appendFloat(b []byte, v float64) ([]byte, error) {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return b, fmt.Errorf("result value %v is not finite, and JSON has no number for it", v)
+	}
+	abs := math.Abs(v)
+	if abs < 1<<53 && v == math.Trunc(v) && !(v == 0 && math.Signbit(v)) {
+		return strconv.AppendInt(b, int64(v), 10), nil
+	}
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // move runs (POST) or observes (GET) an online shard migration.

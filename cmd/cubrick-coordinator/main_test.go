@@ -275,7 +275,7 @@ func TestLoadRacingMoveLosesNoRows(t *testing.T) {
 }
 
 // queryResponse is the /query success reply as a map: the reference
-// TestQueryResponseBytes checks queryReply's bytes against.
+// TestQueryResponseBytes checks appendQueryReply's bytes against.
 func queryResponse(res *engine.Result, fanout int) map[string]interface{} {
 	resp := map[string]interface{}{
 		"columns":     res.Columns,
@@ -292,11 +292,14 @@ func queryResponse(res *engine.Result, fanout int) map[string]interface{} {
 
 // TestQueryResponseBytes: the /query reply is byte for byte what
 // encoding/json writes for the reply map, over random results with the
-// float and string cases encoding/json formats specially; a non-finite
-// value answers as writeJSON does.
+// float and string cases encoding/json formats specially — the edges of
+// the integer shortcut among them (±(2^53−1), 2^52−0.5, the largest
+// non-integral float64, and integral values above 2^53); a non-finite
+// value answers 500 with an error naming it.
 func TestQueryResponseBytes(t *testing.T) {
 	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, -2.5, 1e-7, -1e-7, 1.5e-6, 1e-6, 9.99e20, 1e21, -1e21, 1.5e300,
-		1 << 53, 1<<53 - 2, 1<<53 + 2, -(1<<53 + 2), 5e-324, 2.2250738585072014e-308 / 3, math.MaxFloat64, 123456.789}
+		1 << 53, 1<<53 - 2, 1<<53 + 2, -(1<<53 + 2), 5e-324, 2.2250738585072014e-308 / 3, math.MaxFloat64, 123456.789,
+		1<<53 - 1, -(1<<53 - 1), 1<<52 - 0.5, 1e20, -1e20, 1e15}
 	names := []string{"app", "sum(value)", "count(*)", "<b>&", "a<b", "x>y", `q"u\o`, "tab\tnl\n", "é", "\u2028", "\x7f", "\xff", ""}
 	rnd := rand.New(rand.NewSource(7))
 	value := func() float64 {
@@ -349,12 +352,63 @@ func TestQueryResponseBytes(t *testing.T) {
 			{Columns: []string{"x"}, Rows: [][]float64{{1, bad}}, Coverage: 1},
 			{Columns: []string{"x"}, Coverage: bad},
 		} {
-			got, want := httptest.NewRecorder(), httptest.NewRecorder()
-			writeQueryResponse(got, res, 1)
-			writeJSON(want, http.StatusOK, queryResponse(res, 1))
-			if got.Code != want.Code || got.Body.String() != want.Body.String() || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
-				t.Fatalf("%v: wrote %d %q, writeJSON %d %q", bad, got.Code, got.Body, want.Code, want.Body)
+			rec := httptest.NewRecorder()
+			writeQueryResponse(rec, res, 1)
+			var body struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil ||
+				!strings.Contains(body.Error, strconv.FormatFloat(bad, 'g', -1, 64)) {
+				t.Fatalf("%v: wrote %d %q, want 500 with an error naming the value", bad, rec.Code, rec.Body)
 			}
 		}
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps nothing of the body,
+// so a write costs only what the handler allocates.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w discardWriter) WriteHeader(int)             {}
+
+// wideResult is a result of rows rows × 4 integral columns, a
+// wide_fanout-shaped GROUP BY app, kind answer with sum and count.
+func wideResult(rows int) *engine.Result {
+	res := &engine.Result{Columns: []string{"app", "kind", "sum(value)", "count(*)"}, Coverage: 1, RowsScanned: 64000}
+	for i := 0; i < rows; i++ {
+		res.Rows = append(res.Rows, []float64{float64(i / 3), float64(i % 3), float64(i * 4711), float64(40 + i%9)})
+	}
+	return res
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestQueryResponseAllocsFlat is the allocation check check.sh runs on the
+// /query reply: it is appended into a pooled buffer, so a 1 500-row reply
+// allocates what a 15-row one does.
+func TestQueryResponseAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race: sync.Pool drops items at random")
+	}
+	w := discardWriter{h: http.Header{}}
+	allocs := func(rows int) float64 {
+		res := wideResult(rows)
+		return testing.AllocsPerRun(100, func() { writeQueryResponse(w, res, 2) })
+	}
+	small, large := allocs(15), allocs(1500)
+	t.Logf("%.0f allocs per 15-row reply, %.0f per 1 500-row reply", small, large)
+	if large != small {
+		t.Fatalf("a 1 500-row reply allocates %.0f times, a 15-row one %.0f: the reply allocates per row", large, small)
+	}
+}
+
+// BenchmarkWriteQueryResponseWide measures writing a 1 500-row reply of
+// 4 integral columns (run with -benchmem).
+func BenchmarkWriteQueryResponseWide(b *testing.B) {
+	w, res := discardWriter{h: http.Header{}}, wideResult(1500)
+	b.ReportAllocs()
+	for b.Loop() {
+		writeQueryResponse(w, res, 2)
 	}
 }

@@ -45,9 +45,11 @@ func coordinatorPartials(tb testing.TB) (*Query, [][]byte) {
 }
 
 // mergeAndFinalize is the coordinator's work on one query once the blobs
-// have arrived: fold every blob into one accumulator, then finalize.
+// have arrived: fold every blob into one pooled accumulator, finalize, and
+// release the accumulator.
 func mergeAndFinalize(tb testing.TB, q *Query, blobs [][]byte) *Result {
 	p := NewPartial(q)
+	defer p.Release()
 	for _, blob := range blobs {
 		if err := MergeWire(p, blob); err != nil {
 			tb.Fatal(err)
@@ -68,14 +70,14 @@ func BenchmarkCoordinatorMerge16(b *testing.B) {
 }
 
 // TestCoordinatorMergeAllocs is the allocation ceiling check.sh enforces
-// on the coordinator's merge and finalize: groups live in one slab, rows in
-// one flat array, so the cost is a per-query constant however many groups
-// the partials hold.
+// on the coordinator's merge and finalize: groups live in one pooled slab
+// and index, rows in one flat array ordered by one packed key array, so the
+// cost is a per-query constant however many groups the partials hold.
 func TestCoordinatorMergeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const ceiling = 64
+	const ceiling = 10
 	q, blobs := coordinatorPartials(t)
 	if n := len(mergeAndFinalize(t, q, blobs).Rows); n < 900 {
 		t.Fatalf("the merge holds %d groups, want about a thousand", n)

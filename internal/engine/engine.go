@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"cubrick/internal/brick"
 	"cubrick/internal/hll"
@@ -445,10 +447,29 @@ func (c *compiled) buildProjections(schema brick.Schema, o Opts) {
 	c.projFull = brick.Projection{Dims: full, Metrics: mets, NoCache: o.NoCache}
 }
 
+// partialPool recycles merge partials with their slab and index buffers,
+// so a coordinator that releases each query's partial grows none of them
+// again once they fit its widest answer.
+var partialPool = sync.Pool{New: func() any { return new(Partial) }}
+
 // NewPartial returns an empty partial for the query, used as the merge
-// identity by coordinators.
+// identity by coordinators. A caller that is done with it may Release it;
+// one that keeps it simply never does.
 func NewPartial(q *Query) *Partial {
-	return &Partial{query: q, groupSlab: groupSlab{arity: len(q.GroupBy), nAggs: len(q.Aggregates)}}
+	p := partialPool.Get().(*Partial)
+	p.query, p.arity, p.nAggs = q, len(q.GroupBy), len(q.Aggregates)
+	return p
+}
+
+// Release empties p — cells (dropping their sketch pointers), keys, index
+// slots and counters — and returns it with its buffers to the pool
+// NewPartial draws from. Nothing may use p afterwards; a Result p
+// finalized shares nothing with it.
+func (p *Partial) Release() {
+	clear(p.cells)
+	clear(p.index.slots)
+	*p = Partial{groupSlab: groupSlab{keys: p.keys[:0], cells: p.cells[:0]}, index: p.index}
+	partialPool.Put(p)
 }
 
 // compatible reports whether two queries produce structurally and
@@ -519,7 +540,10 @@ type Result struct {
 
 // Finalize applies HAVING, orders and limits the partial's groups into a
 // Result. Every row is written into one flat array, and a row HAVING drops
-// is overwritten by the next.
+// is overwritten by the next. Without an ORDER BY column among the result's
+// columns the rows are in key order: when every group's key and index pack
+// into one uint64 (keyOrder) the groups are sorted as integers and the rows
+// written in that order, so no row comparator runs.
 func (p *Partial) Finalize() *Result {
 	q := p.query
 	res := &Result{
@@ -541,7 +565,8 @@ func (p *Partial) Finalize() *Result {
 		src = &groupSlab{nAggs: len(q.Aggregates)}
 		src.add(nil)
 	}
-	// A HAVING column resolves to its last match among the columns.
+	// A HAVING column resolves to its last match among the columns, the
+	// ORDER BY column to its first.
 	having := make([]int, len(q.Having))
 	for i, h := range q.Having {
 		for j, c := range res.Columns {
@@ -550,13 +575,26 @@ func (p *Partial) Finalize() *Result {
 			}
 		}
 	}
+	orderIdx := -1
+	if q.OrderBy != "" {
+		orderIdx = slices.Index(res.Columns, q.OrderBy)
+	}
+	var byKey []uint64
+	sorted := false
+	if orderIdx < 0 {
+		byKey, sorted = src.keyOrder()
+	}
 	w, n := len(res.Columns), src.len()
 	flat := make([]float64, n*w)
 	if n > 0 {
 		res.Rows = make([][]float64, 0, n)
 	}
 rows:
-	for g := range int32(n) {
+	for r := range n {
+		g := int32(r)
+		if sorted {
+			g = int32(byKey[r])
+		}
 		row := flat[len(res.Rows)*w:][:w:w]
 		for i, v := range src.key(g) {
 			row[i] = float64(v)
@@ -571,22 +609,55 @@ rows:
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	res.Rows = q.order(res.Columns, res.Rows)
+	if !sorted {
+		q.sortRows(res.Rows, orderIdx)
+	}
+	res.Rows = q.limit(res.Rows, w)
 	return res
 }
 
-// order sorts rows by the ORDER BY column (its first match among cols),
-// ties and queries without ORDER BY by the group key columns, and cuts
-// them to the LIMIT. Under a LIMIT k below the row count the first k are
-// copied out into an array of their own: the result never pins the full
-// one (a result cache would, for its lifetime).
-func (q *Query) order(cols []string, rows [][]float64) [][]float64 {
-	orderIdx := -1
-	if q.OrderBy != "" {
-		orderIdx = slices.Index(cols, q.OrderBy)
+// keyOrder returns s's group indexes in ascending key order, key column 0
+// most significant, when each group's key and index pack into one uint64:
+// every key column in the bits its largest value needs, the index below
+// them. ok is false when they need more than 64 bits.
+func (s *groupSlab) keyOrder() (order []uint64, ok bool) {
+	n := s.len()
+	// widths[i] is first the OR of column i's values, then its bit length.
+	var buf [8]uint32
+	widths := append(buf[:0], make([]uint32, s.arity)...)
+	for i, v := range s.keys[:n*s.arity] {
+		widths[i%s.arity] |= v
 	}
+	idxBits := bits.Len(uint(n))
+	total := idxBits
+	for i, m := range widths {
+		widths[i] = uint32(bits.Len32(m))
+		total += int(widths[i])
+	}
+	if total > 64 {
+		return nil, false
+	}
+	order = make([]uint64, n)
+	for g := range order {
+		var k uint64
+		for i, v := range s.key(int32(g)) {
+			k = k<<widths[i] | uint64(v)
+		}
+		order[g] = k<<idxBits | uint64(g)
+	}
+	slices.Sort(order)
+	mask := uint64(1)<<idxBits - 1
+	for i := range order {
+		order[i] &= mask
+	}
+	return order, true
+}
+
+// sortRows sorts rows by the column at orderIdx (none when negative), ties
+// and queries without one by the group key columns.
+func (q *Query) sortRows(rows [][]float64, orderIdx int) {
 	desc, keys := q.Desc, len(q.GroupBy)
-	cmp := func(a, b []float64) int {
+	slices.SortFunc(rows, func(a, b []float64) int {
 		if orderIdx >= 0 && a[orderIdx] != b[orderIdx] {
 			if (a[orderIdx] < b[orderIdx]) != desc {
 				return -1
@@ -602,13 +673,17 @@ func (q *Query) order(cols []string, rows [][]float64) [][]float64 {
 			}
 		}
 		return 0
-	}
-	slices.SortFunc(rows, cmp)
+	})
+}
+
+// limit cuts sorted rows of width w to the LIMIT. Under a LIMIT k below
+// the row count the first k are copied out into an array of their own: the
+// result never pins the full one (a result cache would, for its lifetime).
+func (q *Query) limit(rows [][]float64, w int) [][]float64 {
 	k := q.Limit
 	if k <= 0 || k >= len(rows) {
 		return rows
 	}
-	w := len(cols)
 	flat, top := make([]float64, k*w), make([][]float64, k)
 	for i, r := range rows[:k] {
 		top[i] = flat[i*w:][:w:w]

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -132,7 +133,9 @@ func randomPartial(rnd *randutil.Source, q *Query, rows, domain int, high bool) 
 // TestFinalizeDifferential: the flat-row Finalize equals the map-and-
 // sort.Slice one row for row over random arity 0–3, ORDER BY ascending and
 // descending with ties on the order column, LIMIT 0, 1, k and n+1, HAVING
-// and CountDistinct.
+// and CountDistinct. Without an ORDER BY column among the result's — none
+// named, or one that is absent — narrow keys take the packed key order and
+// high ones (bit 31 set, arity 2 and 3) the row comparator.
 func TestFinalizeDifferential(t *testing.T) {
 	rnd := randutil.New(0xF1)
 	menu := []Aggregate{{Func: Sum, Metric: "m"}, {Func: Count}, {Func: Min, Metric: "m"},
@@ -146,7 +149,11 @@ func TestFinalizeDifferential(t *testing.T) {
 		rows := []int{0, 1, 5, 60, 400}[rnd.Intn(5)]
 		p := randomPartial(rnd, q, rows, []int{2, 5, 40}[rnd.Intn(3)], rnd.Intn(2) == 0)
 		cols := append(append([]string(nil), q.GroupBy...), q.Aggregates[rnd.Intn(len(q.Aggregates))].Name())
-		if rnd.Intn(4) > 0 {
+		switch rnd.Intn(5) {
+		case 0:
+		case 1:
+			q.OrderBy = "absent"
+		default:
 			q.OrderBy = cols[rnd.Intn(len(cols))]
 		}
 		q.Desc = rnd.Intn(2) == 0
@@ -168,6 +175,90 @@ func TestFinalizeDifferential(t *testing.T) {
 					trial, p.Groups(), q.GroupBy, q.OrderBy, q.Desc, limit, q.Having, err)
 			}
 		}
+	}
+}
+
+// TestKeyOrder: the packed key order is the groups in ascending key order,
+// key column 0 most significant, whenever keys and index fit 64 bits; two
+// high key columns (bit 31 set) do not, so Finalize sorts their rows with
+// the comparator.
+func TestKeyOrder(t *testing.T) {
+	rnd := randutil.New(0x0D)
+	for _, tc := range []struct {
+		arity, domain int
+		high, packs   bool
+	}{
+		{0, 1, false, true},
+		{1, 5, false, true},
+		{1, 1000, true, true},
+		{2, 40, false, true},
+		{2, 40, true, false},
+		{3, 40, false, true},
+		{3, 7, true, false},
+	} {
+		q := &Query{GroupBy: []string{"a", "b", "c"}[:tc.arity], Aggregates: []Aggregate{{Func: Count}}}
+		p := randomPartial(rnd, q, 500, tc.domain, tc.high)
+		order, ok := p.keyOrder()
+		if ok != tc.packs {
+			t.Fatalf("arity %d domain %d high %v: packs %v, want %v", tc.arity, tc.domain, tc.high, ok, tc.packs)
+		}
+		if !ok {
+			continue
+		}
+		if len(order) != p.Groups() {
+			t.Fatalf("arity %d: %d groups ordered of %d", tc.arity, len(order), p.Groups())
+		}
+		for i := 1; i < len(order); i++ {
+			if a, b := p.key(int32(order[i-1])), p.key(int32(order[i])); slices.Compare(a, b) >= 0 {
+				t.Fatalf("arity %d domain %d: key %v ordered before %v", tc.arity, tc.domain, a, b)
+			}
+		}
+	}
+}
+
+// TestReleasedPartialReuse: a partial released after a CountDistinct
+// query keeps no sketch, and the pooled partial the next query of another
+// arity and aggregate count takes answers bit for bit as a fresh one.
+func TestReleasedPartialReuse(t *testing.T) {
+	rnd := randutil.New(0x9E)
+	wide := &Query{GroupBy: []string{"a", "b"}, Aggregates: []Aggregate{{Func: CountDistinct, Metric: "u"}, {Func: Sum, Metric: "m"}}}
+	narrow := &Query{GroupBy: []string{"a"}, Aggregates: []Aggregate{{Func: Sum, Metric: "m"}, {Func: Count}, {Func: Max, Metric: "m"}}}
+	blobs := func(q *Query) [][]byte {
+		var out [][]byte
+		for i := 0; i < 3; i++ {
+			blob, err := randomPartial(rnd, q, 300, 40, false).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, blob)
+		}
+		return out
+	}
+	merge := func(p *Partial, blobs [][]byte) *Result {
+		for _, blob := range blobs {
+			if err := MergeWire(p, blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p.Finalize()
+	}
+	wideBlobs, narrowBlobs := blobs(wide), blobs(narrow)
+	fresh := &Partial{query: narrow, groupSlab: groupSlab{arity: 1, nAggs: 3}}
+	want := merge(fresh, narrowBlobs)
+	for round := 0; round < 3; round++ {
+		p := NewPartial(wide)
+		merge(p, wideBlobs)
+		p.Release()
+		for _, c := range p.cells[:cap(p.cells)] {
+			if c.sketch != nil {
+				t.Fatalf("round %d: a released partial holds a sketch", round)
+			}
+		}
+		next := NewPartial(narrow)
+		if err := Oracle.Equal(want, merge(next, narrowBlobs)); err != nil {
+			t.Fatalf("round %d: the pooled partial answers unlike a fresh one: %v", round, err)
+		}
+		next.Release()
 	}
 }
 

@@ -680,9 +680,13 @@ func (c *Coordinator) Query(ctx context.Context, targets []Target, q *engine.Que
 		fanSpan.SetAttr("cache.hit", "false")
 	}
 	// Every target's full partial folds into one accumulator the moment it
-	// arrives; Finalize then applies HAVING, sorts and limits.
+	// arrives; Finalize then applies HAVING, sorts and limits. gather calls
+	// the sink on its own goroutine only, so once it returns nothing else
+	// touches the accumulator and it goes back to the pool, buffers and
+	// all, whether the query answered or failed.
 	opts := partialOpts{priority: meta.Priority, noCache: bypass}
 	merged := engine.NewPartial(q)
+	defer merged.Release()
 	epochs, missing, err := c.gather(ctx, q, targets, opts, func(blob []byte) error {
 		var mstart time.Time
 		if c.Metrics != nil {

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -446,4 +447,118 @@ func TestStreamingMergeEqualsBarrier(t *testing.T) {
 			s.Close()
 		}
 	}
+}
+
+// TestMergeFailureLeavesNextQueryExact: a query whose merge fails on a
+// corrupt blob — one trailing byte, so every group merges before the
+// decoder rejects it — leaves nothing in the pooled accumulator the next
+// query takes: each query after it answers exactly.
+func TestMergeFailureLeavesNextQueryExact(t *testing.T) {
+	var corrupt atomic.Bool
+	var targets []Target
+	var stores []*brick.Store
+	for i := 0; i < 2; i++ {
+		h := NewWorker(partition.Config{}).Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/partial" || !corrupt.Load() {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			for k, v := range rec.Header() {
+				if k != "Content-Length" {
+					w.Header()[k] = v
+				}
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(append(rec.Body.Bytes(), 0))
+		}))
+		defer srv.Close()
+		part := fmt.Sprintf("t#%d", i)
+		cl := &Client{BaseURL: srv.URL}
+		if err := cl.CreatePartition(context.Background(), part, testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		store, err := brick.NewStore(testSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dims [][]uint32
+		var mets [][]float64
+		for r := 0; r < 600; r++ {
+			dims = append(dims, []uint32{uint32(r*7+i) % 30, uint32(r*3+i) % 20})
+			mets = append(mets, []float64{float64(r % 13)})
+		}
+		if _, err := cl.Load(context.Background(), part, dims, mets); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.InsertBatchRows(dims, mets); err != nil {
+			t.Fatal(err)
+		}
+		targets, stores = append(targets, Target{URL: srv.URL, Partition: part}), append(stores, store)
+	}
+	q := &engine.Query{
+		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value"}, {Func: engine.Count}},
+		GroupBy:    []string{"ds", "app"},
+	}
+	want := reference(t, q, stores...)
+	coord := &Coordinator{}
+	for round := 0; round < 4; round++ {
+		corrupt.Store(true)
+		if _, err := coord.Query(context.Background(), targets, q); err == nil {
+			t.Fatalf("round %d: a query over corrupt blobs answered", round)
+		}
+		corrupt.Store(false)
+		got, err := coord.Query(context.Background(), targets, q)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := oracle.Equal(want, got); err != nil {
+			t.Fatalf("round %d: the query after a failed merge: %v", round, err)
+		}
+	}
+}
+
+// TestConcurrentQueriesReusePooledPartials: concurrent queries of
+// different arities and aggregates through one coordinator take and
+// release pooled accumulators at once (run with -race); every answer is
+// exact.
+func TestConcurrentQueriesReusePooledPartials(t *testing.T) {
+	targets, whole, cleanup := startCluster(t, 3, 900)
+	defer cleanup()
+	queries := []*engine.Query{
+		{Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value"}}},
+		{Aggregates: []engine.Aggregate{{Func: engine.Count}, {Func: engine.CountDistinct, Metric: "ds"}}, GroupBy: []string{"app"}},
+		{Aggregates: []engine.Aggregate{{Func: engine.Max, Metric: "value"}, {Func: engine.Avg, Metric: "value"}, {Func: engine.Count}},
+			GroupBy: []string{"ds", "app"}},
+		{Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value"}}, GroupBy: []string{"app", "ds"}, OrderBy: "sum(value)", Desc: true, Limit: 5},
+	}
+	// The whole table is one store, so only the answers compare, not the
+	// brick counts.
+	wants := make([]*engine.Result, len(queries))
+	for i, q := range queries {
+		wants[i] = reference(t, q, whole)
+	}
+	coord := &Coordinator{}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				qi := (g + i) % len(queries)
+				got, err := coord.Query(context.Background(), targets, queries[qi])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := oracle.Equal(oracle.Answer(wants[qi]), oracle.Answer(got)); err != nil {
+					t.Errorf("goroutine %d, query %d: %v", g, qi, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

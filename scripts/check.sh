@@ -333,14 +333,17 @@ go test -count=1 -run 'TestRunAllocsPerBrick' ./internal/engine
 # A Partial is a group slab plus a key index too, so the
 # coordinator's merge, finalize and reply allocate nothing per group or per
 # row: no group object, string group key or map of groups anywhere in the
-# engine. The ceilings pin the merge of 16 wide_fanout-shaped partials with
-# finalize, and the hedge delay's quantile read.
+# engine. The ceilings pin the merge of 16 wide_fanout-shaped partials into
+# a pooled partial with finalize, the /query reply (appended into a pooled
+# buffer: as many allocations at 1 500 rows as at 15), and the hedge
+# delay's quantile read.
 echo "== partials without per-group objects"
 if grep -nE 'newGroup\(|groupKey\(|map\[string\]\*group' $ENGINE_SRC; then
     echo "partials without per-group objects: a per-group object is back in internal/engine (see above)"
     exit 1
 fi
 go test -count=1 -run 'TestCoordinatorMergeAllocs' ./internal/engine
+go test -count=1 -run 'TestQueryResponseAllocsFlat' ./cmd/cubrick-coordinator
 go test -count=1 -run 'TestHistogramQuantileAllocs' ./internal/metrics
 
 echo "== one /partial call per host: merge into unprobed partials, co-located calls, wire, host wall (-race)"
