@@ -50,8 +50,9 @@ func (g MetricGeneration) String() string {
 }
 
 // ErrNotServing is returned by data-path operations for shards the node
-// does not own; the SM client treats it as a stale mapping and retries.
-var ErrNotServing = errors.New("cubrick: shard not served here")
+// does not own; the SM client treats it as a stale mapping and retries. It
+// is partition.ErrNoPartition, which a worker's 404 matches across the wire.
+var ErrNotServing = partition.ErrNoPartition
 
 // NodeConfig parameterizes one Cubrick server.
 type NodeConfig struct {
@@ -101,8 +102,9 @@ type Node struct {
 	// (§IV-D/E). May be nil in single-region deployments.
 	recoverFrom func(shard int64) (map[string][]byte, error)
 
-	// parts serves every live partition of every owned shard, and handler
-	// is the HTTP edge of the worker that owns parts.
+	// parts serves every live partition of every owned shard and the
+	// node's replicas of replicated dimension tables (§II-B), under their
+	// table names; handler is the HTTP edge of the worker that owns parts.
 	parts   *partition.Set
 	handler http.Handler
 
@@ -114,9 +116,6 @@ type Node struct {
 	// staged holds data received via PrepareAddShard, keyed by shard and
 	// partition name, adopted into parts by AddShard.
 	staged map[int64]map[string]*brick.Store
-	// replicated holds this node's full copies of replicated dimension
-	// tables (§II-B), keyed by table name.
-	replicated map[string]*brick.Store
 	// insertsSinceSweep amortizes memory-monitor runs across ingests.
 	insertsSinceSweep atomic.Int64
 }
@@ -243,7 +242,6 @@ func (n *Node) Reset() {
 	defer n.mu.Unlock()
 	n.shards = make(map[int64]map[string]bool)
 	n.staged = make(map[int64]map[string]*brick.Store)
-	n.replicated = make(map[string]*brick.Store)
 	n.parts.Reset()
 }
 

@@ -5,8 +5,9 @@ import (
 	"fmt"
 
 	"cubrick/internal/brick"
-	"cubrick/internal/core"
 	"cubrick/internal/engine"
+	"cubrick/internal/netexec"
+	"cubrick/internal/partition"
 )
 
 // Replicated dimension tables (§II-B): every host stores a full copy, so
@@ -19,29 +20,18 @@ import (
 var ErrNotReplicated = errors.New("cubrick: table is not replicated")
 
 // EnsureReplicated creates (if needed) this node's replica store of a
-// replicated table.
+// replicated table: a store of the node's partition set served under the
+// table's name, so a joined /partial call finds it there.
 func (n *Node) EnsureReplicated(name string, schema brick.Schema) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.replicated == nil {
-		n.replicated = make(map[string]*brick.Store)
-	}
-	if _, ok := n.replicated[name]; ok {
-		return nil
-	}
-	st, err := n.parts.NewStore(schema)
-	if err != nil {
+	if err := n.parts.Add(name, schema); err != nil && !errors.Is(err, partition.ErrExists) {
 		return err
 	}
-	n.replicated[name] = st
 	return nil
 }
 
 // ReplicatedStore returns this node's replica of a replicated table.
 func (n *Node) ReplicatedStore(name string) (*brick.Store, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st, ok := n.replicated[name]
+	st, ok := n.parts.Store(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: no replica of %s on %s", ErrNotServing, name, n.host.Name)
 	}
@@ -49,11 +39,7 @@ func (n *Node) ReplicatedStore(name string) (*brick.Store, error) {
 }
 
 // DropReplicated deletes this node's replica of a replicated table.
-func (n *Node) DropReplicated(name string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.replicated, name)
-}
+func (n *Node) DropReplicated(name string) { n.parts.Drop(name) }
 
 // InsertReplicated adds a row to this node's replica.
 func (n *Node) InsertReplicated(name string, dims []uint32, metrics []float64) error {
@@ -62,20 +48,6 @@ func (n *Node) InsertReplicated(name string, dims []uint32, metrics []float64) e
 		return err
 	}
 	return st.Insert(dims, metrics)
-}
-
-// ExecuteJoinPartial runs a star join of one fact partition against this
-// node's local replica of the dimension table.
-func (n *Node) ExecuteJoinPartial(shard int64, partName, dimTable string, q *engine.Query, join *engine.JoinSpec) (*engine.Partial, error) {
-	factStore, err := n.store(shard, partName)
-	if err != nil {
-		return nil, err
-	}
-	dimStore, err := n.ReplicatedStore(dimTable)
-	if err != nil {
-		return nil, err
-	}
-	return engine.ExecuteJoin(factStore, dimStore, q, join)
 }
 
 // CreateReplicatedTable registers a replicated dimension table and
@@ -170,11 +142,12 @@ func (d *Deployment) ReplayReplicated(host string) error {
 	return nil
 }
 
-// QueryJoin executes a star join in one region: each fact partition joins
-// against its host's local replica of the dimension table, and the
-// coordinator merges the partials. Join attributes are inferred: any
-// GroupBy or Filter column that is not a fact column resolves against the
-// dimension table.
+// QueryJoin executes a star join in one region as an ordinary query: the
+// join rides in the query (engine.Query.Join), each host's worker answers
+// its fact partitions joined against its local replica of the dimension
+// table in its one brick pass, and netexec.Coordinator merges the
+// partials. Every column of the dimension table but the ON key is a join
+// attribute (InferJoin).
 func (d *Deployment) QueryJoin(region, factTable, dimTable string, q *engine.Query, coordinatorPart int) (*QueryResult, error) {
 	factInfo, err := d.Catalog.Table(factTable)
 	if err != nil {
@@ -190,81 +163,32 @@ func (d *Deployment) QueryJoin(region, factTable, dimTable string, q *engine.Que
 	if !dimInfo.Replicated {
 		return nil, fmt.Errorf("%w: %s", ErrNotReplicated, dimTable)
 	}
-	join, err := InferJoin(factInfo.Schema, dimInfo.Schema, dimTable, q)
+	join, err := InferJoin(factInfo.Schema, dimInfo.Schema, dimTable)
 	if err != nil {
 		return nil, err
 	}
-
-	// Co-located joins have no /partial form, so they run serially in
-	// process over the same plan and draws as Query, in partition order.
-	p, err := d.plan(region, factInfo, true)
-	if err != nil {
-		return nil, err
-	}
-	merged := engine.NewPartial(q)
-	for i, host := range p.hosts {
-		n, err := d.Node(host)
-		if err == nil {
-			var part *engine.Partial
-			part, err = n.ExecuteJoinPartial(d.Catalog.ShardOf(factTable, i), core.PartitionName(factTable, i), dimTable, q, join)
-			if err == nil {
-				err = merged.Merge(part)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrRegionUnavailable, err)
-		}
-	}
-	return p.result(region, factInfo, merged.Finalize(), coordinatorPart), nil
+	jq := *q
+	jq.Join = join
+	return d.query(region, factTable, &jq, coordinatorPart, netexec.QueryPolicy{})
 }
 
-// InferJoin builds the JoinSpec for a query: the ON key must be shared by
-// both schemas, and every query column that is not a fact column becomes a
-// join attribute.
-func InferJoin(fact, dim brick.Schema, dimTable string, q *engine.Query) (*engine.JoinSpec, error) {
-	// The ON column: prefer an explicit single shared dimension.
-	var on string
+// InferJoin builds the JoinSpec of a join against a dimension table: the
+// ON key is the one dimension both schemas share, and every other column
+// of the dimension table is an attribute the query may name.
+func InferJoin(fact, dim brick.Schema, dimTable string) (*engine.JoinSpec, error) {
+	join := &engine.JoinSpec{Table: dimTable}
 	for _, dd := range dim.Dimensions {
-		if fact.DimIndex(dd.Name) >= 0 {
-			if on != "" {
-				return nil, fmt.Errorf("cubrick: ambiguous join key between fact and %s (%s and %s)", dimTable, on, dd.Name)
-			}
-			on = dd.Name
-		}
-	}
-	if on == "" {
-		return nil, fmt.Errorf("cubrick: no shared join key with %s", dimTable)
-	}
-	attrSet := make(map[string]bool)
-	for _, g := range q.GroupBy {
-		if fact.DimIndex(g) < 0 && dim.DimIndex(g) >= 0 {
-			attrSet[g] = true
-		}
-	}
-	for f := range q.Filter {
-		if fact.DimIndex(f) < 0 && dim.DimIndex(f) >= 0 {
-			attrSet[f] = true
-		}
-	}
-	if len(attrSet) == 0 {
-		// The join is still meaningful as a semi-join filter; expose the
-		// key itself so validation passes.
-		attrSet[on] = true
-	}
-	join := &engine.JoinSpec{Table: dimTable, On: on}
-	for _, dd := range dim.Dimensions {
-		if attrSet[dd.Name] && dd.Name != on {
+		switch {
+		case fact.DimIndex(dd.Name) < 0:
 			join.Attrs = append(join.Attrs, dd.Name)
+		case join.On != "":
+			return nil, fmt.Errorf("cubrick: ambiguous join key between fact and %s (%s and %s)", dimTable, join.On, dd.Name)
+		default:
+			join.On = dd.Name
 		}
 	}
-	if len(join.Attrs) == 0 {
-		// Semi-join: use any non-key attribute if present, else error.
-		for _, dd := range dim.Dimensions {
-			if dd.Name != on {
-				join.Attrs = append(join.Attrs, dd.Name)
-				break
-			}
-		}
+	if join.On == "" {
+		return nil, fmt.Errorf("cubrick: no shared join key with %s", dimTable)
 	}
 	if len(join.Attrs) == 0 {
 		return nil, fmt.Errorf("cubrick: dimension table %s has only the key column", dimTable)

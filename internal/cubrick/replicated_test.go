@@ -2,6 +2,7 @@ package cubrick
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"cubrick/internal/brick"
@@ -166,6 +167,23 @@ func TestQueryJoinFailsWithoutOwner(t *testing.T) {
 	}
 }
 
+// TestQueryFailsWithoutOwner: a plain query keeps the same cause as a join
+// when a partition's host no longer serves it — the worker's 404 matches
+// ErrNotServing across the in-memory wire.
+func TestQueryFailsWithoutOwner(t *testing.T) {
+	d := setupJoin(t)
+	shard := d.Catalog.ShardOf("fact", 0)
+	a, _ := d.SM.Assignment(ServiceName("east"), shard)
+	owner, _ := d.Node(a.Primary())
+	owner.DropPartition(shard, core.PartitionName("fact", 0))
+
+	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
+	_, err := d.Query("east", "fact", q, 0)
+	if !errors.Is(err, ErrRegionUnavailable) || !errors.Is(err, ErrNotServing) {
+		t.Fatalf("query with no owner = %v, want ErrRegionUnavailable wrapping ErrNotServing", err)
+	}
+}
+
 func TestReplayReplicatedAfterRejoin(t *testing.T) {
 	d := setupJoin(t)
 	host := d.Fleet.Region("east")[0]
@@ -205,34 +223,36 @@ func TestLoadReplicatedValidation(t *testing.T) {
 func TestInferJoin(t *testing.T) {
 	fact := smallSchema()   // dims: ds, app
 	dim := dimTableSchema() // dims: app, team
-	q := &engine.Query{
-		Aggregates: []engine.Aggregate{{Func: engine.Count}},
-		GroupBy:    []string{"team"},
-	}
-	join, err := InferJoin(fact, dim, "apps", q)
+	join, err := InferJoin(fact, dim, "apps")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if join.On != "app" || len(join.Attrs) != 1 || join.Attrs[0] != "team" {
 		t.Fatalf("inferred join = %+v", join)
 	}
+	// Every column but the key is an attribute, in schema order.
+	wide := brick.Schema{Dimensions: []brick.Dimension{
+		{Name: "tier", Max: 3, Buckets: 3}, {Name: "app", Max: 20, Buckets: 4}, {Name: "team", Max: 4, Buckets: 4},
+	}}
+	if join, err = InferJoin(fact, wide, "apps"); err != nil || join.On != "app" || !slices.Equal(join.Attrs, []string{"tier", "team"}) {
+		t.Fatalf("inferred join over three columns = %+v, %v", join, err)
+	}
 	// No shared key.
 	noKey := brick.Schema{Dimensions: []brick.Dimension{{Name: "other", Max: 4, Buckets: 2}}}
-	if _, err := InferJoin(fact, noKey, "x", q); err == nil {
+	if _, err := InferJoin(fact, noKey, "x"); err == nil {
 		t.Fatal("join without shared key accepted")
 	}
 	// Ambiguous key (two shared columns).
 	ambig := brick.Schema{Dimensions: []brick.Dimension{
 		{Name: "ds", Max: 30, Buckets: 6}, {Name: "app", Max: 20, Buckets: 4},
 	}}
-	if _, err := InferJoin(fact, ambig, "x", q); err == nil {
+	if _, err := InferJoin(fact, ambig, "x"); err == nil {
 		t.Fatal("ambiguous join key accepted")
 	}
-	// Semi-join: no attrs referenced — falls back to a non-key attribute.
-	semiQ := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	join, err = InferJoin(fact, dim, "apps", semiQ)
-	if err != nil || len(join.Attrs) == 0 {
-		t.Fatalf("semi-join inference = %+v, %v", join, err)
+	// A dimension table of the key alone has nothing to join.
+	keyOnly := brick.Schema{Dimensions: []brick.Dimension{{Name: "app", Max: 20, Buckets: 4}}}
+	if _, err := InferJoin(fact, keyOnly, "x"); err == nil {
+		t.Fatal("key-only dimension table accepted")
 	}
 }
 

@@ -151,7 +151,7 @@ func BenchmarkStarJoin(b *testing.B) {
 	js := &JoinSpec{Table: "apps", On: "app", Attrs: []string{"team"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExecuteJoin(fact, dim, q, js); err != nil {
+		if _, err := joinPartial(fact, dim, q, js); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -136,7 +136,7 @@ func TestCountDistinctJoinAttr(t *testing.T) {
 		{Func: CountDistinct, Metric: "team", Alias: "teams"},
 		{Func: CountDistinct, Metric: "app", Alias: "apps"},
 	}}
-	p, err := ExecuteJoin(fact, dim, q, joinSpec())
+	p, err := joinPartial(fact, dim, q, joinSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCountDistinctJoinAttr(t *testing.T) {
 	}
 	// Unknown distinct column rejected.
 	bad := &Query{Aggregates: []Aggregate{{Func: CountDistinct, Metric: "ghost"}}}
-	if _, err := ExecuteJoin(fact, dim, bad, joinSpec()); err == nil {
+	if _, err := joinPartial(fact, dim, bad, joinSpec()); err == nil {
 		t.Fatal("COUNT(DISTINCT ghost) in join accepted")
 	}
 }

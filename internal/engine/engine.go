@@ -102,6 +102,9 @@ type Query struct {
 	// finalize time on the coordinator (after merging, before
 	// order/limit).
 	Having []HavingCond
+	// Join, when set, joins the table to a replicated dimension table:
+	// GroupBy, Filter and COUNT(DISTINCT) may then name its attributes too.
+	Join *JoinSpec `json:",omitempty"`
 }
 
 // HavingCond is one post-aggregation predicate.
@@ -132,16 +135,26 @@ func (h HavingCond) matches(v float64) bool {
 	}
 }
 
-// Validate checks the query against a schema.
+// Validate checks the query against a schema: the table's, plus the join
+// attributes when the query joins (the attributes are resolved against the
+// dimension table's schema when the join runs).
 func (q *Query) Validate(schema brick.Schema) error {
 	if len(q.Aggregates) == 0 {
 		return errors.New("engine: query needs at least one aggregate")
+	}
+	if q.Join != nil {
+		if err := q.Join.Validate(schema); err != nil {
+			return err
+		}
+	}
+	isDim := func(name string) bool {
+		return schema.DimIndex(name) >= 0 || q.Join != nil && slices.Contains(q.Join.Attrs, name)
 	}
 	for _, a := range q.Aggregates {
 		switch a.Func {
 		case Count:
 		case CountDistinct:
-			if schema.DimIndex(a.Metric) < 0 {
+			if !isDim(a.Metric) {
 				return fmt.Errorf("engine: COUNT(DISTINCT %s): not a dimension", a.Metric)
 			}
 		default:
@@ -151,12 +164,12 @@ func (q *Query) Validate(schema brick.Schema) error {
 		}
 	}
 	for _, g := range q.GroupBy {
-		if schema.DimIndex(g) < 0 {
+		if !isDim(g) {
 			return fmt.Errorf("engine: unknown group dimension %q", g)
 		}
 	}
 	for d := range q.Filter {
-		if schema.DimIndex(d) < 0 {
+		if !isDim(d) {
 			return fmt.Errorf("engine: unknown filter dimension %q", d)
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cubrick/internal/brick"
 )
@@ -12,11 +13,11 @@ import (
 // which are smaller and used more frequently between all cluster nodes, in
 // order to speed up joins with larger distributed tables"). Because the
 // dimension table is present on every host, the join runs entirely
-// node-local: each partition joins against its local replica and partial
-// results merge exactly as for single-table queries.
+// node-local: each worker joins its fact partitions against its local
+// replica, and the partials merge exactly as for single-table queries.
 type JoinSpec struct {
-	// Table is the replicated dimension table's name (metadata only; the
-	// executor receives its store directly).
+	// Table is the replicated dimension table's name; a worker resolves it
+	// to the store Run reads (Opts.Dim).
 	Table string
 	// On is the key column: a dimension present in both the fact schema
 	// and the dimension schema.
@@ -26,216 +27,176 @@ type JoinSpec struct {
 	Attrs []string
 }
 
-// Validate checks the join against both schemas and returns the key and
-// attribute column indexes in the dimension schema.
-func (j *JoinSpec) Validate(fact, dim brick.Schema) (keyIdx int, attrIdx []int, err error) {
-	if j.On == "" {
-		return 0, nil, errors.New("engine: join needs an ON column")
-	}
+// Validate checks the join against the fact table's schema; the dimension
+// table's side is checked when the join runs.
+func (j *JoinSpec) Validate(fact brick.Schema) error {
 	if fact.DimIndex(j.On) < 0 {
-		return 0, nil, fmt.Errorf("engine: fact table has no dimension %q", j.On)
-	}
-	keyIdx = dim.DimIndex(j.On)
-	if keyIdx < 0 {
-		return 0, nil, fmt.Errorf("engine: dimension table has no column %q", j.On)
+		return fmt.Errorf("engine: fact table has no dimension %q to join ON", j.On)
 	}
 	if len(j.Attrs) == 0 {
-		return 0, nil, errors.New("engine: join selects no attributes")
+		return errors.New("engine: join selects no attributes")
 	}
 	for _, a := range j.Attrs {
-		i := dim.DimIndex(a)
-		if i < 0 {
-			return 0, nil, fmt.Errorf("engine: dimension table has no column %q", a)
-		}
 		if fact.DimIndex(a) >= 0 {
-			return 0, nil, fmt.Errorf("engine: join attribute %q shadows a fact column", a)
+			return fmt.Errorf("engine: join attribute %q shadows a fact column", a)
 		}
-		attrIdx = append(attrIdx, i)
-	}
-	return keyIdx, attrIdx, nil
-}
-
-// validateJoined checks the query against the *joined* column space: fact
-// dimensions and metrics plus the join attributes.
-func (q *Query) validateJoined(fact brick.Schema, join *JoinSpec) error {
-	if len(q.Aggregates) == 0 {
-		return errors.New("engine: query needs at least one aggregate")
-	}
-	isAttr := func(name string) bool {
-		for _, a := range join.Attrs {
-			if a == name {
-				return true
-			}
-		}
-		return false
-	}
-	for _, a := range q.Aggregates {
-		switch a.Func {
-		case Count:
-		case CountDistinct:
-			if fact.DimIndex(a.Metric) < 0 && !isAttr(a.Metric) {
-				return fmt.Errorf("engine: COUNT(DISTINCT %s): not a dimension or join attribute", a.Metric)
-			}
-		default:
-			if fact.MetricIndex(a.Metric) < 0 {
-				return fmt.Errorf("engine: unknown metric %q", a.Metric)
-			}
-		}
-	}
-	for _, g := range q.GroupBy {
-		if fact.DimIndex(g) < 0 && !isAttr(g) {
-			return fmt.Errorf("engine: unknown group column %q", g)
-		}
-	}
-	for d := range q.Filter {
-		if fact.DimIndex(d) < 0 && !isAttr(d) {
-			return fmt.Errorf("engine: unknown filter column %q", d)
-		}
-	}
-	if q.OrderBy != "" && !q.hasOutputColumn(q.OrderBy) {
-		return fmt.Errorf("engine: ORDER BY column %q not in output", q.OrderBy)
-	}
-	for _, h := range q.Having {
-		if !q.hasOutputColumn(h.Column) {
-			return fmt.Errorf("engine: HAVING column %q not in output", h.Column)
-		}
-	}
-	if q.Limit < 0 {
-		return errors.New("engine: negative limit")
 	}
 	return nil
 }
 
-// ExecuteJoin runs the query over one fact partition joined against the
-// local replica of the dimension table. Fact rows whose key has no match
-// in the dimension table are dropped (inner join). The returned partial
-// merges with other partitions' partials exactly like single-table
-// partials.
-func ExecuteJoin(factStore, dimStore *brick.Store, q *Query, join *JoinSpec) (*Partial, error) {
-	fact := factStore.Schema()
+var errNoDim = errors.New("engine: joined query without its dimension store")
+
+// joinPlan is a joined query split around its GROUP BY, which is pushed
+// below the join (eager aggregation, Yan & Larson, VLDB '95). The join is
+// many-to-one — a fact row matches the one dimension row of its ON value —
+// so fact rows that agree on ON and on q's fact columns join as one group.
+// Run makes its one unchanged pass over the fact stores for those columns,
+// with the fact-column filters pushed down, into a combiner of its own;
+// regroup then folds that combiner's groups into the caller's through the
+// dimension table's key → attributes map.
+//
+// COUNT, MIN, MAX and COUNT(DISTINCT) equal a row-at-a-time join's: an
+// attribute's hash goes into a sketch once per key group, and HLL
+// registers take the max. SUM and AVG add per key group first, so they
+// equal it exactly on dyadic values.
+type joinPlan struct {
+	// inner is the pass's query: q's fact columns and ON as its GROUP BY,
+	// q's fact-column filters, and a Count in place of each COUNT(DISTINCT
+	// attribute).
+	inner *Query
+	// out is q's output shape over the fact and dimension domains, which
+	// binds cb's kernel: it sets only what picking a kernel reads (q,
+	// groupIdx and domain).
+	out *compiled
+	// lookup maps an ON value to its attribute values, in Attrs order.
+	lookup map[uint32][]uint32
+	// onPos is ON's position in inner's GROUP BY.
+	onPos int
+	// keys says where each of q's GROUP BY values comes from.
+	keys []joinCol
+	// preds are the attribute filters (idx an attribute), applied to a
+	// matched key group.
+	preds []filterDim
+	// distinct[i] is the attribute of COUNT(DISTINCT attribute) aggregate
+	// i, or -1.
+	distinct []int
+}
+
+// joinCol is a column of the joined key: attribute idx, or the value at
+// idx of the pass's group key.
+type joinCol struct {
+	attr bool
+	idx  int
+}
+
+// planJoin validates q against the fact schema and the dimension store's,
+// splits it, and builds the key → attributes map from a scan of the
+// dimension store; the last row of a key wins.
+func planJoin(q *Query, fact brick.Schema, dimStore *brick.Store) (*joinPlan, error) {
+	if dimStore == nil {
+		return nil, errNoDim
+	}
+	if err := q.Validate(fact); err != nil {
+		return nil, err
+	}
 	dim := dimStore.Schema()
-	keyIdx, attrIdx, err := join.Validate(fact, dim)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.validateJoined(fact, join); err != nil {
-		return nil, err
-	}
-
-	// Build the hash side from the local replica: key -> attribute values.
-	// Last write wins on duplicate keys (dimension tables are expected to
-	// be keyed).
-	lookup := make(map[uint32][]uint32)
-	err = dimStore.Scan(nil, func(dims []uint32, _ []float64) error {
-		attrs := make([]uint32, len(attrIdx))
-		for i, ai := range attrIdx {
-			attrs[i] = dims[ai]
+	cols := append([]string{q.Join.On}, q.Join.Attrs...)
+	idx := make([]int, len(cols)) // ON's dimension index, then the attributes'
+	for i, c := range cols {
+		if idx[i] = dim.DimIndex(c); idx[i] < 0 {
+			return nil, fmt.Errorf("engine: dimension table has no column %q", c)
 		}
-		lookup[dims[keyIdx]] = attrs
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-
-	attrPos := make(map[string]int, len(join.Attrs))
-	for i, a := range join.Attrs {
-		attrPos[a] = i
+	j := &joinPlan{
+		inner:    &Query{Aggregates: slices.Clone(q.Aggregates), Filter: make(map[string][2]uint32)},
+		out:      &compiled{q: q, groupIdx: make([]int, len(q.GroupBy)), domain: make([][2]uint32, len(q.GroupBy))},
+		lookup:   make(map[uint32][]uint32),
+		keys:     make([]joinCol, len(q.GroupBy)),
+		distinct: make([]int, len(q.Aggregates)),
 	}
-
-	// Resolve group columns against fact dims or join attrs.
-	type colRef struct {
-		factIdx int // >= 0 when a fact dimension
-		attrIdx int // >= 0 when a join attribute
-	}
-	groupRefs := make([]colRef, len(q.GroupBy))
+	attr := func(name string) int { return slices.Index(q.Join.Attrs, name) }
 	for i, g := range q.GroupBy {
+		j.out.groupIdx[i] = i
 		if fi := fact.DimIndex(g); fi >= 0 {
-			groupRefs[i] = colRef{factIdx: fi, attrIdx: -1}
+			if !slices.Contains(j.inner.GroupBy, g) {
+				j.inner.GroupBy = append(j.inner.GroupBy, g)
+			}
+			j.keys[i] = joinCol{idx: slices.Index(j.inner.GroupBy, g)}
+			j.out.domain[i] = [2]uint32{0, fact.Dimensions[fi].Max - 1}
 		} else {
-			groupRefs[i] = colRef{factIdx: -1, attrIdx: attrPos[g]}
+			j.keys[i] = joinCol{attr: true, idx: attr(g)}
+			j.out.domain[i] = [2]uint32{0, dim.Dimensions[idx[1+attr(g)]].Max - 1}
 		}
 	}
-	metricIdx := make([]int, len(q.Aggregates))
-	distinctRefs := make([]colRef, len(q.Aggregates))
+	if !slices.Contains(j.inner.GroupBy, q.Join.On) {
+		j.inner.GroupBy = append(j.inner.GroupBy, q.Join.On)
+	}
+	j.onPos = slices.Index(j.inner.GroupBy, q.Join.On)
 	for i, a := range q.Aggregates {
-		metricIdx[i] = -1
-		distinctRefs[i] = colRef{factIdx: -1, attrIdx: -1}
-		switch a.Func {
-		case Count:
-		case CountDistinct:
-			if fi := fact.DimIndex(a.Metric); fi >= 0 {
-				distinctRefs[i] = colRef{factIdx: fi, attrIdx: -1}
-			} else {
-				distinctRefs[i] = colRef{factIdx: -1, attrIdx: attrPos[a.Metric]}
-			}
-		default:
-			metricIdx[i] = fact.MetricIndex(a.Metric)
+		j.distinct[i] = -1
+		if a.Func == CountDistinct && fact.DimIndex(a.Metric) < 0 {
+			j.distinct[i] = attr(a.Metric)
+			j.inner.Aggregates[i] = Aggregate{Func: Count}
 		}
 	}
-
-	// Split the filter: fact-dimension predicates push down into the scan
-	// (pruning bricks); attribute predicates apply post-join.
-	var scanFilter *brick.Filter
-	type attrPred struct {
-		idx int
-		r   [2]uint32
-	}
-	var attrPreds []attrPred
-	if len(q.Filter) > 0 {
-		for name, r := range q.Filter {
-			if fi := fact.DimIndex(name); fi >= 0 {
-				if scanFilter == nil {
-					scanFilter = &brick.Filter{Ranges: make(map[int][2]uint32)}
-				}
-				scanFilter.Ranges[fi] = r
-			} else {
-				attrPreds = append(attrPreds, attrPred{idx: attrPos[name], r: r})
-			}
+	for name, r := range q.Filter {
+		if fact.DimIndex(name) >= 0 {
+			j.inner.Filter[name] = r
+		} else {
+			j.preds = append(j.preds, filterDim{idx: attr(name), lo: r[0], hi: r[1]})
 		}
 	}
-
-	factKeyIdx := fact.DimIndex(join.On)
-	p := NewPartial(q)
-	keyVals := make([]uint32, len(groupRefs))
-	err = factStore.Scan(scanFilter, func(dims []uint32, metrics []float64) error {
-		p.RowsScanned++
-		attrs, ok := lookup[dims[factKeyIdx]]
-		if !ok {
-			return nil // inner join: unmatched fact row dropped
+	err := dimStore.Scan(nil, func(dims []uint32, _ []float64) error {
+		attrs := make([]uint32, len(idx)-1)
+		for i, di := range idx[1:] {
+			attrs[i] = dims[di]
 		}
-		for _, ap := range attrPreds {
-			v := attrs[ap.idx]
-			if v < ap.r[0] || v > ap.r[1] {
-				return nil
-			}
-		}
-		for i, ref := range groupRefs {
-			if ref.factIdx >= 0 {
-				keyVals[i] = dims[ref.factIdx]
-			} else {
-				keyVals[i] = attrs[ref.attrIdx]
-			}
-		}
-		cells := p.at(p.groupFor(keyVals))
-		for i := range q.Aggregates {
-			if ref := distinctRefs[i]; ref.factIdx >= 0 {
-				cells[i].observeDistinct(dims[ref.factIdx])
-				continue
-			} else if ref.attrIdx >= 0 {
-				cells[i].observeDistinct(attrs[ref.attrIdx])
-				continue
-			}
-			v := 1.0
-			if metricIdx[i] >= 0 {
-				v = metrics[metricIdx[i]]
-			}
-			cells[i].observe(v)
-		}
+		j.lookup[dims[idx[0]]] = attrs
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return j, nil
+}
+
+// regroup folds the groups of the pass's combiner into cb, bound to j.out,
+// in slab order, with the pass's scan counters: a key group without a
+// dimension row is dropped (inner join), and so is one whose attributes
+// fail a predicate.
+func (j *joinPlan) regroup(below, cb *Combiner) {
+	src, acc := below.acc.slab(), cb.acc
+	cb.counts = below.counts
+	key := make([]uint32, len(j.keys))
+groups:
+	for g := range int32(src.len()) {
+		k := src.key(g)
+		attrs, ok := j.lookup[k[j.onPos]]
+		if !ok {
+			continue
+		}
+		for _, p := range j.preds {
+			if v := attrs[p.idx]; v < p.lo || v > p.hi {
+				continue groups
+			}
+		}
+		for i, c := range j.keys {
+			if c.attr {
+				key[i] = attrs[c.idx]
+			} else {
+				key[i] = k[c.idx]
+			}
+		}
+		cells := acc.slab().at(acc.groupFor(key))
+		for i, c := range src.at(g) {
+			if a := j.distinct[i]; a >= 0 {
+				// The key group has one value of the attribute, and its
+				// Count cell counted the group's rows.
+				cells[i].observeDistinct(attrs[a])
+				cells[i].count += c.count - 1
+			} else {
+				cells[i].merge(c)
+			}
+		}
+	}
 }

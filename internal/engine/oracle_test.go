@@ -10,4 +10,6 @@ func init() {
 	engine.Oracle.Equal = oracle.Equal
 	engine.Oracle.Answer = oracle.Answer
 	engine.Oracle.NewTrial = oracle.NewTrial
+	engine.Oracle.RunJoin = oracle.RunJoin
+	engine.Oracle.NewJoinTrial = oracle.NewJoinTrial
 }

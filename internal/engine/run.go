@@ -32,6 +32,9 @@ type Opts struct {
 	NoCache bool
 	// Parallelism is the pass's worker count (0 = GOMAXPROCS).
 	Parallelism int
+	// Dim is the dimension table's store a joined query (Query.Join) reads;
+	// a query without a join ignores it.
+	Dim *brick.Store
 }
 
 // Timings reports where one run spent its wall time, feeding the
@@ -74,7 +77,8 @@ var errNoStore = errors.New("engine: Run over no store")
 // each — with each brick's rows in row order. A cancelled ctx returns
 // ctx.Err() at once, even while a worker is inside a brick, and no worker
 // claims a brick after that; a failed run may leave cb partly combined, so
-// the caller resets it.
+// the caller resets it. A joined query (q.Join) reads the dimension store
+// o.Dim and makes the same pass below its join.
 func Run(ctx context.Context, q *Query, o Opts, cb *Combiner, stores ...*brick.Store) (ExecInfo, error) {
 	var info ExecInfo
 	if err := ctx.Err(); err != nil {
@@ -84,11 +88,25 @@ func Run(ctx context.Context, q *Query, o Opts, cb *Combiner, stores ...*brick.S
 		return info, errNoStore
 	}
 	planStart := time.Now()
+	// A joined query's pass groups below the join into a combiner of its
+	// own, which regroup folds into cb (join.go).
+	dst := cb
+	var j *joinPlan
+	if q.Join != nil {
+		var err error
+		if j, err = planJoin(q, stores[0].Schema(), o.Dim); err != nil {
+			return info, err
+		}
+		if err := cb.bind(j.out); err != nil {
+			return info, err
+		}
+		q, dst = j.inner, new(Combiner)
+	}
 	c, err := compile(stores[0].Schema(), q, o)
 	if err != nil {
 		return info, err
 	}
-	if err := cb.bind(c); err != nil {
+	if err := dst.bind(c); err != nil {
 		return info, err
 	}
 	p := &pass{c: c, done: make(chan struct{})}
@@ -114,7 +132,10 @@ func Run(ctx context.Context, q *Query, o Opts, cb *Combiner, stores ...*brick.S
 	if err != nil {
 		return info, err
 	}
-	p.combine(&info, cb)
+	p.combine(&info, dst)
+	if j != nil {
+		j.regroup(dst, cb)
+	}
 	info.Combine = time.Since(combineStart)
 	return info, nil
 }

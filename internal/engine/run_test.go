@@ -22,6 +22,10 @@ var Oracle struct {
 	Equal    func(want, got *Result) error
 	Answer   func(r *Result) *Result
 	NewTrial func(tb testing.TB, rnd *randutil.Source, dyadic bool) (*brick.Store, *Query)
+	// RunJoin and NewJoinTrial are the row-at-a-time join reference and
+	// its scenario generator.
+	RunJoin      func(q *Query, dim *brick.Store, stores ...*brick.Store) (*Result, error)
+	NewJoinTrial func(tb testing.TB, rnd *randutil.Source) ([]*brick.Store, *brick.Store, *Query)
 }
 
 // reference returns the oracle's result for q over the stores.

@@ -21,7 +21,8 @@ func mathFloat64bits(v float64) uint64 { return math.Float64bits(v) }
 
 // QuerySignature returns the canonical semantic signature of a query: the
 // aggregate list (function and input, position by position — Count ignores
-// its metric) and the GROUP BY columns in order. It is the single source
+// its metric), the GROUP BY columns in order and, for a joined query, the
+// join (table, ON column, attributes). It is the single source
 // of truth for "same query shape", used by Partial.Merge validation and as
 // the prefix of fold keys.
 func QuerySignature(q *Query) string {
@@ -44,6 +45,11 @@ func QuerySignature(q *Query) string {
 	for _, g := range q.GroupBy {
 		b.WriteString(g)
 		b.WriteByte('\x01')
+	}
+	// A joined query's groups hold dimension-table attributes, so the join
+	// is part of its shape; a query without one keeps the bytes above.
+	if j := q.Join; j != nil {
+		b.WriteString("\x04" + j.Table + "\x01" + j.On + "\x01" + strings.Join(j.Attrs, "\x01"))
 	}
 	return b.String()
 }

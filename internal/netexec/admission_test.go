@@ -156,6 +156,14 @@ func TestWorkerShedReturns429(t *testing.T) {
 	if errors.Is(&HTTPStatusError{Status: http.StatusServiceUnavailable}, admission.ErrQueueFull) {
 		t.Fatal("a 503 must not match admission.ErrQueueFull")
 	}
+	// A worker's 404 (a partition or join table it does not serve) stays
+	// partition.ErrNoPartition the same way; a 410 does not.
+	if !errors.Is(fmt.Errorf("%w: %w", ErrWorkerFailed, &HTTPStatusError{Status: http.StatusNotFound}), partition.ErrNoPartition) {
+		t.Fatal("a wrapped 404 must match partition.ErrNoPartition")
+	}
+	if errors.Is(&HTTPStatusError{Status: http.StatusGone}, partition.ErrNoPartition) {
+		t.Fatal("a 410 must not match partition.ErrNoPartition")
+	}
 	tkt.Release()
 
 	// With the slot free the same request succeeds.

@@ -10,6 +10,7 @@ import (
 
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
+	"cubrick/internal/oracle"
 	"cubrick/internal/partition"
 )
 
@@ -65,6 +66,58 @@ func startCluster(t *testing.T, n, rows int) ([]Target, *brick.Store, func()) {
 		}
 	}
 	return targets, whole, cleanup
+}
+
+// TestDistributedJoin: a star join travels in the /partial body. Each
+// worker serves its fact partition and a replica of the dimension table
+// under the table's plain name, and the coordinator's merge of their
+// joined answers equals the row-at-a-time join over the whole table. A
+// join table a worker does not serve fails the call with its 404, which
+// stays partition.ErrNoPartition across the wire.
+func TestDistributedJoin(t *testing.T) {
+	targets, whole, cleanup := startCluster(t, 3, 600)
+	defer cleanup()
+	dimSchema := brick.Schema{Dimensions: []brick.Dimension{{Name: "app", Max: 20, Buckets: 4}, {Name: "team", Max: 4, Buckets: 4}}}
+	dim, _ := brick.NewStore(dimSchema)
+	var dims [][]uint32
+	for app := uint32(0); app < 15; app++ { // apps 15..19 go unmatched
+		dims = append(dims, []uint32{app, app % 4})
+		if err := dim.Insert(dims[app], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tg := range targets {
+		cl := &Client{BaseURL: tg.URL}
+		if err := cl.CreatePartition(context.Background(), "apps", dimSchema); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Load(context.Background(), "apps", dims, make([][]float64, len(dims))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := &engine.Query{
+		Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value"}, {Func: engine.Count}, {Func: engine.CountDistinct, Metric: "app"}},
+		GroupBy:    []string{"team"},
+		Filter:     map[string][2]uint32{"ds": {0, 19}, "team": {1, 3}},
+		Join:       &engine.JoinSpec{Table: "apps", On: "app", Attrs: []string{"team"}},
+	}
+	got, err := (&Coordinator{}).Query(context.Background(), targets, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.RunJoin(q, dim, whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queryEqual(t, got, want)
+	if len(got.Rows) != 3 {
+		t.Fatalf("%d teams, want 3", len(got.Rows))
+	}
+	ghost := *q
+	ghost.Join = &engine.JoinSpec{Table: "ghost", On: "app", Attrs: []string{"team"}}
+	if _, err := (&Coordinator{}).Query(context.Background(), targets, &ghost); !errors.Is(err, partition.ErrNoPartition) {
+		t.Fatalf("join against an unserved table = %v, want partition.ErrNoPartition", err)
+	}
 }
 
 func TestDistributedQueryEqualsLocal(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"cubrick/internal/admission"
 	"cubrick/internal/cluster"
 	"cubrick/internal/metrics"
+	"cubrick/internal/partition"
 )
 
 // QueryPolicy configures the coordinator's fault handling. The zero value
@@ -135,9 +136,11 @@ func (e *HTTPStatusError) Error() string {
 }
 
 // Is makes a worker's 429 match admission.ErrQueueFull, the shed it
-// reports, so a shed stays matchable across the wire.
+// reports, and its 404 match partition.ErrNoPartition, the partition or
+// join table it does not serve, so both stay matchable across the wire.
 func (e *HTTPStatusError) Is(target error) bool {
-	return target == admission.ErrQueueFull && e.Status == http.StatusTooManyRequests
+	return target == admission.ErrQueueFull && e.Status == http.StatusTooManyRequests ||
+		target == partition.ErrNoPartition && e.Status == http.StatusNotFound
 }
 
 // PartialSizeError reports a worker partial exceeding the coordinator's

@@ -14,6 +14,7 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -88,10 +89,52 @@ func (g *groups) fold(o *groups) {
 // were compressed when scanned. A brick whose encoded blob bounds rule the
 // filter out counts as visited and is not decoded.
 func Run(q *engine.Query, stores ...*brick.Store) (*engine.Result, error) {
+	return run(q, nil, stores)
+}
+
+// RunJoin executes q, a joined query (q.Join), over the fact stores
+// against the dimension store, a row at a time: a fact row that passes
+// the filter on fact columns looks its ON value up in the key → attributes
+// map, built from a scan of dim in which the last row of a key wins; an
+// unmatched row drops (inner join), and so does one whose attributes fail
+// the filter on them. The scan counters are Run's over the fact filter.
+func RunJoin(q *engine.Query, dim *brick.Store, stores ...*brick.Store) (*engine.Result, error) {
+	if q.Join == nil {
+		return nil, errors.New("oracle: RunJoin of a query without a join")
+	}
+	schema := dim.Schema()
+	key := schema.DimIndex(q.Join.On)
+	if key < 0 {
+		return nil, fmt.Errorf("oracle: dimension table has no column %q", q.Join.On)
+	}
+	attrIdx := make([]int, len(q.Join.Attrs))
+	for i, a := range q.Join.Attrs {
+		if attrIdx[i] = schema.DimIndex(a); attrIdx[i] < 0 {
+			return nil, fmt.Errorf("oracle: dimension table has no column %q", a)
+		}
+	}
+	lookup := map[uint32][]uint32{}
+	err := dim.Scan(nil, func(dims []uint32, _ []float64) error {
+		attrs := make([]uint32, len(attrIdx))
+		for i, ai := range attrIdx {
+			attrs[i] = dims[ai]
+		}
+		lookup[dims[key]] = attrs
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return run(q, lookup, stores)
+}
+
+// run folds every store into one total, stores in argument order, joining
+// each row through lookup when q joins, and finalises it.
+func run(q *engine.Query, lookup map[uint32][]uint32, stores []*brick.Store) (*engine.Result, error) {
 	total := newGroups(len(q.Aggregates))
 	res := &engine.Result{Coverage: 1}
 	for _, s := range stores {
-		if err := scan(q, s, total, res); err != nil {
+		if err := scan(q, s, lookup, total, res); err != nil {
 			return nil, err
 		}
 	}
@@ -100,18 +143,27 @@ func Run(q *engine.Query, stores ...*brick.Store) (*engine.Result, error) {
 }
 
 // scan folds one store into total, brick by brick, and adds its scan
-// counters to res.
-func scan(q *engine.Query, s *brick.Store, total *groups, res *engine.Result) error {
+// counters to res. A column q names is a dimension of the store's schema,
+// or else a join attribute of the row's dimension-table match.
+func scan(q *engine.Query, s *brick.Store, lookup map[uint32][]uint32, total *groups, res *engine.Result) error {
 	schema := s.Schema()
 	if err := q.Validate(schema); err != nil {
 		return err
 	}
 	var filter *brick.Filter
-	if len(q.Filter) > 0 {
-		filter = &brick.Filter{Ranges: map[int][2]uint32{}}
-		for name, r := range q.Filter {
-			filter.Ranges[schema.DimIndex(name)] = r
+	for name, r := range q.Filter {
+		if d := schema.DimIndex(name); d >= 0 {
+			if filter == nil {
+				filter = &brick.Filter{Ranges: map[int][2]uint32{}}
+			}
+			filter.Ranges[d] = r
 		}
+	}
+	value := func(name string, dims [][]uint32, r int, attrs []uint32) uint32 {
+		if d := schema.DimIndex(name); d >= 0 {
+			return dims[d][r]
+		}
+		return attrs[slices.Index(q.Join.Attrs, name)]
 	}
 	plan, err := s.PlanScan(filter)
 	if err != nil {
@@ -131,13 +183,26 @@ func scan(q *engine.Query, s *brick.Store, total *groups, res *engine.Result) er
 		}
 		g := newGroups(len(q.Aggregates))
 		err := t.VisitBatch(all, func(b *brick.Batch) error {
+		rows:
 			for r := 0; r < b.Rows; r++ {
 				if !t.Full && !filter.MatchesAt(b.Dims, r) {
 					continue
 				}
 				res.RowsScanned++
+				var attrs []uint32
+				if q.Join != nil {
+					var ok bool
+					if attrs, ok = lookup[b.Dims[schema.DimIndex(q.Join.On)][r]]; !ok {
+						continue
+					}
+					for name, rg := range q.Filter {
+						if v := value(name, b.Dims, r, attrs); v < rg[0] || v > rg[1] {
+							continue rows
+						}
+					}
+				}
 				for k, name := range q.GroupBy {
-					key[k] = b.Dims[schema.DimIndex(name)][r]
+					key[k] = value(name, b.Dims, r, attrs)
 				}
 				cells := g.at(key)
 				for a, agg := range q.Aggregates {
@@ -147,7 +212,7 @@ func scan(q *engine.Query, s *brick.Store, total *groups, res *engine.Result) er
 						if c.sketch == nil {
 							c.sketch = hll.New()
 						}
-						c.sketch.Add(hll.Hash64(uint64(b.Dims[schema.DimIndex(agg.Metric)][r])))
+						c.sketch.Add(hll.Hash64(uint64(value(agg.Metric, b.Dims, r, attrs))))
 						c.count++
 						continue
 					case engine.Count:

@@ -55,7 +55,10 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Set is the partitions one worker serves.
+// Set is the partitions one worker serves. A replicated dimension table's
+// replica is a store of the set too, served under the table's plain name:
+// partition names always hold a '#' and table names never do, so the two
+// cannot collide.
 type Set struct {
 	cfg          Config
 	admit        *admission.Controller
@@ -210,18 +213,25 @@ type Opts struct {
 // Partial answers q over the named partitions into cb, which must be
 // empty: every name is resolved first, so a partition not served here
 // (ErrNoPartition), a name listed twice or partitions of different schemas
-// fail the call before it queues or scans. Then one admission ticket and
-// one brick pass over all of their stores, whose bricks fold into cb in
-// list order, brick-id order within each partition. It returns how the
-// pass ran and each partition's ingest epoch, in list order, read before
-// execution — conservative, so a batch landing mid-scan (which the scan
-// may have missed) yields a higher epoch than the one reported and a
-// result cached under it invalidates the moment the newer epoch is
-// learned.
+// fail the call before it queues or scans, and so does a joined query
+// whose dimension table (a store served under the table's plain name) is
+// not here. Then one admission ticket and one brick pass over all of their
+// stores, whose bricks fold into cb in list order, brick-id order within
+// each partition. It returns how the pass ran and each partition's ingest
+// epoch, in list order, read before execution — conservative, so a batch
+// landing mid-scan (which the scan may have missed) yields a higher epoch
+// than the one reported and a result cached under it invalidates the
+// moment the newer epoch is learned.
 func (s *Set) Partial(ctx context.Context, names []string, q *engine.Query, o Opts, cb *engine.Combiner) (engine.ExecInfo, []uint64, error) {
 	stores, err := s.resolve(names)
 	if err != nil {
 		return engine.ExecInfo{}, nil, err
+	}
+	var dim *brick.Store
+	if q.Join != nil {
+		if dim, _ = s.Store(q.Join.Table); dim == nil {
+			return engine.ExecInfo{}, nil, fmt.Errorf("%w: join table %q", ErrNoPartition, q.Join.Table)
+		}
 	}
 	epochs := make([]uint64, len(stores))
 	for i, st := range stores {
@@ -239,7 +249,7 @@ func (s *Set) Partial(ctx context.Context, names []string, q *engine.Query, o Op
 	if o.Admitted != nil {
 		o.Admitted(queued)
 	}
-	info, err := engine.Run(ctx, q, engine.Opts{NoCache: o.NoCache}, cb, stores...)
+	info, err := engine.Run(ctx, q, engine.Opts{NoCache: o.NoCache, Dim: dim}, cb, stores...)
 	return info, epochs, err
 }
 

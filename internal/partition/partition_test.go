@@ -245,6 +245,60 @@ func TestPartialAdmission(t *testing.T) {
 	}
 }
 
+// TestPartialJoin: a joined query finds its dimension table in the set,
+// under the table's plain name, and answers in the call's one pass; a
+// join table the set does not serve fails the call with ErrNoPartition
+// before it is admitted.
+func TestPartialJoin(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1})
+	for _, name := range []string{"f#0", "f#1"} {
+		if err := s.Add(name, testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := s.Store(name)
+		ingest(t, st, 400, 1)
+	}
+	dimSchema := brick.Schema{Dimensions: []brick.Dimension{{Name: "app", Max: 20, Buckets: 4}, {Name: "team", Max: 4, Buckets: 4}}}
+	if err := s.Add("apps", dimSchema); err != nil {
+		t.Fatal(err)
+	}
+	dim, _ := s.Store("apps")
+	for app := uint32(0); app < 20; app++ {
+		if err := dim.Insert([]uint32{app, app % 4}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := &engine.Query{
+		Aggregates: []engine.Aggregate{{Func: engine.Count}},
+		GroupBy:    []string{"team"},
+		Join:       &engine.JoinSpec{Table: "apps", On: "app", Attrs: []string{"team"}},
+	}
+	var cb engine.Combiner
+	if _, _, err := s.Partial(context.Background(), []string{"f#0", "f#1"}, q, Opts{}, &cb); err != nil {
+		t.Fatal(err)
+	}
+	// 800 rows over 20 apps, 5 apps a team.
+	rows := cb.Partial(q).Finalize().Rows
+	if len(rows) != 4 {
+		t.Fatalf("%d teams, want 4", len(rows))
+	}
+	for _, row := range rows {
+		if row[1] != 200 {
+			t.Fatalf("team %v counts %v rows, want 200", row[0], row[1])
+		}
+	}
+	tkt, err := s.Admission().Admit(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tkt.Release()
+	ghost := *q
+	ghost.Join = &engine.JoinSpec{Table: "ghost", On: "app", Attrs: []string{"team"}}
+	if _, _, err := s.Partial(context.Background(), []string{"f#0"}, &ghost, Opts{}, new(engine.Combiner)); !errors.Is(err, ErrNoPartition) {
+		t.Fatalf("unknown join table with the slot held = %v, want ErrNoPartition", err)
+	}
+}
+
 // TestCompactAndDecay cools every partition's bricks and checks each pass
 // walks all of them one rung down the tier ladder, summed across stores.
 func TestCompactAndDecay(t *testing.T) {

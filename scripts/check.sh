@@ -176,6 +176,23 @@ if [ "$SITES" -gt 1 ]; then
 fi
 echo "internal/cubrick non-test lines: $(cat $CUBRICK_SRC | wc -l)"
 
+# One join path: a co-located star join is an ordinary /partial call. The
+# join rides in the query (engine.Query.Join), partition.Set hands the
+# replica to its one engine.Run, which pushes the GROUP BY below the join
+# and makes the same brick pass, and netexec.Coordinator merges the host
+# answers. The row-at-a-time join executor, its second validator and the
+# node's join entry point must not come back, and non-test
+# internal/cubrick merges no partial of its own.
+echo "== one join path"
+if grep -n 'ExecuteJoin\|validateJoined\|ExecuteJoinPartial' $NONTEST_GO; then
+    echo "one join path: the row-at-a-time join or its plumbing is back (see above); joins run through engine.Run and netexec.Coordinator"
+    exit 1
+fi
+if grep -n 'NewPartial(\|\.Merge(' $CUBRICK_SRC; then
+    echo "one join path: non-test internal/cubrick merges partials (see above); netexec.Coordinator is the only merge"
+    exit 1
+fi
+
 # One /partial call per host: a query makes one worker call per placement
 # and the worker merges the call's partitions, so its calls — and its
 # exposure to the wall, (1-p)^calls — scale with hosts. A host's merged
