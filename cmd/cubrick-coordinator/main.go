@@ -258,6 +258,14 @@ func (s *coordServer) query(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("coordinator supports single-table SELECT only"))
 		return
 	}
+	// `dim = 'label'` needs a dictionary to turn the label into an id, and
+	// only the in-process DB keeps one: dropping the predicate would answer
+	// the unfiltered aggregate.
+	if len(sel.StringEq) > 0 {
+		writeErr(w, http.StatusBadRequest,
+			fmt.Errorf("coordinator: string predicates need a dictionary and the networked plane has none; filter on dimension ids"))
+		return
+	}
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	// A client's priority orders its query in the admission queues, here

@@ -131,6 +131,38 @@ func TestCoordinatorErrors(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsStringPredicates: the networked plane keeps no
+// dictionaries, so `dim = 'label'` cannot be resolved to an id. It must be
+// refused, not dropped into an unfiltered answer.
+func TestCoordinatorRejectsStringPredicates(t *testing.T) {
+	s := newTestCoordinator(t, 2)
+	w := post(t, s.tables, "/tables", map[string]interface{}{
+		"name":       "events",
+		"partitions": 2,
+		"schema": map[string]interface{}{
+			"dimensions": []map[string]interface{}{{"name": "app", "max": 20, "buckets": 4}},
+			"metrics":    []map[string]interface{}{{"name": "value"}},
+		},
+	})
+	if w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	w = post(t, s.load, "/load", map[string]interface{}{"table": "events", "rows": []map[string]interface{}{
+		{"dims": []uint32{1}, "metrics": []float64{1}},
+		{"dims": []uint32{2}, "metrics": []float64{2}},
+	}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("load: %d %s", w.Code, w.Body)
+	}
+	w = post(t, s.query, "/query", map[string]string{"cql": "SELECT SUM(value) FROM events WHERE app = 'feed'"})
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "dictionary") {
+		t.Fatalf("string predicate: %d %s, want 400 naming the missing dictionary", w.Code, w.Body)
+	}
+	if w = post(t, s.query, "/query", map[string]string{"cql": "SELECT SUM(value) FROM events WHERE app = 2"}); w.Code != http.StatusOK {
+		t.Fatalf("id predicate: %d %s", w.Code, w.Body)
+	}
+}
+
 // TestFlags pins the flag set: the parsed defaults are the default query
 // policy, the retired -topk-overfetch and -fold parse and change nothing,
 // and README's table lists each flag with its default, so the

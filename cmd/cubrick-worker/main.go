@@ -5,9 +5,9 @@
 //	cubrick-worker -addr :9001
 //
 // API: POST /partition, POST /loadbin, POST /partial, GET /health, plus
-// the migration and dictionary planes (see internal/netexec). The serving
-// flags (-compact-*, cache budgets, admission) are
-// partition.RegisterFlags, shared with cubrick-server.
+// the migration plane (see internal/netexec). The serving flags
+// (-compact-*, cache budgets, admission) are partition.RegisterFlags,
+// shared with cubrick-server.
 //
 // Observability: GET /metrics serves counters and latency histograms in
 // Prometheus text format (-metrics, on by default), GET
@@ -45,7 +45,6 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the injected failure stream")
 	compactDecay := flag.Float64("compact-decay", 0.8, "hotness decay factor applied before each compaction pass (1 disables decay)")
 	migrateRateBytes := flag.Int64("migrate-rate-bytes", 0, "pace /export shard-migration streams to this many bytes per second (0 = unthrottled)")
-	dictCapacity := flag.Uint("dict-capacity", 0, "fallback id capacity for global dictionaries created over /dict when the column names no schema dimension (0 = schema-derived only)")
 	serving := partition.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	cfg := serving.Config()
@@ -59,7 +58,6 @@ func main() {
 	})
 	w.Tracer = tracer
 	w.ExportRateBytes = *migrateRateBytes
-	w.DictCapacity = uint32(*dictCapacity)
 	log.Printf("cubrick-worker serving: decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d migrate-rate-bytes=%d",
 		cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth, *migrateRateBytes)
 	handler := netexec.ChaosHandler(*chaosFailProb, *chaosSeed, w.Handler())

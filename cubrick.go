@@ -121,19 +121,6 @@ func (db *DB) dictFor(table, dim string) *dict.Dictionary {
 	return set.Get(dim)
 }
 
-// DictVersions reports the version (assigned-id count) of every
-// dictionary-encoded dimension of a table — the same numbers the /dict
-// wire plane negotiates deltas with, surfaced for observability.
-func (db *DB) DictVersions(table string) map[string]uint64 {
-	db.mu.Lock()
-	set, ok := db.dicts[table]
-	db.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return set.Versions()
-}
-
 // Encode maps a string label to its dimension id, assigning one on first
 // sight (the ingestion path).
 func (db *DB) Encode(table, dim, value string) (uint32, error) {

@@ -87,34 +87,6 @@ func (d *Dictionary) Decode(id uint32) (string, error) {
 	return d.strs[id], nil
 }
 
-// Export returns the dictionary's values in id order (for replication /
-// catalog snapshots).
-func (d *Dictionary) Export() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]string(nil), d.strs...)
-}
-
-// Import replaces the dictionary's contents with values (ids assigned in
-// order). It fails if values exceed capacity or contain duplicates.
-func (d *Dictionary) Import(values []string) error {
-	if uint32(len(values)) > d.capacity {
-		return fmt.Errorf("%w: %d values, capacity %d", ErrFull, len(values), d.capacity)
-	}
-	ids := make(map[string]uint32, len(values))
-	for i, v := range values {
-		if _, dup := ids[v]; dup {
-			return fmt.Errorf("dict: duplicate value %q", v)
-		}
-		ids[v] = uint32(i)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ids = ids
-	d.strs = append([]string(nil), values...)
-	return nil
-}
-
 // Set is a named collection of dictionaries — one per dictionary-encoded
 // dimension of a table.
 type Set struct {

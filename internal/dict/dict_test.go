@@ -60,27 +60,6 @@ func TestZeroCapacityClamped(t *testing.T) {
 	}
 }
 
-func TestExportImport(t *testing.T) {
-	d := New(8)
-	for _, v := range []string{"x", "y", "z"} {
-		d.Encode(v)
-	}
-	vals := d.Export()
-	d2 := New(8)
-	if err := d2.Import(vals); err != nil {
-		t.Fatal(err)
-	}
-	if id, _ := d2.Lookup("y"); id != 1 {
-		t.Fatalf("imported id = %d", id)
-	}
-	if err := d2.Import([]string{"a", "a"}); err == nil {
-		t.Fatal("duplicate import accepted")
-	}
-	if err := New(1).Import([]string{"a", "b"}); !errors.Is(err, ErrFull) {
-		t.Fatal("over-capacity import accepted")
-	}
-}
-
 // Property: Encode/Decode round-trips for arbitrary strings, ids are dense
 // and stable.
 func TestRoundTripProperty(t *testing.T) {

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -88,10 +87,6 @@ type Record struct {
 	MovedRows  int64 `json:"moved_rows"`
 	// Rounds counts catch-up iterations before the cutover.
 	Rounds int `json:"catchup_rounds"`
-	// DictVersions tracks, per dictionary-encoded column, the highest
-	// dictionary version the target provably holds; each ship round sends
-	// the append-only delta past this point alongside the brick delta.
-	DictVersions map[string]uint64 `json:"dict_versions,omitempty"`
 	// FencedAt/FlippedAt (unix nanos) bound the write-unavailability
 	// window: ingest rejects between the fence and the flip.
 	FencedAt  int64 `json:"fenced_at,omitempty"`
@@ -462,52 +457,8 @@ func (d *Driver) ship(ctx context.Context, rec *Record, src, dst *netexec.Client
 		rec.ShippedEpoch = covered
 		d.count("migrate.moved_bytes", int64(len(blob)))
 		d.count("migrate.moved_rows", rows)
-		if err := d.syncDicts(ctx, rec, src, dst); err != nil {
-			return err
-		}
 		return d.SaveRecord(rec)
 	})
-}
-
-// syncDicts ships the source partition's global-dictionary deltas for every
-// column whose version has advanced past the record's shipped point. Runs
-// on every ship round, so the fenced final delta (ingest — the only id
-// assigner — is frozen) leaves source and target dictionaries identical at
-// the flip. Deltas are idempotent, so a crashed-and-resumed round re-pushes
-// harmlessly.
-func (d *Driver) syncDicts(ctx context.Context, rec *Record, src, dst *netexec.Client) error {
-	versions, err := src.DictVersions(ctx, rec.Partition)
-	if err != nil {
-		return err
-	}
-	if len(versions) == 0 {
-		return nil
-	}
-	if rec.DictVersions == nil {
-		rec.DictVersions = make(map[string]uint64, len(versions))
-	}
-	cols := make([]string, 0, len(versions))
-	for col := range versions {
-		cols = append(cols, col)
-	}
-	sort.Strings(cols)
-	for _, col := range cols {
-		since := rec.DictVersions[col]
-		if versions[col] <= since {
-			continue
-		}
-		blob, to, err := src.DictDelta(ctx, rec.Partition, col, since)
-		if err != nil {
-			return err
-		}
-		if _, err := dst.PushDictDelta(ctx, rec.Partition, col, 0, blob); err != nil {
-			return err
-		}
-		rec.DictVersions[col] = to
-		rec.MovedBytes += int64(len(blob))
-		d.count("migrate.dict_bytes", int64(len(blob)))
-	}
-	return nil
 }
 
 // catchup tails live ingest: delta rounds until the source's epoch stops

@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -78,6 +79,16 @@ type rig struct {
 
 func newMigRig(t *testing.T, rows int) *rig {
 	t.Helper()
+	return newMigRigWrapped(t, rows, nil)
+}
+
+// newMigRigWrapped is newMigRig with each worker's handler passed through
+// wrap (nil leaves them bare); host is "source" or "target".
+func newMigRigWrapped(t *testing.T, rows int, wrap func(host string, h http.Handler) http.Handler) *rig {
+	t.Helper()
+	if wrap == nil {
+		wrap = func(_ string, h http.Handler) http.Handler { return h }
+	}
 	r := &rig{
 		zks:    zk.NewStore(nil),
 		rt:     netexec.NewFaultRoundTripper(nil, cluster.TransportConfig{}, 1),
@@ -87,8 +98,8 @@ func newMigRig(t *testing.T, rows int) *rig {
 	}
 	r.httpc = &http.Client{Transport: r.rt}
 	r.srcW, r.dstW = netexec.NewWorker(partition.Config{}), netexec.NewWorker(partition.Config{})
-	r.srcSrv = httptest.NewServer(r.srcW.Handler())
-	r.dstSrv = httptest.NewServer(r.dstW.Handler())
+	r.srcSrv = httptest.NewServer(wrap("source", r.srcW.Handler()))
+	r.dstSrv = httptest.NewServer(wrap("target", r.dstW.Handler()))
 	t.Cleanup(r.srcSrv.Close)
 	t.Cleanup(r.dstSrv.Close)
 	r.srcURL, r.dstURL = r.srcSrv.URL, r.dstSrv.URL
@@ -214,58 +225,6 @@ func TestMigrationCatchupTailsLiveIngest(t *testing.T) {
 	r.assertMigrated(t, d, rec)
 	if rec.Rounds < 1 {
 		t.Fatalf("catchup rounds = %d, want >= 1", rec.Rounds)
-	}
-}
-
-// TestMigrationCarriesDictionaries assigns global-dictionary ids on the
-// source before and during the move; every ship round must carry the delta,
-// so after the flip the target's dictionaries are identical to the source's
-// final state and the record has the shipped versions checkpointed.
-func TestMigrationCarriesDictionaries(t *testing.T) {
-	r := newMigRig(t, 300)
-	sd, err := r.srcW.EnsureDict(r.part, "app", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []string{"ads", "feed", "search"} {
-		if _, err := sd.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var once sync.Once
-	d := r.driver(func(step Step, rec *Record) error {
-		if step == StepCatchup {
-			// Live ingest keeps assigning ids after the snapshot copy; the
-			// catchup and fenced-final ships must pick the tail up.
-			once.Do(func() {
-				r.loadSource(t, 60)
-				if _, err := sd.Encode("groups"); err != nil {
-					t.Error(err)
-				}
-			})
-		}
-		return nil
-	})
-	rec, err := d.Start(context.Background(), r.newRecord())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertMigrated(t, d, rec)
-	if got := rec.DictVersions["app"]; got != 4 {
-		t.Fatalf("record dict version = %d, want 4", got)
-	}
-	dd := r.dstW.Dicts(r.part).Get("app")
-	if dd == nil {
-		t.Fatal("target has no app dictionary after the move")
-	}
-	if dd.Version() != sd.Version() {
-		t.Fatalf("target dict version %d != source %d", dd.Version(), sd.Version())
-	}
-	for id, want := range []string{"ads", "feed", "search", "groups"} {
-		v, err := dd.Decode(uint32(id))
-		if err != nil || v != want {
-			t.Fatalf("target id %d = %q (%v), want %q", id, v, err, want)
-		}
 	}
 }
 
@@ -445,4 +404,115 @@ func TestMigrationStartIsIdempotent(t *testing.T) {
 	if r.reg.Counter("migrate.rollback_drop_skipped").Value() != 1 {
 		t.Fatal("ownership recheck did not fire")
 	}
+}
+
+// pathLog records the requests that reach the rig's workers, in arrival
+// order, as "host METHOD /path".
+type pathLog struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+func (l *pathLog) wrap(host string, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		l.mu.Lock()
+		l.calls = append(l.calls, host+" "+req.Method+" "+req.URL.Path)
+		l.mu.Unlock()
+		h.ServeHTTP(rw, req)
+	})
+}
+
+func (l *pathLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.calls
+	l.calls = nil
+	return out
+}
+
+// TestShipRoundIsOneExportOneImport pins what a move costs the workers: it
+// touches only the migration plane, and every ship round — the copy, each
+// catch-up round and the fenced final delta — is one source /export
+// followed by one target /import and nothing else before the next epoch
+// read.
+func TestShipRoundIsOneExportOneImport(t *testing.T) {
+	var log pathLog
+	r := newMigRigWrapped(t, 300, log.wrap)
+	log.take() // the rig's own setup: partition create and load
+	d := r.driver(nil)
+	rec, err := d.Start(context.Background(), r.newRecord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := log.take()
+	r.assertMigrated(t, d, rec)
+
+	migrationPlane := map[string]bool{
+		"source GET /schema":     true, // prepare reads the schema
+		"target POST /partition": true, // and creates the partition
+		"source GET /export":     true,
+		"target POST /import":    true,
+		"source GET /epoch":      true,
+		"target GET /epoch":      true,
+		"source POST /fence":     true,
+		"source POST /droppart":  true,
+	}
+	exports, imports := 0, 0
+	for i, c := range calls {
+		if !migrationPlane[c] {
+			t.Fatalf("call %d %q is outside the migration plane; calls: %q", i, c, calls)
+		}
+		switch c {
+		case "source GET /export":
+			exports++
+			if i+2 >= len(calls) || calls[i+1] != "target POST /import" || calls[i+2] != "source GET /epoch" {
+				t.Fatalf("ship round at call %d is not export, import, epoch read; calls: %q", i, calls)
+			}
+		case "target POST /import":
+			imports++
+		}
+	}
+	// Copy, the catch-up rounds that shipped, and the cutover's final delta.
+	if rounds := 2 + rec.Rounds; exports != rounds || imports != rounds {
+		t.Fatalf("%d exports and %d imports for %d ship rounds; calls: %q", exports, imports, rounds, calls)
+	}
+}
+
+// TestMigrationResumesCheckpointWithDictVersions resumes from a checkpoint
+// in the format that still carried per-column dictionary versions: the
+// field is ignored and the move completes.
+func TestMigrationResumesCheckpointWithDictVersions(t *testing.T) {
+	r := newMigRig(t, 200)
+	errKilled := errors.New("driver killed")
+	d1 := r.driver(func(step Step, rec *Record) error {
+		if step == StepCatchup {
+			return errKilled
+		}
+		return nil
+	})
+	if _, err := d1.Start(context.Background(), r.newRecord()); !errors.Is(err, errKilled) {
+		t.Fatalf("kill not delivered: %v", err)
+	}
+	path := recordPath("events", r.part)
+	data, _, err := r.zks.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	old["dict_versions"] = map[string]uint64{"app": 3}
+	if data, err = json.Marshal(old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.zks.Set(path, data, -1); err != nil {
+		t.Fatal(err)
+	}
+	d2 := r.driver(nil)
+	rec, err := d2.Resume(context.Background(), "events", r.part)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	r.assertMigrated(t, d2, rec)
 }

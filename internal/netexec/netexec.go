@@ -31,7 +31,6 @@ import (
 
 	"cubrick/internal/admission"
 	"cubrick/internal/brick"
-	"cubrick/internal/dict"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
 	"cubrick/internal/partition"
@@ -91,11 +90,10 @@ func FromSchema(s brick.Schema) SchemaJSON {
 //	                 engine partial (application/octet-stream), sent raw
 //	GET  /health     liveness
 //
-// plus the migration plane (transfer.go) and the dictionary plane
-// (dictsync.go). Serving behaviour — the decoded-column cache, admission,
-// the metrics registry — is the set's partition.Config, fixed by
-// NewWorker; the fields below configure the edge only and are set before
-// the first request.
+// plus the migration plane (transfer.go). Serving behaviour — the
+// decoded-column cache, admission, the metrics registry — is the set's
+// partition.Config, fixed by NewWorker; the fields below configure the
+// edge only and are set before the first request.
 //
 // With Tracer set, /partial continues the coordinator's trace (trace
 // context arrives in X-Cubrick-Trace / X-Cubrick-Span headers) and also
@@ -110,10 +108,6 @@ type Worker struct {
 	// second (the -migrate-rate-bytes flag); 0 streams at full speed. A
 	// paced export bounds the load a live migration puts on the source.
 	ExportRateBytes int64
-	// DictCapacity is the fallback id capacity for dictionaries created by
-	// a pushed delta when the column names no schema dimension (the
-	// -dict-capacity flag); 0 leaves only the schema-derived fallback.
-	DictCapacity uint32
 
 	parts   *partition.Set
 	metrics *metrics.Registry // parts.Config().Metrics
@@ -122,11 +116,6 @@ type Worker struct {
 	// with a retryable 503 while their migration flips ownership.
 	fenceMu sync.Mutex
 	fenced  map[string]bool
-
-	// dictMu guards dicts: per-partition global-dictionary sets, synced
-	// between nodes as append-only deltas over /dict (see dictsync.go).
-	dictMu sync.Mutex
-	dicts  map[string]*dict.Set
 }
 
 // NewWorker returns an empty worker serving under cfg.
@@ -260,7 +249,6 @@ func (w *Worker) Handler() http.Handler {
 		mux.Handle("/debug/trace/", th)
 	}
 	w.registerMigration(mux)
-	w.registerDict(mux)
 	return mux
 }
 

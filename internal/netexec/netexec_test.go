@@ -228,6 +228,12 @@ func TestWorkerAdminErrors(t *testing.T) {
 		t.Fatalf("health = %v, %v", resp, err)
 	}
 	resp.Body.Close()
+	// Workers hold no dictionaries: /dict is the mux's 404.
+	resp, err = http.Get(srv.URL + "/dict?partition=p")
+	if err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/dict = %v, %v; want 404", resp, err)
+	}
+	resp.Body.Close()
 }
 
 func TestSchemaJSONRoundTrip(t *testing.T) {
