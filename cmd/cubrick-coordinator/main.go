@@ -210,29 +210,18 @@ func (s *coordServer) load(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var req struct {
-		Table string `json:"table"`
-		Rows  []struct {
-			Dims    []uint32  `json:"dims"`
-			Metrics []float64 `json:"metrics"`
-		} `json:"rows"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	table, dims, mets, err := netexec.DecodeLoad(r.Body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
-	}
-	dims := make([][]uint32, len(req.Rows))
-	mets := make([][]float64, len(req.Rows))
-	for i, row := range req.Rows {
-		dims[i], mets[i] = row.Dims, row.Metrics
 	}
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
-	if err := s.cluster.Load(ctx, req.Table, dims, mets); err != nil {
+	if err := s.cluster.Load(ctx, table, dims, mets); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"loaded": len(req.Rows)})
+	writeJSON(w, http.StatusOK, map[string]int{"loaded": len(dims)})
 }
 
 func (s *coordServer) query(w http.ResponseWriter, r *http.Request) {

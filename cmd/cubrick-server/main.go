@@ -26,6 +26,7 @@ import (
 
 	cubrick "cubrick"
 	"cubrick/internal/admission"
+	"cubrick/internal/netexec"
 	"cubrick/internal/partition"
 )
 
@@ -136,34 +137,21 @@ func (s *server) tables(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-type rowJSON struct {
-	Dims    []uint32  `json:"dims"`
-	Metrics []float64 `json:"metrics"`
-}
-
 func (s *server) load(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var req struct {
-		Table string    `json:"table"`
-		Rows  []rowJSON `json:"rows"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	table, dims, metrics, err := netexec.DecodeLoad(r.Body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	dims := make([][]uint32, len(req.Rows))
-	metrics := make([][]float64, len(req.Rows))
-	for i, row := range req.Rows {
-		dims[i], metrics[i] = row.Dims, row.Metrics
-	}
-	if err := s.db.Load(req.Table, dims, metrics); err != nil {
+	if err := s.db.Load(table, dims, metrics); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"loaded": len(req.Rows)})
+	writeJSON(w, http.StatusOK, map[string]int{"loaded": len(dims)})
 }
 
 func (s *server) query(w http.ResponseWriter, r *http.Request) {

@@ -3,7 +3,9 @@ package brick
 import (
 	"bytes"
 	"compress/flate"
+	"io"
 	"sort"
+	"sync"
 )
 
 // Third-generation storage (§IV-F3): under sustained memory pressure,
@@ -19,6 +21,33 @@ import (
 // here: warm bricks stay in the lightweight encoded tier and decode at
 // bit-unpack speed, while the SSD payload is flate(encoded blob) so the
 // on-disk format stays compact.
+
+// deflaterPool recycles flate's compressor state: a BestSpeed
+// flate.NewWriter allocates about a megabyte of tables and windows, far more
+// than the blob a brick eviction or a shard export compresses. Reset makes a
+// pooled writer equivalent to a new one, so the bytes are the same.
+var deflaterPool = sync.Pool{New: func() any {
+	w, err := flate.NewWriter(io.Discard, flate.BestSpeed)
+	if err != nil {
+		panic(err) // BestSpeed is a valid level
+	}
+	return w
+}}
+
+// deflate appends the BestSpeed flate stream of src to out through a
+// pooled writer. The writer goes back to the pool pointed at io.Discard,
+// so the pool never pins out's buffer.
+func deflate(out *bytes.Buffer, src []byte) error {
+	w := deflaterPool.Get().(*flate.Writer)
+	w.Reset(out)
+	_, err := w.Write(src)
+	if err == nil {
+		err = w.Close()
+	}
+	w.Reset(io.Discard)
+	deflaterPool.Put(w)
+	return err
+}
 
 // Evict moves the brick to the SSD tier: it is encoded first if needed,
 // the encoded blob is flate-compressed, and the memory footprint becomes
@@ -36,14 +65,7 @@ func (b *Brick) Evict() error {
 		return nil // empty brick
 	}
 	var out bytes.Buffer
-	w, err := flate.NewWriter(&out, flate.BestSpeed)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(b.encoded); err != nil {
-		return err
-	}
-	if err := w.Close(); err != nil {
+	if err := deflate(&out, b.encoded); err != nil {
 		return err
 	}
 	b.ssd = out.Bytes()

@@ -1,6 +1,15 @@
 package brick
 
-import "testing"
+import (
+	"bytes"
+	"compress/flate"
+	"io"
+	"math"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+)
 
 // loadTiered builds a store with distinct hot/cold brick populations.
 func loadTiered(t *testing.T) *Store {
@@ -181,4 +190,166 @@ func TestSSDBytesAccounting(t *testing.T) {
 	if s.MemoryBytes() != 0 {
 		t.Fatalf("memory = %d after full eviction, want 0", s.MemoryBytes())
 	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// compressedBricks returns n encoded bricks of rows rows each.
+func compressedBricks(t testing.TB, n, rows int) []*Brick {
+	t.Helper()
+	out := make([]*Brick, n)
+	for i := range out {
+		b := newBrick(3, 2)
+		for r := 0; r < rows; r++ {
+			if err := b.append([]uint32{uint32(r % 4), uint32(i + r), uint32(r % 7)}, []float64{float64(r), 0.5 * float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Compress(); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// TestEvictAllocs pins the cost of evicting a small brick: the flate
+// compressor comes from a pool, so an eviction allocates its output and
+// little else, not a new megabyte-sized writer.
+func TestEvictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomly drops sync.Pool items")
+	}
+	const runs = 200
+	bricks := compressedBricks(t, 2*(runs+1), 16)
+	next := 0
+	evict := func() {
+		if err := bricks[next].Evict(); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	allocs := testing.AllocsPerRun(runs, evict)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		evict()
+	}
+	runtime.ReadMemStats(&after)
+	perEvict := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocs, %d bytes per eviction", allocs, perEvict)
+	if allocs > 4 || perEvict >= 16<<10 {
+		t.Fatalf("evicting a 16-row brick allocates %.0f objects and %d bytes, ceilings are 4 and 16 KB", allocs, perEvict)
+	}
+}
+
+// freshDeflate is flate with a writer of its own: the reference the pooled
+// writer's output must match byte for byte.
+func freshDeflate(t *testing.T, src []byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	w, err := flate.NewWriter(&out, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestPooledDeflateBytesUnchanged checks that a recycled writer produces
+// what a new one does, for SSD payloads and for transfer blobs, so neither
+// the SSD tier nor the shard-transfer wire changes.
+func TestPooledDeflateBytesUnchanged(t *testing.T) {
+	bricks := compressedBricks(t, 8, 300)
+	for i, b := range bricks {
+		enc := append([]byte(nil), b.encoded...)
+		if err := b.Evict(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.ssd, freshDeflate(t, enc)) {
+			t.Fatalf("brick %d: pooled SSD payload differs from a new writer's", i)
+		}
+	}
+	s := loadTiered(t)
+	for round := 0; round < 2; round++ {
+		blob, err := s.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(blob)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, freshDeflate(t, raw)) {
+			t.Fatalf("round %d: pooled export blob differs from a new writer's", round)
+		}
+		if _, _, _, err := s.EnsureTiered(1024, 0.8); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// brickBits returns every value the brick holds, metrics as their IEEE
+// bits, in row order.
+func brickBits(t *testing.T, b *Brick) []uint64 {
+	var out []uint64
+	err := b.visitBatch(nil, func(batch *Batch) error {
+		for _, col := range batch.Dims {
+			for _, v := range col[:batch.Rows] {
+				out = append(out, uint64(v))
+			}
+		}
+		for _, col := range batch.Metrics {
+			for _, v := range col[:batch.Rows] {
+				out = append(out, math.Float64bits(v))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
+	return out
+}
+
+// TestConcurrentEvictReadUnevict runs evictions, reads and promotions of
+// distinct bricks at once (run with -race): the goroutines share the
+// deflater and inflater pools, and every brick must read back bit for bit
+// what it held before its first eviction.
+func TestConcurrentEvictReadUnevict(t *testing.T) {
+	bricks := compressedBricks(t, 16, 200)
+	want := make([][]uint64, len(bricks))
+	for i, b := range bricks {
+		want[i] = brickBits(t, b)
+	}
+	var wg sync.WaitGroup
+	for i := range bricks {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b := bricks[i]
+			for round := 0; round < 20; round++ {
+				if err := b.Evict(); err != nil {
+					t.Error(err)
+					return
+				}
+				if got := brickBits(t, b); !slices.Equal(got, want[i]) {
+					t.Errorf("brick %d round %d: evicted scan differs from the value before eviction", i, round)
+					return
+				}
+				b.Unevict()
+				if got := brickBits(t, b); !slices.Equal(got, want[i]) {
+					t.Errorf("brick %d round %d: promoted scan differs from the value before eviction", i, round)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }

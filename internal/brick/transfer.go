@@ -31,36 +31,12 @@ func (b *Brick) exportBlob() ([]byte, error) {
 // healthy replica in another region (§IV-E). Per-brick payloads reuse the
 // already-encoded adaptive blobs, so exporting a compressed store does not
 // re-encode anything; the outer flate layer keeps the wire format compact.
+//
+// Export is ExportSince(0): a store's brick has epoch 0 only between its
+// creation and its first append, while it holds no rows.
 func (s *Store) Export() ([]byte, error) {
-	var raw bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		raw.Write(scratch[:n])
-	}
-	entries := s.snapshotBricks()
-	put(uint64(len(entries)))
-	for _, e := range entries {
-		put(e.id)
-		payload, err := e.b.exportBlob()
-		if err != nil {
-			return nil, err
-		}
-		put(uint64(len(payload)))
-		raw.Write(payload)
-	}
-	var out bytes.Buffer
-	w, err := flate.NewWriter(&out, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(raw.Bytes()); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
+	blob, _, err := s.ExportSince(0)
+	return blob, err
 }
 
 // ExportSince serializes only the bricks whose epoch is newer than since,
@@ -99,14 +75,7 @@ func (s *Store) ExportSince(since uint64) ([]byte, uint64, error) {
 		raw.Write(payload)
 	}
 	var out bytes.Buffer
-	w, err := flate.NewWriter(&out, flate.BestSpeed)
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := w.Write(raw.Bytes()); err != nil {
-		return nil, 0, err
-	}
-	if err := w.Close(); err != nil {
+	if err := deflate(&out, raw.Bytes()); err != nil {
 		return nil, 0, err
 	}
 	return out.Bytes(), covered, nil

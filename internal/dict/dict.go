@@ -9,7 +9,6 @@ package dict
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -37,16 +36,6 @@ func New(capacity uint32) *Dictionary {
 		capacity = 1
 	}
 	return &Dictionary{capacity: capacity, ids: make(map[string]uint32)}
-}
-
-// Capacity returns the id space size.
-func (d *Dictionary) Capacity() uint32 { return d.capacity }
-
-// Len returns the number of assigned ids.
-func (d *Dictionary) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.strs)
 }
 
 // Encode returns the id of value, assigning a new id on first sight
@@ -117,16 +106,4 @@ func (s *Set) Get(column string) *Dictionary {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.dicts[column]
-}
-
-// Columns returns the dictionary-encoded column names, sorted.
-func (s *Set) Columns() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.dicts))
-	for c := range s.dicts {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

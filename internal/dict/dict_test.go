@@ -35,8 +35,15 @@ func TestEncodeLookupDecode(t *testing.T) {
 	if _, err := d.Decode(99); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("bad decode = %v", err)
 	}
-	if d.Len() != 2 || d.Capacity() != 16 {
-		t.Fatalf("len/cap = %d/%d", d.Len(), d.Capacity())
+	// Ids are dense: the next new value takes id 2, and the capacity of 16
+	// admits exactly 16 values.
+	for i := 2; i < 16; i++ {
+		if id, err := d.Encode(fmt.Sprint("v", i)); err != nil || id != uint32(i) {
+			t.Fatalf("Encode(v%d) = %d, %v, want %d", i, id, err, i)
+		}
+	}
+	if _, err := d.Encode("one too many"); !errors.Is(err, ErrFull) {
+		t.Fatalf("17th value = %v, want ErrFull", err)
 	}
 }
 
@@ -105,8 +112,25 @@ func TestConcurrentEncode(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if d.Len() != 500 {
-		t.Fatalf("len = %d, want 500 (ids must dedupe across goroutines)", d.Len())
+	// Ids must dedupe across goroutines: 500 values, 500 distinct ids, each
+	// decoding back to its value, and none assigned past them.
+	ids := make(map[uint32]bool)
+	for i := 0; i < 500; i++ {
+		v := fmt.Sprintf("val-%d", i)
+		id, err := d.Lookup(v)
+		if err != nil {
+			t.Fatalf("Lookup(%q): %v", v, err)
+		}
+		if s, err := d.Decode(id); err != nil || s != v {
+			t.Fatalf("Decode(%d) = %q, %v, want %q", id, s, err, v)
+		}
+		ids[id] = true
+	}
+	if len(ids) != 500 {
+		t.Fatalf("%d distinct ids for 500 values", len(ids))
+	}
+	if _, err := d.Decode(500); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("Decode(500) = %v, want ErrUnknown: ids must dedupe across goroutines", err)
 	}
 }
 
@@ -120,12 +144,24 @@ func TestSet(t *testing.T) {
 	if d1 != d2 {
 		t.Fatal("Add not idempotent")
 	}
-	s.Add("app", 32)
-	cols := s.Columns()
-	if len(cols) != 2 || cols[0] != "app" || cols[1] != "region" {
-		t.Fatalf("Columns = %v", cols)
-	}
-	if s.Get("region") != d1 {
+	d3 := s.Add("app", 32)
+	if d3 == d1 || s.Get("region") != d1 || s.Get("app") != d3 {
 		t.Fatal("Get returned wrong dictionary")
+	}
+	// The columns' dictionaries are independent, and the first Add's
+	// capacity holds: region admits 16 values, not 99.
+	if id, _ := d3.Encode("checkout"); id != 0 {
+		t.Fatalf("app's first id = %d", id)
+	}
+	if _, err := d1.Lookup("checkout"); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("region sees app's value: %v", err)
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := d1.Encode(fmt.Sprint("r", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d1.Encode("r16"); !errors.Is(err, ErrFull) {
+		t.Fatalf("region's 17th value = %v, want ErrFull", err)
 	}
 }

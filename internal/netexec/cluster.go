@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 
 	"cubrick/internal/brick"
@@ -183,18 +182,15 @@ func (c *Cluster) Load(ctx context.Context, table string, dims [][]uint32, metri
 	if len(dims) != len(metrics) {
 		return errors.New("netexec: dims/metrics length mismatch")
 	}
-	byPart := make(map[int][]int) // partition -> row indexes
+	byPart := make([][]int, t.partitions) // partition -> row indexes
 	for i := range dims {
 		p := core.RouteRow(dims[i], t.partitions)
 		byPart[p] = append(byPart[p], i)
 	}
-	parts := make([]int, 0, len(byPart))
-	for p := range byPart {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	for _, p := range parts {
-		idx := byPart[p]
+	for p, idx := range byPart {
+		if len(idx) == 0 {
+			continue
+		}
 		bd := make([][]uint32, len(idx))
 		bm := make([][]float64, len(idx))
 		for j, i := range idx {

@@ -305,6 +305,32 @@ if grep -nF -e '"/dict' -e 'ExportDelta' -e 'ApplyDelta' -e 'syncDicts' -e 'Dict
     exit 1
 fi
 
+# One deflater: a BestSpeed flate.NewWriter allocates about a megabyte,
+# far more than a brick's SSD payload or most shard-transfer blobs, so
+# eviction and export deflate through internal/brick's pooled writer. The
+# pool's constructor is the only non-test place that may build one.
+echo "== one deflater"
+SITES="$(grep -n 'flate\.NewWriter(' $NONTEST_GO || true)"
+POOL_SITES="$(awk '/^var deflaterPool = sync\.Pool\{New: func\(\) any \{$/ { inside = 1 } inside && /flate\.NewWriter\(/ { n++ } inside && /^}}/ { inside = 0 } END { print n + 0 }' internal/brick/ssd.go)"
+if [ "$(printf '%s\n' "$SITES" | grep -c .)" != 1 ] || [ "$POOL_SITES" != 1 ]; then
+    echo "one deflater: non-test code builds a flate writer outside deflaterPool's constructor in internal/brick/ssd.go; take one from the pool:"
+    printf '%s\n' "$SITES"
+    exit 1
+fi
+
+# One /load decoder: the front ends parse a /load body with
+# netexec.DecodeLoad into flat row buffers. A command that decodes the
+# body with encoding/json into a struct with a rows slice is the
+# reflective, per-row-allocating decode coming back.
+echo "== one /load decoder"
+CMD_SRC="$(find cmd -name '*.go' ! -name '*_test.go')"
+for f in $(grep -l 'json\.NewDecoder' $CMD_SRC); do
+    if grep -nE '^[[:space:]]*Rows[[:space:]]+\[\]|json:"rows' "$f"; then
+        echo "one /load decoder: $f decodes a rows struct with encoding/json (see above); parse /load bodies with netexec.DecodeLoad"
+        exit 1
+    fi
+done
+
 echo "== go build ./..."
 go build ./...
 
@@ -389,6 +415,9 @@ go test -run '^$' -fuzz '^FuzzUnmarshalPartial$' -fuzztime 10s ./internal/engine
 
 echo "== fuzz smoke (binary ingest decode, 10s)"
 go test -run '^$' -fuzz '^FuzzLoadBin$' -fuzztime 10s ./internal/netexec
+
+echo "== fuzz smoke (/load JSON decode against encoding/json, 10s)"
+go test -run '^$' -fuzz '^FuzzDecodeLoad$' -fuzztime 10s ./internal/netexec
 
 echo "== fuzz smoke (brick blob decode, 10s)"
 go test -run '^$' -fuzz '^FuzzDecodeBrick$' -fuzztime 10s ./internal/brick
