@@ -92,42 +92,20 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-type schemaJSON struct {
-	Dimensions []struct {
-		Name    string `json:"name"`
-		Max     uint32 `json:"max"`
-		Buckets uint32 `json:"buckets"`
-	} `json:"dimensions"`
-	Metrics []struct {
-		Name string `json:"name"`
-	} `json:"metrics"`
-}
-
-func (sj schemaJSON) toSchema() cubrick.Schema {
-	var s cubrick.Schema
-	for _, d := range sj.Dimensions {
-		s.Dimensions = append(s.Dimensions, cubrick.Dimension{Name: d.Name, Max: d.Max, Buckets: d.Buckets})
-	}
-	for _, m := range sj.Metrics {
-		s.Metrics = append(s.Metrics, cubrick.Metric{Name: m.Name})
-	}
-	return s
-}
-
 func (s *server) tables(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, s.db.Tables())
 	case http.MethodPost:
 		var req struct {
-			Name   string     `json:"name"`
-			Schema schemaJSON `json:"schema"`
+			Name   string             `json:"name"`
+			Schema netexec.SchemaJSON `json:"schema"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := s.db.CreateTable(req.Name, req.Schema.toSchema()); err != nil {
+		if err := s.db.CreateTable(req.Name, req.Schema.ToSchema()); err != nil {
 			writeErr(w, http.StatusConflict, err)
 			return
 		}

@@ -44,7 +44,6 @@ func main() {
 	chaosFailProb := flag.Float64("chaos-fail-prob", 0, "probability each request fails with HTTP 500 (fault injection; 0 disables)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the injected failure stream")
 	compactDecay := flag.Float64("compact-decay", 0.8, "hotness decay factor applied before each compaction pass (1 disables decay)")
-	migrateRateBytes := flag.Int64("migrate-rate-bytes", 0, "pace /export shard-migration streams to this many bytes per second (0 = unthrottled)")
 	serving := partition.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	cfg := serving.Config()
@@ -57,9 +56,8 @@ func main() {
 		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
 	})
 	w.Tracer = tracer
-	w.ExportRateBytes = *migrateRateBytes
-	log.Printf("cubrick-worker serving: decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d migrate-rate-bytes=%d",
-		cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth, *migrateRateBytes)
+	log.Printf("cubrick-worker serving: decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d",
+		cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth)
 	handler := netexec.ChaosHandler(*chaosFailProb, *chaosSeed, w.Handler())
 	// Debug and metrics endpoints mount on the outer mux so chaos-injected
 	// 500s never hit the observability plane that diagnoses them.

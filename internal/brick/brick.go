@@ -263,13 +263,30 @@ func (b *Brick) Decompress() error {
 }
 
 // inflater recycles flate's decoder state (tens of KB per NewReader) across
-// evicted-tier reads.
+// evicted-tier reads and shard-transfer imports.
 type inflater struct {
 	src bytes.Reader
 	fr  io.ReadCloser
 }
 
 var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
+
+// inflate appends the inflated flate stream src to dst through a pooled
+// decoder. The decoder goes back to the pool reading nothing, so the pool
+// never pins src.
+func inflate(dst *bytes.Buffer, src []byte) error {
+	in := inflaterPool.Get().(*inflater)
+	defer inflaterPool.Put(in)
+	defer in.src.Reset(nil)
+	in.src.Reset(src)
+	if in.fr == nil {
+		in.fr = flate.NewReader(&in.src)
+	} else if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return err
+	}
+	_, err := dst.ReadFrom(in.fr)
+	return err
+}
 
 // blobLocked returns the brick's encoded blob, inflating the SSD payload
 // if evicted. Caller holds b.mu. fromSSD reports whether an inflate
@@ -281,21 +298,13 @@ func (b *Brick) blobLocked(sc *visitScratch) (data []byte, fromSSD bool, err err
 	if b.ssd == nil {
 		return nil, false, nil
 	}
-	in := inflaterPool.Get().(*inflater)
-	defer inflaterPool.Put(in)
-	in.src.Reset(b.ssd)
-	if in.fr == nil {
-		in.fr = flate.NewReader(&in.src)
-	} else if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
-		return nil, false, fmt.Errorf("brick: ssd read: %w", err)
-	}
 	var buf bytes.Buffer
 	if sc != nil && sc.inflate != nil {
 		buf = *bytes.NewBuffer(sc.inflate[:0])
 	} else if b.encLen > 0 {
 		buf.Grow(b.encLen)
 	}
-	if _, err := io.Copy(&buf, in.fr); err != nil {
+	if err := inflate(&buf, b.ssd); err != nil {
 		return nil, false, fmt.Errorf("brick: ssd read: %w", err)
 	}
 	data = buf.Bytes()

@@ -1,10 +1,5 @@
 package brick
 
-import (
-	"sync"
-	"time"
-)
-
 // Background compaction (§IV-F2): instead of the all-or-nothing Compress
 // sweep, a compaction pass walks the hotness snapshot and moves each brick
 // one rung along the tier ladder as it cools or reheats:
@@ -75,25 +70,4 @@ func (s *Store) CompactOnce(cfg CompactionConfig) (CompactionStats, error) {
 	s.obs.add("brick.compact.evicted", int64(st.Evicted))
 	s.obs.add("brick.compact.promoted", int64(st.Promoted))
 	return st, nil
-}
-
-// StartCompactor runs CompactOnce every interval until the returned stop
-// function is called. Errors from individual passes are dropped (the next
-// pass retries); the stop function is idempotent.
-func (s *Store) StartCompactor(interval time.Duration, cfg CompactionConfig) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				_, _ = s.CompactOnce(cfg)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
 }

@@ -1,9 +1,6 @@
 package brick
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // compactStore builds a store with one brick per region bucket and a known
 // hotness per brick.
@@ -143,23 +140,4 @@ func TestCompactionZeroConfigNoop(t *testing.T) {
 	if raw, _, _ := tierCounts(s); raw != 2 {
 		t.Fatal("zero config changed tiers")
 	}
-}
-
-// TestStartCompactorSmoke runs the background compactor briefly and checks
-// that it performs transitions and that stop is idempotent.
-func TestStartCompactorSmoke(t *testing.T) {
-	s := compactStore(t, []float64{1, 1})
-	stop := s.StartCompactor(time.Millisecond, CompactionConfig{EncodeBelow: 10})
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, enc, _ := tierCounts(s); enc == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("compactor made no progress")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
 }

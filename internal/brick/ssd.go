@@ -31,22 +31,37 @@ var deflaterPool = sync.Pool{New: func() any {
 	if err != nil {
 		panic(err) // BestSpeed is a valid level
 	}
-	return w
+	return &deflater{w: w}
 }}
 
-// deflate appends the BestSpeed flate stream of src to out through a
-// pooled writer. The writer goes back to the pool pointed at io.Discard,
-// so the pool never pins out's buffer.
-func deflate(out *bytes.Buffer, src []byte) error {
-	w := deflaterPool.Get().(*flate.Writer)
-	w.Reset(out)
-	_, err := w.Write(src)
+// deflater is a pooled writer and the buffer it compresses into.
+type deflater struct {
+	w   *flate.Writer
+	out bytes.Buffer
+}
+
+// maxPooledDeflateBuf bounds the output buffer a deflater keeps in the
+// pool: a brick's SSD payload fits, a large shard export's blob is dropped.
+const maxPooledDeflateBuf = 1 << 20
+
+// deflate returns the BestSpeed flate stream of src in a slice of exactly
+// its length: an evicted brick keeps the slice, and SSDBytes counts len.
+// The writer goes back to the pool pointed at io.Discard.
+func deflate(src []byte) ([]byte, error) {
+	d := deflaterPool.Get().(*deflater)
+	defer deflaterPool.Put(d)
+	d.out.Reset()
+	d.w.Reset(&d.out)
+	_, err := d.w.Write(src)
 	if err == nil {
-		err = w.Close()
+		err = d.w.Close()
 	}
-	w.Reset(io.Discard)
-	deflaterPool.Put(w)
-	return err
+	d.w.Reset(io.Discard)
+	out := append(make([]byte, 0, d.out.Len()), d.out.Bytes()...)
+	if d.out.Cap() > maxPooledDeflateBuf {
+		d.out = bytes.Buffer{}
+	}
+	return out, err
 }
 
 // Evict moves the brick to the SSD tier: it is encoded first if needed,
@@ -64,11 +79,11 @@ func (b *Brick) Evict() error {
 	if b.encoded == nil {
 		return nil // empty brick
 	}
-	var out bytes.Buffer
-	if err := deflate(&out, b.encoded); err != nil {
+	ssd, err := deflate(b.encoded)
+	if err != nil {
 		return err
 	}
-	b.ssd = out.Bytes()
+	b.ssd = ssd
 	b.encLen = len(b.encoded)
 	b.encoded = nil
 	b.obs.add("brick.evictions", 1)

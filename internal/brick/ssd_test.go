@@ -190,6 +190,17 @@ func TestSSDBytesAccounting(t *testing.T) {
 	if s.MemoryBytes() != 0 {
 		t.Fatalf("memory = %d after full eviction, want 0", s.MemoryBytes())
 	}
+	// SSDBytes counts len: an evicted brick must hold no slack beyond it.
+	for _, rows := range []int{16, 300, 5000} {
+		for i, b := range compressedBricks(t, 20, rows) {
+			if err := b.Evict(); err != nil {
+				t.Fatal(err)
+			}
+			if cap(b.ssd) != len(b.ssd) {
+				t.Fatalf("%d rows, brick %d: SSD payload has cap %d for len %d", rows, i, cap(b.ssd), len(b.ssd))
+			}
+		}
+	}
 }
 
 // raceEnabled is set by race_test.go in -race builds.

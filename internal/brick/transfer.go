@@ -2,10 +2,8 @@ package brick
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // exportBlob returns the brick's columnar payload in the version-2
@@ -74,24 +72,22 @@ func (s *Store) ExportSince(since uint64) ([]byte, uint64, error) {
 		put(uint64(len(payload)))
 		raw.Write(payload)
 	}
-	var out bytes.Buffer
-	if err := deflate(&out, raw.Bytes()); err != nil {
+	blob, err := deflate(raw.Bytes())
+	if err != nil {
 		return nil, 0, err
 	}
-	return out.Bytes(), covered, nil
+	return blob, covered, nil
 }
 
 // decodeTransfer parses an Export/ExportSince blob into per-brick columns.
 // All payloads decode before any store state changes, so a truncated or
 // forged blob cannot leave a store half-imported.
 func (s *Store) decodeTransfer(blob []byte) ([]transferBrick, error) {
-	fr := flate.NewReader(bytes.NewReader(blob))
-	raw, err := io.ReadAll(fr)
-	if err != nil {
+	var r bytes.Buffer
+	if err := inflate(&r, blob); err != nil {
 		return nil, fmt.Errorf("brick: import: %w", err)
 	}
-	r := bytes.NewReader(raw)
-	nBricks, err := binary.ReadUvarint(r)
+	nBricks, err := binary.ReadUvarint(&r)
 	if err != nil {
 		return nil, fmt.Errorf("brick: import header: %w", err)
 	}
@@ -100,11 +96,11 @@ func (s *Store) decodeTransfer(blob []byte) ([]transferBrick, error) {
 	}
 	decoded := make([]transferBrick, 0, nBricks)
 	for i := uint64(0); i < nBricks; i++ {
-		id, err := binary.ReadUvarint(r)
+		id, err := binary.ReadUvarint(&r)
 		if err != nil {
 			return nil, fmt.Errorf("brick: import brick id: %w", err)
 		}
-		plen, err := binary.ReadUvarint(r)
+		plen, err := binary.ReadUvarint(&r)
 		if err != nil {
 			return nil, fmt.Errorf("brick: import brick len: %w", err)
 		}
@@ -114,11 +110,8 @@ func (s *Store) decodeTransfer(blob []byte) ([]transferBrick, error) {
 		if _, err := s.schema.BrickBounds(id); err != nil {
 			return nil, fmt.Errorf("brick: import brick %d: %w", id, err)
 		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("brick: import brick payload: %w", err)
-		}
-		dims, metrics, rows, err := decodeBlobOwned(payload, len(s.schema.Dimensions), len(s.schema.Metrics), -1)
+		// The decoded columns are copies, so the payload may alias r.
+		dims, metrics, rows, err := decodeBlobOwned(r.Next(int(plen)), len(s.schema.Dimensions), len(s.schema.Metrics), -1)
 		if err != nil {
 			return nil, err
 		}

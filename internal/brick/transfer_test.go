@@ -3,6 +3,7 @@ package brick
 import (
 	"bytes"
 	"compress/flate"
+	"runtime"
 	"testing"
 )
 
@@ -199,5 +200,40 @@ func TestAdvanceEpochTo(t *testing.T) {
 	s.Insert([]uint32{0, 0, 0}, []float64{1, 0})
 	if got := s.Epoch(); got <= low+100 {
 		t.Fatalf("ingest after advance did not move epoch: %d", got)
+	}
+}
+
+// TestImportBricksAllocs pins the cost of applying a small delta, the
+// common migration catch-up round: the blob inflates through the pooled
+// inflater, so an import allocates the brick it builds and little else, not
+// a new flate decoder of tens of kilobytes.
+func TestImportBricksAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomly drops sync.Pool items")
+	}
+	src, _ := NewStore(testSchema())
+	src.Insert([]uint32{1, 2, 3}, []float64{1, 2})
+	delta, _, err := src.ExportSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, _ := NewStore(testSchema())
+	imp := func() {
+		if _, err := dst.ImportBricks(delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, imp)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		imp()
+	}
+	runtime.ReadMemStats(&after)
+	perImport := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d-byte delta: %.0f allocs, %d bytes per import", len(delta), allocs, perImport)
+	if allocs > 30 || perImport >= 8<<10 {
+		t.Fatalf("importing a %d-byte one-brick delta allocates %.0f objects and %d bytes, ceilings are 30 and 8 KB", len(delta), allocs, perImport)
 	}
 }

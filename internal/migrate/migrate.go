@@ -10,18 +10,19 @@
 // epoch-bounded deltas while live ingest keeps landing on the source;
 // cutover fences the source (ingest gets a retryable 503) and ships the
 // final delta under a bounded pause; flip commits ownership — the zk
-// record, the discovery publish, and the coordinator's routing table with
-// a dual-read window — and drop removes the source copy once the window
-// has closed. Every step checkpoints to zk before and after it runs, and
-// every wire operation is idempotent, so a driver that dies at any step
-// boundary resumes from the record (or, before the flip, aborts and rolls
-// back to the source with no shard-map damage). The flip is the commit
-// point: failures before it roll back, failures after it roll forward.
+// record and the coordinator's routing table with a dual-read window — and
+// drop removes the source copy once the window has closed. Every step
+// checkpoints to zk before and after it runs, and every wire operation is
+// idempotent, so a driver that dies at any step boundary resumes from the
+// record (or, before the flip, aborts and rolls back to the source with no
+// shard-map damage). The flip is the commit point: failures before it roll
+// back, failures after it roll forward.
 //
-// Failure handling reuses the data plane's taxonomy: operations retry
-// with capped jittered backoff while netexec.ClassifyError says the
-// failure is transient, and abort on terminal errors or an exhausted
-// budget.
+// Failure handling reuses the data plane's retry loop: every wire
+// operation runs through netexec.QueryPolicy.Retry under stepPolicy, so it
+// retries with capped jittered backoff while netexec.ClassifyError says the
+// failure is transient, and the step aborts on a terminal error or an
+// exhausted budget.
 package migrate
 
 import (
@@ -29,9 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
-	"sync"
 	"time"
 
 	"cubrick/internal/metrics"
@@ -110,27 +109,25 @@ type Router interface {
 	MovePartition(partition string, to []string, dualReadWindow time.Duration)
 }
 
+// stepPolicy is the retry budget of every wire operation inside a step:
+// five tries, 10 ms backoff doubling to 1 s, jittered.
+var stepPolicy = netexec.QueryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second}
+
 // Config tunes the driver. The zero value gets production-shaped
-// defaults.
+// defaults. cubrick-coordinator sets no field, so there the defaults are
+// the driver's constants: no flag reaches them.
 type Config struct {
 	// StepTimeout bounds each state-machine step including its retries
 	// (default 30s).
 	StepTimeout time.Duration
-	// MaxStepAttempts caps retries of a failing operation inside a step
-	// (default 5).
-	MaxStepAttempts int
-	// BaseBackoff/MaxBackoff shape the capped jittered retry delays
-	// (defaults 10ms/1s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// CutoverPause bounds how long the source may stay fenced while the
-	// final delta ships (the -cutover-pause-ms flag, default 2s). If the
-	// gap cannot close inside the pause the migration aborts and unfences
-	// — a slow cutover must degrade to a retry, not an outage.
+	// final delta ships (default 2s). If the gap cannot close inside the
+	// pause the migration aborts and unfences — a slow cutover must
+	// degrade to a retry, not an outage.
 	CutoverPause time.Duration
 	// DualReadWindow is how long after the flip queries read both
-	// placements (the -dual-read-window flag, default 2s). The source
-	// copy is dropped only after the window closes.
+	// placements (default 2s). The source copy is dropped only after the
+	// window closes.
 	DualReadWindow time.Duration
 	// MaxCatchupRounds bounds the pre-cutover delta loop (default 6): if
 	// ingest outruns the deltas for this many rounds the driver proceeds
@@ -141,15 +138,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.StepTimeout <= 0 {
 		c.StepTimeout = 30 * time.Second
-	}
-	if c.MaxStepAttempts <= 0 {
-		c.MaxStepAttempts = 5
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
 	}
 	if c.CutoverPause <= 0 {
 		c.CutoverPause = 2 * time.Second
@@ -176,9 +164,6 @@ type Driver struct {
 	// Router, when set, receives the ownership flip (the coordinator's
 	// routing table).
 	Router Router
-	// Publish, when set, announces the flip to the discovery plane. It
-	// runs after the zk ownership write, before the Router move.
-	Publish func(rec *Record)
 	// Metrics, when set, receives step counters/durations and the moved-
 	// bytes accounting.
 	Metrics *metrics.Registry
@@ -186,11 +171,8 @@ type Driver struct {
 	// executes. Returning an error stops the driver there — the chaos
 	// tests' kill switch.
 	OnStep func(step Step, rec *Record) error
-	// Config tunes timeouts, retries and windows.
+	// Config tunes timeouts and windows.
 	Config Config
-
-	rndMu sync.Mutex
-	rnd   *rand.Rand
 }
 
 // recordPath is where a migration checkpoints.
@@ -262,64 +244,8 @@ func (d *Driver) observe(name string, dur time.Duration) {
 	}
 }
 
-// jitter scales dur uniformly into [dur/2, dur].
-func (d *Driver) jitter(dur time.Duration) time.Duration {
-	d.rndMu.Lock()
-	if d.rnd == nil {
-		d.rnd = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	f := 0.5 + 0.5*d.rnd.Float64()
-	d.rndMu.Unlock()
-	return time.Duration(float64(dur) * f)
-}
-
-// backoff returns the capped exponential delay before retry (0-based),
-// pre-jitter.
-func (d *Driver) backoff(retry int) time.Duration {
-	cfg := d.Config.withDefaults()
-	dur := cfg.BaseBackoff
-	for i := 0; i < retry && dur < cfg.MaxBackoff; i++ {
-		dur *= 2
-	}
-	if dur > cfg.MaxBackoff {
-		dur = cfg.MaxBackoff
-	}
-	return dur
-}
-
-// retry runs fn under the step's remaining budget, retrying transient
-// failures (netexec.ClassifyError) with capped jittered backoff up to
-// MaxStepAttempts.
-func (d *Driver) retry(ctx context.Context, fn func(context.Context) error) error {
-	cfg := d.Config.withDefaults()
-	var lastErr error
-	for a := 0; a < cfg.MaxStepAttempts; a++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = err
-			}
-			return lastErr
-		}
-		lastErr = fn(ctx)
-		if lastErr == nil {
-			return nil
-		}
-		if netexec.ClassifyError(lastErr) == netexec.Terminal {
-			return lastErr
-		}
-		if a < cfg.MaxStepAttempts-1 {
-			d.count("migrate.retries", 1)
-			t := time.NewTimer(d.jitter(d.backoff(a)))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return lastErr
-			}
-		}
-	}
-	return lastErr
-}
+// retried counts one retry of a step's wire operation.
+func (d *Driver) retried() { d.count("migrate.retries", 1) }
 
 // Start begins (or resumes) a migration moving partition from source to
 // target. If zk already holds an unfinished record for the partition the
@@ -425,7 +351,7 @@ func (d *Driver) runStep(ctx context.Context, step Step, rec *Record) error {
 // prepare creates the partition on the target with the source's schema. A
 // 409 means a previous incarnation already created it — idempotent resume.
 func (d *Driver) prepare(ctx context.Context, rec *Record, src, dst *netexec.Client) error {
-	return d.retry(ctx, func(ctx context.Context) error {
+	return stepPolicy.Retry(ctx, d.retried, func(ctx context.Context, _ int) error {
 		schema, err := src.PartitionSchema(ctx, rec.Partition)
 		if err != nil {
 			return err
@@ -443,7 +369,7 @@ func (d *Driver) prepare(ctx context.Context, rec *Record, src, dst *netexec.Cli
 // target, advancing the record's shipped epoch. Used by copy (since 0),
 // every catch-up round, and the fenced final delta.
 func (d *Driver) ship(ctx context.Context, rec *Record, src, dst *netexec.Client) error {
-	return d.retry(ctx, func(ctx context.Context) error {
+	return stepPolicy.Retry(ctx, d.retried, func(ctx context.Context, _ int) error {
 		blob, covered, err := src.Export(ctx, rec.Partition, rec.ShippedEpoch)
 		if err != nil {
 			return err
@@ -467,7 +393,7 @@ func (d *Driver) catchup(ctx context.Context, rec *Record, src, dst *netexec.Cli
 	cfg := d.Config.withDefaults()
 	for round := 0; round < cfg.MaxCatchupRounds; round++ {
 		var srcEpoch uint64
-		err := d.retry(ctx, func(ctx context.Context) error {
+		err := stepPolicy.Retry(ctx, d.retried, func(ctx context.Context, _ int) error {
 			var err error
 			srcEpoch, _, err = src.PartitionEpoch(ctx, rec.Partition)
 			return err
@@ -494,7 +420,7 @@ func (d *Driver) cutover(ctx context.Context, rec *Record, src, dst *netexec.Cli
 	cfg := d.Config.withDefaults()
 	pctx, cancel := context.WithTimeout(ctx, cfg.CutoverPause)
 	defer cancel()
-	if err := d.retry(pctx, func(ctx context.Context) error {
+	if err := stepPolicy.Retry(pctx, d.retried, func(ctx context.Context, _ int) error {
 		return src.Fence(ctx, rec.Partition, true)
 	}); err != nil {
 		return err
@@ -508,7 +434,7 @@ func (d *Driver) cutover(ctx context.Context, rec *Record, src, dst *netexec.Cli
 		return err
 	}
 	// Paranoia: verify the gap is actually closed before committing.
-	return d.retry(pctx, func(ctx context.Context) error {
+	return stepPolicy.Retry(pctx, d.retried, func(ctx context.Context, _ int) error {
 		srcEpoch, srcRows, err := src.PartitionEpoch(ctx, rec.Partition)
 		if err != nil {
 			return err
@@ -527,8 +453,8 @@ func (d *Driver) cutover(ctx context.Context, rec *Record, src, dst *netexec.Cli
 	})
 }
 
-// flip commits the move: zk ownership, discovery publish, coordinator
-// routing with the dual-read window. This is the commit point — once the
+// flip commits the move: zk ownership, then coordinator routing with the
+// dual-read window. This is the commit point — once the
 // zk owner node names the target, failures roll forward.
 func (d *Driver) flip(ctx context.Context, rec *Record) error {
 	path := ownerPath(rec.Service, rec.Partition)
@@ -537,9 +463,6 @@ func (d *Driver) flip(ctx context.Context, rec *Record) error {
 	}
 	if _, err := d.ZK.Set(path, []byte(rec.Target), -1); err != nil {
 		return err
-	}
-	if d.Publish != nil {
-		d.Publish(rec)
 	}
 	if d.Router != nil {
 		d.Router.MovePartition(rec.Partition, []string{rec.Target}, d.Config.withDefaults().DualReadWindow)
@@ -556,16 +479,12 @@ func (d *Driver) drop(ctx context.Context, rec *Record, src *netexec.Client) err
 	if rec.FlippedAt > 0 {
 		elapsed := time.Since(time.Unix(0, rec.FlippedAt))
 		if wait := cfg.DualReadWindow - elapsed; wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
+			if err := netexec.SleepCtx(ctx, wait); err != nil {
+				return err
 			}
 		}
 	}
-	return d.retry(ctx, func(ctx context.Context) error {
+	return stepPolicy.Retry(ctx, d.retried, func(ctx context.Context, _ int) error {
 		return src.DropPartition(ctx, rec.Partition)
 	})
 }
@@ -583,7 +502,7 @@ func (d *Driver) abort(rec *Record, cause error) (*Record, error) {
 	defer cancel()
 	src := &netexec.Client{BaseURL: rec.Source, HTTP: d.client()}
 	dst := &netexec.Client{BaseURL: rec.Target, HTTP: d.client()}
-	if err := d.retry(rctx, func(ctx context.Context) error {
+	if err := stepPolicy.Retry(rctx, d.retried, func(ctx context.Context, _ int) error {
 		return src.Fence(ctx, rec.Partition, false)
 	}); err != nil {
 		// The source may itself be the dead party; the fence flag dies
@@ -596,7 +515,7 @@ func (d *Driver) abort(rec *Record, cause error) (*Record, error) {
 	// same recheck shardmgr's delayed drop performs).
 	if owner, ok := d.Owner(rec.Service, rec.Partition); ok && owner == rec.Target {
 		d.count("migrate.rollback_drop_skipped", 1)
-	} else if err := d.retry(rctx, func(ctx context.Context) error {
+	} else if err := stepPolicy.Retry(rctx, d.retried, func(ctx context.Context, _ int) error {
 		return dst.DropPartition(ctx, rec.Partition)
 	}); err != nil {
 		d.count("migrate.rollback_drop_failed", 1)

@@ -33,9 +33,6 @@ func testSchema() brick.Schema {
 func fastCfg() Config {
 	return Config{
 		StepTimeout:      5 * time.Second,
-		MaxStepAttempts:  3,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       5 * time.Millisecond,
 		CutoverPause:     2 * time.Second,
 		DualReadWindow:   30 * time.Millisecond,
 		MaxCatchupRounds: 4,

@@ -105,8 +105,6 @@ func TestRebalanceBench(t *testing.T) {
 		Config: Config{
 			CutoverPause:   time.Second,
 			DualReadWindow: 100 * time.Millisecond,
-			BaseBackoff:    2 * time.Millisecond,
-			MaxBackoff:     50 * time.Millisecond,
 		},
 	}
 	var (

@@ -134,9 +134,6 @@ func TestScaleOutScenario(t *testing.T) {
 		Router: moving,
 		Config: Config{
 			StepTimeout:      10 * time.Second,
-			MaxStepAttempts:  5,
-			BaseBackoff:      2 * time.Millisecond,
-			MaxBackoff:       20 * time.Millisecond,
 			CutoverPause:     time.Second,
 			DualReadWindow:   50 * time.Millisecond,
 			MaxCatchupRounds: 6,

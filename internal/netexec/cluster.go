@@ -214,35 +214,15 @@ const loadAttempts = 12
 
 // loadPartition ships one partition's batch to its placement, retrying
 // retryable failures — a fenced partition mid-cutover, a worker briefly
-// down — under the default policy's backoff. Placement is re-resolved on
+// down — through Retry with the default backoff. Placement is re-resolved on
 // every attempt: a batch that hit a fenced source during a cutover pause
 // retries into the new owner once the flip lands, which is what makes the
 // migration's ingest unavailability a latency bump instead of lost rows.
 func (c *Cluster) loadPartition(ctx context.Context, part string, shard int64, replicas int, bd [][]uint32, bm [][]float64) error {
-	var lastErr error
-	for a := 0; a < loadAttempts; a++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = err
-			}
-			return lastErr
-		}
+	return QueryPolicy{MaxAttempts: loadAttempts}.Retry(ctx, func() { c.coord.count("netexec.load.retries") }, func(ctx context.Context, _ int) error {
 		urls, _ := c.route(part, shard, replicas)
-		lastErr = c.loadOnce(ctx, part, urls, bd, bm)
-		if lastErr == nil {
-			return nil
-		}
-		if ClassifyError(lastErr) == Terminal {
-			return lastErr
-		}
-		if a < loadAttempts-1 {
-			c.coord.count("netexec.load.retries")
-			if serr := sleepCtx(ctx, jitter(DefaultQueryPolicy().backoffFor(a))); serr != nil {
-				return lastErr
-			}
-		}
-	}
-	return lastErr
+		return c.loadOnce(ctx, part, urls, bd, bm)
+	})
 }
 
 // loadOnce ships the batch to the primary and every replica once.

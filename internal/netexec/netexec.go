@@ -104,10 +104,6 @@ type Worker struct {
 	// Tracer, when set, records worker-side spans (partial handling,
 	// execute with scan accounting, marshal) into propagated traces.
 	Tracer *trace.Tracer
-	// ExportRateBytes throttles /export responses to this many bytes per
-	// second (the -migrate-rate-bytes flag); 0 streams at full speed. A
-	// paced export bounds the load a live migration puts on the source.
-	ExportRateBytes int64
 
 	parts   *partition.Set
 	metrics *metrics.Registry // parts.Config().Metrics
@@ -894,43 +890,30 @@ func (c *Coordinator) fetchCall(ctx context.Context, cl *call, opts partialOpts)
 	return cb, cm, cerr
 }
 
-// fetchResilient posts one call's /partial body under the policy: attempts
-// rotate over urls (a placement's primary and replicas) with capped,
-// jittered exponential backoff between retries; each attempt may hedge to
-// a replica after the hedge delay; breaker-open hosts are skipped. Errors
-// classify as retryable or terminal (ClassifyError); terminal errors and
-// query-context expiry end the loop immediately.
+// fetchResilient posts one call's /partial body under the policy's Retry
+// loop: attempts rotate over urls (a placement's primary and replicas) by
+// attempt index; each attempt may hedge to a replica after the hedge delay;
+// breaker-open hosts are skipped.
 func (c *Coordinator) fetchResilient(ctx context.Context, urls []string, cl *call, opts partialOpts) (*bytes.Buffer, partialMeta, error) {
-	attempts := c.Policy.attempts()
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = err
-			}
-			return nil, partialMeta{}, lastErr
-		}
+	var blob *bytes.Buffer
+	var meta partialMeta
+	err := c.Policy.Retry(ctx, func() { c.count("netexec.fetch.retries") }, func(ctx context.Context, a int) error {
 		start := time.Now()
-		blob, meta, url, err := c.fetchAttempt(ctx, urls, a, cl, opts)
-		if err == nil {
-			if c.Breakers != nil {
-				c.Breakers.ReportSuccess(url)
-			}
-			c.observeLatency(time.Since(start))
-			return blob, meta, nil
+		b, m, url, err := c.fetchAttempt(ctx, urls, a, cl, opts)
+		if err != nil {
+			return err
 		}
-		lastErr = err
-		if ClassifyError(err) == Terminal || ctx.Err() != nil {
-			return nil, partialMeta{}, lastErr
+		if c.Breakers != nil {
+			c.Breakers.ReportSuccess(url)
 		}
-		if a < attempts-1 {
-			c.count("netexec.fetch.retries")
-			if serr := sleepCtx(ctx, jitter(c.Policy.backoffFor(a))); serr != nil {
-				return nil, partialMeta{}, lastErr
-			}
-		}
+		c.observeLatency(time.Since(start))
+		blob, meta = b, m
+		return nil
+	})
+	if err != nil {
+		return nil, partialMeta{}, err
 	}
-	return nil, partialMeta{}, lastErr
+	return blob, meta, nil
 }
 
 // pickURL chooses the attempt's URL: rotate through the candidates

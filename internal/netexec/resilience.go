@@ -122,6 +122,41 @@ func (p QueryPolicy) backoffFor(retry int) time.Duration {
 	return d
 }
 
+// Retry is the networked plane's one retry loop: the coordinator's
+// fetches, the cluster's loads and the migration driver's steps all run
+// through it. It calls try with the attempt index (0-based) up to the
+// policy's attempt budget, checking ctx before each try. It stops at the
+// first success, a terminal error (ClassifyError) or a done ctx; between
+// tries it calls onRetry and sleeps the attempt's jittered capped
+// exponential backoff, or until ctx is done. It returns the last try's
+// error, or ctx.Err() when ctx was done before the first try.
+func (p QueryPolicy) Retry(ctx context.Context, onRetry func(), try func(ctx context.Context, attempt int) error) error {
+	attempts := p.attempts()
+	var lastErr error
+	for a := 0; a < attempts; a++ {
+		if err := ctx.Err(); err != nil {
+			if lastErr == nil {
+				lastErr = err
+			}
+			return lastErr
+		}
+		lastErr = try(ctx, a)
+		if lastErr == nil {
+			return nil
+		}
+		if ClassifyError(lastErr) == Terminal || ctx.Err() != nil {
+			return lastErr
+		}
+		if a < attempts-1 {
+			onRetry()
+			if SleepCtx(ctx, jitter(p.backoffFor(a))) != nil {
+				return lastErr
+			}
+		}
+	}
+	return lastErr
+}
+
 // HTTPStatusError is a worker response with a non-200 status, kept
 // structured so the retry loop can classify it (5xx retryable, 4xx
 // terminal).
@@ -423,9 +458,9 @@ func jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// sleepCtx sleeps for d or until ctx is done, returning ctx.Err() in the
+// SleepCtx sleeps for d or until ctx is done, returning ctx.Err() in the
 // latter case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+func SleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}

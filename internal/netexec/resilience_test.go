@@ -422,3 +422,65 @@ func TestBackoffAndJitter(t *testing.T) {
 		t.Fatal("jitter(0) != 0")
 	}
 }
+
+// TestPolicyRetry pins the one retry loop's contract: how many tries it
+// makes, how often it calls onRetry, and which error it returns.
+func TestPolicyRetry(t *testing.T) {
+	flaky := errors.New("flaky")
+	bad := &HTTPStatusError{Status: http.StatusBadRequest, Msg: "bad query"}
+	cases := []struct {
+		name string
+		// fail is the error of each try; a try past its end succeeds.
+		fail []error
+		// cancel: "before" cancels ctx before the first try, "backoff"
+		// from onRetry, so during the first backoff.
+		cancel      string
+		backoff     time.Duration
+		wantErr     error
+		wantTries   int
+		wantRetries int
+	}{
+		{name: "terminal stops after one try", fail: []error{bad, bad, bad}, wantErr: bad, wantTries: 1},
+		{name: "retryable uses every attempt", fail: []error{flaky, flaky, flaky, flaky, flaky}, wantErr: flaky, wantTries: 4, wantRetries: 3},
+		{name: "success ends the loop", fail: []error{flaky, flaky}, wantTries: 3, wantRetries: 2},
+		{name: "cancel during backoff returns the last error", fail: []error{flaky, flaky}, cancel: "backoff", backoff: time.Hour, wantErr: flaky, wantTries: 1, wantRetries: 1},
+		{name: "done before the first try returns ctx.Err", fail: []error{flaky}, cancel: "before", wantErr: context.Canceled},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancel == "before" {
+				cancel()
+			}
+			backoff := tc.backoff
+			if backoff == 0 {
+				backoff = time.Microsecond
+			}
+			p := QueryPolicy{MaxAttempts: 4, BaseBackoff: backoff, MaxBackoff: backoff}
+			var tries, retries int
+			onRetry := func() {
+				retries++
+				if tc.cancel == "backoff" {
+					cancel()
+				}
+			}
+			err := p.Retry(ctx, onRetry, func(_ context.Context, attempt int) error {
+				if attempt != tries {
+					t.Fatalf("try %d got attempt index %d", tries, attempt)
+				}
+				tries++
+				if attempt < len(tc.fail) {
+					return tc.fail[attempt]
+				}
+				return nil
+			})
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if tries != tc.wantTries || retries != tc.wantRetries {
+				t.Fatalf("%d tries and %d onRetry calls, want %d and %d", tries, retries, tc.wantTries, tc.wantRetries)
+			}
+		})
+	}
+}

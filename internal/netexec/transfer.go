@@ -17,13 +17,9 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"time"
 
 	"cubrick/internal/brick"
 )
-
-// exportChunkBytes is the pacing granularity of rate-limited exports.
-const exportChunkBytes = 64 << 10
 
 // fencedMsg is the body of the 503 a fenced partition returns to ingest.
 // The migration driver fences the source during the cutover pause; loaders
@@ -104,7 +100,7 @@ func (w *Worker) registerMigration(mux *http.ServeMux) {
 		rw.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 		w.countAdd("worker.export.requests", 1)
 		w.countAdd("worker.export.bytes", int64(len(blob)))
-		w.writePaced(r.Context(), rw, blob)
+		rw.Write(blob)
 	})
 	mux.HandleFunc("/import", func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -185,38 +181,6 @@ func (w *Worker) registerMigration(mux *http.ServeMux) {
 		rw.Header().Set(HeaderEpoch, strconv.FormatUint(e, 10))
 		fmt.Fprintf(rw, `{"epoch":%d,"rows":%d}`, e, st.Rows())
 	})
-}
-
-// writePaced writes blob to rw, throttled to ExportRateBytes per second in
-// exportChunkBytes chunks when a rate is configured. Pacing bounds the
-// network and lock pressure a migration puts on a loaded source worker —
-// DynaHash's cost model: moved bytes are paid at a controlled rate.
-func (w *Worker) writePaced(ctx context.Context, rw http.ResponseWriter, blob []byte) {
-	rate := w.ExportRateBytes
-	if rate <= 0 {
-		rw.Write(blob)
-		return
-	}
-	chunkDelay := time.Duration(float64(exportChunkBytes) / float64(rate) * float64(time.Second))
-	for off := 0; off < len(blob); off += exportChunkBytes {
-		end := off + exportChunkBytes
-		if end > len(blob) {
-			end = len(blob)
-		}
-		if _, err := rw.Write(blob[off:end]); err != nil {
-			return
-		}
-		if end < len(blob) {
-			if f, ok := rw.(http.Flusher); ok {
-				f.Flush()
-			}
-			select {
-			case <-time.After(chunkDelay):
-			case <-ctx.Done():
-				return
-			}
-		}
-	}
 }
 
 // --- client side -----------------------------------------------------------

@@ -117,7 +117,7 @@ fi
 # time) may fall but never rise. Lower WALL_CLOCK_MAX when a change removes
 # sites.
 echo "== wall-clock ratchet"
-WALL_CLOCK_MAX=31
+WALL_CLOCK_MAX=26
 CLOCK_SRC="$(find internal -name '*.go' ! -name '*_test.go' ! -path 'internal/simclock/*' ! -path 'internal/benchkit/*')"
 CLOCK_SITES="$(cat $CLOCK_SRC | grep -oE 'time\.(Now|Since|After|NewTimer|NewTicker|Sleep|Tick|AfterFunc|Until)\(' | wc -l)"
 echo "wall-clock call sites in non-test internal/: $CLOCK_SITES (ceiling $WALL_CLOCK_MAX)"
@@ -149,6 +149,28 @@ if go list -f '{{join .Imports "\n"}}' ./internal/netexec | grep -q 'internal/cu
     exit 1
 fi
 echo "internal/netexec non-test lines: $(cat $NETEXEC_SRC | wc -l)"
+
+# One retry loop: the coordinator's fetches, the cluster's loads and the
+# migration driver's steps retry through netexec.QueryPolicy.Retry, so
+# backoffFor( and jitter( are called inside it and nowhere else. The
+# migration driver's own loop, its random source and its hand-made timers
+# must not come back, nor the export pacing nothing set.
+echo "== one retry loop"
+OUTSIDE="$(awk '/^func \(p QueryPolicy\) Retry\(/ { inside = 1 } /^}/ { inside = 0 } !inside && !/^func (jitter|\(p QueryPolicy\) backoffFor)\(/ && /(backoffFor|jitter)\(/ { print FILENAME ":" FNR ": " $0 }' $NONTEST_GO)"
+if [ -n "$OUTSIDE" ]; then
+    echo "one retry loop: backoffFor( or jitter( is called outside QueryPolicy.Retry; retry through it:"
+    printf '%s\n' "$OUTSIDE"
+    exit 1
+fi
+MIGRATE_SRC="$(ls internal/migrate/*.go | grep -v _test.go)"
+if grep -nF -e 'rand.New' -e 'time.NewTimer' -e 'func (d *Driver) retry' $MIGRATE_SRC; then
+    echo "one retry loop: non-test internal/migrate has its own retry loop, random source or timer (see above); use netexec.QueryPolicy.Retry and netexec.SleepCtx"
+    exit 1
+fi
+if grep -nF -e 'ExportRateBytes' -e 'writePaced' $NONTEST_GO; then
+    echo "one retry loop: export pacing is back in non-test code (see above)"
+    exit 1
+fi
 
 # One coordinator: the in-process plane runs netexec.Coordinator too, over
 # an in-memory transport that hands each /partial call to the host's
