@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,8 +45,11 @@ type Brick struct {
 	obs *storeObs
 
 	// hotness is incremented whenever a query touches the brick and
-	// decays stochastically over time (§IV-F2, inspired by LeanStore).
-	hotness float64
+	// decays stochastically over time (§IV-F2, inspired by LeanStore). It
+	// holds float64 bits and is written only under mu, but read without
+	// it: the decoded cache ranks eviction victims by it and may not take
+	// mu (see decodedBrick.Heat).
+	hotness atomic.Uint64
 
 	// epoch is the brick's ingest epoch: the value of the store-wide
 	// counter at the brick's most recent row append. It only ever grows,
@@ -62,6 +66,11 @@ type Brick struct {
 	// dcache points at the store's decoded-column cache holder; shared by
 	// all bricks so late attachment reaches existing bricks. May be nil.
 	dcache *dcacheRef
+	// dec is the brick's one decoded-column cache entry, nil when it has
+	// none. A visit holding mu serves from it when it was decoded at the
+	// brick's current epoch; the cache, which owns the byte budget, clears
+	// it on eviction with a compare-and-swap and never takes mu.
+	dec atomic.Pointer[decodedBrick]
 
 	// uid distinguishes this brick from every other brick in the process
 	// (including re-imported bricks of the same id), so decoded-cache keys
@@ -107,24 +116,25 @@ func (b *Brick) Rows() int {
 }
 
 // Hotness returns the current hotness counter.
-func (b *Brick) Hotness() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.hotness
-}
+func (b *Brick) Hotness() float64 { return math.Float64frombits(b.hotness.Load()) }
 
-// Touch adds heat to the brick; queries call it on every brick they visit.
+// setHotnessLocked stores a new hotness; caller holds b.mu, so read,
+// modify and write are not interleaved with another writer's.
+func (b *Brick) setHotnessLocked(h float64) { b.hotness.Store(math.Float64bits(h)) }
+
+// Touch adds heat to the brick. Ingest calls it per batch; a query's visit
+// adds its heat inside the visit's own hold of the lock.
 func (b *Brick) Touch(heat float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.hotness += heat
+	b.setHotnessLocked(b.Hotness() + heat)
 }
 
 // Decay multiplies the hotness counter by factor in [0,1).
 func (b *Brick) Decay(factor float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.hotness *= factor
+	b.setHotnessLocked(b.Hotness() * factor)
 }
 
 // IsCompressed reports whether the brick currently holds only a compressed
@@ -337,53 +347,56 @@ func (b *Brick) decompressLocked() error {
 	return nil
 }
 
-// visitBatch streams the brick's columnar batch to fn, decoding only the
-// columns the projection references (a nil projection materializes
-// everything) into pooled scratch buffers. Queries over cold bricks pay a
-// transient decode — exactly the cost adaptive compression minimizes for
-// hot data. The batch and its views are valid only for the call.
-func (b *Brick) visitBatch(proj *Projection, fn func(*Batch) error) error {
-	_, _, err := b.visitBatchEpoch(proj, fn)
-	return err
-}
-
-// visitBatchEpoch is visitBatch plus exact epoch observation: the returned
-// epoch is read under the same b.mu critical section as the data, so it is
-// precisely the ingest state the callback saw — the property the
-// decoded-column cache keys on. decoded reports whether the blob was walked (false on raw
-// bricks and on visits the decoded cache served without it).
-func (b *Brick) visitBatchEpoch(proj *Projection, fn func(*Batch) error) (epoch uint64, decoded bool, err error) {
+// visit is a query's one hold of the brick lock: it adds the query's heat,
+// reports the tier, prunes by the encoded blob's column bounds when prune
+// is set (fn is then not called), and otherwise streams the brick's
+// columnar batch to fn, decoding only the columns the projection references
+// (a nil projection materializes everything). Queries over cold bricks pay
+// a transient decode into pooled scratch unless the decoded-column cache
+// serves them; the batch and its views are valid only for the call.
+func (b *Brick) visit(proj *Projection, prune *Filter, fn func(*Batch) error) (v Visited, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	epoch = b.epoch
+	// Heat accrues for every brick the query touched, pruned or not.
+	b.setHotnessLocked(b.Hotness() + 1)
+	v.Compressed = b.encoded != nil || b.ssd != nil
+	if prune != nil && b.encoded != nil && blobBoundsPrune(b.encoded, b.rows, len(b.dims), prune) {
+		v.Pruned = true
+		return v, nil
+	}
 	if b.rows == 0 {
-		return epoch, false, nil
+		return v, nil
 	}
-	if b.encoded == nil && b.ssd == nil {
-		batch := Batch{Dims: b.dims, Metrics: b.metrics, Rows: b.rows}
-		return epoch, false, fn(&batch)
-	}
-
 	sc := visitPool.Get().(*visitScratch)
 	defer visitPool.Put(sc)
+	if !v.Compressed {
+		// The raw batch's header lives in the pooled scratch rather than on
+		// the heap, and is cleared after fn so the pool pins no column.
+		sc.raw = Batch{Dims: b.dims, Metrics: b.metrics, Rows: b.rows}
+		err := fn(&sc.raw)
+		sc.raw = Batch{}
+		return v, err
+	}
+
 	dc := b.dcache.load()
 	if dc == nil || (proj != nil && proj.NoCache) {
 		batch, err := b.decodeLocked(proj, sc, sc)
 		if err != nil {
-			return epoch, false, err
+			return v, err
 		}
-		return epoch, true, fn(batch)
+		v.decoded, v.inflated = true, b.ssd != nil
+		return v, fn(batch)
 	}
 
-	// Decoded-column cache: this (brick generation, epoch)'s one entry holds
-	// a slot per column decoded so far, whichever projection asked first.
-	// The key carries the epoch, so an ingest into the brick simply orphans
-	// the old entry — it ages out of the LRU without any explicit purge.
-	key := dcacheKey(b.uid, epoch)
+	// Decoded-column cache: the brick's one entry holds a slot per column
+	// decoded so far at its epoch, whichever projection asked first. A hit
+	// is this check alone — no key, no cache lock. An entry of an older
+	// epoch (or another cache) is replaced, under the same cache key.
 	nDims, nMetrics := len(b.dims), len(b.metrics)
-	ent, fresh := dc.get(key, b.hotness), false
-	if ent == nil {
-		ent, fresh = newDecodedBrick(nDims, nMetrics, b.rows), true
+	ent := b.dec.Load()
+	fresh := ent == nil || ent.epoch != b.epoch || ent.dc != dc
+	if fresh {
+		ent = newDecodedBrick(b, dc, nDims, nMetrics)
 	}
 	if miss := ent.missing(proj, sc); miss != nil {
 		// Walk the blob for the missing slots only, into buffers the entry
@@ -391,18 +404,21 @@ func (b *Brick) visitBatchEpoch(proj *Projection, fn func(*Batch) error) (epoch 
 		// buffer is read during the walk and not after, so that one is sc's.
 		got, err := b.decodeLocked(miss, sc, &visitScratch{})
 		if err != nil {
-			return epoch, false, err
+			return v, err
 		}
 		ent.adopt(got)
-		decoded = true
+		v.decoded, v.inflated = true, b.ssd != nil
 	}
 	view := sc.prepare(nDims, nMetrics)
-	if grew := ent.view(proj, view); fresh || decoded || grew {
-		dc.put(key, ent, b.hotness)
+	if grew := ent.view(proj, view); fresh || v.decoded || grew {
+		// Publish before pricing, so an eviction the put triggers finds
+		// the entry on the brick and clears it.
+		b.dec.Store(ent)
+		dc.put(ent)
 	} else {
 		dc.hit()
 	}
-	return epoch, decoded, fn(view)
+	return v, fn(view)
 }
 
 // decodeLocked walks the brick's blob once, decoding the columns proj

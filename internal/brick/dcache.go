@@ -10,20 +10,26 @@ import (
 
 // DecodedCache keeps hot compressed bricks' decoded columns pinned in
 // memory so the inflate and dict/RLE/Gorilla unpack cost is paid once per
-// (brick generation, ingest epoch, column) instead of on every scan. There
-// is one entry per (brick generation, epoch) — a decodedBrick with a slot
-// per column — shared by every projection that visits the brick: a visit
-// decodes only the slots its projection needs and the entry lacks, and the
-// grown entry is re-priced in place. The projection is deliberately not
-// part of the key: ad-hoc traffic draws dozens of shapes, and a copy of the
-// same columns per shape (~9 per brick, measured) overflows the budget and
-// turns one visit in five into a re-inflate and re-decode.
+// (brick generation, ingest epoch, column) instead of on every scan. Each
+// brick has at most one entry — a decodedBrick with a slot per column —
+// shared by every projection that visits the brick: a visit decodes only
+// the slots its projection needs and the entry lacks, and the grown entry
+// is re-priced in place. The projection is deliberately not part of the
+// entry's identity: ad-hoc traffic draws dozens of shapes, and a copy of
+// the same columns per shape (~9 per brick, measured) overflows the budget
+// and turns one visit in five into a re-inflate and re-decode.
 //
-// Entries are keyed on the exact epoch observed under the brick lock during
-// the decode, so an ingest simply strands the old entry — no purge protocol
-// — and eviction is driven by the brick's live hotness (scancache's
-// heat-aware LRU), which is the PR-5 ladder deciding residency. A lookup is
-// a hit when the visit had to decode nothing, a miss otherwise.
+// The entry lives on its brick (Brick.dec) and records the epoch it was
+// decoded at, so a visit, which already holds the brick lock, hits without
+// a key, a map lookup or any shared lock, and counts the hit lock-free.
+// The scancache underneath is only the byte budget and the eviction order,
+// touched when an entry is filled, grows or is evicted: it keys entries by
+// brick generation alone, so an ingest's new-epoch entry replaces the
+// stranded one, and an eviction clears the brick's pointer (never taking
+// the brick lock). Eviction ranks entries by their brick's live hotness
+// (scancache's heat-aware LRU), the same signal that moves bricks along
+// the tier ladder. A visit is a hit when it had to decode nothing, a miss
+// otherwise.
 //
 // A nil *DecodedCache is valid and never hits.
 type DecodedCache struct {
@@ -57,58 +63,61 @@ func (d *DecodedCache) Stats() scancache.Stats {
 	return d.c.Stats()
 }
 
-// get returns the brick generation's entry, nil when there is none. It
-// does not count: the visit settles hit or miss once it knows whether the
-// entry held everything (hit) or had to grow (put).
-func (d *DecodedCache) get(key string, heat float64) *decodedBrick {
-	if v, ok := d.c.Peek(key, heat); ok {
-		return v.(*decodedBrick)
-	}
-	return nil
-}
-
+// hit counts a visit its brick's entry served whole; it takes no lock.
 func (d *DecodedCache) hit() { d.c.Count(true) }
 
-// put (re)publishes an entry that grew during a visit at its new byte
-// cost and counts the visit as a miss.
-func (d *DecodedCache) put(key string, e *decodedBrick, heat float64) {
+// put (re)publishes an entry that was filled or grew during a visit at its
+// new byte cost and counts the visit as a miss.
+func (d *DecodedCache) put(e *decodedBrick) {
 	d.c.Count(false)
-	d.c.Put(key, e, batchBytes(&e.cols), heat)
+	d.c.Put(e.key, e, batchBytes(&e.cols), 0)
 }
 
 // dcacheKey derives the cache key of one brick's decoded columns: the
-// brick's process-wide generation uid (Import creates fresh uids, so
-// replaced bricks can never alias) and the exact ingest epoch the decode
-// observed. Which columns a scan wants is not part of the key — that is
-// what the entry's slots are for.
-func dcacheKey(uid, epoch uint64) string {
-	buf := make([]byte, 0, 41)
-	buf = strconv.AppendUint(buf, uid, 10)
-	buf = append(buf, ':')
-	buf = strconv.AppendUint(buf, epoch, 10)
-	return string(buf)
+// brick's process-wide generation uid alone (Import creates fresh uids, so
+// replaced bricks can never alias). Neither the epoch nor the columns a
+// scan wants are part of it: a brick has one entry, which a new epoch's
+// replaces and whose slots hold the columns.
+func dcacheKey(uid uint64) string {
+	return strconv.FormatUint(uid, 10)
 }
 
-// decodedBrick is the cache entry of one (brick generation, epoch): the
-// union of every column slot decoded so far, nil where nothing was asked
-// for yet. A dimension slot always holds the column's most compact form
-// first — its run view (RLE, constant FOR), its code+dict view (dictionary)
-// or, for encodings with neither, its values — because the blob is only
-// ever walked with ColGroupEncoded; the values of a run or dictionary column
-// are expanded from that view the first time a projection needs them.
+// decodedBrick is the cache entry of one brick at one epoch: the union of
+// every column slot decoded so far, nil where nothing was asked for yet. A
+// dimension slot always holds the column's most compact form first — its
+// run view (RLE, constant FOR), its code+dict view (dictionary) or, for
+// encodings with neither, its values — because the blob is only ever walked
+// with ColGroupEncoded; the values of a run or dictionary column are
+// expanded from that view the first time a projection needs them.
 //
 // All visits of a brick run under its lock, so an entry has one writer and
-// no reader beside it; the cache only moves the pointer around.
+// no reader beside it; the cache only moves the pointer around and reads
+// the brick's hotness.
 type decodedBrick struct {
-	cols Batch
+	cols  Batch
+	b     *Brick
+	dc    *DecodedCache
+	epoch uint64
+	key   string
 }
 
-func newDecodedBrick(nDims, nMetrics, rows int) *decodedBrick {
-	return &decodedBrick{cols: Batch{
-		Dims: make([][]uint32, nDims), Metrics: make([][]float64, nMetrics), Rows: rows,
+// newDecodedBrick returns an empty entry for b at its current epoch in dc.
+// Caller holds b.mu.
+func newDecodedBrick(b *Brick, dc *DecodedCache, nDims, nMetrics int) *decodedBrick {
+	return &decodedBrick{b: b, dc: dc, epoch: b.epoch, key: dcacheKey(b.uid), cols: Batch{
+		Dims: make([][]uint32, nDims), Metrics: make([][]float64, nMetrics), Rows: b.rows,
 		DimRuns: make([][]Run, nDims), DimCodes: make([][]uint32, nDims), DimDict: make([][]uint32, nDims),
 	}}
 }
+
+// Heat is the brick's live hotness, by which eviction ranks the entry.
+func (e *decodedBrick) Heat() float64 { return e.b.Hotness() }
+
+// Dropped clears the brick's pointer once the cache stops holding the
+// entry, unless the brick has moved on to another entry. It runs under
+// the cache's lock, so it must not take the brick's: a visit holds the
+// brick lock while it puts.
+func (e *decodedBrick) Dropped() { e.b.dec.CompareAndSwap(e, nil) }
 
 // missing reports which of the columns proj references the entry cannot
 // serve, as the projection to walk the blob with (built in sc); nil when

@@ -32,7 +32,7 @@ func cloneBatch(b *Batch) *Batch {
 func visitCopy(t testing.TB, task *ScanTask, proj *Projection) *Batch {
 	t.Helper()
 	var got *Batch
-	if err := task.VisitBatch(proj, func(b *Batch) error {
+	if _, err := task.VisitBatch(proj, nil, func(b *Batch) error {
 		got = cloneBatch(b)
 		return nil
 	}); err != nil {
@@ -71,8 +71,8 @@ func wants(proj *Projection, nDims, nMetrics int) (mask uint) {
 // bricks, straight off the entries.
 func entryBytes(dc *DecodedCache, s *Store) (sum int64, entries int) {
 	for _, e := range s.snapshotBricks() {
-		if v, ok := dc.c.Peek(dcacheKey(e.b.uid, e.b.Epoch()), 0); ok {
-			sum += batchBytes(&v.(*decodedBrick).cols)
+		if v := e.b.dec.Load(); v != nil && v.dc == dc && v.epoch == e.b.Epoch() {
+			sum += batchBytes(&v.cols)
 			entries++
 		}
 	}
@@ -101,11 +101,7 @@ func TestDecodedCacheOneEntryPerBrick(t *testing.T) {
 			const budget = 8 << 20
 			dc := NewDecodedCache(budget)
 			s.SetDecodedCache(dc)
-			plan, err := s.PlanScan(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tasks := plan.Tasks
+			tasks, _ := s.PlanScan(nil, nil)
 			bricks := len(tasks)
 
 			// The reference decodes bypass the cache and pay a walk each;
@@ -176,7 +172,8 @@ func TestDecodedCacheOneEntryPerBrick(t *testing.T) {
 				visits, bricks, wantWalks, st.Hits, st.Misses, runViews, codeViews, st.Bytes)
 
 			// Ingest into one brick: it goes raw under a new epoch; once it is
-			// compressed again the old entry is stranded, never served.
+			// compressed again the old entry is never served, and the new
+			// epoch's entry replaces it under the brick's one key.
 			hot := tasks[0].brick
 			row := make([]uint32, nd)
 			for d := range row {
@@ -185,6 +182,7 @@ func TestDecodedCacheOneEntryPerBrick(t *testing.T) {
 			if err := s.Insert(row, make([]float64, nm)); err != nil {
 				t.Fatal(err)
 			}
+			var err error
 			if tier == "evicted" {
 				err = hot.Evict()
 			} else {
@@ -199,8 +197,8 @@ func TestDecodedCacheOneEntryPerBrick(t *testing.T) {
 					t.Fatalf("after ingest: cached batch (%d rows) differs from NoCache decode (%d rows), was %d", got.Rows, ref.Rows, want[1][0].Rows)
 				}
 			}
-			if st := dc.Stats(); st.Entries != bricks+1 {
-				t.Fatalf("entries = %d after ingest into one brick, want %d (the old epoch's entry stranded)", st.Entries, bricks+1)
+			if st := dc.Stats(); st.Entries != bricks {
+				t.Fatalf("entries = %d after ingest into one brick, want %d (the old epoch's entry replaced)", st.Entries, bricks)
 			}
 
 			// Import replaces every brick with a new generation (fresh uids).
@@ -216,18 +214,15 @@ func TestDecodedCacheOneEntryPerBrick(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			plan, err = s.PlanScan(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ti := range plan.Tasks {
-				got := visitCopy(t, &plan.Tasks[ti], shapes[0])
-				if ref := visitCopy(t, &plan.Tasks[ti], uncached(shapes[0])); !reflect.DeepEqual(got, ref) {
+			tasks, _ = s.PlanScan(tasks[:0], nil)
+			for ti := range tasks {
+				got := visitCopy(t, &tasks[ti], shapes[0])
+				if ref := visitCopy(t, &tasks[ti], uncached(shapes[0])); !reflect.DeepEqual(got, ref) {
 					t.Fatalf("after Import brick %d: cached batch differs from NoCache decode", ti)
 				}
 			}
-			if st := dc.Stats(); st.Entries != 2*bricks+1 {
-				t.Fatalf("entries = %d after Import, want %d (every old generation stranded)", st.Entries, 2*bricks+1)
+			if st := dc.Stats(); st.Entries != 2*bricks {
+				t.Fatalf("entries = %d after Import, want %d (every old generation stranded)", st.Entries, 2*bricks)
 			}
 			if sum, n := entryBytes(dc, s); n != bricks || sum >= dc.Stats().Bytes {
 				t.Fatalf("live entries %d (%d bytes) of %d cached bytes", n, sum, dc.Stats().Bytes)
@@ -244,11 +239,8 @@ func TestDecodedCacheOneEntryPerBrick(t *testing.T) {
 func TestDecodedCacheConcurrentVisitors(t *testing.T) {
 	s := mixedStore(t, 60, "evicted")
 	shapes := append(mixedShapes(), nil)
-	plan, err := s.PlanScan(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks := plan.Tasks[:6]
+	tasks, _ := s.PlanScan(nil, nil)
+	tasks = tasks[:6]
 	want := make([][]*Batch, len(shapes))
 	for si, proj := range shapes {
 		for ti := range tasks {
@@ -267,7 +259,7 @@ func TestDecodedCacheConcurrentVisitors(t *testing.T) {
 			for i := 0; i < 40*len(shapes); i++ {
 				si, ti := (g+i)%len(shapes), (g*5+i)%len(tasks)
 				var got *Batch
-				if err := tasks[ti].VisitBatch(shapes[si], func(b *Batch) error {
+				if _, err := tasks[ti].VisitBatch(shapes[si], nil, func(b *Batch) error {
 					got = cloneBatch(b)
 					return nil
 				}); err != nil {
@@ -285,5 +277,104 @@ func TestDecodedCacheConcurrentVisitors(t *testing.T) {
 	st := dc.Stats()
 	if st.Evictions == 0 || st.Hits == 0 || st.Entries > len(tasks) {
 		t.Fatalf("want evictions and hits over at most %d entries, got %+v", len(tasks), st)
+	}
+}
+
+// TestDecodedHitAllocs is the allocation ceiling check.sh enforces on the
+// decoded cache's hit path: a visit its brick's entry serves whole builds
+// no key and allocates nothing, on either compressed tier, with or without
+// a prune filter that keeps the brick.
+func TestDecodedHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random, so allocations are not meaningful under -race")
+	}
+	keep := &Filter{Ranges: map[int][2]uint32{1: {0, 15}}} // every region: prunes nothing
+	for _, tier := range []string{"encoded", "evicted"} {
+		t.Run(tier, func(t *testing.T) {
+			s := mixedStore(t, 60, tier)
+			dc := NewDecodedCache(8 << 20)
+			s.SetDecodedCache(dc)
+			tasks, _ := s.PlanScan(nil, nil)
+			shapes := mixedShapes()
+			rows := 0
+			visitAll := func() {
+				for _, proj := range shapes {
+					for i := range tasks {
+						v, err := tasks[i].VisitBatch(proj, keep, func(b *Batch) error {
+							rows += b.Rows
+							return nil
+						})
+						if err != nil || v.Pruned || !v.Compressed {
+							t.Fatalf("visit: %+v, %v", v, err)
+						}
+					}
+				}
+			}
+			visitAll() // fill every brick's entry with every shape's columns
+			visitAll()
+			before := dc.Stats()
+			allocs := testing.AllocsPerRun(10, visitAll)
+			after := dc.Stats()
+			if visits := int64(11 * len(shapes) * len(tasks)); after.Hits-before.Hits != visits || after.Misses != before.Misses {
+				t.Fatalf("warm visits: %d hits, %d misses over %d visits", after.Hits-before.Hits, after.Misses-before.Misses, visits)
+			}
+			if allocs != 0 {
+				t.Fatalf("%d warm visits allocate %.0f objects, ceiling is 0", len(shapes)*len(tasks), allocs)
+			}
+		})
+	}
+}
+
+// TestDecodedCacheOneEntryAfterIngests: a brick has one decoded entry
+// whatever its ingest history. Each ingest moves the brick to a new epoch;
+// once it is compressed and visited again, the new epoch's entry replaces
+// the old one under the brick's key instead of stranding it beside it.
+func TestDecodedCacheOneEntryAfterIngests(t *testing.T) {
+	s, err := NewStore(testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := NewDecodedCache(8 << 20)
+	s.SetDecodedCache(dc)
+	row := []uint32{1, 2, 3}
+	for n := 1; n <= 20; n++ {
+		if err := s.Insert(row, []float64{float64(n), 1}); err != nil {
+			t.Fatal(err)
+		}
+		tasks, _ := s.PlanScan(nil, nil)
+		b := tasks[0].brick
+		if err := b.Compress(); err != nil {
+			t.Fatal(err)
+		}
+		got := visitCopy(t, &tasks[0], nil)
+		if got.Rows != n || got.Metrics[0][n-1] != float64(n) {
+			t.Fatalf("ingest %d: visit saw %d rows, last value %v", n, got.Rows, got.Metrics[0][got.Rows-1])
+		}
+		st := dc.Stats()
+		if ent := b.dec.Load(); len(tasks) != 1 || st.Entries != 1 || ent == nil || ent.epoch != b.Epoch() ||
+			st.Bytes != batchBytes(&ent.cols) || st.Evictions != 0 {
+			t.Fatalf("after %d ingests into one brick: %d bricks, cache %+v, want exactly one entry at the brick's epoch", n, len(tasks), st)
+		}
+	}
+}
+
+// TestDecodedEvictionClearsBrick: the entries bricks hold are exactly the
+// entries the cache holds. Under a budget of about a third of the bricks,
+// every eviction clears its brick's pointer, so no brick keeps decoded
+// columns the budget no longer counts.
+func TestDecodedEvictionClearsBrick(t *testing.T) {
+	s := mixedStore(t, 60, "evicted")
+	tasks, _ := s.PlanScan(nil, nil)
+	dc := NewDecodedCache(int64(len(tasks)) / 3 * 60 * (s.schema.RowBytes() + 8))
+	s.SetDecodedCache(dc)
+	for round := 0; round < 3; round++ {
+		for i := range tasks {
+			visitCopy(t, &tasks[i], nil)
+		}
+	}
+	sum, n := entryBytes(dc, s)
+	st := dc.Stats()
+	if st.Evictions == 0 || n != st.Entries || sum != st.Bytes {
+		t.Fatalf("bricks hold %d entries (%d bytes), cache holds %+v", n, sum, st)
 	}
 }

@@ -937,6 +937,8 @@ type visitScratch struct {
 	codeBufs [][]uint32
 	inflate  []byte
 	batch    Batch
+	// raw is the batch header of a raw brick's visit, its columns aliased.
+	raw Batch
 	// miss is the decoded cache's "columns still to decode" projection.
 	miss Projection
 }

@@ -277,7 +277,7 @@ func TestBlobRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestProjectionSkipsColumns checks that visitBatch leaves unreferenced
+// TestProjectionSkipsColumns checks that a visit leaves unreferenced
 // columns nil and decodes referenced ones correctly.
 func TestProjectionSkipsColumns(t *testing.T) {
 	b := newBrick(3, 2)
@@ -291,7 +291,7 @@ func TestProjectionSkipsColumns(t *testing.T) {
 		Dims:    []ColRequest{ColNeed, ColSkip, ColSkip},
 		Metrics: []bool{false, true},
 	}
-	err := b.visitBatch(proj, func(batch *Batch) error {
+	_, err := b.visit(proj, nil, func(batch *Batch) error {
 		if batch.Rows != 500 {
 			return fmt.Errorf("rows %d", batch.Rows)
 		}
@@ -336,7 +336,7 @@ func TestGroupEncodedViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	proj := &Projection{Dims: []ColRequest{ColGroupEncoded, ColGroupEncoded, ColGroupEncoded}}
-	err := b.visitBatch(proj, func(batch *Batch) error {
+	_, err := b.visit(proj, nil, func(batch *Batch) error {
 		runs := batch.Runs(0)
 		if runs == nil || batch.Dims[0] != nil {
 			return fmt.Errorf("dim0: want run view, got %v / dims %v", runs, batch.Dims[0])
@@ -379,7 +379,7 @@ func TestUnknownBlobVersionRejected(t *testing.T) {
 	resident := newBrick(2, 1)
 	resident.rows = 3
 	resident.encoded = old
-	if _, _, err := resident.visitBatchEpoch(nil, noop); !errors.Is(err, errUnknownBlobVersion) {
+	if _, err := resident.visit(nil, nil, noop); !errors.Is(err, errUnknownBlobVersion) {
 		t.Fatalf("resident scan: %v", err)
 	}
 	if err := resident.Decompress(); !errors.Is(err, errUnknownBlobVersion) {
@@ -394,7 +394,7 @@ func TestUnknownBlobVersionRejected(t *testing.T) {
 	evicted.rows = 3
 	evicted.ssd = flated.Bytes()
 	evicted.encLen = len(old)
-	if _, _, err := evicted.visitBatchEpoch(nil, noop); !errors.Is(err, errUnknownBlobVersion) {
+	if _, err := evicted.visit(nil, nil, noop); !errors.Is(err, errUnknownBlobVersion) {
 		t.Fatalf("evicted scan: %v", err)
 	}
 

@@ -12,7 +12,7 @@ import (
 // planScanReference is PlanScan as it was before the sorted snapshot: copy
 // the brick map, sort the ids, compute bounds per brick, then prune. The
 // snapshot must be indistinguishable from it.
-func planScanReference(t *testing.T, s *Store, f *Filter) *ScanPlan {
+func planScanReference(t *testing.T, s *Store, f *Filter) (tasks []ScanTask, pruned int) {
 	t.Helper()
 	s.mu.Lock()
 	ids := make([]uint64, 0, len(s.bricks))
@@ -25,7 +25,7 @@ func planScanReference(t *testing.T, s *Store, f *Filter) *ScanPlan {
 	}
 	s.mu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	plan := &ScanPlan{Tasks: []ScanTask{}}
+	tasks = []ScanTask{}
 	for _, id := range ids {
 		bounds, err := s.schema.BrickBounds(id)
 		if err != nil {
@@ -39,12 +39,12 @@ func planScanReference(t *testing.T, s *Store, f *Filter) *ScanPlan {
 			}
 		}
 		if !overlaps {
-			plan.Pruned++
+			pruned++
 			continue
 		}
-		plan.Tasks = append(plan.Tasks, ScanTask{store: s, brick: bricks[id], BrickID: id, Bounds: bounds, Full: covers})
+		tasks = append(tasks, ScanTask{store: s, brick: bricks[id], BrickID: id, Bounds: bounds, Full: covers})
 	}
-	return plan
+	return tasks, pruned
 }
 
 func checkPlanScan(t *testing.T, stage string, s *Store) {
@@ -56,19 +56,19 @@ func checkPlanScan(t *testing.T, stage string, s *Store) {
 		{Ranges: map[int][2]uint32{1: {95, 99}, 2: {364, 364}}},
 		{Ranges: map[int][2]uint32{1: {50, 40}}}, // empty range: prunes everything
 	}
+	// A reused dst holding another plan's tasks: PlanScan appends after them.
+	dst := []ScanTask{{BrickID: 1 << 60}}
 	for i, f := range filters {
-		got, err := s.PlanScan(f)
-		if err != nil {
-			t.Fatalf("%s filter %d: %v", stage, i, err)
-		}
-		want := planScanReference(t, s, f)
-		if got.Pruned != want.Pruned || !reflect.DeepEqual(got.Tasks, want.Tasks) {
+		got, pruned := s.PlanScan(dst[:1], f)
+		want, wantPruned := planScanReference(t, s, f)
+		if pruned != wantPruned || got[0].BrickID != 1<<60 || !reflect.DeepEqual(got[1:], want) {
 			t.Fatalf("%s filter %d: PlanScan differs from sort-per-call reference: %d tasks/%d pruned, want %d/%d",
-				stage, i, len(got.Tasks), got.Pruned, len(want.Tasks), want.Pruned)
+				stage, i, len(got)-1, pruned, len(want), wantPruned)
 		}
+		dst = got
 	}
-	if n := s.BrickCount(); n != len(planScanReference(t, s, nil).Tasks) {
-		t.Fatalf("%s: BrickCount %d disagrees with the brick map", stage, n)
+	if all, _ := planScanReference(t, s, nil); s.BrickCount() != len(all) {
+		t.Fatalf("%s: BrickCount %d disagrees with the brick map", stage, s.BrickCount())
 	}
 }
 
@@ -173,23 +173,22 @@ func store256(tb testing.TB) *Store {
 	return s
 }
 
-// TestPlanScanAllocs is the allocation ceiling check.sh enforces: a plan is
-// the ScanPlan and its task slice, whatever the brick count — no map copy,
-// no sort, no per-brick bounds.
+// TestPlanScanAllocs is the allocation ceiling check.sh enforces: a plan
+// appended into a task slice with room allocates nothing, whatever the
+// brick count — no map copy, no sort, no per-brick bounds.
 func TestPlanScanAllocs(t *testing.T) {
 	s := store256(t)
 	f := &Filter{Ranges: map[int][2]uint32{0: {40, 90}, 2: {100, 300}}}
+	tasks, _ := s.PlanScan(nil, f)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := s.PlanScan(f); err != nil {
-			t.Fatal(err)
-		}
+		tasks, _ = s.PlanScan(tasks[:0], f)
 	})
-	if allocs > 2 {
-		t.Fatalf("PlanScan over 256 bricks allocates %.0f objects per call, ceiling is 2", allocs)
+	if allocs > 0 {
+		t.Fatalf("PlanScan over 256 bricks into a slice with room allocates %.0f objects per call, ceiling is 0", allocs)
 	}
 }
 
-var planSink *ScanPlan
+var planSink []ScanTask
 
 // BenchmarkPlanScan256 is the per-call planning cost of one /partial over
 // a 256-brick partition under a pruning filter (ROADMAP aim 1c: the
@@ -200,7 +199,7 @@ func BenchmarkPlanScan256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		planSink, _ = s.PlanScan(f)
+		planSink, _ = s.PlanScan(planSink[:0], f)
 	}
 }
 

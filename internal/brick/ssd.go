@@ -134,11 +134,7 @@ func (s *Store) SSDBytes() int64 {
 
 // SSDReads returns how many scans had to read an evicted brick from SSD —
 // the IOPS signal §IV-F3 considers adding to load balancing.
-func (s *Store) SSDReads() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ssdReads
-}
+func (s *Store) SSDReads() int64 { return s.ssdReads.Load() }
 
 // EvictedBrickCount returns how many bricks live on the SSD tier.
 func (s *Store) EvictedBrickCount() int {

@@ -310,7 +310,7 @@ func TestPooledDeflateBytesUnchanged(t *testing.T) {
 // bits, in row order.
 func brickBits(t *testing.T, b *Brick) []uint64 {
 	var out []uint64
-	err := b.visitBatch(nil, func(batch *Batch) error {
+	_, err := b.visit(nil, nil, func(batch *Batch) error {
 		for _, col := range batch.Dims {
 			for _, v := range col[:batch.Rows] {
 				out = append(out, uint64(v))

@@ -96,10 +96,10 @@ type Store struct {
 	// decompressions counts transient decode work done by scans over
 	// compressed bricks — the cost adaptive compression tries to avoid
 	// for hot data (§IV-F2).
-	decompressions int64
+	decompressions atomic.Int64
 	// ssdReads counts scans that had to fetch an evicted brick from the
 	// SSD tier (§IV-F3).
-	ssdReads int64
+	ssdReads atomic.Int64
 
 	// obs fans encode/decode events from this store's bricks into an
 	// optional metrics registry (see SetMetricsRegistry); shared by every
@@ -375,90 +375,70 @@ type ScanTask struct {
 	Full bool
 }
 
-// Rows returns the task's row count.
-func (t *ScanTask) Rows() int { return t.brick.Rows() }
-
-// Compressed reports whether visiting the task will pay a transient
-// decompression.
-func (t *ScanTask) Compressed() bool { return t.brick.IsCompressed() }
-
 // Visit streams the brick's fully materialized columnar batch to fn,
 // adding heat and counting decompressions/SSD reads on the store. The
 // column slices are valid only for the duration of the call.
 func (t *ScanTask) Visit(fn func(dims [][]uint32, metrics [][]float64, rows int) error) error {
-	return t.VisitBatch(nil, func(b *Batch) error {
+	_, err := t.VisitBatch(nil, nil, func(b *Batch) error {
 		return fn(b.Dims, b.Metrics, b.Rows)
 	})
-}
-
-// VisitBatch streams the brick's columnar batch to fn, decoding only the
-// columns the projection references (nil materializes everything) into
-// pooled scratch buffers, adding heat and counting decompressions/SSD
-// reads on the store. The batch and its views are valid only for the
-// duration of the call. Decompression / SSD-read accounting counts only
-// visits that actually paid a decode, so decoded-cache hits do not inflate
-// the cost counters.
-func (t *ScanTask) VisitBatch(proj *Projection, fn func(*Batch) error) error {
-	t.brick.Touch(1)
-	_, decoded, err := t.brick.visitBatchEpoch(proj, fn)
-	if decoded {
-		t.store.mu.Lock()
-		t.store.decompressions++
-		if t.brick.IsEvicted() {
-			t.store.ssdReads++
-		}
-		t.store.mu.Unlock()
-	}
 	return err
 }
 
-// PruneEncoded inspects the brick's encoded blob header and reports whether
-// the filter provably matches no row — FOR base/width and dictionary
-// min/max bounds — without decoding any column. Raw and evicted bricks
-// return false: there is no resident blob to inspect without paying a
-// decode or I/O.
-func (t *ScanTask) PruneEncoded(f *Filter) bool {
-	b := t.brick
-	b.mu.Lock()
-	data := b.encoded
-	rows := b.rows
-	b.mu.Unlock()
-	if data == nil || !blobBoundsPrune(data, rows, len(t.store.schema.Dimensions), f) {
-		return false
-	}
-	// The query touched (and answered from) this brick; heat accrues just
-	// as a real visit would.
-	t.brick.Touch(1)
-	return true
+// Visited is what one ScanTask.VisitBatch found under the brick lock.
+type Visited struct {
+	// Compressed reports that the brick was in the encoded or evicted tier.
+	Compressed bool
+	// Pruned reports that the encoded blob's column bounds (FOR base and
+	// width, dictionary min/max) proved the prune filter matches no row, so
+	// the callback was not called.
+	Pruned bool
+
+	// decoded reports that the blob was walked (never on raw bricks, nor on
+	// visits the decoded cache served whole), inflated that it had to be
+	// read from the SSD tier first.
+	decoded, inflated bool
 }
 
-// ScanPlan is a stable snapshot of the bricks a filtered scan must visit,
-// with index-free pruning already applied.
-type ScanPlan struct {
-	// Tasks are the surviving bricks in ascending brick-id order.
-	Tasks []ScanTask
-	// Pruned counts bricks skipped because their bounds do not intersect
-	// the filter.
-	Pruned int
+// VisitBatch is the brick's one visit per query, under one hold of its
+// lock. It adds heat, and when prune is set and the brick's encoded blob
+// proves from its column stats, without decoding, that prune matches no
+// row, it is done (Visited.Pruned; raw and evicted bricks have no resident
+// blob to inspect for free, so they are never pruned this way). Otherwise
+// it streams the brick's columnar batch to fn, decoding only the columns
+// the projection references (nil materializes everything) into pooled
+// scratch buffers unless the decoded-column cache serves them. The batch
+// and its views are valid only for the duration of the call.
+// Decompression / SSD-read accounting counts only visits that actually
+// paid a decode, so decoded-cache hits do not inflate the cost counters.
+func (t *ScanTask) VisitBatch(proj *Projection, prune *Filter, fn func(*Batch) error) (Visited, error) {
+	v, err := t.brick.visit(proj, prune, fn)
+	if v.decoded {
+		t.store.decompressions.Add(1)
+		if v.inflated {
+			t.store.ssdReads.Add(1)
+		}
+	}
+	return v, err
 }
 
 // PlanScan prunes bricks whose bounds do not intersect the filter (the
 // index-free pruning Granular Partitioning provides) off the store's sorted
-// snapshot, returning one task per surviving brick. Callers may execute
-// the tasks in any order, including concurrently. Task bounds alias the
-// snapshot and are read-only.
-func (s *Store) PlanScan(f *Filter) (*ScanPlan, error) {
-	entries := s.snapshotBricks()
+// snapshot, appends one task per surviving brick to dst in ascending
+// brick-id order, and returns the grown slice and how many bricks were
+// pruned. Callers may execute the tasks in any order, including
+// concurrently; one that keeps dst across calls plans without allocating.
+// Task bounds alias the snapshot and are read-only.
+func (s *Store) PlanScan(dst []ScanTask, f *Filter) (tasks []ScanTask, pruned int) {
 	var buf [8]dimRange
 	ranges := f.flat(buf[:0])
-	plan := &ScanPlan{Tasks: make([]ScanTask, 0, len(entries))}
-	for _, e := range entries {
+	for _, e := range s.snapshotBricks() {
 		overlaps, covers := classify(ranges, e.bounds)
 		if !overlaps {
-			plan.Pruned++
+			pruned++
 			continue
 		}
-		plan.Tasks = append(plan.Tasks, ScanTask{
+		dst = append(dst, ScanTask{
 			store:   s,
 			brick:   e.b,
 			BrickID: e.id,
@@ -466,21 +446,18 @@ func (s *Store) PlanScan(f *Filter) (*ScanPlan, error) {
 			Full:    covers,
 		})
 	}
-	return plan, nil
+	return dst, pruned
 }
 
 // Scan streams matching rows to visit. Bricks whose bounds do not
 // intersect the filter are pruned without being touched (the index-free
 // pruning Granular Partitioning provides); visited bricks gain heat.
 func (s *Store) Scan(f *Filter, visit func(dims []uint32, metrics []float64) error) error {
-	plan, err := s.PlanScan(f)
-	if err != nil {
-		return err
-	}
+	tasks, _ := s.PlanScan(nil, f)
 	rowDims := make([]uint32, len(s.schema.Dimensions))
 	rowMetrics := make([]float64, len(s.schema.Metrics))
-	for i := range plan.Tasks {
-		t := &plan.Tasks[i]
+	for i := range tasks {
+		t := &tasks[i]
 		err := t.Visit(func(dims [][]uint32, metrics [][]float64, rows int) error {
 			for r := 0; r < rows; r++ {
 				if !t.Full && !f.MatchesAt(dims, r) {
@@ -507,11 +484,7 @@ func (s *Store) Scan(f *Filter, visit func(dims []uint32, metrics []float64) err
 
 // Decompressions returns how many scans had to transiently decode a
 // compressed brick.
-func (s *Store) Decompressions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.decompressions
-}
+func (s *Store) Decompressions() int64 { return s.decompressions.Load() }
 
 // MemoryBytes returns the store's resident footprint (compressed bricks at
 // compressed size).

@@ -89,15 +89,11 @@ func BenchmarkVisitBrickMixedProjections(b *testing.B) {
 			decoded := s.Rows() * s.Schema().RowBytes()
 			dc := NewDecodedCache(decoded * int64(len(shapes)) / 5)
 			s.SetDecodedCache(dc)
-			plan, err := s.PlanScan(nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tasks := plan.Tasks
+			tasks, _ := s.PlanScan(nil, nil)
 			var rows int
 			visit := func(i int) {
 				proj := shapes[i/len(tasks)%len(shapes)]
-				if err := tasks[i%len(tasks)].VisitBatch(proj, func(batch *Batch) error {
+				if _, err := tasks[i%len(tasks)].VisitBatch(proj, nil, func(batch *Batch) error {
 					rows += batch.Rows
 					return nil
 				}); err != nil {

@@ -9,9 +9,9 @@ import "errors"
 // combiner, no per-partition answer, no merge.
 //
 // The zero value is ready to use. Partial hands the groups over; Reset
-// empties the combiner but keeps its buffers, so a caller answering query
-// after query (a pool of combiners) stops allocating group state. A
-// Combiner is not safe for concurrent use.
+// empties the combiner but keeps its buffers (up to a bound), so a caller
+// answering query after query (a pool of combiners) stops allocating group
+// state. A Combiner is not safe for concurrent use.
 type Combiner struct {
 	ks kernelSet
 	// acc is the kernel the run picked, nil while the combiner is empty.
@@ -63,13 +63,23 @@ func (cb *Combiner) AppendBinary(q *Query, dst []byte) []byte {
 	return appendPartial(dst, cb.slab(q), cb.counts)
 }
 
-// Reset empties the combiner and keeps its buffers. It clears the cells,
-// so no distinct-count sketch survives into the next query.
+// maxKeptCombinerCells bounds the group state Reset keeps: a combiner
+// that grew past it for one huge answer drops its buffers, so whoever
+// keeps it for the next query does not pin them.
+const maxKeptCombinerCells = 1 << 16
+
+// Reset empties the combiner and keeps its buffers, unless they grew past
+// maxKeptCombinerCells. It clears the cells, so no distinct-count sketch
+// survives into the next query.
 func (cb *Combiner) Reset() {
 	if cb.acc != nil {
 		s := cb.acc.slab()
-		clear(s.cells)
-		s.keys, s.cells = s.keys[:0], s.cells[:0]
+		if cap(s.cells) > maxKeptCombinerCells {
+			cb.ks = kernelSet{}
+		} else {
+			clear(s.cells)
+			s.keys, s.cells = s.keys[:0], s.cells[:0]
+		}
 	}
 	cb.acc = nil
 	cb.counts = [4]int64{}

@@ -124,10 +124,19 @@ func (s *groupSlab) pooledSeal() *groupSlab {
 	return out
 }
 
+// maxPooledSlabCells bounds the cells a slab may hold and still go back to
+// slabPool: a brick with more groups than that leaves its buffers to the
+// garbage collector rather than pinning them in the pool for the life of
+// the process.
+const maxPooledSlabCells = 1 << 15
+
 // release empties a pooled slab — dropping its sketch pointers, which the
-// combiner that absorbed it now owns — and returns it to slabPool. Nothing
-// may use the slab afterwards.
+// combiner that absorbed it now owns — and returns it to slabPool, unless
+// it outgrew maxPooledSlabCells. Nothing may use the slab afterwards.
 func (s *groupSlab) release() {
+	if cap(s.cells) > maxPooledSlabCells {
+		return
+	}
 	clear(s.cells)
 	s.keys, s.cells = s.keys[:0], s.cells[:0]
 	slabPool.Put(s)

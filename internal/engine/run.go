@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,30 +110,27 @@ func Run(ctx context.Context, q *Query, o Opts, cb *Combiner, stores ...*brick.S
 	if err := dst.bind(c); err != nil {
 		return info, err
 	}
-	p := &pass{c: c, done: make(chan struct{})}
+	p := newPass(c)
 	for _, st := range stores {
-		plan, err := st.PlanScan(c.filter)
-		if err != nil {
-			return info, err
-		}
-		if p.tasks == nil {
-			p.tasks = plan.Tasks
-		} else {
-			p.tasks = append(p.tasks, plan.Tasks...)
-		}
-		p.pruned += plan.Pruned
+		var pruned int
+		p.tasks, pruned = st.PlanScan(p.tasks, c.filter)
+		p.pruned += pruned
 	}
-	p.results = make([]taskResult, len(p.tasks))
+	p.results = slices.Grow(p.results, len(p.tasks))[:len(p.tasks)]
 	p.start(o.Parallelism)
 	scanStart := time.Now()
 	info.Plan = scanStart.Sub(planStart)
-	err = p.wait(ctx)
+	finished, err := p.wait(ctx)
 	combineStart := time.Now()
 	info.Scan = combineStart.Sub(scanStart)
 	if err != nil {
+		if finished {
+			p.recycle()
+		}
 		return info, err
 	}
 	p.combine(&info, dst)
+	p.recycle()
 	if j != nil {
 		j.regroup(dst, cb)
 	}
@@ -148,7 +146,9 @@ type taskResult struct {
 	stats        ScanStats
 }
 
-// pass is one morsel pass over the bricks of a run's stores.
+// pass is one morsel pass over the bricks of a run's stores. Passes come
+// from passPool with their task and result slices, so a run plans and
+// scans into slots an earlier run grew.
 type pass struct {
 	c       *compiled
 	tasks   []brick.ScanTask
@@ -159,31 +159,65 @@ type pass struct {
 	cursor int   // next unclaimed task index
 	err    error // first task error, or the caller's ctx.Err(); stops claiming
 
-	done chan struct{} // closed once every worker has returned
+	workers sync.WaitGroup
+	// done receives one value once every worker has returned. It is
+	// buffered, so the pass finishes whether or not anyone waits, and a
+	// pass whose value was received has no goroutine left and an empty
+	// channel: it can be reused.
+	done chan struct{}
 }
 
-// start launches the pass's workers, at most one per task, and closes
+// passPool recycles passes that finished. A pass cancelled while its
+// workers still run is never put back: a worker may yet claim a task or
+// write a result slot of it.
+var passPool = sync.Pool{New: func() any { return &pass{done: make(chan struct{}, 1)} }}
+
+// maxPooledTasks bounds the task slots a pooled pass keeps: a run over
+// more bricks than that (several times a wide host call's) grows slices
+// the pool would otherwise pin for the life of the process.
+const maxPooledTasks = 1 << 13
+
+// newPass returns an empty pass of c from the pool.
+func newPass(c *compiled) *pass {
+	p := passPool.Get().(*pass)
+	p.c = c
+	return p
+}
+
+// recycle clears a finished pass, so the pool pins no brick, store, slab
+// or query, and returns it to the pool unless it grew past maxPooledTasks.
+// Only a pass whose done value was received may be recycled.
+func (p *pass) recycle() {
+	if cap(p.tasks) > maxPooledTasks || cap(p.results) > maxPooledTasks {
+		return
+	}
+	clear(p.tasks)
+	clear(p.results)
+	p.tasks, p.results = p.tasks[:0], p.results[:0]
+	p.c, p.pruned, p.cursor, p.err = nil, 0, 0, nil
+	passPool.Put(p)
+}
+
+// start launches the pass's workers, at most one per task, and signals
 // done once all of them have returned. A goroutine of the pass spawns and
 // waits for them, not the caller: with the caller spawning them and the
-// last worker closing done, adhoc_scan lost about 15% of its qps on a
+// last worker signalling done, adhoc_scan lost about 15% of its qps on a
 // two-core host.
 func (p *pass) start(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := min(workers, len(p.tasks))
-	go func() {
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				p.work()
-			}()
-		}
-		wg.Wait()
-		close(p.done)
-	}()
+	go p.spawn(min(workers, len(p.tasks)))
+}
+
+// spawn runs n workers and signals done once they have all returned.
+func (p *pass) spawn(n int) {
+	p.workers.Add(n)
+	for w := 0; w < n; w++ {
+		go p.work()
+	}
+	p.workers.Wait()
+	p.done <- struct{}{}
 }
 
 // fail records the pass's first error; workers stop claiming once it is
@@ -200,6 +234,7 @@ func (p *pass) fail(err error) {
 // brick. It stops claiming once the tasks run out, a visit fails, or the
 // caller cancelled.
 func (p *pass) work() {
+	defer p.workers.Done()
 	es := encScratchPool.Get().(*encScratch)
 	defer encScratchPool.Put(es)
 	for {
@@ -221,10 +256,11 @@ func (p *pass) work() {
 	}
 }
 
-// visitBrick scans task i into results[i]: blob-bounds prune, then one
-// decode / filter / walk of the brick (through the store's decoded-column
-// cache unless the run bypasses it) observed into one kernel over the
-// worker's reused buffers, sealed into a pooled slab.
+// visitBrick scans task i into results[i] under one hold of the brick's
+// lock: blob-bounds prune, or one decode / filter / walk of the brick
+// (through the store's decoded-column cache unless the run bypasses it)
+// observed into one kernel over the worker's reused buffers, sealed into a
+// pooled slab.
 func (p *pass) visitBrick(i int, es *encScratch) error {
 	t := &p.tasks[i]
 	c := p.c
@@ -234,38 +270,38 @@ func (p *pass) visitBrick(i int, es *encScratch) error {
 	var res taskResult
 	// Bounds pruning: if the encoded blob's column stats (FOR base/width,
 	// dictionary min/max) prove no row can match, the brick is done without
-	// any decode.
-	if !t.Full && c.filter != nil && t.PruneEncoded(c.filter) {
+	// any decode. A fully covered brick has nothing to prune.
+	proj, prune := &c.proj, c.filter
+	if t.Full {
+		proj, prune = &c.projFull, nil
+	}
+	v, err := t.VisitBatch(proj, prune, func(b *brick.Batch) error {
+		if t.Full || c.filter == nil {
+			res.rowsScanned += int64(b.Rows)
+			// Encoded fast path (see encoded.go): grouped columns that
+			// arrived as runs or dictionary codes feed the kernel without
+			// ever materializing.
+			c.observeFull(acc, b, es)
+			return nil
+		}
+		sel, all := c.buildSel(b, t.Bounds, es.sel[:0], es, &res.stats)
+		es.sel = sel
+		if all {
+			sel = nil
+			res.rowsScanned += int64(b.Rows)
+		} else {
+			res.rowsScanned += int64(len(sel))
+		}
+		acc.observeBatch(b.Dims, b.Metrics, b.Rows, sel)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if v.Pruned {
 		res.stats.BricksStatsPruned++
 	} else {
-		res.decompressed = t.Compressed()
-		proj := &c.proj
-		if t.Full {
-			proj = &c.projFull
-		}
-		err := t.VisitBatch(proj, func(b *brick.Batch) error {
-			if t.Full || c.filter == nil {
-				res.rowsScanned += int64(b.Rows)
-				// Encoded fast path (see encoded.go): grouped columns that
-				// arrived as runs or dictionary codes feed the kernel without
-				// ever materializing.
-				c.observeFull(acc, b, es)
-				return nil
-			}
-			sel, all := c.buildSel(b, t.Bounds, es.sel[:0], es, &res.stats)
-			es.sel = sel
-			if all {
-				sel = nil
-				res.rowsScanned += int64(b.Rows)
-			} else {
-				res.rowsScanned += int64(len(sel))
-			}
-			acc.observeBatch(b.Dims, b.Metrics, b.Rows, sel)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+		res.decompressed = v.Compressed
 	}
 	// Seal: the brick's groups move into a pooled slab and the kernel's
 	// buffers are free for the worker's next brick.
@@ -277,17 +313,18 @@ func (p *pass) visitBrick(i int, es *encScratch) error {
 // wait blocks until the pass completes and returns its error, or stops the
 // pass and returns ctx.Err() when ctx cancels first. The error is recorded
 // under the lock workers claim under, so no task is claimed after wait
-// returns it.
-func (p *pass) wait(ctx context.Context) error {
+// returns it. finished reports that every worker had returned: only then
+// may the pass be recycled.
+func (p *pass) wait(ctx context.Context) (finished bool, err error) {
 	select {
 	case <-p.done:
 	case <-ctx.Done():
 		p.fail(ctx.Err())
-		return ctx.Err()
+		return false, ctx.Err()
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.err
+	return true, p.err
 }
 
 // combine folds the per-task slabs in task order into cb's kernel, which
@@ -296,18 +333,19 @@ func (p *pass) wait(ctx context.Context) error {
 // cb's counters.
 func (p *pass) combine(info *ExecInfo, cb *Combiner) {
 	acc := cb.acc
-	dst := acc.slab()
-	// Room for every brick's groups up front, so the combiner never
-	// regrows; a dense one cannot hold more groups than its domain has
-	// points.
-	n := 0
-	for i := range p.results {
-		n += p.results[i].slab.len()
-	}
+	// A dense combiner cannot hold more groups than its domain has points,
+	// so it makes room for every brick's groups up front and never
+	// regrows. Any other grows by doubling: the bricks' group counts sum
+	// every group once per brick it appears in, several times the answer
+	// on a wide call, and a combiner kept across calls keeps what it grew.
 	if d, ok := acc.(*denseAcc); ok {
-		n = min(n, len(d.slots)-dst.len())
+		n := 0
+		for i := range p.results {
+			n += p.results[i].slab.len()
+		}
+		dst := acc.slab()
+		dst.reserve(min(n, len(d.slots)-dst.len()))
 	}
-	dst.reserve(n)
 	for i := range p.results {
 		res := &p.results[i]
 		absorb(acc, res.slab)

@@ -438,3 +438,87 @@ func TestSchedulerDetachOnCancel(t *testing.T) {
 		t.Fatalf("result after the cancelled one: %v", err)
 	}
 }
+
+// TestCancelledPassNotRecycled: a pass cancelled while one of its workers
+// is parked inside it is never handed to another run. The parked worker is
+// released while other runs, which take their passes from the pool, execute
+// concurrently (run with -race); it may then write only into its own pass,
+// and every concurrent run equals the oracle.
+func TestCancelledPassNotRecycled(t *testing.T) {
+	s := loadStore(t)
+	if _, _, err := s.EnsureBudget(0, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	s.SetDecodedCache(brick.NewDecodedCache(1 << 20))
+	queries := []*Query{
+		{Aggregates: []Aggregate{{Func: Sum, Metric: "events"}}, GroupBy: []string{"region"}},
+		{Aggregates: []Aggregate{{Func: Count}, {Func: Max, Metric: "latency"}}, GroupBy: []string{"app"},
+			Filter: map[string][2]uint32{"app": {2, 7}}},
+		{Aggregates: []Aggregate{{Func: Avg, Metric: "latency"}, {Func: Min, Metric: "events"}}, GroupBy: []string{"region", "app"}},
+	}
+	wants := make([]*Result, len(queries))
+	for i, q := range queries {
+		wants[i] = reference(t, q, s)
+	}
+
+	// Several rounds: under -race a sync.Pool drops items at random, so one
+	// round may not see the cancelled pass come out of the pool.
+	for round := 0; round < 5; round++ {
+		cancelledRun(t, s, queries, wants)
+	}
+}
+
+// cancelledRun parks a run on its first brick, cancels it, and releases
+// the parked worker while other runs execute beside it.
+func cancelledRun(t *testing.T, s *brick.Store, queries []*Query, wants []*Result) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	claimed, release, _ := holdClaim(t, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan error, 1)
+	go func() {
+		_, _, err := runPartial(ctx, s, queries[0], Opts{Parallelism: 1})
+		cancelled <- err
+	}()
+	<-claimed
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+
+	const runners, runs = 4, 30
+	started := make(chan struct{}, runners)
+	errs := make(chan error, runners)
+	var wg sync.WaitGroup
+	for g := 0; g < runners; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				k := (g + i) % len(queries)
+				p, _, err := runPartial(context.Background(), s, queries[k], Opts{Parallelism: 2})
+				if i == 0 {
+					started <- struct{}{}
+				}
+				if err == nil {
+					err = Oracle.Equal(wants[k], p.Finalize())
+				}
+				if err != nil {
+					errs <- fmt.Errorf("runner %d, run %d: %w", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	// A run has taken a pass from the pool and put it back: the parked
+	// worker now resumes beside runs on recycled passes.
+	<-started
+	release()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
+	testClaimHook = nil
+}

@@ -121,17 +121,14 @@ func brickSlabs(t *testing.T, s *brick.Store, q *Query) (*compiled, []uint64, ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.PlanScan(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tasks, _ := s.PlanScan(nil, nil)
 	es := &encScratch{}
 	var ids []uint64
 	slabs := make(map[uint64]*groupSlab)
-	for i := range plan.Tasks {
-		task := &plan.Tasks[i]
+	for i := range tasks {
+		task := &tasks[i]
 		acc := es.kernels.pick(c, task.Bounds)
-		if err := task.VisitBatch(&c.projFull, func(b *brick.Batch) error {
+		if _, err := task.VisitBatch(&c.projFull, nil, func(b *brick.Batch) error {
 			c.observeFull(acc, b, es)
 			return nil
 		}); err != nil {

@@ -257,10 +257,40 @@ func attrMS(s *trace.Span, key string, d time.Duration) {
 
 // The group state and reply buffer of /partial calls, reused call after
 // call, so a host answer allocates neither per partition nor per group.
+//
+// Idle combiners wait in a bounded list rather than a sync.Pool. A pool
+// empties at garbage collection and strands what a goroutine put back in
+// its processor's private slot, and a lost combiner regrows its whole
+// group state: a megabyte or more for a call answering a few thousand
+// groups, dozens of times what the rest of the call allocates. The list
+// keeps at most idleCombiners, and Reset drops the buffers of one that
+// grew past its bound.
+const idleCombiners = 16
+
 var (
-	combinerPool = sync.Pool{New: func() any { return new(engine.Combiner) }}
-	wireBufPool  = sync.Pool{New: func() any { return new([]byte) }}
+	combiners   = make(chan *engine.Combiner, idleCombiners)
+	wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
 )
+
+// getCombiner returns an idle combiner, or a new one when none is idle.
+func getCombiner() *engine.Combiner {
+	select {
+	case cb := <-combiners:
+		return cb
+	default:
+		return new(engine.Combiner)
+	}
+}
+
+// putCombiner resets cb and keeps it idle, unless idleCombiners already
+// are.
+func putCombiner(cb *engine.Combiner) {
+	cb.Reset()
+	select {
+	case combiners <- cb:
+	default:
+	}
+}
 
 // servePartial executes one /partial call. On failure it returns the HTTP
 // status to send with the error; on success it writes the response itself
@@ -295,11 +325,8 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 			_, espan = w.Tracer.StartSpan(ctx, "worker.execute")
 		}
 	}
-	cb := combinerPool.Get().(*engine.Combiner)
-	defer func() {
-		cb.Reset()
-		combinerPool.Put(cb)
-	}()
+	cb := getCombiner()
+	defer putCombiner(cb)
 	info, epochs, err := w.parts.Partial(ctx, req.Partitions, &req.Query, opts, cb)
 	if err != nil {
 		espan.EndErr(err)

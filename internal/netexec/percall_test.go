@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -234,11 +235,12 @@ func wideSchema() brick.Schema {
 	}
 }
 
-// hostWorker is a worker holding parts partitions of the wide table, each
-// loaded with the rows row(p, r) draws for r in [0, rows).
-func hostWorker(tb testing.TB, parts, rows int, row func(p, r int) []uint32) (*Worker, []string) {
+// hostWorker is a worker serving with cfg and holding parts partitions of
+// the wide table, each loaded with the rows row(p, r) draws for r in
+// [0, rows).
+func hostWorker(tb testing.TB, cfg partition.Config, parts, rows int, row func(p, r int) []uint32) (*Worker, []string) {
 	tb.Helper()
-	wk := NewWorker(partition.Config{})
+	wk := NewWorker(cfg)
 	names := make([]string, parts)
 	for p := range names {
 		names[p] = fmt.Sprintf("wide#%d", p)
@@ -275,7 +277,7 @@ func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 // is driven in-process with no socket; run with -benchmem.
 func BenchmarkServePartialHost(b *testing.B) {
 	rnd := rand.New(rand.NewSource(8))
-	h, names := hostWorker(b, 8, 4000, func(int, int) []uint32 {
+	h, names := hostWorker(b, partition.Config{}, 8, 4000, func(int, int) []uint32 {
 		return []uint32{uint32(rnd.Intn(120)), uint32(rnd.Intn(16)), uint32(rnd.Intn(1024)), uint32(rnd.Intn(64))}
 	})
 	list, err := json.Marshal(names)
@@ -297,6 +299,62 @@ func BenchmarkServePartialHost(b *testing.B) {
 	}
 }
 
+// BenchmarkServePartialHostServed is BenchmarkServePartialHost in the state
+// a long-running worker serves from: every brick evicted to the SSD tier
+// and a 32 MiB decoded-column cache warmed by 2 000 calls, so each visited
+// brick is a decoded-cache hit and a call costs its hit path and the pass
+// around it, not decoding. The sub-benchmarks differ only in the ds range,
+// which visits about three times as many bricks in the wide one; hits/op
+// counts them. Its allocs/op must not grow with them. Run with -benchmem.
+func BenchmarkServePartialHostServed(b *testing.B) {
+	reg := metrics.NewRegistry()
+	rnd := rand.New(rand.NewSource(8))
+	wk, names := hostWorker(b, partition.Config{DecodedCacheBytes: 32 << 20, Metrics: reg}, 8, 4000, func(int, int) []uint32 {
+		return []uint32{uint32(rnd.Intn(120)), uint32(rnd.Intn(16)), uint32(rnd.Intn(1024)), uint32(rnd.Intn(64))}
+	})
+	cold := brick.CompactionConfig{EncodeBelow: math.Inf(1), EvictBelow: math.Inf(1)}
+	for _, name := range names {
+		st, _ := wk.Store(name)
+		for st.EvictedBrickCount() < st.BrickCount() {
+			if _, err := st.CompactOnce(cold); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	list, err := json.Marshal(names)
+	if err != nil {
+		b.Fatal(err)
+	}
+	handler := wk.Handler()
+	for _, ds := range [][2]int{{10, 40}, {0, 119}} {
+		call := func(i int) {
+			lo := i % 900
+			body := fmt.Sprintf(`{"partitions":%s,"query":{"Aggregates":[{"Func":0,"Metric":"value"},{"Func":1}],"GroupBy":["app","kind"],"Filter":{"app":[%d,%d],"ds":[%d,%d]}}}`,
+				list, lo, lo+48+i%96, ds[0], ds[1])
+			w := &discardWriter{h: http.Header{}}
+			handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/partial", strings.NewReader(body)))
+			if w.code != 0 && w.code != http.StatusOK {
+				b.Fatalf("status %d", w.code)
+			}
+		}
+		b.Run(fmt.Sprintf("ds=%d-%d", ds[0], ds[1]), func(b *testing.B) {
+			for i := 0; i < 2000; i++ {
+				call(i)
+			}
+			hits, misses := reg.Counter("cache.decoded.hit"), reg.Counter("cache.decoded.miss")
+			h0, m0 := hits.Value(), misses.Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call(i)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(hits.Value()-h0)/float64(b.N), "hits/op")
+			b.ReportMetric(float64(misses.Value()-m0)/float64(b.N), "misses/op")
+		})
+	}
+}
+
 // TestServePartialBytesFlat is the allocation ceiling check.sh enforces on
 // a host answer: with the pools warm, a /partial call folds its partitions
 // into a reused combiner and encodes into a reused buffer, so the bytes it
@@ -309,7 +367,7 @@ func TestServePartialBytesFlat(t *testing.T) {
 		t.Skip("the race detector drops pooled items at random, so allocations are not meaningful under -race")
 	}
 	const bytesTolerance = 1.25
-	wk, names := hostWorker(t, 8, 2000, func(p, r int) []uint32 {
+	wk, names := hostWorker(t, partition.Config{}, 8, 2000, func(p, r int) []uint32 {
 		return []uint32{uint32(r*7+p) % 120, uint32(r % 16), uint32(r % 250), uint32(r/250) % 8}
 	})
 	list, err := json.Marshal(names)

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"cubrick/internal/admission"
-	"cubrick/internal/cluster"
 	"cubrick/internal/metrics"
 	"cubrick/internal/partition"
 )
@@ -241,10 +240,6 @@ func ClassifyError(err error) ErrClass {
 	var pe *PartialSizeError
 	if errors.As(err, &pe) {
 		return Terminal
-	}
-	// Injected fault-model errors behave like their real counterparts.
-	if errors.Is(err, cluster.ErrHostDown) || errors.Is(err, cluster.ErrRequestFailed) || errors.Is(err, cluster.ErrTimeout) {
-		return Retryable
 	}
 	return Retryable
 }

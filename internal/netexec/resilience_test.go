@@ -33,9 +33,14 @@ func TestClassifyError(t *testing.T) {
 		{"400", &HTTPStatusError{Status: 400}, Terminal},
 		{"404", &HTTPStatusError{Status: 404}, Terminal},
 		{"oversized partial", &PartialSizeError{Limit: 10}, Terminal},
+		// The fault model's injected errors are per-host conditions like
+		// any transport error: ClassifyError has no case for them.
 		{"host down", fmt.Errorf("x: %w", cluster.ErrHostDown), Retryable},
+		{"bare host down", cluster.ErrHostDown, Retryable},
 		{"request failed", fmt.Errorf("x: %w", cluster.ErrRequestFailed), Retryable},
+		{"bare request failed", cluster.ErrRequestFailed, Retryable},
 		{"sim timeout", cluster.ErrTimeout, Retryable},
+		{"wrapped sim timeout", fmt.Errorf("x: %w", cluster.ErrTimeout), Retryable},
 		{"unknown transport", errors.New("read: connection reset by peer"), Retryable},
 	}
 	for _, tc := range cases {

@@ -165,24 +165,19 @@ func scan(q *engine.Query, s *brick.Store, lookup map[uint32][]uint32, total *gr
 		}
 		return attrs[slices.Index(q.Join.Attrs, name)]
 	}
-	plan, err := s.PlanScan(filter)
-	if err != nil {
-		return err
-	}
-	res.BricksPruned += int64(plan.Pruned)
+	tasks, pruned := s.PlanScan(nil, filter)
+	res.BricksPruned += int64(pruned)
 	key := make([]uint32, len(q.GroupBy))
 	all := &brick.Projection{NoCache: true} // every column materialised
-	for i := range plan.Tasks {
-		t := &plan.Tasks[i]
+	for i := range tasks {
+		t := &tasks[i]
 		res.BricksVisited++
-		if !t.Full && filter != nil && t.PruneEncoded(filter) {
-			continue
-		}
-		if t.Compressed() {
-			res.Decompressions++
+		prune := filter
+		if t.Full {
+			prune = nil
 		}
 		g := newGroups(len(q.Aggregates))
-		err := t.VisitBatch(all, func(b *brick.Batch) error {
+		v, err := t.VisitBatch(all, prune, func(b *brick.Batch) error {
 		rows:
 			for r := 0; r < b.Rows; r++ {
 				if !t.Full && !filter.MatchesAt(b.Dims, r) {
@@ -227,6 +222,9 @@ func scan(q *engine.Query, s *brick.Store, lookup map[uint32][]uint32, total *gr
 		})
 		if err != nil {
 			return err
+		}
+		if !v.Pruned && v.Compressed {
+			res.Decompressions++
 		}
 		total.fold(g)
 	}

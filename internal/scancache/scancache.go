@@ -1,12 +1,18 @@
 // Package scancache is the byte-budgeted LRU under both caches of the query
 // path: the storage layer's decoded-column cache on the worker and the
 // result cache (internal/rescache) on the coordinator. It is deliberately
-// generic — keys are strings the owner derives (brick generation + epoch,
-// or table + query identity), values are opaque, and the owner decides the
-// byte cost of each entry — and may raise it: an owner whose entries grow
-// in place (the decoded-column cache adds column slots to a brick's entry)
-// re-prices one by putting it again under the same key, and drops one it
-// knows is stale with Delete or DeleteFunc, which are not evictions.
+// generic — keys are strings the owner derives (brick generation, or table
+// + query identity), values are opaque, and the owner decides the byte cost
+// of each entry — and may raise it: an owner whose entries grow in place
+// (the decoded-column cache adds column slots to a brick's entry) re-prices
+// one by putting it again under the same key, and drops one it knows is
+// stale with Delete or DeleteFunc, which are not evictions.
+//
+// An owner may also hold its values outside the cache: the decoded-column
+// cache keeps each brick's entry on the brick, so a hit never reaches the
+// cache, and the cache is only the budget. Such values implement Resident:
+// eviction ranks them by their live heat, and the cache tells each one when
+// it stops holding it, so the owner lets go too.
 //
 // Eviction is recency-ordered but heat-aware: when over budget the cache
 // examines a bounded window of the least-recently-used entries and evicts
@@ -22,6 +28,7 @@ package scancache
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"cubrick/internal/metrics"
 )
@@ -29,6 +36,18 @@ import (
 // evictWindow bounds how many LRU-tail entries an eviction examines when
 // picking the coldest victim; beyond it, recency wins over heat.
 const evictWindow = 32
+
+// Resident is implemented by values their owner holds outside the cache as
+// well. Heat is the value's live hotness, read when ranking eviction
+// victims instead of the heat it was put with. Dropped is called, under
+// the cache's lock, whenever the cache stops holding the value — evicted,
+// deleted, rejected as larger than the budget, or replaced by another value
+// under its key — so the owner lets go of it too. Neither may call back
+// into the cache.
+type Resident interface {
+	Heat() float64
+	Dropped()
+}
 
 // Cache is a byte-budgeted, heat-aware LRU. Safe for concurrent use.
 type Cache struct {
@@ -38,11 +57,17 @@ type Cache struct {
 	lru   *list.List // front = most recently used
 	byKey map[string]*list.Element
 
-	hits, misses, evictions int64
+	// The counters are atomic so that Count takes no lock: an owner that
+	// serves hits outside the cache counts them from its own hot path.
+	hits, misses, evictions atomic.Int64
 
-	// Metric handles resolved once by SetMetrics; nil until then.
-	hitC, missC, evictC *metrics.Counter
-	bytesG, entriesG    *metrics.Gauge
+	// m holds the metric handles SetMetrics resolved; nil until then.
+	m atomic.Pointer[handles]
+}
+
+type handles struct {
+	hit, miss, evict *metrics.Counter
+	bytes, entries   *metrics.Gauge
 }
 
 type entry struct {
@@ -50,6 +75,32 @@ type entry struct {
 	value any
 	bytes int64
 	heat  float64
+}
+
+// heatNow is the entry's heat for eviction: a Resident value's live heat,
+// otherwise the heat it was last put or looked up with.
+func (e *entry) heatNow() float64 {
+	if r, ok := e.value.(Resident); ok {
+		return r.Heat()
+	}
+	return e.heat
+}
+
+// dropped tells a Resident value that the cache no longer holds it.
+func dropped(v any) {
+	if r, ok := v.(Resident); ok {
+		r.Dropped()
+	}
+}
+
+// replaced tells old, the Resident value a key held, that the cache now
+// holds v under it instead — unless v is old itself, put again to re-price
+// it. Only Resident values are compared, so a key may hold values of a
+// type == cannot compare.
+func replaced(old, v any) {
+	if r, ok := old.(Resident); ok && old != v {
+		r.Dropped()
+	}
 }
 
 // New returns a cache bounded to maxBytes. A non-positive budget returns
@@ -67,13 +118,13 @@ func (c *Cache) SetMetrics(reg *metrics.Registry, prefix string) {
 	if c == nil || reg == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hitC = reg.Counter(prefix + ".hit")
-	c.missC = reg.Counter(prefix + ".miss")
-	c.evictC = reg.Counter(prefix + ".evict")
-	c.bytesG = reg.Gauge(prefix + ".bytes")
-	c.entriesG = reg.Gauge(prefix + ".entries")
+	c.m.Store(&handles{
+		hit:     reg.Counter(prefix + ".hit"),
+		miss:    reg.Counter(prefix + ".miss"),
+		evict:   reg.Counter(prefix + ".evict"),
+		bytes:   reg.Gauge(prefix + ".bytes"),
+		entries: reg.Gauge(prefix + ".entries"),
+	})
 }
 
 // Get returns the value under key, refreshing its recency and heat, and
@@ -86,9 +137,9 @@ func (c *Cache) Get(key string, heat float64) (any, bool) {
 		return nil, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	v, ok := c.peekLocked(key, heat)
-	c.countLocked(ok)
+	c.mu.Unlock()
+	c.Count(ok)
 	return v, ok
 }
 
@@ -104,14 +155,24 @@ func (c *Cache) Peek(key string, heat float64) (any, bool) {
 	return c.peekLocked(key, heat)
 }
 
-// Count records the outcome of one Peek-based lookup.
+// Count records the outcome of one lookup the owner settled itself — a
+// Peek, or a hit served from a Resident value it holds. It takes no lock.
 func (c *Cache) Count(hit bool) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.countLocked(hit)
+	m := c.m.Load()
+	if hit {
+		c.hits.Add(1)
+		if m != nil {
+			m.hit.Inc()
+		}
+		return
+	}
+	c.misses.Add(1)
+	if m != nil {
+		m.miss.Inc()
+	}
 }
 
 func (c *Cache) peekLocked(key string, heat float64) (any, bool) {
@@ -125,20 +186,6 @@ func (c *Cache) peekLocked(key string, heat float64) (any, bool) {
 	return e.value, true
 }
 
-func (c *Cache) countLocked(hit bool) {
-	if hit {
-		c.hits++
-		if c.hitC != nil {
-			c.hitC.Inc()
-		}
-		return
-	}
-	c.misses++
-	if c.missC != nil {
-		c.missC.Inc()
-	}
-}
-
 // Put inserts (or replaces) key with a value costing bytes, evicting
 // coldest-of-the-oldest entries until the budget holds. Entries larger
 // than the whole budget are rejected rather than wiping the cache — and
@@ -146,6 +193,7 @@ func (c *Cache) countLocked(hit bool) {
 // kept at its old price.
 func (c *Cache) Put(key string, v any, bytes int64, heat float64) {
 	if c == nil {
+		dropped(v)
 		return
 	}
 	c.mu.Lock()
@@ -153,12 +201,15 @@ func (c *Cache) Put(key string, v any, bytes int64, heat float64) {
 	el, ok := c.byKey[key]
 	switch {
 	case bytes > c.max:
-		if !ok {
-			return
+		if ok {
+			replaced(v, el.Value.(*entry).value)
+			c.evictLocked(el)
+		} else {
+			dropped(v)
 		}
-		c.evictLocked(el)
 	case ok:
 		e := el.Value.(*entry)
+		replaced(e.value, v)
 		c.bytes += bytes - e.bytes
 		e.value, e.bytes, e.heat = v, bytes, heat
 		c.lru.MoveToFront(el)
@@ -177,14 +228,14 @@ func (c *Cache) Put(key string, v any, bytes int64, heat float64) {
 // non-empty (bytes > max implies at least one entry).
 func (c *Cache) evictColdest() {
 	victim := c.lru.Back()
-	coldest := victim.Value.(*entry).heat
+	coldest := victim.Value.(*entry).heatNow()
 	el := victim
 	for i := 1; i < evictWindow && el != nil; i++ {
 		if el = el.Prev(); el == nil {
 			break
 		}
-		if e := el.Value.(*entry); e.heat < coldest {
-			victim, coldest = el, e.heat
+		if h := el.Value.(*entry).heatNow(); h < coldest {
+			victim, coldest = el, h
 		}
 	}
 	c.evictLocked(victim)
@@ -193,9 +244,9 @@ func (c *Cache) evictColdest() {
 // evictLocked drops one entry and counts it as an eviction.
 func (c *Cache) evictLocked(el *list.Element) {
 	c.removeLocked(el)
-	c.evictions++
-	if c.evictC != nil {
-		c.evictC.Inc()
+	c.evictions.Add(1)
+	if m := c.m.Load(); m != nil {
+		m.evict.Inc()
 	}
 }
 
@@ -204,6 +255,7 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.lru.Remove(el)
 	delete(c.byKey, e.key)
 	c.bytes -= e.bytes
+	dropped(e.value)
 }
 
 // Delete drops key's entry and reports whether there was one.
@@ -244,9 +296,9 @@ func (c *Cache) DeleteFunc(drop func(v any) bool) int {
 }
 
 func (c *Cache) publishSizeLocked() {
-	if c.bytesG != nil {
-		c.bytesG.Set(float64(c.bytes))
-		c.entriesG.Set(float64(c.lru.Len()))
+	if m := c.m.Load(); m != nil {
+		m.bytes.Set(float64(c.bytes))
+		m.entries.Set(float64(c.lru.Len()))
 	}
 }
 
@@ -266,7 +318,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
+		Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(),
 		Bytes: c.bytes, Entries: c.lru.Len(),
 	}
 }

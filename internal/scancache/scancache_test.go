@@ -250,3 +250,60 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("bytes %d over budget after concurrent churn", st.Bytes)
 	}
 }
+
+// resident is a Resident test value: a live heat its owner changes
+// outside the cache, and a count of the times the cache dropped it.
+type resident struct {
+	heat    float64
+	dropped int
+}
+
+func (r *resident) Heat() float64 { return r.heat }
+func (r *resident) Dropped()      { r.dropped++ }
+
+// A Resident value is ranked by its live heat, not the heat it was put
+// with, and told every time the cache stops holding it: evicted, replaced
+// by another value under its key, rejected or outgrown, deleted. Re-putting
+// the same value to re-price it is not a drop.
+func TestResidentValues(t *testing.T) {
+	c := New(300)
+	cold, hot := &resident{heat: 100}, &resident{heat: 0}
+	c.Put("cold", cold, 100, 0)
+	c.Put("hot", hot, 100, 0)
+	cold.heat, hot.heat = 0, 100 // heat moves after the put
+	c.Put("hot", hot, 150, 0)    // re-priced in place
+	c.Put("new", &resident{}, 100, 0)
+	if cold.dropped != 1 || hot.dropped != 0 {
+		t.Fatalf("eviction by live heat: cold dropped %d, hot dropped %d", cold.dropped, hot.dropped)
+	}
+	if _, ok := c.Peek("cold", 0); ok {
+		t.Fatal("the live-cold entry survived")
+	}
+
+	next := &resident{}
+	c.Put("hot", next, 100, 0)
+	if hot.dropped != 1 || next.dropped != 0 {
+		t.Fatalf("replacement under a key: old dropped %d, new dropped %d", hot.dropped, next.dropped)
+	}
+	huge := &resident{}
+	c.Put("huge", huge, 301, 0)
+	if huge.dropped != 1 {
+		t.Fatalf("a value larger than the budget was dropped %d times, want 1", huge.dropped)
+	}
+	c.Put("hot", next, 301, 0)
+	if next.dropped != 1 {
+		t.Fatalf("an outgrown value was dropped %d times, want 1", next.dropped)
+	}
+	gone := &resident{}
+	c.Put("gone", gone, 10, 0)
+	c.Delete("gone")
+	if gone.dropped != 1 {
+		t.Fatalf("a deleted value was dropped %d times, want 1", gone.dropped)
+	}
+	var nilCache *Cache
+	orphan := &resident{}
+	nilCache.Put("k", orphan, 1, 0)
+	if orphan.dropped != 1 {
+		t.Fatal("the nil cache kept a value it was given")
+	}
+}

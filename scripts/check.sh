@@ -302,17 +302,24 @@ CORE_SRC="$(ls internal/engine/*.go internal/partition/*.go internal/netexec/*.g
 echo "internal/engine + partition + netexec + cubrick non-test lines: $(cat $CORE_SRC | wc -l)"
 
 # One decoded copy per brick (PR 25): the decoded-column cache holds one
-# entry per (brick generation, epoch) with a slot per column, shared by
-# every projection. Keyed per projection shape it held ~9 copies of each
-# brick under ad-hoc traffic and evicted on one visit in five; the key must
-# not grow a projection again. The test itself runs after the build.
+# entry per brick with a slot per column, shared by every projection.
+# Keyed per projection shape it held ~9 copies of each brick under ad-hoc
+# traffic and evicted on one visit in five. The entry lives on its brick —
+# one pointer, never a map or slice of entries — and its cache key is the
+# brick generation alone, so neither may grow a projection (or a slot per
+# shape) again. The tests themselves run after the build.
 echo "== one decoded copy per brick"
-if ! grep -q '^func dcacheKey(' internal/brick/dcache.go; then
-    echo "one decoded copy per brick: dcacheKey is gone from internal/brick/dcache.go; point this check at its successor"
+if ! grep -qE '^func dcacheKey\(uid uint64\) string \{$' internal/brick/dcache.go; then
+    echo "one decoded copy per brick: dcacheKey(uid uint64) string is gone from internal/brick/dcache.go; point this check at its successor"
     exit 1
 fi
-if grep -n '^func dcacheKey(.*Projection' internal/brick/dcache.go; then
-    echo "one decoded copy per brick: the decoded-cache key takes a projection again (see above)"
+if ! grep -qE '^[[:space:]]+dec[[:space:]]+atomic\.Pointer\[decodedBrick\]$' internal/brick/brick.go; then
+    echo "one decoded copy per brick: Brick no longer holds its one decoded entry as dec atomic.Pointer[decodedBrick] in internal/brick/brick.go; point this check at its successor"
+    exit 1
+fi
+BRICK_SRC="$(ls internal/brick/*.go | grep -v _test.go)"
+if grep -nE '(map\[[^]]*\]|\[\])\*?decodedBrick|^func dcacheKey\(.*Projection' $BRICK_SRC; then
+    echo "one decoded copy per brick: decoded entries are held per projection or several per brick again (see above)"
     exit 1
 fi
 
@@ -369,19 +376,21 @@ go test -race ./internal/engine ./internal/brick ./internal/cubrick ./internal/n
     ./internal/partition
 
 echo "== one decoded copy per brick: every shape served from the brick's one entry (-race)"
-go test -race -count=1 -run 'TestDecodedCacheOneEntryPerBrick|TestDecodedCacheConcurrentVisitors' ./internal/brick
+go test -race -count=1 -run 'TestDecodedCacheOneEntryPerBrick|TestDecodedCacheConcurrentVisitors|TestDecodedCacheOneEntryAfterIngests|TestDecodedEvictionClearsBrick' ./internal/brick
 go test -race -count=1 -run 'TestDecodedCacheShapeSequenceEquivalence' ./internal/engine
 
 echo "== encoded-execution differential harness against the oracle (-race)"
 go test -race -count=1 -run 'TestEncodedDifferential|TestSkipperOracle|TestSelectionEdges|TestCompositeKeyEncodedViews' ./internal/engine
 
-# The per-call allocation diet (PR 13): planning a scan must stay free of
-# per-brick allocations, and a /partial call's bytes must not grow with the
-# groups it answers. The per-layer costs they guard are measured by
-# BenchmarkPlanScan256 (internal/brick) and BenchmarkServePartialSmall and
-# BenchmarkServePartialHost (internal/netexec, -benchmem).
-echo "== allocation ceilings (PlanScan <= 2; a /partial call's bytes flat in its group count)"
-go test -count=1 -run 'TestPlanScanAllocs' ./internal/brick
+# The per-call allocation diet (PR 13): planning a scan into a task slice
+# with room allocates nothing, a warm brick visit served by the decoded
+# cache allocates nothing, and a /partial call's bytes must not grow with
+# the groups it answers. The per-layer costs they guard are measured by
+# BenchmarkPlanScan256 (internal/brick) and BenchmarkServePartialSmall,
+# BenchmarkServePartialHost and BenchmarkServePartialHostServed
+# (internal/netexec, -benchmem).
+echo "== allocation ceilings (PlanScan 0 with room; a warm decoded visit 0; a /partial call's bytes flat in its group count)"
+go test -count=1 -run 'TestPlanScanAllocs|TestDecodedHitAllocs' ./internal/brick
 go test -count=1 -run 'TestServePartialBytesFlat' ./internal/netexec
 
 # The brick pass keeps groups in index-addressed slabs: a group is an index
