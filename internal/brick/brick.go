@@ -130,6 +130,21 @@ func (b *Brick) Touch(heat float64) {
 	b.setHotnessLocked(b.Hotness() + heat)
 }
 
+// retire detaches a brick that left its store from the decoded-column
+// cache: its entry leaves the cache, so the budget stops counting it and
+// nothing there pins the brick, and a visit still planned on the brick
+// decodes without caching. Taking mu means no visit sits between loading
+// the cache and publishing an entry.
+func (b *Brick) retire() {
+	b.mu.Lock()
+	b.dcache = nil
+	ent := b.dec.Swap(nil)
+	b.mu.Unlock()
+	if ent != nil {
+		ent.dc.remove(ent)
+	}
+}
+
 // Decay multiplies the hotness counter by factor in [0,1).
 func (b *Brick) Decay(factor float64) {
 	b.mu.Lock()
@@ -416,6 +431,7 @@ func (b *Brick) visit(proj *Projection, prune *Filter, fn func(*Batch) error) (v
 		b.dec.Store(ent)
 		dc.put(ent)
 	} else {
+		ent.markUsed()
 		dc.hit()
 	}
 	return v, fn(view)

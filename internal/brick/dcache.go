@@ -73,6 +73,9 @@ func (d *DecodedCache) put(e *decodedBrick) {
 	d.c.Put(e.key, e, batchBytes(&e.cols), 0)
 }
 
+// remove takes e, whose brick left its store, out of the cache.
+func (d *DecodedCache) remove(e *decodedBrick) { d.c.Delete(e.key) }
+
 // dcacheKey derives the cache key of one brick's decoded columns: the
 // brick's process-wide generation uid alone (Import creates fresh uids, so
 // replaced bricks can never alias). Neither the epoch nor the columns a
@@ -92,13 +95,18 @@ func dcacheKey(uid uint64) string {
 //
 // All visits of a brick run under its lock, so an entry has one writer and
 // no reader beside it; the cache only moves the pointer around and reads
-// the brick's hotness.
+// the brick's hotness and the used mark. The entry points back at its
+// brick for as long as the cache holds it: a brick that leaves its store
+// is retired, which removes its entry.
 type decodedBrick struct {
 	cols  Batch
 	b     *Brick
 	dc    *DecodedCache
 	epoch uint64
 	key   string
+	// used marks a hit since the cache last looked at the entry; hits
+	// never reach the cache, so this is what keeps a hit entry recent.
+	used atomic.Bool
 }
 
 // newDecodedBrick returns an empty entry for b at its current epoch in dc.
@@ -112,6 +120,17 @@ func newDecodedBrick(b *Brick, dc *DecodedCache, nDims, nMetrics int) *decodedBr
 
 // Heat is the brick's live hotness, by which eviction ranks the entry.
 func (e *decodedBrick) Heat() float64 { return e.b.Hotness() }
+
+// markUsed records a hit for the cache's recency; it writes only when the
+// mark is not already set.
+func (e *decodedBrick) markUsed() {
+	if !e.used.Load() {
+		e.used.Store(true)
+	}
+}
+
+// Used reports a hit since the cache last asked, and clears the mark.
+func (e *decodedBrick) Used() bool { return e.used.CompareAndSwap(true, false) }
 
 // Dropped clears the brick's pointer once the cache stops holding the
 // entry, unless the brick has moved on to another entry. It runs under

@@ -2,8 +2,10 @@ package brick
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 )
 
 // cloneBatch deep-copies a visit's batch, keeping nil-ness, so it can be
@@ -84,7 +86,8 @@ func entryBytes(dc *DecodedCache, s *Store) (sum int64, entries int) {
 // every visit's batch identical to the uncached decode of its projection,
 // the blob walked (and an evicted blob inflated) only by visits that need a
 // column no earlier visit decoded, entries priced at the sum of their slots,
-// and ingest / Import stranding the old entry instead of serving it.
+// an ingest's new-epoch entry replacing the old one, and Import removing
+// the replaced bricks' entries.
 func TestDecodedCacheOneEntryPerBrick(t *testing.T) {
 	// First a projection of no column at all (COUNT(*) over a covered
 	// brick) so it meets a brand-new entry; last nil, which materializes
@@ -221,10 +224,10 @@ func TestDecodedCacheOneEntryPerBrick(t *testing.T) {
 					t.Fatalf("after Import brick %d: cached batch differs from NoCache decode", ti)
 				}
 			}
-			if st := dc.Stats(); st.Entries != 2*bricks {
-				t.Fatalf("entries = %d after Import, want %d (every old generation stranded)", st.Entries, 2*bricks)
+			if st := dc.Stats(); st.Entries != bricks {
+				t.Fatalf("entries = %d after Import, want %d (the replaced bricks' entries removed)", st.Entries, bricks)
 			}
-			if sum, n := entryBytes(dc, s); n != bricks || sum >= dc.Stats().Bytes {
+			if sum, n := entryBytes(dc, s); n != bricks || sum != dc.Stats().Bytes {
 				t.Fatalf("live entries %d (%d bytes) of %d cached bytes", n, sum, dc.Stats().Bytes)
 			}
 		})
@@ -376,5 +379,84 @@ func TestDecodedEvictionClearsBrick(t *testing.T) {
 	st := dc.Stats()
 	if st.Evictions == 0 || n != st.Entries || sum != st.Bytes {
 		t.Fatalf("bricks hold %d entries (%d bytes), cache holds %+v", n, sum, st)
+	}
+}
+
+// TestRetiredBricksLeaveDecodedCache: a brick that leaves its store —
+// replaced by Import or ImportBricks, or retired with its whole store when
+// its partition is dropped — takes its decoded entry out of the cache, so
+// the budget stops counting it and nothing the cache holds keeps the brick
+// (and its blob) alive; a visit still planned on it decodes uncached.
+func TestRetiredBricksLeaveDecodedCache(t *testing.T) {
+	s := mixedStore(t, 60, "evicted")
+	dc := NewDecodedCache(64 << 20)
+	s.SetDecodedCache(dc)
+	// warm visits every brick once, so each holds an entry, and returns
+	// weak pointers to the bricks.
+	warm := func() []weak.Pointer[Brick] {
+		tasks, _ := s.PlanScan(nil, nil)
+		var bricks []weak.Pointer[Brick]
+		for i := range tasks {
+			visitCopy(t, &tasks[i], nil)
+			bricks = append(bricks, weak.Make(tasks[i].brick))
+		}
+		if st := dc.Stats(); st.Entries != len(tasks) {
+			t.Fatalf("warm: %d entries for %d bricks", st.Entries, len(tasks))
+		}
+		return bricks
+	}
+	collected := func(step string, bricks []weak.Pointer[Brick]) {
+		t.Helper()
+		if st := dc.Stats(); st.Entries != 0 || st.Bytes != 0 {
+			t.Fatalf("%s: the cache still holds %+v", step, st)
+		}
+		runtime.GC()
+		runtime.GC()
+		for i, w := range bricks {
+			if w.Value() != nil {
+				t.Fatalf("%s: replaced brick %d is still reachable", step, i)
+			}
+		}
+	}
+	blob, err := s.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compress := func() {
+		for _, e := range s.snapshotBricks() {
+			if err := e.b.Compress(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	old := warm()
+	if err := s.Import(blob); err != nil {
+		t.Fatal(err)
+	}
+	collected("Import", old)
+
+	compress()
+	old = warm()
+	if _, err := s.ImportBricks(blob); err != nil {
+		t.Fatal(err)
+	}
+	collected("ImportBricks", old)
+
+	compress()
+	warm()
+	tasks, _ := s.PlanScan(nil, nil)
+	s.Retire()
+	if st := dc.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("Retire: the cache still holds %+v", st)
+	}
+	for i := range tasks {
+		got := visitCopy(t, &tasks[i], nil)
+		if ref := visitCopy(t, &tasks[i], uncached(nil)); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("retired brick %d: visit differs from the uncached decode", i)
+		}
+	}
+	if st := dc.Stats(); st.Entries != 0 {
+		t.Fatalf("visits of a retired store filled the cache: %+v", st)
 	}
 }

@@ -155,6 +155,16 @@ func (s *Store) SetDecodedCache(dc *DecodedCache) {
 	s.dcache.store(dc)
 }
 
+// Retire detaches a store that is no longer served from its decoded-column
+// cache: every brick's entry leaves the cache, and a scan still running
+// over the store decodes without caching.
+func (s *Store) Retire() {
+	s.dcache.store(nil)
+	for _, e := range s.snapshotBricks() {
+		e.b.retire()
+	}
+}
+
 // Rows returns the total number of stored rows.
 func (s *Store) Rows() int64 {
 	s.mu.Lock()

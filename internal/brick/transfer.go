@@ -157,10 +157,14 @@ func (s *Store) Import(blob []byte) error {
 		total += int64(tb.rows)
 	}
 	s.mu.Lock()
+	old := s.bricks
 	s.bricks = bricks
 	s.rows = total
 	s.publishLocked(nil, ids)
 	s.mu.Unlock()
+	for _, b := range old {
+		b.retire()
+	}
 	return nil
 }
 
@@ -183,6 +187,7 @@ func (s *Store) ImportBricks(blob []byte) (int64, error) {
 	for _, tb := range decoded {
 		if old, ok := s.bricks[tb.id]; ok {
 			delta -= int64(old.Rows())
+			old.retire()
 		}
 		s.bricks[tb.id] = s.buildBrick(tb)
 		ids = append(ids, tb.id)

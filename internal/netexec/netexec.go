@@ -23,6 +23,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,11 +113,25 @@ type Worker struct {
 	// with a retryable 503 while their migration flips ownership.
 	fenceMu sync.Mutex
 	fenced  map[string]bool
+
+	// combiners holds the idle group states of /partial calls, reused call
+	// after call so a host answer allocates neither per partition nor per
+	// group. It is a list rather than a sync.Pool: a pool empties at
+	// garbage collection, and a lost combiner regrows its whole group state
+	// (a megabyte or more for a call answering a few thousand groups,
+	// dozens of times what the rest of the call allocates). It keeps at
+	// most idleCombinerSlots, and Reset drops the buffers of one that grew
+	// past its bound.
+	combiners chan *engine.Combiner
 }
 
 // NewWorker returns an empty worker serving under cfg.
 func NewWorker(cfg partition.Config) *Worker {
-	return &Worker{parts: partition.New(cfg), metrics: cfg.Metrics}
+	return &Worker{
+		parts:     partition.New(cfg),
+		metrics:   cfg.Metrics,
+		combiners: make(chan *engine.Combiner, idleCombinerSlots(cfg)),
+	}
 }
 
 // Parts returns the partitions the worker serves. Drop partitions through
@@ -255,39 +270,35 @@ func attrMS(s *trace.Span, key string, d time.Duration) {
 	}
 }
 
-// The group state and reply buffer of /partial calls, reused call after
-// call, so a host answer allocates neither per partition nor per group.
-//
-// Idle combiners wait in a bounded list rather than a sync.Pool. A pool
-// empties at garbage collection and strands what a goroutine put back in
-// its processor's private slot, and a lost combiner regrows its whole
-// group state: a megabyte or more for a call answering a few thousand
-// groups, dozens of times what the rest of the call allocates. The list
-// keeps at most idleCombiners, and Reset drops the buffers of one that
-// grew past its bound.
-const idleCombiners = 16
+// The reply buffer of /partial calls, reused call after call.
+var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-var (
-	combiners   = make(chan *engine.Combiner, idleCombiners)
-	wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
-)
+// idleCombinerSlots is how many /partial calls can hold a combiner at
+// once, so how many idle combiners the worker keeps: with admission on,
+// every call it runs or queues (a call takes its combiner before it is
+// admitted); without it, one per processor.
+func idleCombinerSlots(cfg partition.Config) int {
+	if cfg.MaxConcurrent > 0 {
+		return cfg.MaxConcurrent + max(cfg.QueueDepth, 0)
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // getCombiner returns an idle combiner, or a new one when none is idle.
-func getCombiner() *engine.Combiner {
+func (w *Worker) getCombiner() *engine.Combiner {
 	select {
-	case cb := <-combiners:
+	case cb := <-w.combiners:
 		return cb
 	default:
 		return new(engine.Combiner)
 	}
 }
 
-// putCombiner resets cb and keeps it idle, unless idleCombiners already
-// are.
-func putCombiner(cb *engine.Combiner) {
+// putCombiner resets cb and keeps it idle, unless the list is full.
+func (w *Worker) putCombiner(cb *engine.Combiner) {
 	cb.Reset()
 	select {
-	case combiners <- cb:
+	case w.combiners <- cb:
 	default:
 	}
 }
@@ -325,8 +336,8 @@ func (w *Worker) servePartial(ctx context.Context, rw http.ResponseWriter, r *ht
 			_, espan = w.Tracer.StartSpan(ctx, "worker.execute")
 		}
 	}
-	cb := getCombiner()
-	defer putCombiner(cb)
+	cb := w.getCombiner()
+	defer w.putCombiner(cb)
 	info, epochs, err := w.parts.Partial(ctx, req.Partitions, &req.Query, opts, cb)
 	if err != nil {
 		espan.EndErr(err)

@@ -132,20 +132,28 @@ func (s *Set) Adopt(name string, st *brick.Store) error {
 	return nil
 }
 
-// Drop stops serving a partition and reports whether it was served.
+// Drop stops serving a partition, retiring its store from the decoded
+// cache, and reports whether it was served.
 func (s *Set) Drop(name string) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.parts[name]
+	st, ok := s.parts[name]
 	delete(s.parts, name)
+	s.mu.Unlock()
+	if ok {
+		st.Retire()
+	}
 	return ok
 }
 
-// Reset stops serving every partition.
+// Reset stops serving every partition, retiring their stores.
 func (s *Set) Reset() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	old := s.parts
 	s.parts = make(map[string]*brick.Store)
+	s.mu.Unlock()
+	for _, st := range old {
+		st.Retire()
+	}
 }
 
 // Store returns a served partition's store.

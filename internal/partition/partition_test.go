@@ -181,6 +181,35 @@ func TestAdoptStagedStore(t *testing.T) {
 	}
 }
 
+// TestDropRetiresStore: a dropped partition's bricks leave the shared
+// decoded-column cache, whether dropped alone or by Reset.
+func TestDropRetiresStore(t *testing.T) {
+	s := New(Config{DecodedCacheBytes: 1 << 20})
+	for _, name := range []string{"a", "b", "c"} {
+		if err := s.Add(name, testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := s.Store(name)
+		ingest(t, st, 400, 1)
+		if _, _, err := st.EnsureBudget(0, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		mustPartial(t, s, name, groupQuery, Opts{})
+	}
+	per := s.decodedCache.Stats().Entries / 3
+	if per == 0 {
+		t.Fatal("the partials filled no decoded-cache entry")
+	}
+	s.Drop("a")
+	if got := s.decodedCache.Stats().Entries; got != 2*per {
+		t.Fatalf("after Drop: %d entries, want %d", got, 2*per)
+	}
+	s.Reset()
+	if st := s.decodedCache.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("after Reset the cache holds %+v", st)
+	}
+}
+
 // TestPartialOptions: NoCache answers as the cached path does and leaves
 // the decoded-column cache untouched.
 func TestPartialOptions(t *testing.T) {

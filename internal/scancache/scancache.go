@@ -11,8 +11,10 @@
 // An owner may also hold its values outside the cache: the decoded-column
 // cache keeps each brick's entry on the brick, so a hit never reaches the
 // cache, and the cache is only the budget. Such values implement Resident:
-// eviction ranks them by their live heat, and the cache tells each one when
-// it stops holding it, so the owner lets go too.
+// eviction ranks them by their live heat, keeps one the owner used since
+// it last looked (moving it to the front, as a Get would have: a second
+// chance), and tells each one when it stops holding it, so the owner lets
+// go too.
 //
 // Eviction is recency-ordered but heat-aware: when over budget the cache
 // examines a bounded window of the least-recently-used entries and evicts
@@ -38,14 +40,18 @@ import (
 const evictWindow = 32
 
 // Resident is implemented by values their owner holds outside the cache as
-// well. Heat is the value's live hotness, read when ranking eviction
-// victims instead of the heat it was put with. Dropped is called, under
-// the cache's lock, whenever the cache stops holding the value — evicted,
-// deleted, rejected as larger than the budget, or replaced by another value
-// under its key — so the owner lets go of it too. Neither may call back
+// well; they must be comparable. Heat is the value's live hotness, read
+// when ranking eviction victims instead of the heat it was put with. Used
+// reports whether the owner served the value since the cache last asked,
+// and clears that mark: the owner's hits never reach the cache, so this is
+// how they keep the value recent. Dropped is called whenever the cache
+// stops holding the value — evicted, deleted, rejected as larger than the
+// budget, or replaced by another value under its key — so the owner lets
+// go of it too. All three run under the cache's lock and may not call back
 // into the cache.
 type Resident interface {
 	Heat() float64
+	Used() bool
 	Dropped()
 }
 
@@ -93,14 +99,12 @@ func dropped(v any) {
 	}
 }
 
-// replaced tells old, the Resident value a key held, that the cache now
-// holds v under it instead — unless v is old itself, put again to re-price
-// it. Only Resident values are compared, so a key may hold values of a
-// type == cannot compare.
-func replaced(old, v any) {
-	if r, ok := old.(Resident); ok && old != v {
-		r.Dropped()
-	}
+// sameResident reports whether a and b are the same Resident value: one
+// put again under its key to re-price it. Only Resident values are
+// compared, so a key may hold values of a type == cannot compare.
+func sameResident(a, b any) bool {
+	_, ok := a.(Resident)
+	return ok && a == b
 }
 
 // New returns a cache bounded to maxBytes. A non-positive budget returns
@@ -201,15 +205,17 @@ func (c *Cache) Put(key string, v any, bytes int64, heat float64) {
 	el, ok := c.byKey[key]
 	switch {
 	case bytes > c.max:
-		if ok {
-			replaced(v, el.Value.(*entry).value)
-			c.evictLocked(el)
-		} else {
+		if !ok || !sameResident(v, el.Value.(*entry).value) {
 			dropped(v)
+		}
+		if ok {
+			c.evictLocked(el)
 		}
 	case ok:
 		e := el.Value.(*entry)
-		replaced(e.value, v)
+		if !sameResident(e.value, v) {
+			dropped(e.value)
+		}
 		c.bytes += bytes - e.bytes
 		e.value, e.bytes, e.heat = v, bytes, heat
 		c.lru.MoveToFront(el)
@@ -224,19 +230,31 @@ func (c *Cache) Put(key string, v any, bytes int64, heat float64) {
 }
 
 // evictColdest removes the coldest entry among the evictWindow least
-// recently used ones. Caller holds c.mu and guarantees the cache is
-// non-empty (bytes > max implies at least one entry).
+// recently used ones. A Resident value its owner used since the last look
+// is no candidate: it moves to the front instead, as a Get would have
+// moved it. Caller holds c.mu and guarantees the cache is non-empty
+// (bytes > max implies at least one entry).
 func (c *Cache) evictColdest() {
-	victim := c.lru.Back()
-	coldest := victim.Value.(*entry).heatNow()
-	el := victim
-	for i := 1; i < evictWindow && el != nil; i++ {
-		if el = el.Prev(); el == nil {
-			break
+	var victim *list.Element
+	coldest := 0.0
+	// Moved entries land ahead of the walk and are met again, their marks
+	// cleared; the step bound holds however often owners mark meanwhile.
+	el, seen := c.lru.Back(), 0
+	for steps := 2 * c.lru.Len(); el != nil && seen < evictWindow && steps > 0; steps-- {
+		prev := el.Prev()
+		e := el.Value.(*entry)
+		if r, ok := e.value.(Resident); ok && r.Used() {
+			c.lru.MoveToFront(el)
+		} else {
+			if h := e.heatNow(); victim == nil || h < coldest {
+				victim, coldest = el, h
+			}
+			seen++
 		}
-		if h := el.Value.(*entry).heatNow(); h < coldest {
-			victim, coldest = el, h
-		}
+		el = prev
+	}
+	if victim == nil {
+		victim = c.lru.Back()
 	}
 	c.evictLocked(victim)
 }

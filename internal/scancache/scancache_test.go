@@ -2,6 +2,7 @@ package scancache
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -251,15 +252,21 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// resident is a Resident test value: a live heat its owner changes
-// outside the cache, and a count of the times the cache dropped it.
+// resident is a Resident test value: a live heat and a used mark its owner
+// changes outside the cache, and a count of the times the cache dropped it.
 type resident struct {
 	heat    float64
+	used    bool
 	dropped int
 }
 
 func (r *resident) Heat() float64 { return r.heat }
 func (r *resident) Dropped()      { r.dropped++ }
+func (r *resident) Used() bool {
+	u := r.used
+	r.used = false
+	return u
+}
 
 // A Resident value is ranked by its live heat, not the heat it was put
 // with, and told every time the cache stops holding it: evicted, replaced
@@ -305,5 +312,36 @@ func TestResidentValues(t *testing.T) {
 	nilCache.Put("k", orphan, 1, 0)
 	if orphan.dropped != 1 {
 		t.Fatal("the nil cache kept a value it was given")
+	}
+}
+
+// Hits an owner serves from a Resident value never reach the cache, so the
+// used mark is what keeps such a value recent: at eviction a marked entry
+// moves to the front, unmarked, and the oldest unmarked entry goes in its
+// stead. With equal heats that is LRU order: the entry hit since its put
+// outlives the ones put after it.
+func TestResidentUsedIsRecent(t *testing.T) {
+	c := New(300)
+	vals := []*resident{{}, {}, {}}
+	for i, v := range vals {
+		c.Put(strconv.Itoa(i), v, 100, 0)
+	}
+	vals[0].used = true // a hit on the oldest entry
+	c.Put("3", &resident{}, 100, 0)
+	if vals[0].dropped != 0 || vals[1].dropped != 1 || vals[0].used {
+		t.Fatalf("used oldest dropped %d (mark %v), next oldest dropped %d", vals[0].dropped, vals[0].used, vals[1].dropped)
+	}
+	c.Put("4", &resident{}, 100, 0)
+	if vals[2].dropped != 1 || vals[0].dropped != 0 {
+		t.Fatalf("second eviction: entry 2 dropped %d, entry 0 (moved to the front) dropped %d", vals[2].dropped, vals[0].dropped)
+	}
+	// Every entry marked: each gets its second chance and the walk, which
+	// meets them again unmarked, still evicts exactly one.
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		el.Value.(*entry).value.(*resident).used = true
+	}
+	c.Put("5", &resident{}, 100, 0)
+	if st := c.Stats(); st.Entries != 3 || st.Evictions != 3 {
+		t.Fatalf("all marked: %+v, want 3 entries after 3 evictions", st)
 	}
 }

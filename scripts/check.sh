@@ -376,7 +376,7 @@ go test -race ./internal/engine ./internal/brick ./internal/cubrick ./internal/n
     ./internal/partition
 
 echo "== one decoded copy per brick: every shape served from the brick's one entry (-race)"
-go test -race -count=1 -run 'TestDecodedCacheOneEntryPerBrick|TestDecodedCacheConcurrentVisitors|TestDecodedCacheOneEntryAfterIngests|TestDecodedEvictionClearsBrick' ./internal/brick
+go test -race -count=1 -run 'TestDecodedCacheOneEntryPerBrick|TestDecodedCacheConcurrentVisitors|TestDecodedCacheOneEntryAfterIngests|TestDecodedEvictionClearsBrick|TestRetiredBricksLeaveDecodedCache' ./internal/brick
 go test -race -count=1 -run 'TestDecodedCacheShapeSequenceEquivalence' ./internal/engine
 
 echo "== encoded-execution differential harness against the oracle (-race)"
