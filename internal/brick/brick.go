@@ -71,23 +71,10 @@ type Brick struct {
 	// brick's current epoch; the cache, which owns the byte budget, clears
 	// it on eviction with a compare-and-swap and never takes mu.
 	dec atomic.Pointer[decodedBrick]
-
-	// uid distinguishes this brick from every other brick in the process
-	// (including re-imported bricks of the same id), so decoded-cache keys
-	// never collide across brick generations.
-	uid uint64
 }
 
-// brickUID hands out process-unique brick identities for cache keying.
-var brickUID atomic.Uint64
-
 func newBrick(nDims, nMetrics int) *Brick {
-	b := &Brick{
-		dims:    make([][]uint32, nDims),
-		metrics: make([][]float64, nMetrics),
-		uid:     brickUID.Add(1),
-	}
-	return b
+	return &Brick{dims: make([][]uint32, nDims), metrics: make([][]float64, nMetrics)}
 }
 
 // bumpEpochLocked advances the brick's ingest epoch from the store-wide
@@ -405,12 +392,15 @@ func (b *Brick) visit(proj *Projection, prune *Filter, fn func(*Batch) error) (v
 
 	// Decoded-column cache: the brick's one entry holds a slot per column
 	// decoded so far at its epoch, whichever projection asked first. A hit
-	// is this check alone — no key, no cache lock. An entry of an older
-	// epoch (or another cache) is replaced, under the same cache key.
+	// is this check alone — no lookup, no cache lock. An entry of an older
+	// epoch (or another cache) leaves its cache and is replaced.
 	nDims, nMetrics := len(b.dims), len(b.metrics)
 	ent := b.dec.Load()
 	fresh := ent == nil || ent.epoch != b.epoch || ent.dc != dc
 	if fresh {
+		if ent != nil {
+			ent.dc.remove(ent)
+		}
 		ent = newDecodedBrick(b, dc, nDims, nMetrics)
 	}
 	if miss := ent.missing(proj, sc); miss != nil {

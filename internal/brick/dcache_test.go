@@ -1,11 +1,14 @@
 package brick
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"weak"
+
+	"cubrick/internal/metrics"
 )
 
 // cloneBatch deep-copies a visit's batch, keeping nil-ness, so it can be
@@ -204,7 +207,7 @@ func TestDecodedCacheOneEntryPerBrick(t *testing.T) {
 				t.Fatalf("entries = %d after ingest into one brick, want %d (the old epoch's entry replaced)", st.Entries, bricks)
 			}
 
-			// Import replaces every brick with a new generation (fresh uids).
+			// Import replaces every brick with a new one.
 			blob, err := s.Export()
 			if err != nil {
 				t.Fatal(err)
@@ -458,5 +461,154 @@ func TestRetiredBricksLeaveDecodedCache(t *testing.T) {
 	}
 	if st := dc.Stats(); st.Entries != 0 {
 		t.Fatalf("visits of a retired store filled the cache: %+v", st)
+	}
+}
+
+// pricedEntry returns the entry of a fresh store-less brick at heat,
+// published on the brick as a visit would, with one metric slot sized so
+// the entry prices at price bytes.
+func pricedEntry(t *testing.T, dc *DecodedCache, heat float64, price int64) *decodedBrick {
+	t.Helper()
+	b := newBrick(0, 1)
+	b.hotness.Store(math.Float64bits(heat))
+	e := newDecodedBrick(b, dc, 0, 1)
+	e.resize(t, price)
+	b.dec.Store(e)
+	return e
+}
+
+// resize grows or shrinks e's one metric slot so e prices at price bytes.
+func (e *decodedBrick) resize(t *testing.T, price int64) {
+	t.Helper()
+	e.cols.Metrics[0] = nil
+	base := batchBytes(&e.cols)
+	if (price-base)%8 != 0 || price < base {
+		t.Fatalf("no slot size prices an entry at %d bytes (empty entry: %d)", price, base)
+	}
+	e.cols.Metrics[0] = make([]float64, (price-base)/8)
+}
+
+// cached reports whether the cache holds e, and whether e's brick still
+// points at it: the two must agree.
+func cached(t *testing.T, e *decodedBrick) bool {
+	t.Helper()
+	in, onBrick := e.el != nil, e.b.dec.Load() == e
+	if in != onBrick {
+		t.Fatalf("entry in cache %v, on its brick %v", in, onBrick)
+	}
+	return in
+}
+
+// An entry that grows in place is re-priced by putting it again: the
+// cache makes room for its new price, and an entry that outgrows the whole
+// budget leaves the cache and its brick instead of staying at its old
+// price. Every put counts a miss and a hit counts without the lock; the
+// metrics follow the counters and the size.
+func TestDecodedCacheRepricesGrownEntry(t *testing.T) {
+	var off *DecodedCache
+	off.SetMetrics(metrics.NewRegistry())
+	if NewDecodedCache(0) != nil || NewDecodedCache(-1) != nil || off.Stats() != (DecodedStats{}) {
+		t.Fatal("a non-positive budget must return the nil cache, which reports zeros")
+	}
+	reg := metrics.NewRegistry()
+	dc := NewDecodedCache(1200)
+	dc.SetMetrics(reg)
+	a, b := pricedEntry(t, dc, 0, 400), pricedEntry(t, dc, 0, 400)
+	dc.put(a)
+	dc.put(b)
+	dc.hit()
+	a.resize(t, 1104) // grew: b has to go
+	dc.put(a)
+	if st := dc.Stats(); st.Bytes != 1104 || st.Entries != 1 || st.Evictions != 1 || st.Hits != 1 || st.Misses != 3 {
+		t.Fatalf("after regrow: %+v", st)
+	}
+	if !cached(t, a) || cached(t, b) {
+		t.Fatal("regrow evicted the grown entry instead of the other one")
+	}
+	a.resize(t, 1208) // outgrew the budget
+	dc.put(a)
+	if st := dc.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Evictions != 2 || cached(t, a) {
+		t.Fatalf("after outgrowing: %+v", st)
+	}
+	vals := reg.CounterValues()
+	if vals["cache.decoded.hit"] != 1 || vals["cache.decoded.miss"] != 4 || vals["cache.decoded.evict"] != 2 {
+		t.Fatalf("counters: %v", vals)
+	}
+	dc.put(b)
+	if gb, ge := reg.Gauge("cache.decoded.bytes").Value(), reg.Gauge("cache.decoded.entries").Value(); gb != 400 || ge != 1 {
+		t.Fatalf("gauges bytes=%v entries=%v, want 400 and 1", gb, ge)
+	}
+	dc.remove(b)
+	if st := dc.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Evictions != 2 || cached(t, b) {
+		t.Fatalf("after remove: %+v, want empty and no further eviction", st)
+	}
+}
+
+// An entry larger than the whole budget is never admitted: the cache
+// keeps what it holds, and the entry's brick lets go of it, so the next
+// visit decodes again rather than serving columns no budget counts.
+func TestDecodedCacheRejectsOversizedEntry(t *testing.T) {
+	dc := NewDecodedCache(1200)
+	small, huge := pricedEntry(t, dc, 0, 400), pricedEntry(t, dc, 0, 1208)
+	dc.put(small)
+	dc.put(huge)
+	if cached(t, huge) || !cached(t, small) {
+		t.Fatal("an oversized entry was admitted or wiped the cache")
+	}
+	if st := dc.Stats(); st.Bytes != 400 || st.Entries != 1 || st.Evictions != 0 {
+		t.Fatalf("after an oversized put: %+v", st)
+	}
+}
+
+// Eviction ranks the least recently used entries by their brick's live
+// heat, not the heat at fill time: within the window the coldest brick's
+// entry goes, even when a hotter one is older.
+func TestDecodedCacheEvictsColdestByLiveHeat(t *testing.T) {
+	dc := NewDecodedCache(1200)
+	hot, cold := pricedEntry(t, dc, 0, 400), pricedEntry(t, dc, 100, 400)
+	dc.put(hot) // the least recently used
+	dc.put(cold)
+	dc.put(pricedEntry(t, dc, 50, 400))
+	// Heat moves after the puts.
+	hot.b.hotness.Store(math.Float64bits(100))
+	cold.b.hotness.Store(math.Float64bits(0))
+	dc.put(pricedEntry(t, dc, 50, 400))
+	if !cached(t, hot) || cached(t, cold) {
+		t.Fatal("eviction did not pick the entry whose brick is coldest now")
+	}
+	if st := dc.Stats(); st.Evictions != 1 || st.Entries != 3 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// Hits never reach the cache, so the used mark is what keeps an entry
+// recent: at eviction a marked entry moves to the front, unmarked, and the
+// oldest unmarked entry goes in its stead. With equal heats that is LRU
+// order: the entry hit since its put outlives the ones put after it.
+func TestDecodedCacheUsedIsRecent(t *testing.T) {
+	dc := NewDecodedCache(1200)
+	var ents []*decodedBrick
+	for range 3 {
+		e := pricedEntry(t, dc, 0, 400)
+		dc.put(e)
+		ents = append(ents, e)
+	}
+	ents[0].markUsed() // a hit on the oldest entry
+	dc.put(pricedEntry(t, dc, 0, 400))
+	if !cached(t, ents[0]) || cached(t, ents[1]) || ents[0].used.Load() {
+		t.Fatalf("used oldest cached %v (mark %v), next oldest cached %v", ents[0].el != nil, ents[0].used.Load(), ents[1].el != nil)
+	}
+	dc.put(pricedEntry(t, dc, 0, 400))
+	if cached(t, ents[2]) || !cached(t, ents[0]) {
+		t.Fatal("second eviction did not take entry 2 ahead of entry 0, moved to the front")
+	}
+	// Every entry marked: each gets its second chance and the walk, which
+	// meets them again unmarked, still evicts exactly one.
+	for el := dc.lru.Front(); el != nil; el = el.Next() {
+		el.Value.(*decodedBrick).markUsed()
+	}
+	dc.put(pricedEntry(t, dc, 0, 400))
+	if st := dc.Stats(); st.Entries != 3 || st.Evictions != 3 {
+		t.Fatalf("all marked: %+v, want 3 entries after 3 evictions", st)
 	}
 }

@@ -149,7 +149,7 @@ func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 // SetDecodedCache attaches (or, with nil, detaches) a decoded-column
 // cache: scans over compressed bricks consult it before paying the column
 // decode, and pin their decode for the next scan. The cache may be shared
-// by several stores — keys are per-brick-generation. Safe to call at any
+// by several stores — each entry lives on its brick. Safe to call at any
 // time, including concurrently with scans.
 func (s *Store) SetDecodedCache(dc *DecodedCache) {
 	s.dcache.store(dc)

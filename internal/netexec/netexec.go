@@ -681,11 +681,7 @@ func (c *Coordinator) Query(ctx context.Context, targets []Target, q *engine.Que
 	bypass := CacheBypassed(ctx)
 	var key rescache.Key
 	if c.ResultCache != nil && !bypass {
-		key = rescache.Key{
-			Table:   targetsKey(targets),
-			FoldKey: engine.FoldKey(q),
-			Residue: engine.ResidueKey(q),
-		}
+		key = rescache.KeyFor(targetsKey(targets), q)
 		if res, ok := c.ResultCache.Get(key, c.KnownEpoch); ok {
 			// Zero fan-out: the finished result replays straight from the
 			// cache, every contributing partition provably at the epoch the

@@ -13,7 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"time"
@@ -436,21 +436,14 @@ func (g *BreakerGroup) State(host string) BreakerState {
 	return b.state
 }
 
-// jitter scales d uniformly into [d/2, d]; the shared source is seeded
-// once per process, which is all retry desynchronization needs.
-var jitterRnd = struct {
-	sync.Mutex
-	r *rand.Rand
-}{r: rand.New(rand.NewSource(time.Now().UnixNano()))}
-
+// jitter scales d uniformly into [d/2, d]. math/rand/v2's package source
+// is goroutine-safe and randomly seeded per process, which is all retry
+// desynchronization needs.
 func jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	jitterRnd.Lock()
-	f := 0.5 + 0.5*jitterRnd.r.Float64()
-	jitterRnd.Unlock()
-	return time.Duration(float64(d) * f)
+	return time.Duration(float64(d) * (0.5 + 0.5*rand.Float64()))
 }
 
 // SleepCtx sleeps for d or until ctx is done, returning ctx.Err() in the

@@ -10,17 +10,20 @@
 // Only exact results are cacheable: entries with Coverage < 1 were built
 // under a degradation policy from a partial partition set and must never
 // be replayed as answers.
+//
+// The cache is a plain keyed LRU under a byte budget: a hit moves its
+// entry to the front, and a put evicts from the back until the budget
+// holds.
 package rescache
 
 import (
+	"container/list"
 	"maps"
-	"sort"
-	"strings"
+	"sync"
 	"sync/atomic"
 
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
-	"cubrick/internal/scancache"
 )
 
 // Key identifies one cacheable query against one table. FoldKey pins the
@@ -35,16 +38,7 @@ type Key struct {
 }
 
 // String flattens the key for map storage with unambiguous separators.
-func (k Key) String() string {
-	var b strings.Builder
-	b.Grow(len(k.Table) + len(k.FoldKey) + len(k.Residue) + 2)
-	b.WriteString(k.Table)
-	b.WriteByte(0x1e)
-	b.WriteString(k.FoldKey)
-	b.WriteByte(0x1e)
-	b.WriteString(k.Residue)
-	return b.String()
-}
+func (k Key) String() string { return k.Table + "\x1e" + k.FoldKey + "\x1e" + k.Residue }
 
 // KeyFor derives the cache key for a query against a table.
 func KeyFor(table string, q *engine.Query) Key {
@@ -53,10 +47,13 @@ func KeyFor(table string, q *engine.Query) Key {
 
 // entry is one cached finished result plus the epoch vector it was
 // computed at: one (partition, epoch) pair per partition that contributed.
-// Put never changes an entry, so a lookup reads it without a lock.
+// Put never changes an entry's result or vector, so a lookup validates it
+// outside the lock.
 type entry struct {
+	key    string
 	res    *engine.Result
 	epochs map[string]uint64
+	bytes  int64
 }
 
 // Stats is a snapshot of cache counters.
@@ -65,33 +62,50 @@ type Stats struct {
 	Bytes, Entries                         int64
 }
 
-// Cache is a bounded-byte LRU of finished results: scancache's LRU with no
-// heat signal, plus epoch-vector validation and an invalidation count. A
-// nil *Cache is valid and never hits.
+// Cache is a byte-budgeted LRU of finished results, validated by epoch
+// vector on every hit. Safe for concurrent use. A nil *Cache is valid and
+// never hits.
 type Cache struct {
-	lru           *scancache.Cache
-	invalidations atomic.Int64
-	mInval        atomic.Pointer[metrics.Counter] // set by SetMetrics
+	mu    sync.Mutex
+	max   int64
+	bytes int64
+	lru   list.List // of *entry; front = most recently used
+	byKey map[string]*list.Element
+
+	hits, misses, evictions, invalidations atomic.Int64
+
+	// m holds the metric handles SetMetrics resolved; nil until then.
+	m atomic.Pointer[handles]
+}
+
+type handles struct {
+	hit, miss, evict, inval *metrics.Counter
+	bytes, entries          *metrics.Gauge
 }
 
 // New returns a result cache bounded to maxBytes; non-positive budgets
 // return nil (caching off).
 func New(maxBytes int64) *Cache {
-	lru := scancache.New(maxBytes)
-	if lru == nil {
+	if maxBytes <= 0 {
 		return nil
 	}
-	return &Cache{lru: lru}
+	return &Cache{max: maxBytes, byKey: make(map[string]*list.Element)}
 }
 
-// SetMetrics routes hit/miss/evict/invalidate/bytes instrumentation into
-// reg under the cache.result.* names.
+// SetMetrics routes hit/miss/evict/invalidate/bytes/entries
+// instrumentation into reg under the cache.result.* names.
 func (c *Cache) SetMetrics(reg *metrics.Registry) {
 	if c == nil || reg == nil {
 		return
 	}
-	c.lru.SetMetrics(reg, "cache.result")
-	c.mInval.Store(reg.Counter("cache.result.invalidate"))
+	c.m.Store(&handles{
+		hit:     reg.Counter("cache.result.hit"),
+		miss:    reg.Counter("cache.result.miss"),
+		evict:   reg.Counter("cache.result.evict"),
+		inval:   reg.Counter("cache.result.invalidate"),
+		bytes:   reg.Gauge("cache.result.bytes"),
+		entries: reg.Gauge("cache.result.entries"),
+	})
 }
 
 // Get returns a private deep copy of the cached Result for key, provided
@@ -106,45 +120,75 @@ func (c *Cache) Get(key Key, current func(partition string) (uint64, bool)) (*en
 		return nil, false
 	}
 	ks := key.String()
-	v, ok := c.lru.Peek(ks, 0)
+	var e *entry
+	c.mu.Lock()
+	el, ok := c.byKey[ks]
+	if ok {
+		c.lru.MoveToFront(el)
+		e = el.Value.(*entry)
+	}
+	c.mu.Unlock()
 	if !ok {
-		c.lru.Count(false)
+		c.count(false)
 		return nil, false
 	}
-	e := v.(*entry)
 	for part, cachedEpoch := range e.epochs {
 		cur, known := current(part)
 		if !known {
 			// No epoch knowledge for this partition (coordinator restart,
 			// membership change): cannot prove freshness, so miss without
 			// destroying an entry that may validate later.
-			c.lru.Count(false)
+			c.count(false)
 			return nil, false
 		}
 		if cur != cachedEpoch {
-			if c.lru.Delete(ks) {
+			c.mu.Lock()
+			// Only this entry goes: a fresh one put under the key
+			// meanwhile stays.
+			if c.byKey[ks] == el {
+				c.removeLocked(el)
 				c.invalidated(1)
 			}
-			c.lru.Count(false)
+			c.mu.Unlock()
+			c.count(false)
 			return nil, false
 		}
 	}
-	c.lru.Count(true)
+	c.count(true)
 	return cloneResult(e.res), true
 }
 
 // Put stores a deep copy of res under key, recording the epoch vector it
-// was computed at. Results with Coverage < 1 are rejected — a degraded
-// answer must never be replayed as the answer. Entries larger than the
-// whole budget are rejected.
+// was computed at, and evicts least recently used entries until the budget
+// holds. Results with Coverage < 1 are rejected — a degraded answer must
+// never be replayed as the answer. Entries larger than the whole budget
+// are rejected.
 func (c *Cache) Put(key Key, res *engine.Result, epochs map[string]uint64) {
 	if c == nil || res == nil || res.Coverage < 1 {
 		return
 	}
-	snap := cloneResult(res)
 	ks := key.String()
-	size := resultBytes(snap) + int64(len(ks)) + int64(len(epochs))*48 + 96
-	c.lru.Put(ks, &entry{res: snap, epochs: maps.Clone(epochs)}, size, 0)
+	size := resultBytes(res) + int64(len(ks)) + int64(len(epochs))*48 + 96
+	if size > c.max {
+		return
+	}
+	e := &entry{key: ks, res: cloneResult(res), epochs: maps.Clone(epochs), bytes: size}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byKey[e.key]; ok {
+		c.removeLocked(el)
+	}
+	c.byKey[e.key] = c.lru.PushFront(e)
+	c.bytes += e.bytes
+	m := c.m.Load()
+	for c.bytes > c.max {
+		c.removeLocked(c.lru.Back())
+		c.evictions.Add(1)
+		if m != nil {
+			m.evict.Inc()
+		}
+	}
+	c.publishLocked()
 }
 
 // Invalidate drops every entry whose epoch vector includes partition —
@@ -154,16 +198,55 @@ func (c *Cache) Invalidate(partition string) {
 	if c == nil {
 		return
 	}
-	c.invalidated(c.lru.DeleteFunc(func(v any) bool {
-		_, ok := v.(*entry).epochs[partition]
-		return ok
-	}))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for el := c.lru.Front(); el != nil; {
+		next := el.Next()
+		if _, ok := el.Value.(*entry).epochs[partition]; ok {
+			c.removeLocked(el)
+			n++
+		}
+		el = next
+	}
+	c.invalidated(n)
+}
+
+// removeLocked drops one entry; it is not counted as an eviction. Caller
+// holds c.mu.
+func (c *Cache) removeLocked(el *list.Element) {
+	e := c.lru.Remove(el).(*entry)
+	delete(c.byKey, e.key)
+	c.bytes -= e.bytes
+	c.publishLocked()
+}
+
+func (c *Cache) publishLocked() {
+	if m := c.m.Load(); m != nil {
+		m.bytes.Set(float64(c.bytes))
+		m.entries.Set(float64(c.lru.Len()))
+	}
+}
+
+func (c *Cache) count(hit bool) {
+	m := c.m.Load()
+	if hit {
+		c.hits.Add(1)
+		if m != nil {
+			m.hit.Inc()
+		}
+		return
+	}
+	c.misses.Add(1)
+	if m != nil {
+		m.miss.Inc()
+	}
 }
 
 func (c *Cache) invalidated(n int) {
 	c.invalidations.Add(int64(n))
-	if m := c.mInval.Load(); m != nil {
-		m.Add(int64(n))
+	if m := c.m.Load(); m != nil {
+		m.inval.Add(int64(n))
 	}
 }
 
@@ -172,9 +255,10 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	st := c.lru.Stats()
-	return Stats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-		Invalidations: c.invalidations.Load(), Bytes: st.Bytes, Entries: int64(st.Entries)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(),
+		Invalidations: c.invalidations.Load(), Bytes: c.bytes, Entries: int64(c.lru.Len())}
 }
 
 // cloneResult deep-copies a Result so cached state is never aliased by a
@@ -213,15 +297,4 @@ func resultBytes(r *engine.Result) int64 {
 		n += int64(len(p)) + 16
 	}
 	return n
-}
-
-// SortedPartitions returns the partitions of an epoch vector in sorted
-// order — handy for deterministic tests and logging.
-func SortedPartitions(epochs map[string]uint64) []string {
-	out := make([]string, 0, len(epochs))
-	for p := range epochs {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,7 +1,9 @@
 package rescache
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"cubrick/internal/engine"
@@ -205,6 +207,127 @@ func TestInvalidatePartition(t *testing.T) {
 	if st.Invalidations != 2 {
 		t.Fatalf("invalidations = %d, want 2", st.Invalidations)
 	}
+	if _, ok := c.Get(Key{Table: "t", FoldKey: "b", Residue: ""}, fixed(vec("p1", uint64(1)))); !ok {
+		t.Fatal("Invalidate dropped an entry without the partition")
+	}
+}
+
+// Invalidation, by Invalidate or by a stale Get, removes entries without
+// counting evictions, and the byte and entry gauges follow.
+func TestInvalidationIsNoEviction(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := New(1 << 20)
+	c.SetMetrics(reg)
+	ev := vec("p0", uint64(1))
+	for _, f := range []string{"a", "b", "c"} {
+		c.Put(Key{Table: "t", FoldKey: f}, sampleResult(), ev)
+	}
+	one := c.Stats().Bytes / 3
+	sized := func(stage string, entries int64) {
+		t.Helper()
+		st := c.Stats()
+		if st.Entries != entries || st.Bytes != entries*one || st.Evictions != 0 {
+			t.Fatalf("%s: %+v, want %d entries of %d bytes and no evictions", stage, st, entries, one)
+		}
+		gb, ge := reg.Gauge("cache.result.bytes").Value(), reg.Gauge("cache.result.entries").Value()
+		if gb != float64(entries*one) || ge != float64(entries) {
+			t.Fatalf("%s: gauges bytes=%v entries=%v", stage, gb, ge)
+		}
+	}
+	sized("after Put", 3)
+	c.Get(Key{Table: "t", FoldKey: "a"}, fixed(vec("p0", uint64(2))))
+	sized("after a stale Get", 2)
+	c.Invalidate("p0")
+	sized("after Invalidate", 0)
+	if vals := reg.CounterValues(); vals["cache.result.invalidate"] != 3 || vals["cache.result.evict"] != 0 {
+		t.Fatalf("counters: %v", vals)
+	}
+}
+
+// A stale Get deletes the entry it validated, not whatever the key holds by
+// then: a fresh result put under the key while the Get was validating
+// (outside the lock) stays.
+func TestStaleGetKeepsFresherPut(t *testing.T) {
+	c := New(1 << 20)
+	k := Key{Table: "t", FoldKey: "f"}
+	c.Put(k, sampleResult(), vec("p0", uint64(1)))
+	_, ok := c.Get(k, func(string) (uint64, bool) {
+		c.Put(k, sampleResult(), vec("p0", uint64(2)))
+		return 2, true
+	})
+	if ok {
+		t.Fatal("stale entry served")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Invalidations != 0 {
+		t.Fatalf("after a stale Get raced a fresh Put: %+v, want the fresh entry kept", st)
+	}
+	if _, ok := c.Get(k, fixed(vec("p0", uint64(2)))); !ok {
+		t.Fatal("the fresh entry was lost")
+	}
+}
+
+// The budget evicts least recently used entries first, and a hit makes its
+// entry recent.
+func TestLRUEvictionOrder(t *testing.T) {
+	keyOf := func(i int) Key { return Key{Table: "t", FoldKey: fmt.Sprint(i)} }
+	probe := New(1 << 20)
+	probe.Put(keyOf(0), sampleResult(), vec("p0", uint64(1)))
+	one := probe.Stats().Bytes
+
+	c := New(3 * one)
+	ev := vec("p0", uint64(1))
+	for i := 0; i < 3; i++ {
+		c.Put(keyOf(i), sampleResult(), ev)
+	}
+	if _, ok := c.Get(keyOf(0), fixed(ev)); !ok { // 0 is now the most recent
+		t.Fatal("entry 0 missing before any eviction")
+	}
+	c.Put(keyOf(3), sampleResult(), ev)
+	c.Put(keyOf(4), sampleResult(), ev)
+	for i, want := range []bool{true, false, false, true, true} {
+		if _, ok := c.Get(keyOf(i), fixed(ev)); ok != want {
+			t.Fatalf("entry %d cached %v, want %v", i, ok, want)
+		}
+	}
+	if st := c.Stats(); st.Entries != 3 || st.Evictions != 2 || st.Bytes != 3*one {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// Concurrent Gets, Puts and Invalidates keep the byte accounting exact and
+// under budget (run with -race).
+func TestConcurrentAccess(t *testing.T) {
+	c := New(4 << 10)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				part := fmt.Sprintf("p%d", i%4)
+				k := Key{Table: "t", FoldKey: fmt.Sprint((w*7 + i) % 40)}
+				ev := vec(part, uint64(i%3))
+				if _, ok := c.Get(k, fixed(ev)); !ok {
+					c.Put(k, sampleResult(), ev)
+				}
+				if i%50 == 31 {
+					c.Invalidate(part)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	c.mu.Lock()
+	var sum int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		sum += el.Value.(*entry).bytes
+	}
+	n := len(c.byKey)
+	c.mu.Unlock()
+	if st.Bytes > 4<<10 || sum != st.Bytes || int64(n) != st.Entries {
+		t.Fatalf("after concurrent churn: %+v, entries hold %d bytes in %d keys", st, sum, n)
+	}
 }
 
 func TestNilCacheSafe(t *testing.T) {
@@ -237,11 +360,16 @@ func TestMetricsWired(t *testing.T) {
 	if vals["cache.result.hit"] != 1 || vals["cache.result.miss"] != 2 || vals["cache.result.invalidate"] != 1 {
 		t.Fatalf("counter values: %v", vals)
 	}
-}
-
-func TestSortedPartitions(t *testing.T) {
-	got := SortedPartitions(vec("b", uint64(1), "a", uint64(2), "c", uint64(3)))
-	if !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("got %v", got)
+	c.Put(k, sampleResult(), ev)
+	one := c.Stats().Bytes
+	small := New(one) // room for one entry
+	small.SetMetrics(reg)
+	small.Put(k, sampleResult(), ev)
+	small.Put(Key{Table: "t", FoldKey: "g", Residue: "r"}, sampleResult(), ev) // evicts k
+	if vals := reg.CounterValues(); vals["cache.result.evict"] != 1 {
+		t.Fatalf("evictions: %v", vals)
+	}
+	if gb, ge := reg.Gauge("cache.result.bytes").Value(), reg.Gauge("cache.result.entries").Value(); gb != float64(one) || ge != 1 {
+		t.Fatalf("gauges bytes=%v entries=%v", gb, ge)
 	}
 }
