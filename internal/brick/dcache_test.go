@@ -502,17 +502,9 @@ func cached(t *testing.T, e *decodedBrick) bool {
 // An entry that grows in place is re-priced by putting it again: the
 // cache makes room for its new price, and an entry that outgrows the whole
 // budget leaves the cache and its brick instead of staying at its old
-// price. Every put counts a miss and a hit counts without the lock; the
-// metrics follow the counters and the size.
+// price. Every put counts a miss and a hit counts without the lock.
 func TestDecodedCacheRepricesGrownEntry(t *testing.T) {
-	var off *DecodedCache
-	off.SetMetrics(metrics.NewRegistry())
-	if NewDecodedCache(0) != nil || NewDecodedCache(-1) != nil || off.Stats() != (DecodedStats{}) {
-		t.Fatal("a non-positive budget must return the nil cache, which reports zeros")
-	}
-	reg := metrics.NewRegistry()
 	dc := NewDecodedCache(1200)
-	dc.SetMetrics(reg)
 	a, b := pricedEntry(t, dc, 0, 400), pricedEntry(t, dc, 0, 400)
 	dc.put(a)
 	dc.put(b)
@@ -527,20 +519,119 @@ func TestDecodedCacheRepricesGrownEntry(t *testing.T) {
 	}
 	a.resize(t, 1208) // outgrew the budget
 	dc.put(a)
-	if st := dc.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Evictions != 2 || cached(t, a) {
+	if st := dc.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Evictions != 2 || st.Misses != 4 || cached(t, a) {
 		t.Fatalf("after outgrowing: %+v", st)
 	}
+}
+
+// A nil cache is caching off: a non-positive budget returns it, it reports
+// zeros and takes metrics without effect, and a store that has it decodes
+// every visit afresh, leaving no entry on any brick.
+func TestNilDecodedCacheIsOff(t *testing.T) {
+	if NewDecodedCache(0) != nil || NewDecodedCache(-1) != nil {
+		t.Fatal("a non-positive budget must return the nil cache")
+	}
+	var off *DecodedCache
+	reg := metrics.NewRegistry()
+	off.SetMetrics(reg)
+	if off.Stats() != (DecodedStats{}) || len(reg.CounterValues()) != 0 {
+		t.Fatalf("the nil cache reports %+v and registered %v", off.Stats(), reg.CounterValues())
+	}
+	s := mixedStore(t, 60, "encoded")
+	s.SetDecodedCache(off)
+	tasks, _ := s.PlanScan(nil, nil)
+	walks0 := s.Decompressions()
+	for round := 0; round < 2; round++ {
+		for i := range tasks {
+			got := visitCopy(t, &tasks[i], nil)
+			if ref := visitCopy(t, &tasks[i], uncached(nil)); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("round %d brick %d: visit differs from the uncached decode", round, i)
+			}
+			if tasks[i].brick.dec.Load() != nil {
+				t.Fatalf("round %d brick %d: a visit left a decoded entry on its brick", round, i)
+			}
+		}
+	}
+	if walks, want := s.Decompressions()-walks0, int64(4*len(tasks)); walks != want {
+		t.Fatalf("%d blob walks for %d visits: a visit was served from somewhere", walks, want)
+	}
+}
+
+// The cache.decoded.* metrics follow the counters and the size: a put
+// counts a miss, a hit counts without the lock, an eviction counts once,
+// and a removal moves the gauges without counting an eviction.
+func TestDecodedCacheMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	dc := NewDecodedCache(600)
+	dc.SetMetrics(reg)
+	a, b := pricedEntry(t, dc, 0, 400), pricedEntry(t, dc, 0, 400)
+	dc.put(a)
+	dc.hit()
+	dc.put(b) // evicts a
 	vals := reg.CounterValues()
-	if vals["cache.decoded.hit"] != 1 || vals["cache.decoded.miss"] != 4 || vals["cache.decoded.evict"] != 2 {
+	if vals["cache.decoded.hit"] != 1 || vals["cache.decoded.miss"] != 2 || vals["cache.decoded.evict"] != 1 {
 		t.Fatalf("counters: %v", vals)
 	}
-	dc.put(b)
-	if gb, ge := reg.Gauge("cache.decoded.bytes").Value(), reg.Gauge("cache.decoded.entries").Value(); gb != 400 || ge != 1 {
+	gauges := func() (float64, float64) {
+		return reg.Gauge("cache.decoded.bytes").Value(), reg.Gauge("cache.decoded.entries").Value()
+	}
+	if gb, ge := gauges(); gb != 400 || ge != 1 {
 		t.Fatalf("gauges bytes=%v entries=%v, want 400 and 1", gb, ge)
 	}
 	dc.remove(b)
-	if st := dc.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Evictions != 2 || cached(t, b) {
-		t.Fatalf("after remove: %+v, want empty and no further eviction", st)
+	if gb, ge := gauges(); gb != 0 || ge != 0 || reg.CounterValues()["cache.decoded.evict"] != 1 {
+		t.Fatalf("after remove: gauges bytes=%v entries=%v, counters %v", gb, ge, reg.CounterValues())
+	}
+	if st := dc.Stats(); st.Hits != 1 || st.Misses != 2 || st.Evictions != 1 || st.Bytes != 0 || st.Entries != 0 {
+		t.Fatalf("stats disagree with the metrics: %+v", st)
+	}
+}
+
+// Every way an entry leaves the cache — evicted, outgrowing the budget,
+// rejected on arrival, removed — lets go of it on its brick, and only of
+// it: a brick that has moved on to a newer entry keeps that one.
+func TestDecodedCacheDropsLetGoOfBrick(t *testing.T) {
+	dc := NewDecodedCache(1200)
+	let := func(what string, e *decodedBrick) {
+		t.Helper()
+		if cached(t, e) || e.b.dec.Load() != nil {
+			t.Fatalf("%s: the entry stayed in the cache or on its brick", what)
+		}
+	}
+	evicted, outgrown, removed := pricedEntry(t, dc, 0, 400), pricedEntry(t, dc, 50, 400), pricedEntry(t, dc, 50, 400)
+	dc.put(evicted)
+	dc.put(outgrown)
+	dc.put(removed)
+	dc.put(pricedEntry(t, dc, 50, 400))
+	let("evicted", evicted)
+	outgrown.resize(t, 1208)
+	dc.put(outgrown)
+	let("outgrown", outgrown)
+	rejected := pricedEntry(t, dc, 0, 1208)
+	dc.put(rejected)
+	let("rejected", rejected)
+	dc.remove(removed)
+	let("removed", removed)
+
+	// The brick moved on to a new epoch's entry before its old one left.
+	for _, evict := range []bool{false, true} {
+		stale := pricedEntry(t, dc, 0, 400)
+		dc.put(stale)
+		fresh := newDecodedBrick(stale.b, dc, 0, 1)
+		stale.b.dec.Store(fresh)
+		if evict {
+			for stale.el != nil {
+				dc.put(pricedEntry(t, dc, 50, 400))
+			}
+		} else {
+			dc.remove(stale)
+		}
+		if stale.el != nil || stale.b.dec.Load() != fresh {
+			t.Fatalf("evict %v: dropping the stale entry cleared the brick's newer one", evict)
+		}
+	}
+	if st := dc.Stats(); st.Bytes != int64(st.Entries)*400 {
+		t.Fatalf("budget out of step with its entries: %+v", st)
 	}
 }
 
