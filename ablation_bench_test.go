@@ -3,6 +3,7 @@
 package cubrick_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -275,10 +276,10 @@ func BenchmarkAblationBestEffortVsExact(b *testing.B) {
 		var eOK, bOK int
 		var cov float64
 		for t := 0; t < trials; t++ {
-			if _, err := d.Query("east", "t", q, 0); err == nil {
+			if _, err := d.Query(context.Background(), "east", "t", q, 0); err == nil {
 				eOK++
 			}
-			if res, err := d.QueryBestEffort("east", "t", q, 0); err == nil {
+			if res, err := d.QueryBestEffort(context.Background(), "east", "t", q, 0); err == nil {
 				bOK++
 				cov += res.Coverage
 			}

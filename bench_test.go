@@ -265,7 +265,7 @@ func BenchmarkEndToEndGroupBy(b *testing.B) {
 	b.ResetTimer()
 	var res *cubrick.Result
 	for i := 0; i < b.N; i++ {
-		res, err = db.QueryStruct("events", q)
+		res, err = db.QueryStruct(context.Background(), "events", q)
 		if err != nil {
 			b.Fatal(err)
 		}

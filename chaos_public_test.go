@@ -1,6 +1,7 @@
 package cubrick_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -58,7 +59,7 @@ func TestConcurrentQueriesDuringFailover(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Query("SELECT SUM(value) FROM m")
+				res, err := db.Query(context.Background(), "SELECT SUM(value) FROM m")
 				if first {
 					first = false
 					started.Done()
@@ -141,7 +142,7 @@ func TestLargeDeploymentScales(t *testing.T) {
 	}
 	// Queries work on a sample of tenants.
 	db.Load("tenant_150", [][]uint32{{1, 1}, {2, 2}}, [][]float64{{3}, {4}})
-	res, err := db.Query("SELECT SUM(value) FROM tenant_150")
+	res, err := db.Query(context.Background(), "SELECT SUM(value) FROM tenant_150")
 	if err != nil || res.Rows[0][0] != 7 {
 		t.Fatalf("tenant query = %v, %v", res, err)
 	}

@@ -144,7 +144,7 @@ func (s *server) query(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := s.db.Query(req.CQL)
+	res, err := s.db.Query(r.Context(), req.CQL)
 	if err != nil {
 		if errors.Is(err, admission.ErrQueueFull) {
 			// Shed by admission control: 429 tells clients to back off

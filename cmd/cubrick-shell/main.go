@@ -11,6 +11,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -143,7 +144,7 @@ func runStatement(db *cubrick.DB, line string, out io.Writer) {
 		w.Flush()
 	case *cql.SelectStmt:
 		start := time.Now()
-		res, err := db.Query(line)
+		res, err := db.Query(context.Background(), line)
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			return

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -87,7 +88,7 @@ func main() {
 			Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value", Alias: "total"}},
 			Filter:     map[string][2]uint32{"ds": {0, uint32(qrnd.Intn(364))}},
 		}
-		pxy.Query(table, q)
+		pxy.Query(context.Background(), table, q)
 	}
 	elapsed := time.Since(start)
 

@@ -1,6 +1,7 @@
 package cubrick_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -33,7 +34,7 @@ func TestConcurrentQueriesThroughProxy(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perGoroutine; i++ {
-				res, err := db.Query("SELECT SUM(value) FROM m")
+				res, err := db.Query(context.Background(), "SELECT SUM(value) FROM m")
 				if err != nil {
 					t.Errorf("query: %v", err)
 					return

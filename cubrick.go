@@ -15,10 +15,11 @@
 //	    Metrics:    []cubrick.Metric{{Name: "value"}},
 //	})
 //	db.Load("metrics", [][]uint32{{1}}, [][]float64{{42}})
-//	res, _ := db.Query("SELECT SUM(value) FROM metrics")
+//	res, _ := db.Query(context.Background(), "SELECT SUM(value) FROM metrics")
 package cubrick
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -195,9 +196,10 @@ func (db *DB) Load(table string, dims [][]uint32, metrics [][]float64) error {
 // Result is a finalized query result with its Cubrick metadata.
 type Result = cubrick.QueryResult
 
-// Query parses and executes one CQL SELECT through the proxy, with
-// transparent cross-region retries.
-func (db *DB) Query(query string) (*Result, error) {
+// Query parses and executes one CQL SELECT through the proxy under ctx,
+// with transparent cross-region retries. A JOIN resolves against the
+// catalog first, so a bad join fails before the proxy sees it.
+func (db *DB) Query(ctx context.Context, query string) (*Result, error) {
 	st, err := cql.Parse(query)
 	if err != nil {
 		return nil, err
@@ -209,10 +211,13 @@ func (db *DB) Query(query string) (*Result, error) {
 	if err := db.resolveStringFilters(sel.Table, sel.Query, sel.StringEq); err != nil {
 		return nil, err
 	}
+	q := sel.Query
 	if sel.JoinTable != "" {
-		return db.proxy.QueryJoin(sel.Table, sel.JoinTable, sel.Query)
+		if q, err = db.dep.ResolveJoin(sel.Table, sel.JoinTable, q); err != nil {
+			return nil, err
+		}
 	}
-	return db.proxy.Query(sel.Table, sel.Query)
+	return db.proxy.Query(ctx, sel.Table, q)
 }
 
 // CreateReplicatedTable registers a small dimension table replicated in
@@ -228,9 +233,9 @@ func (db *DB) LoadReplicated(table string, dims [][]uint32, metrics [][]float64)
 	return db.dep.LoadReplicated(table, dims, metrics)
 }
 
-// QueryStruct executes a programmatically built engine query.
-func (db *DB) QueryStruct(table string, q *engine.Query) (*Result, error) {
-	return db.proxy.Query(table, q)
+// QueryStruct executes a programmatically built engine query under ctx.
+func (db *DB) QueryStruct(ctx context.Context, table string, q *engine.Query) (*Result, error) {
+	return db.proxy.Query(ctx, table, q)
 }
 
 // Describe returns a table's schema.

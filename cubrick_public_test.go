@@ -1,6 +1,7 @@
 package cubrick_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func TestPublicAPILifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := db.Query("SELECT SUM(value) AS total FROM metrics")
+	res, err := db.Query(context.Background(), "SELECT SUM(value) AS total FROM metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestPublicAPILifecycle(t *testing.T) {
 		t.Fatalf("columns = %v", res.Columns)
 	}
 
-	res, err = db.Query("SELECT app, COUNT(*) FROM metrics WHERE ds < 10 GROUP BY app ORDER BY count(*) DESC LIMIT 3")
+	res, err = db.Query(context.Background(), "SELECT app, COUNT(*) FROM metrics WHERE ds < 10 GROUP BY app ORDER BY count(*) DESC LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +82,17 @@ func TestPublicAPILifecycle(t *testing.T) {
 	if err := db.DropTable("metrics"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query("SELECT SUM(value) FROM metrics"); err == nil {
+	if _, err := db.Query(context.Background(), "SELECT SUM(value) FROM metrics"); err == nil {
 		t.Fatal("query after drop succeeded")
 	}
 }
 
 func TestPublicAPIQueryErrors(t *testing.T) {
 	db := openDB(t)
-	if _, err := db.Query("nonsense"); err == nil {
+	if _, err := db.Query(context.Background(), "nonsense"); err == nil {
 		t.Fatal("bad CQL accepted")
 	}
-	if _, err := db.Query("SHOW TABLES"); err == nil {
+	if _, err := db.Query(context.Background(), "SHOW TABLES"); err == nil {
 		t.Fatal("non-SELECT accepted by Query")
 	}
 }
@@ -111,7 +112,7 @@ func TestPublicAPIFailoverTransparency(t *testing.T) {
 	h, _ := dep.Fleet.Host(a.Primary())
 	h.SetState(cluster.Down)
 
-	res, err := db.Query("SELECT SUM(value) FROM m")
+	res, err := db.Query(context.Background(), "SELECT SUM(value) FROM m")
 	if err != nil || res.Rows[0][0] != 30 {
 		t.Fatalf("query during outage = %v, %v", res, err)
 	}
@@ -123,7 +124,7 @@ func TestPublicAPIFailoverTransparency(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		db.Advance(10 * time.Second)
 	}
-	res, err = db.Query("SELECT SUM(value) FROM m")
+	res, err = db.Query(context.Background(), "SELECT SUM(value) FROM m")
 	if err != nil || res.Rows[0][0] != 30 {
 		t.Fatalf("query after failover = %v, %v", res, err)
 	}
@@ -154,7 +155,7 @@ func TestPublicAPIRepartition(t *testing.T) {
 	if !strings.HasPrefix(summary, "grow:") {
 		t.Fatalf("summary = %q", summary)
 	}
-	res, err := db.Query("SELECT COUNT(*) FROM g")
+	res, err := db.Query(context.Background(), "SELECT COUNT(*) FROM g")
 	if err != nil || res.Rows[0][0] != float64(n) {
 		t.Fatalf("count after repartition = %v, %v", res, err)
 	}

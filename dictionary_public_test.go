@@ -1,6 +1,7 @@
 package cubrick_test
 
 import (
+	"context"
 	"testing"
 
 	cubrick "cubrick"
@@ -48,7 +49,7 @@ func setupDictTable(t *testing.T) (*cubrick.DB, map[string]float64) {
 
 func TestDictionaryStringFilter(t *testing.T) {
 	db, want := setupDictTable(t)
-	res, err := db.Query("SELECT SUM(revenue) AS total FROM sales WHERE country = 'BR'")
+	res, err := db.Query(context.Background(), "SELECT SUM(revenue) AS total FROM sales WHERE country = 'BR'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestDictionaryStringFilter(t *testing.T) {
 		t.Fatalf("BR total = %v, want %v", res.Rows[0][0], want["BR"])
 	}
 	// Combined with numeric predicates.
-	res, err = db.Query("SELECT SUM(revenue) FROM sales WHERE country = 'JP' AND ds < 5")
+	res, err = db.Query(context.Background(), "SELECT SUM(revenue) FROM sales WHERE country = 'JP' AND ds < 5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestDictionaryStringFilter(t *testing.T) {
 
 func TestDictionaryUnknownLabelEmptyResult(t *testing.T) {
 	db, _ := setupDictTable(t)
-	res, err := db.Query("SELECT COUNT(*) AS n FROM sales WHERE country = 'ATLANTIS'")
+	res, err := db.Query(context.Background(), "SELECT COUNT(*) AS n FROM sales WHERE country = 'ATLANTIS'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestDictionaryEscapedQuoteAndDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Load("sales", [][]uint32{{1, id}}, [][]float64{{7}})
-	res, err := db.Query("SELECT SUM(revenue) FROM sales WHERE country = 'COTE D''IVOIRE'")
+	res, err := db.Query(context.Background(), "SELECT SUM(revenue) FROM sales WHERE country = 'COTE D''IVOIRE'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,18 +113,18 @@ func TestDictionaryErrors(t *testing.T) {
 		t.Fatal("decode on non-dictionary dimension accepted")
 	}
 	// String predicate on a non-dictionary dimension errors clearly.
-	if _, err := db.Query("SELECT COUNT(*) FROM sales WHERE ds = 'monday'"); err == nil {
+	if _, err := db.Query(context.Background(), "SELECT COUNT(*) FROM sales WHERE ds = 'monday'"); err == nil {
 		t.Fatal("string predicate on numeric dimension accepted")
 	}
 	// Non-equality operator with a string is a parse error.
-	if _, err := db.Query("SELECT COUNT(*) FROM sales WHERE country < 'US'"); err == nil {
+	if _, err := db.Query(context.Background(), "SELECT COUNT(*) FROM sales WHERE country < 'US'"); err == nil {
 		t.Fatal("ordered comparison on string accepted")
 	}
 }
 
 func TestDictionaryGroupByDecodes(t *testing.T) {
 	db, want := setupDictTable(t)
-	res, err := db.Query("SELECT country, SUM(revenue) AS total FROM sales GROUP BY country ORDER BY total DESC")
+	res, err := db.Query(context.Background(), "SELECT country, SUM(revenue) AS total FROM sales GROUP BY country ORDER BY total DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestDictionaryGroupByDecodes(t *testing.T) {
 
 func TestCountDistinctThroughCQL(t *testing.T) {
 	db, _ := setupDictTable(t)
-	res, err := db.Query("SELECT COUNT(DISTINCT country) AS countries FROM sales")
+	res, err := db.Query(context.Background(), "SELECT COUNT(DISTINCT country) AS countries FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestCountDistinctThroughCQL(t *testing.T) {
 		t.Fatalf("distinct countries = %v, want 4", res.Rows[0][0])
 	}
 	// Per-group distinct with ordering on the aggregate form.
-	res, err = db.Query("SELECT ds, COUNT(DISTINCT country) FROM sales GROUP BY ds ORDER BY count_distinct(country) DESC LIMIT 3")
+	res, err = db.Query(context.Background(), "SELECT ds, COUNT(DISTINCT country) FROM sales GROUP BY ds ORDER BY count_distinct(country) DESC LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -102,7 +103,7 @@ func main() {
 		 GROUP BY ds ORDER BY ds`,
 	}
 	for _, q := range queries {
-		res, err := db.Query(q)
+		res, err := db.Query(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -55,7 +56,7 @@ func main() {
 	})
 
 	check := func(phase string) {
-		res, err := db.Query("SELECT SUM(value) FROM revenue")
+		res, err := db.Query(context.Background(), "SELECT SUM(value) FROM revenue")
 		if err != nil {
 			fmt.Printf("%s: query FAILED: %v\n", phase, err)
 			return

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 		"SELECT SUM(value) AS total FROM daily_metrics WHERE ds < 7",
 		"SELECT region, SUM(value) AS total FROM daily_metrics GROUP BY region ORDER BY total DESC LIMIT 3",
 	} {
-		res, err := db.Query(q)
+		res, err := db.Query(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

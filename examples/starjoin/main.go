@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -70,7 +71,7 @@ func main() {
 	// The star join: group fact metrics by a dimension-table attribute.
 	// Each fact partition joins against its host's local replica — no
 	// data moves, and fan-out stays at the fact table's partition count.
-	res, err := db.Query(`SELECT vertical, SUM(impressions) AS total
+	res, err := db.Query(context.Background(), `SELECT vertical, SUM(impressions) AS total
 	                      FROM ad_events JOIN campaigns ON campaign
 	                      WHERE ds < 7
 	                      GROUP BY vertical ORDER BY total DESC`)

@@ -1,6 +1,7 @@
 package cubrick_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func TestQueryStructAndSettle(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Max, Metric: "value", Alias: "peak"}}}
-	res, err := db.QueryStruct("m", q)
+	res, err := db.QueryStruct(context.Background(), "m", q)
 	if err != nil || res.Rows[0][0] != 20 {
 		t.Fatalf("QueryStruct = %v, %v", res, err)
 	}
@@ -53,7 +54,7 @@ func TestAdvanceDrivesHeartbeats(t *testing.T) {
 		db.Advance(10 * time.Second)
 	}
 	db.Load("m", [][]uint32{{1, 1}}, [][]float64{{1}})
-	if _, err := db.Query("SELECT COUNT(*) FROM m"); err != nil {
+	if _, err := db.Query(context.Background(), "SELECT COUNT(*) FROM m"); err != nil {
 		t.Fatalf("query after long idle: %v", err)
 	}
 }

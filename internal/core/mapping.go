@@ -89,6 +89,16 @@ func hashString(s string) uint64 {
 	return mix64(h.Sum64())
 }
 
+// mix64 is a splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
 // NaiveMapper hashes every partition name independently:
 // hash(table#N) % MaxShards. This is the paper's first, rejected approach:
 // it is "susceptible to collisions within the same table", which double a

@@ -1,6 +1,7 @@
 package cubrick
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestNodeAdmissionShedsQuery(t *testing.T) {
 		}
 		tickets = append(tickets, tkt)
 	}
-	_, err := d.Query("east", "t", sumQuery(), 0)
+	_, err := d.Query(context.Background(), "east", "t", sumQuery(), 0)
 	if !errors.Is(err, admission.ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull through region wrap", err)
 	}
@@ -37,7 +38,7 @@ func TestNodeAdmissionShedsQuery(t *testing.T) {
 	for _, tkt := range tickets {
 		tkt.Release()
 	}
-	if _, err := d.Query("east", "t", sumQuery(), 0); err != nil {
+	if _, err := d.Query(context.Background(), "east", "t", sumQuery(), 0); err != nil {
 		t.Fatalf("post-release query: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package cubrick
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -11,7 +12,7 @@ func TestBestEffortFullCoverageWhenHealthy(t *testing.T) {
 	d := testDeployment(t)
 	d.CreateTable("m", smallSchema())
 	want := loadRows(t, d, "m", 400)
-	res, err := d.QueryBestEffort("east", "m", sumQuery(), 0)
+	res, err := d.QueryBestEffort(context.Background(), "east", "m", sumQuery(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +37,10 @@ func TestBestEffortSkipsDeadPartitions(t *testing.T) {
 
 	// Exact query fails; best-effort answers with partial coverage and an
 	// undercount — the accuracy-for-availability trade (§II-C).
-	if _, err := d.Query("east", "m", sumQuery(), 0); !errors.Is(err, ErrRegionUnavailable) {
+	if _, err := d.Query(context.Background(), "east", "m", sumQuery(), 0); !errors.Is(err, ErrRegionUnavailable) {
 		t.Fatalf("exact query = %v, want ErrRegionUnavailable", err)
 	}
-	res, err := d.QueryBestEffort("east", "m", sumQuery(), 0)
+	res, err := d.QueryBestEffort(context.Background(), "east", "m", sumQuery(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestBestEffortFailsWhenNothingAnswers(t *testing.T) {
 	for _, h := range d.Fleet.Region("east") {
 		h.SetState(cluster.Down)
 	}
-	if _, err := d.QueryBestEffort("east", "m", sumQuery(), 0); !errors.Is(err, ErrRegionUnavailable) {
+	if _, err := d.QueryBestEffort(context.Background(), "east", "m", sumQuery(), 0); !errors.Is(err, ErrRegionUnavailable) {
 		t.Fatalf("all-dead best effort = %v, want ErrRegionUnavailable", err)
 	}
 }

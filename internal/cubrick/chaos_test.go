@@ -1,6 +1,7 @@
 package cubrick
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func TestChaosSoak(t *testing.T) {
 	rnd := randutil.New(99)
 	checkAll := func(phase string) (okRegions int) {
 		for _, region := range d.Config.Regions {
-			res, err := d.Query(region, "soak", sumQuery(), 0)
+			res, err := d.Query(context.Background(), region, "soak", sumQuery(), 0)
 			if err != nil {
 				continue // unavailability is allowed; wrong answers are not
 			}
@@ -154,8 +155,8 @@ func TestSeedReplaysFaultStream(t *testing.T) {
 		h.SetState(cluster.Down)
 		return d
 	}
-	ask := func(query func(region, table string, q *engine.Query, coordinatorPart int) (*QueryResult, error)) answer {
-		res, err := query("east", "t", sumQuery(), 0)
+	ask := func(query func(ctx context.Context, region, table string, q *engine.Query, coordinatorPart int) (*QueryResult, error)) answer {
+		res, err := query(context.Background(), "east", "t", sumQuery(), 0)
 		if err != nil {
 			return answer{err: err.Error()}
 		}

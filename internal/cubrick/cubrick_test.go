@@ -1,6 +1,7 @@
 package cubrick
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -146,7 +147,7 @@ func TestLoadAndQueryAllRegions(t *testing.T) {
 	}
 	want := loadRows(t, d, "metrics", 600)
 	for _, region := range d.Config.Regions {
-		res, err := d.Query(region, "metrics", sumQuery(), 0)
+		res, err := d.Query(context.Background(), region, "metrics", sumQuery(), 0)
 		if err != nil {
 			t.Fatalf("query in %s: %v", region, err)
 		}
@@ -173,7 +174,7 @@ func TestQueryGroupByAcrossPartitions(t *testing.T) {
 		Aggregates: []engine.Aggregate{{Func: engine.Count, Alias: "n"}},
 		GroupBy:    []string{"app"},
 	}
-	res, err := d.Query("east", "metrics", q, 0)
+	res, err := d.Query(context.Background(), "east", "metrics", q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +218,11 @@ func TestQueryFailsWhenHostDownAndRecoversViaFailover(t *testing.T) {
 	victim.SetState(cluster.Down)
 
 	// Query in east now fails with a retryable region error...
-	if _, err := d.Query("east", "metrics", sumQuery(), 0); !errors.Is(err, ErrRegionUnavailable) {
+	if _, err := d.Query(context.Background(), "east", "metrics", sumQuery(), 0); !errors.Is(err, ErrRegionUnavailable) {
 		t.Fatalf("query with dead host = %v, want ErrRegionUnavailable", err)
 	}
 	// ...while west still answers (cross-region retry target, §IV-D).
-	res, err := d.Query("west", "metrics", sumQuery(), 0)
+	res, err := d.Query(context.Background(), "west", "metrics", sumQuery(), 0)
 	if err != nil || res.Rows[0][0] != want {
 		t.Fatalf("west query = %v, %v", res, err)
 	}
@@ -232,7 +233,7 @@ func TestQueryFailsWhenHostDownAndRecoversViaFailover(t *testing.T) {
 		d.Clock.Advance(5 * time.Second)
 		d.SM.Sweep()
 	}
-	res, err = d.Query("east", "metrics", sumQuery(), 0)
+	res, err = d.Query(context.Background(), "east", "metrics", sumQuery(), 0)
 	if err != nil {
 		t.Fatalf("east query after failover: %v", err)
 	}
@@ -271,13 +272,13 @@ func TestGracefulMigrationPreservesQueries(t *testing.T) {
 		t.Fatal("no migration target accepted the shard")
 	}
 	// Before the propagation wait elapses, both copies exist; query works.
-	res, err := d.Query("east", "metrics", sumQuery(), 0)
+	res, err := d.Query(context.Background(), "east", "metrics", sumQuery(), 0)
 	if err != nil || res.Rows[0][0] != want {
 		t.Fatalf("query during migration = %v, %v", res, err)
 	}
 	// After the wait, the old copy is dropped; queries still work.
 	d.Clock.Advance(d.Config.PropagationWait + time.Second)
-	res, err = d.Query("east", "metrics", sumQuery(), 0)
+	res, err = d.Query(context.Background(), "east", "metrics", sumQuery(), 0)
 	if err != nil || res.Rows[0][0] != want {
 		t.Fatalf("query after migration = %v, %v", res, err)
 	}
@@ -307,7 +308,7 @@ func TestShardCollisionRejected(t *testing.T) {
 		t.Fatal("collision-inducing migration accepted")
 	}
 	// The shard must still be fully served from its original host.
-	res, qerr := d.Query("east", "metrics", sumQuery(), 0)
+	res, qerr := d.Query(context.Background(), "east", "metrics", sumQuery(), 0)
 	if qerr != nil {
 		t.Fatalf("query after rejected migration: %v (res=%v, err=%v)", qerr, res, err)
 	}
@@ -344,11 +345,11 @@ func TestCrossTablePartitionCollisionSharesShard(t *testing.T) {
 	if err := d.Load("beta", dims, metrics); err != nil {
 		t.Fatal(err)
 	}
-	resA, err := d.Query("east", "alpha", sumQuery(), 0)
+	resA, err := d.Query(context.Background(), "east", "alpha", sumQuery(), 0)
 	if err != nil || resA.Rows[0][0] != wantA {
 		t.Fatalf("alpha = %v, %v; want %v", resA.Rows, err, wantA)
 	}
-	resB, err := d.Query("east", "beta", sumQuery(), 0)
+	resB, err := d.Query(context.Background(), "east", "beta", sumQuery(), 0)
 	if err != nil || resB.Rows[0][0] != wantB {
 		t.Fatalf("beta = %v, %v; want %v", resB.Rows, err, wantB)
 	}
@@ -370,7 +371,7 @@ func TestDropTableCleansUp(t *testing.T) {
 	if err := d.DropTable("metrics"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Query("east", "metrics", sumQuery(), 0); !errors.Is(err, ErrNoTable) {
+	if _, err := d.Query(context.Background(), "east", "metrics", sumQuery(), 0); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("query after drop = %v", err)
 	}
 	for _, sh := range shards {
@@ -405,7 +406,7 @@ func TestRepartitionGrowPreservesData(t *testing.T) {
 		t.Fatalf("catalog after grow: %+v", info)
 	}
 	for _, region := range d.Config.Regions {
-		res, err := d.Query(region, "grower", sumQuery(), 0)
+		res, err := d.Query(context.Background(), region, "grower", sumQuery(), 0)
 		if err != nil || res.Rows[0][0] != want {
 			t.Fatalf("region %s after grow: %v, %v; want %v", region, res.Rows, err, want)
 		}
@@ -478,7 +479,7 @@ func TestNodeHeatAndDecay(t *testing.T) {
 	d.CreateTable("metrics", smallSchema())
 	loadRows(t, d, "metrics", 200)
 	for i := 0; i < 5; i++ {
-		if _, err := d.Query("east", "metrics", sumQuery(), 0); err != nil {
+		if _, err := d.Query(context.Background(), "east", "metrics", sumQuery(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -504,7 +505,7 @@ func TestSurvivesSMUnavailability(t *testing.T) {
 	want := loadRows(t, d, "metrics", 100)
 	// Simulate a week of SM being down: time passes, no Sweep calls.
 	d.Clock.Advance(7 * 24 * time.Hour)
-	res, err := d.Query("east", "metrics", sumQuery(), 0)
+	res, err := d.Query(context.Background(), "east", "metrics", sumQuery(), 0)
 	if err != nil || res.Rows[0][0] != want {
 		t.Fatalf("query with SM down = %v, %v", res, err)
 	}
@@ -522,7 +523,7 @@ func TestLoadGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count, Alias: "n"}}}
-	res, err := d.Query("east", "gen", q, 0)
+	res, err := d.Query(context.Background(), "east", "gen", q, 0)
 	if err != nil || res.Rows[0][0] != 500 {
 		t.Fatalf("generated rows = %v, %v", res.Rows, err)
 	}
@@ -534,7 +535,7 @@ func TestCoordinatorSelection(t *testing.T) {
 	loadRows(t, d, "metrics", 50)
 	seen := make(map[string]bool)
 	for p := 0; p < 4; p++ {
-		res, err := d.Query("east", "metrics", sumQuery(), p)
+		res, err := d.Query(context.Background(), "east", "metrics", sumQuery(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,7 +545,7 @@ func TestCoordinatorSelection(t *testing.T) {
 		t.Fatalf("coordinator did not vary with partition choice: %v", seen)
 	}
 	// Out-of-range coordinator clamps to 0.
-	if _, err := d.Query("east", "metrics", sumQuery(), 99); err != nil {
+	if _, err := d.Query(context.Background(), "east", "metrics", sumQuery(), 99); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package cubrick
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"cubrick/internal/cluster"
 	"cubrick/internal/core"
 	"cubrick/internal/discovery"
+	"cubrick/internal/netexec"
 	"cubrick/internal/randutil"
 	"cubrick/internal/shardmgr"
 	"cubrick/internal/simclock"
@@ -90,6 +92,10 @@ type Deployment struct {
 	rnd    *randutil.Source
 	nodes  map[string]*Node // host name -> node
 	agents map[string]*shardmgr.Agent
+	// coords holds each region's one query coordinator, built at Open:
+	// partition names repeat across regions, but each region's copies
+	// have their own ingest epochs, so regions share no KnownEpoch view.
+	coords map[string]*netexec.Coordinator
 
 	mu sync.Mutex
 	// replicatedLog records every row loaded into replicated tables so
@@ -135,9 +141,12 @@ func Open(cfg DeploymentConfig, epoch time.Time) (*Deployment, error) {
 		rnd:       rnd,
 		nodes:     make(map[string]*Node),
 		agents:    make(map[string]*shardmgr.Agent),
+		coords:    make(map[string]*netexec.Coordinator, len(cfg.Regions)),
 	}
 
+	client := &http.Client{Transport: memTransport{d}}
 	for _, region := range cfg.Regions {
+		d.coords[region] = &netexec.Coordinator{Client: client}
 		svc := shardmgr.ServiceConfig{
 			Name:                ServiceName(region),
 			MaxShards:           cfg.MaxShards,
@@ -389,54 +398,6 @@ func (d *Deployment) LoadGenerated(table string, n int, gen *workload.RowGenerat
 		dims[i], metrics[i] = gen.Next()
 	}
 	return d.Load(table, dims, metrics)
-}
-
-// PartitionPlacement lists the hosts holding one partition of a table: the
-// primary in the query region, plus the hosts owning the same partition in
-// the other regions. Since every region holds a full copy of all tables
-// (§IV-D), those cross-region owners are exactly the replicas a resilient
-// scatter-gather can retry, hedge, or fail over to — this is the placement
-// list the networked data plane's Target (primary + replica URLs) is built
-// from.
-type PartitionPlacement struct {
-	Partition string
-	Primary   string
-	Replicas  []string
-}
-
-// ReplicaPlacements returns the per-partition placements of a table as
-// seen from one region: primary in that region, replicas drawn from the
-// healthy owners in every other region. A down replica host is omitted
-// rather than reported — it is failover capacity, not an error.
-func (d *Deployment) ReplicaPlacements(table, region string) ([]PartitionPlacement, error) {
-	info, err := d.Catalog.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PartitionPlacement, info.Partitions)
-	for p := 0; p < info.Partitions; p++ {
-		shard := d.Catalog.ShardOf(table, p)
-		a, err := d.SM.Assignment(ServiceName(region), shard)
-		if err != nil {
-			return nil, fmt.Errorf("cubrick: partition %s#%d unplaced in %s: %w", table, p, region, err)
-		}
-		pl := PartitionPlacement{Partition: core.PartitionName(table, p), Primary: a.Primary()}
-		for _, other := range d.Config.Regions {
-			if other == region {
-				continue
-			}
-			ra, err := d.SM.Assignment(ServiceName(other), shard)
-			if err != nil {
-				continue
-			}
-			host := ra.Primary()
-			if h, err := d.Fleet.Host(host); err == nil && h.Available() {
-				pl.Replicas = append(pl.Replicas, host)
-			}
-		}
-		out[p] = pl
-	}
-	return out, nil
 }
 
 // Settle advances simulated time enough for discovery propagation and

@@ -1,6 +1,7 @@
 package cubrick
 
 import (
+	"context"
 	"testing"
 
 	"cubrick/internal/engine"
@@ -38,7 +39,7 @@ func TestGen3EvictsUnderPressure(t *testing.T) {
 	}
 
 	// Queries over evicted data still return exact results, paying IOPS.
-	res, err := d.Query("east", "big", sumQuery(), 0)
+	res, err := d.Query(context.Background(), "east", "big", sumQuery(), 0)
 	if err != nil || res.Rows[0][0] != want {
 		t.Fatalf("query over tiered store = %v, %v; want %v", res, err, want)
 	}
@@ -82,7 +83,7 @@ func TestGen3HotDataStaysResident(t *testing.T) {
 		Filter:     map[string][2]uint32{"ds": {0, 4}},
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := d.Query("east", "big", hotQ, 0); err != nil {
+		if _, err := d.Query(context.Background(), "east", "big", hotQ, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +95,7 @@ func TestGen3HotDataStaysResident(t *testing.T) {
 	// Re-running the hot query should now mostly hit resident bricks: the
 	// SSD read rate per query must drop relative to a cold query.
 	for i := 0; i < 5; i++ {
-		if _, err := d.Query("east", "big", hotQ, 0); err != nil {
+		if _, err := d.Query(context.Background(), "east", "big", hotQ, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

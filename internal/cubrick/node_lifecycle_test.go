@@ -1,6 +1,7 @@
 package cubrick
 
 import (
+	"context"
 	"testing"
 
 	"cubrick/internal/brick"
@@ -54,12 +55,12 @@ func TestNodePartitionLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := loadRows(t, d, "t", 600)
-			if res, err := d.Query("east", "t", sumQuery(), 0); err != nil || res.Rows[0][0] != want {
+			if res, err := d.Query(context.Background(), "east", "t", sumQuery(), 0); err != nil || res.Rows[0][0] != want {
 				t.Fatalf("sum = %v, %v; want %v", res, err, want)
 			}
 			ragged := sumQuery()
 			ragged.Filter = map[string][2]uint32{"ds": {3, 3}}
-			if _, err := d.Query("east", "t", ragged, 0); err != nil {
+			if _, err := d.Query(context.Background(), "east", "t", ragged, 0); err != nil {
 				t.Fatal(err)
 			}
 

@@ -88,7 +88,7 @@ func TestCrossPlaneParity(t *testing.T) {
 				}
 				want = oracle.Answer(want)
 				for run := 0; run < runs; run++ {
-					res, err := d.Query("east", "t", q, 0)
+					res, err := d.Query(context.Background(), "east", "t", q, 0)
 					if err != nil {
 						t.Fatalf("%s query %d run %d: in-process: %v", name, qi, run, err)
 					}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -45,15 +44,15 @@ type QueryResult struct {
 // unavailable, queries will fail and be retried on a different region").
 var ErrRegionUnavailable = errors.New("cubrick: region cannot serve query")
 
-// Query executes a grouped aggregation against a table in one region:
-// resolve every partition's host, execute partials there (pushing compute
-// to the data), merge on the coordinator, and finalize. Any partition that
-// cannot answer fails the query in this region — partial results are
-// never silently dropped (§II-C: Cubrick does not trade accuracy).
-// coordinatorPart selects which partition's host acts as coordinator
-// (§IV-C); pass 0 when unconcerned.
-func (d *Deployment) Query(region, table string, q *engine.Query, coordinatorPart int) (*QueryResult, error) {
-	return d.query(region, table, q, coordinatorPart, netexec.QueryPolicy{})
+// Query executes a grouped aggregation against a table in one region,
+// under ctx: resolve every partition's host, execute partials there
+// (pushing compute to the data), merge on the coordinator, and finalize.
+// Any partition that cannot answer fails the query in this region —
+// partial results are never silently dropped (§II-C: Cubrick does not
+// trade accuracy). coordinatorPart selects which partition's host acts as
+// coordinator (§IV-C); pass 0 when unconcerned.
+func (d *Deployment) Query(ctx context.Context, region, table string, q *engine.Query, coordinatorPart int) (*QueryResult, error) {
+	return d.query(ctx, region, table, q, coordinatorPart, true)
 }
 
 // QueryBestEffort is the Scuba-style alternative the paper contrasts with
@@ -63,44 +62,47 @@ func (d *Deployment) Query(region, table string, q *engine.Query, coordinatorPar
 // analysis, monitoring and other workloads where accuracy is not
 // fundamental" — Cubrick's BI workloads cannot make that assumption, which
 // is why the production system uses partial sharding instead.
-func (d *Deployment) QueryBestEffort(region, table string, q *engine.Query, coordinatorPart int) (*QueryResult, error) {
-	return d.query(region, table, q, coordinatorPart, netexec.QueryPolicy{MinCoverage: math.SmallestNonzeroFloat64})
+func (d *Deployment) QueryBestEffort(ctx context.Context, region, table string, q *engine.Query, coordinatorPart int) (*QueryResult, error) {
+	return d.query(ctx, region, table, q, coordinatorPart, false)
 }
 
-// query runs one region's query through netexec.Coordinator, the
-// coordinator the networked plane runs, over memTransport: one primary-only
-// target per partition, so one /partial call per host, merged in arrival
-// order. The zero policy is exact with one attempt and no hedge, so it
-// starts no timer; a MinCoverage policy drops the partitions of failed
-// calls instead.
-func (d *Deployment) query(region, table string, q *engine.Query, coordinatorPart int, policy netexec.QueryPolicy) (*QueryResult, error) {
+// query runs one region's query through the region's netexec.Coordinator,
+// built once at Open with the zero policy (exact, one attempt, no hedge, so
+// no timer), over memTransport: one primary-only target per planned
+// partition, so one /partial call per host, merged in arrival order. Best
+// effort is chosen in the plan, which leaves out what it cannot reach, so
+// a call that fails after planning fails the query in this region.
+func (d *Deployment) query(ctx context.Context, region, table string, q *engine.Query, coordinatorPart int, exact bool) (*QueryResult, error) {
 	info, err := d.Catalog.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	p, err := d.plan(region, info, policy.MinCoverage == 0)
+	p, err := d.plan(region, info, coordinatorPart, exact)
 	if err != nil {
 		return nil, err
 	}
-	targets := make([]netexec.Target, len(p.hosts))
-	for i, host := range p.hosts {
-		targets[i] = netexec.Target{URL: "http://" + host, Partition: core.PartitionName(table, i)}
-	}
-	c := netexec.Coordinator{Client: &http.Client{Transport: memTransport{d, p.draws}}, Policy: policy}
-	res, err := c.Query(context.TODO(), targets, q)
+	res, err := d.coords[region].Query(ctx, p.targets, q)
 	if err != nil {
 		// Both %w: callers match ErrRegionUnavailable for routing and the
 		// underlying cause (e.g. a worker's 429 as admission.ErrQueueFull).
 		return nil, fmt.Errorf("%w: %w", ErrRegionUnavailable, err)
 	}
-	return p.result(region, info, res, coordinatorPart), nil
+	if len(p.missing) > 0 {
+		res.Coverage = float64(len(p.targets)) / float64(info.Partitions)
+		res.MissingPartitions = p.missing
+	}
+	return &QueryResult{Result: res, Table: table, Partitions: info.Partitions, Version: info.Version, Region: region,
+		Coordinator: p.coordinator, Fanout: p.fanout, Latency: p.latency, Coverage: res.Coverage}, nil
 }
 
-// queryPlan is one query's view of a region: the primary host of every
-// partition, and one sampled call outcome per host.
+// queryPlan is one query's view of a region: what it calls, what it leaves
+// out, and what its hosts' sampled call outcomes add up to.
 type queryPlan struct {
-	hosts []string                   // by partition; "" when unresolved
-	draws map[string]cluster.Outcome // by host, "" included when unresolved
+	targets     []netexec.Target // one per called partition, primary only
+	missing     []string         // the left-out partitions' names, sorted
+	coordinator string           // coordinatorPart's host, or the first called one
+	fanout      int              // distinct hosts called
+	latency     time.Duration    // the slowest called host's sampled latency
 }
 
 // plan resolves every partition of a table to its primary host in region
@@ -108,69 +110,64 @@ type queryPlan struct {
 // sorted host order, before any call starts: the fan-out's calls run on
 // concurrent goroutines, so only draws taken here replay from one seed. An
 // exact plan fails on the first unresolved partition or failed draw. A
-// best-effort plan keeps going, and the partitions of unresolved or failed
-// hosts go missing from the answer.
-func (d *Deployment) plan(region string, info TableInfo, exact bool) (queryPlan, error) {
-	p := queryPlan{hosts: make([]string, info.Partitions), draws: make(map[string]cluster.Outcome)}
-	for i := range p.hosts {
+// best-effort plan leaves those partitions out, and fails only when it
+// leaves out every one.
+func (d *Deployment) plan(region string, info TableInfo, coordinatorPart int, exact bool) (queryPlan, error) {
+	var p queryPlan
+	hosts := make([]string, info.Partitions) // by partition; "" when unresolved
+	for i := range hosts {
 		a, err := d.SM.Assignment(ServiceName(region), d.Catalog.ShardOf(info.Name, i))
 		if err == nil {
-			p.hosts[i] = a.Primary()
+			hosts[i] = a.Primary()
 		} else if exact {
 			return p, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
-		} else {
-			p.draws[""] = cluster.Outcome{Err: err}
 		}
 	}
-	hosts := slices.Clone(p.hosts)
-	slices.Sort(hosts)
+	sorted := slices.Clone(hosts)
+	slices.Sort(sorted)
+	failed := []string{""} // an unresolved partition is left out too
 	d.rndMu.Lock()
 	defer d.rndMu.Unlock()
-	for _, host := range slices.Compact(hosts) {
-		if _, drawn := p.draws[host]; !drawn {
-			p.draws[host] = d.Transport.Call(host, d.rnd)
+	for _, host := range slices.Compact(sorted) {
+		if host == "" {
+			continue
 		}
-		if err := p.draws[host].Err; exact && err != nil {
-			return p, fmt.Errorf("%w: %w", ErrRegionUnavailable, err)
+		o := d.Transport.Call(host, d.rnd)
+		if o.Err == nil {
+			p.fanout++
+			p.latency = max(p.latency, o.Latency)
+		} else if exact {
+			return p, fmt.Errorf("%w: %w", ErrRegionUnavailable, o.Err)
+		} else {
+			failed = append(failed, host)
 		}
 	}
+	if p.fanout == 0 {
+		return p, fmt.Errorf("%w: no host of %s answers in %s", ErrRegionUnavailable, info.Name, region)
+	}
+	for i, host := range hosts {
+		name := core.PartitionName(info.Name, i)
+		if slices.Contains(failed, host) {
+			p.missing = append(p.missing, name)
+			continue
+		}
+		p.targets = append(p.targets, netexec.Target{URL: "http://" + host, Partition: name})
+		if p.coordinator == "" || i == coordinatorPart {
+			p.coordinator = host
+		}
+	}
+	slices.Sort(p.missing) // as netexec's gather sorts MissingPartitions
 	return p, nil
 }
 
-// result annotates a finalized answer with the plan: Fanout and Latency
-// count the hosts whose draw succeeded, and the coordinator is
-// coordinatorPart's host, or the first such host when that one failed.
-func (p queryPlan) result(region string, info TableInfo, res *engine.Result, coordinatorPart int) *QueryResult {
-	out := &QueryResult{Result: res, Table: info.Name, Partitions: info.Partitions, Version: info.Version,
-		Region: region, Coverage: res.Coverage}
-	for i, host := range p.hosts {
-		if p.draws[host].Err == nil && (out.Coordinator == "" || i == coordinatorPart) {
-			out.Coordinator = host
-		}
-	}
-	for _, o := range p.draws {
-		if o.Err == nil {
-			out.Fanout++
-			out.Latency = max(out.Latency, o.Latency)
-		}
-	}
-	return out
-}
-
 // memTransport is the in-process plane's wire: it hands each /partial call
-// to the named host's worker handler, or fails it with the host's failed
-// draw. It reports sampled latency through the plan and never sleeps.
-type memTransport struct {
-	d     *Deployment
-	draws map[string]cluster.Outcome
-}
+// to the named host's worker handler. It holds no per-query state, and it
+// never sleeps: plan reports the sampled latency.
+type memTransport struct{ d *Deployment }
 
 // RoundTrip implements http.RoundTripper.
 func (t memTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	defer req.Body.Close()
-	if err := t.draws[req.URL.Host].Err; err != nil {
-		return nil, err
-	}
 	n, err := t.d.Node(req.URL.Host)
 	if err != nil {
 		return nil, err

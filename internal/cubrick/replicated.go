@@ -6,7 +6,6 @@ import (
 
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
-	"cubrick/internal/netexec"
 	"cubrick/internal/partition"
 )
 
@@ -142,34 +141,34 @@ func (d *Deployment) ReplayReplicated(host string) error {
 	return nil
 }
 
-// QueryJoin executes a star join in one region as an ordinary query: the
-// join rides in the query (engine.Query.Join), each host's worker answers
-// its fact partitions joined against its local replica of the dimension
-// table in its one brick pass, and netexec.Coordinator merges the
-// partials. Every column of the dimension table but the ON key is a join
-// attribute (InferJoin).
-func (d *Deployment) QueryJoin(region, factTable, dimTable string, q *engine.Query, coordinatorPart int) (*QueryResult, error) {
-	factInfo, err := d.Catalog.Table(factTable)
+// ResolveJoin returns a copy of q that joins the sharded fact table
+// against the replicated dimension table. The join rides in the query
+// (engine.Query.Join): each host's worker answers its fact partitions
+// joined against its local replica in its one brick pass, and the copy runs
+// through Query like any other. Every column of the dimension table but
+// the ON key is a join attribute (InferJoin).
+func (d *Deployment) ResolveJoin(fact, dim string, q *engine.Query) (*engine.Query, error) {
+	factInfo, err := d.Catalog.Table(fact)
 	if err != nil {
 		return nil, err
 	}
 	if factInfo.Replicated {
-		return nil, fmt.Errorf("cubrick: fact table %s must be sharded", factTable)
+		return nil, fmt.Errorf("cubrick: fact table %s must be sharded", fact)
 	}
-	dimInfo, err := d.Catalog.Table(dimTable)
+	dimInfo, err := d.Catalog.Table(dim)
 	if err != nil {
 		return nil, err
 	}
 	if !dimInfo.Replicated {
-		return nil, fmt.Errorf("%w: %s", ErrNotReplicated, dimTable)
+		return nil, fmt.Errorf("%w: %s", ErrNotReplicated, dim)
 	}
-	join, err := InferJoin(factInfo.Schema, dimInfo.Schema, dimTable)
+	join, err := InferJoin(factInfo.Schema, dimInfo.Schema, dim)
 	if err != nil {
 		return nil, err
 	}
 	jq := *q
 	jq.Join = join
-	return d.query(region, factTable, &jq, coordinatorPart, netexec.QueryPolicy{})
+	return &jq, nil
 }
 
 // InferJoin builds the JoinSpec of a join against a dimension table: the

@@ -1,6 +1,7 @@
 package cubrick
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"testing"
@@ -55,6 +56,16 @@ func setupJoin(t *testing.T) *Deployment {
 	return d
 }
 
+// queryJoin runs a star join the way DB.Query does: ResolveJoin, then an
+// ordinary Query.
+func queryJoin(d *Deployment, region, fact, dim string, q *engine.Query) (*QueryResult, error) {
+	jq, err := d.ResolveJoin(fact, dim, q)
+	if err != nil {
+		return nil, err
+	}
+	return d.Query(context.Background(), region, fact, jq, 0)
+}
+
 func TestReplicatedTableOnEveryNode(t *testing.T) {
 	d := setupJoin(t)
 	for _, n := range d.Nodes() {
@@ -83,7 +94,7 @@ func TestQueryJoinGroupByTeam(t *testing.T) {
 		GroupBy:    []string{"team"},
 	}
 	for _, region := range d.Config.Regions {
-		res, err := d.QueryJoin(region, "fact", "apps", q, 0)
+		res, err := queryJoin(d, region, "fact", "apps", q)
 		if err != nil {
 			t.Fatalf("join in %s: %v", region, err)
 		}
@@ -106,7 +117,7 @@ func TestQueryJoinAttributeFilter(t *testing.T) {
 		Aggregates: []engine.Aggregate{{Func: engine.Count, Alias: "n"}},
 		Filter:     map[string][2]uint32{"team": {2, 2}},
 	}
-	res, err := d.QueryJoin("east", "fact", "apps", q, 0)
+	res, err := queryJoin(d, "east", "fact", "apps", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +129,18 @@ func TestQueryJoinAttributeFilter(t *testing.T) {
 func TestQueryJoinErrors(t *testing.T) {
 	d := setupJoin(t)
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	if _, err := d.QueryJoin("east", "ghost", "apps", q, 0); !errors.Is(err, ErrNoTable) {
+	if _, err := queryJoin(d, "east", "ghost", "apps", q); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("unknown fact = %v", err)
 	}
-	if _, err := d.QueryJoin("east", "fact", "ghost", q, 0); !errors.Is(err, ErrNoTable) {
+	if _, err := queryJoin(d, "east", "fact", "ghost", q); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("unknown dim = %v", err)
 	}
 	// Joining against a sharded table is rejected.
-	if _, err := d.QueryJoin("east", "fact", "fact", q, 0); err == nil {
+	if _, err := queryJoin(d, "east", "fact", "fact", q); err == nil {
 		t.Fatal("join against sharded table accepted")
 	}
 	// Using a replicated table as the fact side is rejected.
-	if _, err := d.QueryJoin("east", "apps", "apps", q, 0); err == nil {
+	if _, err := queryJoin(d, "east", "apps", "apps", q); err == nil {
 		t.Fatal("replicated fact table accepted")
 	}
 }
@@ -141,10 +152,10 @@ func TestQueryJoinFailsOverRegions(t *testing.T) {
 	h, _ := d.Fleet.Host(a.Primary())
 	h.SetState(cluster.Down)
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	if _, err := d.QueryJoin("east", "fact", "apps", q, 0); !errors.Is(err, ErrRegionUnavailable) {
+	if _, err := queryJoin(d, "east", "fact", "apps", q); !errors.Is(err, ErrRegionUnavailable) {
 		t.Fatalf("join with dead host = %v, want ErrRegionUnavailable", err)
 	}
-	if res, err := d.QueryJoin("west", "fact", "apps", q, 0); err != nil || res.Rows[0][0] != 200 {
+	if res, err := queryJoin(d, "west", "fact", "apps", q); err != nil || res.Rows[0][0] != 200 {
 		t.Fatalf("west join = %v, %v", res, err)
 	}
 }
@@ -161,7 +172,7 @@ func TestQueryJoinFailsWithoutOwner(t *testing.T) {
 	owner.DropPartition(shard, core.PartitionName("fact", 0))
 
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	_, err := d.QueryJoin("east", "fact", "apps", q, 0)
+	_, err := queryJoin(d, "east", "fact", "apps", q)
 	if !errors.Is(err, ErrRegionUnavailable) || !errors.Is(err, ErrNotServing) {
 		t.Fatalf("join with no owner = %v, want ErrRegionUnavailable wrapping ErrNotServing", err)
 	}
@@ -178,7 +189,7 @@ func TestQueryFailsWithoutOwner(t *testing.T) {
 	owner.DropPartition(shard, core.PartitionName("fact", 0))
 
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	_, err := d.Query("east", "fact", q, 0)
+	_, err := d.Query(context.Background(), "east", "fact", q, 0)
 	if !errors.Is(err, ErrRegionUnavailable) || !errors.Is(err, ErrNotServing) {
 		t.Fatalf("query with no owner = %v, want ErrRegionUnavailable wrapping ErrNotServing", err)
 	}
@@ -262,11 +273,11 @@ func TestDropReplicatedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	if _, err := d.QueryJoin("east", "fact", "apps", q, 0); !errors.Is(err, ErrNoTable) {
+	if _, err := queryJoin(d, "east", "fact", "apps", q); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("join after drop = %v", err)
 	}
 	// Sharded tables unaffected.
-	if _, err := d.Query("east", "fact", q, 0); err != nil {
+	if _, err := d.Query(context.Background(), "east", "fact", q, 0); err != nil {
 		t.Fatal(err)
 	}
 }

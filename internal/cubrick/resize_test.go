@@ -1,6 +1,7 @@
 package cubrick
 
 import (
+	"context"
 	"testing"
 )
 
@@ -52,7 +53,7 @@ func TestAddHostTakesLoadViaBalancer(t *testing.T) {
 		t.Fatal("new host still empty after balancing")
 	}
 	// Queries stay exact throughout.
-	res, err := d.Query("east", "m", sumQuery(), 0)
+	res, err := d.Query(context.Background(), "east", "m", sumQuery(), 0)
 	if err != nil || res.Rows[0][0] != want {
 		t.Fatalf("query after resize = %v, %v; want %v", res, err, want)
 	}
@@ -110,7 +111,7 @@ func TestRemoveHostDrainsAndQueriesSurvive(t *testing.T) {
 			t.Fatal("SM still lists the removed server")
 		}
 	}
-	res, err := d.Query("east", "m", sumQuery(), 0)
+	res, err := d.Query(context.Background(), "east", "m", sumQuery(), 0)
 	if err != nil || res.Rows[0][0] != want {
 		t.Fatalf("query after removal = %v, %v; want %v", res, err, want)
 	}

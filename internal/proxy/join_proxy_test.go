@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"context"
 	"testing"
 
 	"cubrick/internal/brick"
@@ -34,13 +35,23 @@ func setupJoinProxy(t *testing.T) (*cubrick.Deployment, *Proxy) {
 	return d, p
 }
 
+// queryJoin runs a star join the way DB.Query does: the deployment
+// resolves the join, then the proxy runs the joined query.
+func queryJoin(d *cubrick.Deployment, p *Proxy, fact, dim string, q *engine.Query) (*cubrick.QueryResult, error) {
+	jq, err := d.ResolveJoin(fact, dim, q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Query(context.Background(), fact, jq)
+}
+
 func TestProxyQueryJoin(t *testing.T) {
-	_, p := setupJoinProxy(t)
+	d, p := setupJoinProxy(t)
 	q := &engine.Query{
 		Aggregates: []engine.Aggregate{{Func: engine.Count, Alias: "n"}},
 		GroupBy:    []string{"team"},
 	}
-	res, err := p.QueryJoin("metrics", "apps", q)
+	res, err := queryJoin(d, p, "metrics", "apps", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +74,7 @@ func TestProxyQueryJoinRetriesAcrossRegions(t *testing.T) {
 	h, _ := d.Fleet.Host(a.Primary())
 	h.SetState(cluster.Down)
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count, Alias: "n"}}}
-	res, err := p.QueryJoin("metrics", "apps", q)
+	res, err := queryJoin(d, p, "metrics", "apps", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +87,9 @@ func TestProxyQueryJoinRetriesAcrossRegions(t *testing.T) {
 }
 
 func TestProxyQueryJoinSemanticErrorFailsFast(t *testing.T) {
-	_, p := setupJoinProxy(t)
+	d, p := setupJoinProxy(t)
 	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	if _, err := p.QueryJoin("metrics", "ghost", q); err == nil {
+	if _, err := queryJoin(d, p, "metrics", "ghost", q); err == nil {
 		t.Fatal("join against unknown dim table accepted")
 	}
 	if p.Retries.Value() != 0 {

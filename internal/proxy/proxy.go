@@ -7,6 +7,7 @@
 package proxy
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -149,26 +150,12 @@ func (p *Proxy) picker() *core.Picker {
 	}
 }
 
-// Query runs a query through the proxy: admission control, coordinator
-// selection, region selection with transparent retries, blacklisting and
-// cache refresh from result metadata.
-func (p *Proxy) Query(table string, q *engine.Query) (*cubrick.QueryResult, error) {
-	return p.run(table, func(region string, coord int) (*cubrick.QueryResult, error) {
-		return p.dep.Query(region, table, q, coord)
-	})
-}
-
-// QueryJoin runs a star join (sharded fact table against a replicated
-// dimension table) with the same proxy semantics as Query.
-func (p *Proxy) QueryJoin(factTable, dimTable string, q *engine.Query) (*cubrick.QueryResult, error) {
-	return p.run(factTable, func(region string, coord int) (*cubrick.QueryResult, error) {
-		return p.dep.QueryJoin(region, factTable, dimTable, q, coord)
-	})
-}
-
-// run wraps one query execution with admission control, coordinator
-// selection, cross-region retries, blacklisting and cache refresh.
-func (p *Proxy) run(table string, exec func(region string, coord int) (*cubrick.QueryResult, error)) (*cubrick.QueryResult, error) {
+// Query runs a query through the proxy under ctx: admission control,
+// coordinator selection, region selection with transparent retries,
+// blacklisting and cache refresh from result metadata. A query whose ctx
+// is cancelled or past its deadline returns at once: no region can answer
+// it, and the table is not at fault.
+func (p *Proxy) Query(ctx context.Context, table string, q *engine.Query) (*cubrick.QueryResult, error) {
 	p.Queries.Inc()
 	if p.Blacklisted(table) {
 		p.Rejections.Inc()
@@ -188,7 +175,7 @@ func (p *Proxy) run(table string, exec func(region string, coord int) (*cubrick.
 
 	var lastErr error
 	for _, region := range p.cfg.PreferredRegions {
-		res, err := exec(region, coord)
+		res, err := p.dep.Query(ctx, region, table, q, coord)
 		if err == nil {
 			p.noteSuccess(table)
 			// Refresh the partition cache from result metadata (§IV-C):
@@ -197,6 +184,9 @@ func (p *Proxy) run(table string, exec func(region string, coord int) (*cubrick.
 			p.cache.Update(table, res.Partitions)
 			p.Latency.Observe(res.Latency.Seconds())
 			return res, nil
+		}
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, err
 		}
 		lastErr = err
 		if errors.Is(err, cubrick.ErrRegionUnavailable) {

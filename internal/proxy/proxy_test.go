@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func sumQuery() *engine.Query {
 
 func TestProxyQueryHappyPath(t *testing.T) {
 	_, p, want := setup(t)
-	res, err := p.Query("metrics", sumQuery())
+	res, err := p.Query(context.Background(), "metrics", sumQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestProxyRetriesAcrossRegions(t *testing.T) {
 	h, _ := d.Fleet.Host(a.Primary())
 	h.SetState(cluster.Down)
 
-	res, err := p.Query("metrics", sumQuery())
+	res, err := p.Query(context.Background(), "metrics", sumQuery())
 	if err != nil {
 		t.Fatalf("proxy did not recover via another region: %v", err)
 	}
@@ -110,7 +111,7 @@ func TestProxyAllRegionsFailed(t *testing.T) {
 		h, _ := d.Fleet.Host(a.Primary())
 		h.SetState(cluster.Down)
 	}
-	_, err := p.Query("metrics", sumQuery())
+	_, err := p.Query(context.Background(), "metrics", sumQuery())
 	if !errors.Is(err, ErrAllRegionsFailed) {
 		t.Fatalf("query = %v, want ErrAllRegionsFailed", err)
 	}
@@ -128,14 +129,14 @@ func TestProxyBlacklisting(t *testing.T) {
 		h.SetState(cluster.Down)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := p.Query("metrics", sumQuery()); err == nil {
+		if _, err := p.Query(context.Background(), "metrics", sumQuery()); err == nil {
 			t.Fatal("query should fail")
 		}
 	}
 	if !p.Blacklisted("metrics") {
 		t.Fatal("table not blacklisted after threshold failures")
 	}
-	if _, err := p.Query("metrics", sumQuery()); !errors.Is(err, ErrBlacklisted) {
+	if _, err := p.Query(context.Background(), "metrics", sumQuery()); !errors.Is(err, ErrBlacklisted) {
 		t.Fatalf("blacklisted query = %v", err)
 	}
 	// Operator clears the blacklist; hosts recover; queries work again.
@@ -145,7 +146,7 @@ func TestProxyBlacklisting(t *testing.T) {
 		h.SetState(cluster.Up)
 	}
 	p.Unblacklist("metrics")
-	if _, err := p.Query("metrics", sumQuery()); err != nil {
+	if _, err := p.Query(context.Background(), "metrics", sumQuery()); err != nil {
 		t.Fatalf("query after unblacklist: %v", err)
 	}
 }
@@ -161,21 +162,21 @@ func TestProxySuccessResetsFailureCount(t *testing.T) {
 		killed = append(killed, h)
 	}
 	// Two failures (below threshold of 3)...
-	p.Query("metrics", sumQuery())
-	p.Query("metrics", sumQuery())
+	p.Query(context.Background(), "metrics", sumQuery())
+	p.Query(context.Background(), "metrics", sumQuery())
 	// ...then recovery and a success.
 	for _, h := range killed {
 		h.SetState(cluster.Up)
 	}
-	if _, err := p.Query("metrics", sumQuery()); err != nil {
+	if _, err := p.Query(context.Background(), "metrics", sumQuery()); err != nil {
 		t.Fatal(err)
 	}
 	// Two more failures must NOT blacklist (counter was reset).
 	for _, h := range killed {
 		h.SetState(cluster.Down)
 	}
-	p.Query("metrics", sumQuery())
-	p.Query("metrics", sumQuery())
+	p.Query(context.Background(), "metrics", sumQuery())
+	p.Query(context.Background(), "metrics", sumQuery())
 	if p.Blacklisted("metrics") {
 		t.Fatal("blacklisted despite interleaved success")
 	}
@@ -184,7 +185,7 @@ func TestProxySuccessResetsFailureCount(t *testing.T) {
 func TestProxyAdmissionControl(t *testing.T) {
 	d, _, _ := setup(t)
 	p := New(d, Config{MaxConcurrent: 0}, randutil.New(1))
-	if _, err := p.Query("metrics", sumQuery()); err != nil {
+	if _, err := p.Query(context.Background(), "metrics", sumQuery()); err != nil {
 		t.Fatalf("unlimited admission rejected: %v", err)
 	}
 	// Saturate a 1-slot proxy by grabbing the slot manually.
@@ -192,11 +193,11 @@ func TestProxyAdmissionControl(t *testing.T) {
 	if err := p2.admit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.Query("metrics", sumQuery()); !errors.Is(err, ErrAdmission) {
+	if _, err := p2.Query(context.Background(), "metrics", sumQuery()); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("saturated proxy = %v, want ErrAdmission", err)
 	}
 	p2.release()
-	if _, err := p2.Query("metrics", sumQuery()); err != nil {
+	if _, err := p2.Query(context.Background(), "metrics", sumQuery()); err != nil {
 		t.Fatalf("freed proxy rejected: %v", err)
 	}
 	if p2.Rejections.Value() != 1 {
@@ -206,7 +207,7 @@ func TestProxyAdmissionControl(t *testing.T) {
 
 func TestProxyUnknownTableFailsFast(t *testing.T) {
 	_, p, _ := setup(t)
-	_, err := p.Query("ghost", sumQuery())
+	_, err := p.Query(context.Background(), "ghost", sumQuery())
 	if err == nil || errors.Is(err, ErrAllRegionsFailed) {
 		t.Fatalf("unknown table = %v, want fast semantic failure", err)
 	}
@@ -235,7 +236,7 @@ func TestProxyCacheRefreshAfterRepartition(t *testing.T) {
 	}
 	d.Load("t", dims, mets)
 	p := New(d, Config{}, randutil.New(2))
-	if _, err := p.Query("t", sumQuery()); err != nil {
+	if _, err := p.Query(context.Background(), "t", sumQuery()); err != nil {
 		t.Fatal(err)
 	}
 	if p.Cache().Get("t") != 2 {
@@ -245,7 +246,7 @@ func TestProxyCacheRefreshAfterRepartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Next query's result metadata refreshes the cache (§IV-C).
-	if _, err := p.Query("t", sumQuery()); err != nil {
+	if _, err := p.Query(context.Background(), "t", sumQuery()); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Cache().Get("t"); got != 4 {
@@ -256,7 +257,7 @@ func TestProxyCacheRefreshAfterRepartition(t *testing.T) {
 func TestProxyStrategyConfigurable(t *testing.T) {
 	d, _, _ := setup(t)
 	p := New(d, Config{Strategy: core.AlwaysPartitionZero}, randutil.New(3))
-	res, err := p.Query("metrics", sumQuery())
+	res, err := p.Query(context.Background(), "metrics", sumQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"time"
 
 	"cubrick/internal/brick"
@@ -166,7 +167,7 @@ func RunWeek(cfg WeekConfig) (*WeekReport, error) {
 			Aggregates: []engine.Aggregate{{Func: engine.Sum, Metric: "value", Alias: "total"}},
 			Filter:     map[string][2]uint32{"ds": {0, uint32(qrnd.Intn(364))}},
 		}
-		pxy.Query(table, q)
+		pxy.Query(context.Background(), table, q)
 	}
 
 	// Hourly control loop: heartbeat sweeps, rejoins, metrics, balancing.

@@ -1,6 +1,7 @@
 package cubrick_test
 
 import (
+	"context"
 	"testing"
 
 	cubrick "cubrick"
@@ -50,7 +51,7 @@ func setupStarSchema(t *testing.T) *cubrick.DB {
 
 func TestPublicJoinQuery(t *testing.T) {
 	db := setupStarSchema(t)
-	res, err := db.Query("SELECT team, SUM(value) AS total FROM fact JOIN apps ON app GROUP BY team ORDER BY total DESC")
+	res, err := db.Query(context.Background(), "SELECT team, SUM(value) AS total FROM fact JOIN apps ON app GROUP BY team ORDER BY total DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestPublicJoinSurvivesRegionFailure(t *testing.T) {
 	h, _ := dep.Fleet.Host(a.Primary())
 	h.SetState(cluster.Down)
 
-	res, err := db.Query("SELECT COUNT(*) FROM fact JOIN apps WHERE team = 1")
+	res, err := db.Query(context.Background(), "SELECT COUNT(*) FROM fact JOIN apps WHERE team = 1")
 	if err != nil {
 		t.Fatalf("join during outage: %v", err)
 	}

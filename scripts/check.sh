@@ -179,7 +179,13 @@ fi
 # internal/cubrick starts no goroutine of its own. The per-partition
 # scatter-gather, its fan-out sampler, the node's direct partial entry
 # point and the migration forward only it followed must not come back, and
-# the package builds its Coordinator in one place.
+# the package builds its Coordinator in one place: one per region at Open,
+# never per query (not in query.go or replicated.go). Every query runs
+# under its caller's context, so no non-test code calls context.TODO().
+# Best effort is chosen in the plan, not by a second coordinator policy, so
+# non-test internal/cubrick sets no MinCoverage; and a join is an ordinary
+# query resolved by Deployment.ResolveJoin, so no QueryJoin copy of Query
+# may come back in internal/cubrick or internal/proxy.
 echo "== one coordinator"
 CUBRICK_SRC="$(ls internal/cubrick/*.go | grep -v _test.go)"
 if grep -nE '^[[:space:]]*go[[:space:]]|[{;][[:space:]]*go[[:space:]]' $CUBRICK_SRC; then
@@ -194,6 +200,23 @@ SITES="$(cat $CUBRICK_SRC | grep -oF 'netexec.Coordinator{' | wc -l)"
 if [ "$SITES" -gt 1 ]; then
     echo "one coordinator: $SITES netexec.Coordinator{ literals in non-test internal/cubrick, want at most 1:"
     grep -nF 'netexec.Coordinator{' $CUBRICK_SRC
+    exit 1
+fi
+if grep -nF 'netexec.Coordinator{' internal/cubrick/query.go internal/cubrick/replicated.go; then
+    echo "one coordinator: a query builds its own netexec.Coordinator again (see above); use the region's, built at Open"
+    exit 1
+fi
+if grep -nF 'context.TODO(' $NONTEST_GO; then
+    echo "one coordinator: non-test code calls context.TODO() (see above); take the caller's context"
+    exit 1
+fi
+if grep -nF 'MinCoverage' $CUBRICK_SRC; then
+    echo "one coordinator: non-test internal/cubrick sets MinCoverage (see above); best effort is chosen in the plan"
+    exit 1
+fi
+PROXY_SRC="$(ls internal/proxy/*.go | grep -v _test.go)"
+if grep -nE 'func .*QueryJoin\(' $CUBRICK_SRC $PROXY_SRC; then
+    echo "one coordinator: a QueryJoin copy of Query is back (see above); resolve the join with Deployment.ResolveJoin and run Query"
     exit 1
 fi
 echo "internal/cubrick non-test lines: $(cat $CUBRICK_SRC | wc -l)"
