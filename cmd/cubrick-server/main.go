@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -28,6 +29,7 @@ import (
 	"cubrick/internal/admission"
 	"cubrick/internal/netexec"
 	"cubrick/internal/partition"
+	"cubrick/internal/proxy"
 )
 
 type server struct {
@@ -146,13 +148,7 @@ func (s *server) query(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.db.Query(r.Context(), req.CQL)
 	if err != nil {
-		if errors.Is(err, admission.ErrQueueFull) {
-			// Shed by admission control: 429 tells clients to back off
-			// and retry, mirroring the worker/coordinator behaviour.
-			writeErr(w, http.StatusTooManyRequests, err)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, queryStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
@@ -164,6 +160,24 @@ func (s *server) query(w http.ResponseWriter, r *http.Request) {
 		"latency_ms":  float64(res.Latency.Microseconds()) / 1000,
 		"rowsScanned": res.RowsScanned,
 	})
+}
+
+// queryStatus maps a query error to its HTTP status. Shedding is checked
+// first: when every region shed the query, ErrAllRegionsFailed wraps
+// admission's ErrQueueFull, and the client should back off, not give up.
+func queryStatus(err error) int {
+	switch {
+	case errors.Is(err, admission.ErrQueueFull), errors.Is(err, proxy.ErrAdmission):
+		// 429 tells clients to back off and retry, mirroring the
+		// worker/coordinator behaviour.
+		return http.StatusTooManyRequests
+	case errors.Is(err, proxy.ErrAllRegionsFailed), errors.Is(err, proxy.ErrBlacklisted),
+		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// The query may be fine; the deployment could not answer it now.
+		return http.StatusServiceUnavailable
+	}
+	// Bad CQL and unknown tables fail fast in the proxy, unwrapped.
+	return http.StatusBadRequest
 }
 
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {

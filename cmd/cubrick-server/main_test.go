@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	cubrick "cubrick"
+	"cubrick/internal/cluster"
 )
 
 func newTestServer(t *testing.T) *server {
@@ -165,5 +167,24 @@ func TestServerErrorPaths(t *testing.T) {
 	s.query(w2, req)
 	if w2.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("wrong method: %d", w2.Code)
+	}
+	// A request whose context is already cancelled: the deployment could
+	// not answer, the query itself is fine.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req = httptest.NewRequest(http.MethodPost, "/query",
+		bytes.NewReader([]byte(`{"cql": "SELECT COUNT(*) FROM metrics"}`))).WithContext(ctx)
+	w2 = httptest.NewRecorder()
+	s.query(w2, req)
+	if w2.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled request: %d %s", w2.Code, w2.Body)
+	}
+	// Every host of the fleet down: every region fails.
+	for _, h := range s.db.Deployment().Fleet.Hosts() {
+		h.SetState(cluster.Down)
+	}
+	w = postJSON(t, s.query, "/query", map[string]string{"cql": "SELECT COUNT(*) FROM metrics"})
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("fleet down: %d %s", w.Code, w.Body)
 	}
 }

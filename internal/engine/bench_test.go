@@ -121,7 +121,9 @@ func BenchmarkKernelGroupBy1(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelGroupBy2 exercises the packed-uint64 two-dimension kernel.
+// BenchmarkKernelGroupBy2 groups by two dimensions: each brick's 128-point
+// domain is dense, and the combiner finds the groups of the 16 384-point
+// schema domain through the hashed kernel.
 func BenchmarkKernelGroupBy2(b *testing.B) {
 	benchKernel(b, &Query{
 		Aggregates: []Aggregate{{Func: Sum, Metric: "value"}},
@@ -129,8 +131,9 @@ func BenchmarkKernelGroupBy2(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelGroupByWide exercises the byte-string fallback kernel
-// (three dimensions).
+// BenchmarkKernelGroupByWide groups by three dimensions: each brick's
+// 4 096-point domain just fits the dense kernel, and the combiner hashes
+// keys of arity 3 (slots hold a hash, confirmed against the slab's keys).
 func BenchmarkKernelGroupByWide(b *testing.B) {
 	benchKernel(b, &Query{
 		Aggregates: []Aggregate{{Func: Sum, Metric: "value"}},

@@ -234,9 +234,8 @@ func TestSelectionEdges(t *testing.T) {
 
 // TestCompositeKeyEncodedViews pins the composite-key encoded paths the
 // random harness reaches only by luck: dictionary-tuple aggregation (dense
-// slot array over the code cross-product) feeding the wide-key kernels
-// (2-dim packed map, 3+-dim bit-packed, and the byte-string fallback when
-// the packed key overflows 64 bits).
+// slot array over the code cross-product) feeding the hashed kernel, with
+// keys of arity 2 packed into its slots and wider keys hashed.
 func TestCompositeKeyEncodedViews(t *testing.T) {
 	rnd := randutil.New(0xC0DE)
 	build := func(nDims int) *brick.Store {
@@ -257,8 +256,8 @@ func TestCompositeKeyEncodedViews(t *testing.T) {
 		dims := make([]uint32, nDims)
 		for r := 0; r < 900; r++ {
 			for d := range dims {
-				// 19-bit per-dim spread: 4 grouped dims overflow the 64-bit
-				// packed key and must fall back to the byte-string kernel.
+				// 19-bit per-dim spread: far past the dense domain, so every
+				// arity goes through the hashed kernel.
 				dims[d] = uint32(d*90000 + rnd.Intn(4)*90001)
 			}
 			if err := s.Insert(dims, []float64{rnd.Float64() * 1e3}); err != nil {

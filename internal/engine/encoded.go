@@ -227,7 +227,7 @@ func (c *compiled) observeSegs(acc accumulator, b *brick.Batch, es *encScratch) 
 			keys[d] = runsBy[d][idx[d]].Value
 		}
 		g := acc.groupFor(keys)
-		c.observeRun(s.at(g), b, int(pos), int(n))
+		c.observeRun(s.at(g), b.Dims, b.Metrics, int(pos), int(n))
 		pos += n
 		for d := 0; d < k; d++ {
 			rem[d] -= n

@@ -10,11 +10,11 @@ import (
 
 // encodedSchema shapes the group dimension "key" so each brick's bound
 // width selects the wanted per-task kernel: dense (width ≤ 4096) or the
-// packed map fallback.
+// hashed one.
 func encodedSchema(dense bool) brick.Schema {
 	key := brick.Dimension{Name: "key", Max: 64, Buckets: 8} // width 8 → denseAcc
 	if !dense {
-		key = brick.Dimension{Name: "key", Max: 100000, Buckets: 2} // width 50000 → packedAcc
+		key = brick.Dimension{Name: "key", Max: 100000, Buckets: 2} // width 50000 → hashAcc
 	}
 	return brick.Schema{
 		Dimensions: []brick.Dimension{

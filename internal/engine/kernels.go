@@ -3,8 +3,6 @@ package engine
 import (
 	"math/bits"
 	"slices"
-
-	"cubrick/internal/brick"
 )
 
 // Aggregation kernels for the vectorized execution path. Each kernel
@@ -16,10 +14,8 @@ import (
 //   - denseAcc:  the group domain (the product of the grouped dimensions'
 //     widths) has at most denseDomainLimit points — a slot array indexed
 //     by (value − lower bound), no hashing
-//   - packedAcc: each grouped value minus its lower bound, bit-packed into
-//     one uint64 map key
-//   - keyNAcc:   packed keys wider than 64 bits — a groupIndex over the
-//     slab's own keys
+//   - hashAcc:   any other GROUP BY — a groupIndex over the slab's own
+//     keys, the same lookup a Partial uses
 //
 // One ladder picks the kernel from per-dimension bounds: a brick's bounds
 // for the per-brick kernel, the schema domain for the combiner. Every
@@ -229,24 +225,26 @@ func (x *groupIndex) reserve(s *groupSlab, n int) {
 	}
 }
 
-// observeRun folds rows [start, start+n) — all belonging to one group —
-// into the group's cells, using run-length shortcuts where the aggregate
-// allows: Count adds n in O(1); metric aggregates run a register-local loop
-// over the metric column slice; CountDistinct over other dimensions stays
-// per-row.
-func (c *compiled) observeRun(cells []cell, b *brick.Batch, start, n int) {
+// observeRun folds rows [start, start+n) of a columnar batch — all
+// belonging to one group — into the group's cells, using run-length
+// shortcuts where the aggregate allows: Count adds n in O(1); metric
+// aggregates run a register-local loop over the metric column slice;
+// CountDistinct over other dimensions stays per-row.
+func (c *compiled) observeRun(cells []cell, dims [][]uint32, metrics [][]float64, start, n int) {
 	end := start + n
 	for i := range c.q.Aggregates {
 		cl := &cells[i]
 		if di := c.distinctIdx[i]; di >= 0 {
-			col := b.Dims[di]
+			col := dims[di]
 			for r := start; r < end; r++ {
 				cl.observeDistinct(col[r])
 			}
 			continue
 		}
 		if mi := c.metricIdx[i]; mi >= 0 {
-			col := b.Metrics[mi]
+			col := metrics[mi]
+			// Keep the registers in locals so the tight loop stays free of
+			// pointer loads.
 			sum, cnt, mn, mx := cl.sum, cl.count, cl.min, cl.max
 			for r := start; r < end; r++ {
 				v := col[r]
@@ -262,16 +260,14 @@ func (c *compiled) observeRun(cells []cell, b *brick.Batch, start, n int) {
 			cl.sum, cl.count, cl.min, cl.max = sum, cnt, mn, mx
 			continue
 		}
-		// Count: exactly equivalent to n observe(1) calls, without the loop.
-		cl.sum += float64(n)
-		cl.count += int64(n)
-		if 1 < cl.min {
-			cl.min = 1
-		}
-		if 1 > cl.max {
-			cl.max = 1
-		}
+		cl.observeCount(n)
 	}
+}
+
+// observeCount folds n rows into a Count cell: exactly equivalent to n
+// observe(1) calls, without the loop.
+func (cl *cell) observeCount(n int) {
+	cl.merge(cell{sum: float64(n), count: int64(n), min: 1, max: 1})
 }
 
 // accumulator is one kernel instance. sel selects the surviving row
@@ -311,20 +307,19 @@ func absorb(acc accumulator, src *groupSlab) {
 const denseDomainLimit = 4096
 
 // kernelSet holds one kernel of each type. A pass worker keeps one in its
-// encScratch and picks from it for every brick, so slot arrays, maps and
-// slab buffers are reused brick after brick; a Combiner keeps a set of its
-// own, reused query after query when the Combiner is.
+// encScratch and picks from it for every brick, so slot arrays, index
+// tables and slab buffers are reused brick after brick; a Combiner keeps a
+// set of its own, reused query after query when the Combiner is.
 type kernelSet struct {
 	global globalAcc
 	dense  denseAcc
-	packed packedAcc
-	keyN   keyNAcc
+	hash   hashAcc
 }
 
 // pick empties and returns the kernel for c's GROUP BY over bounds, the
 // inclusive value range of every schema dimension. Every range-partitioned
 // value lies inside its brick's bounds and inside the schema domain, which
-// is what lets the dense and packed kernels address groups by offset.
+// is what lets the dense kernel address groups by offset.
 func (ks *kernelSet) pick(c *compiled, bounds [][2]uint32) accumulator {
 	var acc accumulator
 	switch {
@@ -333,11 +328,9 @@ func (ks *kernelSet) pick(c *compiled, bounds [][2]uint32) accumulator {
 		acc = &ks.global
 	case ks.dense.fit(c, bounds):
 		acc = &ks.dense
-	case ks.packed.fit(c, bounds):
-		acc = &ks.packed
 	default:
-		ks.keyN.prepare(c)
-		acc = &ks.keyN
+		ks.hash.prepare(c)
+		acc = &ks.hash
 	}
 	acc.slab().reset(c)
 	return acc
@@ -374,11 +367,13 @@ func (a *globalAcc) groupFor([]uint32) int32 {
 }
 
 func (a *globalAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
-	n := rows
-	if sel != nil {
-		n = len(sel)
+	if sel == nil {
+		if rows > 0 {
+			a.c.observeRun(a.at(a.groupFor(nil)), dims, metrics, 0, rows)
+		}
+		return
 	}
-	if n == 0 {
+	if len(sel) == 0 {
 		return
 	}
 	cells := a.at(a.groupFor(nil))
@@ -386,64 +381,34 @@ func (a *globalAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int,
 		cl := &cells[i]
 		if di := a.c.distinctIdx[i]; di >= 0 {
 			col := dims[di]
-			if sel == nil {
-				for r := 0; r < rows; r++ {
-					cl.observeDistinct(col[r])
-				}
-			} else {
-				for _, r := range sel {
-					cl.observeDistinct(col[r])
-				}
+			for _, r := range sel {
+				cl.observeDistinct(col[r])
 			}
 			continue
 		}
 		if mi := a.c.metricIdx[i]; mi >= 0 {
 			col := metrics[mi]
-			// Keep the registers in locals so the tight loop stays free of
-			// pointer loads.
 			sum, cnt, mn, mx := cl.sum, cl.count, cl.min, cl.max
-			if sel == nil {
-				for r := 0; r < rows; r++ {
-					v := col[r]
-					sum += v
-					cnt++
-					if v < mn {
-						mn = v
-					}
-					if v > mx {
-						mx = v
-					}
+			for _, r := range sel {
+				v := col[r]
+				sum += v
+				cnt++
+				if v < mn {
+					mn = v
 				}
-			} else {
-				for _, r := range sel {
-					v := col[r]
-					sum += v
-					cnt++
-					if v < mn {
-						mn = v
-					}
-					if v > mx {
-						mx = v
-					}
+				if v > mx {
+					mx = v
 				}
 			}
 			cl.sum, cl.count, cl.min, cl.max = sum, cnt, mn, mx
 			continue
 		}
-		// Count: exactly equivalent to n observe(1) calls, without the loop.
-		cl.sum += float64(n)
-		cl.count += int64(n)
-		if 1 < cl.min {
-			cl.min = 1
-		}
-		if 1 > cl.max {
-			cl.max = 1
-		}
+		cl.observeCount(len(sel))
 	}
 }
 
 // denseAcc addresses groups by their point in the bounded group domain,
-// so the hot loop does array indexing instead of map lookups.
+// so the hot loop does array indexing instead of hash probes.
 type denseAcc struct {
 	c *compiled
 	groupSlab
@@ -538,93 +503,23 @@ func (a *denseAcc) groupFor(key []uint32) int32 {
 	return g
 }
 
-// packedAcc keys groups by one uint64: each grouped dimension contributes
-// bits.Len32(hi−lo) bits of (value − lower bound), so the hot path probes
-// an integer-keyed map instead of building a byte-string key per row.
-type packedAcc struct {
-	c *compiled
-	groupSlab
-	lo    []uint32 // per grouped dimension
-	shift []uint8
-	index map[uint64]int32
-}
-
-// fit adopts bounds when the packed key fits 64 bits — always for one or
-// two grouped dimensions.
-func (a *packedAcc) fit(c *compiled, bounds [][2]uint32) bool {
-	a.lo, a.shift = a.lo[:0], a.shift[:0]
-	total := 0
-	for _, gi := range c.groupIdx {
-		b := bounds[gi]
-		a.lo = append(a.lo, b[0])
-		a.shift = append(a.shift, uint8(total))
-		if total += bits.Len32(b[1] - b[0]); total > 64 {
-			return false
-		}
-	}
-	a.c = c
-	if a.index == nil {
-		a.index = make(map[uint64]int32)
-	}
-	clear(a.index)
-	return true
-}
-
-func (a *packedAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
-	if sel == nil {
-		for r := 0; r < rows; r++ {
-			a.observeRow(dims, metrics, r)
-		}
-	} else {
-		for _, r := range sel {
-			a.observeRow(dims, metrics, int(r))
-		}
-	}
-}
-
-func (a *packedAcc) observeRow(dims [][]uint32, metrics [][]float64, r int) {
-	var k uint64
-	for i, gi := range a.c.groupIdx {
-		k |= uint64(dims[gi][r]-a.lo[i]) << a.shift[i]
-	}
-	g, ok := a.index[k]
-	if !ok {
-		g = a.addRow(a.c.groupIdx, dims, r)
-		a.index[k] = g
-	}
-	a.c.observeRow(a.at(g), dims, metrics, r)
-}
-
-func (a *packedAcc) groupFor(key []uint32) int32 {
-	var k uint64
-	for i, v := range key {
-		k |= uint64(v-a.lo[i]) << a.shift[i]
-	}
-	g, ok := a.index[k]
-	if !ok {
-		g = a.add(key)
-		a.index[k] = g
-	}
-	return g
-}
-
-// keyNAcc is the fallback for group domains no uint64 can pack: the same
-// groupIndex a Partial uses, probed with the row's key gathered into a
+// hashAcc finds groups outside the dense domain, of any arity, through the
+// same groupIndex a Partial uses, probed with the row's key gathered into a
 // reused buffer, so no group costs an allocation of its own.
-type keyNAcc struct {
+type hashAcc struct {
 	c *compiled
 	groupSlab
 	index  groupIndex
 	keyBuf []uint32
 }
 
-func (a *keyNAcc) prepare(c *compiled) {
+func (a *hashAcc) prepare(c *compiled) {
 	a.c = c
 	a.keyBuf = slices.Grow(a.keyBuf[:0], len(c.groupIdx))[:len(c.groupIdx)]
 	clear(a.index.slots)
 }
 
-func (a *keyNAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
+func (a *hashAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, sel []int32) {
 	if sel == nil {
 		for r := 0; r < rows; r++ {
 			a.observeRow(dims, metrics, r)
@@ -636,11 +531,11 @@ func (a *keyNAcc) observeBatch(dims [][]uint32, metrics [][]float64, rows int, s
 	}
 }
 
-func (a *keyNAcc) observeRow(dims [][]uint32, metrics [][]float64, r int) {
+func (a *hashAcc) observeRow(dims [][]uint32, metrics [][]float64, r int) {
 	for i, gi := range a.c.groupIdx {
 		a.keyBuf[i] = dims[gi][r]
 	}
 	a.c.observeRow(a.at(a.groupFor(a.keyBuf)), dims, metrics, r)
 }
 
-func (a *keyNAcc) groupFor(key []uint32) int32 { return a.index.find(&a.groupSlab, key) }
+func (a *hashAcc) groupFor(key []uint32) int32 { return a.index.find(&a.groupSlab, key) }

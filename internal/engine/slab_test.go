@@ -60,6 +60,9 @@ func TestRunAllocsPerBrick(t *testing.T) {
 		for _, q := range []*Query{
 			{Aggregates: []Aggregate{{Func: Sum, Metric: "m"}, {Func: Max, Metric: "m"}}, GroupBy: []string{"g"}},
 			{Aggregates: []Aggregate{{Func: Count}}, GroupBy: []string{"g"}, Filter: map[string][2]uint32{"h": {5, 40}}},
+			// A 256×16-point brick domain fills the dense kernel exactly; the
+			// combiner's 4096×64-point schema domain goes to the hashed one.
+			{Aggregates: []Aggregate{{Func: Sum, Metric: "m"}, {Func: Count}}, GroupBy: []string{"g", "h"}},
 		} {
 			p, _, err := runPartial(context.Background(), s, q, Opts{Parallelism: 1}) // warms the decoded cache
 			if err != nil {
@@ -382,8 +385,8 @@ func TestGroupSlabHazards(t *testing.T) {
 		}{
 			{"*engine.globalAcc", nil},
 			{"*engine.denseAcc", []string{"a"}},
-			{"*engine.packedAcc", []string{"b", "c"}},
-			{"*engine.keyNAcc", []string{"b", "c", "d"}},
+			{"*engine.hashAcc", []string{"b", "c"}},
+			{"*engine.hashAcc", []string{"b", "c", "d"}},
 		}
 		one := Opts{Parallelism: 1}
 		type kept struct {
@@ -438,7 +441,7 @@ func TestGroupSlabHazards(t *testing.T) {
 					keep = append(keep, kp)
 					cb.Reset()
 					for _, sl := range []*groupSlab{&cb.ks.global.groupSlab, &cb.ks.dense.groupSlab,
-						&cb.ks.packed.groupSlab, &cb.ks.keyN.groupSlab} {
+						&cb.ks.hash.groupSlab} {
 						for _, c := range sl.cells[:cap(sl.cells)] {
 							if c.sketch != nil {
 								t.Fatalf("groupby %v: a sketch survives Reset", k.groupBy)

@@ -42,7 +42,7 @@ func NewTrial(tb testing.TB, rnd *randutil.Source, dyadic bool) (*brick.Store, *
 	for d := range shapes {
 		max := uint32(8 + rnd.Intn(120))
 		if allShape < 0 && rnd.Bernoulli(0.2) {
-			// Off the dense kernel onto the packed and byte-string ones.
+			// Off the dense kernel onto the hashed one.
 			max = uint32(5000 + rnd.Intn(50000))
 		}
 		buckets := uint32(1 + rnd.Intn(4))

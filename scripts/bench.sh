@@ -1,6 +1,6 @@
 #!/bin/sh
 # Distributed data-plane benchmarks: runs the netexec suite (coordinator
-# merge old-vs-new, HTTP ingest old-vs-new, scatter-gather fan-out) plus
+# merge old-vs-new, scatter-gather fan-out) plus
 # the brick-level batch-ingest pair, and records the results as JSON in
 # BENCH_netexec.json. Run from the repo root: ./scripts/bench.sh
 set -eu
@@ -37,8 +37,7 @@ END {
     }
     printf "  },\n  \"speedups\": {\n"
     printf "    \"merge_16_workers\": %.2f,\n", ns["BenchmarkMergeBarrier16"] / ns["BenchmarkMergeStream16"]
-    printf "    \"merge_64_workers\": %.2f,\n", ns["BenchmarkMergeBarrier64"] / ns["BenchmarkMergeStream64"]
-    printf "    \"http_ingest\": %.2f\n", ns["BenchmarkIngestJSON"] / ns["BenchmarkIngestBinary"]
+    printf "    \"merge_64_workers\": %.2f\n", ns["BenchmarkMergeBarrier64"] / ns["BenchmarkMergeStream64"]
     printf "  }\n}\n"
 }' "$RAW" > "$OUT"
 

@@ -443,13 +443,23 @@ go test -count=1 -run 'TestRunAllocsPerBrick' ./internal/engine
 # A Partial is a group slab plus a key index too, so the
 # coordinator's merge, finalize and reply allocate nothing per group or per
 # row: no group object, string group key or map of groups anywhere in the
-# engine. The ceilings pin the merge of 16 wide_fanout-shaped partials into
-# a pooled partial with finalize, the /query reply (appended into a pooled
-# buffer: as many allocations at 1 500 rows as at 15), and the hedge
-# delay's quantile read.
+# engine. Every group outside the dense domain is found through groupIndex,
+# so packedAcc and its map[uint64]int32 stay deleted and kernels.go holds
+# no map at all. The ceilings pin the merge of 16 wide_fanout-shaped
+# partials into a pooled partial with finalize, the /query reply (appended
+# into a pooled buffer: as many allocations at 1 500 rows as at 15), and
+# the hedge delay's quantile read.
 echo "== partials without per-group objects"
 if grep -nE 'newGroup\(|groupKey\(|map\[string\]\*group' $ENGINE_SRC; then
     echo "partials without per-group objects: a per-group object is back in internal/engine (see above)"
+    exit 1
+fi
+if grep -n 'packedAcc' $ENGINE_SRC; then
+    echo "partials without per-group objects: packedAcc is back in internal/engine (see above); find groups through groupIndex"
+    exit 1
+fi
+if grep -n 'map\[' internal/engine/kernels.go; then
+    echo "partials without per-group objects: kernels.go holds a map again (see above); find groups through groupIndex"
     exit 1
 fi
 go test -count=1 -run 'TestCoordinatorMergeAllocs' ./internal/engine
