@@ -86,32 +86,24 @@ func TestInsertBatchEqualsInsert(t *testing.T) {
 	}
 }
 
-func TestInsertBatchRowsEqualsInsert(t *testing.T) {
-	const rows = 200
-	dimCols, metricCols := makeBatch(rows)
-	rowDims := make([][]uint32, rows)
-	rowMets := make([][]float64, rows)
-	for r := 0; r < rows; r++ {
-		rowDims[r] = []uint32{dimCols[0][r], dimCols[1][r]}
-		rowMets[r] = []float64{metricCols[0][r], metricCols[1][r]}
-	}
-	colStore, _ := NewStore(batchSchema())
-	if err := colStore.InsertBatch(dimCols, metricCols); err != nil {
-		t.Fatal(err)
-	}
-	rowStore, _ := NewStore(batchSchema())
-	if err := rowStore.InsertBatchRows(rowDims, rowMets); err != nil {
-		t.Fatal(err)
-	}
-	a, b := scanRows(t, colStore), scanRows(t, rowStore)
-	if len(a) != len(b) {
-		t.Fatalf("row counts %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d: %s vs %s", i, a[i], b[i])
+// insertRows inserts a row-major batch (dims[r][d], mets[r][m]) through
+// InsertBatch, transposing it into the store's columns first.
+func insertRows(s *Store, dims [][]uint32, mets [][]float64) error {
+	dimCols := make([][]uint32, len(s.Schema().Dimensions))
+	for d := range dimCols {
+		dimCols[d] = make([]uint32, len(dims))
+		for r := range dims {
+			dimCols[d][r] = dims[r][d]
 		}
 	}
+	metCols := make([][]float64, len(s.Schema().Metrics))
+	for m := range metCols {
+		metCols[m] = make([]float64, len(mets))
+		for r := range mets {
+			metCols[m][r] = mets[r][m]
+		}
+	}
+	return s.InsertBatch(dimCols, metCols)
 }
 
 // TestInsertBatchAtomic pins the all-or-nothing contract: a batch with one
@@ -144,12 +136,6 @@ func TestInsertBatchValidation(t *testing.T) {
 	}
 	if err := s.InsertBatch([][]uint32{{}, {}}, [][]float64{{}, {}}); err != nil {
 		t.Fatalf("empty batch rejected: %v", err)
-	}
-	if err := s.InsertBatchRows([][]uint32{{1, 1}}, [][]float64{}); err == nil {
-		t.Fatal("row-count mismatch accepted")
-	}
-	if err := s.InsertBatchRows([][]uint32{{1}}, [][]float64{{1, 2}}); err == nil {
-		t.Fatal("short dim row accepted")
 	}
 }
 

@@ -98,7 +98,7 @@ func TestPlanScanMatchesSortPerCall(t *testing.T) {
 	for i := range dims {
 		dims[i], mets[i] = row()
 	}
-	if err := s.InsertBatchRows(dims, mets); err != nil { // many bricks created at once
+	if err := insertRows(s, dims, mets); err != nil { // many bricks created at once
 		t.Fatal(err)
 	}
 	checkPlanScan(t, "insert batch", s)
@@ -242,7 +242,7 @@ func TestIngestIntoColdBricksUnderCompaction(t *testing.T) {
 			dims[r] = []uint32{uint32(rnd.Intn(16)), uint32(rnd.Intn(40)), 0}
 			mets[r] = []float64{1, float64(b)}
 		}
-		if err := s.InsertBatchRows(dims, mets); err != nil {
+		if err := insertRows(s, dims, mets); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
 		if b%2 == 0 { // the row-at-a-time path shares the fix

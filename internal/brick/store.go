@@ -285,38 +285,6 @@ func (s *Store) InsertBatch(dimCols [][]uint32, metricCols [][]float64) error {
 	return nil
 }
 
-// InsertBatchRows is InsertBatch for row-major input (dims[r][d]); it
-// transposes once and shares the single-lock batch path.
-func (s *Store) InsertBatchRows(dims [][]uint32, metrics [][]float64) error {
-	if len(dims) != len(metrics) {
-		return fmt.Errorf("brick: batch has %d dim rows but %d metric rows", len(dims), len(metrics))
-	}
-	rows := len(dims)
-	dimCols := make([][]uint32, len(s.schema.Dimensions))
-	for d := range dimCols {
-		dimCols[d] = make([]uint32, rows)
-	}
-	metricCols := make([][]float64, len(s.schema.Metrics))
-	for m := range metricCols {
-		metricCols[m] = make([]float64, rows)
-	}
-	for r := 0; r < rows; r++ {
-		if len(dims[r]) != len(dimCols) {
-			return fmt.Errorf("brick: row %d has %d dims, schema has %d", r, len(dims[r]), len(dimCols))
-		}
-		if len(metrics[r]) != len(metricCols) {
-			return fmt.Errorf("brick: row %d has %d metrics, schema has %d", r, len(metrics[r]), len(metricCols))
-		}
-		for d := range dimCols {
-			dimCols[d][r] = dims[r][d]
-		}
-		for m := range metricCols {
-			metricCols[m][r] = metrics[r][m]
-		}
-	}
-	return s.InsertBatch(dimCols, metricCols)
-}
-
 // brickEntry is one brick in the store's id-sorted snapshot.
 type brickEntry struct {
 	id     uint64

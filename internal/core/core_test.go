@@ -382,6 +382,46 @@ func TestLayoutHelper(t *testing.T) {
 	}
 }
 
+// RouteBatch hands each partition its rows by RouteRow, partitions in
+// ascending order and rows in batch order, skips empty partitions, and
+// stops at the first error.
+func TestRouteBatch(t *testing.T) {
+	const parts, rows = 8, 200
+	dims := make([][]uint32, rows)
+	mets := make([][]float64, rows)
+	want := make(map[int]int) // partition -> rows
+	for i := range dims {
+		dims[i] = []uint32{uint32(i % 3), uint32(i % 5)} // 15 distinct rows
+		mets[i] = []float64{float64(i)}
+		want[RouteRow(dims[i], parts)]++
+	}
+	if len(want) == parts {
+		t.Fatal("every partition gets rows; the empty-partition case goes unchecked")
+	}
+	last, calls := -1, 0
+	err := RouteBatch(dims, mets, parts, func(p int, bd [][]uint32, bm [][]float64) error {
+		if p <= last || len(bd) != want[p] || len(bm) != want[p] {
+			t.Fatalf("partition %d after %d with %d/%d rows, want %d", p, last, len(bd), len(bm), want[p])
+		}
+		last, calls = p, calls+1
+		for j := range bd {
+			i := int(bm[j][0])
+			if j > 0 && i <= int(bm[j-1][0]) || &dims[i][0] != &bd[j][0] || RouteRow(bd[j], parts) != p {
+				t.Fatalf("partition %d row %d: batch row %d out of order or misrouted", p, j, i)
+			}
+		}
+		return nil
+	})
+	if err != nil || calls != len(want) {
+		t.Fatalf("%d calls for %d non-empty partitions, err %v", calls, len(want), err)
+	}
+	stop := errors.New("stop")
+	calls = 0
+	if err := RouteBatch(dims, mets, parts, func(int, [][]uint32, [][]float64) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("RouteBatch after an error: err %v, %d calls", err, calls)
+	}
+}
+
 func TestRouteRowDeterministicAndSpread(t *testing.T) {
 	counts := make([]int, 8)
 	for i := 0; i < 8000; i++ {

@@ -71,6 +71,33 @@ func RouteRow(dims []uint32, partitions int) int {
 	return int(x % uint64(partitions))
 }
 
+// RouteBatch splits a row-major batch by RouteRow and hands fn each
+// partition's rows, in partition order and in their order in the batch,
+// skipping partitions that get none. It stops at fn's first error. Both
+// planes' loads route through it.
+func RouteBatch(dims [][]uint32, metrics [][]float64, partitions int, fn func(p int, dims [][]uint32, metrics [][]float64) error) error {
+	byPart := make([][]int, partitions) // partition -> row indexes
+	for i := range dims {
+		p := RouteRow(dims[i], partitions)
+		byPart[p] = append(byPart[p], i)
+	}
+	for p, idx := range byPart {
+		if len(idx) == 0 {
+			continue
+		}
+		bd := make([][]uint32, len(idx))
+		bm := make([][]float64, len(idx))
+		for j, i := range idx {
+			bd[j] = dims[i]
+			bm[j] = metrics[i]
+		}
+		if err := fn(p, bd, bm); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Mapper maps table partitions to SM's flat shard key space
 // [0, MaxShards). Implementations must be deterministic: every client and
 // server derives the same shard for the same partition with no metadata

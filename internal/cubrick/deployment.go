@@ -1,6 +1,7 @@
 package cubrick
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -100,7 +101,7 @@ type Deployment struct {
 	mu sync.Mutex
 	// replicatedLog records every row loaded into replicated tables so
 	// rejoining hosts can rebuild their replicas.
-	replicatedLog map[string][]replicatedRow
+	replicatedLog map[string]replicatedRows
 	// rndMu serializes the query path's draws from rnd (plan).
 	rndMu sync.Mutex
 }
@@ -340,8 +341,10 @@ func (d *Deployment) DropTable(name string) error {
 }
 
 // Load ingests rows into a table: each row routes to a partition by
-// dimension hash and is written to that partition's owner in every region
-// (all regions hold full copies, §IV-D).
+// dimension hash (core.RouteBatch), and each partition's batch goes to its
+// owner in every region (all regions hold full copies, §IV-D) through the
+// owner's worker, as on the networked plane. A fenced partition's batch
+// fails with a retryable error and is not retried here.
 func (d *Deployment) Load(table string, dims [][]uint32, metrics [][]float64) error {
 	if len(dims) != len(metrics) {
 		return errors.New("cubrick: dims/metrics length mismatch")
@@ -350,27 +353,7 @@ func (d *Deployment) Load(table string, dims [][]uint32, metrics [][]float64) er
 	if err != nil {
 		return err
 	}
-	// Group rows by partition first, then write each partition's batch to
-	// its owner in every region with one batched insert — the same routing
-	// as before, minus the per-row assignment lookups and store locking.
-	byPart := make(map[int][]int)
-	for i := range dims {
-		p := core.RouteRow(dims[i], info.Partitions)
-		byPart[p] = append(byPart[p], i)
-	}
-	parts := make([]int, 0, len(byPart))
-	for p := range byPart {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	for _, p := range parts {
-		idx := byPart[p]
-		bd := make([][]uint32, len(idx))
-		bm := make([][]float64, len(idx))
-		for j, i := range idx {
-			bd[j] = dims[i]
-			bm[j] = metrics[i]
-		}
+	return core.RouteBatch(dims, metrics, info.Partitions, func(p int, bd [][]uint32, bm [][]float64) error {
 		shard := d.Catalog.ShardOf(table, p)
 		partName := core.PartitionName(table, p)
 		for _, region := range d.Config.Regions {
@@ -382,12 +365,22 @@ func (d *Deployment) Load(table string, dims [][]uint32, metrics [][]float64) er
 			if err != nil {
 				return err
 			}
-			if err := node.InsertBatch(shard, partName, bd, bm); err != nil {
+			if err := d.ship(node, partName, bd, bm); err != nil {
 				return err
 			}
+			node.ingested(len(bd))
 		}
-	}
-	return nil
+		return nil
+	})
+}
+
+// ship posts one batch to a node's worker (POST /loadbin) over the
+// region's memTransport: the worker's fence and its all-or-nothing batch
+// check see every in-process write.
+func (d *Deployment) ship(n *Node, part string, dims [][]uint32, metrics [][]float64) error {
+	cl := netexec.Client{BaseURL: "http://" + n.Host().Name, HTTP: d.coords[n.Region()].Client}
+	_, err := cl.Load(context.Background(), part, dims, metrics)
+	return err
 }
 
 // LoadGenerated ingests n synthetic rows from a workload generator.

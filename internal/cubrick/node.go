@@ -86,8 +86,9 @@ func DefaultNodeConfig() NodeConfig {
 // Node is one Cubrick server, the Shard Manager edge of a netexec.Worker:
 // it owns a set of SM shards, each naming one or more table partitions the
 // worker's partition.Set serves, and implements shardmgr.AppServer over
-// them. Queries reach the partitions only through the worker's /partial
-// handler, as they reach a cubrick-worker process.
+// them. Queries and loads reach the partitions only through the worker's
+// handler (/partial and /loadbin), as they reach a cubrick-worker process,
+// and partitions leave through the worker, which clears their fences.
 type Node struct {
 	host    *cluster.Host
 	region  string
@@ -102,9 +103,10 @@ type Node struct {
 	// (§IV-D/E). May be nil in single-region deployments.
 	recoverFrom func(shard int64) (map[string][]byte, error)
 
-	// parts serves every live partition of every owned shard and the
+	// worker serves every live partition of every owned shard and the
 	// node's replicas of replicated dimension tables (§II-B), under their
-	// table names; handler is the HTTP edge of the worker that owns parts.
+	// table names, from parts; handler is its HTTP edge.
+	worker  *netexec.Worker
 	parts   *partition.Set
 	handler http.Handler
 
@@ -128,6 +130,7 @@ func NewNode(host *cluster.Host, region string, catalog *Catalog, cfg NodeConfig
 		region:  region,
 		catalog: catalog,
 		cfg:     cfg,
+		worker:  w,
 		parts:   w.Parts(),
 		handler: w.Handler(),
 		shards:  make(map[int64]map[string]bool),
@@ -242,7 +245,7 @@ func (n *Node) Reset() {
 	defer n.mu.Unlock()
 	n.shards = make(map[int64]map[string]bool)
 	n.staged = make(map[int64]map[string]*brick.Store)
-	n.parts.Reset()
+	n.worker.Reset()
 }
 
 // DropShard implements shardmgr.AppServer: all data and metadata for the
@@ -253,7 +256,7 @@ func (n *Node) DropShard(shard int64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for name := range n.shards[shard] {
-		n.parts.Drop(name)
+		n.worker.RemovePartition(name)
 	}
 	delete(n.shards, shard)
 	delete(n.staged, shard)
@@ -398,47 +401,19 @@ func (n *Node) DropPartition(shard int64, partName string) {
 	defer n.mu.Unlock()
 	if names := n.shards[shard]; names[partName] {
 		delete(names, partName)
-		n.parts.Drop(partName)
+		n.worker.RemovePartition(partName)
 	}
 }
 
-// Insert adds a row to a partition.
-func (n *Node) Insert(shard int64, partName string, dims []uint32, metrics []float64) error {
-	st, err := n.store(shard, partName)
-	if err != nil {
-		return err
-	}
-	if err := st.Insert(dims, metrics); err != nil {
-		return err
-	}
-	// The memory monitor is a periodic procedure, not a per-write hook
-	// (§IV-F2 "a memory monitor procedure is triggered"); amortize it.
-	if n.insertsSinceSweep.Add(1)%64 == 0 {
+// ingested runs the memory monitor after the worker accepted rows into
+// one of the node's partitions. The monitor is a periodic procedure, not a
+// per-write hook (§IV-F2 "a memory monitor procedure is triggered"), so it
+// runs once per 64 rows crossed.
+func (n *Node) ingested(rows int) {
+	after := n.insertsSinceSweep.Add(int64(rows))
+	if after/64 != (after-int64(rows))/64 {
 		n.enforceBudget()
 	}
-	return nil
-}
-
-// InsertBatch adds a row-major batch to a partition in one pass (single
-// store lock, one brick append per touched brick). The memory monitor runs
-// at the same amortized cadence as per-row Insert: once per 64 rows
-// crossed.
-func (n *Node) InsertBatch(shard int64, partName string, dims [][]uint32, metrics [][]float64) error {
-	if len(dims) == 0 {
-		return nil
-	}
-	st, err := n.store(shard, partName)
-	if err != nil {
-		return err
-	}
-	if err := st.InsertBatchRows(dims, metrics); err != nil {
-		return err
-	}
-	after := n.insertsSinceSweep.Add(int64(len(dims)))
-	if after/64 != (after-int64(len(dims)))/64 {
-		n.enforceBudget()
-	}
-	return nil
 }
 
 // enforceBudget runs the memory monitor when a budget is configured:

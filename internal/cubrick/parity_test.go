@@ -150,7 +150,7 @@ func parityBuild(schema brick.Schema, rnd *randutil.Source) func(*testing.T, *br
 	tier := rnd.Intn(3)
 	return func(t *testing.T, st *brick.Store) {
 		t.Helper()
-		if err := st.InsertBatchRows(d1, m1); err != nil {
+		if err := insertRows(st, d1, m1); err != nil {
 			t.Fatal(err)
 		}
 		if tier > 0 {
@@ -163,10 +163,30 @@ func parityBuild(schema brick.Schema, rnd *randutil.Source) func(*testing.T, *br
 				t.Fatal(err)
 			}
 		}
-		if err := st.InsertBatchRows(d2, m2); err != nil {
+		if err := insertRows(st, d2, m2); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// insertRows inserts a row-major batch (dims[r][d], mets[r][m]) through
+// InsertBatch, transposing it into the store's columns first.
+func insertRows(s *brick.Store, dims [][]uint32, mets [][]float64) error {
+	dimCols := make([][]uint32, len(s.Schema().Dimensions))
+	for d := range dimCols {
+		dimCols[d] = make([]uint32, len(dims))
+		for r := range dims {
+			dimCols[d][r] = dims[r][d]
+		}
+	}
+	metCols := make([][]float64, len(s.Schema().Metrics))
+	for m := range metCols {
+		metCols[m] = make([]float64, len(mets))
+		for r := range mets {
+			metCols[m][r] = mets[r][m]
+		}
+	}
+	return s.InsertBatch(dimCols, metCols)
 }
 
 // parityQueries draws the trial's query shapes: random ones, and the

@@ -3,6 +3,8 @@ package cubrick
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"cubrick/internal/brick"
 	"cubrick/internal/engine"
@@ -38,16 +40,7 @@ func (n *Node) ReplicatedStore(name string) (*brick.Store, error) {
 }
 
 // DropReplicated deletes this node's replica of a replicated table.
-func (n *Node) DropReplicated(name string) { n.parts.Drop(name) }
-
-// InsertReplicated adds a row to this node's replica.
-func (n *Node) InsertReplicated(name string, dims []uint32, metrics []float64) error {
-	st, err := n.ReplicatedStore(name)
-	if err != nil {
-		return err
-	}
-	return st.Insert(dims, metrics)
-}
+func (n *Node) DropReplicated(name string) { n.worker.RemovePartition(name) }
 
 // CreateReplicatedTable registers a replicated dimension table and
 // materializes an empty replica on every node in every region.
@@ -63,22 +56,24 @@ func (d *Deployment) CreateReplicatedTable(name string, schema brick.Schema) (Ta
 	}
 	d.mu.Lock()
 	if d.replicatedLog == nil {
-		d.replicatedLog = make(map[string][]replicatedRow)
+		d.replicatedLog = make(map[string]replicatedRows)
 	}
-	d.replicatedLog[name] = nil
+	d.replicatedLog[name] = replicatedRows{}
 	d.mu.Unlock()
 	return info, nil
 }
 
-// replicatedRow is one logged row of a replicated table, replayed to hosts
-// that rejoin after losing their state.
-type replicatedRow struct {
-	dims    []uint32
-	metrics []float64
+// replicatedRows is the log of a replicated table's rows, replayed as one
+// batch to hosts that rejoin after losing their state.
+type replicatedRows struct {
+	dims    [][]uint32
+	metrics [][]float64
 }
 
-// LoadReplicated ingests rows into a replicated table on every available
-// node, logging them so nodes that rejoin later can catch up.
+// LoadReplicated ingests rows into a replicated table as one batch to every
+// available node's worker, under the table's plain name, logging them so
+// nodes that rejoin later can catch up. A batch with a row outside the
+// schema is rejected before anything is logged or shipped.
 func (d *Deployment) LoadReplicated(table string, dims [][]uint32, metrics [][]float64) error {
 	info, err := d.Catalog.Table(table)
 	if err != nil {
@@ -90,22 +85,28 @@ func (d *Deployment) LoadReplicated(table string, dims [][]uint32, metrics [][]f
 	if len(dims) != len(metrics) {
 		return errors.New("cubrick: dims/metrics length mismatch")
 	}
-	d.mu.Lock()
 	for i := range dims {
-		d.replicatedLog[table] = append(d.replicatedLog[table], replicatedRow{
-			dims:    append([]uint32(nil), dims[i]...),
-			metrics: append([]float64(nil), metrics[i]...),
-		})
+		if len(metrics[i]) != len(info.Schema.Metrics) {
+			return fmt.Errorf("cubrick: row %d has %d metrics, schema has %d", i, len(metrics[i]), len(info.Schema.Metrics))
+		}
+		if _, err := info.Schema.BrickID(dims[i]); err != nil { // arity and domains
+			return fmt.Errorf("row %d: %w", i, err)
+		}
 	}
+	d.mu.Lock()
+	log := d.replicatedLog[table]
+	for i := range dims {
+		log.dims = append(log.dims, slices.Clone(dims[i]))
+		log.metrics = append(log.metrics, slices.Clone(metrics[i]))
+	}
+	d.replicatedLog[table] = log
 	d.mu.Unlock()
 	for _, n := range d.Nodes() {
 		if !n.Host().Available() {
 			continue // will catch up via ReplayReplicated on rejoin
 		}
-		for i := range dims {
-			if err := n.InsertReplicated(table, dims[i], metrics[i]); err != nil {
-				return err
-			}
+		if err := d.ship(n, table, dims, metrics); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -119,10 +120,7 @@ func (d *Deployment) ReplayReplicated(host string) error {
 		return err
 	}
 	d.mu.Lock()
-	log := make(map[string][]replicatedRow, len(d.replicatedLog))
-	for t, rows := range d.replicatedLog {
-		log[t] = rows
-	}
+	log := maps.Clone(d.replicatedLog)
 	d.mu.Unlock()
 	for table, rows := range log {
 		info, err := d.Catalog.Table(table)
@@ -132,10 +130,8 @@ func (d *Deployment) ReplayReplicated(host string) error {
 		if err := n.EnsureReplicated(table, info.Schema); err != nil {
 			return err
 		}
-		for _, row := range rows {
-			if err := n.InsertReplicated(table, row.dims, row.metrics); err != nil {
-				return err
-			}
+		if err := d.ship(n, table, rows.dims, rows.metrics); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -96,13 +96,13 @@ func TestConcurrentIngestCachedFreshness(t *testing.T) {
 		defer wg.Done()
 		rnd := randutil.New(7)
 		for b := 0; b < batches; b++ {
-			dims := make([][]uint32, batchRows)
-			mets := make([][]float64, batchRows)
-			for r := range dims {
-				dims[r] = []uint32{uint32(rnd.Intn(16))}
-				mets[r] = []float64{1}
+			dims := [][]uint32{make([]uint32, batchRows)}
+			mets := [][]float64{make([]float64, batchRows)}
+			for r := range batchRows {
+				dims[0][r] = uint32(rnd.Intn(16))
+				mets[0][r] = 1
 			}
-			if err := s.InsertBatchRows(dims, mets); err != nil {
+			if err := s.InsertBatch(dims, mets); err != nil {
 				t.Errorf("ingest: %v", err)
 				return
 			}

@@ -143,8 +143,8 @@ func TestProjectionBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.encGroup || len(c.encGroups) != 1 || !c.encGroups[0] {
-		t.Fatalf("encGroups = %v, want the single group dim encoded-eligible", c.encGroups)
+	if !c.encGroup || len(c.groupIdx) != 1 || c.projFull.Dims[c.groupIdx[0]] != brick.ColGroupEncoded {
+		t.Fatalf("full projection %v over group dims %v, want the single group dim encoded-eligible", c.projFull.Dims, c.groupIdx)
 	}
 	if c.projFull.Dims[0] != brick.ColGroupEncoded {
 		t.Fatal("group dim not requested as encoded view on full bricks")
@@ -186,8 +186,8 @@ func TestProjectionBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c2.encGroup || len(c2.encGroups) != 2 || !c2.encGroups[0] || !c2.encGroups[1] {
-		t.Fatalf("encGroups = %v, want both group dims encoded-eligible", c2.encGroups)
+	if !c2.encGroup || len(c2.groupIdx) != 2 || c2.projFull.Dims[c2.groupIdx[0]] != brick.ColGroupEncoded || c2.projFull.Dims[c2.groupIdx[1]] != brick.ColGroupEncoded {
+		t.Fatalf("full projection %v over group dims %v, want both group dims encoded-eligible", c2.projFull.Dims, c2.groupIdx)
 	}
 	if c2.projFull.Dims[0] != brick.ColGroupEncoded || c2.projFull.Dims[1] != brick.ColGroupEncoded {
 		t.Fatal("multi-dim GROUP BY must request encoded views on full bricks")
@@ -203,8 +203,8 @@ func TestProjectionBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c3.encGroup || !c3.encGroups[0] || c3.encGroups[1] {
-		t.Fatalf("encGroups = %v, want only the non-distinct group dim encoded", c3.encGroups)
+	if !c3.encGroup || c3.projFull.Dims[c3.groupIdx[0]] != brick.ColGroupEncoded || c3.projFull.Dims[c3.groupIdx[1]] == brick.ColGroupEncoded {
+		t.Fatalf("full projection %v over group dims %v, want only the non-distinct group dim encoded", c3.projFull.Dims, c3.groupIdx)
 	}
 	if c3.projFull.Dims[0] != brick.ColGroupEncoded || c3.projFull.Dims[1] != brick.ColNeed {
 		t.Fatal("CountDistinct group dim must materialize while the other stays encoded")

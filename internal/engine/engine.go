@@ -350,11 +350,9 @@ type compiled struct {
 	// columns only — filter-irrelevant dimensions are never decoded.
 	// Encoded-eligible group dimensions ask for the run/dictionary view.
 	projFull brick.Projection
-	// encGroups[i] reports whether GROUP BY dimension i (groupIdx order) is
-	// requested as an encoded view on fully covered bricks; encGroup is set
-	// when at least one is.
-	encGroups []bool
-	encGroup  bool
+	// encGroup is set when at least one GROUP BY dimension is requested as
+	// an encoded view on fully covered bricks.
+	encGroup bool
 	// filterDims is the filter as a deterministic list (ascending dimension
 	// index) the per-encoding skippers walk.
 	filterDims []filterDim
@@ -448,10 +446,8 @@ func (c *compiled) buildProjections(schema brick.Schema, o Opts) {
 	// straight off their run or dictionary structure, whatever the GROUP BY
 	// arity: composite keys go through run intersection, code tuples, or a
 	// one-time scratch materialization (see encoded.go).
-	c.encGroups = make([]bool, len(c.groupIdx))
-	for i, gi := range c.groupIdx {
+	for _, gi := range c.groupIdx {
 		if !slices.Contains(c.distinctIdx, gi) {
-			c.encGroups[i] = true
 			c.encGroup = true
 			full[gi] = brick.ColGroupEncoded
 		}

@@ -66,7 +66,7 @@ func benchBlobs(b *testing.B, nWorkers, rowsPerWorker int, q *engine.Query) [][]
 			b.Fatal(err)
 		}
 		dims, mets := benchRows(w, rowsPerWorker)
-		if err := st.InsertBatchRows(dims, mets); err != nil {
+		if err := insertRows(st, dims, mets); err != nil {
 			b.Fatal(err)
 		}
 		var cb engine.Combiner

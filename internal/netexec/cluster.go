@@ -169,8 +169,8 @@ func (c *Cluster) table(name string) (clusterTable, error) {
 	return t, nil
 }
 
-// Load routes rows to partitions by dimension hash (the same routing the
-// in-process deployment uses) and ships each partition's batch to its
+// Load routes rows to partitions by dimension hash (core.RouteBatch, as
+// the in-process deployment does) and ships each partition's batch to its
 // worker — and to each replica — as one binary columnar blob (POST
 // /loadbin). Replica copies receive identical batches, so any copy can
 // serve the partition's partial.
@@ -182,28 +182,9 @@ func (c *Cluster) Load(ctx context.Context, table string, dims [][]uint32, metri
 	if len(dims) != len(metrics) {
 		return errors.New("netexec: dims/metrics length mismatch")
 	}
-	byPart := make([][]int, t.partitions) // partition -> row indexes
-	for i := range dims {
-		p := core.RouteRow(dims[i], t.partitions)
-		byPart[p] = append(byPart[p], i)
-	}
-	for p, idx := range byPart {
-		if len(idx) == 0 {
-			continue
-		}
-		bd := make([][]uint32, len(idx))
-		bm := make([][]float64, len(idx))
-		for j, i := range idx {
-			bd[j] = dims[i]
-			bm[j] = metrics[i]
-		}
-		shard := c.mapper.Shard(table, p)
-		part := core.PartitionName(table, p)
-		if err := c.loadPartition(ctx, part, shard, t.replicas, bd, bm); err != nil {
-			return err
-		}
-	}
-	return nil
+	return core.RouteBatch(dims, metrics, t.partitions, func(p int, bd [][]uint32, bm [][]float64) error {
+		return c.loadPartition(ctx, core.PartitionName(table, p), c.mapper.Shard(table, p), t.replicas, bd, bm)
+	})
 }
 
 // loadAttempts is how many times a partition's batch is offered before the

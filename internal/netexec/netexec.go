@@ -135,7 +135,7 @@ func NewWorker(cfg partition.Config) *Worker {
 }
 
 // Parts returns the partitions the worker serves. Drop partitions through
-// RemovePartition, which also clears the fence.
+// RemovePartition or Reset, which also clear the fences.
 func (w *Worker) Parts() *partition.Set { return w.parts }
 
 func (w *Worker) countAdd(name string, delta int64) {

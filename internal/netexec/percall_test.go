@@ -252,7 +252,7 @@ func hostWorker(tb testing.TB, cfg partition.Config, parts, rows int, row func(p
 		for r := range dims {
 			dims[r], mets[r] = row(p, r), []float64{float64(r%97) / 7}
 		}
-		if err := st.InsertBatchRows(dims, mets); err != nil {
+		if err := insertRows(st, dims, mets); err != nil {
 			tb.Fatal(err)
 		}
 	}

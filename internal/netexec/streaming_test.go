@@ -76,6 +76,26 @@ func TestFailFastCancelsPeers(t *testing.T) {
 	}
 }
 
+// insertRows inserts a row-major batch (dims[r][d], mets[r][m]) through
+// InsertBatch, transposing it into the store's columns first.
+func insertRows(s *brick.Store, dims [][]uint32, mets [][]float64) error {
+	dimCols := make([][]uint32, len(s.Schema().Dimensions))
+	for d := range dimCols {
+		dimCols[d] = make([]uint32, len(dims))
+		for r := range dims {
+			dimCols[d][r] = dims[r][d]
+		}
+	}
+	metCols := make([][]float64, len(s.Schema().Metrics))
+	for m := range metCols {
+		metCols[m] = make([]float64, len(mets))
+		for r := range mets {
+			metCols[m][r] = mets[r][m]
+		}
+	}
+	return s.InsertBatch(dimCols, metCols)
+}
+
 // TestLoadBinEqualsLocalInsert: rows shipped through /loadbin — the
 // worker's only ingest endpoint; Client.Load is the same path — answer
 // exactly like the same rows inserted into a local store.
@@ -95,7 +115,7 @@ func TestLoadBinEqualsLocalInsert(t *testing.T) {
 		mets[i] = []float64{float64(i) / 2}
 	}
 	local, _ := brick.NewStore(testSchema())
-	if err := local.InsertBatchRows(dims, mets); err != nil {
+	if err := insertRows(local, dims, mets); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Load(context.Background(), "bin", dims[:400], mets[:400]); err != nil {
@@ -349,7 +369,7 @@ func TestHostAnswerFoldsListOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			st, _ := wk.Store(name)
-			if err := st.InsertBatchRows(dims[i], mets[i]); err != nil {
+			if err := insertRows(st, dims[i], mets[i]); err != nil {
 				t.Fatal(err)
 			}
 			if rnd.Bernoulli(0.5) { // encoded bricks take the encoded kernels
@@ -430,7 +450,7 @@ func TestStreamingMergeEqualsBarrier(t *testing.T) {
 			if _, err := (&Client{BaseURL: servers[i].URL}).Load(context.Background(), targets[i].Partition, perWorkerDims[i], perWorkerMets[i]); err != nil {
 				t.Fatal(err)
 			}
-			if err := locals[i].InsertBatchRows(perWorkerDims[i], perWorkerMets[i]); err != nil {
+			if err := insertRows(locals[i], perWorkerDims[i], perWorkerMets[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -493,7 +513,7 @@ func TestMergeFailureLeavesNextQueryExact(t *testing.T) {
 		if _, err := cl.Load(context.Background(), part, dims, mets); err != nil {
 			t.Fatal(err)
 		}
-		if err := store.InsertBatchRows(dims, mets); err != nil {
+		if err := insertRows(store, dims, mets); err != nil {
 			t.Fatal(err)
 		}
 		targets, stores = append(targets, Target{URL: srv.URL, Partition: part}), append(stores, store)

@@ -72,6 +72,16 @@ func (w *Worker) RemovePartition(name string) bool {
 	return true
 }
 
+// Reset drops every partition the worker serves and every fence: a host
+// that rejoins empty must not keep a fence that would reject ingest into a
+// partition created again under the same name.
+func (w *Worker) Reset() {
+	w.parts.Reset()
+	w.fenceMu.Lock()
+	w.fenced = nil
+	w.fenceMu.Unlock()
+}
+
 // registerMigration wires the transfer-plane endpoints onto the worker
 // mux.
 func (w *Worker) registerMigration(mux *http.ServeMux) {

@@ -33,18 +33,19 @@ func testSchema() brick.Schema {
 // then the rest.
 func ingest(t *testing.T, st *brick.Store, n int, scale float64) {
 	t.Helper()
-	var dims [2][][]uint32
-	var mets [2][][]float64
+	var dims [2][2][]uint32 // batch, column, row
+	var mets [2][1][]float64
 	for i := 0; i < n; i++ {
 		b := 1
 		if i%40 < 5 {
 			b = 0
 		}
-		dims[b] = append(dims[b], []uint32{uint32(i) % 40, uint32(i) % 20})
-		mets[b] = append(mets[b], []float64{scale})
+		dims[b][0] = append(dims[b][0], uint32(i)%40)
+		dims[b][1] = append(dims[b][1], uint32(i)%20)
+		mets[b][0] = append(mets[b][0], scale)
 	}
 	for b := range dims {
-		if err := st.InsertBatchRows(dims[b], mets[b]); err != nil {
+		if err := st.InsertBatch(dims[b][:], mets[b][:]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -73,14 +73,10 @@ func (s *Server) pickMove(svc *service) (shard int64, from, to string, ok bool) 
 		load float64
 	}
 	var hosts []hostLoad
-	var total float64
 	for name, h := range svc.servers {
-		if !h.host.Available() {
-			continue
+		if h.host.Available() {
+			hosts = append(hosts, hostLoad{name, svc.hostLoad(name)})
 		}
-		l := svc.hostLoad(name)
-		hosts = append(hosts, hostLoad{name, l})
-		total += l
 	}
 	if len(hosts) < 2 {
 		return 0, "", "", false
@@ -91,6 +87,12 @@ func (s *Server) pickMove(svc *service) (shard int64, from, to string, ok bool) 
 		}
 		return hosts[i].name < hosts[j].name
 	})
+	// Sum in sorted order: float addition is not associative, so a sum in
+	// map order could differ from run to run under one seed.
+	var total float64
+	for _, h := range hosts {
+		total += h.load
+	}
 	mean := total / float64(len(hosts))
 	hi, lo := hosts[0], hosts[len(hosts)-1]
 	gap := hi.load - lo.load
@@ -114,7 +116,9 @@ func (s *Server) pickMove(svc *service) (shard int64, from, to string, ok bool) 
 		if dist < 0 {
 			dist = -dist
 		}
-		if bestShard == -1 || dist < bestDist {
+		// Ties go to the lower shard id, not to map order, so a seeded
+		// run replays.
+		if bestShard == -1 || dist < bestDist || dist == bestDist && sh < bestShard {
 			bestShard, bestDist = sh, dist
 		}
 	}

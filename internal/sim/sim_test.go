@@ -1,8 +1,10 @@
 package sim
 
 import (
-	"cubrick/internal/cubrick"
+	"reflect"
 	"testing"
+
+	"cubrick/internal/cubrick"
 )
 
 func TestCollisionsFig4aShape(t *testing.T) {
@@ -168,5 +170,32 @@ func TestRunWeekGen3(t *testing.T) {
 	}
 	if rep.QuerySuccessRatio < 0.97 {
 		t.Fatalf("gen3 success = %v", rep.QuerySuccessRatio)
+	}
+}
+
+// One seed is one week: the balancer's choices, and so every series of
+// the report, must not depend on Go's map order.
+func TestRunWeekReplaysFromSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("week simulation in -short mode")
+	}
+	cfg := DefaultWeekConfig()
+	cfg.Days = 2
+	cfg.Tables = 8
+	cfg.RowsPerTable = 100
+	cfg.QueriesPerHour = 12
+	var first *WeekReport
+	for run := 0; run < 5; run++ {
+		rep, err := RunWeek(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = rep
+			continue
+		}
+		if !reflect.DeepEqual(rep, first) {
+			t.Fatalf("run %d differs from run 0 under seed %d:\n%+v\nvs\n%+v", run, cfg.Seed, rep, first)
+		}
 	}
 }

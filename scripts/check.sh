@@ -72,6 +72,18 @@ if grep -rn 'SetFoldScans\|SetCacheBudgets\|SetAdmission' --include='*.go' .; th
     echo "one worker: a runtime serving setter is back (see above); serving options are partition.Config, fixed at construction"
     exit 1
 fi
+# One ingest path: both planes load through the worker's POST /loadbin, so
+# its fence and its all-or-nothing batch check see every write. The
+# in-process plane writes no store itself, and rows become columns only in
+# netexec.EncodeBatch: the row-major store insert must not come back.
+if grep -nE '\.Insert\(|\.InsertBatch\(|InsertBatchRows' $(ls internal/cubrick/*.go | grep -v _test.go); then
+    echo "one worker: non-test internal/cubrick writes a store directly (see above); ship batches through the worker's /loadbin"
+    exit 1
+fi
+if grep -n 'InsertBatchRows' $NONTEST_GO; then
+    echo "one worker: InsertBatchRows is back in non-test code (see above); rows become columns in netexec.EncodeBatch"
+    exit 1
+fi
 WORKER_SRC="$(ls internal/netexec/*.go internal/cubrick/*.go internal/partition/*.go | grep -v _test.go)"
 echo "internal/netexec + internal/cubrick + internal/partition non-test lines: $(cat $WORKER_SRC | wc -l)"
 
