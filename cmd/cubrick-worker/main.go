@@ -14,12 +14,7 @@
 // /debug/trace[/{id}] serves the bounded in-memory trace ring
 // (coordinator-propagated trace IDs land here), and -slow-query-ms gates a
 // one-line per-stage slow-query log. -pprof mounts net/http/pprof under
-// /debug/pprof/. The debug and metrics endpoints bypass chaos injection.
-//
-// For resilience demos, -chaos-fail-prob injects server-side faults: each
-// request fails with the given probability (HTTP 500) before reaching the
-// worker, reproducing the chaos tests across real processes. -chaos-seed
-// makes the failure stream deterministic.
+// /debug/pprof/.
 package main
 
 import (
@@ -41,8 +36,6 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	traceRing := flag.Int("trace-ring", trace.DefaultRingSize, "how many traces the /debug/trace ring retains")
 	slowQueryMS := flag.Int("slow-query-ms", 500, "log a per-stage breakdown for partials slower than this (0 disables)")
-	chaosFailProb := flag.Float64("chaos-fail-prob", 0, "probability each request fails with HTTP 500 (fault injection; 0 disables)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the injected failure stream")
 	compactDecay := flag.Float64("compact-decay", 0.8, "hotness decay factor applied before each compaction pass (1 disables decay)")
 	serving := partition.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -58,11 +51,8 @@ func main() {
 	w.Tracer = tracer
 	log.Printf("cubrick-worker serving: decoded-cache-bytes=%d max-concurrent=%d queue-depth=%d",
 		cfg.DecodedCacheBytes, cfg.MaxConcurrent, cfg.QueueDepth)
-	handler := netexec.ChaosHandler(*chaosFailProb, *chaosSeed, w.Handler())
-	// Debug and metrics endpoints mount on the outer mux so chaos-injected
-	// 500s never hit the observability plane that diagnoses them.
 	mux := http.NewServeMux()
-	mux.Handle("/", handler)
+	mux.Handle("/", w.Handler())
 	mux.Handle("/debug/trace", tracer.Handler())
 	mux.Handle("/debug/trace/", tracer.Handler())
 	if cfg.Metrics != nil {
@@ -74,9 +64,6 @@ func main() {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	if *chaosFailProb > 0 {
-		log.Printf("cubrick-worker chaos enabled: fail-prob=%g seed=%d", *chaosFailProb, *chaosSeed)
 	}
 	if serving.CompactInterval > 0 {
 		ccfg, decay := serving.Compaction, *compactDecay

@@ -1,8 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math"
+	"net/http"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -238,50 +243,159 @@ func TestDrainAbortsIfHostFails(t *testing.T) {
 	}
 }
 
-func TestTransportCallHealthy(t *testing.T) {
-	f := Build(BuildConfig{Regions: []string{"east"}, RacksPerRegion: 1, HostsPerRack: 1})
-	tr := NewTransport(f, DefaultTransportConfig())
-	rnd := randutil.New(5)
-	host := f.Hosts()[0].Name
-	out := tr.Call(host, rnd)
-	if out.Err != nil {
-		t.Fatalf("Call = %v", out.Err)
+// answerAll is an inner transport that answers every request 200.
+type answerAll struct{ reached atomic.Int64 }
+
+func (a *answerAll) RoundTrip(req *http.Request) (*http.Response, error) {
+	a.reached.Add(1)
+	return &http.Response{StatusCode: http.StatusOK, Body: http.NoBody, Request: req}, nil
+}
+
+// call makes one request to host through rt under ctx.
+func call(t *testing.T, rt http.RoundTripper, ctx context.Context, host string) error {
+	t.Helper()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+host+"/partial", http.NoBody)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Latency <= 0 {
-		t.Fatal("non-positive latency")
+	resp, err := rt.RoundTrip(req)
+	if err == nil {
+		resp.Body.Close()
+	}
+	return err
+}
+
+func TestFaultTransportHealthy(t *testing.T) {
+	inner := &answerAll{}
+	rt := NewFaultTransport(inner, DefaultTransportConfig(), 5)
+	ctx, calls := WithCalls(context.Background(), 1)
+	for _, host := range []string{"a", "b", "a"} {
+		if err := call(t, rt, ctx, host); err != nil {
+			t.Fatalf("call to %s = %v", host, err)
+		}
+	}
+	if inner.reached.Load() != 3 {
+		t.Fatalf("inner transport reached %d times, want 3", inner.reached.Load())
+	}
+	if hosts, lat := calls.Answered(); hosts != 2 || lat <= 0 {
+		t.Fatalf("Answered = %d hosts, latency %v; want 2 hosts and a positive latency", hosts, lat)
 	}
 }
 
-func TestTransportCallDownHost(t *testing.T) {
-	f := Build(BuildConfig{Regions: []string{"east"}, RacksPerRegion: 1, HostsPerRack: 1})
-	h := f.Hosts()[0]
-	h.SetState(Down)
-	tr := NewTransport(f, DefaultTransportConfig())
-	out := tr.Call(h.Name, randutil.New(1))
-	if !errors.Is(out.Err, ErrHostDown) {
-		t.Fatalf("Call to down host = %v, want ErrHostDown", out.Err)
+func TestFaultTransportDownHost(t *testing.T) {
+	inner := &answerAll{}
+	rt := NewFaultTransport(inner, DefaultTransportConfig(), 1)
+	rt.SetHostDown("a", true)
+	ctx, calls := WithCalls(context.Background(), 1)
+	if err := call(t, rt, ctx, "a"); !errors.Is(err, ErrHostDown) {
+		t.Fatalf("call to down host = %v, want ErrHostDown", err)
 	}
-	out = tr.Call("ghost", randutil.New(1))
-	if !errors.Is(out.Err, ErrNoHost) {
-		t.Fatalf("Call to unknown host = %v, want ErrNoHost", out.Err)
+	if hosts, lat := calls.Answered(); inner.reached.Load() != 0 || hosts != 0 || lat != 0 {
+		t.Fatalf("a down host's call reached the wire (%d) or answered (%d, %v)", inner.reached.Load(), hosts, lat)
+	}
+	rt.SetHostDown("a", false)
+	if err := call(t, rt, ctx, "a"); err != nil {
+		t.Fatalf("call after the host came back = %v", err)
 	}
 }
 
-func TestTransportRequestFailures(t *testing.T) {
-	f := Build(BuildConfig{Regions: []string{"east"}, RacksPerRegion: 1, HostsPerRack: 1})
+func TestFaultTransportRequestFailures(t *testing.T) {
 	cfg := DefaultTransportConfig()
 	cfg.RequestFailureProb = 0.5
-	tr := NewTransport(f, cfg)
-	rnd := randutil.New(9)
-	host := f.Hosts()[0].Name
+	rt := NewFaultTransport(&answerAll{}, cfg, 9)
 	failures := 0
 	for i := 0; i < 1000; i++ {
-		if out := tr.Call(host, rnd); errors.Is(out.Err, ErrRequestFailed) {
+		// No Calls on the context: key 0, counted per host.
+		if err := call(t, rt, context.Background(), "a"); errors.Is(err, ErrRequestFailed) {
 			failures++
 		}
 	}
 	if failures < 400 || failures > 600 {
 		t.Fatalf("failures = %d/1000, want ~500", failures)
+	}
+}
+
+// A draw is a function of (seed, key, host, n) alone: one seed and one set
+// of query keys give the same outcomes whatever order concurrent calls
+// reach the transport in, and a call that never starts (a peer a
+// fail-fast cancel stopped) shifts no other call's draw.
+func TestFaultTransportDrawsByKey(t *testing.T) {
+	cfg := DefaultTransportConfig()
+	cfg.RequestFailureProb = 0.3
+	hosts := []string{"h0", "h1", "h2", "h3"}
+	const keys, perHost = 40, 3
+	type job struct {
+		key  int
+		host int
+	}
+	type outcome struct {
+		failed  [][perHost]bool // by host, then n
+		latency time.Duration
+	}
+	// run issues every (key, host) job on its own goroutine, started in
+	// the order order gives, perHost calls each; skip leaves jobs out.
+	run := func(order *randutil.Source, skip func(job) bool) []outcome {
+		rt := NewFaultTransport(&answerAll{}, cfg, 77)
+		out := make([]outcome, keys)
+		ctxs := make([]context.Context, keys)
+		calls := make([]*Calls, keys)
+		var jobs []job
+		for k := range out {
+			out[k].failed = make([][perHost]bool, len(hosts))
+			ctxs[k], calls[k] = WithCalls(context.Background(), uint64(k+1))
+			for h := range hosts {
+				if j := (job{k, h}); skip == nil || !skip(j) {
+					jobs = append(jobs, j)
+				}
+			}
+		}
+		order.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
+		var wg sync.WaitGroup
+		for _, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < perHost; n++ {
+					out[j.key].failed[j.host][n] = call(t, rt, ctxs[j.key], hosts[j.host]) != nil
+				}
+			}()
+		}
+		wg.Wait()
+		for k := range out {
+			_, out[k].latency = calls[k].Answered()
+		}
+		return out
+	}
+	want := run(randutil.New(1), nil)
+	faults := 0
+	for _, o := range want {
+		for _, f := range o.failed {
+			for _, failed := range f {
+				if failed {
+					faults++
+				}
+			}
+		}
+	}
+	if faults == 0 || faults == keys*len(hosts)*perHost {
+		t.Fatalf("%d of %d calls failed: the draws do not vary", faults, keys*len(hosts)*perHost)
+	}
+	for seed := int64(2); seed < 6; seed++ {
+		if got := run(randutil.New(seed), nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("order %d: outcomes differ from order 1", seed)
+		}
+	}
+	skipped := func(j job) bool { return j.key%3 == 0 && j.host == 1 }
+	got := run(randutil.New(9), skipped)
+	for k := range got {
+		for h := range hosts {
+			if skipped(job{k, h}) {
+				continue
+			}
+			if got[k].failed[h] != want[k].failed[h] {
+				t.Fatalf("key %d host %s: outcomes %v with a skipped peer, %v without", k+1, hosts[h], got[k].failed[h], want[k].failed[h])
+			}
+		}
 	}
 }
 
@@ -325,6 +439,9 @@ func TestFanOutFailsIfAnyHostDown(t *testing.T) {
 	_, err := tr.FanOut(names, 0, randutil.New(3))
 	if !errors.Is(err, ErrHostDown) {
 		t.Fatalf("FanOut with down host = %v, want ErrHostDown", err)
+	}
+	if _, err := tr.FanOut([]string{"ghost"}, 0, randutil.New(3)); !errors.Is(err, ErrNoHost) {
+		t.Fatalf("FanOut to unknown host = %v, want ErrNoHost", err)
 	}
 }
 

@@ -20,7 +20,9 @@ var (
 	ErrTimeout = errors.New("cluster: request timed out")
 )
 
-// TransportConfig parameterizes the per-request fault and latency model.
+// TransportConfig parameterizes the per-call fault and latency model:
+// FaultTransport draws from it on the wire, and Transport.FanOut samples
+// it analytically for Fig 5.
 type TransportConfig struct {
 	// Latency is the per-request service latency model. The heavy tail is
 	// what makes high fan-out queries slow (paper Fig 5): one straggler
@@ -49,9 +51,8 @@ func DefaultTransportConfig() TransportConfig {
 // with no fleet lookup: with probability RequestFailureProb the request
 // fails (ErrRequestFailed), otherwise the returned duration is the
 // round-trip latency (two network hops plus a heavy-tailed service time).
-// It is the reusable core of Transport.Call, exported so components that
-// inject the same model elsewhere — netexec.FaultRoundTripper drives it
-// into real HTTP calls — stay calibrated with the simulator.
+// FanOut and FaultTransport both draw through it, so the simulator and the
+// wire stay calibrated alike.
 func (cfg TransportConfig) SampleOutcome(rnd *randutil.Source) (time.Duration, error) {
 	if rnd.Bernoulli(cfg.RequestFailureProb) {
 		return 0, ErrRequestFailed
@@ -60,12 +61,9 @@ func (cfg TransportConfig) SampleOutcome(rnd *randutil.Source) (time.Duration, e
 	return 2*cfg.NetworkHop + service, nil
 }
 
-// Transport samples the outcome of requests against fleet hosts. It does
-// not move bytes — the simulator composes outcomes analytically — but its
-// distributions are the ground truth for every latency/failure figure.
-//
-// Transport methods take the randomness source explicitly so concurrent
-// simulations can use independent streams.
+// Transport samples the outcome of fan-outs over fleet hosts analytically
+// (Fig 5): it moves no bytes. Calls that do move bytes draw their faults
+// on the wire, through FaultTransport.
 type Transport struct {
 	fleet *Fleet
 	cfg   TransportConfig
@@ -76,43 +74,28 @@ func NewTransport(fleet *Fleet, cfg TransportConfig) *Transport {
 	return &Transport{fleet: fleet, cfg: cfg}
 }
 
-// Outcome is the sampled result of one request.
-type Outcome struct {
-	Host    string
-	Latency time.Duration
-	Err     error
-}
-
-// Call samples the outcome of one request to the named host.
-func (t *Transport) Call(host string, rnd *randutil.Source) Outcome {
-	h, err := t.fleet.Host(host)
-	if err != nil {
-		return Outcome{Host: host, Err: err}
-	}
-	if !h.Available() {
-		return Outcome{Host: host, Err: fmt.Errorf("%w: %s (%s)", ErrHostDown, host, h.State())}
-	}
-	lat, err := t.cfg.SampleOutcome(rnd)
-	if err != nil {
-		return Outcome{Host: host, Err: fmt.Errorf("%w: %s", err, host)}
-	}
-	return Outcome{Host: host, Latency: lat}
-}
-
 // FanOut samples a scatter-gather over all named hosts, as a fully- or
 // partially-sharded query does: every host must answer, so the query's
 // latency is the maximum of the per-host latencies, and the query fails if
 // any host fails (the paper's full-fan-out failure model, §II-B). deadline
-// (if > 0) converts stragglers into ErrTimeout.
+// (if > 0) converts stragglers into ErrTimeout. rnd is the caller's
+// stream, so concurrent simulations can use independent ones.
 func (t *Transport) FanOut(hosts []string, deadline time.Duration, rnd *randutil.Source) (time.Duration, error) {
 	var max time.Duration
-	for _, h := range hosts {
-		out := t.Call(h, rnd)
-		if out.Err != nil {
-			return 0, out.Err
+	for _, host := range hosts {
+		h, err := t.fleet.Host(host)
+		if err != nil {
+			return 0, err
 		}
-		if out.Latency > max {
-			max = out.Latency
+		if !h.Available() {
+			return 0, fmt.Errorf("%w: %s (%s)", ErrHostDown, host, h.State())
+		}
+		lat, err := t.cfg.SampleOutcome(rnd)
+		if err != nil {
+			return 0, fmt.Errorf("%w: %s", err, host)
+		}
+		if lat > max {
+			max = lat
 		}
 	}
 	if deadline > 0 && max > deadline {

@@ -2,12 +2,17 @@ package cubrick
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"cubrick/internal/cluster"
 	"cubrick/internal/engine"
+	"cubrick/internal/netexec"
 	"cubrick/internal/randutil"
 )
 
@@ -121,12 +126,13 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestSeedReplaysFaultStream: a query draws every host's call outcome
-// before its fan-out starts, so two deployments opened with one seed answer
-// one query stream identically — the same error, Latency, Fanout, Coverage
-// and Rows for every query — although each query's calls run on
-// concurrent goroutines. The stream pairs exact and best-effort queries
-// under a 10% request failure rate with one east host down.
+// TestSeedReplaysFaultStream: each call draws its outcome on the wire from
+// the seed, the query's key and the host, not from a shared stream, so two
+// deployments opened with one seed answer one query stream identically —
+// the same error, Latency, Fanout, Coverage and Rows for every query —
+// although each query's calls run on concurrent goroutines. The stream
+// pairs exact and best-effort queries under a 10% request failure rate
+// with one east host down.
 func TestSeedReplaysFaultStream(t *testing.T) {
 	type answer struct {
 		err      string
@@ -157,13 +163,18 @@ func TestSeedReplaysFaultStream(t *testing.T) {
 	}
 	ask := func(query func(ctx context.Context, region, table string, q *engine.Query, coordinatorPart int) (*QueryResult, error)) answer {
 		res, err := query(context.Background(), "east", "t", sumQuery(), 0)
+		if errors.Is(err, cluster.ErrRequestFailed) {
+			// Whether a query draws a fault replays; when two of its calls
+			// do, which one fail-fast reports first is goroutine order.
+			return answer{err: "drawn fault"}
+		}
 		if err != nil {
 			return answer{err: err.Error()}
 		}
 		return answer{latency: res.Latency, fanout: res.Fanout, coverage: res.Coverage, rows: res.Rows}
 	}
 	a, b := open(), open()
-	coverages := make(map[float64]int)
+	var answered, failed int
 	for i := 0; i < 100; i++ {
 		for _, exact := range []bool{true, false} {
 			qa, qb := a.QueryBestEffort, b.QueryBestEffort
@@ -177,12 +188,119 @@ func TestSeedReplaysFaultStream(t *testing.T) {
 			if exact && x.err == "" {
 				t.Fatalf("query %d: exact query answered with a host down: %+v", i, x)
 			}
-			if !exact {
-				coverages[x.coverage]++
+			if !exact && x.err == "" {
+				answered++
+			} else if !exact {
+				failed++
 			}
 		}
 	}
-	if len(coverages) < 2 {
-		t.Fatalf("best-effort coverages %v: the stream never failed a live host's call, so it replays nothing", coverages)
+	// A drawn fault fails a best-effort query after its plan left the
+	// down host out, so the stream needs both kinds to replay anything.
+	if answered == 0 || failed == 0 {
+		t.Fatalf("best-effort queries: %d answered, %d failed; the stream never failed a live host's call, so it replays nothing", answered, failed)
+	}
+}
+
+// A fault drawn on the wire reaches the region's coordinator: an exact
+// query fails with the coordinator's worker error, not in its plan.
+func TestWireFaultReachesCoordinator(t *testing.T) {
+	cfg := DefaultDeploymentConfig()
+	cfg.Policy.InitialPartitions = 4
+	cfg.Transport.RequestFailureProb = 0.2
+	d, err := Open(cfg, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CreateTable("t", smallSchema()); err != nil {
+		t.Fatal(err)
+	}
+	loadRows(t, d, "t", 200)
+	for i := 0; i < 50; i++ {
+		_, err := d.Query(context.Background(), "east", "t", sumQuery(), 0)
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, netexec.ErrWorkerFailed) || !errors.Is(err, cluster.ErrRequestFailed) || !errors.Is(err, ErrRegionUnavailable) {
+			t.Fatalf("query %d: %v, want a drawn fault through the coordinator's ErrWorkerFailed", i, err)
+		}
+		return
+	}
+	t.Fatal("50 queries at a 20% fault rate drew no fault")
+}
+
+// Draws are keyed by query number and host, not taken from a shared
+// stream, so two deployments opened with one seed report the same faults
+// however 8 concurrent identical queries interleave. Over one partition
+// each query makes one call, so a failed query is one fault on that
+// partition's host: the per-host fault counts match. Over four, a
+// fail-fast cancel may stop a faulted query's other calls before they
+// draw, so what matches is the multiset of answers: how many queries
+// failed, and each answered query's Latency, Fanout and rows.
+func TestConcurrentQueriesReplayFaults(t *testing.T) {
+	const workers, each = 8, 25
+	// replay runs the queries against a fresh deployment whose table has
+	// parts partitions; it returns the per-host fault counts and the
+	// sorted answers.
+	replay := func(parts int) (map[string]int, []string) {
+		cfg := DefaultDeploymentConfig()
+		cfg.Policy.InitialPartitions = parts
+		cfg.Transport.RequestFailureProb = 0.2
+		d, err := Open(cfg, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.CreateTable("t", smallSchema()); err != nil {
+			t.Fatal(err)
+		}
+		loadRows(t, d, "t", 100)
+		a, err := d.SM.Assignment(ServiceName("east"), d.Catalog.ShardOf("t", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		faults := make(map[string]int)
+		var answers []string
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					res, err := d.Query(context.Background(), "east", "t", sumQuery(), 0)
+					if err != nil && !errors.Is(err, cluster.ErrRequestFailed) {
+						t.Errorf("query failed without a drawn fault: %v", err)
+						return
+					}
+					mu.Lock()
+					if err != nil {
+						faults[a.Primary()]++
+						answers = append(answers, "drawn fault")
+					} else {
+						answers = append(answers, fmt.Sprint(res.Latency, res.Fanout, res.Rows))
+					}
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		slices.Sort(answers)
+		return faults, answers
+	}
+	fa, _ := replay(1)
+	fb, _ := replay(1)
+	if len(fa) == 0 {
+		t.Fatalf("%d one-call queries at a 20%% fault rate drew no fault", workers*each)
+	}
+	if !reflect.DeepEqual(fa, fb) {
+		t.Fatalf("one seed, two per-host fault counts: %v and %v", fa, fb)
+	}
+	_, aa := replay(4)
+	_, ab := replay(4)
+	if !slices.Contains(aa, "drawn fault") || aa[0] == "drawn fault" {
+		t.Fatalf("answers %v: want both faulted and answered queries", aa)
+	}
+	if !reflect.DeepEqual(aa, ab) {
+		t.Fatalf("one seed, two multisets of answers:\n%v\n%v", aa, ab)
 	}
 }

@@ -558,9 +558,6 @@ func TestDeploymentAccessors(t *testing.T) {
 	if len(tables) != 2 || tables[0].Name != "a" || tables[1].Name != "b" {
 		t.Fatalf("Tables = %+v", tables)
 	}
-	if d.Rand() == nil {
-		t.Fatal("Rand returned nil")
-	}
 	before := d.Clock.Now()
 	d.Settle()
 	if !d.Clock.Now().After(before) {

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cubrick/internal/brick"
@@ -47,7 +49,7 @@ type DeploymentConfig struct {
 	MaxMigrationsPerRun int
 	// ImbalanceRatio is the balancer trigger threshold.
 	ImbalanceRatio float64
-	// Transport parameterizes latency/fault injection on the query path.
+	// Transport parameterizes the faults and latencies queries draw.
 	Transport cluster.TransportConfig
 	// DiscoveryTree shapes the SMC propagation tree (Fig 4c).
 	DiscoveryTree discovery.TreeConfig
@@ -88,22 +90,22 @@ type Deployment struct {
 	Tree      *discovery.Tree
 	SM        *shardmgr.Server
 	Catalog   *Catalog
-	Transport *cluster.Transport
 
-	rnd    *randutil.Source
 	nodes  map[string]*Node // host name -> node
 	agents map[string]*shardmgr.Agent
 	// coords holds each region's one query coordinator, built at Open:
 	// partition names repeat across regions, but each region's copies
 	// have their own ingest epochs, so regions share no KnownEpoch view.
-	coords map[string]*netexec.Coordinator
+	// Their client draws faults on the wire, keyed by queries; loads use
+	// wire, which draws none.
+	coords  map[string]*netexec.Coordinator
+	queries atomic.Uint64
+	wire    *http.Client
 
 	mu sync.Mutex
 	// replicatedLog records every row loaded into replicated tables so
 	// rejoining hosts can rebuild their replicas.
 	replicatedLog map[string]replicatedRows
-	// rndMu serializes the query path's draws from rnd (plan).
-	rndMu sync.Mutex
 }
 
 // ServiceName returns the SM service name for a region. Cubrick deploys as
@@ -116,7 +118,6 @@ func Open(cfg DeploymentConfig, epoch time.Time) (*Deployment, error) {
 		return nil, errors.New("cubrick: deployment needs at least one region")
 	}
 	clk := simclock.NewSim(epoch)
-	rnd := randutil.New(cfg.Seed)
 	fleet := cluster.Build(cluster.BuildConfig{
 		Regions:        cfg.Regions,
 		RacksPerRegion: cfg.RacksPerRegion,
@@ -125,7 +126,7 @@ func Open(cfg DeploymentConfig, epoch time.Time) (*Deployment, error) {
 	})
 	store := zk.NewStore(clk)
 	dir := discovery.NewDirectory(clk)
-	tree := discovery.NewTree(clk, dir, cfg.DiscoveryTree, rnd.Fork().Float64)
+	tree := discovery.NewTree(clk, dir, cfg.DiscoveryTree, randutil.New(cfg.Seed).Fork().Float64)
 	sm := shardmgr.NewServer(clk, store, dir, fleet)
 	catalog := NewCatalog(core.MonotonicMapper{MaxShards: cfg.MaxShards}, cfg.Policy)
 
@@ -138,14 +139,13 @@ func Open(cfg DeploymentConfig, epoch time.Time) (*Deployment, error) {
 		Tree:      tree,
 		SM:        sm,
 		Catalog:   catalog,
-		Transport: cluster.NewTransport(fleet, cfg.Transport),
-		rnd:       rnd,
 		nodes:     make(map[string]*Node),
 		agents:    make(map[string]*shardmgr.Agent),
 		coords:    make(map[string]*netexec.Coordinator, len(cfg.Regions)),
 	}
 
-	client := &http.Client{Transport: memTransport{d}}
+	d.wire = &http.Client{Transport: memTransport{d}}
+	client := &http.Client{Transport: cluster.NewFaultTransport(memTransport{d}, cfg.Transport, cfg.Seed)}
 	for _, region := range cfg.Regions {
 		d.coords[region] = &netexec.Coordinator{Client: client}
 		svc := shardmgr.ServiceConfig{
@@ -219,9 +219,6 @@ func (d *Deployment) Nodes() []*Node {
 	return out
 }
 
-// Rand exposes the deployment's deterministic random source.
-func (d *Deployment) Rand() *randutil.Source { return d.rnd }
-
 // recoverySourceFor returns the failover data source of a node: a healthy
 // owner of the shard in any *other* region (§IV-D: failovers download a
 // copy of the failed shard from a healthy region).
@@ -231,13 +228,8 @@ func (d *Deployment) recoverySourceFor(n *Node) func(shard int64) (map[string][]
 			if region == n.Region() {
 				continue
 			}
-			a, err := d.SM.Assignment(ServiceName(region), shard)
+			host, err := d.serving(region, shard)
 			if err != nil {
-				continue
-			}
-			host := a.Primary()
-			h, err := d.Fleet.Host(host)
-			if err != nil || !h.Available() {
 				continue
 			}
 			src, err := d.Node(host)
@@ -320,31 +312,37 @@ func (d *Deployment) DropTable(name string) error {
 	if err := d.Catalog.DropTable(name); err != nil {
 		return err
 	}
+	d.dropPartitions(name, shards)
+	return nil
+}
+
+// dropPartitions drops partition p of a table, whose shard is shards[p],
+// from its owner in every region, and unassigns each shard that no
+// partition maps to any more.
+func (d *Deployment) dropPartitions(table string, shards []int64) {
 	for p, shard := range shards {
-		partName := core.PartitionName(info.Name, p)
 		for _, region := range d.Config.Regions {
 			svc := ServiceName(region)
 			a, err := d.SM.Assignment(svc, shard)
 			if err != nil {
 				continue
 			}
+			if node, err := d.Node(a.Primary()); err == nil {
+				node.DropPartition(shard, core.PartitionName(table, p))
+			}
 			if len(d.Catalog.PartitionsOf(shard)) == 0 {
 				_ = d.SM.UnassignShard(svc, shard)
-				continue
-			}
-			if node, err := d.Node(a.Primary()); err == nil {
-				node.DropPartition(shard, partName)
 			}
 		}
 	}
-	return nil
 }
 
 // Load ingests rows into a table: each row routes to a partition by
 // dimension hash (core.RouteBatch), and each partition's batch goes to its
 // owner in every region (all regions hold full copies, §IV-D) through the
 // owner's worker, as on the networked plane. A fenced partition's batch
-// fails with a retryable error and is not retried here.
+// fails with a retryable error and is not retried here. Nothing is
+// undone, so a failed batch's error names the regions that took it.
 func (d *Deployment) Load(table string, dims [][]uint32, metrics [][]float64) error {
 	if len(dims) != len(metrics) {
 		return errors.New("cubrick: dims/metrics length mismatch")
@@ -356,16 +354,15 @@ func (d *Deployment) Load(table string, dims [][]uint32, metrics [][]float64) er
 	return core.RouteBatch(dims, metrics, info.Partitions, func(p int, bd [][]uint32, bm [][]float64) error {
 		shard := d.Catalog.ShardOf(table, p)
 		partName := core.PartitionName(table, p)
-		for _, region := range d.Config.Regions {
-			a, err := d.SM.Assignment(ServiceName(region), shard)
-			if err != nil {
-				return err
+		for i, region := range d.Config.Regions {
+			node, err := d.owner(region, shard)
+			if err == nil {
+				err = d.ship(node, partName, bd, bm)
 			}
-			node, err := d.Node(a.Primary())
-			if err != nil {
-				return err
-			}
-			if err := d.ship(node, partName, bd, bm); err != nil {
+			if err != nil && i > 0 {
+				return fmt.Errorf("cubrick: batch for %s taken by %s, not by %s: %w",
+					partName, strings.Join(d.Config.Regions[:i], ", "), region, err)
+			} else if err != nil {
 				return err
 			}
 			node.ingested(len(bd))
@@ -374,11 +371,11 @@ func (d *Deployment) Load(table string, dims [][]uint32, metrics [][]float64) er
 	})
 }
 
-// ship posts one batch to a node's worker (POST /loadbin) over the
-// region's memTransport: the worker's fence and its all-or-nothing batch
-// check see every in-process write.
+// ship posts one batch to a node's worker (POST /loadbin) over
+// memTransport, off the query path's fault model: the worker's fence and
+// its all-or-nothing batch check see every in-process write.
 func (d *Deployment) ship(n *Node, part string, dims [][]uint32, metrics [][]float64) error {
-	cl := netexec.Client{BaseURL: "http://" + n.Host().Name, HTTP: d.coords[n.Region()].Client}
+	cl := netexec.Client{BaseURL: "http://" + n.Host().Name, HTTP: d.wire}
 	_, err := cl.Load(context.Background(), part, dims, metrics)
 	return err
 }
@@ -409,20 +406,30 @@ func (d *Deployment) TableSizeBytes(table, region string) (int64, error) {
 	}
 	var total int64
 	for p := 0; p < info.Partitions; p++ {
-		shard := d.Catalog.ShardOf(table, p)
-		a, err := d.SM.Assignment(ServiceName(region), shard)
-		if err != nil {
-			return 0, err
-		}
-		node, err := d.Node(a.Primary())
-		if err != nil {
-			return 0, err
-		}
-		st, err := node.store(shard, core.PartitionName(table, p))
+		st, err := d.partStore(region, table, p)
 		if err != nil {
 			return 0, err
 		}
 		total += st.UncompressedBytes()
 	}
 	return total, nil
+}
+
+// owner returns the node holding a shard's primary in region.
+func (d *Deployment) owner(region string, shard int64) (*Node, error) {
+	a, err := d.SM.Assignment(ServiceName(region), shard)
+	if err != nil {
+		return nil, err
+	}
+	return d.Node(a.Primary())
+}
+
+// partStore returns partition p of a table on its owner in region.
+func (d *Deployment) partStore(region, table string, p int) (*brick.Store, error) {
+	shard := d.Catalog.ShardOf(table, p)
+	node, err := d.owner(region, shard)
+	if err != nil {
+		return nil, err
+	}
+	return node.store(shard, core.PartitionName(table, p))
 }

@@ -2,6 +2,7 @@ package cubrick
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"cubrick/internal/core"
@@ -13,11 +14,7 @@ import (
 // cutover would.
 func fence(t *testing.T, d *Deployment, host, part string, on bool) {
 	t.Helper()
-	n, err := d.Node(host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := netexec.Client{BaseURL: "http://" + host, HTTP: d.coords[n.Region()].Client}
+	cl := netexec.Client{BaseURL: "http://" + host, HTTP: d.wire}
 	if err := cl.Fence(context.Background(), part, on); err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +65,30 @@ func TestLoadMeetsWorkerFence(t *testing.T) {
 		if len(res.Rows) != 1 || res.Rows[0][0] != 5 {
 			t.Fatalf("%s sum = %v, want [[5]]", r, res.Rows)
 		}
+	}
+}
+
+// Load writes a partition's regions in order and undoes nothing, so a
+// batch that one region's owner turns away stays in the regions before
+// it; the error names them.
+func TestPartialLoadNamesRegionsReached(t *testing.T) {
+	d := testDeployment(t)
+	info, err := d.CreateTable("t", smallSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims, mets := [][]uint32{{3, 7}}, [][]float64{{5}}
+	p := core.RouteRow(dims[0], info.Partitions)
+	fenceOwner(t, d, "west", "t", p, true)
+	err = d.Load("t", dims, mets)
+	if err == nil {
+		t.Fatal("load into a partition fenced in west succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "taken by east") || !strings.Contains(msg, "not by west") {
+		t.Fatalf("partial load error %q does not name east as reached and west as not", msg)
+	}
+	if c := netexec.ClassifyError(err); c != netexec.Retryable {
+		t.Fatalf("partial load error %v classified %v, want Retryable", err, c)
 	}
 }
 

@@ -28,10 +28,10 @@ type QueryResult struct {
 	// Region executed the query; Coordinator merged the partials.
 	Region      string
 	Coordinator string
-	// Fanout is how many distinct hosts participated.
+	// Fanout is how many distinct hosts answered.
 	Fanout int
-	// Latency is the sampled end-to-end latency (max over per-host
-	// latencies plus coordination overhead).
+	// Latency is the largest latency sampled on the wire by a call that
+	// answered: the simulated time the slowest host took.
 	Latency time.Duration
 	// Coverage is the fraction of partitions that contributed. Exact
 	// queries always report 1; best-effort queries (QueryBestEffort) may
@@ -68,10 +68,12 @@ func (d *Deployment) QueryBestEffort(ctx context.Context, region, table string, 
 
 // query runs one region's query through the region's netexec.Coordinator,
 // built once at Open with the zero policy (exact, one attempt, no hedge, so
-// no timer), over memTransport: one primary-only target per planned
-// partition, so one /partial call per host, merged in arrival order. Best
-// effort is chosen in the plan, which leaves out what it cannot reach, so
-// a call that fails after planning fails the query in this region.
+// no timer), over a cluster.FaultTransport and memTransport: one
+// primary-only target per planned partition, so one /partial call per
+// host, merged in arrival order, each drawing its fault under the query's
+// number. Best effort is chosen in the plan, which leaves out what it
+// cannot reach, so a call that fails after planning fails the query in
+// this region.
 func (d *Deployment) query(ctx context.Context, region, table string, q *engine.Query, coordinatorPart int, exact bool) (*QueryResult, error) {
 	info, err := d.Catalog.Table(table)
 	if err != nil {
@@ -81,6 +83,7 @@ func (d *Deployment) query(ctx context.Context, region, table string, q *engine.
 	if err != nil {
 		return nil, err
 	}
+	ctx, calls := cluster.WithCalls(ctx, d.queries.Add(1))
 	res, err := d.coords[region].Query(ctx, p.targets, q)
 	if err != nil {
 		// Both %w: callers match ErrRegionUnavailable for routing and the
@@ -91,63 +94,33 @@ func (d *Deployment) query(ctx context.Context, region, table string, q *engine.
 		res.Coverage = float64(len(p.targets)) / float64(info.Partitions)
 		res.MissingPartitions = p.missing
 	}
+	fanout, latency := calls.Answered()
 	return &QueryResult{Result: res, Table: table, Partitions: info.Partitions, Version: info.Version, Region: region,
-		Coordinator: p.coordinator, Fanout: p.fanout, Latency: p.latency, Coverage: res.Coverage}, nil
+		Coordinator: p.coordinator, Fanout: fanout, Latency: latency, Coverage: res.Coverage}, nil
 }
 
-// queryPlan is one query's view of a region: what it calls, what it leaves
-// out, and what its hosts' sampled call outcomes add up to.
+// queryPlan is one query's view of a region: what it calls and what it
+// leaves out.
 type queryPlan struct {
 	targets     []netexec.Target // one per called partition, primary only
 	missing     []string         // the left-out partitions' names, sorted
 	coordinator string           // coordinatorPart's host, or the first called one
-	fanout      int              // distinct hosts called
-	latency     time.Duration    // the slowest called host's sampled latency
 }
 
 // plan resolves every partition of a table to its primary host in region
-// and draws each distinct host's cluster.Transport.Call outcome once, in
-// sorted host order, before any call starts: the fan-out's calls run on
-// concurrent goroutines, so only draws taken here replay from one seed. An
-// exact plan fails on the first unresolved partition or failed draw. A
-// best-effort plan leaves those partitions out, and fails only when it
-// leaves out every one.
+// and checks that host's fleet state; it draws nothing, as faults are
+// drawn on the wire. An exact plan fails on the first partition that is
+// unresolved or whose host is not serving. A best-effort plan leaves those
+// partitions out, and fails only when it leaves out every one.
 func (d *Deployment) plan(region string, info TableInfo, coordinatorPart int, exact bool) (queryPlan, error) {
-	var p queryPlan
-	hosts := make([]string, info.Partitions) // by partition; "" when unresolved
-	for i := range hosts {
-		a, err := d.SM.Assignment(ServiceName(region), d.Catalog.ShardOf(info.Name, i))
-		if err == nil {
-			hosts[i] = a.Primary()
-		} else if exact {
-			return p, fmt.Errorf("%w: %v", ErrRegionUnavailable, err)
-		}
-	}
-	sorted := slices.Clone(hosts)
-	slices.Sort(sorted)
-	failed := []string{""} // an unresolved partition is left out too
-	d.rndMu.Lock()
-	defer d.rndMu.Unlock()
-	for _, host := range slices.Compact(sorted) {
-		if host == "" {
-			continue
-		}
-		o := d.Transport.Call(host, d.rnd)
-		if o.Err == nil {
-			p.fanout++
-			p.latency = max(p.latency, o.Latency)
-		} else if exact {
-			return p, fmt.Errorf("%w: %w", ErrRegionUnavailable, o.Err)
-		} else {
-			failed = append(failed, host)
-		}
-	}
-	if p.fanout == 0 {
-		return p, fmt.Errorf("%w: no host of %s answers in %s", ErrRegionUnavailable, info.Name, region)
-	}
-	for i, host := range hosts {
+	p := queryPlan{targets: make([]netexec.Target, 0, info.Partitions)}
+	for i := 0; i < info.Partitions; i++ {
 		name := core.PartitionName(info.Name, i)
-		if slices.Contains(failed, host) {
+		host, err := d.serving(region, d.Catalog.ShardOf(info.Name, i))
+		if err != nil {
+			if exact {
+				return p, fmt.Errorf("%w: %w", ErrRegionUnavailable, err)
+			}
 			p.missing = append(p.missing, name)
 			continue
 		}
@@ -156,13 +129,30 @@ func (d *Deployment) plan(region string, info TableInfo, coordinatorPart int, ex
 			p.coordinator = host
 		}
 	}
+	if len(p.targets) == 0 {
+		return p, fmt.Errorf("%w: no host of %s answers in %s", ErrRegionUnavailable, info.Name, region)
+	}
 	slices.Sort(p.missing) // as netexec's gather sorts MissingPartitions
 	return p, nil
 }
 
-// memTransport is the in-process plane's wire: it hands each /partial call
-// to the named host's worker handler. It holds no per-query state, and it
-// never sleeps: plan reports the sampled latency.
+// serving returns a shard's primary host in region, with an error unless
+// that host is serving.
+func (d *Deployment) serving(region string, shard int64) (string, error) {
+	a, err := d.SM.Assignment(ServiceName(region), shard)
+	if err != nil {
+		return "", err
+	}
+	h, err := d.Fleet.Host(a.Primary())
+	if err == nil && !h.Available() {
+		err = fmt.Errorf("%w: %s (%s)", cluster.ErrHostDown, h.Name, h.State())
+	}
+	return a.Primary(), err
+}
+
+// memTransport is the in-process plane's wire: it hands each call to the
+// named host's worker handler. It holds no per-query state and draws no
+// fault; the query path wraps it in a cluster.FaultTransport.
 type memTransport struct{ d *Deployment }
 
 // RoundTrip implements http.RoundTripper.
@@ -188,7 +178,7 @@ func (d *Deployment) Repartition(table string) (core.Decision, int, error) {
 	if err != nil {
 		return core.Keep, 0, err
 	}
-	region, err := d.healthyRegionFor(table)
+	region, err := d.healthyRegionFor(info)
 	if err != nil {
 		return core.Keep, info.Partitions, err
 	}
@@ -205,16 +195,7 @@ func (d *Deployment) Repartition(table string) (core.Decision, int, error) {
 	var dims [][]uint32
 	var metrics [][]float64
 	for p := 0; p < info.Partitions; p++ {
-		shard := d.Catalog.ShardOf(table, p)
-		a, err := d.SM.Assignment(ServiceName(region), shard)
-		if err != nil {
-			return decision, info.Partitions, err
-		}
-		node, err := d.Node(a.Primary())
-		if err != nil {
-			return decision, info.Partitions, err
-		}
-		st, err := node.store(shard, core.PartitionName(table, p))
+		st, err := d.partStore(region, table, p)
 		if err != nil {
 			return decision, info.Partitions, err
 		}
@@ -238,22 +219,7 @@ func (d *Deployment) Repartition(table string) (core.Decision, int, error) {
 	}
 
 	// Drop the old partition stores (shards keep other tables' data).
-	for p, shard := range oldShards {
-		partName := core.PartitionName(table, p)
-		for _, reg := range d.Config.Regions {
-			svc := ServiceName(reg)
-			a, err := d.SM.Assignment(svc, shard)
-			if err != nil {
-				continue
-			}
-			if node, err := d.Node(a.Primary()); err == nil {
-				node.DropPartition(shard, partName)
-			}
-			if len(d.Catalog.PartitionsOf(shard)) == 0 {
-				_ = d.SM.UnassignShard(svc, shard)
-			}
-		}
-	}
+	d.dropPartitions(table, oldShards)
 
 	// Materialize the new layout and reload.
 	if err := d.materializeTable(newInfo); err != nil {
@@ -266,32 +232,14 @@ func (d *Deployment) Repartition(table string) (core.Decision, int, error) {
 }
 
 // healthyRegionFor returns a region whose copy of the table is fully
-// available.
-func (d *Deployment) healthyRegionFor(table string) (string, error) {
-	info, err := d.Catalog.Table(table)
-	if err != nil {
-		return "", err
-	}
+// available: one where an exact plan succeeds.
+func (d *Deployment) healthyRegionFor(info TableInfo) (string, error) {
 	for _, region := range d.Config.Regions {
-		ok := true
-		for p := 0; p < info.Partitions; p++ {
-			shard := d.Catalog.ShardOf(table, p)
-			a, err := d.SM.Assignment(ServiceName(region), shard)
-			if err != nil {
-				ok = false
-				break
-			}
-			h, err := d.Fleet.Host(a.Primary())
-			if err != nil || !h.Available() {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if _, err := d.plan(region, info, 0, true); err == nil {
 			return region, nil
 		}
 	}
-	return "", fmt.Errorf("%w: no healthy region for %s", cluster.ErrHostDown, table)
+	return "", fmt.Errorf("%w: no healthy region for %s", cluster.ErrHostDown, info.Name)
 }
 
 // DistinctHosts returns the number of distinct hosts holding a table's

@@ -66,7 +66,7 @@ type rig struct {
 	srcSrv, dstSrv *httptest.Server
 	srcURL, dstURL string
 	zks            *zk.Store
-	rt             *netexec.FaultRoundTripper
+	rt             *cluster.FaultTransport
 	httpc          *http.Client
 	router         *routerStub
 	reg            *metrics.Registry
@@ -88,7 +88,7 @@ func newMigRigWrapped(t *testing.T, rows int, wrap func(host string, h http.Hand
 	}
 	r := &rig{
 		zks:    zk.NewStore(nil),
-		rt:     netexec.NewFaultRoundTripper(nil, cluster.TransportConfig{}, 1),
+		rt:     cluster.NewFaultTransport(nil, cluster.TransportConfig{}, 1),
 		router: &routerStub{},
 		reg:    metrics.NewRegistry(),
 		part:   "events#0",

@@ -2,13 +2,10 @@ package netexec
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
-	"sort"
 	"testing"
 	"time"
 
@@ -123,11 +120,11 @@ func TestChaosSuccessRate(t *testing.T) {
 			targets, wantRows, cleanup := startReplicatedCluster(t, nServers, fanout, 50)
 			defer cleanup()
 
-			baselineRT := NewFaultRoundTripper(nil, chaosConfig(failProb), seed)
+			baselineRT := cluster.NewFaultTransport(nil, chaosConfig(failProb), seed)
 			baseline := &Coordinator{Client: &http.Client{Transport: baselineRT}}
 			baseRate := runChaosQueries(t, baseline, targets, wantRows, queries)
 
-			resilientRT := NewFaultRoundTripper(nil, chaosConfig(failProb), seed)
+			resilientRT := cluster.NewFaultTransport(nil, chaosConfig(failProb), seed)
 			resilient := &Coordinator{
 				Client: &http.Client{Transport: resilientRT},
 				Policy: QueryPolicy{
@@ -170,7 +167,7 @@ func TestChaosBreakerSkipsDownHost(t *testing.T) {
 	targets, wantRows, cleanup := startReplicatedCluster(t, 2, 1, 40)
 	defer cleanup()
 
-	rt := NewFaultRoundTripper(nil, chaosConfig(0), 1)
+	rt := cluster.NewFaultTransport(nil, chaosConfig(0), 1)
 	pu, err := url.Parse(targets[0].URL)
 	if err != nil {
 		t.Fatal(err)
@@ -209,89 +206,4 @@ func TestChaosBreakerSkipsDownHost(t *testing.T) {
 	if _, err := coord.Query(context.Background(), targets, q); err != nil {
 		t.Fatalf("query after host recovery failed: %v", err)
 	}
-}
-
-// TestResilienceBench is the bench harness behind scripts/bench.sh: when
-// RESILIENCE_BENCH_OUT is set it measures success rate and p99 latency
-// under injected faults at fan-out 4/16/64, with and without the
-// resilience layer, and writes the results as JSON.
-func TestResilienceBench(t *testing.T) {
-	out := os.Getenv("RESILIENCE_BENCH_OUT")
-	if out == "" {
-		t.Skip("set RESILIENCE_BENCH_OUT to run the resilience bench")
-	}
-	const (
-		failProb = 0.02
-		queries  = 100
-		seed     = 7
-	)
-	type row struct {
-		Fanout      int     `json:"fanout"`
-		Mode        string  `json:"mode"`
-		FailProb    float64 `json:"fail_prob"`
-		Queries     int     `json:"queries"`
-		SuccessRate float64 `json:"success_rate"`
-		P50Ms       float64 `json:"p50_ms"`
-		P99Ms       float64 `json:"p99_ms"`
-	}
-	var rows []row
-	q := &engine.Query{Aggregates: []engine.Aggregate{{Func: engine.Count}}}
-	for _, fanout := range []int{4, 16, 64} {
-		nServers := 8
-		if fanout < nServers {
-			nServers = fanout
-		}
-		targets, wantRows, cleanup := startReplicatedCluster(t, nServers, fanout, 50)
-		for _, mode := range []string{"baseline", "resilient"} {
-			rt := NewFaultRoundTripper(nil, chaosConfig(failProb), seed)
-			// A small latency scale keeps the heavy-tail *shape* of the
-			// model while staying test-fast.
-			rt.LatencyScale = 0.001
-			coord := &Coordinator{Client: &http.Client{Transport: rt}}
-			if mode == "resilient" {
-				coord.Policy = QueryPolicy{
-					MaxAttempts:   4,
-					BaseBackoff:   time.Millisecond,
-					MaxBackoff:    4 * time.Millisecond,
-					HedgeQuantile: 0.95,
-					HedgeMinDelay: 5 * time.Millisecond,
-					MinCoverage:   1,
-				}
-				coord.Breakers = NewBreakerGroup(DefaultBreakerConfig())
-				coord.Metrics = metrics.NewRegistry()
-			}
-			ok := 0
-			lats := make([]float64, 0, queries)
-			for i := 0; i < queries; i++ {
-				start := time.Now()
-				res, err := coord.Query(context.Background(), targets, q)
-				lats = append(lats, float64(time.Since(start).Microseconds())/1000)
-				if err == nil && res.Rows[0][0] == wantRows {
-					ok++
-				}
-			}
-			sort.Float64s(lats)
-			rows = append(rows, row{
-				Fanout:      fanout,
-				Mode:        mode,
-				FailProb:    failProb,
-				Queries:     queries,
-				SuccessRate: float64(ok) / float64(queries),
-				P50Ms:       lats[len(lats)/2],
-				P99Ms:       lats[len(lats)*99/100],
-			})
-		}
-		cleanup()
-	}
-	blob, err := json.MarshalIndent(map[string]interface{}{
-		"benchmark": "netexec resilience under injected faults",
-		"results":   rows,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

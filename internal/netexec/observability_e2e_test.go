@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cubrick/internal/cluster"
 	"cubrick/internal/engine"
 	"cubrick/internal/metrics"
 	"cubrick/internal/partition"
@@ -17,8 +18,8 @@ import (
 )
 
 // TestChaosObservabilityEndToEnd is the harness test behind the PR's
-// acceptance criterion: a replicated cluster under 2% server-side fault
-// injection must produce, for a query that needed rescuing, a trace that
+// acceptance criterion: a replicated cluster whose coordinator draws a 2%
+// per-call fault on the wire must produce, for a query that needed rescuing, a trace that
 // (a) is retrievable by ID, (b) shows the rescuing retry in the tree,
 // (c) accounts for >=95% of the measured wall time, and (d) continues on
 // the worker side — the same trace ID is served by the worker's own
@@ -36,13 +37,7 @@ func TestChaosObservabilityEndToEnd(t *testing.T) {
 	for i := 0; i < nWorkers; i++ {
 		w := NewWorker(partition.Config{Metrics: metrics.NewRegistry()})
 		w.Tracer = trace.New(trace.Config{})
-		wh := w.Handler()
-		// Mirror the binary's layout: chaos injects on the data path only,
-		// so the observability plane stays reachable while queries fail.
-		mux := http.NewServeMux()
-		mux.Handle("/", wh)
-		mux.Handle("/partial", ChaosHandler(failProb, int64(1000+i), wh))
-		srv := httptest.NewServer(mux)
+		srv := httptest.NewServer(w.Handler())
 		servers = append(servers, srv)
 		urls = append(urls, srv.URL)
 	}
@@ -52,12 +47,12 @@ func TestChaosObservabilityEndToEnd(t *testing.T) {
 		}
 	}()
 
-	cluster, err := NewCluster(urls, 0, &http.Client{Transport: NewTransport()})
+	cl, err := NewCluster(urls, 0, &http.Client{Transport: NewTransport()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.SetReplication(1)
-	if err := cluster.CreateTable(context.Background(), "events", testSchema(), partitions); err != nil {
+	cl.SetReplication(1)
+	if err := cl.CreateTable(context.Background(), "events", testSchema(), partitions); err != nil {
 		t.Fatal(err)
 	}
 	dims := make([][]uint32, rows)
@@ -66,13 +61,17 @@ func TestChaosObservabilityEndToEnd(t *testing.T) {
 		dims[i] = []uint32{uint32(i) % 30, uint32(i) % 20}
 		mets[i] = []float64{float64(i)}
 	}
-	if err := cluster.Load(context.Background(), "events", dims, mets); err != nil {
+	if err := cl.Load(context.Background(), "events", dims, mets); err != nil {
 		t.Fatal(err)
 	}
 
 	tracer := trace.New(trace.Config{})
 	reg := metrics.NewRegistry()
-	coord := cluster.Coordinator()
+	// Loaded over a clean client, the coordinator now queries over a
+	// faulted one: a drawn failure never reaches a worker, as a lost
+	// connection would not.
+	coord := cl.Coordinator()
+	coord.Client = &http.Client{Transport: cluster.NewFaultTransport(NewTransport(), chaosConfig(failProb), 1000)}
 	coord.Policy = QueryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
 	coord.Metrics = reg
 	coord.Tracer = tracer
@@ -87,7 +86,7 @@ func TestChaosObservabilityEndToEnd(t *testing.T) {
 	for i := 0; i < 400 && !found; i++ {
 		start := time.Now()
 		ctx, root := tracer.StartSpan(context.Background(), "coordinator.query")
-		res, err := cluster.Query(ctx, "events", q)
+		res, err := cl.Query(ctx, "events", q)
 		root.EndErr(err)
 		wall = time.Since(start)
 		if err != nil {
@@ -119,7 +118,7 @@ func TestChaosObservabilityEndToEnd(t *testing.T) {
 	if !strings.Contains(tree, "try=2") && !strings.Contains(tree, "role=hedge") {
 		t.Fatalf("rescue not visible in tree:\n%s", tree)
 	}
-	if !strings.Contains(tree, "chaos: injected failure") {
+	if !strings.Contains(tree, cluster.ErrRequestFailed.Error()) {
 		t.Fatalf("injected fault not recorded on the failed fetch span:\n%s", tree)
 	}
 

@@ -26,6 +26,42 @@ func New(seed int64) *Source {
 	return &Source{rng: rand.New(rand.NewSource(seed))}
 }
 
+// NewKeyed returns a Source over splitmix64, whose Seed costs nothing:
+// reseeded from Hash before each draw, a draw is a function of the hash.
+func NewKeyed() *Source { return &Source{rng: rand.New(new(splitMix))} }
+
+// Seed repositions s at seed.
+func (s *Source) Seed(seed int64) { s.rng.Seed(seed) }
+
+// Hash mixes a string and words into one seed for Seed.
+func Hash(s string, words ...uint64) int64 {
+	h := uint64(14695981039346656037) // FNV-1a over s
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	for _, w := range words {
+		h = mix(h ^ w)
+	}
+	return int64(h)
+}
+
+// splitMix is splitmix64 as a rand.Source: a counter, output through mix.
+type splitMix uint64
+
+func (m *splitMix) Seed(seed int64) { *m = splitMix(seed) }
+
+func (m *splitMix) Int63() int64 {
+	*m += 0x9e3779b97f4a7c15
+	return int64(mix(uint64(*m)) >> 1)
+}
+
+// mix is splitmix64's finalizer, a bijection on 64-bit words.
+func mix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // Fork returns a new independent Source derived from this one, so
 // subsystems can get uncorrelated but reproducible streams.
 func (s *Source) Fork() *Source {

@@ -254,3 +254,28 @@ func TestLockedFloat64Concurrent(t *testing.T) {
 		}
 	}
 }
+
+// A keyed source reseeded at one hash replays one draw, whatever was drawn
+// in between; a different word moves it.
+func TestKeyedReseedReplays(t *testing.T) {
+	s := NewKeyed()
+	s.Seed(Hash("h1", 7, 1, 0))
+	first := s.Float64()
+	s.Seed(Hash("h2", 7, 1, 0))
+	other := s.Float64()
+	s.Seed(Hash("h1", 7, 1, 0))
+	if again := s.Float64(); again != first {
+		t.Fatalf("reseeded draw %v, first %v", again, first)
+	}
+	if other == first {
+		t.Fatal("two hosts drew the same value")
+	}
+	var sum float64
+	for i := uint64(0); i < 10000; i++ {
+		s.Seed(Hash("h1", 7, i, 0))
+		sum += s.Float64()
+	}
+	if mean := sum / 10000; math.Abs(mean-0.5) > 0.02 {
+		t.Fatalf("mean of keyed draws = %v, want ~0.5", mean)
+	}
+}

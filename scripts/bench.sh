@@ -44,15 +44,6 @@ END {
 echo "== wrote $OUT"
 cat "$OUT"
 
-# Resilience under injected faults: success rate and p99 latency at
-# fan-out 4/16/64, with and without the resilience layer (seeded
-# FaultRoundTripper, 2% per-request failure probability).
-echo "== resilience bench (seeded fault injection)"
-RESILIENCE_BENCH_OUT="$(pwd)/BENCH_resilience.json" \
-    go test ./internal/netexec/ -run '^TestResilienceBench$' -count=1
-echo "== wrote BENCH_resilience.json"
-cat BENCH_resilience.json
-
 # Observability overhead: the 64-worker scatter-gather query (streamed
 # merge included) with the full tracing+metrics plane live versus plain.
 # The PR budget is <=3% overhead; the on-path histogram updates are

@@ -129,13 +129,36 @@ fi
 # time) may fall but never rise. Lower WALL_CLOCK_MAX when a change removes
 # sites.
 echo "== wall-clock ratchet"
-WALL_CLOCK_MAX=25
+WALL_CLOCK_MAX=24
 CLOCK_SRC="$(find internal -name '*.go' ! -name '*_test.go' ! -path 'internal/simclock/*' ! -path 'internal/benchkit/*')"
 CLOCK_SITES="$(cat $CLOCK_SRC | grep -oE 'time\.(Now|Since|After|NewTimer|NewTicker|Sleep|Tick|AfterFunc|Until)\(' | wc -l)"
 echo "wall-clock call sites in non-test internal/: $CLOCK_SITES (ceiling $WALL_CLOCK_MAX)"
 if [ "$CLOCK_SITES" -gt "$WALL_CLOCK_MAX" ]; then
     echo "wall-clock ratchet: $CLOCK_SITES call sites, above the ceiling of $WALL_CLOCK_MAX:"
     grep -nE 'time\.(Now|Since|After|NewTimer|NewTicker|Sleep|Tick|AfterFunc|Until)\(' $CLOCK_SRC
+    exit 1
+fi
+
+# One fault model: a call's fault and latency are drawn on the wire by
+# cluster.FaultTransport, a pure function of (seed, query key, host, n),
+# on both planes. The client transport with its own stream and real
+# sleeps, the worker-side handler that failed requests from another
+# stream, and the plan's pre-drawn outcomes must not come back: no
+# non-test Go defines FaultRoundTripper or ChaosHandler, SampleOutcome is
+# called only inside internal/cluster (FaultTransport, and Fig 5's
+# analytic FanOut), and non-test internal/cubrick holds or draws from no
+# randutil.Source (Open only seeds the discovery tree's own stream).
+echo "== one fault model"
+if grep -nE 'FaultRoundTripper|ChaosHandler' $NONTEST_GO; then
+    echo "one fault model: FaultRoundTripper or ChaosHandler is back in non-test code (see above); draw faults with cluster.FaultTransport"
+    exit 1
+fi
+if grep -nF 'SampleOutcome(' $(find . -name '*.go' ! -name '*_test.go' ! -path './internal/cluster/*' ! -path './.bench_build/*'); then
+    echo "one fault model: SampleOutcome is called outside internal/cluster (see above); draw faults with cluster.FaultTransport"
+    exit 1
+fi
+if grep -nE 'randutil\.Source|\.(Bernoulli|Intn|Int63|Float64|Exp|Normal|LogNormal|Pareto|Perm|Shuffle|Seed)\(' $(ls internal/cubrick/*.go | grep -v _test.go); then
+    echo "one fault model: non-test internal/cubrick holds or draws from a randutil.Source (see above); queries draw on the wire"
     exit 1
 fi
 
