@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -67,6 +68,22 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		calls.answer(host, lat)
 	}
 	return resp, err
+}
+
+// FirstFault returns the failure that the first call of query key draws on
+// the first of hosts, in sorted order, that draws one, or nil. A fan-out
+// that fails fast reports whichever faulted call returns first, which is
+// goroutine order; this one replays from the seed, whether or not a cancel
+// stopped that call before it drew.
+func (t *FaultTransport) FirstFault(key uint64, hosts []string) error {
+	hosts = slices.Clone(hosts)
+	slices.Sort(hosts)
+	for _, host := range slices.Compact(hosts) {
+		if _, err := t.draw(key, host, 0); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // draw samples call n of query key to host.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,9 +95,10 @@ type Deployment struct {
 	// coords holds each region's one query coordinator, built at Open:
 	// partition names repeat across regions, but each region's copies
 	// have their own ingest epochs, so regions share no KnownEpoch view.
-	// Their client draws faults on the wire, keyed by queries; loads use
-	// wire, which draws none.
+	// Their client draws faults on the wire through faults, keyed by
+	// queries; loads use wire, which draws none.
 	coords  map[string]*netexec.Coordinator
+	faults  *cluster.FaultTransport
 	queries atomic.Uint64
 	wire    *http.Client
 
@@ -145,7 +145,8 @@ func Open(cfg DeploymentConfig, epoch time.Time) (*Deployment, error) {
 	}
 
 	d.wire = &http.Client{Transport: memTransport{d}}
-	client := &http.Client{Transport: cluster.NewFaultTransport(memTransport{d}, cfg.Transport, cfg.Seed)}
+	d.faults = cluster.NewFaultTransport(memTransport{d}, cfg.Transport, cfg.Seed)
+	client := &http.Client{Transport: d.faults}
 	for _, region := range cfg.Regions {
 		d.coords[region] = &netexec.Coordinator{Client: client}
 		svc := shardmgr.ServiceConfig{
@@ -312,37 +313,33 @@ func (d *Deployment) DropTable(name string) error {
 	if err := d.Catalog.DropTable(name); err != nil {
 		return err
 	}
-	d.dropPartitions(name, shards)
-	return nil
-}
-
-// dropPartitions drops partition p of a table, whose shard is shards[p],
-// from its owner in every region, and unassigns each shard that no
-// partition maps to any more.
-func (d *Deployment) dropPartitions(table string, shards []int64) {
 	for p, shard := range shards {
+		partName := core.PartitionName(info.Name, p)
 		for _, region := range d.Config.Regions {
 			svc := ServiceName(region)
 			a, err := d.SM.Assignment(svc, shard)
 			if err != nil {
 				continue
 			}
-			if node, err := d.Node(a.Primary()); err == nil {
-				node.DropPartition(shard, core.PartitionName(table, p))
-			}
 			if len(d.Catalog.PartitionsOf(shard)) == 0 {
 				_ = d.SM.UnassignShard(svc, shard)
+				continue
+			}
+			if node, err := d.Node(a.Primary()); err == nil {
+				node.DropPartition(shard, partName)
 			}
 		}
 	}
+	return nil
 }
 
 // Load ingests rows into a table: each row routes to a partition by
 // dimension hash (core.RouteBatch), and each partition's batch goes to its
 // owner in every region (all regions hold full copies, §IV-D) through the
-// owner's worker, as on the networked plane. A fenced partition's batch
-// fails with a retryable error and is not retried here. Nothing is
-// undone, so a failed batch's error names the regions that took it.
+// owner's worker, as on the networked plane, one partition after another.
+// A fenced partition's batch fails with a retryable error and is not
+// retried here. Nothing is undone, so the error names the regions that
+// took the failed batch and the partitions that every region took.
 func (d *Deployment) Load(table string, dims [][]uint32, metrics [][]float64) error {
 	if len(dims) != len(metrics) {
 		return errors.New("cubrick: dims/metrics length mismatch")
@@ -351,22 +348,26 @@ func (d *Deployment) Load(table string, dims [][]uint32, metrics [][]float64) er
 	if err != nil {
 		return err
 	}
+	var loaded []string // partitions every region took
 	return core.RouteBatch(dims, metrics, info.Partitions, func(p int, bd [][]uint32, bm [][]float64) error {
 		shard := d.Catalog.ShardOf(table, p)
 		partName := core.PartitionName(table, p)
 		for i, region := range d.Config.Regions {
-			node, err := d.owner(region, shard)
+			a, err := d.SM.Assignment(ServiceName(region), shard)
+			var node *Node
+			if err == nil {
+				node, err = d.Node(a.Primary())
+			}
 			if err == nil {
 				err = d.ship(node, partName, bd, bm)
 			}
-			if err != nil && i > 0 {
-				return fmt.Errorf("cubrick: batch for %s taken by %s, not by %s: %w",
-					partName, strings.Join(d.Config.Regions[:i], ", "), region, err)
-			} else if err != nil {
-				return err
+			if err != nil {
+				return fmt.Errorf("cubrick: load stopped at %s, taken in %v, not in %s; partitions before it, taken in every region: %v: %w",
+					partName, d.Config.Regions[:i], region, loaded, err)
 			}
 			node.ingested(len(bd))
 		}
+		loaded = append(loaded, partName)
 		return nil
 	})
 }
@@ -406,30 +407,20 @@ func (d *Deployment) TableSizeBytes(table, region string) (int64, error) {
 	}
 	var total int64
 	for p := 0; p < info.Partitions; p++ {
-		st, err := d.partStore(region, table, p)
+		shard := d.Catalog.ShardOf(table, p)
+		a, err := d.SM.Assignment(ServiceName(region), shard)
+		if err != nil {
+			return 0, err
+		}
+		node, err := d.Node(a.Primary())
+		if err != nil {
+			return 0, err
+		}
+		st, err := node.store(shard, core.PartitionName(table, p))
 		if err != nil {
 			return 0, err
 		}
 		total += st.UncompressedBytes()
 	}
 	return total, nil
-}
-
-// owner returns the node holding a shard's primary in region.
-func (d *Deployment) owner(region string, shard int64) (*Node, error) {
-	a, err := d.SM.Assignment(ServiceName(region), shard)
-	if err != nil {
-		return nil, err
-	}
-	return d.Node(a.Primary())
-}
-
-// partStore returns partition p of a table on its owner in region.
-func (d *Deployment) partStore(region, table string, p int) (*brick.Store, error) {
-	shard := d.Catalog.ShardOf(table, p)
-	node, err := d.owner(region, shard)
-	if err != nil {
-		return nil, err
-	}
-	return node.store(shard, core.PartitionName(table, p))
 }

@@ -2,6 +2,7 @@ package cubrick
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -68,27 +69,46 @@ func TestLoadMeetsWorkerFence(t *testing.T) {
 	}
 }
 
-// Load writes a partition's regions in order and undoes nothing, so a
-// batch that one region's owner turns away stays in the regions before
-// it; the error names them.
+// Load writes partitions in order and each partition's regions in order,
+// and undoes nothing, so when one region's owner turns a batch away, the
+// regions before it keep that batch and every region keeps the partitions
+// before it; the error names both.
 func TestPartialLoadNamesRegionsReached(t *testing.T) {
 	d := testDeployment(t)
 	info, err := d.CreateTable("t", smallSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dims, mets := [][]uint32{{3, 7}}, [][]float64{{5}}
-	p := core.RouteRow(dims[0], info.Partitions)
-	fenceOwner(t, d, "west", "t", p, true)
+	// Two rows that route to two partitions, first < last; the loop adds
+	// the second row.
+	dims, mets := [][]uint32{{3, 7}}, [][]float64{{5}, {6}}
+	first := core.RouteRow(dims[0], info.Partitions)
+	last := first
+	for ds := uint32(0); last == first; ds++ {
+		row := []uint32{ds, 7}
+		if p := core.RouteRow(row, info.Partitions); p != first {
+			dims, last = append(dims, row), p
+		}
+	}
+	first, last = min(first, last), max(first, last)
+	fenceOwner(t, d, "west", "t", last, true)
 	err = d.Load("t", dims, mets)
 	if err == nil {
 		t.Fatal("load into a partition fenced in west succeeded")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "taken by east") || !strings.Contains(msg, "not by west") {
-		t.Fatalf("partial load error %q does not name east as reached and west as not", msg)
+	want := fmt.Sprintf("stopped at %s, taken in [east], not in west; partitions before it, taken in every region: [%s]",
+		core.PartitionName("t", last), core.PartitionName("t", first))
+	if msg := err.Error(); !strings.Contains(msg, want) {
+		t.Fatalf("partial load error %q does not say %q", msg, want)
 	}
 	if c := netexec.ClassifyError(err); c != netexec.Retryable {
 		t.Fatalf("partial load error %v classified %v, want Retryable", err, c)
+	}
+	// Fenced in east as well, the last partition's batch reached no region.
+	fenceOwner(t, d, "east", "t", last, true)
+	want = fmt.Sprintf("stopped at %s, taken in [], not in east", core.PartitionName("t", last))
+	if err := d.Load("t", dims, mets); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("partial load error %v does not say %q", err, want)
 	}
 }
 

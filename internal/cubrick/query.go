@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"time"
 
 	"cubrick/internal/cluster"
@@ -83,8 +84,19 @@ func (d *Deployment) query(ctx context.Context, region, table string, q *engine.
 	if err != nil {
 		return nil, err
 	}
-	ctx, calls := cluster.WithCalls(ctx, d.queries.Add(1))
+	key := d.queries.Add(1)
+	ctx, calls := cluster.WithCalls(ctx, key)
 	res, err := d.coords[region].Query(ctx, p.targets, q)
+	if errors.Is(err, cluster.ErrRequestFailed) {
+		hosts := make([]string, len(p.targets))
+		for i, t := range p.targets {
+			hosts[i] = strings.TrimPrefix(t.URL, "http://")
+		}
+		// Name the fault that replays, not the one fail fast saw first.
+		if fault := d.faults.FirstFault(key, hosts); fault != nil {
+			err = fmt.Errorf("%w: %w", netexec.ErrWorkerFailed, fault)
+		}
+	}
 	if err != nil {
 		// Both %w: callers match ErrRegionUnavailable for routing and the
 		// underlying cause (e.g. a worker's 429 as admission.ErrQueueFull).
@@ -178,7 +190,7 @@ func (d *Deployment) Repartition(table string) (core.Decision, int, error) {
 	if err != nil {
 		return core.Keep, 0, err
 	}
-	region, err := d.healthyRegionFor(info)
+	region, err := d.healthyRegionFor(table)
 	if err != nil {
 		return core.Keep, info.Partitions, err
 	}
@@ -195,7 +207,16 @@ func (d *Deployment) Repartition(table string) (core.Decision, int, error) {
 	var dims [][]uint32
 	var metrics [][]float64
 	for p := 0; p < info.Partitions; p++ {
-		st, err := d.partStore(region, table, p)
+		shard := d.Catalog.ShardOf(table, p)
+		a, err := d.SM.Assignment(ServiceName(region), shard)
+		if err != nil {
+			return decision, info.Partitions, err
+		}
+		node, err := d.Node(a.Primary())
+		if err != nil {
+			return decision, info.Partitions, err
+		}
+		st, err := node.store(shard, core.PartitionName(table, p))
 		if err != nil {
 			return decision, info.Partitions, err
 		}
@@ -219,7 +240,22 @@ func (d *Deployment) Repartition(table string) (core.Decision, int, error) {
 	}
 
 	// Drop the old partition stores (shards keep other tables' data).
-	d.dropPartitions(table, oldShards)
+	for p, shard := range oldShards {
+		partName := core.PartitionName(table, p)
+		for _, reg := range d.Config.Regions {
+			svc := ServiceName(reg)
+			a, err := d.SM.Assignment(svc, shard)
+			if err != nil {
+				continue
+			}
+			if node, err := d.Node(a.Primary()); err == nil {
+				node.DropPartition(shard, partName)
+			}
+			if len(d.Catalog.PartitionsOf(shard)) == 0 {
+				_ = d.SM.UnassignShard(svc, shard)
+			}
+		}
+	}
 
 	// Materialize the new layout and reload.
 	if err := d.materializeTable(newInfo); err != nil {
@@ -232,14 +268,32 @@ func (d *Deployment) Repartition(table string) (core.Decision, int, error) {
 }
 
 // healthyRegionFor returns a region whose copy of the table is fully
-// available: one where an exact plan succeeds.
-func (d *Deployment) healthyRegionFor(info TableInfo) (string, error) {
+// available.
+func (d *Deployment) healthyRegionFor(table string) (string, error) {
+	info, err := d.Catalog.Table(table)
+	if err != nil {
+		return "", err
+	}
 	for _, region := range d.Config.Regions {
-		if _, err := d.plan(region, info, 0, true); err == nil {
+		ok := true
+		for p := 0; p < info.Partitions; p++ {
+			shard := d.Catalog.ShardOf(table, p)
+			a, err := d.SM.Assignment(ServiceName(region), shard)
+			if err != nil {
+				ok = false
+				break
+			}
+			h, err := d.Fleet.Host(a.Primary())
+			if err != nil || !h.Available() {
+				ok = false
+				break
+			}
+		}
+		if ok {
 			return region, nil
 		}
 	}
-	return "", fmt.Errorf("%w: no healthy region for %s", cluster.ErrHostDown, info.Name)
+	return "", fmt.Errorf("%w: no healthy region for %s", cluster.ErrHostDown, table)
 }
 
 // DistinctHosts returns the number of distinct hosts holding a table's

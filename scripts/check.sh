@@ -146,8 +146,9 @@ fi
 # stream, and the plan's pre-drawn outcomes must not come back: no
 # non-test Go defines FaultRoundTripper or ChaosHandler, SampleOutcome is
 # called only inside internal/cluster (FaultTransport, and Fig 5's
-# analytic FanOut), and non-test internal/cubrick holds or draws from no
-# randutil.Source (Open only seeds the discovery tree's own stream).
+# analytic FanOut), and non-test internal/cubrick names no randutil.Source
+# and makes one random stream: Open's randutil.New, which seeds the
+# discovery tree.
 echo "== one fault model"
 if grep -nE 'FaultRoundTripper|ChaosHandler' $NONTEST_GO; then
     echo "one fault model: FaultRoundTripper or ChaosHandler is back in non-test code (see above); draw faults with cluster.FaultTransport"
@@ -157,8 +158,10 @@ if grep -nF 'SampleOutcome(' $(find . -name '*.go' ! -name '*_test.go' ! -path '
     echo "one fault model: SampleOutcome is called outside internal/cluster (see above); draw faults with cluster.FaultTransport"
     exit 1
 fi
-if grep -nE 'randutil\.Source|\.(Bernoulli|Intn|Int63|Float64|Exp|Normal|LogNormal|Pareto|Perm|Shuffle|Seed)\(' $(ls internal/cubrick/*.go | grep -v _test.go); then
-    echo "one fault model: non-test internal/cubrick holds or draws from a randutil.Source (see above); queries draw on the wire"
+CUBRICK_NONTEST="$(ls internal/cubrick/*.go | grep -v _test.go)"
+if grep -nF 'randutil.Source' $CUBRICK_NONTEST || [ "$(grep -oE 'randutil\.New[A-Za-z]*\(' $CUBRICK_NONTEST | wc -l)" -gt 1 ]; then
+    grep -nE 'randutil\.New[A-Za-z]*\(' $CUBRICK_NONTEST
+    echo "one fault model: non-test internal/cubrick holds a randutil.Source or makes a second random stream (see above); queries draw on the wire"
     exit 1
 fi
 
